@@ -69,6 +69,17 @@ def int_sqrt(n: int, iterations: int | None = None,
     return x
 
 
+def _bit_length(n: np.ndarray) -> np.ndarray:
+    """Bit length of each int64 element; 0 for elements <= 0."""
+    bl = np.zeros(n.shape, dtype=np.int64)
+    t = np.maximum(n, 0)
+    for s in (32, 16, 8, 4, 2, 1):
+        step = (t >> s > 0) * s
+        t = t >> step
+        bl += step
+    return bl + (t > 0)
+
+
 def _int_sqrt_array(n: np.ndarray, km: KernelMath, iterations: int = 40,
                     seed: str = "shift") -> np.ndarray:
     """Vectorized Newton floor-sqrt; ``seed`` picks the initial estimate."""
@@ -76,13 +87,11 @@ def _int_sqrt_array(n: np.ndarray, km: KernelMath, iterations: int = 40,
     zero = n == 0
     n = np.where(zero, 1, n)  # keep Newton's divisor away from zero
     if seed == "shift":
-        # 2^ceil(bitlength/2) per element
-        bl = np.zeros(n.shape, dtype=np.int64)
-        tmp = n.copy()
-        while np.any(tmp > 0):
-            km.counter.shifts += int(np.count_nonzero(tmp > 0))
-            bl[tmp > 0] += 1
-            tmp = tmp >> 1
+        # 2^ceil(bitlength/2) per element; the bit length comes from a
+        # 6-step binary search, charged as the one shift per bit that a
+        # shift-until-zero loop would spend
+        bl = _bit_length(n)
+        km.counter.shifts += int(bl.sum())
         x = np.int64(1) << ((bl + 1) >> 1)
     else:
         # quadratic over-estimate on the reduced mantissa m in [0, 64):

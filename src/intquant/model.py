@@ -75,7 +75,8 @@ def build_toy_vit(config: dict, seed: int = 0,
     """Deterministic random-weight encoder; same seed, same weights.
 
     Projection weights are N(0, 0.02), biases zero, LayerNorm affine at the
-    identity, positional table N(0, 0.02).
+    identity, positional table N(0, 0.02). Every array is read-only; to
+    change a weight, put a new array into the dict.
     """
     blocks = int(config.get("blocks", 2))
     dim = int(config.get("embed_dim", 32))
@@ -128,6 +129,10 @@ def build_toy_vit(config: dict, seed: int = 0,
         weights[f"{pre}.mlp.b2"] = np.zeros(dim)
     weights["head.w"] = draw([classes, dim])
     weights["head.b"] = np.zeros(classes)
+    # read-only, so that an in-place edit fails instead of leaving integer
+    # inference on encodings compiled from the old values
+    for arr in weights.values():
+        arr.setflags(write=False)
     return graph, weights
 
 

@@ -148,6 +148,8 @@ class AssignmentPlan:
     metric_table: MetricTable | None = None
     omega: float = 0.0
     warnings: list = field(default_factory=list)
+    # integer_forward's configuration-time state; see compile_plan
+    compiled: CompiledPlan | None = field(default=None, repr=False, compare=False)
 
     @property
     def calibrated(self) -> bool:
@@ -463,22 +465,116 @@ def _matmul_corrected(km: KernelMath, a, za, b_t, zb):
     return acc
 
 
+class _Reads:
+    """Mapping view that records every key read through it."""
+
+    def __init__(self, source):
+        self.source = source
+        self.seen: dict = {}
+
+    def __getitem__(self, key):
+        val = self.seen[key] = self.source[key]
+        return val
+
+
+def _linear_layers(graph: ModelGraph):
+    """(input edge, output edge, weight, bias) of every linear layer."""
+    for i in range(graph.blocks):
+        pre = f"block{i}"
+        yield (f"{pre}.ln1", f"{pre}.attn.q", f"{pre}.attn.wq", f"{pre}.attn.bq")
+        yield (f"{pre}.ln1", f"{pre}.attn.k", f"{pre}.attn.wk", f"{pre}.attn.bk")
+        yield (f"{pre}.ln1", f"{pre}.attn.v", f"{pre}.attn.wv", f"{pre}.attn.bv")
+        yield (f"{pre}.attn.ctx", f"{pre}.attn.proj", f"{pre}.attn.wo", f"{pre}.attn.bo")
+        yield (f"{pre}.ln2", f"{pre}.mlp.fc1", f"{pre}.mlp.w1", f"{pre}.mlp.b1")
+        yield (f"{pre}.gelu", f"{pre}.mlp.fc2", f"{pre}.mlp.w2", f"{pre}.mlp.b2")
+    yield ("pool", "logits", "head.w", "head.b")
+
+
+@dataclass(frozen=True)
+class CompiledPlan:
+    """Configuration-time state of :func:`integer_forward`.
+
+    Holds the integer weight encodings, the quantized positional table and
+    the dyadic requantization multipliers, together with the graph, config,
+    weight arrays and activation parameters they were derived from. It is
+    valid only while those are the very same objects; it is never
+    serialized.
+    """
+
+    graph: ModelGraph
+    config: PipelineConfig
+    weights_read: tuple       # (name, array) pairs, checked by identity
+    qparams_read: tuple       # (edge, QParams) pairs, checked by identity
+    bexp: sm_mod.BitExpConfig
+    pos_codes: np.ndarray
+    p_pos: QParams
+    linears: dict             # weight name -> _LinearPlan
+    dyadic: dict              # output edge -> (mantissa, shift)
+
+    def matches(self, graph: ModelGraph, weights: dict, plan: AssignmentPlan) -> bool:
+        return (self.graph is graph and self.config is plan.config
+                and all(weights.get(k) is v for k, v in self.weights_read)
+                and all(plan.qparams.get(e) is p for e, p in self.qparams_read))
+
+
+def compile_plan(graph: ModelGraph, weights: dict, plan: AssignmentPlan) -> CompiledPlan:
+    """Derive everything integer inference needs that does not depend on
+    the input, attach it to ``plan`` and return it."""
+    if not plan.calibrated:
+        raise ValueError("plan must be calibrated before inference")
+    cfg = plan.config
+    P, W = _Reads(plan.qparams), _Reads(weights)
+    bexp = cfg.bit_exp_config()
+
+    p_pos = MinMaxObserver().observe(W["pos"]).qparams(cfg.act_bits)
+    pos_codes = np.asarray(quantize(W["pos"], p_pos).codes, dtype=np.int64)
+    linears = {
+        wname: _prepare_linear(W[wname], W[bname], P[e_in], P[e_out], cfg.weight_bits)
+        for e_in, e_out, wname, bname in _linear_layers(graph)
+    }
+    dyadic = {}
+    p_probs = sm_mod.softmax_out_params(bexp)
+    for i in range(graph.blocks):
+        pre = f"block{i}"
+        pq, pk, pv = P[f"{pre}.attn.q"], P[f"{pre}.attn.k"], P[f"{pre}.attn.v"]
+        dyadic[f"{pre}.attn.scores"] = encode_dyadic_multiplier(
+            float(pq.scale) * float(pk.scale) / float(P[f"{pre}.attn.scores"].scale))
+        dyadic[f"{pre}.attn.ctx"] = encode_dyadic_multiplier(
+            float(p_probs.scale) * float(pv.scale) / float(P[f"{pre}.attn.ctx"].scale))
+    h_edge = f"block{graph.blocks - 1}.res2"
+    dyadic["pool"] = encode_dyadic_multiplier(
+        float(P[h_edge].scale) / (graph.tokens * float(P["pool"].scale)))
+
+    compiled = CompiledPlan(graph, cfg, tuple(W.seen.items()), tuple(P.seen.items()),
+                            bexp, pos_codes, p_pos, linears, dyadic)
+    plan.compiled = compiled
+    return compiled
+
+
 def integer_forward(graph: ModelGraph, weights: dict, plan: AssignmentPlan, x,
                     counter: OpCounter | None = None) -> tuple[Tensor, OpCounter]:
     """End-to-end integer inference under the calibrated plan.
 
-    Floating point appears exactly twice: quantizing the input tensor and
-    dequantizing the output logits. Everything between runs through the
-    instrumented integer facade; the returned counter reports the totals and
-    any float violations (which must be zero).
+    Floating point is used for two conversions only: quantizing the input
+    tensor and dequantizing the output logits. Everything between runs
+    through the instrumented integer facade; the returned counter reports
+    the totals and any float violations (which must be zero). The one
+    exception inside the facade is :meth:`KernelMath.matmul`, which may
+    carry integer operands through float64 BLAS when every partial sum is
+    below 2^52 and therefore exact; its result is cast back to int64.
+
+    Configuration-time work (see :func:`compile_plan`) is done on the first
+    call and reused while the graph, config, weight arrays and activation
+    parameters are the same objects. Threads may share a plan: a race to
+    compile it only builds equal states twice.
     """
-    if not plan.calibrated:
-        raise ValueError("plan must be calibrated before inference")
+    compiled = plan.compiled
+    if compiled is None or not compiled.matches(graph, weights, plan):
+        compiled = compile_plan(graph, weights, plan)
     counter = counter if counter is not None else OpCounter()
     km = KernelMath(counter)
     P = plan.qparams
-    cfg = plan.config
-    bexp = cfg.bit_exp_config()
+    lin, dyadic, bexp = compiled.linears, compiled.dyadic, compiled.bexp
 
     xq = quantize(np.asarray(x, dtype=np.float64), P["input"])
     codes = km.asarray(xq.codes)
@@ -491,16 +587,6 @@ def integer_forward(graph: ModelGraph, weights: dict, plan: AssignmentPlan, x,
             f" ({graph.tokens}, {graph.embed_dim})"
         )
 
-    # configuration-time constant encodings
-    pos_obs = MinMaxObserver().observe(weights["pos"])
-    p_pos = pos_obs.qparams(cfg.act_bits)
-    pos_codes = km.asarray(quantize(weights["pos"], p_pos).codes)
-
-    def linear(pre_in, pre_out, wname, bname):
-        lp = _prepare_linear(weights[wname], weights[bname], P[pre_in], P[pre_out],
-                             cfg.weight_bits)
-        return lp
-
     def run_nonlinear(layer_id, codes_in, p_in):
         cand = plan.assignments[layer_id]
         qt = QTensor(codes_in, p_in)
@@ -511,7 +597,8 @@ def integer_forward(graph: ModelGraph, weights: dict, plan: AssignmentPlan, x,
         gamma, beta = _ln_weights(weights, layer_id)
         return run_ln_candidate(cand, qt, gamma, beta, P[layer_id], counter)
 
-    h = _add_requant(km, codes, P["input"], pos_codes, p_pos, P["pos_add"])
+    h = _add_requant(km, codes, P["input"], compiled.pos_codes, compiled.p_pos,
+                     P["pos_add"])
     h = run_nonlinear("embed.ln", h, P["pos_add"]).codes
     h = km.asarray(h)
     h_edge = "embed.ln"
@@ -520,12 +607,9 @@ def integer_forward(graph: ModelGraph, weights: dict, plan: AssignmentPlan, x,
         pre = f"block{i}"
         a = run_nonlinear(f"{pre}.ln1", h, P[h_edge]).codes
         a = km.asarray(a)
-        qc = _linear_int(km, a, linear(f"{pre}.ln1", f"{pre}.attn.q",
-                                       f"{pre}.attn.wq", f"{pre}.attn.bq"))
-        kc = _linear_int(km, a, linear(f"{pre}.ln1", f"{pre}.attn.k",
-                                       f"{pre}.attn.wk", f"{pre}.attn.bk"))
-        vc = _linear_int(km, a, linear(f"{pre}.ln1", f"{pre}.attn.v",
-                                       f"{pre}.attn.wv", f"{pre}.attn.bv"))
+        qc = _linear_int(km, a, lin[f"{pre}.attn.wq"])
+        kc = _linear_int(km, a, lin[f"{pre}.attn.wk"])
+        vc = _linear_int(km, a, lin[f"{pre}.attn.wv"])
         B, T, D = qc.shape
         H, hd = graph.heads, graph.head_dim
         qh = qc.reshape(B, T, H, hd).transpose(0, 2, 1, 3)
@@ -536,36 +620,29 @@ def integer_forward(graph: ModelGraph, weights: dict, plan: AssignmentPlan, x,
         acc = _matmul_corrected(km, qh, int(pq.zero_point),
                                 kh.transpose(0, 1, 3, 2), int(pk.zero_point))
         ps = P[f"{pre}.attn.scores"]
-        m, e = encode_dyadic_multiplier(
-            float(pq.scale) * float(pk.scale) / float(ps.scale))
+        m, e = dyadic[f"{pre}.attn.scores"]
         scores = km.clip(km.add(km.rshift_round(km.mul(acc, m), e), int(ps.zero_point)),
                          0, ps.qmax)
 
-        probs = run_nonlinear(f"{pre}.softmax", scores, ps)
-        pp = probs.params
-        pc = km.asarray(probs.codes)
+        pc = km.asarray(run_nonlinear(f"{pre}.softmax", scores, ps).codes)
         accv = km.matmul(pc, vh)
         if int(pv.zero_point):
             accv = km.sub(accv, km.mul(km.sum(pc, axis=-1, keepdims=True),
                                        int(pv.zero_point)))
         pctx = P[f"{pre}.attn.ctx"]
-        m, e = encode_dyadic_multiplier(
-            float(pp.scale) * float(pv.scale) / float(pctx.scale))
+        m, e = dyadic[f"{pre}.attn.ctx"]
         ctx = km.clip(km.add(km.rshift_round(km.mul(accv, m), e), int(pctx.zero_point)),
                       0, pctx.qmax)
         ctx = ctx.transpose(0, 2, 1, 3).reshape(B, T, D)
 
-        proj = _linear_int(km, ctx, linear(f"{pre}.attn.ctx", f"{pre}.attn.proj",
-                                           f"{pre}.attn.wo", f"{pre}.attn.bo"))
+        proj = _linear_int(km, ctx, lin[f"{pre}.attn.wo"])
         h = _add_requant(km, h, P[h_edge], proj, P[f"{pre}.attn.proj"], P[f"{pre}.res1"])
         mcodes = run_nonlinear(f"{pre}.ln2", h, P[f"{pre}.res1"]).codes
         mcodes = km.asarray(mcodes)
-        f1 = _linear_int(km, mcodes, linear(f"{pre}.ln2", f"{pre}.mlp.fc1",
-                                            f"{pre}.mlp.w1", f"{pre}.mlp.b1"))
+        f1 = _linear_int(km, mcodes, lin[f"{pre}.mlp.w1"])
         g = run_nonlinear(f"{pre}.gelu", f1, P[f"{pre}.mlp.fc1"]).codes
         g = km.asarray(g)
-        f2 = _linear_int(km, g, linear(f"{pre}.gelu", f"{pre}.mlp.fc2",
-                                       f"{pre}.mlp.w2", f"{pre}.mlp.b2"))
+        f2 = _linear_int(km, g, lin[f"{pre}.mlp.w2"])
         h = _add_requant(km, h, P[f"{pre}.res1"], f2, P[f"{pre}.mlp.fc2"],
                          P[f"{pre}.res2"])
         h_edge = f"{pre}.res2"
@@ -573,12 +650,10 @@ def integer_forward(graph: ModelGraph, weights: dict, plan: AssignmentPlan, x,
     # mean pool over tokens, the 1/T division folded into the multiplier
     ph, ppool = P[h_edge], P["pool"]
     acc = km.sub(km.sum(h, axis=1, keepdims=False), graph.tokens * int(ph.zero_point))
-    m, e = encode_dyadic_multiplier(
-        float(ph.scale) / (graph.tokens * float(ppool.scale)))
+    m, e = dyadic["pool"]
     pooled = km.clip(km.add(km.rshift_round(km.mul(acc, m), e), int(ppool.zero_point)),
                      0, ppool.qmax)
-    logits_codes = _linear_int(km, pooled, linear("pool", "logits",
-                                                  "head.w", "head.b"))
+    logits_codes = _linear_int(km, pooled, lin["head.w"])
     out = dequantize_np(QTensor(logits_codes, P["logits"]))
     if squeeze:
         out = out[0]

@@ -150,7 +150,8 @@ def _int_div_codes(q_exp: np.ndarray, cfg: BitExpConfig, km: KernelMath) -> np.n
     return km.rshift(km.mul(recip, q_exp), cfg.M - (cfg.bits - 1))
 
 
-def _out_params(cfg: BitExpConfig) -> QParams:
+def softmax_out_params(cfg: BitExpConfig) -> QParams:
+    """Output parameters of every softmax candidate: probabilities on 2^-(bits-1)."""
     return QParams(1.0 / (1 << (cfg.bits - 1)), 0, cfg.bits, "asymmetric")
 
 
@@ -205,7 +206,7 @@ def int_div_normalize(q_exp: QTensor, cfg: BitExpConfig | None = None,
     _check_m(cfg, q_exp.codes.shape[-1])
     km = KernelMath(counter)
     codes = _int_div_codes(km.asarray(q_exp.codes), cfg, km)
-    return QTensor(codes.astype(np.int32), _out_params(cfg))
+    return QTensor(codes.astype(np.int32), softmax_out_params(cfg))
 
 
 def efficient_bit_softmax(q: QTensor, cfg: BitExpConfig | None = None,
@@ -217,7 +218,7 @@ def efficient_bit_softmax(q: QTensor, cfg: BitExpConfig | None = None,
     qd = _max_subtract_codes(km.asarray(q.codes), km)
     q_exp = _eff_exp_codes(qd, f, cfg, km)
     codes = _int_div_codes(q_exp, cfg, km)
-    return QTensor(codes.astype(np.int32), _out_params(cfg))
+    return QTensor(codes.astype(np.int32), softmax_out_params(cfg))
 
 
 def shiftmax(q: QTensor, cfg: BitExpConfig | None = None,
@@ -230,7 +231,7 @@ def shiftmax(q: QTensor, cfg: BitExpConfig | None = None,
     qd = _max_subtract_codes(km.asarray(q.codes), km)
     q_exp = _shift_exp_codes(qd, f, km)
     codes = _int_div_codes(q_exp, cfg, km)
-    return QTensor(codes.astype(np.int32), _out_params(cfg))
+    return QTensor(codes.astype(np.int32), softmax_out_params(cfg))
 
 
 _P12 = 12  # fixed-point grid of the quadratic exponential value
@@ -271,7 +272,7 @@ def iexp_softmax(q: QTensor, cfg: BitExpConfig | None = None,
     qd = _max_subtract_codes(km.asarray(q.codes), km)
     q_exp = _iexp_value_codes(qd, f, km)
     codes = _int_div_codes(q_exp, cfg, km)
-    return QTensor(codes.astype(np.int32), _out_params(cfg))
+    return QTensor(codes.astype(np.int32), softmax_out_params(cfg))
 
 
 def iexp_exp_codes(qd: QTensor, counter: OpCounter | None = None,
@@ -301,7 +302,7 @@ def log2_softmax(q: QTensor, cfg: BitExpConfig | None = None,
     capped = km.minimum(k, cfg.bits - 1)
     codes = km.rshift(np.int64(1) << (cfg.bits - 1),
                       np.where(k > cfg.bits - 1, np.int64(62), capped))
-    return QTensor(codes.astype(np.int32), _out_params(cfg))
+    return QTensor(codes.astype(np.int32), softmax_out_params(cfg))
 
 
 def log2_softmax_codes(q: QTensor, cfg: BitExpConfig | None = None,

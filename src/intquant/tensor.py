@@ -22,6 +22,7 @@ _CODE_BY_DTYPE = {v: k for k, v in _DTYPE_BY_CODE.items()}
 _NP_BY_DTYPE = {"real32": np.dtype("<f4"), "int32": np.dtype("<i4")}
 
 INT64_MAX = np.iinfo(np.int64).max
+EXACT_FLOAT_BITS = 52  # integers below 2^52 survive float64 sums exactly
 
 
 class TensorFormatError(ValueError):
@@ -318,7 +319,7 @@ class KernelMath:
     def _guard(self, *xs) -> None:
         for x in xs:
             if isinstance(x, np.ndarray):
-                if not np.issubdtype(x.dtype, np.integer):
+                if x.dtype.kind not in "iu":
                     self.counter.float_violations += 1
                     raise IntegerViolation(
                         f"array with dtype {x.dtype} on the integer kernel path"
@@ -326,6 +327,17 @@ class KernelMath:
             elif isinstance(x, (float, np.floating)):
                 self.counter.float_violations += 1
                 raise IntegerViolation("real scalar on the integer kernel path")
+
+    @staticmethod
+    def _magnitude(x) -> int:
+        """Largest absolute value in ``x`` as a Python int.
+
+        Taken from the extremes rather than ``np.abs``, which allocates a
+        copy and wraps INT64_MIN onto itself.
+        """
+        if isinstance(x, np.ndarray):
+            return max(int(x.max()), -int(x.min())) if x.size else 0
+        return abs(int(x))
 
     @staticmethod
     def _size(*xs) -> int:
@@ -352,8 +364,7 @@ class KernelMath:
     def mul(self, a, b):
         self._guard(a, b)
         # cheap magnitude check: products must stay inside 64 signed bits
-        ma = int(np.max(np.abs(a))) if np.size(a) else 0
-        mb = int(np.max(np.abs(b))) if np.size(b) else 0
+        ma, mb = self._magnitude(a), self._magnitude(b)
         if ma and mb and ma.bit_length() + mb.bit_length() > 63:
             raise KernelOverflowError(
                 f"product magnitudes up to {ma} * {mb} may exceed 64-bit signed range"
@@ -373,8 +384,11 @@ class KernelMath:
 
     def lshift(self, a, k):
         self._guard(a, k)
-        ma = int(np.max(np.abs(a))) if np.size(a) else 0
-        mk = int(np.max(k)) if np.size(k) else 0
+        ma = self._magnitude(a)
+        if isinstance(k, np.ndarray):
+            mk = int(k.max()) if k.size else 0
+        else:
+            mk = int(k)
         if ma and ma.bit_length() + mk > 63:
             raise KernelOverflowError("left shift may exceed 64-bit signed range")
         self.counter.shifts += self._size(a, k)
@@ -419,13 +433,25 @@ class KernelMath:
         return np.max(a, axis=axis, keepdims=keepdims).astype(np.int64, copy=False)
 
     def matmul(self, a, b):
+        """Integer matrix product, exact.
+
+        Every partial sum is bounded by ``k * max|a| * max|b|``. Under
+        2^62 the int64 product cannot overflow; under 2^52 every partial
+        sum is an integer that float64 holds exactly in any summation
+        order, so the product runs on float64 BLAS and is cast back. Only
+        integer operands are accepted either way.
+        """
+        a, b = np.asarray(a), np.asarray(b)
         self._guard(a, b)
-        ma = int(np.max(np.abs(a))) if a.size else 0
-        mb = int(np.max(np.abs(b))) if b.size else 0
+        ma, mb = self._magnitude(a), self._magnitude(b)
         k = a.shape[-1]
-        if ma and mb and (ma.bit_length() + mb.bit_length() + k.bit_length()) > 62:
+        bits = ma.bit_length() + mb.bit_length() + k.bit_length() if ma and mb else 0
+        if bits > 62:
             raise KernelOverflowError("accumulated matmul may exceed 64-bit signed range")
-        out = np.matmul(a.astype(np.int64), b.astype(np.int64))
+        if bits <= EXACT_FLOAT_BITS:
+            out = np.matmul(a.astype(np.float64), b.astype(np.float64)).astype(np.int64)
+        else:
+            out = np.matmul(a.astype(np.int64), b.astype(np.int64))
         self.counter.muls += out.size * k
         self.counter.adds += out.size * max(k - 1, 0)
         return out

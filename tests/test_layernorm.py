@@ -49,6 +49,60 @@ class TestIntSqrt:
             int_sqrt(-1)
 
 
+def _int_sqrt_shift_loop(n, km, iterations=40):
+    """Reference: the shift-seeded Newton floor-sqrt with the seed's bit
+    length found by shifting once per bit until zero."""
+    n = km.asarray(n)
+    zero = n == 0
+    n = np.where(zero, 1, n)
+    bl = np.zeros(n.shape, dtype=np.int64)
+    tmp = n.copy()
+    while np.any(tmp > 0):
+        km.counter.shifts += int(np.count_nonzero(tmp > 0))
+        bl[tmp > 0] += 1
+        tmp = tmp >> 1
+    x = np.int64(1) << ((bl + 1) >> 1)
+    x = np.maximum(x, 1)
+    for _ in range(iterations):
+        y = (x + km.floordiv(n, x)) >> 1
+        km.counter.adds += n.size
+        km.counter.shifts += n.size
+        km.counter.compares += n.size
+        done = y >= x
+        if done.all():
+            break
+        x = np.where(done, x, y)
+    return np.where(zero, 0, x)
+
+
+class TestShiftSeedMatchesLoop:
+    EDGES = np.array(sorted({0, 1, 2, 3} | {(1 << k) + d for k in range(1, 63)
+                                            for d in (-1, 0, 1) if (1 << k) + d < 1 << 63}
+                            | {(1 << 63) - 1}), dtype=np.int64)
+
+    @pytest.mark.parametrize("iterations", [0, 1, 12, 40])
+    def test_edges(self, iterations):
+        self._check(self.EDGES, iterations)
+
+    @pytest.mark.parametrize("iterations", [0, 12])
+    def test_random(self, iterations):
+        rng = np.random.default_rng(3)
+        for top in (1 << 8, 1 << 20, 1 << 40, 1 << 62):
+            self._check(rng.integers(0, top, size=(7, 33), endpoint=True), iterations)
+
+    def test_nonpositive_seed(self):
+        self._check(np.array([[-5, -1, 0], [1, 0, -(1 << 62)]], dtype=np.int64), 0)
+
+    @staticmethod
+    def _check(n, iterations):
+        # iterations=0 returns the seed itself, so seeds are compared too
+        km_new, km_ref = KernelMath(), KernelMath()
+        got = _int_sqrt_array(n, km_new, iterations=iterations)
+        want = _int_sqrt_shift_loop(n, km_ref, iterations=iterations)
+        np.testing.assert_array_equal(got, want)
+        assert km_new.counter.as_dict() == km_ref.counter.as_dict()
+
+
 def _quantized_rows(x, bits=8):
     p = MinMaxObserver().observe(x).qparams(bits)
     return quantize(x, p)

@@ -1,4 +1,6 @@
 import json
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -9,10 +11,11 @@ from intquant.model import (CANDIDATE_POOLS, build_toy_vit, forward_float,
                             activation_edges)
 from intquant.pipeline import (AssignmentPlan, ConfigError, IncompleteTableError,
                                PipelineConfig, calibration_batches,
-                               config_from_dict, integer_forward, load_plan,
-                               plan_to_dict, run_pipeline,
+                               compile_plan, config_from_dict, integer_forward,
+                               load_plan, plan_from_dict, plan_to_dict, run_pipeline,
                                save_plan, stage1_analyze, stage2_assign,
                                stage3_calibrate)
+from intquant.quantize import QParams
 from intquant.tensor import rng_tensor
 
 
@@ -285,6 +288,119 @@ class TestIntegerForward:
         _, c1 = integer_forward(graph, weights, plan, x)
         _, c2 = integer_forward(graph, weights, plan, x)
         assert c1.as_dict() == c2.as_dict()
+
+
+def _fresh(plan):
+    """An independent copy of ``plan`` with no compiled state."""
+    return plan_from_dict(plan_to_dict(plan))
+
+
+def _run(graph, weights, plan, xs):
+    outs = [integer_forward(graph, weights, plan, x) for x in xs]
+    return [o.values.tobytes() for o, _ in outs], [c.as_dict() for _, c in outs]
+
+
+class TestCompiledPlan:
+    @pytest.fixture(scope="class")
+    def inputs(self):
+        return [rng_tensor(40 + i, [1 + i % 2, 8, 32], "normal", 0.0, 1.0).values
+                for i in range(4)]
+
+    def test_repeated_calls_match_a_fresh_plan(self, pipeline_result, inputs):
+        (plan, table, graph, weights), cfg = pipeline_result
+        plan = _fresh(plan)
+        runs = [_run(graph, weights, plan, inputs) for _ in range(3)]
+        assert plan.compiled is not None
+        for x, logits, ops in zip(inputs, *runs[0]):
+            first = _run(graph, weights, _fresh(plan), [x])
+            assert first == ([logits], [ops])
+        assert runs[1] == runs[0] and runs[2] == runs[0]
+
+    def test_compiled_state_is_reused(self, pipeline_result, inputs):
+        (plan, table, graph, weights), cfg = pipeline_result
+        plan = _fresh(plan)
+        compiled = compile_plan(graph, weights, plan)
+        integer_forward(graph, weights, plan, inputs[0])
+        assert plan.compiled is compiled
+        integer_forward(graph, dict(weights), plan, inputs[0])
+        assert plan.compiled is compiled
+
+    @pytest.mark.parametrize("name", ["pos", "block0.attn.wv", "block1.mlp.w2",
+                                      "block0.mlp.b1", "head.w"])
+    def test_replaced_weight_recompiles(self, pipeline_result, inputs, name):
+        (plan, table, graph, weights), cfg = pipeline_result
+        plan = _fresh(plan)
+        before = _run(graph, weights, plan, inputs)
+        changed = dict(weights)
+        rng = np.random.default_rng(1)
+        changed[name] = weights[name] + rng.normal(0.0, 0.05, weights[name].shape)
+        after = _run(graph, changed, plan, inputs)
+        assert after == _run(graph, changed, _fresh(plan), inputs)
+        assert after[0] != before[0]
+
+    # a coarser attention-score grid does not move this model's 8-bit
+    # logits, so for that edge only the rebuilt state is checked
+    @pytest.mark.parametrize("edge,moves_logits", [
+        ("block0.attn.scores", False), ("block0.mlp.fc1", True),
+        ("block1.attn.ctx", True), ("pool", True)])
+    def test_replaced_qparams_recompiles(self, pipeline_result, inputs, edge,
+                                         moves_logits):
+        (plan, table, graph, weights), cfg = pipeline_result
+        plan = _fresh(plan)
+        before = _run(graph, weights, plan, inputs)
+        old = plan.qparams[edge]
+        # doubled, so the attention scores stay on a power-of-two grid
+        new = plan.qparams[edge] = QParams(float(old.scale) * 2, old.zero_point,
+                                           old.bits, old.scheme)
+        after = _run(graph, weights, plan, inputs)
+        assert (edge, new) in plan.compiled.qparams_read
+        assert after == _run(graph, weights, _fresh(plan), inputs)
+        if moves_logits:
+            assert after[0] != before[0]
+
+    def test_toy_weights_are_read_only(self):
+        _, weights = build_toy_vit({"blocks": 1})
+        for name, arr in weights.items():
+            assert not arr.flags.writeable, name
+        with pytest.raises(ValueError):
+            weights["block0.attn.wq"][0, 0] = 1.0
+        with pytest.raises(ValueError):
+            weights["pos"] += 1.0
+
+    def test_serialized_plan_unchanged_by_forward(self, pipeline_result, inputs,
+                                                  tmp_path):
+        (plan, table, graph, weights), cfg = pipeline_result
+        plan = _fresh(plan)
+        before = json.dumps(plan_to_dict(plan))
+        save_plan(plan, tmp_path / "before.json")
+        _run(graph, weights, plan, inputs)
+        assert plan.compiled is not None
+        assert json.dumps(plan_to_dict(plan)) == before
+        save_plan(plan, tmp_path / "after.json")
+        assert (tmp_path / "after.json").read_bytes() == (tmp_path / "before.json").read_bytes()
+
+    def test_threads_share_one_plan(self, pipeline_result, inputs):
+        (plan, table, graph, weights), cfg = pipeline_result
+        want = _run(graph, weights, _fresh(plan), inputs)
+        shared = _fresh(plan)   # uncompiled, so the threads race to compile it
+        results = [None] * 4
+
+        def work(i):
+            results[i] = [_run(graph, weights, shared, inputs) for _ in range(3)]
+
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        for runs in results:
+            assert runs == [want] * 3
 
 
 class TestPlanSerialization:

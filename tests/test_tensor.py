@@ -1,9 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from intquant.tensor import (InstrumentedInt, IntegerViolation, KernelMath,
-                             OpCounter, Tensor, TensorFormatError, rng_tensor,
-                             tensor_read, tensor_write)
+                             KernelOverflowError, OpCounter, Tensor,
+                             TensorFormatError, rng_tensor, tensor_read,
+                             tensor_write)
+
+INT64_MIN = int(np.iinfo(np.int64).min)
 
 
 class TestFileFormat:
@@ -171,6 +177,117 @@ class TestKernelMath:
         km = KernelMath()
         with pytest.raises(KernelOverflowError):
             km.lshift(np.array([1 << 40], dtype=np.int64), 30)
+
+
+class TestOverflowGuards:
+    """The magnitude bound must see INT64_MIN, whose np.abs wraps to itself."""
+
+    def test_mul_int64_min(self):
+        with pytest.raises(KernelOverflowError):
+            KernelMath().mul(np.array([INT64_MIN, 5], dtype=np.int64), 2)
+
+    def test_lshift_int64_min(self):
+        with pytest.raises(KernelOverflowError):
+            KernelMath().lshift(np.array([INT64_MIN, 5], dtype=np.int64), 1)
+
+    def test_matmul_int64_min(self):
+        with pytest.raises(KernelOverflowError):
+            KernelMath().matmul(np.array([[INT64_MIN, 1]], dtype=np.int64),
+                                np.array([[1], [1]], dtype=np.int64))
+
+    def test_scalar_operand_magnitude(self):
+        with pytest.raises(KernelOverflowError):
+            KernelMath().mul(np.array([3], dtype=np.int64), -(1 << 62))
+
+    def test_in_range_values_pass(self):
+        km = KernelMath()
+        np.testing.assert_array_equal(
+            km.mul(np.array([-(1 << 31), 5], dtype=np.int64), -(1 << 30)),
+            [1 << 61, -5 * (1 << 30)])
+        np.testing.assert_array_equal(
+            km.lshift(np.array([-(1 << 31), 0], dtype=np.int64), 31), [-(1 << 62), 0])
+
+
+class TestGuardDtypes:
+    @pytest.mark.parametrize("dtype", list(np.typecodes["AllInteger"]))
+    def test_integer_dtypes_accepted(self, dtype):
+        km = KernelMath()
+        out = km.asarray(np.array([0, 1, 7], dtype=dtype))
+        assert out.dtype == np.int64
+        np.testing.assert_array_equal(out, [0, 1, 7])
+        assert km.counter.float_violations == 0
+
+    @pytest.mark.parametrize("dtype", [np.bool_, np.float16, np.float32, np.float64,
+                                       np.complex64, np.complex128, object])
+    def test_other_dtypes_rejected(self, dtype):
+        km = KernelMath()
+        with pytest.raises(IntegerViolation):
+            km.asarray(np.array([0, 1], dtype=dtype))
+        assert km.counter.float_violations == 1
+
+
+@st.composite
+def _gemm_operands(draw):
+    """Integer operands whose bit budget bitlen(max|a|) + bitlen(max|b|) +
+    bitlen(k) is drawn from both sides of the 52-bit exact-float bound and
+    past the 62-bit overflow limit; one element of each operand sits at
+    the top of its bit length, so the budget is exact."""
+    batch = draw(st.lists(st.integers(1, 3), max_size=2))
+    m, k, n = (draw(st.integers(1, 6)) for _ in range(3))
+    kb = k.bit_length()
+    total = draw(st.integers(kb + 2, 66))
+    ba = draw(st.integers(max(1, total - kb - 63), min(63, total - kb - 1)))
+    bb = total - kb - ba
+
+    def operand(shape, bits):
+        top = (1 << bits) - 1
+        x = draw(arrays(np.int64, shape, elements=st.integers(-top, top)))
+        i = draw(st.integers(0, x.size - 1))
+        x.flat[i] = draw(st.sampled_from([1, -1])) * draw(st.integers(1 << (bits - 1), top))
+        return x
+
+    a = operand((*batch, m, k), ba)
+    b = operand((*draw(st.sampled_from([batch, []])), k, n), bb)
+    return a, b, total
+
+
+class TestMatmul:
+    @settings(max_examples=300, deadline=None)
+    @given(_gemm_operands())
+    def test_exact_against_python_ints(self, operands):
+        a, b, total = operands
+        km = KernelMath()
+        if total > 62:
+            with pytest.raises(KernelOverflowError):
+                km.matmul(a, b)
+            return
+        out = km.matmul(a, b)
+        want = np.matmul(a.astype(object), b.astype(object))
+        assert out.dtype == np.int64
+        assert out.shape == want.shape
+        assert out.tolist() == want.tolist()
+        k = a.shape[-1]
+        assert km.counter.muls == out.size * k
+        assert km.counter.adds == out.size * (k - 1)
+
+    @pytest.mark.parametrize("total", [50, 51, 52, 53, 62])
+    def test_all_max_operands_at_the_bounds(self, total):
+        # every product at its largest, so each partial sum is the largest
+        # the bit budget allows
+        k = 7
+        ba = (total - k.bit_length()) // 2
+        bb = total - k.bit_length() - ba
+        a = np.full((2, 3, k), (1 << ba) - 1, dtype=np.int64)
+        b = np.full((k, 4), -((1 << bb) - 1), dtype=np.int64)
+        b[0, 0] = (1 << bb) - 1
+        out = KernelMath().matmul(a, b)
+        assert out.tolist() == np.matmul(a.astype(object), b.astype(object)).tolist()
+
+    def test_float_operand_still_rejected(self):
+        km = KernelMath()
+        with pytest.raises(IntegerViolation):
+            km.matmul(np.ones((2, 2)), np.ones((2, 2), dtype=np.int64))
+        assert km.counter.float_violations == 1
 
 
 def test_instrumented_int_rejects_64bit_overflow():
