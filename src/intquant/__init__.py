@@ -6,7 +6,7 @@ from .gelu import (ErfPolyCoeffs, FitResult, IBERT_ERF_COEFFS,
                    QUARTIC_ERF_COEFFS, data_aware_poly_gelu,
                    data_aware_poly_gelu_int, erf_poly_eval, fit_erf_poly,
                    ibert_gelu, shift_gelu)
-from .layernorm import LNConfig, int_layernorm, int_sqrt
+from .layernorm import LNConfig, int_layernorm
 from .metric import (approx_error, op_count, perturbation, softplus, sqnr,
                      unified_score)
 from .model import CANDIDATE_POOLS, ModelGraph, build_toy_vit, forward_float
@@ -19,8 +19,7 @@ from .softmax import (BitExpConfig, base2_frac_approx_error, decompose,
                       efficient_bit_exp, efficient_bit_softmax, iexp_softmax,
                       int_div_normalize, log2_softmax, log2e_shift,
                       max_subtract, shiftmax)
-from .tensor import (InstrumentedInt, IntegerViolation, KernelMath, OpCounter,
-                     Tensor, TensorFormatError, rng_tensor, tensor_read,
-                     tensor_write)
+from .tensor import (IntegerViolation, KernelMath, OpCounter, Tensor,
+                     TensorFormatError, rng_tensor, tensor_read, tensor_write)
 
 __version__ = "0.1.0"

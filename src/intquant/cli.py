@@ -3,8 +3,12 @@ pipeline execution, integer inference, and run reports.
 
 Exit codes: 0 success, 1 internal failure, 2 usage error. Every run appends
 one report line (command, argument snapshot, produced files, wall time,
-seed) to the report file; outputs themselves are deterministic given the
-arguments and seed.
+model seed) to the report file; outputs themselves are deterministic given
+the arguments and the config.
+
+Every command returns (output paths, seed): the seed that built the model
+(the config's for ``assign``, the plan's for ``infer``), or None when the
+command builds no model.
 """
 
 from __future__ import annotations
@@ -22,26 +26,26 @@ from . import gelu as gelu_mod
 from . import pipeline as pl
 from .metric import approx_error
 from .softmax import base2_frac_approx_error
-from .tensor import OpCounter, tensor_read, tensor_write
+from .tensor import OpCounter, TensorFormatError, tensor_read, tensor_write
 
 
 class UsageError(ValueError):
     pass
 
 
-def _append_report(args, outputs: list[str], started: float) -> None:
+def _append_report(args, outputs: list[str], seed: int | None, started: float) -> None:
     report = {
         "command": args.command,
         "args": {k: v for k, v in sorted(vars(args).items()) if k != "func"},
         "outputs": outputs,
         "wall_time_s": round(time.monotonic() - started, 6),
-        "seed": getattr(args, "seed", 0),
+        "seed": seed,
     }
     with open(args.report_file, "a") as fh:
         fh.write(json.dumps(report, default=str) + "\n")
 
 
-def cmd_fit(args) -> list[str]:
+def cmd_fit(args) -> tuple[list[str], None]:
     lo, hi = args.range
     if not lo < hi:
         raise UsageError(f"--range needs lo < hi, got ({lo}, {hi})")
@@ -65,7 +69,7 @@ def cmd_fit(args) -> list[str]:
     print(f"fit degree {args.degree} on ({lo}, {hi}):"
           f" a={result.coeffs.a:.6f} b={result.coeffs.b:.6f}"
           f" l2={result.l2_err:.6f} linf={result.linf_err:.6f}")
-    return [args.out]
+    return [args.out], None
 
 
 def _erf_rows():
@@ -100,7 +104,7 @@ def _exp2_rows():
     return rows
 
 
-def cmd_eval_approx(args) -> list[str]:
+def cmd_eval_approx(args) -> tuple[list[str], None]:
     table = {"erf": _erf_rows, "gelu": _gelu_rows, "exp2": _exp2_rows}
     if args.which not in table:
         raise UsageError(f"--which must be one of {sorted(table)}, got {args.which!r}")
@@ -112,10 +116,10 @@ def cmd_eval_approx(args) -> list[str]:
             w.writerow([name, f"({rng[0]:g},{rng[1]:g})", f"{l2:.6f}", f"{linf:.6f}"])
     for name, _, l2, linf in rows:
         print(f"{name}: l2={l2:.4f} linf={linf:.4f}")
-    return [args.out]
+    return [args.out], None
 
 
-def cmd_assign(args) -> list[str]:
+def cmd_assign(args) -> tuple[list[str], int]:
     try:
         cfg = pl.load_config(args.config)
     except pl.ConfigError as exc:
@@ -136,15 +140,18 @@ def cmd_assign(args) -> list[str]:
     for kind in sorted(by_kind):
         parts = ", ".join(f"{c}={n}" for c, n in sorted(by_kind[kind].items()))
         print(f"{kind}: {parts}")
-    return [plan_path, csv_path]
+    return [plan_path, csv_path], cfg.seed
 
 
-def cmd_infer(args) -> list[str]:
+def cmd_infer(args) -> tuple[list[str], int]:
     try:
         plan = pl.load_plan(args.plan)
-    except FileNotFoundError as exc:
-        raise UsageError(str(exc)) from exc
-    x = tensor_read(args.input)
+    except (FileNotFoundError, pl.PlanFormatError) as exc:
+        raise UsageError(f"plan: {exc}") from exc
+    try:
+        x = tensor_read(args.input)
+    except (FileNotFoundError, TensorFormatError) as exc:
+        raise UsageError(f"input: {exc}") from exc
     cfg = plan.config
     graph, weights = pl.build_toy_vit(cfg.model_config(), seed=cfg.seed,
                                       pools=cfg.pools)
@@ -154,6 +161,10 @@ def cmd_infer(args) -> list[str]:
             f"input dims {list(shape)} do not match the plan's model"
             f" [{graph.tokens}, {graph.embed_dim}]"
         )
+    missing = [e for e in graph.edges if e not in plan.qparams]
+    missing += [r.layer_id for r in graph.layers if r.layer_id not in plan.assignments]
+    if missing:
+        raise UsageError(f"plan: no entries for {missing[:3]} of the plan's model")
     counter = OpCounter()
     out, counter = pl.integer_forward(graph, weights, plan, x.values, counter)
     tensor_write(out, args.out)
@@ -164,21 +175,22 @@ def cmd_infer(args) -> list[str]:
     print(f"float_violations={counter.float_violations} total_ops={counter.total()}")
     if counter.float_violations:
         raise RuntimeError(f"{counter.float_violations} float violations recorded")
-    return [args.out, report_path]
+    return [args.out, report_path], cfg.seed
 
 
-def cmd_report(args) -> list[str]:
+def cmd_report(args) -> tuple[list[str], None]:
     try:
         with open(args.report_file) as fh:
             lines = [json.loads(line) for line in fh if line.strip()]
     except FileNotFoundError:
         print("no runs recorded")
-        return []
+        return [], None
     for entry in lines:
         outs = ", ".join(entry.get("outputs", [])) or "-"
-        print(f"{entry['command']}: seed={entry.get('seed', 0)}"
+        seed = entry.get("seed")
+        print(f"{entry['command']}: seed={'-' if seed is None else seed}"
               f" wall={entry.get('wall_time_s', 0):.3f}s outputs: {outs}")
-    return []
+    return [], None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -196,13 +208,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=int, default=2001)
     p.add_argument("--level", choices=("erf", "gelu"), default="erf")
     p.add_argument("--out", default="fit.json")
-    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_fit)
 
     p = sub.add_parser("eval-approx", help="emit approximation error tables")
     p.add_argument("--which", required=True, help="erf | gelu | exp2")
     p.add_argument("--out", default="approx.csv")
-    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_eval_approx)
 
     p = sub.add_parser("assign", help="run the three-stage assignment pipeline")
@@ -210,14 +220,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--calib-seed", type=int, default=0)
     p.add_argument("--jobs", type=int, default=os.cpu_count() or 1)
     p.add_argument("--out", default="assignment")
-    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_assign)
 
     p = sub.add_parser("infer", help="integer-only inference under a plan")
     p.add_argument("--plan", required=True)
     p.add_argument("--input", required=True)
     p.add_argument("--out", default="logits.iptq")
-    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_infer)
 
     p = sub.add_parser("report", help="print recorded runs")
@@ -230,14 +238,14 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     started = time.monotonic()
     try:
-        outputs = args.func(args)
+        outputs, seed = args.func(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # internal failure
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    _append_report(args, outputs, started)
+    _append_report(args, outputs, seed, started)
     return 0
 
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import erf as _erf
 
-from .quantize import QParams, QTensor, encode_dyadic_multiplier, quantize
+from .quantize import QParams, QTensor, encode_dyadic_multiplier, qparams_from_range
 from .tensor import KernelMath, OpCounter
 
 SQRT2 = math.sqrt(2.0)
@@ -215,8 +215,6 @@ def default_gelu_out_params(in_params: QParams, bits: int,
     lo, hi = float(np.min(ys)), float(np.max(ys))
     if hi <= lo:
         hi = lo + 1e-6
-    from .quantize import qparams_from_range
-
     return qparams_from_range(hi, lo, bits, "asymmetric")
 
 
@@ -252,13 +250,11 @@ def poly_gelu_int(q: QTensor, c: ErfPolyCoeffs, out_params: QParams | None = Non
     v2 = km.rshift_round(km.mul(v, v), _KV)
     if c.degree == 4:
         vd = km.mul(v2, v2)                           # scale 2^-2KV
-        shift = _KA + 2 * _KV - _KL
     elif c.degree == 3:
         vd = km.mul(v2, v)                            # scale 2^-2KV, nonpositive
-        shift = _KA + 2 * _KV - _KL
     else:
         vd = km.lshift(v2, _KV)
-        shift = _KA + 2 * _KV - _KL
+    shift = _KA + 2 * _KV - _KL
     inner = km.add(km.rshift_round(km.mul(vd, a_mant), shift), 1 << _KL)
     gate = km.add(km.mul(km.sign(t), inner), 1 << _KL)  # (1 + L), grid 2^-KL
     acc = km.mul(t, gate)                                # x*(1+L) at s_in * 2^-KL
@@ -320,10 +316,3 @@ def shift_gelu_int(q: QTensor, out_params: QParams | None = None,
     codes = km.clip(out, 0, out_params.qmax)
     return QTensor(codes.astype(np.int32), out_params)
 
-
-def quantize_gelu_input(x, bits: int) -> QTensor:
-    """Asymmetric per-tensor input quantization for the GELU kernels."""
-    from .quantize import MinMaxObserver
-
-    obs = MinMaxObserver().observe(x)
-    return quantize(x, obs.qparams(bits))

@@ -41,34 +41,6 @@ class LNConfig:
             raise ValueError(f"eps_code must be >= 1, got {self.eps_code}")
 
 
-def int_sqrt(n: int, iterations: int | None = None,
-             counter: OpCounter | None = None) -> int:
-    """floor(sqrt(n)) by Newton iteration from the shift seed 2^ceil(bits/2).
-
-    The seed is an upper bound, so iterates decrease monotonically; with
-    enough iterations (about log2 of the bit width) the result is exact.
-    """
-    n = int(n)
-    if n < 0:
-        raise ValueError(f"need n >= 0, got {n}")
-    if n == 0:
-        return 0
-    counter = counter or OpCounter()
-    x = 1 << ((n.bit_length() + 1) // 2)
-    steps = 0
-    while iterations is None or steps < iterations:
-        counter.divs += 1
-        counter.adds += 1
-        counter.shifts += 1
-        y = (x + n // x) >> 1
-        counter.compares += 1
-        if y >= x:
-            break
-        x = y
-        steps += 1
-    return x
-
-
 def _bit_length(n: np.ndarray) -> np.ndarray:
     """Bit length of each int64 element; 0 for elements <= 0."""
     bl = np.zeros(n.shape, dtype=np.int64)

@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 INF_DB = math.inf
+DB_FACTORS = {"power10": 10.0, "amplitude20": 20.0}  # sqnr conventions
 
 
 def sqnr(x, x_hat, convention: str = "power10") -> float:
@@ -31,8 +32,7 @@ def sqnr(x, x_hat, convention: str = "power10") -> float:
     if noise == 0.0:
         return INF_DB
     power = float(np.mean(x * x))
-    factor = {"power10": 10.0, "amplitude20": 20.0}[convention]
-    return factor * math.log10(power / noise)
+    return DB_FACTORS[convention] * math.log10(power / noise)
 
 
 def perturbation(x, x_hat) -> float:
@@ -199,10 +199,3 @@ class MetricTable:
                     int(assignments.get(lid) == cand),
                 ])
 
-
-def build_metric_score(q_db: float, p: float, c: int,
-                       standardized: tuple[float, float] | None = None) -> MetricScore:
-    """Score one candidate; ``standardized`` optionally carries pre-scaled
-    (p, c) when per-layer min-max standardization is enabled."""
-    sp, sc = standardized if standardized is not None else (p, c)
-    return MetricScore(q_db=q_db, p=p, c=c, score=unified_score(q_db, sp, sc))

@@ -6,22 +6,47 @@ LayerNorm -> MLP with GELU -> residual, mean pooling and a classifier head.
 Every non-linear layer carries a stable identifier and a candidate pool.
 The attention 1/sqrt(head_dim) factor is folded into the query projection at
 build time so neither execution path divides at runtime.
+
+The topology is written down once, as the ordered op list that
+:func:`build_toy_vit` puts on :class:`ModelGraph`. :func:`forward_float`
+interprets it in full precision; ``pipeline.integer_forward`` interprets the
+same list over integer codes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
-from scipy.special import erf
 
+from .gelu import gelu_reference
+from .layernorm import layernorm_reference
 from .tensor import rng_tensor
+
+INPUT = "input"  # the edge that carries the model input
 
 CANDIDATE_POOLS = {
     "softmax": ("efficient_bit_softmax", "iexp_softmax", "log2_softmax", "shiftmax"),
     "gelu": ("data_aware_poly_gelu", "ibert_gelu", "shift_gelu"),
     "layernorm": ("bitshift_newton", "log2_scale", "poly_sqrt"),
 }
+
+
+class Op(NamedTuple):
+    """One step of the forward pass: ``out = op(*inputs, *weights)``.
+
+    ``out`` names both the op and the activation edge it writes. Op kinds:
+    ``pos_add``, ``layernorm``, ``linear`` (``a @ w.T + b``), ``scores``
+    (per-head ``q @ k.T``), ``softmax``, ``ctx`` (per-head ``probs @ v``,
+    heads merged), ``add``, ``gelu`` and ``pool`` (mean over tokens).
+    """
+
+    out: str
+    op: str
+    inputs: tuple[str, ...]
+    weights: tuple[str, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -39,35 +64,40 @@ class ModelGraph:
     tokens: int
     mlp_ratio: int
     classes: int = 10
-    layers: tuple[LayerRecord, ...] = field(default_factory=tuple)
+    layers: tuple[LayerRecord, ...] = field(default_factory=tuple)  # non-linear ops
+    ops: tuple[Op, ...] = field(default_factory=tuple)               # forward order
 
     @property
-    def head_dim(self) -> int:
-        return self.embed_dim // self.heads
+    def edges(self) -> tuple[str, ...]:
+        """Every activation edge, in forward order."""
+        return (INPUT, *(op.out for op in self.ops))
 
-    @property
-    def hidden_dim(self) -> int:
-        return self.embed_dim * self.mlp_ratio
+    @cached_property
+    def dead_after(self) -> tuple[tuple[str, ...], ...]:
+        """Per op, its inputs that no later op reads; interpreters drop them."""
+        later, dead = set(), []
+        for op in reversed(self.ops):
+            dead.append(tuple(e for e in op.inputs if e not in later))
+            later.update(op.inputs)
+        return tuple(reversed(dead))
 
-    def layer(self, layer_id: str) -> LayerRecord:
-        for rec in self.layers:
-            if rec.layer_id == layer_id:
-                return rec
-        raise KeyError(layer_id)
+
+# model config field -> (default, minimum)
+MODEL_FIELDS = {"blocks": (2, 1), "embed_dim": (32, 1), "heads": (2, 1),
+                "tokens": (8, 2), "mlp_ratio": (2, 1), "classes": (10, 1)}
 
 
-def nonlinear_layer_ids(blocks: int) -> list[tuple[str, str]]:
-    """(layer_id, kind) inventory: 2 LayerNorms, 1 Softmax, 1 GELU per block
-    plus the one LayerNorm ahead of the first block."""
-    out = [("embed.ln", "layernorm")]
-    for i in range(blocks):
-        out += [
-            (f"block{i}.ln1", "layernorm"),
-            (f"block{i}.softmax", "softmax"),
-            (f"block{i}.ln2", "layernorm"),
-            (f"block{i}.gelu", "gelu"),
-        ]
-    return out
+def model_dims(config: dict) -> dict:
+    """``config`` with defaults filled in; the ValueError for an invalid
+    config starts with the offending field's name."""
+    dims = {k: int(config.get(k, default)) for k, (default, _) in MODEL_FIELDS.items()}
+    for k, (_, lo) in MODEL_FIELDS.items():
+        if dims[k] < lo:
+            raise ValueError(f"{k} must be >= {lo}, got {dims[k]}")
+    if dims["embed_dim"] % dims["heads"]:
+        raise ValueError(f"heads ({dims['heads']}) must divide embed_dim"
+                         f" ({dims['embed_dim']})")
+    return dims
 
 
 def build_toy_vit(config: dict, seed: int = 0,
@@ -78,25 +108,9 @@ def build_toy_vit(config: dict, seed: int = 0,
     identity, positional table N(0, 0.02). Every array is read-only; to
     change a weight, put a new array into the dict.
     """
-    blocks = int(config.get("blocks", 2))
-    dim = int(config.get("embed_dim", 32))
-    heads = int(config.get("heads", 2))
-    tokens = int(config.get("tokens", 8))
-    mlp_ratio = int(config.get("mlp_ratio", 2))
-    classes = int(config.get("classes", 10))
-    if blocks < 1 or dim < 1 or heads < 1 or tokens < 2 or mlp_ratio < 1:
-        raise ValueError(f"invalid model config {config}")
-    if dim % heads != 0:
-        raise ValueError(f"heads ({heads}) must divide embed_dim ({dim})")
-
-    pools = {**CANDIDATE_POOLS, **(pools or {})}
-    layers = tuple(
-        LayerRecord(lid, kind, tuple(pools[kind]))
-        for lid, kind in nonlinear_layer_ids(blocks)
-    )
-    graph = ModelGraph(blocks, dim, heads, tokens, mlp_ratio, classes, layers)
-
-    hidden = dim * mlp_ratio
+    d = model_dims(config)
+    dim, tokens, hidden = d["embed_dim"], d["tokens"], d["embed_dim"] * d["mlp_ratio"]
+    ops: list[Op] = []
     weights: dict[str, np.ndarray] = {}
     part = 0
 
@@ -105,34 +119,55 @@ def build_toy_vit(config: dict, seed: int = 0,
         part += 1
         return rng_tensor(seed * 100003 + part, dims, "normal", 0.0, 0.02).values.astype(np.float64)
 
-    weights["pos"] = draw([tokens, dim])
-    weights["embed.ln.gamma"] = np.ones(dim)
-    weights["embed.ln.beta"] = np.zeros(dim)
-    scale_q = 1.0 / np.sqrt(graph.head_dim)
-    for i in range(blocks):
+    # weights are created as their op is appended, so the draw order is the
+    # forward order
+    def op(out, kind, inputs, params=None):
+        weights.update(params or {})
+        ops.append(Op(out, kind, tuple(inputs), tuple(params or ())))
+        return out
+
+    def layernorm(out, x):
+        return op(out, "layernorm", [x], {f"{out}.gamma": np.ones(dim),
+                                          f"{out}.beta": np.zeros(dim)})
+
+    def linear(out, x, w_key, b_key, w):
+        return op(out, "linear", [x], {w_key: w, b_key: np.zeros(w.shape[0])})
+
+    scale_q = 1.0 / np.sqrt(dim // d["heads"])
+    h = op("pos_add", "pos_add", [INPUT], {"pos": draw([tokens, dim])})
+    h = layernorm("embed.ln", h)
+    for i in range(d["blocks"]):
         pre = f"block{i}"
-        weights[f"{pre}.ln1.gamma"] = np.ones(dim)
-        weights[f"{pre}.ln1.beta"] = np.zeros(dim)
-        weights[f"{pre}.attn.wq"] = draw([dim, dim]) * scale_q
-        weights[f"{pre}.attn.bq"] = np.zeros(dim)
-        weights[f"{pre}.attn.wk"] = draw([dim, dim])
-        weights[f"{pre}.attn.bk"] = np.zeros(dim)
-        weights[f"{pre}.attn.wv"] = draw([dim, dim])
-        weights[f"{pre}.attn.bv"] = np.zeros(dim)
-        weights[f"{pre}.attn.wo"] = draw([dim, dim])
-        weights[f"{pre}.attn.bo"] = np.zeros(dim)
-        weights[f"{pre}.ln2.gamma"] = np.ones(dim)
-        weights[f"{pre}.ln2.beta"] = np.zeros(dim)
-        weights[f"{pre}.mlp.w1"] = draw([hidden, dim])
-        weights[f"{pre}.mlp.b1"] = np.zeros(hidden)
-        weights[f"{pre}.mlp.w2"] = draw([dim, hidden])
-        weights[f"{pre}.mlp.b2"] = np.zeros(dim)
-    weights["head.w"] = draw([classes, dim])
-    weights["head.b"] = np.zeros(classes)
+        a = layernorm(f"{pre}.ln1", h)
+        q = linear(f"{pre}.attn.q", a, f"{pre}.attn.wq", f"{pre}.attn.bq",
+                   draw([dim, dim]) * scale_q)
+        k = linear(f"{pre}.attn.k", a, f"{pre}.attn.wk", f"{pre}.attn.bk", draw([dim, dim]))
+        v = linear(f"{pre}.attn.v", a, f"{pre}.attn.wv", f"{pre}.attn.bv", draw([dim, dim]))
+        s = op(f"{pre}.attn.scores", "scores", [q, k])
+        p = op(f"{pre}.softmax", "softmax", [s])
+        c = op(f"{pre}.attn.ctx", "ctx", [p, v])
+        proj = linear(f"{pre}.attn.proj", c, f"{pre}.attn.wo", f"{pre}.attn.bo",
+                      draw([dim, dim]))
+        h = op(f"{pre}.res1", "add", [h, proj])
+        m = layernorm(f"{pre}.ln2", h)
+        f1 = linear(f"{pre}.mlp.fc1", m, f"{pre}.mlp.w1", f"{pre}.mlp.b1",
+                    draw([hidden, dim]))
+        g = op(f"{pre}.gelu", "gelu", [f1])
+        f2 = linear(f"{pre}.mlp.fc2", g, f"{pre}.mlp.w2", f"{pre}.mlp.b2",
+                    draw([dim, hidden]))
+        h = op(f"{pre}.res2", "add", [h, f2])
+    pooled = op("pool", "pool", [h])
+    linear("logits", pooled, "head.w", "head.b", draw([d["classes"], dim]))
     # read-only, so that an in-place edit fails instead of leaving integer
     # inference on encodings compiled from the old values
     for arr in weights.values():
         arr.setflags(write=False)
+
+    pools = {**CANDIDATE_POOLS, **(pools or {})}
+    layers = tuple(LayerRecord(o.out, o.op, tuple(pools[o.op]))
+                   for o in ops if o.op in CANDIDATE_POOLS)
+    graph = ModelGraph(d["blocks"], dim, d["heads"], tokens, d["mlp_ratio"],
+                       d["classes"], layers, tuple(ops))
     return graph, weights
 
 
@@ -140,75 +175,41 @@ def build_toy_vit(config: dict, seed: int = 0,
 # reference float forward
 # ---------------------------------------------------------------------------
 
-def _gelu(x):
-    return 0.5 * x * (1.0 + erf(x / np.sqrt(2.0)))
-
-
-def _layernorm(x, gamma, beta):
-    mu = x.mean(axis=-1, keepdims=True)
-    var = x.var(axis=-1, keepdims=True)
-    return (x - mu) / np.sqrt(var + 1e-12) * gamma + beta
-
-
 def _softmax(x):
     e = np.exp(x - x.max(axis=-1, keepdims=True))
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def _split_heads(x, heads):
+def split_heads(x, heads):
+    """(batch, tokens, dim) -> (batch, heads, tokens, dim // heads)."""
     b, t, d = x.shape
     return x.reshape(b, t, heads, d // heads).transpose(0, 2, 1, 3)
 
 
-def _merge_heads(x):
+def merge_heads(x):
+    """Inverse of :func:`split_heads`."""
     b, h, t, hd = x.shape
     return x.transpose(0, 2, 1, 3).reshape(b, t, h * hd)
 
 
-def nonlinear_input_edge(layer_id: str) -> str:
-    """Activation edge feeding each non-linear layer."""
-    if layer_id == "embed.ln":
-        return "pos_add"
-    block, name = layer_id.split(".")
-    i = int(block[5:])
-    if name == "ln1":
-        return "embed.ln" if i == 0 else f"block{i - 1}.res2"
-    if name == "softmax":
-        return f"block{i}.attn.scores"
-    if name == "ln2":
-        return f"block{i}.res1"
-    if name == "gelu":
-        return f"block{i}.mlp.fc1"
-    raise KeyError(layer_id)
+# op kind -> fn(graph, *input arrays, *weight arrays)
+_FLOAT_OPS = {
+    "pos_add": lambda g, x, pos: x + pos,
+    "layernorm": lambda g, x, gamma, beta: layernorm_reference(x, gamma, beta),
+    "linear": lambda g, a, w, b: a @ w.T + b,
+    "scores": lambda g, q, k: (split_heads(q, g.heads)
+                               @ split_heads(k, g.heads).transpose(0, 1, 3, 2)),
+    "softmax": lambda g, s: _softmax(s),
+    "ctx": lambda g, p, v: merge_heads(p @ split_heads(v, g.heads)),
+    "add": lambda g, a, b: a + b,
+    "gelu": lambda g, x: gelu_reference(x),
+    "pool": lambda g, h: h.mean(axis=1),
+}
 
 
-def activation_edges(graph: ModelGraph) -> list[str]:
-    """All quantized activation edges, in forward order."""
-    edges = ["input", "pos_add", "embed.ln"]
-    for i in range(graph.blocks):
-        pre = f"block{i}"
-        edges += [
-            f"{pre}.ln1",
-            f"{pre}.attn.q", f"{pre}.attn.k", f"{pre}.attn.v",
-            f"{pre}.attn.scores", f"{pre}.softmax",
-            f"{pre}.attn.ctx", f"{pre}.attn.proj", f"{pre}.res1",
-            f"{pre}.ln2", f"{pre}.mlp.fc1", f"{pre}.gelu",
-            f"{pre}.mlp.fc2", f"{pre}.res2",
-        ]
-    edges += ["pool", "logits"]
-    return edges
-
-
-def forward_float(graph: ModelGraph, weights: dict, x, capture: dict | None = None,
-                  swap: tuple | None = None) -> np.ndarray:
-    """Full-precision forward pass.
-
-    capture, when given, collects every activation edge (appending one array
-    per call). swap = (layer_id, fn) replaces that single non-linear layer
-    with ``fn(input_array) -> output_array``, which is how isolated
-    sensitivity analysis runs a quantized candidate inside the float graph.
-    """
-    x = np.asarray(x, dtype=np.float64)
+def batched(graph: ModelGraph, x: np.ndarray) -> tuple[np.ndarray, bool]:
+    """``x`` with a leading batch axis, and whether one was added; the
+    trailing axes must be (tokens, embed_dim)."""
     squeeze = x.ndim == 2
     if squeeze:
         x = x[None]
@@ -217,41 +218,29 @@ def forward_float(graph: ModelGraph, weights: dict, x, capture: dict | None = No
             f"input shape {x.shape[-2:]} does not match model"
             f" ({graph.tokens}, {graph.embed_dim})"
         )
+    return x, squeeze
 
-    def grab(edge, arr):
+
+def forward_float(graph: ModelGraph, weights: dict, x, capture: dict | None = None,
+                  swap: tuple | None = None) -> np.ndarray:
+    """Full-precision forward pass: interprets ``graph.ops`` in order.
+
+    capture, when given, collects every activation edge (appending one array
+    per call). swap = (layer_id, fn) replaces that single non-linear layer
+    with ``fn(input_array) -> output_array``, which is how isolated
+    sensitivity analysis runs a quantized candidate inside the float graph.
+    """
+    x, squeeze = batched(graph, np.asarray(x, dtype=np.float64))
+    env = {INPUT: x}
+    if capture is not None:
+        capture.setdefault(INPUT, []).append(x)
+    for op, dead in zip(graph.ops, graph.dead_after):
+        args = [env.pop(e) if e in dead else env[e] for e in op.inputs]
+        if swap is not None and swap[0] == op.out:
+            out = swap[1](*args)
+        else:
+            out = _FLOAT_OPS[op.op](graph, *args, *(weights[k] for k in op.weights))
+        env[op.out] = out
         if capture is not None:
-            capture.setdefault(edge, []).append(arr)
-        return arr
-
-    def nonlinear(layer_id, fn, arr):
-        if swap is not None and swap[0] == layer_id:
-            return swap[1](arr)
-        return fn(arr)
-
-    w = weights
-    grab("input", x)
-    h = grab("pos_add", x + w["pos"])
-    h = grab("embed.ln", nonlinear(
-        "embed.ln", lambda a: _layernorm(a, w["embed.ln.gamma"], w["embed.ln.beta"]), h))
-    for i in range(graph.blocks):
-        pre = f"block{i}"
-        a = grab(f"{pre}.ln1", nonlinear(
-            f"{pre}.ln1", lambda v: _layernorm(v, w[f"{pre}.ln1.gamma"], w[f"{pre}.ln1.beta"]), h))
-        q = grab(f"{pre}.attn.q", a @ w[f"{pre}.attn.wq"].T + w[f"{pre}.attn.bq"])
-        k = grab(f"{pre}.attn.k", a @ w[f"{pre}.attn.wk"].T + w[f"{pre}.attn.bk"])
-        v = grab(f"{pre}.attn.v", a @ w[f"{pre}.attn.wv"].T + w[f"{pre}.attn.bv"])
-        qh, kh, vh = (_split_heads(t, graph.heads) for t in (q, k, v))
-        scores = grab(f"{pre}.attn.scores", qh @ kh.transpose(0, 1, 3, 2))
-        probs = grab(f"{pre}.softmax", nonlinear(f"{pre}.softmax", _softmax, scores))
-        ctx = grab(f"{pre}.attn.ctx", _merge_heads(probs @ vh))
-        proj = grab(f"{pre}.attn.proj", ctx @ w[f"{pre}.attn.wo"].T + w[f"{pre}.attn.bo"])
-        h = grab(f"{pre}.res1", h + proj)
-        m = grab(f"{pre}.ln2", nonlinear(
-            f"{pre}.ln2", lambda v2: _layernorm(v2, w[f"{pre}.ln2.gamma"], w[f"{pre}.ln2.beta"]), h))
-        f1 = grab(f"{pre}.mlp.fc1", m @ w[f"{pre}.mlp.w1"].T + w[f"{pre}.mlp.b1"])
-        g = grab(f"{pre}.gelu", nonlinear(f"{pre}.gelu", _gelu, f1))
-        f2 = grab(f"{pre}.mlp.fc2", g @ w[f"{pre}.mlp.w2"].T + w[f"{pre}.mlp.b2"])
-        h = grab(f"{pre}.res2", h + f2)
-    pooled = grab("pool", h.mean(axis=1))
-    logits = grab("logits", pooled @ w["head.w"].T + w["head.b"])
-    return logits[0] if squeeze else logits
+            capture.setdefault(op.out, []).append(out)
+    return out[0] if squeeze else out

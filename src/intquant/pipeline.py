@@ -20,16 +20,18 @@ import numpy as np
 from . import gelu as gelu_mod
 from . import layernorm as ln_mod
 from . import softmax as sm_mod
-from .metric import (MetricScore, MetricTable, build_metric_score, op_count,
-                     perturbation, sqnr, unified_score)
-from .model import (ModelGraph, activation_edges, build_toy_vit, forward_float,
-                    nonlinear_input_edge)
+from .metric import (DB_FACTORS, MetricScore, MetricTable, op_count, perturbation,
+                     sqnr, unified_score)
+from .model import (CANDIDATE_POOLS, INPUT, MODEL_FIELDS, ModelGraph, Op,
+                    batched, build_toy_vit, forward_float, merge_heads,
+                    model_dims, split_heads)
 from .quantize import (MinMaxObserver, QParams, QTensor, dequantize_np,
                        dyadic_qparams_for_range, encode_dyadic_multiplier,
                        quantize, requant_weight_per_channel)
 from .tensor import KernelMath, KernelOverflowError, OpCounter, Tensor, rng_tensor
 
 SCORES_CODE_BITS = 16  # attention scores keep wide codes on a dyadic grid
+STAGE1_MODES = ("local", "global")
 
 
 class ConfigError(ValueError):
@@ -38,6 +40,10 @@ class ConfigError(ValueError):
 
 class IncompleteTableError(ValueError):
     """Metric table is missing a (layer, candidate) entry."""
+
+
+class PlanFormatError(ValueError):
+    """A plan file does not parse into a valid plan."""
 
 
 @dataclass(frozen=True)
@@ -60,37 +66,25 @@ class PipelineConfig:
     pools: dict | None = None
 
     def model_config(self) -> dict:
-        return {
-            "blocks": self.blocks, "embed_dim": self.embed_dim,
-            "heads": self.heads, "tokens": self.tokens,
-            "mlp_ratio": self.mlp_ratio, "classes": self.classes,
-        }
+        return {k: getattr(self, k) for k in MODEL_FIELDS}
 
     def bit_exp_config(self) -> sm_mod.BitExpConfig:
         return sm_mod.BitExpConfig(bits=self.act_bits, M=31,
                                    taylor_degree=self.taylor_degree)
 
 
-_SCHEMA = {
-    "model": {"blocks": int, "embed_dim": int, "heads": int, "tokens": int,
-              "mlp_ratio": int, "classes": int},
-    "bits": {"weights": int, "activations": int},
-    "calib": {"batches": int, "batch_size": int},
-    "metric": {"db_convention": str, "standardize": bool},
-    "stage1_mode": str,
-    "taylor_degree": int,
-    "seed": int,
-    "pools": dict,
+# config path -> PipelineConfig field, in plan JSON order; the type of the
+# field's default is the type the config must give
+_CONFIG_FIELDS = {
+    "model.blocks": "blocks", "model.embed_dim": "embed_dim", "model.heads": "heads",
+    "model.tokens": "tokens", "model.mlp_ratio": "mlp_ratio", "model.classes": "classes",
+    "bits.weights": "weight_bits", "bits.activations": "act_bits",
+    "calib.batches": "calib_batches", "calib.batch_size": "calib_batch_size",
+    "metric.db_convention": "db_convention", "metric.standardize": "standardize",
+    "stage1_mode": "stage1_mode", "taylor_degree": "taylor_degree", "seed": "seed",
 }
-
-_FIELD_MAP = {
-    ("model", "blocks"): "blocks", ("model", "embed_dim"): "embed_dim",
-    ("model", "heads"): "heads", ("model", "tokens"): "tokens",
-    ("model", "mlp_ratio"): "mlp_ratio", ("model", "classes"): "classes",
-    ("bits", "weights"): "weight_bits", ("bits", "activations"): "act_bits",
-    ("calib", "batches"): "calib_batches", ("calib", "batch_size"): "calib_batch_size",
-    ("metric", "db_convention"): "db_convention", ("metric", "standardize"): "standardize",
-}
+_SECTIONS = {path.split(".")[0] for path in _CONFIG_FIELDS if "." in path}
+_TYPE_NAMES = {int: "an integer", str: "a string", bool: "a boolean"}
 
 
 def config_from_dict(raw: dict) -> PipelineConfig:
@@ -99,43 +93,78 @@ def config_from_dict(raw: dict) -> PipelineConfig:
         raise ConfigError("config root must be an object")
     kwargs = {}
     for key, val in raw.items():
-        if key not in _SCHEMA:
-            raise ConfigError(f"{key}: unknown field")
-        spec = _SCHEMA[key]
-        if isinstance(spec, dict) and key != "pools":
-            if not isinstance(val, dict):
-                raise ConfigError(f"{key}: expected an object")
-            for sub, subval in val.items():
-                if sub not in spec:
-                    raise ConfigError(f"{key}.{sub}: unknown field")
-                want = spec[sub]
-                if want is int and (isinstance(subval, bool) or not isinstance(subval, int)):
-                    raise ConfigError(f"{key}.{sub}: expected an integer")
-                if want is str and not isinstance(subval, str):
-                    raise ConfigError(f"{key}.{sub}: expected a string")
-                if want is bool and not isinstance(subval, bool):
-                    raise ConfigError(f"{key}.{sub}: expected a boolean")
-                kwargs[_FIELD_MAP[(key, sub)]] = subval
-        elif key == "pools":
+        if key == "pools":
             if not isinstance(val, dict):
                 raise ConfigError("pools: expected an object")
-            kwargs["pools"] = {k: tuple(v) for k, v in val.items()}
+            kwargs["pools"] = {k: tuple(v) if isinstance(v, (list, tuple)) else v
+                               for k, v in val.items()}
+            continue
+        if key in _SECTIONS:
+            if not isinstance(val, dict):
+                raise ConfigError(f"{key}: expected an object")
+            items = [(f"{key}.{sub}", v) for sub, v in val.items()]
         else:
-            want = spec
-            if want is int and (isinstance(val, bool) or not isinstance(val, int)):
-                raise ConfigError(f"{key}: expected an integer")
-            if want is str and not isinstance(val, str):
-                raise ConfigError(f"{key}: expected a string")
-            kwargs[key] = val
+            items = [(key, val)]
+        for path, v in items:
+            if path not in _CONFIG_FIELDS:
+                raise ConfigError(f"{path}: unknown field")
+            field_name = _CONFIG_FIELDS[path]
+            want = type(getattr(PipelineConfig, field_name))
+            if type(v) is not want:
+                raise ConfigError(f"{path}: expected {_TYPE_NAMES[want]}")
+            kwargs[field_name] = v
+    cfg = PipelineConfig(**kwargs)
+    check_config(cfg)
+    return cfg
+
+
+# config path -> the values it may take beyond its type: (min, max or None)
+# for integers, the choices for strings
+_ALLOWED = {
+    "bits.weights": (2, 16),
+    "calib.batches": (1, None),
+    "calib.batch_size": (1, None),
+    "taylor_degree": (1, 2),
+    "seed": (0, None),
+    "metric.db_convention": tuple(DB_FACTORS),
+    "stage1_mode": STAGE1_MODES,
+}
+
+
+def check_config(cfg: PipelineConfig) -> None:
+    """Refuse values that have the schema's types but cannot run; the
+    ConfigError names the field."""
     try:
-        return PipelineConfig(**kwargs)
-    except TypeError as exc:
-        raise ConfigError(str(exc)) from exc
+        model_dims(cfg.model_config())
+    except ValueError as exc:
+        raise ConfigError(f"model.{exc}") from exc
+    for path, allowed in _ALLOWED.items():
+        val = getattr(cfg, _CONFIG_FIELDS[path])
+        if isinstance(val, str):
+            if val not in allowed:
+                raise ConfigError(f"{path}: must be one of {list(allowed)}, got {val!r}")
+        elif val < allowed[0] or (allowed[1] is not None and val > allowed[1]):
+            raise ConfigError(f"{path}: must be in [{allowed[0]}, {allowed[1] or 'inf'}],"
+                              f" got {val}")
+    try:
+        # the softmax kernels' reciprocal needs M >= 2*bits + log2(tokens) + 2
+        sm_mod._check_m(cfg.bit_exp_config(), cfg.tokens)
+    except sm_mod.ConfigurationError as exc:
+        raise ConfigError(f"bits.activations: {exc}") from exc
+    for kind, cands in (cfg.pools or {}).items():
+        known = CANDIDATE_POOLS.get(kind, ())
+        if not isinstance(cands, tuple) or not cands or any(c not in known for c in cands):
+            raise ConfigError(f"pools.{kind}: expected a non-empty list from"
+                              f" {list(known) or CANDIDATE_POOLS}, got {cands!r}")
 
 
 def load_config(path) -> PipelineConfig:
     with open(path) as fh:
-        return config_from_dict(json.load(fh))
+        try:
+            raw = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"not valid JSON: {exc}") from exc
+    return config_from_dict(raw)
 
 
 @dataclass
@@ -169,14 +198,6 @@ def calibration_batches(cfg: PipelineConfig, calib_seed: int = 0) -> list[np.nda
 # candidate runners (shared by stage 1 and integer inference)
 # ---------------------------------------------------------------------------
 
-def _gelu_float_fn(candidate: str):
-    return {
-        "data_aware_poly_gelu": gelu_mod.data_aware_poly_gelu,
-        "ibert_gelu": gelu_mod.ibert_gelu,
-        "shift_gelu": gelu_mod.shift_gelu,
-    }[candidate]
-
-
 def run_softmax_candidate(candidate: str, q: QTensor, cfg: sm_mod.BitExpConfig,
                           counter: OpCounter | None = None) -> QTensor:
     fn = {
@@ -206,40 +227,37 @@ def run_ln_candidate(candidate: str, q: QTensor, gamma, beta, out_params: QParam
                                 counter=counter)
 
 
-def _ln_weights(weights: dict, layer_id: str):
-    return weights[f"{layer_id}.gamma"], weights[f"{layer_id}.beta"]
+def _run_kernel(op: Op, candidate: str, q: QTensor, weights: dict, out_params: QParams,
+                bexp: sm_mod.BitExpConfig, counter: OpCounter | None) -> QTensor:
+    """Run ``candidate`` as the non-linear ``op`` on the codes ``q``.
+
+    The runners are looked up in this module's globals at call time, so
+    that tests and tracing can rebind them.
+    """
+    if op.op == "softmax":
+        return run_softmax_candidate(candidate, q, bexp, counter)
+    if op.op == "gelu":
+        return run_gelu_candidate(candidate, q, out_params, counter)
+    gamma, beta = (weights[k] for k in op.weights)
+    return run_ln_candidate(candidate, q, gamma, beta, out_params, counter)
 
 
-def _candidate_output(rec, candidate, x_in: np.ndarray, x_out: np.ndarray,
+def _candidate_output(op: Op, candidate, x_in: np.ndarray, x_out: np.ndarray,
                       weights: dict, cfg: PipelineConfig,
                       counter: OpCounter | None = None) -> np.ndarray:
     """Quantize the captured input, run the integer candidate, dequantize."""
-    if rec.kind == "softmax":
-        params = dyadic_qparams_for_range(float(x_in.min()), float(x_in.max()),
-                                          SCORES_CODE_BITS)
-        out = run_softmax_candidate(candidate, quantize(x_in, params),
-                                    cfg.bit_exp_config(), counter)
-        return dequantize_np(out)
-    obs_in = MinMaxObserver().observe(x_in)
-    q = quantize(x_in, obs_in.qparams(cfg.act_bits))
-    obs_out = MinMaxObserver().observe(x_out)
-    out_params = obs_out.qparams(cfg.act_bits)
-    if rec.kind == "gelu":
-        out = run_gelu_candidate(candidate, q, out_params, counter)
+    out_params = None
+    if op.op == "softmax":
+        p_in = dyadic_qparams_for_range(float(x_in.min()), float(x_in.max()),
+                                        SCORES_CODE_BITS)
     else:
-        gamma, beta = _ln_weights(weights, rec.layer_id)
+        p_in = MinMaxObserver().observe(x_in).qparams(cfg.act_bits)
+        out_params = MinMaxObserver().observe(x_out).qparams(cfg.act_bits)
         if candidate == "log2_scale":
             out_params, _ = ln_mod.snap_pow2_out_params(out_params)
-        out = run_ln_candidate(candidate, q, gamma, beta, out_params, counter)
+    out = _run_kernel(op, candidate, quantize(x_in, p_in), weights, out_params,
+                      cfg.bit_exp_config(), counter)
     return dequantize_np(out)
-
-
-def _per_sample_shape(rec, graph: ModelGraph) -> tuple[int, ...]:
-    if rec.kind == "softmax":
-        return (graph.heads, graph.tokens, graph.tokens)
-    if rec.kind == "gelu":
-        return (graph.tokens, graph.hidden_dim)
-    return (graph.tokens, graph.embed_dim)
 
 
 # ---------------------------------------------------------------------------
@@ -258,33 +276,36 @@ def stage1_analyze(graph: ModelGraph, weights: dict, calib: list,
         raise ValueError("calibration set must be non-empty")
     capture: dict = {}
     ref_logits = [forward_float(graph, weights, b, capture) for b in calib]
-    cat = {e: np.concatenate(v, axis=0) for e, v in capture.items()}
+    # pop each edge's per-batch list as it is joined, so that only one copy
+    # of the captured activations stays alive
+    cat = {e: np.concatenate(capture.pop(e), axis=0) for e in list(capture)}
 
-    tasks = [(rec, cand) for rec in graph.layers for cand in rec.candidates]
+    candidates = {rec.layer_id: rec.candidates for rec in graph.layers}
+    tasks = [(op, cand) for op in graph.ops for cand in candidates.get(op.out, ())]
 
     def evaluate(task):
-        rec, cand = task
-        x_in = cat[nonlinear_input_edge(rec.layer_id)]
-        x_out = cat[rec.layer_id]
-        c_ops = op_count(cand, _per_sample_shape(rec, graph))
+        op, cand = task
+        x_in = cat[op.inputs[0]]
+        x_out = cat[op.out]
+        c_ops = op_count(cand, x_in.shape[1:])  # per sample
         try:
             if cfg.stage1_mode == "global":
-                def swapped(arr, _rec=rec, _cand=cand):
-                    return _candidate_output(_rec, _cand, arr, x_out, weights, cfg)
+                def swapped(arr, _op=op, _cand=cand):
+                    return _candidate_output(_op, _cand, arr, x_out, weights, cfg)
                 got = np.concatenate(
-                    [forward_float(graph, weights, b, swap=(rec.layer_id, swapped))
+                    [forward_float(graph, weights, b, swap=(op.out, swapped))
                      for b in calib], axis=0)
                 ref = np.concatenate(ref_logits, axis=0)
             else:
-                got = _candidate_output(rec, cand, x_in, x_out, weights, cfg)
+                got = _candidate_output(op, cand, x_in, x_out, weights, cfg)
                 ref = x_out
             q_db = sqnr(ref, got, cfg.db_convention)
             p = perturbation(ref, got)
         except KernelOverflowError:
-            return (rec.layer_id, rec.kind, cand,
+            return (op.out, op.op, cand,
                     MetricScore(q_db=-np.inf, p=np.inf, c=c_ops, score=0.0))
-        return (rec.layer_id, rec.kind, cand,
-                build_metric_score(q_db, p, c_ops))
+        return (op.out, op.op, cand,
+                MetricScore(q_db, p, c_ops, unified_score(q_db, p, c_ops)))
 
     if jobs > 1:
         with ThreadPoolExecutor(max_workers=jobs) as pool:
@@ -359,7 +380,7 @@ def stage3_calibrate(graph: ModelGraph, weights: dict, plan: AssignmentPlan,
     deterministically at inference, so the plan needs only activations."""
     if not plan.assignments:
         raise ValueError("assignments must be complete before calibration")
-    observers = {e: MinMaxObserver() for e in activation_edges(graph)}
+    observers = {e: MinMaxObserver() for e in graph.edges}
     for batch in calib:
         capture: dict = {}
         forward_float(graph, weights, batch, capture)
@@ -367,17 +388,18 @@ def stage3_calibrate(graph: ModelGraph, weights: dict, plan: AssignmentPlan,
             for arr in arrays:
                 observers[edge].observe(arr)
 
+    kinds = {op.out: op.op for op in graph.ops}
     qparams: dict[str, QParams] = {}
     recorded: list[str] = []
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         for edge, obs in observers.items():
-            if edge.endswith(".attn.scores"):
+            kind = kinds.get(edge)
+            if kind == "scores":
                 qparams[edge] = dyadic_qparams_for_range(
                     float(obs.running_min), float(obs.running_max), SCORES_CODE_BITS)
-            elif edge.endswith(".softmax"):
-                qparams[edge] = QParams(1.0 / (1 << (cfg.act_bits - 1)), 0,
-                                        cfg.act_bits, "asymmetric")
+            elif kind == "softmax":
+                qparams[edge] = sm_mod.softmax_out_params(cfg.bit_exp_config())
             else:
                 qparams[edge] = obs.qparams(cfg.act_bits)
     recorded.extend(str(w.message) for w in caught)
@@ -451,6 +473,12 @@ def _add_requant(km: KernelMath, a, pa: QParams, b, pb: QParams, p_out: QParams)
     return km.clip(out, 0, p_out.qmax)
 
 
+def _requant_dyadic(km: KernelMath, acc, mult: tuple[int, int], p_out: QParams):
+    m, e = mult
+    out = km.add(km.rshift_round(km.mul(acc, m), e), int(p_out.zero_point))
+    return km.clip(out, 0, p_out.qmax)
+
+
 def _matmul_corrected(km: KernelMath, a, za, b_t, zb):
     """(a - za) @ (b - zb)^T on raw codes with zero-point corrections."""
     hd = a.shape[-1]
@@ -477,27 +505,14 @@ class _Reads:
         return val
 
 
-def _linear_layers(graph: ModelGraph):
-    """(input edge, output edge, weight, bias) of every linear layer."""
-    for i in range(graph.blocks):
-        pre = f"block{i}"
-        yield (f"{pre}.ln1", f"{pre}.attn.q", f"{pre}.attn.wq", f"{pre}.attn.bq")
-        yield (f"{pre}.ln1", f"{pre}.attn.k", f"{pre}.attn.wk", f"{pre}.attn.bk")
-        yield (f"{pre}.ln1", f"{pre}.attn.v", f"{pre}.attn.wv", f"{pre}.attn.bv")
-        yield (f"{pre}.attn.ctx", f"{pre}.attn.proj", f"{pre}.attn.wo", f"{pre}.attn.bo")
-        yield (f"{pre}.ln2", f"{pre}.mlp.fc1", f"{pre}.mlp.w1", f"{pre}.mlp.b1")
-        yield (f"{pre}.gelu", f"{pre}.mlp.fc2", f"{pre}.mlp.w2", f"{pre}.mlp.b2")
-    yield ("pool", "logits", "head.w", "head.b")
-
-
 @dataclass(frozen=True)
 class CompiledPlan:
-    """Configuration-time state of :func:`integer_forward`.
+    """Configuration-time state of :func:`integer_forward`: per op, the
+    weight encodings (``linear``), the quantized positional table
+    (``pos_add``) or the dyadic multiplier (``scores``, ``ctx``, ``pool``).
 
-    Holds the integer weight encodings, the quantized positional table and
-    the dyadic requantization multipliers, together with the graph, config,
-    weight arrays and activation parameters they were derived from. It is
-    valid only while those are the very same objects; it is never
+    It is valid only while the graph, config, weight arrays and activation
+    parameters it was derived from are the very same objects; it is never
     serialized.
     """
 
@@ -506,10 +521,7 @@ class CompiledPlan:
     weights_read: tuple       # (name, array) pairs, checked by identity
     qparams_read: tuple       # (edge, QParams) pairs, checked by identity
     bexp: sm_mod.BitExpConfig
-    pos_codes: np.ndarray
-    p_pos: QParams
-    linears: dict             # weight name -> _LinearPlan
-    dyadic: dict              # output edge -> (mantissa, shift)
+    consts: dict              # op output edge -> that op's constants
 
     def matches(self, graph: ModelGraph, weights: dict, plan: AssignmentPlan) -> bool:
         return (self.graph is graph and self.config is plan.config
@@ -525,35 +537,104 @@ def compile_plan(graph: ModelGraph, weights: dict, plan: AssignmentPlan) -> Comp
     cfg = plan.config
     P, W = _Reads(plan.qparams), _Reads(weights)
     bexp = cfg.bit_exp_config()
-
-    p_pos = MinMaxObserver().observe(W["pos"]).qparams(cfg.act_bits)
-    pos_codes = np.asarray(quantize(W["pos"], p_pos).codes, dtype=np.int64)
-    linears = {
-        wname: _prepare_linear(W[wname], W[bname], P[e_in], P[e_out], cfg.weight_bits)
-        for e_in, e_out, wname, bname in _linear_layers(graph)
-    }
-    dyadic = {}
     p_probs = sm_mod.softmax_out_params(bexp)
-    for i in range(graph.blocks):
-        pre = f"block{i}"
-        pq, pk, pv = P[f"{pre}.attn.q"], P[f"{pre}.attn.k"], P[f"{pre}.attn.v"]
-        dyadic[f"{pre}.attn.scores"] = encode_dyadic_multiplier(
-            float(pq.scale) * float(pk.scale) / float(P[f"{pre}.attn.scores"].scale))
-        dyadic[f"{pre}.attn.ctx"] = encode_dyadic_multiplier(
-            float(p_probs.scale) * float(pv.scale) / float(P[f"{pre}.attn.ctx"].scale))
-    h_edge = f"block{graph.blocks - 1}.res2"
-    dyadic["pool"] = encode_dyadic_multiplier(
-        float(P[h_edge].scale) / (graph.tokens * float(P["pool"].scale)))
+    consts = {}
+    for op in graph.ops:
+        out, ins = op.out, op.inputs
+        if op.op == "linear":
+            w, b = op.weights
+            consts[out] = _prepare_linear(W[w], W[b], P[ins[0]], P[out], cfg.weight_bits)
+        elif op.op == "pos_add":
+            pos = W[op.weights[0]]
+            p_pos = MinMaxObserver().observe(pos).qparams(cfg.act_bits)
+            consts[out] = (np.asarray(quantize(pos, p_pos).codes, dtype=np.int64), p_pos)
+        elif op.op == "scores":
+            consts[out] = encode_dyadic_multiplier(
+                float(P[ins[0]].scale) * float(P[ins[1]].scale) / float(P[out].scale))
+        elif op.op == "ctx":
+            consts[out] = encode_dyadic_multiplier(
+                float(p_probs.scale) * float(P[ins[1]].scale) / float(P[out].scale))
+        elif op.op == "pool":
+            # mean pool over tokens, the 1/T division folded into the multiplier
+            consts[out] = encode_dyadic_multiplier(
+                float(P[ins[0]].scale) / (graph.tokens * float(P[out].scale)))
 
     compiled = CompiledPlan(graph, cfg, tuple(W.seen.items()), tuple(P.seen.items()),
-                            bexp, pos_codes, p_pos, linears, dyadic)
+                            bexp, consts)
     plan.compiled = compiled
     return compiled
 
 
+@dataclass
+class _Run:
+    """What every integer op of one forward pass reads besides its inputs."""
+
+    graph: ModelGraph
+    weights: dict
+    plan: AssignmentPlan
+    P: dict                 # edge -> QParams
+    compiled: CompiledPlan
+    km: KernelMath
+
+
+def _int_nonlinear(r: _Run, op: Op, x):
+    out = _run_kernel(op, r.plan.assignments[op.out], QTensor(x, r.P[op.inputs[0]]),
+                      r.weights, r.P[op.out], r.compiled.bexp, r.km.counter)
+    return r.km.asarray(out.codes)
+
+
+def _int_pos_add(r: _Run, op: Op, x):
+    pos_codes, p_pos = r.compiled.consts[op.out]
+    return _add_requant(r.km, x, r.P[op.inputs[0]], pos_codes, p_pos, r.P[op.out])
+
+
+def _int_add(r: _Run, op: Op, a, b):
+    ea, eb = op.inputs
+    return _add_requant(r.km, a, r.P[ea], b, r.P[eb], r.P[op.out])
+
+
+def _int_scores(r: _Run, op: Op, q, k):
+    H = r.graph.heads
+    acc = _matmul_corrected(r.km, split_heads(q, H), int(r.P[op.inputs[0]].zero_point),
+                            split_heads(k, H).transpose(0, 1, 3, 2),
+                            int(r.P[op.inputs[1]].zero_point))
+    return _requant_dyadic(r.km, acc, r.compiled.consts[op.out], r.P[op.out])
+
+
+def _int_ctx(r: _Run, op: Op, probs, v):
+    km = r.km
+    acc = km.matmul(probs, split_heads(v, r.graph.heads))
+    zv = int(r.P[op.inputs[1]].zero_point)
+    if zv:
+        acc = km.sub(acc, km.mul(km.sum(probs, axis=-1, keepdims=True), zv))
+    return merge_heads(_requant_dyadic(km, acc, r.compiled.consts[op.out], r.P[op.out]))
+
+
+def _int_pool(r: _Run, op: Op, h):
+    km = r.km
+    acc = km.sub(km.sum(h, axis=1, keepdims=False),
+                 r.graph.tokens * int(r.P[op.inputs[0]].zero_point))
+    return _requant_dyadic(km, acc, r.compiled.consts[op.out], r.P[op.out])
+
+
+# op kind -> fn(run, op, *input codes) -> output codes
+_INT_OPS = {
+    "pos_add": _int_pos_add,
+    "layernorm": _int_nonlinear,
+    "linear": lambda r, op, a: _linear_int(r.km, a, r.compiled.consts[op.out]),
+    "scores": _int_scores,
+    "softmax": _int_nonlinear,
+    "ctx": _int_ctx,
+    "add": _int_add,
+    "gelu": _int_nonlinear,
+    "pool": _int_pool,
+}
+
+
 def integer_forward(graph: ModelGraph, weights: dict, plan: AssignmentPlan, x,
                     counter: OpCounter | None = None) -> tuple[Tensor, OpCounter]:
-    """End-to-end integer inference under the calibrated plan.
+    """End-to-end integer inference under the calibrated plan: interprets
+    ``graph.ops`` in order over integer codes.
 
     Floating point is used for two conversions only: quantizing the input
     tensor and dequantizing the output logits. Everything between runs
@@ -573,88 +654,15 @@ def integer_forward(graph: ModelGraph, weights: dict, plan: AssignmentPlan, x,
         compiled = compile_plan(graph, weights, plan)
     counter = counter if counter is not None else OpCounter()
     km = KernelMath(counter)
-    P = plan.qparams
-    lin, dyadic, bexp = compiled.linears, compiled.dyadic, compiled.bexp
 
-    xq = quantize(np.asarray(x, dtype=np.float64), P["input"])
-    codes = km.asarray(xq.codes)
-    squeeze = codes.ndim == 2
-    if squeeze:
-        codes = codes[None]
-    if codes.shape[-2:] != (graph.tokens, graph.embed_dim):
-        raise ValueError(
-            f"input shape {codes.shape[-2:]} does not match model"
-            f" ({graph.tokens}, {graph.embed_dim})"
-        )
-
-    def run_nonlinear(layer_id, codes_in, p_in):
-        cand = plan.assignments[layer_id]
-        qt = QTensor(codes_in, p_in)
-        if plan.kinds[layer_id] == "softmax":
-            return run_softmax_candidate(cand, qt, bexp, counter)
-        if plan.kinds[layer_id] == "gelu":
-            return run_gelu_candidate(cand, qt, P[layer_id], counter)
-        gamma, beta = _ln_weights(weights, layer_id)
-        return run_ln_candidate(cand, qt, gamma, beta, P[layer_id], counter)
-
-    h = _add_requant(km, codes, P["input"], compiled.pos_codes, compiled.p_pos,
-                     P["pos_add"])
-    h = run_nonlinear("embed.ln", h, P["pos_add"]).codes
-    h = km.asarray(h)
-    h_edge = "embed.ln"
-
-    for i in range(graph.blocks):
-        pre = f"block{i}"
-        a = run_nonlinear(f"{pre}.ln1", h, P[h_edge]).codes
-        a = km.asarray(a)
-        qc = _linear_int(km, a, lin[f"{pre}.attn.wq"])
-        kc = _linear_int(km, a, lin[f"{pre}.attn.wk"])
-        vc = _linear_int(km, a, lin[f"{pre}.attn.wv"])
-        B, T, D = qc.shape
-        H, hd = graph.heads, graph.head_dim
-        qh = qc.reshape(B, T, H, hd).transpose(0, 2, 1, 3)
-        kh = kc.reshape(B, T, H, hd).transpose(0, 2, 1, 3)
-        vh = vc.reshape(B, T, H, hd).transpose(0, 2, 1, 3)
-
-        pq, pk, pv = P[f"{pre}.attn.q"], P[f"{pre}.attn.k"], P[f"{pre}.attn.v"]
-        acc = _matmul_corrected(km, qh, int(pq.zero_point),
-                                kh.transpose(0, 1, 3, 2), int(pk.zero_point))
-        ps = P[f"{pre}.attn.scores"]
-        m, e = dyadic[f"{pre}.attn.scores"]
-        scores = km.clip(km.add(km.rshift_round(km.mul(acc, m), e), int(ps.zero_point)),
-                         0, ps.qmax)
-
-        pc = km.asarray(run_nonlinear(f"{pre}.softmax", scores, ps).codes)
-        accv = km.matmul(pc, vh)
-        if int(pv.zero_point):
-            accv = km.sub(accv, km.mul(km.sum(pc, axis=-1, keepdims=True),
-                                       int(pv.zero_point)))
-        pctx = P[f"{pre}.attn.ctx"]
-        m, e = dyadic[f"{pre}.attn.ctx"]
-        ctx = km.clip(km.add(km.rshift_round(km.mul(accv, m), e), int(pctx.zero_point)),
-                      0, pctx.qmax)
-        ctx = ctx.transpose(0, 2, 1, 3).reshape(B, T, D)
-
-        proj = _linear_int(km, ctx, lin[f"{pre}.attn.wo"])
-        h = _add_requant(km, h, P[h_edge], proj, P[f"{pre}.attn.proj"], P[f"{pre}.res1"])
-        mcodes = run_nonlinear(f"{pre}.ln2", h, P[f"{pre}.res1"]).codes
-        mcodes = km.asarray(mcodes)
-        f1 = _linear_int(km, mcodes, lin[f"{pre}.mlp.w1"])
-        g = run_nonlinear(f"{pre}.gelu", f1, P[f"{pre}.mlp.fc1"]).codes
-        g = km.asarray(g)
-        f2 = _linear_int(km, g, lin[f"{pre}.mlp.w2"])
-        h = _add_requant(km, h, P[f"{pre}.res1"], f2, P[f"{pre}.mlp.fc2"],
-                         P[f"{pre}.res2"])
-        h_edge = f"{pre}.res2"
-
-    # mean pool over tokens, the 1/T division folded into the multiplier
-    ph, ppool = P[h_edge], P["pool"]
-    acc = km.sub(km.sum(h, axis=1, keepdims=False), graph.tokens * int(ph.zero_point))
-    m, e = dyadic["pool"]
-    pooled = km.clip(km.add(km.rshift_round(km.mul(acc, m), e), int(ppool.zero_point)),
-                     0, ppool.qmax)
-    logits_codes = _linear_int(km, pooled, lin["head.w"])
-    out = dequantize_np(QTensor(logits_codes, P["logits"]))
+    xq = quantize(np.asarray(x, dtype=np.float64), plan.qparams[INPUT])
+    codes, squeeze = batched(graph, km.asarray(xq.codes))
+    run = _Run(graph, weights, plan, plan.qparams, compiled, km)
+    env = {INPUT: codes}
+    for op, dead in zip(graph.ops, graph.dead_after):
+        args = [env.pop(e) if e in dead else env[e] for e in op.inputs]
+        env[op.out] = _INT_OPS[op.op](run, op, *args)
+    out = dequantize_np(QTensor(env[op.out], plan.qparams[op.out]))
     if squeeze:
         out = out[0]
     return Tensor(out, dtype="real32"), counter
@@ -684,25 +692,23 @@ def _params_from_dict(d: dict) -> QParams:
     return QParams(scale, zero, d["bits"], d["scheme"], d["granularity"], axis)
 
 
+def _finite_or_str(x: float):
+    """JSON has no infinities: they are written as "inf" / "-inf", which
+    float() reads back."""
+    return str(x) if np.isinf(x) else x
+
+
 def plan_to_dict(plan: AssignmentPlan) -> dict:
     return {
-        "model_config": {
-            **{k: getattr(plan.config, k) for k in (
-                "blocks", "embed_dim", "heads", "tokens", "mlp_ratio", "classes",
-                "weight_bits", "act_bits", "calib_batches", "calib_batch_size",
-                "db_convention", "standardize", "stage1_mode", "taylor_degree",
-                "seed")},
-        },
+        "model_config": {k: getattr(plan.config, k) for k in _CONFIG_FIELDS.values()},
         "assignments": [
             {
                 "layer_id": lid,
                 "kind": plan.kinds[lid],
                 "candidate": plan.assignments[lid],
                 "score": plan.scores[lid].score,
-                "q_db": ("inf" if plan.scores[lid].q_db == np.inf
-                         else ("-inf" if plan.scores[lid].q_db == -np.inf
-                               else plan.scores[lid].q_db)),
-                "p": ("inf" if plan.scores[lid].p == np.inf else plan.scores[lid].p),
+                "q_db": _finite_or_str(plan.scores[lid].q_db),
+                "p": _finite_or_str(plan.scores[lid].p),
                 "c": plan.scores[lid].c,
             }
             for lid in plan.assignments
@@ -714,21 +720,23 @@ def plan_to_dict(plan: AssignmentPlan) -> dict:
 
 
 def plan_from_dict(raw: dict) -> AssignmentPlan:
-    mc = dict(raw["model_config"])
-    cfg = PipelineConfig(**mc)
-    plan = AssignmentPlan(config=cfg)
-    for entry in raw["assignments"]:
-        lid = entry["layer_id"]
-        plan.assignments[lid] = entry["candidate"]
-        plan.kinds[lid] = entry["kind"]
-        q_db = entry["q_db"]
-        q_db = np.inf if q_db == "inf" else (-np.inf if q_db == "-inf" else float(q_db))
-        p = np.inf if entry["p"] == "inf" else float(entry["p"])
-        plan.scores[lid] = MetricScore(q_db, p, int(entry["c"]), float(entry["score"]))
-    for pd in raw["qparams"]:
-        plan.qparams[pd["layer_id"]] = _params_from_dict(pd)
-    plan.omega = float(raw.get("omega", 0.0))
-    plan.warnings = list(raw.get("warnings", []))
+    """Inverse of :func:`plan_to_dict`; raises :class:`PlanFormatError`."""
+    try:
+        cfg = PipelineConfig(**raw["model_config"])
+        check_config(cfg)
+        plan = AssignmentPlan(config=cfg)
+        for entry in raw["assignments"]:
+            lid = entry["layer_id"]
+            plan.assignments[lid] = entry["candidate"]
+            plan.kinds[lid] = entry["kind"]
+            plan.scores[lid] = MetricScore(float(entry["q_db"]), float(entry["p"]),
+                                           int(entry["c"]), float(entry["score"]))
+        for pd in raw["qparams"]:
+            plan.qparams[pd["layer_id"]] = _params_from_dict(pd)
+        plan.omega = float(raw.get("omega", 0.0))
+        plan.warnings = list(raw.get("warnings", []))
+    except (KeyError, TypeError, ValueError, AttributeError) as exc:
+        raise PlanFormatError(f"{type(exc).__name__}: {exc}") from exc
     return plan
 
 
@@ -740,4 +748,8 @@ def save_plan(plan: AssignmentPlan, path) -> None:
 
 def load_plan(path) -> AssignmentPlan:
     with open(path) as fh:
-        return plan_from_dict(json.load(fh))
+        try:
+            raw = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise PlanFormatError(f"not valid JSON: {exc}") from exc
+    return plan_from_dict(raw)

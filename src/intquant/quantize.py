@@ -145,16 +145,15 @@ def quantize(x, p: QParams) -> QTensor:
     return QTensor(codes.astype(np.int32), p)
 
 
-def dequantize(q: QTensor) -> Tensor:
-    """x_hat = s * (code - z)."""
-    scale, zero = q.params.broadcast_to(q.codes.ndim)
-    return Tensor((q.codes.astype(np.float64) - zero) * scale, dtype="real32")
-
-
 def dequantize_np(q: QTensor) -> np.ndarray:
-    """Like :func:`dequantize` but returns a float64 ndarray."""
+    """x_hat = s * (code - z), as a float64 ndarray."""
     scale, zero = q.params.broadcast_to(q.codes.ndim)
     return (q.codes.astype(np.float64) - zero) * scale
+
+
+def dequantize(q: QTensor) -> Tensor:
+    """Like :func:`dequantize_np` but returns a real32 :class:`Tensor`."""
+    return Tensor(dequantize_np(q), dtype="real32")
 
 
 class MinMaxObserver:

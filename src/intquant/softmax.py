@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .quantize import QParams, QTensor
+from .quantize import QParams, QTensor, encode_dyadic_multiplier
 from .tensor import KernelMath, OpCounter
 
 # quadratic used by the range-reduction exponential baseline:
@@ -209,29 +209,29 @@ def int_div_normalize(q_exp: QTensor, cfg: BitExpConfig | None = None,
     return QTensor(codes.astype(np.int32), softmax_out_params(cfg))
 
 
-def efficient_bit_softmax(q: QTensor, cfg: BitExpConfig | None = None,
-                          counter: OpCounter | None = None) -> QTensor:
+def _exp_div_softmax(q: QTensor, cfg: BitExpConfig | None, counter: OpCounter | None,
+                     exp_codes) -> QTensor:
+    """Max-subtract, ``exp_codes(qd, f, cfg, km)``, reciprocal division: the
+    body every exponential softmax kernel shares."""
     cfg = cfg or BitExpConfig()
     f = _dyadic_exponent(q.params)
     _check_m(cfg, q.codes.shape[-1])
     km = KernelMath(counter)
     qd = _max_subtract_codes(km.asarray(q.codes), km)
-    q_exp = _eff_exp_codes(qd, f, cfg, km)
-    codes = _int_div_codes(q_exp, cfg, km)
+    codes = _int_div_codes(exp_codes(qd, f, cfg, km), cfg, km)
     return QTensor(codes.astype(np.int32), softmax_out_params(cfg))
+
+
+def efficient_bit_softmax(q: QTensor, cfg: BitExpConfig | None = None,
+                          counter: OpCounter | None = None) -> QTensor:
+    return _exp_div_softmax(q, cfg, counter, _eff_exp_codes)
 
 
 def shiftmax(q: QTensor, cfg: BitExpConfig | None = None,
              counter: OpCounter | None = None) -> QTensor:
     """Baseline with the endpoint-matched linear fraction 1 + x/2."""
-    cfg = cfg or BitExpConfig()
-    f = _dyadic_exponent(q.params)
-    _check_m(cfg, q.codes.shape[-1])
-    km = KernelMath(counter)
-    qd = _max_subtract_codes(km.asarray(q.codes), km)
-    q_exp = _shift_exp_codes(qd, f, km)
-    codes = _int_div_codes(q_exp, cfg, km)
-    return QTensor(codes.astype(np.int32), softmax_out_params(cfg))
+    return _exp_div_softmax(q, cfg, counter,
+                            lambda qd, f, _, km: _shift_exp_codes(qd, f, km))
 
 
 _P12 = 12  # fixed-point grid of the quadratic exponential value
@@ -244,8 +244,6 @@ def _iexp_value_codes(qd: np.ndarray, f: int, km: KernelMath,
     Returns codes on the 2^-_P12 grid, shifted down by z (or up by
     precision_bits - z when precision_bits > 0, for high-precision use).
     """
-    from .quantize import encode_dyadic_multiplier
-
     s = 1.0 / (1 << f)
     ln2_c = int(math.floor(math.log(2.0) / s))
     b_c = int(math.floor(IEXP_B / s))
@@ -265,14 +263,8 @@ def _iexp_value_codes(qd: np.ndarray, f: int, km: KernelMath,
 def iexp_softmax(q: QTensor, cfg: BitExpConfig | None = None,
                  counter: OpCounter | None = None) -> QTensor:
     """Softmax with the quadratic range-reduction exponential numerator."""
-    cfg = cfg or BitExpConfig()
-    f = _dyadic_exponent(q.params)
-    _check_m(cfg, q.codes.shape[-1])
-    km = KernelMath(counter)
-    qd = _max_subtract_codes(km.asarray(q.codes), km)
-    q_exp = _iexp_value_codes(qd, f, km)
-    codes = _int_div_codes(q_exp, cfg, km)
-    return QTensor(codes.astype(np.int32), softmax_out_params(cfg))
+    return _exp_div_softmax(q, cfg, counter,
+                            lambda qd, f, _, km: _iexp_value_codes(qd, f, km))
 
 
 def iexp_exp_codes(qd: QTensor, counter: OpCounter | None = None,

@@ -2,15 +2,15 @@
 and instrumented integer arithmetic for the kernel path.
 
 The instrumentation exists to make "integer-only" a checkable claim: every
-arithmetic operation on the kernel path flows through a :class:`KernelMath`
-facade (arrays) or :class:`InstrumentedInt` (scalars), both of which count
-operations and record a violation the moment a floating-point value shows up.
+arithmetic operation on the kernel path flows through the :class:`KernelMath`
+array facade, which counts operations and records a violation the moment a
+floating-point value shows up.
 """
 
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -21,7 +21,6 @@ _DTYPE_BY_CODE = {0: "real32", 1: "int32"}
 _CODE_BY_DTYPE = {v: k for k, v in _DTYPE_BY_CODE.items()}
 _NP_BY_DTYPE = {"real32": np.dtype("<f4"), "int32": np.dtype("<i4")}
 
-INT64_MAX = np.iinfo(np.int64).max
 EXACT_FLOAT_BITS = 52  # integers below 2^52 survive float64 sums exactly
 
 
@@ -190,116 +189,7 @@ class OpCounter:
         return self.adds + self.muls + self.divs + self.shifts + self.compares
 
     def as_dict(self) -> dict:
-        return {
-            "adds": self.adds,
-            "muls": self.muls,
-            "divs": self.divs,
-            "shifts": self.shifts,
-            "compares": self.compares,
-            "float_violations": self.float_violations,
-            "total": self.total(),
-        }
-
-
-class InstrumentedInt:
-    """64-bit signed integer whose arithmetic feeds an :class:`OpCounter`.
-
-    Any attempt to convert to or from a real number on this path records a
-    violation and raises :class:`IntegerViolation`.
-    """
-
-    __slots__ = ("value", "counter")
-
-    def __init__(self, value, counter: OpCounter):
-        if isinstance(value, InstrumentedInt):
-            value = value.value
-        if isinstance(value, float) or isinstance(value, np.floating):
-            counter.float_violations += 1
-            raise IntegerViolation("constructed InstrumentedInt from a real number")
-        value = int(value)
-        if not (-(1 << 63) <= value < (1 << 63)):
-            raise KernelOverflowError(f"{value} exceeds 64-bit signed range")
-        self.value = value
-        self.counter = counter
-
-    def _coerce(self, other) -> int:
-        if isinstance(other, InstrumentedInt):
-            return other.value
-        if isinstance(other, (float, np.floating)):
-            self.counter.float_violations += 1
-            raise IntegerViolation("real operand on the integer kernel path")
-        return int(other)
-
-    def _wrap(self, value: int) -> "InstrumentedInt":
-        return InstrumentedInt(value, self.counter)
-
-    def __add__(self, other):
-        self.counter.adds += 1
-        return self._wrap(self.value + self._coerce(other))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        self.counter.adds += 1
-        return self._wrap(self.value - self._coerce(other))
-
-    def __rsub__(self, other):
-        self.counter.adds += 1
-        return self._wrap(self._coerce(other) - self.value)
-
-    def __mul__(self, other):
-        self.counter.muls += 1
-        return self._wrap(self.value * self._coerce(other))
-
-    __rmul__ = __mul__
-
-    def __floordiv__(self, other):
-        self.counter.divs += 1
-        return self._wrap(self.value // self._coerce(other))
-
-    def __rshift__(self, k):
-        self.counter.shifts += 1
-        return self._wrap(self.value >> self._coerce(k))
-
-    def __lshift__(self, k):
-        self.counter.shifts += 1
-        return self._wrap(self.value << self._coerce(k))
-
-    def __neg__(self):
-        self.counter.adds += 1
-        return self._wrap(-self.value)
-
-    def _cmp(self, other, op):
-        self.counter.compares += 1
-        return op(self.value, self._coerce(other))
-
-    def __lt__(self, other):
-        return self._cmp(other, lambda a, b: a < b)
-
-    def __le__(self, other):
-        return self._cmp(other, lambda a, b: a <= b)
-
-    def __gt__(self, other):
-        return self._cmp(other, lambda a, b: a > b)
-
-    def __ge__(self, other):
-        return self._cmp(other, lambda a, b: a >= b)
-
-    def __eq__(self, other):
-        try:
-            return self.value == self._coerce(other)
-        except IntegerViolation:
-            raise
-
-    def __int__(self):
-        return self.value
-
-    def __float__(self):
-        self.counter.float_violations += 1
-        raise IntegerViolation("converted InstrumentedInt to a real number")
-
-    def __repr__(self):
-        return f"InstrumentedInt({self.value})"
+        return {**asdict(self), "total": self.total()}
 
 
 class KernelMath:
@@ -418,7 +308,8 @@ class KernelMath:
     def clip(self, a, lo, hi):
         self._guard(a, lo, hi)
         self.counter.compares += 2 * self._size(a)
-        return np.clip(a, lo, hi).astype(np.int64, copy=False)
+        # np.clip's Python wrapper builds np.iinfo objects on every call
+        return np.minimum(np.maximum(a, lo), hi).astype(np.int64, copy=False)
 
     def sum(self, a, axis=-1, keepdims=True):
         self._guard(a)

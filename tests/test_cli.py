@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from intquant.cli import main
+from intquant.pipeline import ConfigError, config_from_dict
 from intquant.tensor import Tensor, tensor_read, tensor_write
 
 
@@ -107,6 +108,38 @@ class TestAssign:
         assert run(tmp_path, "assign", "--config", str(bad),
                    "--out", str(tmp_path / "x")) == 2
 
+    # values of the right type that the pipeline cannot run
+    @pytest.mark.parametrize("raw, field", [
+        ({"stage1_mode": "bogus"}, "stage1_mode"),
+        ({"metric": {"db_convention": "bogus"}}, "metric.db_convention"),
+        ({"bits": {"activations": 14}}, "bits.activations"),
+        ({"bits": {"activations": 16}}, "bits.activations"),
+        ({"bits": {"activations": 1}}, "bits.activations"),
+        ({"bits": {"weights": 1}}, "bits.weights"),
+        ({"model": {"tokens": 1}}, "model.tokens"),
+        ({"model": {"heads": 3}}, "model.heads"),
+        ({"calib": {"batches": 0}}, "calib.batches"),
+        ({"calib": {"batch_size": 0}}, "calib.batch_size"),
+        ({"taylor_degree": 3}, "taylor_degree"),
+        ({"seed": -1}, "seed"),
+        ({"pools": {"softmax": ["bogus"]}}, "pools.softmax"),
+        ({"pools": {"gelu": 3}}, "pools.gelu"),
+    ])
+    def test_unrunnable_config_is_refused(self, tmp_path, raw, field):
+        with pytest.raises(ConfigError, match=field):
+            config_from_dict(raw)
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(raw))
+        assert run(tmp_path, "assign", "--config", str(path),
+                   "--out", str(tmp_path / "x")) == 2
+        assert not (tmp_path / "x.plan.json").exists()
+
+    def test_malformed_config_json_is_usage_error(self, tmp_path):
+        bad = tmp_path / "bad.json"
+        bad.write_text("{\"model\": ")
+        assert run(tmp_path, "assign", "--config", str(bad),
+                   "--out", str(tmp_path / "x")) == 2
+
 
 class TestInfer:
     def _plan(self, tmp_path, config_path, name="run"):
@@ -149,6 +182,38 @@ class TestInfer:
         assert run(tmp_path, "infer", "--plan", str(plan), "--input", str(bad_path),
                    "--out", str(tmp_path / "y.iptq")) == 2
 
+    def _infer(self, tmp_path, plan, xpath):
+        return run(tmp_path, "infer", "--plan", str(plan), "--input", str(xpath),
+                   "--out", str(tmp_path / "y.iptq"))
+
+    def test_bad_magic_is_usage_error(self, tmp_path, config_path):
+        plan = self._plan(tmp_path, config_path)
+        xpath = self._input(tmp_path)
+        blob = bytearray(xpath.read_bytes())
+        blob[:4] = b"NOPE"
+        xpath.write_bytes(bytes(blob))
+        assert self._infer(tmp_path, plan, xpath) == 2
+        assert self._infer(tmp_path, plan, tmp_path / "missing.iptq") == 2
+
+    def test_unparsable_plan_is_usage_error(self, tmp_path, config_path):
+        plan = self._plan(tmp_path, config_path)
+        plan.write_text(plan.read_text()[:100])
+        assert self._infer(tmp_path, plan, self._input(tmp_path)) == 2
+
+    def test_unknown_plan_field_is_usage_error(self, tmp_path, config_path):
+        plan = self._plan(tmp_path, config_path)
+        raw = json.loads(plan.read_text())
+        raw["model_config"]["extra"] = 1
+        plan.write_text(json.dumps(raw))
+        assert self._infer(tmp_path, plan, self._input(tmp_path)) == 2
+
+    def test_plan_missing_an_edge_is_usage_error(self, tmp_path, config_path):
+        plan = self._plan(tmp_path, config_path)
+        raw = json.loads(plan.read_text())
+        raw["qparams"] = [q for q in raw["qparams"] if q["layer_id"] != "block1.res1"]
+        plan.write_text(json.dumps(raw))
+        assert self._infer(tmp_path, plan, self._input(tmp_path)) == 2
+
     def test_pool_choice_changes_op_totals(self, tmp_path):
         # pin the softmax pool to one candidate per plan: the shift-heavy
         # fraction strictly out-costs the single-shift baseline
@@ -167,6 +232,37 @@ class TestInfer:
             ops = json.loads((tmp_path / f"{cand}.out.iptq.ops.json").read_text())
             totals[cand] = ops["total"]
         assert totals["efficient_bit_softmax"] > totals["shiftmax"]
+
+
+class TestRunReport:
+    def test_records_the_seed_that_built_the_model(self, tmp_path, capsys):
+        cpath = tmp_path / "config.json"
+        cpath.write_text(json.dumps({**CONFIG, "seed": 7}))
+        assert run(tmp_path, "assign", "--config", str(cpath),
+                   "--out", str(tmp_path / "run")) == 0
+        plan = json.loads((tmp_path / "run.plan.json").read_text())
+        assert plan["model_config"]["seed"] == 7
+        xpath = TestInfer()._input(tmp_path)
+        assert run(tmp_path, "infer", "--plan", str(tmp_path / "run.plan.json"),
+                   "--input", str(xpath), "--out", str(tmp_path / "y.iptq")) == 0
+        assert run(tmp_path, "eval-approx", "--which", "exp2",
+                   "--out", str(tmp_path / "e.csv")) == 0
+        lines = [json.loads(l) for l in
+                 (tmp_path / "runs.jsonl").read_text().strip().splitlines()]
+        assert [(l["command"], l["seed"]) for l in lines] == [
+            ("assign", 7), ("infer", 7), ("eval-approx", None)]
+        assert all("seed" not in l["args"] for l in lines)
+        capsys.readouterr()
+        assert run(tmp_path, "report") == 0
+        assert "eval-approx: seed=-" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("command", [
+        ["fit", "--range", "-1", "1"], ["eval-approx", "--which", "erf"],
+        ["assign", "--config", "c.json"], ["infer", "--plan", "p", "--input", "x"]])
+    def test_seed_flag_is_gone(self, tmp_path, command):
+        with pytest.raises(SystemExit) as exc:
+            run(tmp_path, *command, "--seed", "3")
+        assert exc.value.code == 2
 
 
 class TestReport:

@@ -4,19 +4,25 @@ import numpy as np
 import pytest
 
 from intquant.layernorm import (LN_VARIANTS, LNConfig, _int_sqrt_array,
-                                default_ln_out_params, int_layernorm, int_sqrt,
+                                default_ln_out_params, int_layernorm,
                                 layernorm_reference, snap_pow2_out_params)
 from intquant.quantize import (MinMaxObserver, QTensor, dequantize_np,
                                qparams_from_range, quantize)
 from intquant.tensor import KernelMath, OpCounter
 
 
+def _isqrt(values, seed="shift"):
+    return _int_sqrt_array(np.asarray(values, dtype=np.int64), KernelMath(), seed=seed)
+
+
 class TestIntSqrt:
     def test_zero(self):
-        assert int_sqrt(0) == 0
+        assert _isqrt([0]).tolist() == [0]
+        assert _isqrt([0], seed="poly").tolist() == [0]
 
     def test_hand_value(self):
-        assert int_sqrt(255) == 15
+        assert _isqrt([255, 256]).tolist() == [15, 16]
+        assert _isqrt([255, 256], seed="poly").tolist() == [15, 16]
 
     def test_exhaustive_small_domain(self):
         km = KernelMath()
@@ -28,13 +34,16 @@ class TestIntSqrt:
             assert got[edge] == math.isqrt(edge)
         np.testing.assert_array_equal(got, want)
 
-    def test_scalar_matches_isqrt_on_samples(self):
+    def test_matches_isqrt_on_wide_samples(self):
         rng = np.random.default_rng(0)
-        for n in rng.integers(0, 1 << 40, size=200):
-            assert int_sqrt(int(n)) == math.isqrt(int(n))
+        n = np.concatenate([rng.integers(0, 1 << 40, size=200),
+                            rng.integers(0, 1 << 62, size=200)])
+        want = [math.isqrt(int(v)) for v in n]
+        assert _isqrt(n).tolist() == want
+        assert _isqrt(n, seed="poly").tolist() == want
 
     def test_monotone(self):
-        vals = [int_sqrt(n) for n in range(5000)]
+        vals = _isqrt(np.arange(5000)).tolist()
         assert all(b >= a for a, b in zip(vals, vals[1:]))
 
     def test_poly_seed_matches(self):
@@ -43,10 +52,6 @@ class TestIntSqrt:
         got = _int_sqrt_array(n, km, seed="poly")
         want = np.asarray([math.isqrt(int(v)) for v in n])
         np.testing.assert_array_equal(got, want)
-
-    def test_negative_rejected(self):
-        with pytest.raises(ValueError):
-            int_sqrt(-1)
 
 
 def _int_sqrt_shift_loop(n, km, iterations=40):

@@ -6,9 +6,7 @@ import numpy as np
 import pytest
 
 from intquant.metric import INF_DB, MetricScore, MetricTable
-from intquant.model import (CANDIDATE_POOLS, build_toy_vit, forward_float,
-                            nonlinear_input_edge, nonlinear_layer_ids,
-                            activation_edges)
+from intquant.model import CANDIDATE_POOLS, INPUT, build_toy_vit, forward_float
 from intquant.pipeline import (AssignmentPlan, ConfigError, IncompleteTableError,
                                PipelineConfig, calibration_batches,
                                compile_plan, config_from_dict, integer_forward,
@@ -43,7 +41,35 @@ class TestGraphConstruction:
         assert kinds.count("gelu") == 12
 
     def test_two_block_inventory(self):
-        assert len(nonlinear_layer_ids(2)) == 9
+        graph, _ = build_toy_vit({"blocks": 2})
+        assert [(r.layer_id, r.kind) for r in graph.layers] == [
+            ("embed.ln", "layernorm"),
+            ("block0.ln1", "layernorm"), ("block0.softmax", "softmax"),
+            ("block0.ln2", "layernorm"), ("block0.gelu", "gelu"),
+            ("block1.ln1", "layernorm"), ("block1.softmax", "softmax"),
+            ("block1.ln2", "layernorm"), ("block1.gelu", "gelu"),
+        ]
+
+    def test_edge_order(self):
+        # plan JSON lists qparams in this order
+        graph, _ = build_toy_vit({"blocks": 1})
+        assert graph.edges == (
+            "input", "pos_add", "embed.ln", "block0.ln1", "block0.attn.q",
+            "block0.attn.k", "block0.attn.v", "block0.attn.scores",
+            "block0.softmax", "block0.attn.ctx", "block0.attn.proj",
+            "block0.res1", "block0.ln2", "block0.mlp.fc1", "block0.gelu",
+            "block0.mlp.fc2", "block0.res2", "pool", "logits")
+
+    def test_ops_read_only_earlier_edges_and_known_weights(self):
+        graph, weights = build_toy_vit({"blocks": 2})
+        seen = {INPUT}
+        for op in graph.ops:
+            assert set(op.inputs) <= seen, op
+            assert all(k in weights for k in op.weights), op
+            seen.add(op.out)
+        assert {k for op in graph.ops for k in op.weights} == set(weights)
+        assert [r.layer_id for r in graph.layers] == [
+            op.out for op in graph.ops if op.op in CANDIDATE_POOLS]
 
     def test_same_seed_identical_weights(self):
         cfg = {"blocks": 1, "embed_dim": 16, "heads": 2, "tokens": 4, "mlp_ratio": 2}
@@ -75,14 +101,37 @@ class TestGraphConstruction:
         x = rng_tensor(0, [4, 16], "normal", 0.0, 1.0).values
         logits = forward_float(graph, weights, x, cap)
         assert logits.shape == (10,)
-        assert set(cap) == set(activation_edges(graph))
+        assert tuple(cap) == graph.edges
+        np.testing.assert_array_equal(cap["logits"][0][0], logits)
 
     def test_nonlinear_input_edges_exist(self):
         graph, _ = build_toy_vit({"blocks": 3, "embed_dim": 16, "heads": 2,
                                   "tokens": 4, "mlp_ratio": 2})
-        edges = set(activation_edges(graph))
+        edges = graph.edges
+        ops = {op.out: op for op in graph.ops}
         for rec in graph.layers:
-            assert nonlinear_input_edge(rec.layer_id) in edges
+            op = ops[rec.layer_id]
+            assert op.op == rec.kind
+            assert edges.index(op.inputs[0]) < edges.index(rec.layer_id)
+
+    def test_dead_after_drops_every_read_edge_once(self):
+        graph, _ = build_toy_vit({"blocks": 2})
+        dropped = [e for dead in graph.dead_after for e in dead]
+        assert sorted(dropped) == sorted(graph.edges[:-1])
+        for i, dead in enumerate(graph.dead_after):
+            later = {e for op in graph.ops[i + 1:] for e in op.inputs}
+            assert set(dead) == set(graph.ops[i].inputs) - later
+
+    def test_swap_replaces_one_layer(self):
+        graph, weights = build_toy_vit({"blocks": 2, "embed_dim": 16, "heads": 2,
+                                        "tokens": 4, "mlp_ratio": 2})
+        x = rng_tensor(1, [4, 16], "normal", 0.0, 1.0).values
+        ref, got = {}, {}
+        forward_float(graph, weights, x, ref)
+        forward_float(graph, weights, x, got, swap=("block1.gelu", lambda a: 2 * a))
+        np.testing.assert_array_equal(got["block1.gelu"][0], 2 * ref["block1.mlp.fc1"][0])
+        for edge in graph.edges[:graph.edges.index("block1.gelu")]:
+            np.testing.assert_array_equal(got[edge][0], ref[edge][0])
 
 
 class TestStage1:
@@ -199,7 +248,7 @@ class TestStage2:
 class TestStage3:
     def test_every_edge_calibrated(self, pipeline_result):
         (plan, table, graph, weights), cfg = pipeline_result
-        assert set(plan.qparams) == set(activation_edges(graph))
+        assert tuple(plan.qparams) == graph.edges
 
     def test_idempotent(self, pipeline_result):
         (plan, table, graph, weights), cfg = pipeline_result
@@ -281,6 +330,28 @@ class TestIntegerForward:
         (plan, table, graph, weights), cfg = pipeline_result
         with pytest.raises(ValueError, match="match"):
             integer_forward(graph, weights, plan, np.zeros((3, 3)))
+
+    def test_nonlinear_ops_call_the_module_runners(self, pipeline_result, monkeypatch):
+        import intquant.pipeline as pl
+        (plan, table, graph, weights), cfg = pipeline_result
+        x = rng_tensor(9, [graph.tokens, graph.embed_dim], "normal", 0.0, 1.0).values
+        want = integer_forward(graph, weights, plan, x)
+        seen = []
+        for name in ("run_softmax_candidate", "run_gelu_candidate", "run_ln_candidate"):
+            def spy(cand, *args, _fn=getattr(pl, name), **kw):
+                seen.append(cand)
+                return _fn(cand, *args, **kw)
+            monkeypatch.setattr(pl, name, spy)
+        got = integer_forward(graph, weights, plan, x)
+        assert seen == [plan.assignments[r.layer_id] for r in graph.layers]
+        assert got[0] == want[0] and got[1].as_dict() == want[1].as_dict()
+
+    def test_compiled_constants_per_op(self, pipeline_result):
+        (plan, table, graph, weights), cfg = pipeline_result
+        compiled = compile_plan(graph, weights, _fresh(plan))
+        assert list(compiled.consts) == [
+            op.out for op in graph.ops
+            if op.op in ("pos_add", "linear", "scores", "ctx", "pool")]
 
     def test_op_totals_deterministic(self, pipeline_result):
         (plan, table, graph, weights), cfg = pipeline_result

@@ -4,12 +4,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from intquant.tensor import (InstrumentedInt, IntegerViolation, KernelMath,
-                             KernelOverflowError, OpCounter, Tensor,
-                             TensorFormatError, rng_tensor, tensor_read,
-                             tensor_write)
+from intquant.tensor import (IntegerViolation, KernelMath, KernelOverflowError,
+                             OpCounter, Tensor, TensorFormatError, rng_tensor,
+                             tensor_read, tensor_write)
 
 INT64_MIN = int(np.iinfo(np.int64).min)
+INT64_MAX = int(np.iinfo(np.int64).max)
 
 
 class TestFileFormat:
@@ -90,52 +90,6 @@ class TestRng:
             rng_tensor(0, [0], "normal", 0.0, 1.0)
 
 
-class TestInstrumentedInt:
-    def test_arithmetic_counts(self):
-        c = OpCounter()
-        a = InstrumentedInt(5, c)
-        b = InstrumentedInt(3, c)
-        assert int(a + b) == 8
-        assert int(a - b) == 2
-        assert int(a * b) == 15
-        assert int(a // b) == 1
-        assert int(a >> 1) == 2
-        assert int(a << 1) == 10
-        assert c.adds == 2 and c.muls == 1 and c.divs == 1 and c.shifts == 2
-
-    def test_negative_shift_is_arithmetic(self):
-        c = OpCounter()
-        assert int(InstrumentedInt(-16, c) >> 1) == -8
-        assert int(InstrumentedInt(-16, c) >> 4) == -1
-
-    def test_float_conversion_records_violation(self):
-        c = OpCounter()
-        a = InstrumentedInt(5, c)
-        with pytest.raises(IntegerViolation):
-            float(a)
-        assert c.float_violations == 1
-
-    def test_float_operand_records_violation(self):
-        c = OpCounter()
-        a = InstrumentedInt(5, c)
-        with pytest.raises(IntegerViolation):
-            a + 0.5
-        assert c.float_violations == 1
-
-    def test_construct_from_float_rejected(self):
-        c = OpCounter()
-        with pytest.raises(IntegerViolation):
-            InstrumentedInt(1.5, c)
-        assert c.float_violations == 1
-
-    def test_compares_counted(self):
-        c = OpCounter()
-        a = InstrumentedInt(5, c)
-        assert a > 3
-        assert a <= 5
-        assert c.compares == 2
-
-
 class TestKernelMath:
     def test_float_array_rejected(self):
         km = KernelMath()
@@ -206,6 +160,36 @@ class TestOverflowGuards:
             [1 << 61, -5 * (1 << 30)])
         np.testing.assert_array_equal(
             km.lshift(np.array([-(1 << 31), 0], dtype=np.int64), 31), [-(1 << 62), 0])
+
+
+class TestClip:
+    """KernelMath.clip matches np.clip, in value, dtype and op charge."""
+
+    VALUES = np.array([INT64_MIN, INT64_MIN + 1, -5, 0, 7, INT64_MAX - 1, INT64_MAX],
+                      dtype=np.int64)
+
+    @pytest.mark.parametrize("lo, hi", [
+        (0, 255), (INT64_MIN, INT64_MAX), (-1, -1), (INT64_MIN, 0), (0, INT64_MAX),
+        (np.array([0, -7, INT64_MIN, 1, 2, 3, 4]), np.array([1, 7, 0, 1, 9, 3, INT64_MAX])),
+        (-3, np.arange(7, dtype=np.int64)),
+    ])
+    def test_matches_np_clip(self, lo, hi):
+        km = KernelMath()
+        got = km.clip(self.VALUES, lo, hi)
+        want = np.clip(self.VALUES, lo, hi)
+        assert got.dtype == np.int64
+        assert got.tolist() == want.tolist()
+        assert km.counter.as_dict() == {**OpCounter().as_dict(), "compares": 14,
+                                        "total": 14}
+
+    def test_int32_codes_and_scalars(self):
+        km = KernelMath()
+        codes = np.array([[-3, 300], [12, 255]], dtype=np.int32)
+        got = km.clip(codes, 0, 255)
+        assert got.dtype == np.int64
+        assert got.tolist() == np.clip(codes, 0, 255).tolist()
+        assert int(km.clip(np.int64(INT64_MIN), 0, 9)) == 0
+        assert km.counter.compares == 10
 
 
 class TestGuardDtypes:
@@ -288,13 +272,6 @@ class TestMatmul:
         with pytest.raises(IntegerViolation):
             km.matmul(np.ones((2, 2)), np.ones((2, 2), dtype=np.int64))
         assert km.counter.float_violations == 1
-
-
-def test_instrumented_int_rejects_64bit_overflow():
-    from intquant.tensor import KernelOverflowError
-    c = OpCounter()
-    with pytest.raises(KernelOverflowError):
-        InstrumentedInt(1 << 63, c)
 
 
 def test_tensor_validates_dims():
