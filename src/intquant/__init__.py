@@ -10,9 +10,9 @@ from .layernorm import LNConfig, int_layernorm
 from .metric import (approx_error, op_count, perturbation, softplus, sqnr,
                      unified_score)
 from .model import CANDIDATE_POOLS, ModelGraph, build_toy_vit, forward_float
-from .pipeline import (AssignmentPlan, PipelineConfig, compile_plan,
-                       integer_forward, run_pipeline, stage1_analyze,
-                       stage2_assign, stage3_calibrate)
+from .pipeline import (AssignmentPlan, PipelineConfig, capture_calibration,
+                       compile_plan, integer_forward, run_pipeline,
+                       stage1_analyze, stage2_assign, stage3_calibrate)
 from .quantize import (MinMaxObserver, QParams, QTensor, dequantize, observe,
                        qparams_from_range, quantize)
 from .softmax import (BitExpConfig, base2_frac_approx_error, decompose,

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .quantize import QParams, QTensor, encode_dyadic_multiplier, qparams_from_range
-from .tensor import KernelMath, OpCounter
+from .tensor import KernelMath, OpCounter, bit_length
 
 LN_VARIANTS = ("bitshift_newton", "poly_sqrt", "log2_scale")
 
@@ -41,17 +41,6 @@ class LNConfig:
             raise ValueError(f"eps_code must be >= 1, got {self.eps_code}")
 
 
-def _bit_length(n: np.ndarray) -> np.ndarray:
-    """Bit length of each int64 element; 0 for elements <= 0."""
-    bl = np.zeros(n.shape, dtype=np.int64)
-    t = np.maximum(n, 0)
-    for s in (32, 16, 8, 4, 2, 1):
-        step = (t >> s > 0) * s
-        t = t >> step
-        bl += step
-    return bl + (t > 0)
-
-
 def _int_sqrt_array(n: np.ndarray, km: KernelMath, iterations: int = 40,
                     seed: str = "shift") -> np.ndarray:
     """Vectorized Newton floor-sqrt; ``seed`` picks the initial estimate."""
@@ -62,7 +51,7 @@ def _int_sqrt_array(n: np.ndarray, km: KernelMath, iterations: int = 40,
         # 2^ceil(bitlength/2) per element; the bit length comes from a
         # 6-step binary search, charged as the one shift per bit that a
         # shift-until-zero loop would spend
-        bl = _bit_length(n)
+        bl = bit_length(n)
         km.counter.shifts += int(bl.sum())
         x = np.int64(1) << ((bl + 1) >> 1)
     else:

@@ -242,10 +242,29 @@ def _run_kernel(op: Op, candidate: str, q: QTensor, weights: dict, out_params: Q
     return run_ln_candidate(candidate, q, gamma, beta, out_params, counter)
 
 
+# Stage 1 runs a softmax or GELU candidate over the calibration set in
+# slices of about this many elements along the sample axis. One 4x256x256
+# sample of attention scores is 2^18 int64 codes (2 MiB), so a kernel's
+# intermediates stay in a 4 MiB per-core L2 instead of faulting in a fresh
+# whole-set array (32 MB at 16 samples) on every op, and only one slice of
+# them is alive at a time. Both kernels are row-wise or elementwise and
+# charge each element the same ops in any call, so the slices' outputs and
+# op counts add up to the whole call's. LayerNorm runs whole: its Newton
+# loop steps until every row of the call has converged and charges every
+# row for each step, so its count depends on which rows share a call.
+STAGE1_SLICE_ELEMENTS = 1 << 18
+_SLICED_OPS = ("softmax", "gelu")
+
+
 def _candidate_output(op: Op, candidate, x_in: np.ndarray, x_out: np.ndarray,
                       weights: dict, cfg: PipelineConfig,
                       counter: OpCounter | None = None) -> np.ndarray:
-    """Quantize the captured input, run the integer candidate, dequantize."""
+    """Quantize the captured input, run the integer candidate, dequantize.
+
+    The quantization parameters come from the whole of ``x_in`` and
+    ``x_out``; softmax and GELU kernels then run slice by slice along the
+    sample axis (see ``STAGE1_SLICE_ELEMENTS``) into one output array.
+    """
     out_params = None
     if op.op == "softmax":
         p_in = dyadic_qparams_for_range(float(x_in.min()), float(x_in.max()),
@@ -255,30 +274,47 @@ def _candidate_output(op: Op, candidate, x_in: np.ndarray, x_out: np.ndarray,
         out_params = MinMaxObserver().observe(x_out).qparams(cfg.act_bits)
         if candidate == "log2_scale":
             out_params, _ = ln_mod.snap_pow2_out_params(out_params)
-    out = _run_kernel(op, candidate, quantize(x_in, p_in), weights, out_params,
-                      cfg.bit_exp_config(), counter)
-    return dequantize_np(out)
+    bexp = cfg.bit_exp_config()
+    step = len(x_in)
+    if op.op in _SLICED_OPS:
+        step = max(1, STAGE1_SLICE_ELEMENTS // max(x_in[:1].size, 1))
+    out = np.empty(x_in.shape)
+    for lo in range(0, len(x_in), step):
+        q = quantize(x_in[lo:lo + step], p_in)
+        out[lo:lo + step] = dequantize_np(
+            _run_kernel(op, candidate, q, weights, out_params, bexp, counter))
+    return out
 
 
 # ---------------------------------------------------------------------------
 # stages
 # ---------------------------------------------------------------------------
 
+def capture_calibration(graph: ModelGraph, weights: dict, calib: list) -> dict:
+    """Every edge of the full-precision pass over ``calib``, each joined
+    along the sample axis."""
+    if not calib:
+        raise ValueError("calibration set must be non-empty")
+    capture: dict = {}
+    for batch in calib:
+        forward_float(graph, weights, batch, capture)
+    # pop each edge's per-batch list as it is joined, so that only one copy
+    # of the captured activations stays alive
+    return {e: np.concatenate(capture.pop(e), axis=0) for e in list(capture)}
+
+
 def stage1_analyze(graph: ModelGraph, weights: dict, calib: list,
-                   cfg: PipelineConfig, jobs: int = 1) -> MetricTable:
+                   cfg: PipelineConfig, jobs: int = 1,
+                   captured: dict | None = None) -> MetricTable:
     """Score every (layer, candidate) pair against the full-precision pass.
 
     Analysis is isolated: one layer is quantized at a time and compared at
     its own output (global-logit comparison sits behind stage1_mode). A
-    candidate whose kernel overflows is recorded with score 0.
+    candidate whose kernel overflows is recorded with score 0. ``captured``
+    is :func:`capture_calibration` of ``calib``, when the caller has it.
     """
-    if not calib:
-        raise ValueError("calibration set must be non-empty")
-    capture: dict = {}
-    ref_logits = [forward_float(graph, weights, b, capture) for b in calib]
-    # pop each edge's per-batch list as it is joined, so that only one copy
-    # of the captured activations stays alive
-    cat = {e: np.concatenate(capture.pop(e), axis=0) for e in list(capture)}
+    cat = captured if captured is not None else capture_calibration(graph, weights, calib)
+    logits = cat[graph.ops[-1].out]
 
     candidates = {rec.layer_id: rec.candidates for rec in graph.layers}
     tasks = [(op, cand) for op in graph.ops for cand in candidates.get(op.out, ())]
@@ -295,7 +331,7 @@ def stage1_analyze(graph: ModelGraph, weights: dict, calib: list,
                 got = np.concatenate(
                     [forward_float(graph, weights, b, swap=(op.out, swapped))
                      for b in calib], axis=0)
-                ref = np.concatenate(ref_logits, axis=0)
+                ref = logits
             else:
                 got = _candidate_output(op, cand, x_in, x_out, weights, cfg)
                 ref = x_out
@@ -374,19 +410,21 @@ def stage2_assign(table: MetricTable, graph: ModelGraph | None = None,
 
 
 def stage3_calibrate(graph: ModelGraph, weights: dict, plan: AssignmentPlan,
-                     calib: list, cfg: PipelineConfig) -> AssignmentPlan:
+                     calib: list, cfg: PipelineConfig,
+                     captured: dict | None = None) -> AssignmentPlan:
     """One envelope pass over the calibration set; derives every activation
     edge's parameters. Weights stay symmetric per-channel and are re-derived
-    deterministically at inference, so the plan needs only activations."""
+    deterministically at inference, so the plan needs only activations.
+
+    ``captured`` is :func:`capture_calibration` of ``calib``, when the caller
+    has it; min and max are exact, so the envelopes do not depend on how the
+    batches were joined.
+    """
     if not plan.assignments:
         raise ValueError("assignments must be complete before calibration")
-    observers = {e: MinMaxObserver() for e in graph.edges}
-    for batch in calib:
-        capture: dict = {}
-        forward_float(graph, weights, batch, capture)
-        for edge, arrays in capture.items():
-            for arr in arrays:
-                observers[edge].observe(arr)
+    if captured is None:
+        captured = capture_calibration(graph, weights, calib)
+    observers = {e: MinMaxObserver().observe(captured[e]) for e in graph.edges}
 
     kinds = {op.out: op.op for op in graph.ops}
     qparams: dict[str, QParams] = {}
@@ -420,9 +458,10 @@ def run_pipeline(cfg: PipelineConfig, calib_seed: int = 0,
     graph, weights = build_toy_vit(cfg.model_config(), seed=cfg.seed,
                                    pools=cfg.pools)
     calib = calibration_batches(cfg, calib_seed)
-    table = stage1_analyze(graph, weights, calib, cfg, jobs=jobs)
+    captured = capture_calibration(graph, weights, calib)
+    table = stage1_analyze(graph, weights, calib, cfg, jobs=jobs, captured=captured)
     plan = stage2_assign(table, graph, cfg)
-    plan = stage3_calibrate(graph, weights, plan, calib, cfg)
+    plan = stage3_calibrate(graph, weights, plan, calib, cfg, captured=captured)
     return plan, table, graph, weights
 
 

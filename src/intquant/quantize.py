@@ -141,7 +141,8 @@ def quantize(x, p: QParams) -> QTensor:
                 f"axis {p.channel_axis} has extent {arr.shape[p.channel_axis]},"
                 f" but params carry {n_ch} channels"
             )
-    codes = np.clip(_round_half_even(arr / scale) + zero, 0, p.qmax)
+    # np.clip's Python wrapper builds np.iinfo objects on every call
+    codes = np.minimum(np.maximum(_round_half_even(arr / scale) + zero, 0), p.qmax)
     return QTensor(codes.astype(np.int32), p)
 
 

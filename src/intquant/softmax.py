@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .quantize import QParams, QTensor, encode_dyadic_multiplier
-from .tensor import KernelMath, OpCounter
+from .tensor import KernelMath, OpCounter, bit_length
 
 # quadratic used by the range-reduction exponential baseline:
 # exp(p) ~ A*(p + B)^2 + C on p in (-ln2, 0]
@@ -284,8 +284,8 @@ def log2_softmax(q: QTensor, cfg: BitExpConfig | None = None,
                  counter: OpCounter | None = None) -> QTensor:
     """Softmax snapped onto the power-of-two grid: outputs are 2^(-k).
 
-    The log2 code k = round(log2(denominator / numerator)) is found by
-    integer shift-compare; the returned affine codes are 2^(bits-1) >> k,
+    The log2 code k = round(log2(denominator / numerator)) comes from the
+    integer bit lengths of both; the returned affine codes are 2^(bits-1) >> k,
     exactly representable on the 1/2^(bits-1) output grid.
     """
     cfg = cfg or BitExpConfig()
@@ -310,29 +310,26 @@ def log2_softmax_codes(q: QTensor, cfg: BitExpConfig | None = None,
     if np.any(den <= 0):
         bad = int(np.argwhere(den.reshape(-1) <= 0)[0][0])
         raise NormalizationError(f"zero exponential sum in row {bad}")
-    den = np.broadcast_to(den, num.shape)
 
-    # k = floor(log2(den/num)) by shift-compare, then round half upward in
-    # log space: den/num >= 2^(k+1/2) <=> den^2 >= num^2 * 2^(2k+1)
-    k = np.zeros(num.shape, dtype=np.int64)
-    live = num > 0
-    shifted = np.where(live, num, 1).astype(np.int64)
-    while True:
-        km.counter.shifts += int(live.sum())
-        km.counter.compares += int(live.sum())
-        grow = live & ((shifted << 1) <= den)
-        if not grow.any():
-            break
-        k[grow] += 1
-        shifted[grow] <<= 1
-        live = grow
+    # k = floor(log2(den/num)), then round half upward in log space:
+    # den/num >= 2^(k+1/2) <=> den^2 >= num^2 * 2^(2k+1). With
+    # j = bitlen(den) - bitlen(num), num << j has the bit length of den, so
+    # k is j, or j - 1 where num << j > den. This is charged as the
+    # shift-compare search it replaces: one shift and one compare per step
+    # while num << k <= den, i.e. k + 1 of each per positive num.
+    pos = num > 0
+    safe_num = np.where(pos, num, 1).astype(np.int64)
+    k = np.maximum(bit_length(den) - bit_length(safe_num), 0)
+    k = np.where(pos, np.maximum(k - ((safe_num << k) > den), 0), 0)
+    steps = int(k.sum()) + int(np.count_nonzero(pos))
+    km.counter.shifts += steps
+    km.counter.compares += steps
     # num * 2^k <= den bounds num^2 * 2^(2k+1) <= 2 * den^2, safe in int64
-    safe_num = np.where(num > 0, num, 1).astype(np.int64)
     km.counter.muls += num.size * 2
     km.counter.compares += num.size
     round_up = den * den >= (safe_num * safe_num) << (2 * k + 1)
     k = k + np.where(round_up, 1, 0)
-    return np.where(num > 0, k, np.int64(63))
+    return np.where(pos, k, np.int64(63))
 
 
 def base2_frac_approx_error(mode: str, grid: int = 10001) -> tuple[float, float]:

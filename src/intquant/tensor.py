@@ -161,6 +161,17 @@ def rng_tensor(seed: int, dims, dist: str, *args) -> Tensor:
     return Tensor(vals, dtype="real32")
 
 
+def bit_length(n: np.ndarray) -> np.ndarray:
+    """Bit length of each int64 element; 0 for elements <= 0."""
+    bl = np.zeros(np.shape(n), dtype=np.int64)
+    t = np.maximum(n, 0)
+    for s in (32, 16, 8, 4, 2, 1):
+        step = (t >= (1 << s)) * np.int64(s)
+        t >>= step
+        bl += step
+    return bl + (t > 0)
+
+
 @dataclass
 class OpCounter:
     """Integer-operation counts for one measurement scope.

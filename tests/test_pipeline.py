@@ -7,14 +7,16 @@ import pytest
 
 from intquant.metric import INF_DB, MetricScore, MetricTable
 from intquant.model import CANDIDATE_POOLS, INPUT, build_toy_vit, forward_float
-from intquant.pipeline import (AssignmentPlan, ConfigError, IncompleteTableError,
-                               PipelineConfig, calibration_batches,
+import intquant.pipeline as pl
+from intquant.pipeline import (STAGE1_MODES, AssignmentPlan, ConfigError,
+                               IncompleteTableError, PipelineConfig,
+                               calibration_batches, capture_calibration,
                                compile_plan, config_from_dict, integer_forward,
                                load_plan, plan_from_dict, plan_to_dict, run_pipeline,
                                save_plan, stage1_analyze, stage2_assign,
                                stage3_calibrate)
-from intquant.quantize import QParams
-from intquant.tensor import rng_tensor
+from intquant.quantize import MinMaxObserver, QParams
+from intquant.tensor import KernelOverflowError, OpCounter, rng_tensor
 
 
 def small_cfg(**kw):
@@ -180,6 +182,83 @@ class TestStage1:
             assert raw[(l, c)] == (ms.q_db, ms.p, ms.c)  # raw factors unchanged
 
 
+class TestStage1Slices:
+    """Stage 1 runs softmax and GELU candidates slice by slice; one-sample
+    slices must give what one whole-set call gives."""
+
+    @pytest.mark.parametrize("mode", STAGE1_MODES)
+    @pytest.mark.parametrize("tokens", [8, 64])
+    def test_one_sample_slices_give_the_same_table(self, monkeypatch, mode, tokens):
+        cfg = small_cfg(tokens=tokens, stage1_mode=mode)
+        graph, weights = build_toy_vit(cfg.model_config())
+        calib = calibration_batches(cfg)
+        whole = stage1_analyze(graph, weights, calib, cfg)
+        monkeypatch.setattr(pl, "STAGE1_SLICE_ELEMENTS", 1)
+        sliced = stage1_analyze(graph, weights, calib, cfg)
+        assert len(sliced) == len(whole) == 29
+        for (l, k, c, got), (wl, wk, wc, want) in zip(sliced.entries, whole.entries):
+            assert (l, k, c) == (wl, wk, wc)
+            assert (got.q_db, got.p, got.c, got.score) == \
+                   (want.q_db, want.p, want.c, want.score)
+
+    @pytest.mark.parametrize("tokens", [8, 64])
+    def test_sliced_outputs_and_op_counts_add_up(self, monkeypatch, tokens):
+        cfg = small_cfg(tokens=tokens)
+        graph, weights = build_toy_vit(cfg.model_config())
+        cat = capture_calibration(graph, weights, calibration_batches(cfg))
+        samples = cfg.calib_batches * cfg.calib_batch_size
+        rows = {}   # runner kind -> leading extent of each call
+
+        for name in ("run_softmax_candidate", "run_gelu_candidate", "run_ln_candidate"):
+            def spy(cand, q, *args, _fn=getattr(pl, name), _name=name, **kw):
+                rows.setdefault(_name, []).append(q.codes.shape[0])
+                return _fn(cand, q, *args, **kw)
+            monkeypatch.setattr(pl, name, spy)
+
+        def run_all():
+            rows.clear()
+            got = {}
+            for rec in graph.layers:
+                op = next(o for o in graph.ops if o.out == rec.layer_id)
+                for cand in rec.candidates:
+                    counter = OpCounter()
+                    out = pl._candidate_output(op, cand, cat[op.inputs[0]], cat[op.out],
+                                               weights, cfg, counter)
+                    got[(op.out, cand)] = (out, counter.as_dict())
+            return got
+
+        whole = run_all()
+        assert {n for calls in rows.values() for n in calls} == {samples}
+        monkeypatch.setattr(pl, "STAGE1_SLICE_ELEMENTS", 1)
+        sliced = run_all()
+        assert set(rows["run_softmax_candidate"]) == set(rows["run_gelu_candidate"]) == {1}
+        assert set(rows["run_ln_candidate"]) == {samples}   # LayerNorm runs whole
+        for key, (out, ops) in whole.items():
+            np.testing.assert_array_equal(sliced[key][0], out)
+            assert sliced[key][1] == ops, key
+
+    def test_overflow_in_a_later_slice_scores_zero(self, monkeypatch):
+        cfg = small_cfg(blocks=1, calib_batches=1)
+        graph, weights = build_toy_vit(cfg.model_config())
+        calib = calibration_batches(cfg)
+        monkeypatch.setattr(pl, "STAGE1_SLICE_ELEMENTS", 1)
+        calls = []
+
+        def second_call_overflows(cand, *args, _fn=pl.run_softmax_candidate, **kw):
+            if cand == "shiftmax":
+                calls.append(cand)
+                if len(calls) == 2:
+                    raise KernelOverflowError("synthetic")
+            return _fn(cand, *args, **kw)
+
+        monkeypatch.setattr(pl, "run_softmax_candidate", second_call_overflows)
+        table = stage1_analyze(graph, weights, calib, cfg)
+        scores = {c: ms for _, k, c, ms in table.entries if k == "softmax"}
+        assert scores["shiftmax"].score == 0.0 and scores["shiftmax"].q_db == -np.inf
+        assert all(ms.score > 0 for c, ms in scores.items() if c != "shiftmax")
+        assert len(calls) == 2   # the candidate's later slices are not run
+
+
 class TestStage2:
     def _table(self):
         t = MetricTable()
@@ -266,6 +345,38 @@ class TestStage3:
         for edge, p in plan.qparams.items():
             assert float(np.asarray(p.scale).ravel()[0]) == pytest.approx(
                 float(np.asarray(doubled.qparams[edge].scale).ravel()[0]))
+
+    def test_envelopes_equal_per_batch_observation(self, pipeline_result):
+        (plan, table, graph, weights), cfg = pipeline_result
+        observers = {e: MinMaxObserver() for e in graph.edges}
+        for batch in calibration_batches(cfg):
+            capture: dict = {}
+            forward_float(graph, weights, batch, capture)
+            for edge, (arr,) in capture.items():
+                observers[edge].observe(arr)
+        kinds = {op.out: op.op for op in graph.ops}
+        checked = 0
+        for edge, obs in observers.items():
+            if kinds.get(edge) in ("scores", "softmax") or \
+                    plan.assignments.get(edge) == "log2_scale":
+                continue   # dyadic or snapped grids, derived from the same envelope
+            want = obs.qparams(cfg.act_bits)
+            assert (plan.qparams[edge].scale, plan.qparams[edge].zero_point) == \
+                   (want.scale, want.zero_point), edge
+            checked += 1
+        assert checked > len(graph.edges) // 2
+
+    def test_run_pipeline_runs_the_float_pass_once(self, monkeypatch):
+        cfg = small_cfg()
+        calls = []
+
+        def counted(*args, _fn=pl.forward_float, **kw):
+            calls.append(1)
+            return _fn(*args, **kw)
+
+        monkeypatch.setattr(pl, "forward_float", counted)
+        run_pipeline(cfg)
+        assert len(calls) == cfg.calib_batches
 
     def test_scores_edges_are_dyadic(self, pipeline_result):
         (plan, table, graph, weights), cfg = pipeline_result

@@ -83,6 +83,23 @@ class TestQuantizeDequantize:
             assert q.codes.min() >= 0 and q.codes.max() <= p.qmax
             q.check()
 
+    @pytest.mark.parametrize("granularity", ["per_tensor", "per_channel"])
+    def test_codes_match_np_clip_at_both_ends(self, granularity):
+        # values far past both ends of [0, qmax], and just inside them
+        x = np.array([[-1e9, -3.0, -0.51, 0.0, 0.49, 2.0, 1e9],
+                      [-1e9, -0.3, -0.1, 0.0, 0.25, 0.6, 1e9]])
+        if granularity == "per_tensor":
+            p = qparams_from_range(2.0, -0.5, 8, "asymmetric")
+        else:
+            p = qparams_from_range(np.array([2.0, 0.5]), np.array([-0.5, -0.25]), 8,
+                                   "asymmetric", "per_channel", 0)
+        scale, zero = p.broadcast_to(x.ndim)
+        want = np.clip(np.rint(x / scale).astype(np.int64) + zero, 0, p.qmax)
+        q = quantize(x, p)
+        assert q.codes.dtype == np.int32
+        assert q.codes.min() == 0 and q.codes.max() == p.qmax
+        np.testing.assert_array_equal(q.codes, want)
+
     def test_per_channel_shape_mismatch(self):
         p = QParams(np.array([1.0, 1.0]), np.array([0, 0]), 8, "symmetric",
                     "per_channel", 0)

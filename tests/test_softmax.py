@@ -1,18 +1,24 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
+from intquant import softmax as sm_mod
 from intquant.quantize import (QParams, QTensor, dequantize_np,
                                dyadic_qparams_for_range)
 from intquant.softmax import (BitExpConfig, ConfigurationError,
-                              NormalizationError, base2_frac_approx_error,
-                              decompose, efficient_bit_exp,
-                              efficient_bit_softmax, iexp_exp_codes,
-                              iexp_softmax, int_div_normalize, log2_softmax,
-                              log2_softmax_codes, log2e_shift, max_subtract,
-                              shiftmax)
-from intquant.tensor import OpCounter
+                              NormalizationError, _dyadic_exponent,
+                              _iexp_value_codes, _max_subtract_codes,
+                              base2_frac_approx_error, decompose,
+                              efficient_bit_exp, efficient_bit_softmax,
+                              iexp_exp_codes, iexp_softmax, int_div_normalize,
+                              log2_softmax, log2_softmax_codes, log2e_shift,
+                              max_subtract, shiftmax)
+from intquant.tensor import KernelMath, OpCounter
 
 
 def qt(codes, scale=1.0 / 64, bits=16, zero=0):
@@ -311,6 +317,88 @@ class TestLog2Softmax:
         out = log2_softmax(quantize_rows(x))
         codes = out.codes[out.codes > 0]
         assert np.all((codes & (codes - 1)) == 0)
+
+
+def _log2_codes_shift_loop(q, cfg=None, counter=None):
+    """Reference: log2 softmax codes with k = floor(log2(den/num)) found by
+    shifting num up one step at a time, one shift and one compare per live
+    element per step."""
+    f = _dyadic_exponent(q.params)
+    km = KernelMath(counter)
+    qd = _max_subtract_codes(km.asarray(q.codes), km)
+    num = _iexp_value_codes(qd, f, km)
+    den = km.sum(num, axis=-1, keepdims=True)
+    den = np.broadcast_to(den, num.shape)
+    k = np.zeros(num.shape, dtype=np.int64)
+    live = num > 0
+    shifted = np.where(live, num, 1).astype(np.int64)
+    while True:
+        km.counter.shifts += int(live.sum())
+        km.counter.compares += int(live.sum())
+        grow = live & ((shifted << 1) <= den)
+        if not grow.any():
+            break
+        k[grow] += 1
+        shifted[grow] <<= 1
+        live = grow
+    safe_num = np.where(num > 0, num, 1).astype(np.int64)
+    km.counter.muls += num.size * 2
+    km.counter.compares += num.size
+    round_up = den * den >= (safe_num * safe_num) << (2 * k + 1)
+    k = k + np.where(round_up, 1, 0)
+    return np.where(num > 0, k, np.int64(63))
+
+
+def _log2_case(codes, f):
+    return QTensor(np.asarray(codes, dtype=np.int64),
+                   QParams(1.0 / (1 << f), 0, 16, "asymmetric"))
+
+
+@st.composite
+def _log2_cases(draw):
+    f = draw(st.integers(4, 14))
+    shape = (draw(st.integers(1, 3)), draw(st.integers(1, 300)))
+    e = draw(st.integers(0, 15))
+    spread = (1 << e) if e else 0          # 0: constant rows
+    codes = draw(arrays(np.int64, shape, elements=st.integers(-spread, spread)))
+    if draw(st.booleans()):                # a dominant winner in one row
+        codes[draw(st.integers(0, shape[0] - 1)),
+              draw(st.integers(0, shape[1] - 1))] = spread + draw(st.integers(1, 1 << 15))
+    return _log2_case(codes, f), draw(st.integers(2, 16))
+
+
+# rows where some numerator underflows to 0 (code 63), and a dominant row
+_ZERO_NUM_ROW = (_log2_case([[0, -(1 << 15), -40, -(1 << 14)]], 4), 8)
+_DOMINANT_ROW = (_log2_case([[1 << 12] + [0] * 299], 8), 16)
+
+
+class TestLog2CodesMatchLoop:
+    """The closed-form log2 codes equal the shift-compare loop's, with the
+    same operation charges."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_log2_cases())
+    @example(_ZERO_NUM_ROW)
+    @example(_DOMINANT_ROW)
+    def test_codes_and_counts(self, case):
+        q, bits = case
+        got_c, want_c = OpCounter(), OpCounter()
+        k = log2_softmax_codes(q, None, got_c)
+        want = _log2_codes_shift_loop(q, None, want_c)
+        np.testing.assert_array_equal(k, want)
+        assert got_c.as_dict() == want_c.as_dict()
+
+        cfg = BitExpConfig(bits=bits)
+        got_c, want_c = OpCounter(), OpCounter()
+        got = log2_softmax(q, cfg, got_c)
+        with mock.patch.object(sm_mod, "log2_softmax_codes", _log2_codes_shift_loop):
+            ref = log2_softmax(q, cfg, want_c)
+        np.testing.assert_array_equal(got.codes, ref.codes)
+        assert got_c.as_dict() == want_c.as_dict()
+
+    def test_examples_reach_both_edges(self):
+        assert np.any(log2_softmax_codes(_ZERO_NUM_ROW[0]) == 63)
+        assert log2_softmax_codes(_DOMINANT_ROW[0])[0, 0] == 0
 
 
 class TestFracApproxErrors:
