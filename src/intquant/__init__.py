@@ -13,12 +13,11 @@ from .model import CANDIDATE_POOLS, ModelGraph, build_toy_vit, forward_float
 from .pipeline import (AssignmentPlan, PipelineConfig, capture_calibration,
                        compile_plan, integer_forward, run_pipeline,
                        stage1_analyze, stage2_assign, stage3_calibrate)
-from .quantize import (MinMaxObserver, QParams, QTensor, dequantize, observe,
-                       qparams_from_range, quantize)
-from .softmax import (BitExpConfig, base2_frac_approx_error, decompose,
-                      efficient_bit_exp, efficient_bit_softmax, iexp_softmax,
-                      int_div_normalize, log2_softmax, log2e_shift,
-                      max_subtract, shiftmax)
+from .quantize import (MinMaxObserver, QParams, QTensor, qparams_from_range,
+                       quantize)
+from .softmax import (BitExpConfig, base2_frac_approx_error,
+                      efficient_bit_softmax, iexp_softmax, log2_softmax,
+                      shiftmax)
 from .tensor import (IntegerViolation, KernelMath, OpCounter, Tensor,
                      TensorFormatError, rng_tensor, tensor_read, tensor_write)
 

@@ -18,12 +18,11 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import erf as _erf
 
+from .metric import approx_error
 from .quantize import QParams, QTensor, encode_dyadic_multiplier, qparams_from_range
 from .tensor import KernelMath, OpCounter
 
 SQRT2 = math.sqrt(2.0)
-
-_GRID_POINTS = 10001  # error norms use a uniform inclusive grid of this size
 
 
 @dataclass(frozen=True)
@@ -99,12 +98,6 @@ def gelu_reference(x):
     arr = np.asarray(x, dtype=np.float64)
     out = 0.5 * arr * (1.0 + _erf(arr / SQRT2))
     return out if arr.shape else float(out)
-
-
-def _grid_errors(f, g, lo, hi, n=_GRID_POINTS) -> tuple[float, float]:
-    x = np.linspace(lo, hi, n)
-    d = np.abs(f(x) - g(x))
-    return float(np.sqrt(np.mean(d * d))), float(np.max(d))
 
 
 def _objective(a: float, b: float, degree: int, x: np.ndarray,
@@ -184,10 +177,10 @@ def fit_erf_poly(fit_range: tuple[float, float], degree: int, samples: int = 200
 
     coeffs = ErfPolyCoeffs(a, b, degree)
     if level == "erf":
-        l2, linf = _grid_errors(_erf, lambda v: erf_poly_eval(v, coeffs), lo, hi)
+        l2, linf = approx_error(_erf, lambda v: erf_poly_eval(v, coeffs), (lo, hi))
     else:
-        l2, linf = _grid_errors(gelu_reference,
-                                lambda v: data_aware_poly_gelu(v, coeffs), lo, hi)
+        l2, linf = approx_error(gelu_reference,
+                                lambda v: data_aware_poly_gelu(v, coeffs), (lo, hi))
     result = FitResult(coeffs, l2, linf, (lo, hi))
     if sweeps >= max_sweeps:
         raise FitConvergenceError(f"no convergence after {max_sweeps} sweeps", result)
@@ -201,6 +194,7 @@ def fit_erf_poly(fit_range: tuple[float, float], degree: int, samples: int = 200
 _KV = 12   # fixed-point grid (2^-12) for the clipped erf argument
 _KA = 20   # fixed-point grid for the leading coefficient
 _KL = 15   # fixed-point grid for the approximant value
+_KS = 15   # bits of the shift GELU's sigmoid codes, grid 2^-(_KS-1)
 
 
 def default_gelu_out_params(in_params: QParams, bits: int,
@@ -276,8 +270,7 @@ def ibert_gelu_int(q: QTensor, c: ErfPolyCoeffs = IBERT_ERF_COEFFS,
 
 
 def shift_gelu_int(q: QTensor, out_params: QParams | None = None,
-                   counter: OpCounter | None = None,
-                   sigmoid_bits: int = 15) -> QTensor:
+                   counter: OpCounter | None = None) -> QTensor:
     """Bit-shift GELU: x * sigmoid(1.6875 x), sigmoid via base-2 shift exp.
 
     The 1.6875 multiplier is t + t>>1 + t>>3 + t>>4 on the centered codes;
@@ -296,7 +289,7 @@ def shift_gelu_int(q: QTensor, out_params: QParams | None = None,
     # the exponent decomposition (codes stay under ~2^15)
     f = int(np.clip(math.floor(math.log2(32767.0 / max(1.6875 * s * p.qmax, 1e-9))), 4, 30))
     ms, es = encode_dyadic_multiplier(s * (1 << f))
-    m2, e2 = encode_dyadic_multiplier(s / (1 << (sigmoid_bits - 1)) / float(out_params.scale))
+    m2, e2 = encode_dyadic_multiplier(s / (1 << (_KS - 1)) / float(out_params.scale))
     z_in = int(p.zero_point)
     z_out = int(out_params.zero_point)
     M = 31
@@ -310,7 +303,7 @@ def shift_gelu_int(q: QTensor, out_params: QParams | None = None,
     num = _shift_exp_codes(km.sub(zq, mpos), f, km)     # e^(z - m)
     den = km.add(num, _shift_exp_codes(km.sub(0, mpos), f, km))
     recip = km.floordiv(np.int64(1) << M, den)
-    sig = km.rshift(km.mul(recip, num), M - (sigmoid_bits - 1))
+    sig = km.rshift(km.mul(recip, num), M - (_KS - 1))
     acc = km.mul(t, sig)                                # x*sigmoid at s * 2^-(bits-1)
     out = km.add(km.rshift_round(km.mul(acc, m2), e2), z_out)
     codes = km.clip(out, 0, out_params.qmax)

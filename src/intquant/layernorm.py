@@ -24,21 +24,17 @@ LN_VARIANTS = ("bitshift_newton", "poly_sqrt", "log2_scale")
 _KY = 15   # fixed-point grid of the unit-normalized rows
 _KG = 12   # fixed-point grid of the gain constants
 _KB = _KY + _KG  # beta rides on the post-gain grid
+_NEWTON_STEPS = 12  # cap on the kernels' square-root iterations
+_EPS_CODE = 1       # floor of the row statistic n*sum(c^2) - sum(c)^2
 
 
 @dataclass(frozen=True)
 class LNConfig:
     variant: str = "bitshift_newton"
-    iterations: int = 12
-    eps_code: int = 1
 
     def __post_init__(self):
         if self.variant not in LN_VARIANTS:
             raise ValueError(f"unknown variant {self.variant!r}")
-        if not (1 <= self.iterations <= 16):
-            raise ValueError(f"iterations must be in [1, 16], got {self.iterations}")
-        if self.eps_code < 1:
-            raise ValueError(f"eps_code must be >= 1, got {self.eps_code}")
 
 
 def _int_sqrt_array(n: np.ndarray, km: KernelMath, iterations: int = 40,
@@ -83,13 +79,6 @@ def _int_sqrt_array(n: np.ndarray, km: KernelMath, iterations: int = 40,
     return np.where(zero, 0, x)
 
 
-def default_ln_out_params(x_ref: np.ndarray, bits: int) -> QParams:
-    lo, hi = float(np.min(x_ref)), float(np.max(x_ref))
-    if hi <= lo:
-        hi = lo + 1e-6
-    return qparams_from_range(hi, lo, bits, "asymmetric")
-
-
 def snap_pow2_out_params(p: QParams) -> tuple[QParams, int]:
     """Output params with the scale snapped to the nearest power of two.
 
@@ -109,7 +98,7 @@ def int_layernorm(q: QTensor, gamma, beta, cfg: LNConfig | None = None,
     The normalized value (c - mean)/std is scale-free in the input scale, so
     the kernel works directly on centered codes: d = n*c - sum(c) and
     V = n*sum(c^2) - sum(c)^2 give (c - mean)/std = d / sqrt(V) exactly.
-    Zero-variance rows are stabilized by the eps_code floor.
+    Zero-variance rows are stabilized by the ``_EPS_CODE`` floor.
     """
     cfg = cfg or LNConfig()
     p = q.params
@@ -138,11 +127,11 @@ def int_layernorm(q: QTensor, gamma, beta, cfg: LNConfig | None = None,
     sc = km.sum(c, axis=-1, keepdims=True)
     sc2 = km.sum(km.mul(c, c), axis=-1, keepdims=True)
     var = km.sub(km.mul(sc2, n), km.mul(sc, sc))
-    var = km.maximum(var, cfg.eps_code)
+    var = km.maximum(var, _EPS_CODE)
     d = km.sub(km.mul(c, n), sc)
 
     seed = "poly" if cfg.variant == "poly_sqrt" else "shift"
-    std = km.maximum(_int_sqrt_array(var, km, iterations=cfg.iterations, seed=seed), 1)
+    std = km.maximum(_int_sqrt_array(var, km, iterations=_NEWTON_STEPS, seed=seed), 1)
 
     y = km.floordiv(km.lshift(d, _KY), std)       # (c - mean)/std on 2^-KY
     ya = km.add(km.mul(y, g_codes), b_codes)      # gamma*y + beta on 2^-KB

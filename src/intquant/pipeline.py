@@ -84,6 +84,7 @@ _CONFIG_FIELDS = {
     "stage1_mode": "stage1_mode", "taylor_degree": "taylor_degree", "seed": "seed",
 }
 _SECTIONS = {path.split(".")[0] for path in _CONFIG_FIELDS if "." in path}
+_FIELD_PATHS = {name: path for path, name in _CONFIG_FIELDS.items()}
 _TYPE_NAMES = {int: "an integer", str: "a string", bool: "a boolean"}
 
 
@@ -256,24 +257,30 @@ STAGE1_SLICE_ELEMENTS = 1 << 18
 _SLICED_OPS = ("softmax", "gelu")
 
 
-def _candidate_output(op: Op, candidate, x_in: np.ndarray, x_out: np.ndarray,
+def _candidate_params(op: Op, candidate, x_in: np.ndarray, x_out: np.ndarray,
+                      cfg: PipelineConfig) -> tuple[QParams, QParams | None]:
+    """Input and output parameters of ``candidate`` as ``op``, from the whole
+    captured edges ``x_in`` and ``x_out``, as stage 3 derives the plan's."""
+    if op.op == "softmax":
+        return dyadic_qparams_for_range(float(x_in.min()), float(x_in.max()),
+                                        SCORES_CODE_BITS), None
+    p_in = MinMaxObserver().observe(x_in).qparams(cfg.act_bits)
+    out_params = MinMaxObserver().observe(x_out).qparams(cfg.act_bits)
+    if candidate == "log2_scale":
+        out_params, _ = ln_mod.snap_pow2_out_params(out_params)
+    return p_in, out_params
+
+
+def _candidate_output(op: Op, candidate, x_in: np.ndarray, params: tuple,
                       weights: dict, cfg: PipelineConfig,
                       counter: OpCounter | None = None) -> np.ndarray:
-    """Quantize the captured input, run the integer candidate, dequantize.
+    """Quantize ``x_in`` with ``params`` (see :func:`_candidate_params`), run
+    the integer candidate, dequantize.
 
-    The quantization parameters come from the whole of ``x_in`` and
-    ``x_out``; softmax and GELU kernels then run slice by slice along the
-    sample axis (see ``STAGE1_SLICE_ELEMENTS``) into one output array.
+    Softmax and GELU kernels run slice by slice along the sample axis (see
+    ``STAGE1_SLICE_ELEMENTS``) into one output array.
     """
-    out_params = None
-    if op.op == "softmax":
-        p_in = dyadic_qparams_for_range(float(x_in.min()), float(x_in.max()),
-                                        SCORES_CODE_BITS)
-    else:
-        p_in = MinMaxObserver().observe(x_in).qparams(cfg.act_bits)
-        out_params = MinMaxObserver().observe(x_out).qparams(cfg.act_bits)
-        if candidate == "log2_scale":
-            out_params, _ = ln_mod.snap_pow2_out_params(out_params)
+    p_in, out_params = params
     bexp = cfg.bit_exp_config()
     step = len(x_in)
     if op.op in _SLICED_OPS:
@@ -324,16 +331,17 @@ def stage1_analyze(graph: ModelGraph, weights: dict, calib: list,
         x_in = cat[op.inputs[0]]
         x_out = cat[op.out]
         c_ops = op_count(cand, x_in.shape[1:])  # per sample
+        params = _candidate_params(op, cand, x_in, x_out, cfg)
         try:
             if cfg.stage1_mode == "global":
                 def swapped(arr, _op=op, _cand=cand):
-                    return _candidate_output(_op, _cand, arr, x_out, weights, cfg)
+                    return _candidate_output(_op, _cand, arr, params, weights, cfg)
                 got = np.concatenate(
                     [forward_float(graph, weights, b, swap=(op.out, swapped))
                      for b in calib], axis=0)
                 ref = logits
             else:
-                got = _candidate_output(op, cand, x_in, x_out, weights, cfg)
+                got = _candidate_output(op, cand, x_in, params, weights, cfg)
                 ref = x_out
             q_db = sqnr(ref, got, cfg.db_convention)
             p = perturbation(ref, got)
@@ -739,7 +747,9 @@ def _finite_or_str(x: float):
 
 def plan_to_dict(plan: AssignmentPlan) -> dict:
     return {
-        "model_config": {k: getattr(plan.config, k) for k in _CONFIG_FIELDS.values()},
+        "model_config": {**{k: getattr(plan.config, k) for k in _CONFIG_FIELDS.values()},
+                         "pools": None if plan.config.pools is None else
+                         {k: list(v) for k, v in plan.config.pools.items()}},
         "assignments": [
             {
                 "layer_id": lid,
@@ -758,11 +768,22 @@ def plan_to_dict(plan: AssignmentPlan) -> dict:
     }
 
 
+def _config_file_shape(fields: dict) -> dict:
+    """A plan's flat ``model_config`` in config-file shape, so that
+    :func:`config_from_dict` checks it as it checks a config file."""
+    raw: dict = {}
+    for name, v in fields.items():
+        if name == "pools" and v is None:
+            continue
+        section, _, key = _FIELD_PATHS.get(name, name).rpartition(".")
+        (raw.setdefault(section, {}) if section else raw)[key] = v
+    return raw
+
+
 def plan_from_dict(raw: dict) -> AssignmentPlan:
     """Inverse of :func:`plan_to_dict`; raises :class:`PlanFormatError`."""
     try:
-        cfg = PipelineConfig(**raw["model_config"])
-        check_config(cfg)
+        cfg = config_from_dict(_config_file_shape(raw["model_config"]))
         plan = AssignmentPlan(config=cfg)
         for entry in raw["assignments"]:
             lid = entry["layer_id"]
@@ -774,7 +795,7 @@ def plan_from_dict(raw: dict) -> AssignmentPlan:
             plan.qparams[pd["layer_id"]] = _params_from_dict(pd)
         plan.omega = float(raw.get("omega", 0.0))
         plan.warnings = list(raw.get("warnings", []))
-    except (KeyError, TypeError, ValueError, AttributeError) as exc:
+    except (KeyError, TypeError, ValueError, AttributeError, OverflowError) as exc:
         raise PlanFormatError(f"{type(exc).__name__}: {exc}") from exc
     return plan
 

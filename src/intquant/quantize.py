@@ -14,17 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import Tensor
-
 
 class DegenerateRangeError(ValueError):
     """Calibration range has zero width."""
-
-
-def _as_float_array(x) -> np.ndarray:
-    if isinstance(x, Tensor):
-        return np.asarray(x.values, dtype=np.float64)
-    return np.asarray(x, dtype=np.float64)
 
 
 @dataclass(frozen=True)
@@ -132,7 +124,7 @@ def _round_half_even(x):
 
 def quantize(x, p: QParams) -> QTensor:
     """codes = clip(round_half_even(x / s) + z, 0, 2^b - 1), elementwise."""
-    arr = _as_float_array(x)
+    arr = np.asarray(x, dtype=np.float64)
     scale, zero = p.broadcast_to(arr.ndim)
     if p.granularity == "per_channel":
         n_ch = np.asarray(p.scale).reshape(-1).shape[0]
@@ -152,34 +144,23 @@ def dequantize_np(q: QTensor) -> np.ndarray:
     return (q.codes.astype(np.float64) - zero) * scale
 
 
-def dequantize(q: QTensor) -> Tensor:
-    """Like :func:`dequantize_np` but returns a real32 :class:`Tensor`."""
-    return Tensor(dequantize_np(q), dtype="real32")
-
-
 class MinMaxObserver:
-    """Running elementwise min/max envelope over observed tensors.
+    """Running min/max envelope over observed tensors.
 
-    Single writer; envelopes from different threads merge associatively via
-    elementwise min/max, so the result is order- and duplication-invariant.
+    Min and max are exact, so the envelope does not depend on the order in
+    which the data is observed or on how it is split into tensors.
     """
 
-    def __init__(self, per_channel_axis: int | None = None):
-        self.per_channel_axis = per_channel_axis
+    def __init__(self):
         self.running_min = None
         self.running_max = None
         self.samples_seen = 0
 
     def observe(self, x) -> "MinMaxObserver":
-        arr = _as_float_array(x)
+        arr = np.asarray(x, dtype=np.float64)
         if arr.size == 0:
             return self
-        if self.per_channel_axis is None:
-            lo, hi = float(arr.min()), float(arr.max())
-        else:
-            moved = np.moveaxis(arr, self.per_channel_axis, 0)
-            flat = moved.reshape(moved.shape[0], -1)
-            lo, hi = flat.min(axis=1), flat.max(axis=1)
+        lo, hi = float(arr.min()), float(arr.max())
         if self.samples_seen == 0:
             self.running_min, self.running_max = lo, hi
         else:
@@ -188,22 +169,8 @@ class MinMaxObserver:
         self.samples_seen += 1
         return self
 
-    def merge(self, other: "MinMaxObserver") -> "MinMaxObserver":
-        if other.samples_seen == 0:
-            return self
-        if self.samples_seen == 0:
-            self.running_min = other.running_min
-            self.running_max = other.running_max
-        else:
-            self.running_min = np.minimum(self.running_min, other.running_min)
-            self.running_max = np.maximum(self.running_max, other.running_max)
-        self.samples_seen += other.samples_seen
-        return self
-
-    def qparams(self, bits: int, scheme: str = "asymmetric",
-                granularity: str = "per_tensor",
-                channel_axis: int | None = None) -> QParams:
-        """Derive parameters from the observed envelope.
+    def qparams(self, bits: int) -> QParams:
+        """Asymmetric per-tensor parameters from the observed envelope.
 
         A degenerate (constant) range is widened by an epsilon-scaled margin
         with a warning instead of erroring, so pipeline calibration survives
@@ -211,36 +178,13 @@ class MinMaxObserver:
         """
         if self.samples_seen == 0:
             raise ValueError("observer has seen no data")
-        lo = np.asarray(self.running_min, dtype=np.float64)
-        hi = np.asarray(self.running_max, dtype=np.float64)
-        width = hi - lo
-        degenerate = width <= 0
-        if np.any(degenerate):
-            margin = np.maximum(np.abs(hi), 1.0) * (256 * np.finfo(np.float32).eps)
-            lo = np.where(degenerate, lo - margin, lo)
-            hi = np.where(degenerate, hi + margin, hi)
+        lo, hi = float(self.running_min), float(self.running_max)
+        if hi - lo <= 0:
+            margin = max(abs(hi), 1.0) * float(256 * np.finfo(np.float32).eps)
+            lo, hi = lo - margin, hi + margin
             warnings.warn("degenerate activation range widened for calibration",
                           RuntimeWarning, stacklevel=2)
-        if granularity == "per_tensor":
-            lo, hi = float(lo), float(hi)
-        return qparams_from_range(hi, lo, bits, scheme, granularity, channel_axis)
-
-
-def observe(o: MinMaxObserver, x) -> MinMaxObserver:
-    """Functional alias for :meth:`MinMaxObserver.observe`."""
-    return o.observe(x)
-
-
-def snap_scale_to_dyadic(scale: float) -> tuple[float, int]:
-    """Nearest power-of-two reciprocal: returns (1/2^f, f), f clamped to [0, 62].
-
-    Dyadic scales make floor(1/s) exact, which keeps the exponent
-    decomposition inside the integer softmax kernels exact in code space.
-    """
-    if scale <= 0:
-        raise ValueError("scale must be positive")
-    f = int(np.clip(round(-math.log2(scale)), 0, 62))
-    return 1.0 / (1 << f), f
+        return qparams_from_range(hi, lo, bits)
 
 
 def dyadic_qparams_for_range(lo: float, hi: float, code_bits: int = 16) -> QParams:

@@ -5,7 +5,9 @@ reciprocal integer division.
 All kernels reduce over the last axis and require a dyadic input scale
 (1/2^f), which makes floor(1/scale) and the integer/fraction exponent
 decomposition exact in code space. Right shifts on negative codes are
-arithmetic, i.e. floor-division semantics.
+arithmetic, i.e. floor-division semantics. The code-domain stages below
+work on raw int64 codes and are private; the kernels wrap them for
+``QTensor`` inputs.
 """
 
 from __future__ import annotations
@@ -23,8 +25,6 @@ from .tensor import KernelMath, OpCounter, bit_length
 IEXP_A = 0.3585
 IEXP_B = 1.353
 IEXP_C = 0.344
-
-LN2_MANTISSA_15 = 22713  # round(ln2 * 2^15), for the exact-ln2 kernel mode
 
 
 class ConfigurationError(ValueError):
@@ -46,25 +46,14 @@ class BitExpConfig:
     bits: int = 8
     M: int = 31
     taylor_degree: int = 1
-    ln2_mode: str = "shift_1011"
 
     def __post_init__(self):
         if self.taylor_degree not in (1, 2):
             raise ConfigurationError(f"taylor_degree must be 1 or 2, got {self.taylor_degree}")
-        if self.ln2_mode not in ("shift_1011", "exact"):
-            raise ConfigurationError(f"unknown ln2_mode {self.ln2_mode!r}")
         if not (2 <= self.bits <= 16):
             raise ConfigurationError(f"bits must be in [2, 16], got {self.bits}")
         if not (8 <= self.M <= 62):
             raise ConfigurationError(f"M must be in [8, 62], got {self.M}")
-
-
-@dataclass(frozen=True)
-class ExpDecomposition:
-    """Exponent split s*Q = -q_int + s*(-r) with the fraction in (-1, 0]."""
-
-    q_int: np.ndarray
-    r_frac_code: np.ndarray
 
 
 def _dyadic_exponent(params: QParams) -> int:
@@ -115,10 +104,7 @@ def _phi(x: np.ndarray, km: KernelMath) -> np.ndarray:
 def _eff_frac_codes(neg_r: np.ndarray, f: int, cfg: BitExpConfig,
                     km: KernelMath) -> np.ndarray:
     """Codes of 2^(s*(-r)) ~ 1 + ln2*s*(-r) [+ (ln2*s*(-r))^2/2] on the 1/2^f grid."""
-    if cfg.ln2_mode == "shift_1011":
-        lin = _phi(neg_r, km)
-    else:
-        lin = km.rshift(km.mul(neg_r, LN2_MANTISSA_15), 15)
+    lin = _phi(neg_r, km)
     frac = km.add(lin, np.int64(1) << f)
     if cfg.taylor_degree == 2:
         frac = km.add(frac, km.rshift(km.mul(lin, lin), f + 1))
@@ -142,6 +128,8 @@ def _shift_exp_codes(qd: np.ndarray, f: int, km: KernelMath) -> np.ndarray:
 
 
 def _int_div_codes(q_exp: np.ndarray, cfg: BitExpConfig, km: KernelMath) -> np.ndarray:
+    """Reciprocal-division normalization onto the 1/2^(bits-1) grid; each
+    row's sum loses at most (n+1)/2^(bits-1), all of it downward."""
     den = km.sum(q_exp, axis=-1, keepdims=True)
     if np.any(den <= 0):
         bad = int(np.argwhere(den.reshape(-1) <= 0)[0][0])
@@ -158,56 +146,6 @@ def softmax_out_params(cfg: BitExpConfig) -> QParams:
 # ---------------------------------------------------------------------------
 # public operations
 # ---------------------------------------------------------------------------
-
-def max_subtract(q: QTensor, counter: OpCounter | None = None) -> QTensor:
-    """Per-row Q - max(Q). Outputs are <= 0; the scale is unchanged and the
-    zero point drops out of the difference."""
-    km = KernelMath(counter)
-    codes = _max_subtract_codes(km.asarray(q.codes), km)
-    return QTensor(codes, QParams(q.params.scale, 0, q.params.bits, "asymmetric"))
-
-
-def log2e_shift(qd: QTensor, counter: OpCounter | None = None) -> QTensor:
-    km = KernelMath(counter)
-    codes = _log2e_codes(km.asarray(qd.codes), km)
-    return QTensor(codes, qd.params)
-
-
-def decompose(qp, scale, counter: OpCounter | None = None) -> ExpDecomposition:
-    """Exact exponent split in code space; requires a dyadic scale."""
-    params = QParams(scale, 0, 16, "asymmetric") if not isinstance(scale, QParams) else scale
-    f = _dyadic_exponent(params)
-    km = KernelMath(counter)
-    codes = km.asarray(qp.codes if isinstance(qp, QTensor) else qp)
-    q_int, r = _decompose_codes(codes, f, km)
-    return ExpDecomposition(q_int, r)
-
-
-def efficient_bit_exp(qd: QTensor, cfg: BitExpConfig | None = None,
-                      counter: OpCounter | None = None) -> QTensor:
-    """Shift-exponential of nonpositive codes; output codes share the input
-    scale, so code F = 1/scale encodes e^0 = 1."""
-    cfg = cfg or BitExpConfig()
-    f = _dyadic_exponent(qd.params)
-    km = KernelMath(counter)
-    codes = _eff_exp_codes(km.asarray(qd.codes), f, cfg, km)
-    return QTensor(codes, QParams(qd.params.scale, 0, qd.params.bits, "asymmetric"))
-
-
-def int_div_normalize(q_exp: QTensor, cfg: BitExpConfig | None = None,
-                      counter: OpCounter | None = None) -> QTensor:
-    """Reciprocal-division normalization onto the 1/2^(bits-1) grid.
-
-    Per-row dequantized sums land in [1 - (n+1)/2^(bits-1), 1]: the floor in
-    the reciprocal costs at most 1/2^(bits-1) and each output floor costs
-    the same, all losses downward.
-    """
-    cfg = cfg or BitExpConfig()
-    _check_m(cfg, q_exp.codes.shape[-1])
-    km = KernelMath(counter)
-    codes = _int_div_codes(km.asarray(q_exp.codes), cfg, km)
-    return QTensor(codes.astype(np.int32), softmax_out_params(cfg))
-
 
 def _exp_div_softmax(q: QTensor, cfg: BitExpConfig | None, counter: OpCounter | None,
                      exp_codes) -> QTensor:
@@ -237,12 +175,10 @@ def shiftmax(q: QTensor, cfg: BitExpConfig | None = None,
 _P12 = 12  # fixed-point grid of the quadratic exponential value
 
 
-def _iexp_value_codes(qd: np.ndarray, f: int, km: KernelMath,
-                      precision_bits: int = 0):
+def _iexp_value_codes(qd: np.ndarray, f: int, km: KernelMath):
     """Range-reduction exponential: e^x = 2^(-z) * quad(p), p in (-ln2, 0].
 
-    Returns codes on the 2^-_P12 grid, shifted down by z (or up by
-    precision_bits - z when precision_bits > 0, for high-precision use).
+    Returns codes on the 2^-_P12 grid, shifted down by z.
     """
     s = 1.0 / (1 << f)
     ln2_c = int(math.floor(math.log(2.0) / s))
@@ -255,8 +191,6 @@ def _iexp_value_codes(qd: np.ndarray, f: int, km: KernelMath,
     pb = km.add(p, b_c)
     poly = km.add(km.mul(pb, pb), c_c)
     p12 = km.rshift_round(km.mul(poly, m), e)
-    if precision_bits:
-        return km.lshift(p12, km.sub(precision_bits, km.minimum(z, precision_bits)))
     return km.rshift(p12, km.minimum(z, 62))
 
 
@@ -265,19 +199,6 @@ def iexp_softmax(q: QTensor, cfg: BitExpConfig | None = None,
     """Softmax with the quadratic range-reduction exponential numerator."""
     return _exp_div_softmax(q, cfg, counter,
                             lambda qd, f, _, km: _iexp_value_codes(qd, f, km))
-
-
-def iexp_exp_codes(qd: QTensor, counter: OpCounter | None = None,
-                   precision_bits: int = 16) -> tuple[np.ndarray, float]:
-    """High-precision integer evaluation of the quadratic exponential.
-
-    Returns (codes, scale); codes * scale approximates e^(s*qd) with the
-    z-shift applied upward so small values keep relative precision.
-    """
-    f = _dyadic_exponent(qd.params)
-    km = KernelMath(counter)
-    codes = _iexp_value_codes(km.asarray(qd.codes), f, km, precision_bits=precision_bits)
-    return codes, 1.0 / (1 << (_P12 + precision_bits))
 
 
 def log2_softmax(q: QTensor, cfg: BitExpConfig | None = None,

@@ -9,6 +9,7 @@ floating-point value shows up.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import asdict, dataclass
 
@@ -121,7 +122,7 @@ def tensor_read(path) -> Tensor:
     offset += 4 * rank
     if any(e < 1 for e in dims):
         raise TensorFormatError(f"zero extent in dims at byte offset {offset - 4 * rank}")
-    count = int(np.prod(dims, dtype=np.int64))
+    count = math.prod(dims)  # Python ints: a product of u32 extents can pass 2^63
     need = count * 4
     if len(blob) - offset != need:
         raise TensorFormatError(
@@ -176,8 +177,8 @@ def bit_length(n: np.ndarray) -> np.ndarray:
 class OpCounter:
     """Integer-operation counts for one measurement scope.
 
-    Counts are monotonically nondecreasing within a scope; parallel scopes
-    keep per-thread counters and merge at the end.
+    Counts are monotonically nondecreasing within a scope. A counter is not
+    thread-safe, so concurrent scopes each need their own.
     """
 
     adds: int = 0
@@ -186,15 +187,6 @@ class OpCounter:
     shifts: int = 0
     compares: int = 0
     float_violations: int = 0
-
-    def merge(self, other: "OpCounter") -> "OpCounter":
-        self.adds += other.adds
-        self.muls += other.muls
-        self.divs += other.divs
-        self.shifts += other.shifts
-        self.compares += other.compares
-        self.float_violations += other.float_violations
-        return self
 
     def total(self) -> int:
         return self.adds + self.muls + self.divs + self.shifts + self.compares

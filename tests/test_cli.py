@@ -1,5 +1,6 @@
 import csv
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -194,6 +195,12 @@ class TestInfer:
         xpath.write_bytes(bytes(blob))
         assert self._infer(tmp_path, plan, xpath) == 2
         assert self._infer(tmp_path, plan, tmp_path / "missing.iptq") == 2
+
+    def test_extents_past_int64_are_usage_error(self, tmp_path, config_path):
+        plan = self._plan(tmp_path, config_path)
+        xpath = tmp_path / "huge.iptq"
+        xpath.write_bytes(b"IPTQ" + bytes([1, 0, 4]) + struct.pack("<4I", *[1 << 16] * 4))
+        assert self._infer(tmp_path, plan, xpath) == 2
 
     def test_unparsable_plan_is_usage_error(self, tmp_path, config_path):
         plan = self._plan(tmp_path, config_path)

@@ -1,15 +1,19 @@
+import copy
 import json
 import sys
 import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from intquant.metric import INF_DB, MetricScore, MetricTable
 from intquant.model import CANDIDATE_POOLS, INPUT, build_toy_vit, forward_float
 import intquant.pipeline as pl
 from intquant.pipeline import (STAGE1_MODES, AssignmentPlan, ConfigError,
                                IncompleteTableError, PipelineConfig,
+                               PlanFormatError,
                                calibration_batches, capture_calibration,
                                compile_plan, config_from_dict, integer_forward,
                                load_plan, plan_from_dict, plan_to_dict, run_pipeline,
@@ -171,6 +175,26 @@ class TestStage1:
         table = stage1_analyze(graph, weights, calibration_batches(cfg), cfg)
         assert len(table) == 29
 
+    def test_global_mode_quantizes_as_local_mode(self, monkeypatch):
+        # each (layer, candidate) runs under one input and output quantizer,
+        # taken from the whole calibration set, in either mode
+        cfg = small_cfg()
+        graph, weights = build_toy_vit(cfg.model_config())
+        calib = calibration_batches(cfg)
+        seen = {}
+
+        def spy(op, cand, q, w, out_params, *args, _fn=pl._run_kernel):
+            seen.setdefault((op.out, cand), set()).add((q.params, out_params))
+            return _fn(op, cand, q, w, out_params, *args)
+
+        monkeypatch.setattr(pl, "_run_kernel", spy)
+        stage1_analyze(graph, weights, calib, cfg)
+        local = dict(seen)
+        seen.clear()
+        stage1_analyze(graph, weights, calib, small_cfg(stage1_mode="global"))
+        assert len(local) == 29 and all(len(p) == 1 for p in local.values())
+        assert seen == local
+
     def test_standardize_rescores(self):
         cfg = small_cfg(calib_batches=1)
         graph, weights = build_toy_vit(cfg.model_config())
@@ -222,8 +246,9 @@ class TestStage1Slices:
                 op = next(o for o in graph.ops if o.out == rec.layer_id)
                 for cand in rec.candidates:
                     counter = OpCounter()
-                    out = pl._candidate_output(op, cand, cat[op.inputs[0]], cat[op.out],
-                                               weights, cfg, counter)
+                    x_in = cat[op.inputs[0]]
+                    params = pl._candidate_params(op, cand, x_in, cat[op.out], cfg)
+                    out = pl._candidate_output(op, cand, x_in, params, weights, cfg, counter)
                     got[(op.out, cand)] = (out, counter.as_dict())
             return got
 
@@ -585,6 +610,68 @@ class TestCompiledPlan:
             assert runs == [want] * 3
 
 
+_JSON_SCALARS = (st.none() | st.booleans() | st.integers(-3, 300) | st.integers()
+                 | st.floats() | st.text(max_size=6)
+                 | st.sampled_from(STAGE1_MODES + sum(CANDIDATE_POOLS.values(), ())))
+_CONFIG_KEYS = ("model", "bits", "calib", "metric", "pools", "seed", "stage1_mode",
+                "taylor_degree", "blocks", "embed_dim", "heads", "tokens", "mlp_ratio",
+                "classes", "weights", "activations", "batches", "batch_size",
+                "db_convention", "standardize", "softmax", "gelu", "layernorm")
+_PLAN_KEYS = ("model_config", "assignments", "qparams", "omega", "warnings",
+              "layer_id", "kind", "candidate", "score", "q_db", "p", "c", "scale",
+              "zero_point", "bits", "scheme", "granularity", "act_bits", "pools")
+
+
+def _json_values(keys):
+    """JSON-shaped values (as json.load gives them, infinities included)
+    whose object keys are mostly the schema's own."""
+    return st.recursive(
+        _JSON_SCALARS,
+        lambda inner: (st.lists(inner, max_size=4)
+                       | st.dictionaries(st.sampled_from(keys) | st.text(max_size=4),
+                                         inner, max_size=5)),
+        max_leaves=20)
+
+
+# a plan's JSON with one entry of each list, written without running the pipeline
+_BASE_PLAN = plan_to_dict(AssignmentPlan(
+    PipelineConfig(pools={"softmax": ("shiftmax", "iexp_softmax")}),
+    assignments={"block0.softmax": "shiftmax"}, kinds={"block0.softmax": "softmax"},
+    scores={"block0.softmax": MetricScore(12.5, 0.25, 4096, 0.5)},
+    qparams={INPUT: QParams(0.05, 120, 8, "asymmetric")}))
+
+
+def _with(base, path, value):
+    d = copy.deepcopy(base)
+    node = d
+    for k in path[:-1]:
+        node = node[k]
+    node[path[-1]] = value
+    return d
+
+
+@st.composite
+def _mutated(draw, base):
+    """``base`` with one to three of its values replaced or keys dropped."""
+    d = copy.deepcopy(base)
+    for _ in range(draw(st.integers(1, 3))):
+        node = d
+        while True:
+            keys = list(node) if isinstance(node, dict) else list(range(len(node)))
+            if not keys:
+                break
+            k = draw(st.sampled_from(keys))
+            if isinstance(node[k], (dict, list)) and node[k] and draw(st.booleans()):
+                node = node[k]
+                continue
+            if isinstance(node, dict) and draw(st.booleans()):
+                del node[k]
+            else:
+                node[k] = draw(_json_values(_PLAN_KEYS))
+            break
+    return d
+
+
 class TestPlanSerialization:
     def test_round_trip(self, pipeline_result, tmp_path):
         (plan, table, graph, weights), cfg = pipeline_result
@@ -608,6 +695,39 @@ class TestPlanSerialization:
         qp = d["qparams"][0]
         assert set(qp) == {"layer_id", "scale", "zero_point", "bits", "scheme", "granularity"}
         json.dumps(d)  # strictly serializable
+
+    @pytest.mark.parametrize("pools", [None, {"softmax": ["shiftmax"]},
+                                       {"gelu": ["shift_gelu", "ibert_gelu"],
+                                        "layernorm": ["log2_scale"]}])
+    def test_config_round_trips(self, pools):
+        raw = {"model": {"blocks": 1}, "seed": 3}
+        if pools is not None:
+            raw["pools"] = pools
+        cfg = config_from_dict(raw)
+        back = plan_from_dict(json.loads(json.dumps(plan_to_dict(AssignmentPlan(cfg)))))
+        assert back.config == cfg
+
+    @pytest.mark.parametrize("path, value, field", [
+        (("model_config", "act_bits"), 3.5, "bits.activations"),
+        (("model_config", "blocks"), float("inf"), "model.blocks"),
+        (("model_config", "depth"), 3, "depth"),
+        (("assignments", 0, "c"), float("inf"), "OverflowError"),
+        (("qparams", 0, "scale"), 10 ** 400, "OverflowError"),
+    ], ids=["float_bits", "inf_blocks", "unknown_field", "inf_cost", "huge_scale"])
+    def test_malformed_plan_raises_plan_format_error(self, path, value, field):
+        with pytest.raises(PlanFormatError, match=field):
+            plan_from_dict(_with(_BASE_PLAN, path, value))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(_json_values(_PLAN_KEYS), _mutated(_BASE_PLAN)))
+    def test_any_dict_gives_a_plan_or_plan_format_error(self, raw):
+        try:
+            got = plan_from_dict(raw)
+        except PlanFormatError:
+            return
+        assert isinstance(got, AssignmentPlan)
+        for name in pl._CONFIG_FIELDS.values():
+            assert type(getattr(got.config, name)) is type(getattr(PipelineConfig, name))
 
     def test_taylor_degree_one_beats_two_on_metric(self):
         # the first-degree fraction wins the unified score on a seeded
@@ -654,3 +774,12 @@ class TestConfigParsing:
         for rec in graph.layers:
             if rec.kind == "softmax":
                 assert rec.candidates == ("shiftmax",)
+
+    @settings(max_examples=300, deadline=None)
+    @given(_json_values(_CONFIG_KEYS))
+    def test_any_json_gives_a_config_or_config_error(self, raw):
+        try:
+            cfg = config_from_dict(raw)
+        except ConfigError:
+            return
+        assert isinstance(cfg, PipelineConfig)

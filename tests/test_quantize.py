@@ -3,10 +3,8 @@ import pytest
 
 from intquant.quantize import (DegenerateRangeError, MinMaxObserver, QParams,
                                QTensor, dequantize_np, dyadic_qparams_for_range,
-                               encode_dyadic_multiplier, observe,
-                               qparams_from_range, quantize,
-                               requant_weight_per_channel,
-                               snap_scale_to_dyadic)
+                               encode_dyadic_multiplier, qparams_from_range,
+                               quantize, requant_weight_per_channel)
 
 
 class TestParamsFromRange:
@@ -126,8 +124,8 @@ class TestObserver:
 
     def test_monotone_envelope(self):
         o = MinMaxObserver()
-        observe(o, np.array([-2.0, 3.0]))
-        observe(o, np.array([-5.0, 1.0]))
+        o.observe(np.array([-2.0, 3.0]))
+        o.observe(np.array([-5.0, 1.0]))
         assert o.running_min == -5.0 and o.running_max == 3.0
         assert o.samples_seen == 2
 
@@ -146,34 +144,14 @@ class TestObserver:
         o.observe(np.zeros((0,)))
         assert o.samples_seen == 0
 
-    def test_merge_associative(self):
-        rng = np.random.default_rng(5)
-        xs = [rng.normal(size=10) for _ in range(3)]
-        a = MinMaxObserver().observe(xs[0])
-        b = MinMaxObserver().observe(xs[1]).observe(xs[2])
-        a.merge(b)
-        whole = MinMaxObserver().observe(np.concatenate(xs))
-        assert a.running_min == whole.running_min
-        assert a.running_max == whole.running_max
-
     def test_degenerate_range_widens_with_warning(self):
         o = MinMaxObserver().observe(np.full(5, 1.25))
         with pytest.warns(RuntimeWarning, match="degenerate"):
             p = o.qparams(8)
         assert float(p.scale) > 0
 
-    def test_per_channel_observer(self):
-        o = MinMaxObserver(per_channel_axis=1)
-        o.observe(np.array([[1.0, -2.0], [3.0, 0.5]]))
-        np.testing.assert_array_equal(o.running_min, [1.0, -2.0])
-        np.testing.assert_array_equal(o.running_max, [3.0, 0.5])
-
 
 class TestDyadicHelpers:
-    def test_snap_scale(self):
-        s, f = snap_scale_to_dyadic(0.013)
-        assert s == 1.0 / 64 and f == 6
-
     def test_dyadic_params_cover_range(self):
         p = dyadic_qparams_for_range(-5.0, 9.0, 16)
         f = -np.log2(float(p.scale))

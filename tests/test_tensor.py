@@ -1,6 +1,8 @@
+import struct
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -61,6 +63,50 @@ class TestFileFormat:
         tensor_write(t, path)
         assert tensor_read(path) == t
 
+    def test_extents_whose_product_wraps_int64(self, tmp_path):
+        # 65536^4 = 2^64 wraps to 0 in int64, which matched the empty payload
+        path = tmp_path / "huge.iptq"
+        path.write_bytes(b"IPTQ" + bytes([1, 0, 4]) + struct.pack("<4I", *[1 << 16] * 4))
+        with pytest.raises(TensorFormatError, match="payload"):
+            tensor_read(path)
+
+
+def _header(dtype: int, dims: list) -> bytes:
+    return b"IPTQ" + bytes([1, dtype, len(dims)]) + struct.pack(f"<{len(dims)}I", *dims)
+
+
+@st.composite
+def _tensor_files(draw):
+    """Raw bytes, a valid header with an arbitrary payload, or a valid file
+    with bytes flipped or cut off."""
+    kind = draw(st.sampled_from(["raw", "header", "mutated"]))
+    if kind == "raw":
+        return draw(st.binary(max_size=64))
+    dims = draw(st.lists(st.integers(1, (1 << 32) - 1) if kind == "header"
+                         else st.integers(1, 4), min_size=1, max_size=4))
+    dtype = draw(st.integers(0, 1))
+    if kind == "header":
+        return _header(dtype, dims) + draw(st.binary(max_size=64))
+    blob = bytearray(_header(dtype, dims) + bytes(4 * int(np.prod(dims))))
+    for _ in range(draw(st.integers(0, 3))):
+        blob[draw(st.integers(0, len(blob) - 1))] = draw(st.integers(0, 255))
+    return bytes(blob[:draw(st.integers(0, len(blob)))])
+
+
+class TestReadContract:
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(_tensor_files())
+    @example(_header(0, [1 << 16] * 4))
+    def test_any_bytes_read_or_raise_format_error(self, tmp_path, blob):
+        path = tmp_path / "fuzz.iptq"
+        path.write_bytes(blob)
+        try:
+            t = tensor_read(path)
+        except TensorFormatError:
+            return
+        assert len(blob) == 7 + 4 * len(t.dims) + 4 * t.data.size
+
 
 class TestRng:
     def test_degenerate_uniform_is_zero(self):
@@ -112,12 +158,6 @@ class TestKernelMath:
         km = KernelMath()
         out = km.rshift(np.array([-63, -1, 7], dtype=np.int64), 1)
         np.testing.assert_array_equal(out, [-32, -1, 3])
-
-    def test_merge(self):
-        a = OpCounter(adds=1, muls=2)
-        b = OpCounter(adds=3, float_violations=1)
-        a.merge(b)
-        assert a.adds == 4 and a.muls == 2 and a.float_violations == 1
 
     def test_mul_overflow_guard(self):
         from intquant.tensor import KernelOverflowError
