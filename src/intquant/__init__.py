@@ -7,8 +7,7 @@ from .gelu import (ErfPolyCoeffs, FitResult, IBERT_ERF_COEFFS,
                    data_aware_poly_gelu_int, erf_poly_eval, fit_erf_poly,
                    ibert_gelu, shift_gelu)
 from .layernorm import LNConfig, int_layernorm
-from .metric import (approx_error, op_count, perturbation, softplus, sqnr,
-                     unified_score)
+from .metric import approx_error, perturbation, softplus, sqnr, unified_score
 from .model import CANDIDATE_POOLS, ModelGraph, build_toy_vit, forward_float
 from .pipeline import (AssignmentPlan, PipelineConfig, capture_calibration,
                        compile_plan, integer_forward, run_pipeline,

@@ -165,6 +165,11 @@ def cmd_infer(args) -> tuple[list[str], int]:
     missing += [r.layer_id for r in graph.layers if r.layer_id not in plan.assignments]
     if missing:
         raise UsageError(f"plan: no entries for {missing[:3]} of the plan's model")
+    for r in graph.layers:
+        cand = plan.assignments[r.layer_id]
+        if cand not in r.candidates:
+            raise UsageError(f"plan: {r.layer_id} is assigned {cand!r},"
+                             f" not one of {list(r.candidates)}")
     counter = OpCounter()
     out, counter = pl.integer_forward(graph, weights, plan, x.values, counter)
     tensor_write(out, args.out)

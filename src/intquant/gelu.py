@@ -297,7 +297,7 @@ def shift_gelu_int(q: QTensor, out_params: QParams | None = None,
     km = KernelMath(counter)
     t = km.asarray(q.codes)
     t = km.sub(t, z_in)
-    arg = km.add(km.add(t, km.rshift(t, 1)), km.sub(km.rshift(t, 3), km.rshift(t, 4)))
+    arg = km.add(km.add(t, km.rshift(t, 1)), km.add(km.rshift(t, 3), km.rshift(t, 4)))
     zq = km.rshift_round(km.mul(arg, ms), es)           # 1.6875*x on the 2^-f grid
     mpos = km.maximum(zq, 0)
     num = _shift_exp_codes(km.sub(zq, mpos), f, km)     # e^(z - m)

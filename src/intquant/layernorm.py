@@ -39,8 +39,14 @@ class LNConfig:
 
 def _int_sqrt_array(n: np.ndarray, km: KernelMath, iterations: int = 40,
                     seed: str = "shift") -> np.ndarray:
-    """Vectorized Newton floor-sqrt; ``seed`` picks the initial estimate."""
-    n = km.asarray(n)
+    """Vectorized Newton floor-sqrt; ``seed`` picks the initial estimate.
+
+    Every op is charged to the element it works on, and a Newton step only
+    to the elements that have not yet converged, so the count over a set of
+    rows does not depend on which rows share a call.
+    """
+    shape = np.shape(n)
+    n = km.asarray(n).ravel()
     zero = n == 0
     n = np.where(zero, 1, n)  # keep Newton's divisor away from zero
     if seed == "shift":
@@ -67,16 +73,19 @@ def _int_sqrt_array(n: np.ndarray, km: KernelMath, iterations: int = 40,
         q = ((m * m) >> 9) + (m >> 3) + 4
         x = q << e
     x = np.maximum(x, 1)
+    active = np.arange(n.size)   # elements still stepping
     for _ in range(iterations):
-        y = (x + km.floordiv(n, x)) >> 1
-        km.counter.adds += n.size
-        km.counter.shifts += n.size
-        km.counter.compares += n.size
-        done = y >= x
-        if done.all():
+        if not active.size:
             break
-        x = np.where(done, x, y)
-    return np.where(zero, 0, x)
+        xa = x[active]
+        y = (xa + km.floordiv(n[active], xa)) >> 1
+        km.counter.adds += active.size
+        km.counter.shifts += active.size
+        km.counter.compares += active.size
+        moving = y < xa
+        x[active[moving]] = y[moving]
+        active = active[moving]
+    return np.where(zero, 0, x).reshape(shape)
 
 
 def snap_pow2_out_params(p: QParams) -> tuple[QParams, int]:

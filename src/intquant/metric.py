@@ -1,6 +1,6 @@
-"""Quantization sensitivity, perturbation, operation counting, and their
-softplus-normalized harmonic-mean combination used to rank approximation
-candidates per layer.
+"""Quantization sensitivity, perturbation, and their softplus-normalized
+harmonic-mean combination with a candidate's cost, used to rank
+approximation candidates per layer.
 """
 
 from __future__ import annotations
@@ -78,80 +78,6 @@ def approx_error(ref, approx, rng: tuple[float, float], n: int = 10001) -> tuple
     x = np.linspace(lo, hi, n)
     d = np.abs(np.asarray(ref(x), dtype=np.float64) - np.asarray(approx(x), dtype=np.float64))
     return float(np.sqrt(np.mean(d * d))), float(np.max(d))
-
-
-# ---------------------------------------------------------------------------
-# operation-count model
-# ---------------------------------------------------------------------------
-#
-# Deterministic per-candidate cost table; adds, subs, muls, integer divs,
-# shifts and compares each cost 1. Costs are per element of the layer input
-# plus per-row reduction terms, derived by counting the kernel stages:
-#
-#   softmax common    : row max (n-1 cmp) + subtract (n)
-#   shift exponential : log2e 4/elt, decompose 3/elt, fraction 2/elt
-#                       (>>1 + add) or 6/elt (phi 5 + add), shift-by-q 1/elt
-#   degree-2 fraction : + mul + shift + add = 3/elt
-#   reciprocal division: row sum (n-1) + 1 div, then mul + shift per element
-#   quad-range exp    : reduce 3/elt, poly 4/elt, rescale 2/elt, shift 1/elt
-#   log2 regrid       : ~ (shift+cmp) per ratio bit, budgeted at 10/elt
-#   poly GELU         : |t| 2, rescale 2, clip/center 2, squares (deg-2),
-#                       coeff mul + shift 2, gate 4, product 1, requant 3
-#   shift GELU        : 1.6875x 6, rescale 2, two shift-exps 12, sigmoid
-#                       divide 4, product 1, requant 3
-#   layernorm         : stats 3n + 3 per row, sqrt per row, normalize +
-#                       affine + requant per element
-
-PHI_COST = 5  # 3 shifts + 2 adds per element
-
-_SOFTMAX_PER_ELT = {
-    "efficient_bit_softmax": 4 + 3 + (PHI_COST + 1) + 1 + 2,   # = 16
-    "shiftmax": 4 + 3 + 2 + 1 + 2,                             # = 12
-    "iexp_softmax": 3 + 4 + 2 + 1 + 2,                         # = 12
-    "log2_softmax": 3 + 4 + 2 + 10,                            # = 19
-}
-
-_GELU_PER_ELT = {
-    "data_aware_poly_gelu": 2 + 2 + 2 + 2 + 2 + 4 + 1 + 3,     # = 18
-    "ibert_gelu": 2 + 2 + 2 + 1 + 2 + 4 + 1 + 3,               # = 17
-    "shift_gelu": 6 + 2 + 12 + 4 + 1 + 3,                      # = 28
-}
-
-_LN_PER_ELT = {
-    "bitshift_newton": 3 + 2 + 2 + 3,   # stats, normalize, affine, requant
-    "poly_sqrt": 3 + 2 + 2 + 3,
-    "log2_scale": 3 + 2 + 2 + 2,        # shift-only requant drops the mul
-}
-
-_LN_PER_ROW = {
-    "bitshift_newton": 3 + 1 + 12 * 3,  # variance combine, floor, Newton iters
-    "poly_sqrt": 3 + 1 + 8 + 3 * 3,     # quadratic seed + three iterations
-    "log2_scale": 3 + 1 + 12 * 3,
-}
-
-
-def op_count(kind: str, layer_shape) -> int:
-    """Integer operations for one application of candidate ``kind`` to a
-    tensor of the given shape (reduction over the last axis)."""
-    shape = tuple(int(d) for d in layer_shape)
-    if not shape:
-        raise ValueError("layer shape must have at least one axis")
-    n = shape[-1]
-    rows = 1
-    for d in shape[:-1]:
-        rows *= d
-    elts = rows * n
-
-    if kind in _SOFTMAX_PER_ELT:
-        per_row = (n - 1) + n                 # row max + subtract
-        per_row += (n - 1) + 1                # denominator sum + reciprocal
-        return rows * per_row + elts * _SOFTMAX_PER_ELT[kind]
-    if kind in _GELU_PER_ELT:
-        return elts * _GELU_PER_ELT[kind]
-    if kind in _LN_PER_ELT:
-        per_row = 2 * (n - 1) + n + _LN_PER_ROW[kind]   # sums, squares, sqrt
-        return rows * per_row + elts * _LN_PER_ELT[kind]
-    raise ValueError(f"unknown approximation kind {kind!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,7 @@
 
 1. per-layer candidate analysis: each non-linear layer is run with every
    candidate kernel in isolation against the full-precision forward pass,
-   scoring sensitivity, perturbation and operation count;
+   scoring sensitivity, perturbation and measured operation count;
 2. per-layer argmax assignment on the unified score;
 3. min/max calibration of every activation edge, producing a self-contained
    plan for integer-only inference.
@@ -20,8 +20,8 @@ import numpy as np
 from . import gelu as gelu_mod
 from . import layernorm as ln_mod
 from . import softmax as sm_mod
-from .metric import (DB_FACTORS, MetricScore, MetricTable, op_count, perturbation,
-                     sqnr, unified_score)
+from .metric import (DB_FACTORS, MetricScore, MetricTable, perturbation, sqnr,
+                     unified_score)
 from .model import (CANDIDATE_POOLS, INPUT, MODEL_FIELDS, ModelGraph, Op,
                     batched, build_toy_vit, forward_float, merge_heads,
                     model_dims, split_heads)
@@ -243,18 +243,15 @@ def _run_kernel(op: Op, candidate: str, q: QTensor, weights: dict, out_params: Q
     return run_ln_candidate(candidate, q, gamma, beta, out_params, counter)
 
 
-# Stage 1 runs a softmax or GELU candidate over the calibration set in
-# slices of about this many elements along the sample axis. One 4x256x256
-# sample of attention scores is 2^18 int64 codes (2 MiB), so a kernel's
-# intermediates stay in a 4 MiB per-core L2 instead of faulting in a fresh
-# whole-set array (32 MB at 16 samples) on every op, and only one slice of
-# them is alive at a time. Both kernels are row-wise or elementwise and
-# charge each element the same ops in any call, so the slices' outputs and
-# op counts add up to the whole call's. LayerNorm runs whole: its Newton
-# loop steps until every row of the call has converged and charges every
-# row for each step, so its count depends on which rows share a call.
+# Stage 1 runs a candidate over the calibration set in slices of about this
+# many elements along the sample axis. One 4x256x256 sample of attention
+# scores is 2^18 int64 codes (2 MiB), so a kernel's intermediates stay in a
+# 4 MiB per-core L2 instead of faulting in a fresh whole-set array (32 MB at
+# 16 samples) on every op, and only one slice of them is alive at a time.
+# Every kernel is row-wise or elementwise and charges each row the same ops
+# in any call, so the slices' outputs and op counts add up to the whole
+# call's.
 STAGE1_SLICE_ELEMENTS = 1 << 18
-_SLICED_OPS = ("softmax", "gelu")
 
 
 def _candidate_params(op: Op, candidate, x_in: np.ndarray, x_out: np.ndarray,
@@ -277,14 +274,12 @@ def _candidate_output(op: Op, candidate, x_in: np.ndarray, params: tuple,
     """Quantize ``x_in`` with ``params`` (see :func:`_candidate_params`), run
     the integer candidate, dequantize.
 
-    Softmax and GELU kernels run slice by slice along the sample axis (see
+    The kernel runs slice by slice along the sample axis (see
     ``STAGE1_SLICE_ELEMENTS``) into one output array.
     """
     p_in, out_params = params
     bexp = cfg.bit_exp_config()
-    step = len(x_in)
-    if op.op in _SLICED_OPS:
-        step = max(1, STAGE1_SLICE_ELEMENTS // max(x_in[:1].size, 1))
+    step = max(1, STAGE1_SLICE_ELEMENTS // max(x_in[:1].size, 1))
     out = np.empty(x_in.shape)
     for lo in range(0, len(x_in), step):
         q = quantize(x_in[lo:lo + step], p_in)
@@ -316,9 +311,11 @@ def stage1_analyze(graph: ModelGraph, weights: dict, calib: list,
     """Score every (layer, candidate) pair against the full-precision pass.
 
     Analysis is isolated: one layer is quantized at a time and compared at
-    its own output (global-logit comparison sits behind stage1_mode). A
-    candidate whose kernel overflows is recorded with score 0. ``captured``
-    is :func:`capture_calibration` of ``calib``, when the caller has it.
+    its own output (global-logit comparison sits behind stage1_mode). The
+    cost c is the candidate's measured op count per calibration sample, from
+    this same run. A candidate whose kernel overflows is recorded with score
+    0 and the ops it spent before the overflow. ``captured`` is
+    :func:`capture_calibration` of ``calib``, when the caller has it.
     """
     cat = captured if captured is not None else capture_calibration(graph, weights, calib)
     logits = cat[graph.ops[-1].out]
@@ -330,26 +327,26 @@ def stage1_analyze(graph: ModelGraph, weights: dict, calib: list,
         op, cand = task
         x_in = cat[op.inputs[0]]
         x_out = cat[op.out]
-        c_ops = op_count(cand, x_in.shape[1:])  # per sample
         params = _candidate_params(op, cand, x_in, x_out, cfg)
+        counter = OpCounter()   # one per task: counters are not thread-safe
         try:
             if cfg.stage1_mode == "global":
                 def swapped(arr, _op=op, _cand=cand):
-                    return _candidate_output(_op, _cand, arr, params, weights, cfg)
+                    return _candidate_output(_op, _cand, arr, params, weights, cfg, counter)
                 got = np.concatenate(
                     [forward_float(graph, weights, b, swap=(op.out, swapped))
                      for b in calib], axis=0)
                 ref = logits
             else:
-                got = _candidate_output(op, cand, x_in, params, weights, cfg)
+                got = _candidate_output(op, cand, x_in, params, weights, cfg, counter)
                 ref = x_out
             q_db = sqnr(ref, got, cfg.db_convention)
             p = perturbation(ref, got)
         except KernelOverflowError:
-            return (op.out, op.op, cand,
-                    MetricScore(q_db=-np.inf, p=np.inf, c=c_ops, score=0.0))
-        return (op.out, op.op, cand,
-                MetricScore(q_db, p, c_ops, unified_score(q_db, p, c_ops)))
+            q_db, p = -np.inf, np.inf
+        c_ops = round(counter.total() / len(x_in))
+        score = unified_score(q_db, p, c_ops) if np.isfinite(p) else 0.0
+        return op.out, op.op, cand, MetricScore(q_db, p, c_ops, score)
 
     if jobs > 1:
         with ThreadPoolExecutor(max_workers=jobs) as pool:
@@ -374,10 +371,10 @@ def _standardize_rows(rows):
         by_layer.setdefault(lid, []).append((kind, cand, ms))
     out = []
     for lid, entries in by_layer.items():
-        ps = [ms.p for _, _, ms in entries if np.isfinite(ms.p)]
-        cs = [ms.c for _, _, ms in entries]
-        p_lo, p_hi = (min(ps), max(ps)) if ps else (0.0, 1.0)
-        c_lo, c_hi = min(cs), max(cs)
+        # an overflowed candidate's p is inf and its c a partial count
+        ps = [ms.p for _, _, ms in entries if np.isfinite(ms.p)] or [0.0]
+        cs = [ms.c for _, _, ms in entries if np.isfinite(ms.p)] or [0]
+        p_lo, p_hi, c_lo, c_hi = min(ps), max(ps), min(cs), max(cs)
         for kind, cand, ms in entries:
             if ms.score == 0.0 and not np.isfinite(ms.p):
                 out.append((lid, kind, cand, ms))

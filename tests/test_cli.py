@@ -221,6 +221,16 @@ class TestInfer:
         plan.write_text(json.dumps(raw))
         assert self._infer(tmp_path, plan, self._input(tmp_path)) == 2
 
+    def test_candidate_outside_the_layer_pool_is_usage_error(self, tmp_path, config_path,
+                                                             capsys):
+        plan = self._plan(tmp_path, config_path)
+        raw = json.loads(plan.read_text())
+        entry = next(a for a in raw["assignments"] if a["layer_id"] == "block0.softmax")
+        entry["candidate"] = "shift_gelu"
+        plan.write_text(json.dumps(raw))
+        assert self._infer(tmp_path, plan, self._input(tmp_path)) == 2
+        assert "block0.softmax" in capsys.readouterr().err
+
     def test_pool_choice_changes_op_totals(self, tmp_path):
         # pin the softmax pool to one candidate per plan: the shift-heavy
         # fraction strictly out-costs the single-shift baseline

@@ -146,6 +146,15 @@ class TestIntegerKernels:
         err = np.abs(dequantize_np(out) - shift_gelu(self.x))
         assert err.max() <= 0.05
 
+    def test_shift_gelu_tracks_its_own_slope(self):
+        # with a fine output grid the kernel's error is its sigmoid's; a
+        # sigmoid argument of 1.5625x rather than 1.6875x gives RMS 0.016
+        p_in = qparams_from_range(4.0, -4.0, 8, "asymmetric")
+        q = QTensor(self.codes, p_in)
+        p_out = default_gelu_out_params(p_in, 16, shift_gelu)
+        err = dequantize_np(shift_gelu_int(q, out_params=p_out)) - shift_gelu(dequantize_np(q))
+        assert np.sqrt(np.mean(err * err)) < 0.01
+
     def test_zero_input_maps_to_zero_code(self):
         p_out = default_gelu_out_params(self.p_in, 8)
         q0 = QTensor(np.array([int(self.p_in.zero_point)]), self.p_in)

@@ -46,6 +46,22 @@ class TestIntSqrt:
         vals = _isqrt(np.arange(5000)).tolist()
         assert all(b >= a for a, b in zip(vals, vals[1:]))
 
+    @pytest.mark.parametrize("seed", ["shift", "poly"])
+    def test_stacked_rows_charge_the_sum_of_separate_calls(self, seed):
+        # the rows converge after 2 to 6 Newton steps; stacking them must
+        # neither change the roots nor charge any row for another's steps
+        a = np.array([[1], [4], [99]], dtype=np.int64)
+        b = np.array([[1 << 40], [(1 << 62) + 12345], [255]], dtype=np.int64)
+        runs = []
+        for n in (a, b, np.concatenate([a, b])):
+            km = KernelMath()
+            runs.append((_int_sqrt_array(n, km, iterations=12, seed=seed),
+                         km.counter.as_dict()))
+        (ra, ca), (rb, cb), (rab, cab) = runs
+        np.testing.assert_array_equal(rab, np.concatenate([ra, rb]))
+        assert cab == {k: ca[k] + cb[k] for k in ca}
+        assert ca["divs"] != cb["divs"]
+
     def test_poly_seed_matches(self):
         km = KernelMath()
         n = np.arange(1, 1 << 16, dtype=np.int64)
@@ -56,7 +72,8 @@ class TestIntSqrt:
 
 def _int_sqrt_shift_loop(n, km, iterations=40):
     """Reference: the shift-seeded Newton floor-sqrt with the seed's bit
-    length found by shifting once per bit until zero."""
+    length found by shifting once per bit until zero, and each element
+    charged for the Newton steps it takes."""
     n = km.asarray(n)
     zero = n == 0
     n = np.where(zero, 1, n)
@@ -68,15 +85,19 @@ def _int_sqrt_shift_loop(n, km, iterations=40):
         tmp = tmp >> 1
     x = np.int64(1) << ((bl + 1) >> 1)
     x = np.maximum(x, 1)
+    # each Newton step is charged only to the elements still moving
+    active = np.ones(n.shape, dtype=bool)
     for _ in range(iterations):
-        y = (x + km.floordiv(n, x)) >> 1
-        km.counter.adds += n.size
-        km.counter.shifts += n.size
-        km.counter.compares += n.size
-        done = y >= x
-        if done.all():
+        k = int(np.count_nonzero(active))
+        if not k:
             break
-        x = np.where(done, x, y)
+        y = (x + n // x) >> 1
+        km.counter.divs += k
+        km.counter.adds += k
+        km.counter.shifts += k
+        km.counter.compares += k
+        active &= y < x
+        x = np.where(active, y, x)
     return np.where(zero, 0, x)
 
 

@@ -6,8 +6,7 @@ from scipy.special import erf
 
 from intquant.gelu import QUARTIC_ERF_COEFFS, erf_poly_eval
 from intquant.metric import (INF_DB, MetricScore, MetricTable, approx_error,
-                             op_count, perturbation, softplus, sqnr,
-                             unified_score)
+                             perturbation, softplus, sqnr, unified_score)
 
 
 class TestSqnr:
@@ -126,38 +125,6 @@ class TestApproxError:
     def test_invalid_range(self):
         with pytest.raises(ValueError):
             approx_error(np.sin, np.cos, (1, 1))
-
-
-class TestOpCount:
-    def test_phi_cost_is_five(self):
-        from intquant.metric import PHI_COST
-        assert PHI_COST == 5  # three shifts plus two adds
-
-    def test_efficient_exceeds_shiftmax(self):
-        shape = (12, 16, 16)
-        assert op_count("efficient_bit_softmax", shape) > op_count("shiftmax", shape)
-
-    def test_linear_in_leading_axis(self):
-        base = op_count("efficient_bit_softmax", (8, 16))
-        assert op_count("efficient_bit_softmax", (16, 16)) == 2 * base
-
-    def test_layernorm_variants_distinct(self):
-        shape = (16, 64)
-        counts = {k: op_count(k, shape) for k in
-                  ("bitshift_newton", "poly_sqrt", "log2_scale")}
-        assert len(set(counts.values())) == 3
-
-    def test_gelu_shift_costs_most(self):
-        shape = (16, 128)
-        assert op_count("shift_gelu", shape) > op_count("data_aware_poly_gelu", shape)
-        assert op_count("data_aware_poly_gelu", shape) > op_count("ibert_gelu", shape)
-
-    def test_unknown_kind(self):
-        with pytest.raises(ValueError):
-            op_count("mystery", (4, 4))
-
-    def test_deterministic(self):
-        assert op_count("log2_softmax", (3, 9)) == op_count("log2_softmax", (3, 9))
 
 
 class TestMetricTable:

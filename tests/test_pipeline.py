@@ -166,8 +166,28 @@ class TestStage1:
         calib = calibration_batches(cfg)
         t1 = stage1_analyze(graph, weights, calib, cfg, jobs=1)
         t4 = stage1_analyze(graph, weights, calib, cfg, jobs=4)
-        assert [(l, c, ms.score) for l, _, c, ms in t1.entries] == \
-               [(l, c, ms.score) for l, _, c, ms in t4.entries]
+        assert [(l, c, ms.c, ms.score) for l, _, c, ms in t1.entries] == \
+               [(l, c, ms.c, ms.score) for l, _, c, ms in t4.entries]
+
+    def test_c_is_the_measured_count_per_sample(self):
+        # c is the candidate's own OpCounter total over one whole-set call,
+        # per calibration sample
+        cfg = small_cfg()
+        graph, weights = build_toy_vit(cfg.model_config())
+        calib = calibration_batches(cfg)
+        cat = capture_calibration(graph, weights, calib)
+        samples = cfg.calib_batches * cfg.calib_batch_size
+        ops = {o.out: o for o in graph.ops}
+        table = stage1_analyze(graph, weights, calib, cfg)
+        assert len(table) == 29
+        for lid, _, cand, ms in table.entries:
+            op = ops[lid]
+            x_in = cat[op.inputs[0]]
+            p_in, out_params = pl._candidate_params(op, cand, x_in, cat[lid], cfg)
+            counter = OpCounter()
+            pl._run_kernel(op, cand, pl.quantize(x_in, p_in), weights, out_params,
+                           cfg.bit_exp_config(), counter)
+            assert ms.c == round(counter.total() / samples), (lid, cand)
 
     def test_global_mode_runs(self):
         cfg = small_cfg(stage1_mode="global", calib_batches=1, calib_batch_size=2)
@@ -177,7 +197,8 @@ class TestStage1:
 
     def test_global_mode_quantizes_as_local_mode(self, monkeypatch):
         # each (layer, candidate) runs under one input and output quantizer,
-        # taken from the whole calibration set, in either mode
+        # taken from the whole calibration set, in either mode, and so
+        # measures the same op count
         cfg = small_cfg()
         graph, weights = build_toy_vit(cfg.model_config())
         calib = calibration_batches(cfg)
@@ -188,12 +209,14 @@ class TestStage1:
             return _fn(op, cand, q, w, out_params, *args)
 
         monkeypatch.setattr(pl, "_run_kernel", spy)
-        stage1_analyze(graph, weights, calib, cfg)
+        local_table = stage1_analyze(graph, weights, calib, cfg)
         local = dict(seen)
         seen.clear()
-        stage1_analyze(graph, weights, calib, small_cfg(stage1_mode="global"))
+        global_table = stage1_analyze(graph, weights, calib, small_cfg(stage1_mode="global"))
         assert len(local) == 29 and all(len(p) == 1 for p in local.values())
         assert seen == local
+        assert [(l, c, ms.c) for l, _, c, ms in global_table.entries] == \
+               [(l, c, ms.c) for l, _, c, ms in local_table.entries]
 
     def test_standardize_rescores(self):
         cfg = small_cfg(calib_batches=1)
@@ -207,8 +230,8 @@ class TestStage1:
 
 
 class TestStage1Slices:
-    """Stage 1 runs softmax and GELU candidates slice by slice; one-sample
-    slices must give what one whole-set call gives."""
+    """Stage 1 runs every candidate slice by slice; one-sample slices must
+    give what one whole-set call gives."""
 
     @pytest.mark.parametrize("mode", STAGE1_MODES)
     @pytest.mark.parametrize("tokens", [8, 64])
@@ -256,8 +279,8 @@ class TestStage1Slices:
         assert {n for calls in rows.values() for n in calls} == {samples}
         monkeypatch.setattr(pl, "STAGE1_SLICE_ELEMENTS", 1)
         sliced = run_all()
-        assert set(rows["run_softmax_candidate"]) == set(rows["run_gelu_candidate"]) == {1}
-        assert set(rows["run_ln_candidate"]) == {samples}   # LayerNorm runs whole
+        assert {name: set(calls) for name, calls in rows.items()} == {
+            "run_softmax_candidate": {1}, "run_gelu_candidate": {1}, "run_ln_candidate": {1}}
         for key, (out, ops) in whole.items():
             np.testing.assert_array_equal(sliced[key][0], out)
             assert sliced[key][1] == ops, key
