@@ -170,6 +170,10 @@ def cmd_infer(args) -> tuple[list[str], int]:
         if cand not in r.candidates:
             raise UsageError(f"plan: {r.layer_id} is assigned {cand!r},"
                              f" not one of {list(r.candidates)}")
+    try:
+        pl.compile_plan(graph, weights, plan)
+    except (ValueError, OverflowError) as exc:
+        raise UsageError(f"plan: {exc}") from exc
     counter = OpCounter()
     out, counter = pl.integer_forward(graph, weights, plan, x.values, counter)
     tensor_write(out, args.out)

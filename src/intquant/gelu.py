@@ -222,8 +222,6 @@ def poly_gelu_int(q: QTensor, c: ErfPolyCoeffs, out_params: QParams | None = Non
     round-half-up right shifts on int64.
     """
     p = q.params
-    if p.granularity != "per_tensor":
-        raise ValueError("integer GELU expects per-tensor input params")
     if out_params is None:
         out_params = default_gelu_out_params(p, p.bits, data_aware_poly_gelu, c=c)
 

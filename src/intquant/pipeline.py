@@ -254,25 +254,12 @@ def _run_kernel(op: Op, candidate: str, q: QTensor, weights: dict, out_params: Q
 STAGE1_SLICE_ELEMENTS = 1 << 18
 
 
-def _candidate_params(op: Op, candidate, x_in: np.ndarray, x_out: np.ndarray,
-                      cfg: PipelineConfig) -> tuple[QParams, QParams | None]:
-    """Input and output parameters of ``candidate`` as ``op``, from the whole
-    captured edges ``x_in`` and ``x_out``, as stage 3 derives the plan's."""
-    if op.op == "softmax":
-        return dyadic_qparams_for_range(float(x_in.min()), float(x_in.max()),
-                                        SCORES_CODE_BITS), None
-    p_in = MinMaxObserver().observe(x_in).qparams(cfg.act_bits)
-    out_params = MinMaxObserver().observe(x_out).qparams(cfg.act_bits)
-    if candidate == "log2_scale":
-        out_params, _ = ln_mod.snap_pow2_out_params(out_params)
-    return p_in, out_params
-
-
 def _candidate_output(op: Op, candidate, x_in: np.ndarray, params: tuple,
                       weights: dict, cfg: PipelineConfig,
                       counter: OpCounter | None = None) -> np.ndarray:
-    """Quantize ``x_in`` with ``params`` (see :func:`_candidate_params`), run
-    the integer candidate, dequantize.
+    """Quantize ``x_in`` with ``params``, the op's input and output
+    parameters from :func:`calibrate_edges`, run the integer candidate,
+    dequantize.
 
     The kernel runs slice by slice along the sample axis (see
     ``STAGE1_SLICE_ELEMENTS``) into one output array.
@@ -310,15 +297,18 @@ def stage1_analyze(graph: ModelGraph, weights: dict, calib: list,
                    captured: dict | None = None) -> MetricTable:
     """Score every (layer, candidate) pair against the full-precision pass.
 
-    Analysis is isolated: one layer is quantized at a time and compared at
-    its own output (global-logit comparison sits behind stage1_mode). The
-    cost c is the candidate's measured op count per calibration sample, from
-    this same run. A candidate whose kernel overflows is recorded with score
+    Analysis is isolated: one layer is quantized at a time, under the
+    plan's parameters (:func:`calibrate_edges`), and compared at its own
+    output (global-logit comparison sits behind stage1_mode). The cost c is
+    the candidate's measured op count per calibration sample, from this
+    same run. A candidate whose kernel overflows is recorded with score
     0 and the ops it spent before the overflow. ``captured`` is
     :func:`capture_calibration` of ``calib``, when the caller has it.
     """
     cat = captured if captured is not None else capture_calibration(graph, weights, calib)
     logits = cat[graph.ops[-1].out]
+
+    qparams, _ = calibrate_edges(graph, cat, cfg)
 
     candidates = {rec.layer_id: rec.candidates for rec in graph.layers}
     tasks = [(op, cand) for op in graph.ops for cand in candidates.get(op.out, ())]
@@ -327,7 +317,7 @@ def stage1_analyze(graph: ModelGraph, weights: dict, calib: list,
         op, cand = task
         x_in = cat[op.inputs[0]]
         x_out = cat[op.out]
-        params = _candidate_params(op, cand, x_in, x_out, cfg)
+        params = (qparams[op.inputs[0]], qparams[op.out])
         counter = OpCounter()   # one per task: counters are not thread-safe
         try:
             if cfg.stage1_mode == "global":
@@ -414,12 +404,36 @@ def stage2_assign(table: MetricTable, graph: ModelGraph | None = None,
     return plan
 
 
+def calibrate_edges(graph: ModelGraph, captured: dict,
+                    cfg: PipelineConfig) -> tuple[dict, list]:
+    """Per-tensor parameters of every activation edge from its min/max
+    envelope in ``captured`` (see :func:`capture_calibration`), and the
+    warnings raised: a dyadic grid for attention scores, the kernels' grid
+    for probabilities, asymmetric ``act_bits`` codes elsewhere."""
+    kinds = {op.out: op.op for op in graph.ops}
+    qparams: dict[str, QParams] = {}
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        for edge in graph.edges:
+            obs = MinMaxObserver().observe(captured[edge])
+            kind = kinds.get(edge)
+            if kind == "scores":
+                qparams[edge] = dyadic_qparams_for_range(
+                    float(obs.running_min), float(obs.running_max), SCORES_CODE_BITS)
+            elif kind == "softmax":
+                qparams[edge] = sm_mod.softmax_out_params(cfg.bit_exp_config())
+            else:
+                qparams[edge] = obs.qparams(cfg.act_bits)
+    return qparams, [str(w.message) for w in caught]
+
+
 def stage3_calibrate(graph: ModelGraph, weights: dict, plan: AssignmentPlan,
                      calib: list, cfg: PipelineConfig,
                      captured: dict | None = None) -> AssignmentPlan:
-    """One envelope pass over the calibration set; derives every activation
-    edge's parameters. Weights stay symmetric per-channel and are re-derived
-    deterministically at inference, so the plan needs only activations.
+    """The plan's activation parameters: :func:`calibrate_edges`, with each
+    ``log2_scale`` layer's output snapped as its kernel snaps it. Weights
+    are re-derived per channel at inference, so the plan needs only
+    activations.
 
     ``captured`` is :func:`capture_calibration` of ``calib``, when the caller
     has it; min and max are exact, so the envelopes do not depend on how the
@@ -429,32 +443,10 @@ def stage3_calibrate(graph: ModelGraph, weights: dict, plan: AssignmentPlan,
         raise ValueError("assignments must be complete before calibration")
     if captured is None:
         captured = capture_calibration(graph, weights, calib)
-    observers = {e: MinMaxObserver().observe(captured[e]) for e in graph.edges}
-
-    kinds = {op.out: op.op for op in graph.ops}
-    qparams: dict[str, QParams] = {}
-    recorded: list[str] = []
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        for edge, obs in observers.items():
-            kind = kinds.get(edge)
-            if kind == "scores":
-                qparams[edge] = dyadic_qparams_for_range(
-                    float(obs.running_min), float(obs.running_max), SCORES_CODE_BITS)
-            elif kind == "softmax":
-                qparams[edge] = sm_mod.softmax_out_params(cfg.bit_exp_config())
-            else:
-                qparams[edge] = obs.qparams(cfg.act_bits)
-    recorded.extend(str(w.message) for w in caught)
-
-    # layers whose kernel snaps its own output scale must store the snapped
-    # params, or downstream requantization would disagree with the kernel
+    plan.qparams, plan.warnings = calibrate_edges(graph, captured, cfg)
     for lid, cand in plan.assignments.items():
         if cand == "log2_scale":
-            qparams[lid], _ = ln_mod.snap_pow2_out_params(qparams[lid])
-
-    plan.qparams = qparams
-    plan.warnings = recorded
+            plan.qparams[lid], _ = ln_mod.snap_pow2_out_params(plan.qparams[lid])
     return plan
 
 
@@ -486,16 +478,13 @@ class _LinearPlan:
 
 def _prepare_linear(w: np.ndarray, b: np.ndarray, p_in: QParams, p_out: QParams,
                     weight_bits: int) -> _LinearPlan:
-    qw = requant_weight_per_channel(w, weight_bits)
-    w_centered = qw.codes.astype(np.int64) - (1 << (weight_bits - 1))
-    s_w = np.asarray(qw.params.scale, dtype=np.float64)
-    s_in = float(p_in.scale)
-    s_out = float(p_out.scale)
-    corr = int(p_in.zero_point) * w_centered.sum(axis=1)
+    codes, s_w = requant_weight_per_channel(w, weight_bits)
+    w_centered = codes.astype(np.int64) - (1 << (weight_bits - 1))
+    s_in = p_in.scale
+    corr = p_in.zero_point * w_centered.sum(axis=1)
     bias_int = np.rint(np.asarray(b, dtype=np.float64) / (s_in * s_w)).astype(np.int64)
-    mult = np.rint((1 << 16) * s_in * s_w / s_out).astype(np.int64)
-    return _LinearPlan(w_centered, corr.astype(np.int64), bias_int, mult,
-                       int(p_out.zero_point), p_out.qmax)
+    mult = np.rint((1 << 16) * s_in * s_w / p_out.scale).astype(np.int64)
+    return _LinearPlan(w_centered, corr, bias_int, mult, p_out.zero_point, p_out.qmax)
 
 
 def _linear_int(km: KernelMath, codes: np.ndarray, lp: _LinearPlan) -> np.ndarray:
@@ -506,20 +495,20 @@ def _linear_int(km: KernelMath, codes: np.ndarray, lp: _LinearPlan) -> np.ndarra
 
 
 def _requant_into(km: KernelMath, codes, p_from: QParams, p_to: QParams):
-    m = int(round((1 << 16) * float(p_from.scale) / float(p_to.scale)))
-    centered = km.sub(codes, int(p_from.zero_point))
+    m = int(round((1 << 16) * p_from.scale / p_to.scale))
+    centered = km.sub(codes, p_from.zero_point)
     return km.rshift_round(km.mul(centered, m), 16)
 
 
 def _add_requant(km: KernelMath, a, pa: QParams, b, pb: QParams, p_out: QParams):
     out = km.add(km.add(_requant_into(km, a, pa, p_out),
-                        _requant_into(km, b, pb, p_out)), int(p_out.zero_point))
+                        _requant_into(km, b, pb, p_out)), p_out.zero_point)
     return km.clip(out, 0, p_out.qmax)
 
 
 def _requant_dyadic(km: KernelMath, acc, mult: tuple[int, int], p_out: QParams):
     m, e = mult
-    out = km.add(km.rshift_round(km.mul(acc, m), e), int(p_out.zero_point))
+    out = km.add(km.rshift_round(km.mul(acc, m), e), p_out.zero_point)
     return km.clip(out, 0, p_out.qmax)
 
 
@@ -592,16 +581,18 @@ def compile_plan(graph: ModelGraph, weights: dict, plan: AssignmentPlan) -> Comp
             pos = W[op.weights[0]]
             p_pos = MinMaxObserver().observe(pos).qparams(cfg.act_bits)
             consts[out] = (np.asarray(quantize(pos, p_pos).codes, dtype=np.int64), p_pos)
+        elif op.op == "softmax":
+            sm_mod._dyadic_exponent(P[ins[0]])   # the kernels need a dyadic input grid
         elif op.op == "scores":
             consts[out] = encode_dyadic_multiplier(
-                float(P[ins[0]].scale) * float(P[ins[1]].scale) / float(P[out].scale))
+                P[ins[0]].scale * P[ins[1]].scale / P[out].scale)
         elif op.op == "ctx":
             consts[out] = encode_dyadic_multiplier(
-                float(p_probs.scale) * float(P[ins[1]].scale) / float(P[out].scale))
+                p_probs.scale * P[ins[1]].scale / P[out].scale)
         elif op.op == "pool":
             # mean pool over tokens, the 1/T division folded into the multiplier
             consts[out] = encode_dyadic_multiplier(
-                float(P[ins[0]].scale) / (graph.tokens * float(P[out].scale)))
+                P[ins[0]].scale / (graph.tokens * P[out].scale))
 
     compiled = CompiledPlan(graph, cfg, tuple(W.seen.items()), tuple(P.seen.items()),
                             bexp, consts)
@@ -639,16 +630,16 @@ def _int_add(r: _Run, op: Op, a, b):
 
 def _int_scores(r: _Run, op: Op, q, k):
     H = r.graph.heads
-    acc = _matmul_corrected(r.km, split_heads(q, H), int(r.P[op.inputs[0]].zero_point),
+    acc = _matmul_corrected(r.km, split_heads(q, H), r.P[op.inputs[0]].zero_point,
                             split_heads(k, H).transpose(0, 1, 3, 2),
-                            int(r.P[op.inputs[1]].zero_point))
+                            r.P[op.inputs[1]].zero_point)
     return _requant_dyadic(r.km, acc, r.compiled.consts[op.out], r.P[op.out])
 
 
 def _int_ctx(r: _Run, op: Op, probs, v):
     km = r.km
     acc = km.matmul(probs, split_heads(v, r.graph.heads))
-    zv = int(r.P[op.inputs[1]].zero_point)
+    zv = r.P[op.inputs[1]].zero_point
     if zv:
         acc = km.sub(acc, km.mul(km.sum(probs, axis=-1, keepdims=True), zv))
     return merge_heads(_requant_dyadic(km, acc, r.compiled.consts[op.out], r.P[op.out]))
@@ -657,7 +648,7 @@ def _int_ctx(r: _Run, op: Op, probs, v):
 def _int_pool(r: _Run, op: Op, h):
     km = r.km
     acc = km.sub(km.sum(h, axis=1, keepdims=False),
-                 r.graph.tokens * int(r.P[op.inputs[0]].zero_point))
+                 r.graph.tokens * r.P[op.inputs[0]].zero_point)
     return _requant_dyadic(km, acc, r.compiled.consts[op.out], r.P[op.out])
 
 
@@ -719,21 +710,20 @@ def integer_forward(graph: ModelGraph, weights: dict, plan: AssignmentPlan, x,
 def _params_to_dict(edge: str, p: QParams) -> dict:
     return {
         "layer_id": edge,
-        "scale": float(p.scale) if p.granularity == "per_tensor"
-        else [float(s) for s in np.asarray(p.scale).reshape(-1)],
-        "zero_point": int(p.zero_point) if p.granularity == "per_tensor"
-        else [int(z) for z in np.asarray(p.zero_point).reshape(-1)],
+        "scale": float(p.scale),
+        "zero_point": int(p.zero_point),
         "bits": p.bits,
         "scheme": p.scheme,
-        "granularity": p.granularity,
+        "granularity": "per_tensor",
     }
 
 
 def _params_from_dict(d: dict) -> QParams:
-    scale = d["scale"] if isinstance(d["scale"], float) else np.asarray(d["scale"])
-    zero = d["zero_point"] if isinstance(d["zero_point"], int) else np.asarray(d["zero_point"])
-    axis = 0 if d["granularity"] == "per_channel" else None
-    return QParams(scale, zero, d["bits"], d["scheme"], d["granularity"], axis)
+    granularity, scale, zero = d["granularity"], d["scale"], d["zero_point"]
+    if granularity != "per_tensor" or type(scale) not in (int, float) or type(zero) is not int:
+        raise ValueError(f"{d['layer_id']}: want a per_tensor number scale and integer zero"
+                         f" point, got {granularity!r}, {scale!r} and {zero!r}")
+    return QParams(float(scale), zero, d["bits"], d["scheme"])
 
 
 def _finite_or_str(x: float):

@@ -21,49 +21,26 @@ class DegenerateRangeError(ValueError):
 
 @dataclass(frozen=True)
 class QParams:
-    """Affine quantization parameters: x ~ scale * (code - zero_point).
+    """Per-tensor affine quantization parameters: x ~ scale * (code - zero_point)."""
 
-    scale/zero_point are scalars for per_tensor granularity and 1-d vectors
-    (one entry per channel along ``channel_axis``) for per_channel.
-    """
-
-    scale: float | np.ndarray
-    zero_point: int | np.ndarray
+    scale: float
+    zero_point: int
     bits: int
     scheme: str  # "symmetric" | "asymmetric"
-    granularity: str = "per_tensor"  # "per_tensor" | "per_channel"
-    channel_axis: int | None = None
 
     def __post_init__(self):
         if self.scheme not in ("symmetric", "asymmetric"):
             raise ValueError(f"unknown scheme {self.scheme!r}")
-        if self.granularity not in ("per_tensor", "per_channel"):
-            raise ValueError(f"unknown granularity {self.granularity!r}")
-        if self.granularity == "per_channel" and self.channel_axis is None:
-            raise ValueError("per_channel granularity requires channel_axis")
         if not (2 <= self.bits <= 16):
             raise ValueError(f"bits must be in [2, 16], got {self.bits}")
-        scale = np.asarray(self.scale, dtype=np.float64)
-        if np.any(scale <= 0):
+        if not self.scale > 0:
             raise ValueError("scale must be positive")
-        z = np.asarray(self.zero_point)
-        if np.any(z < 0) or np.any(z > self.qmax):
+        if not 0 <= self.zero_point <= self.qmax:
             raise ValueError(f"zero_point outside [0, {self.qmax}]")
 
     @property
     def qmax(self) -> int:
         return (1 << self.bits) - 1
-
-    def broadcast_to(self, ndim: int):
-        """Scale/zero arrays shaped for broadcasting along the channel axis."""
-        if self.granularity == "per_tensor":
-            return np.float64(self.scale), np.int64(self.zero_point)
-        shape = [1] * ndim
-        shape[self.channel_axis] = -1
-        return (
-            np.asarray(self.scale, dtype=np.float64).reshape(shape),
-            np.asarray(self.zero_point, dtype=np.int64).reshape(shape),
-        )
 
 
 @dataclass(frozen=True)
@@ -83,39 +60,31 @@ class QTensor:
         return self.codes.shape
 
 
-def qparams_from_range(alpha, beta, bits: int, scheme: str = "asymmetric",
-                       granularity: str = "per_tensor",
-                       channel_axis: int | None = None) -> QParams:
+def qparams_from_range(alpha: float, beta: float, bits: int,
+                       scheme: str = "asymmetric") -> QParams:
     """Parameters for the range [beta, alpha] (beta = min, alpha = max).
 
     Asymmetric: s = (alpha - beta) / (2^b - 1), z = clip(round(-beta/s), 0, 2^b - 1).
     Symmetric: s = 2 * max(|alpha|, |beta|) / (2^b - 1) with midpoint zero point.
     """
-    alpha = np.asarray(alpha, dtype=np.float64)
-    beta = np.asarray(beta, dtype=np.float64)
+    alpha, beta = float(alpha), float(beta)
     qmax = (1 << bits) - 1
     if scheme == "asymmetric":
-        if np.any(alpha <= beta):
+        if not alpha > beta:
             raise DegenerateRangeError(
                 f"asymmetric range needs alpha > beta, got ({beta}, {alpha})"
             )
         scale = (alpha - beta) / qmax
-        zero = np.clip(_round_half_even(-beta / scale), 0, qmax)
+        zero = int(np.clip(_round_half_even(-beta / scale), 0, qmax))
     elif scheme == "symmetric":
-        amax = np.maximum(np.abs(alpha), np.abs(beta))
-        if np.any(amax <= 0):
+        amax = max(abs(alpha), abs(beta))
+        if not amax > 0:
             raise DegenerateRangeError("symmetric range needs max(|alpha|,|beta|) > 0")
         scale = 2.0 * amax / qmax
-        zero = np.full_like(np.asarray(scale), 1 << (bits - 1))
+        zero = 1 << (bits - 1)
     else:
         raise ValueError(f"unknown scheme {scheme!r}")
-    if granularity == "per_tensor":
-        scale = float(scale)
-        zero = int(zero)
-    else:
-        scale = np.atleast_1d(np.asarray(scale, dtype=np.float64))
-        zero = np.atleast_1d(zero).astype(np.int64)
-    return QParams(scale, zero, bits, scheme, granularity, channel_axis)
+    return QParams(scale, zero, bits, scheme)
 
 
 def _round_half_even(x):
@@ -125,23 +94,14 @@ def _round_half_even(x):
 def quantize(x, p: QParams) -> QTensor:
     """codes = clip(round_half_even(x / s) + z, 0, 2^b - 1), elementwise."""
     arr = np.asarray(x, dtype=np.float64)
-    scale, zero = p.broadcast_to(arr.ndim)
-    if p.granularity == "per_channel":
-        n_ch = np.asarray(p.scale).reshape(-1).shape[0]
-        if arr.shape[p.channel_axis] != n_ch:
-            raise ValueError(
-                f"axis {p.channel_axis} has extent {arr.shape[p.channel_axis]},"
-                f" but params carry {n_ch} channels"
-            )
     # np.clip's Python wrapper builds np.iinfo objects on every call
-    codes = np.minimum(np.maximum(_round_half_even(arr / scale) + zero, 0), p.qmax)
+    codes = np.minimum(np.maximum(_round_half_even(arr / p.scale) + p.zero_point, 0), p.qmax)
     return QTensor(codes.astype(np.int32), p)
 
 
 def dequantize_np(q: QTensor) -> np.ndarray:
     """x_hat = s * (code - z), as a float64 ndarray."""
-    scale, zero = q.params.broadcast_to(q.codes.ndim)
-    return (q.codes.astype(np.float64) - zero) * scale
+    return (q.codes.astype(np.float64) - q.params.zero_point) * q.params.scale
 
 
 class MinMaxObserver:
@@ -224,10 +184,17 @@ def encode_dyadic_multiplier(mult: float, mant_bits: int = 15) -> tuple[int, int
     return int(round(m)), e
 
 
-def requant_weight_per_channel(w: np.ndarray, bits: int) -> QTensor:
-    """Symmetric per-channel weight quantization, channel = output axis 0."""
+def requant_weight_per_channel(w: np.ndarray, bits: int) -> tuple[np.ndarray, np.ndarray]:
+    """Symmetric per-channel weight quantization, channel = output axis 0.
+
+    Returns the codes and one scale per row. Row i is quantized as
+    :func:`quantize` does under ``qparams_from_range(amax_i, -amax_i, bits,
+    "symmetric")``, with amax_i floored at 1e-12; every row's zero point is
+    2^(bits-1).
+    """
     w = np.asarray(w, dtype=np.float64)
-    amax = np.max(np.abs(w.reshape(w.shape[0], -1)), axis=1)
-    amax = np.maximum(amax, 1e-12)
-    p = qparams_from_range(amax, -amax, bits, "symmetric", "per_channel", 0)
-    return quantize(w, p)
+    amax = np.maximum(np.max(np.abs(w.reshape(w.shape[0], -1)), axis=1), 1e-12)
+    scales = 2.0 * amax / ((1 << bits) - 1)
+    # each row in units of its own scale, on the unit grid (x / 1.0 is exact)
+    rows = w / scales.reshape((-1,) + (1,) * (w.ndim - 1))
+    return quantize(rows, QParams(1.0, 1 << (bits - 1), bits, "symmetric")).codes, scales

@@ -231,6 +231,23 @@ class TestInfer:
         assert self._infer(tmp_path, plan, self._input(tmp_path)) == 2
         assert "block0.softmax" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("edge, per_channel", [
+        ("block0.attn.scores", False), ("input", True), ("block0.res1", True),
+    ], ids=["non_dyadic_scores", "per_channel_input", "per_channel_residual"])
+    def test_params_the_kernels_cannot_run_are_usage_error(self, tmp_path, config_path,
+                                                          capsys, edge, per_channel):
+        plan = self._plan(tmp_path, config_path)
+        raw = json.loads(plan.read_text())
+        entry = next(q for q in raw["qparams"] if q["layer_id"] == edge)
+        if per_channel:
+            entry.update(scale=[entry["scale"]] * 32, zero_point=[entry["zero_point"]] * 32,
+                         granularity="per_channel")
+        else:
+            entry["scale"] = 0.3
+        plan.write_text(json.dumps(raw))
+        assert self._infer(tmp_path, plan, self._input(tmp_path)) == 2
+        assert "usage error: plan:" in capsys.readouterr().err
+
     def test_pool_choice_changes_op_totals(self, tmp_path):
         # pin the softmax pool to one candidate per plan: the shift-heavy
         # fraction strictly out-costs the single-shift baseline

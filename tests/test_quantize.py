@@ -81,40 +81,41 @@ class TestQuantizeDequantize:
             assert q.codes.min() >= 0 and q.codes.max() <= p.qmax
             q.check()
 
-    @pytest.mark.parametrize("granularity", ["per_tensor", "per_channel"])
-    def test_codes_match_np_clip_at_both_ends(self, granularity):
+    def test_codes_match_np_clip_at_both_ends(self):
         # values far past both ends of [0, qmax], and just inside them
         x = np.array([[-1e9, -3.0, -0.51, 0.0, 0.49, 2.0, 1e9],
                       [-1e9, -0.3, -0.1, 0.0, 0.25, 0.6, 1e9]])
-        if granularity == "per_tensor":
-            p = qparams_from_range(2.0, -0.5, 8, "asymmetric")
-        else:
-            p = qparams_from_range(np.array([2.0, 0.5]), np.array([-0.5, -0.25]), 8,
-                                   "asymmetric", "per_channel", 0)
-        scale, zero = p.broadcast_to(x.ndim)
-        want = np.clip(np.rint(x / scale).astype(np.int64) + zero, 0, p.qmax)
+        p = qparams_from_range(2.0, -0.5, 8, "asymmetric")
+        want = np.clip(np.rint(x / p.scale).astype(np.int64) + p.zero_point, 0, p.qmax)
         q = quantize(x, p)
         assert q.codes.dtype == np.int32
         assert q.codes.min() == 0 and q.codes.max() == p.qmax
         np.testing.assert_array_equal(q.codes, want)
 
-    def test_per_channel_shape_mismatch(self):
-        p = QParams(np.array([1.0, 1.0]), np.array([0, 0]), 8, "symmetric",
-                    "per_channel", 0)
-        with pytest.raises(ValueError, match="channels"):
-            quantize(np.zeros((3, 4)), p)
-
 
 class TestPerChannel:
+    """requant_weight_per_channel is the only per-channel quantizer: row i is
+    quantized as per-tensor ``quantize`` does under the symmetric
+    parameters of its own amax_i."""
+
     def test_per_channel_equals_per_slice(self):
         rng = np.random.default_rng(3)
         w = rng.normal(0, 0.5, size=(4, 16))
-        qw = requant_weight_per_channel(w, 8)
-        for ch in range(4):
-            amax = np.abs(w[ch]).max()
-            p = qparams_from_range(amax, -amax, 8, "symmetric")
-            expect = quantize(w[ch], p)
-            np.testing.assert_array_equal(qw.codes[ch], expect.codes)
+        w[:, 0] = np.abs(w).max(axis=1)     # +amax_i lands on the top end
+        w[:, 1] = -w[:, 0]                  # -amax_i on the bottom end
+        w[3] = 0.0                          # amax_i is floored at 1e-12
+        for bits in (2, 4, 8, 16):
+            codes, scales = requant_weight_per_channel(w, bits)
+            assert codes.dtype == np.int32 and scales.shape == (4,)
+            for i in range(4):
+                amax = max(np.abs(w[i]).max(), 1e-12)
+                p = qparams_from_range(amax, -amax, bits, "symmetric")
+                np.testing.assert_array_equal(codes[i], quantize(w[i], p).codes)
+                assert scales[i] == p.scale
+            # +-amax_i / s_i is +-qmax/2 up to rounding: the top end clips to
+            # qmax, the bottom end lands on code 0 or 1
+            assert (codes[:3, 0] == (1 << bits) - 1).all() and (codes[:3, 1] <= 1).all()
+            assert (codes[3] == 1 << (bits - 1)).all()
 
 
 class TestObserver:

@@ -1,0 +1,93 @@
+"""sha256 identity check of the pipeline's outputs.
+
+Runs six configs at seeds 0 and 7 (model seed and calibration seed, two
+stage-1 jobs) through the ``intquant`` package found under ``--src`` and
+prints one JSON object. Per run it holds the sha256 of the plan JSON, of
+the metrics CSV, and of the integer logits and the ``OpCounter`` dict for a
+batch of 1, a batch of 3 and one unbatched sample.
+
+A change that should not alter any output is checked by running this on
+the parent and on the change, on one machine, and comparing:
+
+    mkdir ../parent && git archive HEAD~1 | tar -x -C ../parent
+    python3 tools/identity.py --src ../parent/src > parent.json
+    python3 tools/identity.py --src src > change.json
+    diff parent.json change.json && echo identical
+
+Float results depend on the numpy and BLAS build, so digests from two
+machines do not compare; that is why this is a tool and not a test.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import json
+import os
+import sys
+import tempfile
+
+import numpy as np
+
+CONFIGS = {
+    "toy-default": {},
+    "global": {"stage1_mode": "global"},
+    "act-bits-4": {"bits": {"activations": 4}},
+    "standardize-amplitude20-taylor2": {
+        "metric": {"standardize": True, "db_convention": "amplitude20"},
+        "taylor_degree": 2},
+    "forced-pools": {"pools": {"softmax": ["log2_softmax"], "gelu": ["shift_gelu"],
+                               "layernorm": ["log2_scale"]}},
+    "longseq-attn": {"model": {"blocks": 2, "embed_dim": 64, "heads": 4, "tokens": 256},
+                     "calib": {"batches": 2, "batch_size": 8}},
+}
+SEEDS = (0, 7)
+JOBS = 2
+
+
+def sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def digests(pl, raw: dict, seed: int, tmp: str) -> dict:
+    cfg = pl.config_from_dict({**raw, "seed": seed})
+    plan, table, graph, weights = pl.run_pipeline(cfg, calib_seed=seed, jobs=JOBS)
+    plan_path, csv_path = os.path.join(tmp, "plan.json"), os.path.join(tmp, "metrics.csv")
+    pl.save_plan(plan, plan_path)
+    table.write_csv(csv_path, plan.assignments)
+    out = {}
+    for name in ("plan.json", "metrics.csv"):
+        with open(os.path.join(tmp, name), "rb") as fh:
+            out[name] = sha(fh.read())
+    rng = np.random.default_rng(seed)
+    sample = (graph.tokens, graph.embed_dim)
+    for name, shape in (("batch1", (1, *sample)), ("batch3", (3, *sample)),
+                        ("unbatched", sample)):
+        logits, counter = pl.integer_forward(graph, weights, plan, rng.normal(size=shape))
+        out[f"logits.{name}"] = sha(np.ascontiguousarray(logits.values).tobytes())
+        out[f"ops.{name}"] = sha(json.dumps(counter.as_dict(), sort_keys=True).encode())
+    return out
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--src", required=True,
+                    help="directory that holds the intquant package to check")
+    args = ap.parse_args(argv)
+    src = os.path.abspath(args.src)
+    if not os.path.isfile(os.path.join(src, "intquant", "__init__.py")):
+        ap.error(f"no intquant package under {src}")
+    sys.path.insert(0, src)
+    from intquant import pipeline as pl
+
+    report = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, raw in CONFIGS.items():
+            for seed in SEEDS:
+                report[f"{name}/seed{seed}"] = digests(pl, raw, seed, tmp)
+    print(json.dumps(report, indent=2, sort_keys=True))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
