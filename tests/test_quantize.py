@@ -81,16 +81,24 @@ class TestQuantizeDequantize:
             assert q.codes.min() >= 0 and q.codes.max() <= p.qmax
             q.check()
 
-    def test_codes_match_np_clip_at_both_ends(self):
+    @pytest.mark.parametrize("granularity", ["per_tensor", "per_channel"])
+    def test_codes_match_np_clip_at_both_ends(self, granularity):
         # values far past both ends of [0, qmax], and just inside them
         x = np.array([[-1e9, -3.0, -0.51, 0.0, 0.49, 2.0, 1e9],
                       [-1e9, -0.3, -0.1, 0.0, 0.25, 0.6, 1e9]])
-        p = qparams_from_range(2.0, -0.5, 8, "asymmetric")
-        want = np.clip(np.rint(x / p.scale).astype(np.int64) + p.zero_point, 0, p.qmax)
-        q = quantize(x, p)
-        assert q.codes.dtype == np.int32
-        assert q.codes.min() == 0 and q.codes.max() == p.qmax
-        np.testing.assert_array_equal(q.codes, want)
+        if granularity == "per_tensor":
+            p = qparams_from_range(2.0, -0.5, 8, "asymmetric")
+            codes = quantize(x, p).codes
+            scale, zero, qmax = p.scale, p.zero_point, p.qmax
+        else:
+            # per-channel is weights only: one symmetric scale per row, and
+            # +-amax_i / s_i = +-127.5 rounds past both ends of the code range
+            codes, scales = requant_weight_per_channel(x, 8)
+            scale, zero, qmax = scales[:, None], 128, 255
+        want = np.clip(np.rint(x / scale).astype(np.int64) + zero, 0, qmax)
+        assert codes.dtype == np.int32
+        assert codes.min() == 0 and codes.max() == qmax
+        np.testing.assert_array_equal(codes, want)
 
 
 class TestPerChannel:
