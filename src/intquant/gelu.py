@@ -235,23 +235,26 @@ def poly_gelu_int(q: QTensor, c: ErfPolyCoeffs, out_params: QParams | None = Non
     z_out = int(out_params.zero_point)
 
     km = KernelMath(counter)
-    t = km.sub(km.asarray(q.codes), z_in)
-    mag = km.abs(t)
-    w = km.rshift_round(km.mul(mag, m1), e1)          # |x|/sqrt2 on the 2^-KV grid
-    v = km.sub(km.minimum(w, clip_code), clip_code)   # clip(|u|, -b) + b, in [b, 0]
-    v2 = km.rshift_round(km.mul(v, v), _KV)
+    t = km.sub(q.codes, z_in)
+    v = km.abs(t)
+    km.rshift_round(km.mul(v, m1, out=v), e1, out=v)  # |x|/sqrt2 on the 2^-KV grid
+    km.sub(km.minimum(v, clip_code, out=v), clip_code, out=v)  # clip(|u|, -b) + b, in [b, 0]
+    vd = km.mul(v, v)
+    km.rshift_round(vd, _KV, out=vd)
     if c.degree == 4:
-        vd = km.mul(v2, v2)                           # scale 2^-2KV
+        km.mul(vd, vd, out=vd)                        # scale 2^-2KV
     elif c.degree == 3:
-        vd = km.mul(v2, v)                            # scale 2^-2KV, nonpositive
+        km.mul(vd, v, out=vd)                         # scale 2^-2KV, nonpositive
     else:
-        vd = km.lshift(v2, _KV)
+        km.lshift(vd, _KV, out=vd)
     shift = _KA + 2 * _KV - _KL
-    inner = km.add(km.rshift_round(km.mul(vd, a_mant), shift), 1 << _KL)
-    gate = km.add(km.mul(km.sign(t), inner), 1 << _KL)  # (1 + L), grid 2^-KL
-    acc = km.mul(t, gate)                                # x*(1+L) at s_in * 2^-KL
-    out = km.add(km.rshift_round(km.mul(acc, m2), e2), z_out)
-    codes = km.clip(out, 0, out_params.qmax)
+    km.rshift_round(km.mul(vd, a_mant, out=vd), shift, out=vd)
+    km.add(vd, 1 << _KL, out=vd)
+    gate = km.mul(km.sign(t), vd, out=vd)
+    km.add(gate, 1 << _KL, out=gate)                  # (1 + L), grid 2^-KL
+    acc = km.mul(t, gate, out=gate)                   # x*(1+L) at s_in * 2^-KL
+    km.rshift_round(km.mul(acc, m2, out=acc), e2, out=acc)
+    codes = km.clip(km.add(acc, z_out, out=acc), 0, out_params.qmax, out=acc)
     return QTensor(codes.astype(np.int32), out_params)
 
 
@@ -293,17 +296,22 @@ def shift_gelu_int(q: QTensor, out_params: QParams | None = None,
     M = 31
 
     km = KernelMath(counter)
-    t = km.asarray(q.codes)
-    t = km.sub(t, z_in)
-    arg = km.add(km.add(t, km.rshift(t, 1)), km.add(km.rshift(t, 3), km.rshift(t, 4)))
-    zq = km.rshift_round(km.mul(arg, ms), es)           # 1.6875*x on the 2^-f grid
-    mpos = km.maximum(zq, 0)
-    num = _shift_exp_codes(km.sub(zq, mpos), f, km)     # e^(z - m)
-    den = km.add(num, _shift_exp_codes(km.sub(0, mpos), f, km))
-    recip = km.floordiv(np.int64(1) << M, den)
-    sig = km.rshift(km.mul(recip, num), M - (_KS - 1))
-    acc = km.mul(t, sig)                                # x*sigmoid at s * 2^-(bits-1)
-    out = km.add(km.rshift_round(km.mul(acc, m2), e2), z_out)
-    codes = km.clip(out, 0, out_params.qmax)
+    t = km.sub(q.codes, z_in)
+    zq = km.rshift(t, 1)
+    km.add(t, zq, out=zq)
+    part = km.rshift(t, 3)
+    km.add(zq, part, out=zq)
+    km.add(zq, km.rshift(t, 4, out=part), out=zq)       # t + t>>1 + t>>3 + t>>4
+    km.rshift_round(km.mul(zq, ms, out=zq), es, out=zq)  # 1.6875*x on the 2^-f grid
+    mpos = km.maximum(zq, 0, out=part)
+    num = _shift_exp_codes(km.sub(zq, mpos, out=zq), f, km)     # e^(z - m)
+    den = _shift_exp_codes(km.sub(0, mpos, out=mpos), f, km)
+    km.add(num, den, out=den)
+    recip = km.floordiv(np.int64(1) << M, den, out=den)
+    sig = km.mul(recip, num, out=num)
+    km.rshift(sig, M - (_KS - 1), out=sig)
+    acc = km.mul(t, sig, out=sig)                       # x*sigmoid at s * 2^-(bits-1)
+    km.rshift_round(km.mul(acc, m2, out=acc), e2, out=acc)
+    codes = km.clip(km.add(acc, z_out, out=acc), 0, out_params.qmax, out=acc)
     return QTensor(codes.astype(np.int32), out_params)
 

@@ -132,23 +132,22 @@ def int_layernorm(q: QTensor, gamma, beta, cfg: LNConfig | None = None,
     z_out = int(out_params.zero_point)
 
     km = KernelMath(counter)
-    c = km.sub(km.asarray(q.codes), int(p.zero_point))
+    c = km.sub(q.codes, int(p.zero_point))
     sc = km.sum(c, axis=-1, keepdims=True)
     sc2 = km.sum(km.mul(c, c), axis=-1, keepdims=True)
     var = km.sub(km.mul(sc2, n), km.mul(sc, sc))
     var = km.maximum(var, _EPS_CODE)
-    d = km.sub(km.mul(c, n), sc)
+    d = km.sub(km.mul(c, n, out=c), sc, out=c)
 
     seed = "poly" if cfg.variant == "poly_sqrt" else "shift"
     std = km.maximum(_int_sqrt_array(var, km, iterations=_NEWTON_STEPS, seed=seed), 1)
 
-    y = km.floordiv(km.lshift(d, _KY), std)       # (c - mean)/std on 2^-KY
-    ya = km.add(km.mul(y, g_codes), b_codes)      # gamma*y + beta on 2^-KB
-    if m2 == 1:
-        out = km.add(km.rshift_round(ya, e2), z_out)
-    else:
-        out = km.add(km.rshift_round(km.mul(ya, m2), e2), z_out)
-    codes = km.clip(out, 0, out_params.qmax)
+    y = km.floordiv(km.lshift(d, _KY, out=d), std, out=d)   # (c - mean)/std on 2^-KY
+    ya = km.add(km.mul(y, g_codes, out=y), b_codes, out=y)  # gamma*y + beta on 2^-KB
+    if m2 != 1:
+        km.mul(ya, m2, out=ya)
+    km.add(km.rshift_round(ya, e2, out=ya), z_out, out=ya)
+    codes = km.clip(ya, 0, out_params.qmax, out=ya)
     return QTensor(codes.astype(np.int32), out_params)
 
 

@@ -476,40 +476,60 @@ class _LinearPlan:
     qmax: int
 
 
-def _prepare_linear(w: np.ndarray, b: np.ndarray, p_in: QParams, p_out: QParams,
-                    weight_bits: int) -> _LinearPlan:
+def _multiplier(edge: str, mult):
+    """``mult`` as given, once it is known to lie below 2^62: a larger
+    requantization multiplier cannot keep its products inside int64.
+    Otherwise a ValueError names ``edge``."""
+    if not np.all(np.asarray(mult) < 1 << 62):
+        raise ValueError(f"{edge}: requantization multiplier {np.max(mult):.3g}"
+                         " does not fit in 62 bits")
+    return mult
+
+
+def _prepare_linear(edge: str, w: np.ndarray, b: np.ndarray, p_in: QParams,
+                    p_out: QParams, weight_bits: int) -> _LinearPlan:
     codes, s_w = requant_weight_per_channel(w, weight_bits)
     w_centered = codes.astype(np.int64) - (1 << (weight_bits - 1))
     s_in = p_in.scale
     corr = p_in.zero_point * w_centered.sum(axis=1)
     bias_int = np.rint(np.asarray(b, dtype=np.float64) / (s_in * s_w)).astype(np.int64)
-    mult = np.rint((1 << 16) * s_in * s_w / p_out.scale).astype(np.int64)
+    mult = np.rint(_multiplier(edge, (1 << 16) * s_in * s_w / p_out.scale)).astype(np.int64)
     return _LinearPlan(w_centered, corr, bias_int, mult, p_out.zero_point, p_out.qmax)
 
 
 def _linear_int(km: KernelMath, codes: np.ndarray, lp: _LinearPlan) -> np.ndarray:
     acc = km.matmul(codes, lp.w_centered.T)
-    acc = km.add(km.sub(acc, lp.corr), lp.bias_int)
-    out = km.add(km.rshift_round(km.mul(acc, lp.mult), 16), lp.z_out)
-    return km.clip(out, 0, lp.qmax)
+    km.add(km.sub(acc, lp.corr, out=acc), lp.bias_int, out=acc)
+    km.rshift_round(km.mul(acc, lp.mult, out=acc), 16, out=acc)
+    return km.clip(km.add(acc, lp.z_out, out=acc), 0, lp.qmax, out=acc)
 
 
-def _requant_into(km: KernelMath, codes, p_from: QParams, p_to: QParams):
-    m = int(round((1 << 16) * p_from.scale / p_to.scale))
-    centered = km.sub(codes, p_from.zero_point)
-    return km.rshift_round(km.mul(centered, m), 16)
+def _requant_mult(edge: str, p_from: QParams, p_to: QParams) -> int:
+    """Multiplier m of :func:`_add_requant`, codes on ``p_to`` ~ (c - z) * m >> 16."""
+    return int(round(_multiplier(edge, (1 << 16) * p_from.scale / p_to.scale)))
 
 
-def _add_requant(km: KernelMath, a, pa: QParams, b, pb: QParams, p_out: QParams):
-    out = km.add(km.add(_requant_into(km, a, pa, p_out),
-                        _requant_into(km, b, pb, p_out)), p_out.zero_point)
-    return km.clip(out, 0, p_out.qmax)
+def _requant_into(km: KernelMath, codes, zero_point: int, m: int):
+    out = km.sub(codes, zero_point)
+    return km.rshift_round(km.mul(out, m, out=out), 16, out=out)
 
 
-def _requant_dyadic(km: KernelMath, acc, mult: tuple[int, int], p_out: QParams):
+def _add_requant(km: KernelMath, a, b, zeros: tuple[int, int], mults: tuple[int, int],
+                 p_out: QParams):
+    """a and b, each with its zero point and :func:`_requant_mult`,
+    requantized onto ``p_out`` and added."""
+    out = _requant_into(km, a, zeros[0], mults[0])
+    km.add(out, _requant_into(km, b, zeros[1], mults[1]), out=out)
+    return km.clip(km.add(out, p_out.zero_point, out=out), 0, p_out.qmax, out=out)
+
+
+def _requant_dyadic(km: KernelMath, acc: np.ndarray, mult: tuple[int, int],
+                    p_out: QParams) -> np.ndarray:
+    """``acc`` times the dyadic ``mult``, clipped onto ``p_out``'s codes, in
+    ``acc``: the caller hands over an int64 accumulator it built itself."""
     m, e = mult
-    out = km.add(km.rshift_round(km.mul(acc, m), e), p_out.zero_point)
-    return km.clip(out, 0, p_out.qmax)
+    km.add(km.rshift_round(km.mul(acc, m, out=acc), e, out=acc), p_out.zero_point, out=acc)
+    return km.clip(acc, 0, p_out.qmax, out=acc)
 
 
 def _matmul_corrected(km: KernelMath, a, za, b_t, zb):
@@ -517,12 +537,12 @@ def _matmul_corrected(km: KernelMath, a, za, b_t, zb):
     hd = a.shape[-1]
     acc = km.matmul(a, b_t)
     if zb:
-        acc = km.sub(acc, km.mul(km.sum(a, axis=-1, keepdims=True), zb))
+        km.sub(acc, km.mul(km.sum(a, axis=-1, keepdims=True), zb), out=acc)
     if za:
         sb = km.sum(b_t, axis=-2, keepdims=True)
-        acc = km.sub(acc, km.mul(sb, za))
+        km.sub(acc, km.mul(sb, za), out=acc)
         if zb:
-            acc = km.add(acc, za * zb * hd)
+            km.add(acc, za * zb * hd, out=acc)
     return acc
 
 
@@ -541,8 +561,9 @@ class _Reads:
 @dataclass(frozen=True)
 class CompiledPlan:
     """Configuration-time state of :func:`integer_forward`: per op, the
-    weight encodings (``linear``), the quantized positional table
-    (``pos_add``) or the dyadic multiplier (``scores``, ``ctx``, ``pool``).
+    weight encodings (``linear``), the requantization multipliers of both
+    operands (``add``, and ``pos_add`` with its quantized positional table
+    and zero point) or the dyadic multiplier (``scores``, ``ctx``, ``pool``).
 
     It is valid only while the graph, config, weight arrays and activation
     parameters it was derived from are the very same objects; it is never
@@ -564,7 +585,11 @@ class CompiledPlan:
 
 def compile_plan(graph: ModelGraph, weights: dict, plan: AssignmentPlan) -> CompiledPlan:
     """Derive everything integer inference needs that does not depend on
-    the input, attach it to ``plan`` and return it."""
+    the input, attach it to ``plan`` and return it.
+
+    Raises ValueError naming the edge when the plan's parameters cannot run:
+    a softmax input off the kernels' dyadic grid, or a multiplier of 2^62
+    or more."""
     if not plan.calibrated:
         raise ValueError("plan must be calibrated before inference")
     cfg = plan.config
@@ -576,23 +601,28 @@ def compile_plan(graph: ModelGraph, weights: dict, plan: AssignmentPlan) -> Comp
         out, ins = op.out, op.inputs
         if op.op == "linear":
             w, b = op.weights
-            consts[out] = _prepare_linear(W[w], W[b], P[ins[0]], P[out], cfg.weight_bits)
+            consts[out] = _prepare_linear(out, W[w], W[b], P[ins[0]], P[out],
+                                          cfg.weight_bits)
         elif op.op == "pos_add":
             pos = W[op.weights[0]]
             p_pos = MinMaxObserver().observe(pos).qparams(cfg.act_bits)
-            consts[out] = (np.asarray(quantize(pos, p_pos).codes, dtype=np.int64), p_pos)
+            consts[out] = (np.asarray(quantize(pos, p_pos).codes, dtype=np.int64),
+                           p_pos.zero_point, (_requant_mult(out, P[ins[0]], P[out]),
+                                              _requant_mult(out, p_pos, P[out])))
+        elif op.op == "add":
+            consts[out] = tuple(_requant_mult(out, P[e], P[out]) for e in ins)
         elif op.op == "softmax":
             sm_mod._dyadic_exponent(P[ins[0]])   # the kernels need a dyadic input grid
         elif op.op == "scores":
-            consts[out] = encode_dyadic_multiplier(
-                P[ins[0]].scale * P[ins[1]].scale / P[out].scale)
+            consts[out] = encode_dyadic_multiplier(_multiplier(
+                out, P[ins[0]].scale * P[ins[1]].scale / P[out].scale))
         elif op.op == "ctx":
-            consts[out] = encode_dyadic_multiplier(
-                p_probs.scale * P[ins[1]].scale / P[out].scale)
+            consts[out] = encode_dyadic_multiplier(_multiplier(
+                out, p_probs.scale * P[ins[1]].scale / P[out].scale))
         elif op.op == "pool":
             # mean pool over tokens, the 1/T division folded into the multiplier
-            consts[out] = encode_dyadic_multiplier(
-                P[ins[0]].scale / (graph.tokens * P[out].scale))
+            consts[out] = encode_dyadic_multiplier(_multiplier(
+                out, P[ins[0]].scale / (graph.tokens * P[out].scale)))
 
     compiled = CompiledPlan(graph, cfg, tuple(W.seen.items()), tuple(P.seen.items()),
                             bexp, consts)
@@ -619,13 +649,15 @@ def _int_nonlinear(r: _Run, op: Op, x):
 
 
 def _int_pos_add(r: _Run, op: Op, x):
-    pos_codes, p_pos = r.compiled.consts[op.out]
-    return _add_requant(r.km, x, r.P[op.inputs[0]], pos_codes, p_pos, r.P[op.out])
+    pos_codes, z_pos, mults = r.compiled.consts[op.out]
+    return _add_requant(r.km, x, pos_codes, (r.P[op.inputs[0]].zero_point, z_pos),
+                        mults, r.P[op.out])
 
 
 def _int_add(r: _Run, op: Op, a, b):
     ea, eb = op.inputs
-    return _add_requant(r.km, a, r.P[ea], b, r.P[eb], r.P[op.out])
+    return _add_requant(r.km, a, b, (r.P[ea].zero_point, r.P[eb].zero_point),
+                        r.compiled.consts[op.out], r.P[op.out])
 
 
 def _int_scores(r: _Run, op: Op, q, k):
@@ -641,14 +673,14 @@ def _int_ctx(r: _Run, op: Op, probs, v):
     acc = km.matmul(probs, split_heads(v, r.graph.heads))
     zv = r.P[op.inputs[1]].zero_point
     if zv:
-        acc = km.sub(acc, km.mul(km.sum(probs, axis=-1, keepdims=True), zv))
+        km.sub(acc, km.mul(km.sum(probs, axis=-1, keepdims=True), zv), out=acc)
     return merge_heads(_requant_dyadic(km, acc, r.compiled.consts[op.out], r.P[op.out]))
 
 
 def _int_pool(r: _Run, op: Op, h):
     km = r.km
-    acc = km.sub(km.sum(h, axis=1, keepdims=False),
-                 r.graph.tokens * r.P[op.inputs[0]].zero_point)
+    acc = km.sum(h, axis=1, keepdims=False)
+    km.sub(acc, r.graph.tokens * r.P[op.inputs[0]].zero_point, out=acc)
     return _requant_dyadic(km, acc, r.compiled.consts[op.out], r.P[op.out])
 
 

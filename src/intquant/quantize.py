@@ -33,8 +33,8 @@ class QParams:
             raise ValueError(f"unknown scheme {self.scheme!r}")
         if not (2 <= self.bits <= 16):
             raise ValueError(f"bits must be in [2, 16], got {self.bits}")
-        if not self.scale > 0:
-            raise ValueError("scale must be positive")
+        if not 0 < self.scale < math.inf:
+            raise ValueError(f"scale must be positive and finite, got {self.scale}")
         if not 0 <= self.zero_point <= self.qmax:
             raise ValueError(f"zero_point outside [0, {self.qmax}]")
 
@@ -154,11 +154,12 @@ def dyadic_qparams_for_range(lo: float, hi: float, code_bits: int = 16) -> QPara
     ``code_bits``-wide codes; exponent-decomposition kernels consume these.
     f is capped at 20: finer grids add nothing at 16-bit code widths, and
     the cap keeps every kernel's squared fixed-point terms inside 63 bits
-    even for near-constant inputs.
+    even for near-constant inputs. f is floored at 2, the coarsest grid the
+    softmax kernels run on, so a range wider than qmax/4 saturates.
     """
     width = max(hi - lo, 1e-12)
     qmax = (1 << code_bits) - 1
-    f = int(np.clip(math.floor(math.log2(qmax / width)), 0, 20))
+    f = int(np.clip(math.floor(math.log2(qmax / width)), 2, 20))
     scale = 1.0 / (1 << f)
     zero = int(np.clip(np.rint(-lo / scale), 0, qmax))
     return QParams(scale, zero, code_bits, "asymmetric")

@@ -3,7 +3,7 @@ max-subtraction, a shift-based base-2 exponent, and normalization by
 reciprocal integer division.
 
 All kernels reduce over the last axis and require a dyadic input scale
-(1/2^f), which makes floor(1/scale) and the integer/fraction exponent
+(1/2^f, f >= 2), which makes floor(1/scale) and the integer/fraction exponent
 decomposition exact in code space. Right shifts on negative codes are
 arithmetic, i.e. floor-division semantics. The code-domain stages below
 work on raw int64 codes and are private; the kernels wrap them for
@@ -57,11 +57,14 @@ class BitExpConfig:
 
 
 def _dyadic_exponent(params: QParams) -> int:
+    """f of the input scale 2^-f. Grids coarser than 2^-2 are refused: on
+    them the ln2 terms round to nothing (2^-1 drives efficient_bit_softmax's
+    fraction codes negative, 2^0 zeroes iexp_softmax's ln2 divisor)."""
     s = float(params.scale)
     f = round(-math.log2(s))
-    if not (0 <= f <= 62) or abs(1.0 / (1 << f) - s) > 1e-15:
+    if not (2 <= f <= 62) or abs(1.0 / (1 << f) - s) > 1e-15:
         raise ConfigurationError(
-            f"softmax kernels need a power-of-two reciprocal scale, got {s}"
+            f"softmax kernels need a scale 2^-f with 2 <= f <= 62, got {s}"
         )
     return f
 
@@ -85,57 +88,64 @@ def _max_subtract_codes(codes: np.ndarray, km: KernelMath) -> np.ndarray:
 
 def _log2e_codes(qd: np.ndarray, km: KernelMath) -> np.ndarray:
     # multiply by log2(e) ~ 1.4375 = 1 + 1/2 - 1/16 using arithmetic shifts
-    return km.sub(km.add(qd, km.rshift(qd, 1)), km.rshift(qd, 4))
+    qp = km.rshift(qd, 1)
+    km.add(qd, qp, out=qp)
+    return km.sub(qp, km.rshift(qd, 4), out=qp)
 
 
 def _decompose_codes(qp: np.ndarray, f: int, km: KernelMath):
     """Split nonpositive qp into (q_int >= 0, r in [0, 2^f))."""
     pos = km.sub(0, qp)
     q_int = km.rshift(pos, f)          # floor(P / 2^f), exact for dyadic scales
-    r = km.sub(pos, km.lshift(q_int, f))
-    return q_int, r
+    return q_int, km.sub(pos, km.lshift(q_int, f), out=pos)
 
 
 def _phi(x: np.ndarray, km: KernelMath) -> np.ndarray:
     """ln2 multiplier realized as (0.1011)_2: x>>1 + x>>3 + x>>4."""
-    return km.add(km.add(km.rshift(x, 1), km.rshift(x, 3)), km.rshift(x, 4))
+    lin = km.rshift(x, 1)
+    t = km.rshift(x, 3)
+    km.add(lin, t, out=lin)
+    return km.add(lin, km.rshift(x, 4, out=t), out=lin)
 
 
 def _eff_frac_codes(neg_r: np.ndarray, f: int, cfg: BitExpConfig,
                     km: KernelMath) -> np.ndarray:
     """Codes of 2^(s*(-r)) ~ 1 + ln2*s*(-r) [+ (ln2*s*(-r))^2/2] on the 1/2^f grid."""
     lin = _phi(neg_r, km)
+    if cfg.taylor_degree == 1:
+        return km.add(lin, np.int64(1) << f, out=lin)
     frac = km.add(lin, np.int64(1) << f)
-    if cfg.taylor_degree == 2:
-        frac = km.add(frac, km.rshift(km.mul(lin, lin), f + 1))
-    return frac
+    sq = km.mul(lin, lin, out=lin)
+    return km.add(frac, km.rshift(sq, f + 1, out=sq), out=frac)
 
 
 def _eff_exp_codes(qd: np.ndarray, f: int, cfg: BitExpConfig,
                    km: KernelMath) -> np.ndarray:
-    qp = _log2e_codes(qd, km)
-    q_int, r = _decompose_codes(qp, f, km)
-    frac = _eff_frac_codes(km.sub(0, r), f, cfg, km)
-    return km.rshift(frac, km.minimum(q_int, 62))
+    q_int, r = _decompose_codes(_log2e_codes(qd, km), f, km)
+    frac = _eff_frac_codes(km.sub(0, r, out=r), f, cfg, km)
+    return km.rshift(frac, km.minimum(q_int, 62, out=q_int), out=frac)
 
 
 def _shift_exp_codes(qd: np.ndarray, f: int, km: KernelMath) -> np.ndarray:
     """Baseline shift exponential: fraction approximated by 1 + x/2."""
-    qp = _log2e_codes(qd, km)
-    q_int, r = _decompose_codes(qp, f, km)
-    frac = km.add(km.rshift(km.sub(0, r), 1), np.int64(1) << f)
-    return km.rshift(frac, km.minimum(q_int, 62))
+    q_int, r = _decompose_codes(_log2e_codes(qd, km), f, km)
+    frac = km.rshift(km.sub(0, r, out=r), 1, out=r)
+    km.add(frac, np.int64(1) << f, out=frac)
+    return km.rshift(frac, km.minimum(q_int, 62, out=q_int), out=frac)
 
 
-def _int_div_codes(q_exp: np.ndarray, cfg: BitExpConfig, km: KernelMath) -> np.ndarray:
+def _int_div_codes(q_exp: np.ndarray, cfg: BitExpConfig, km: KernelMath,
+                   out: np.ndarray | None = None) -> np.ndarray:
     """Reciprocal-division normalization onto the 1/2^(bits-1) grid; each
-    row's sum loses at most (n+1)/2^(bits-1), all of it downward."""
+    row's sum loses at most (n+1)/2^(bits-1), all of it downward. ``out``
+    follows the :class:`KernelMath` buffer rule and may be ``q_exp``."""
     den = km.sum(q_exp, axis=-1, keepdims=True)
     if np.any(den <= 0):
         bad = int(np.argwhere(den.reshape(-1) <= 0)[0][0])
         raise NormalizationError(f"zero exponential sum in row {bad}")
     recip = km.floordiv(np.int64(1) << cfg.M, den)
-    return km.rshift(km.mul(recip, q_exp), cfg.M - (cfg.bits - 1))
+    out = km.mul(recip, q_exp, out=out)
+    return km.rshift(out, cfg.M - (cfg.bits - 1), out=out)
 
 
 def softmax_out_params(cfg: BitExpConfig) -> QParams:
@@ -155,8 +165,9 @@ def _exp_div_softmax(q: QTensor, cfg: BitExpConfig | None, counter: OpCounter | 
     f = _dyadic_exponent(q.params)
     _check_m(cfg, q.codes.shape[-1])
     km = KernelMath(counter)
-    qd = _max_subtract_codes(km.asarray(q.codes), km)
-    codes = _int_div_codes(exp_codes(qd, f, cfg, km), cfg, km)
+    qd = _max_subtract_codes(q.codes, km)
+    num = exp_codes(qd, f, cfg, km)
+    codes = _int_div_codes(num, cfg, km, out=num)
     return QTensor(codes.astype(np.int32), softmax_out_params(cfg))
 
 
@@ -186,12 +197,16 @@ def _iexp_value_codes(qd: np.ndarray, f: int, km: KernelMath):
     c_c = int(math.floor(IEXP_C / (IEXP_A * s * s)))
     m, e = encode_dyadic_multiplier(IEXP_A * s * s * (1 << _P12))
 
-    z = km.floordiv(km.sub(0, qd), ln2_c)
-    p = km.add(qd, km.mul(z, ln2_c))
-    pb = km.add(p, b_c)
-    poly = km.add(km.mul(pb, pb), c_c)
-    p12 = km.rshift_round(km.mul(poly, m), e)
-    return km.rshift(p12, km.minimum(z, 62))
+    z = km.sub(0, qd)
+    km.floordiv(z, ln2_c, out=z)
+    p = km.mul(z, ln2_c)
+    km.add(qd, p, out=p)
+    km.add(p, b_c, out=p)                  # p + B
+    km.mul(p, p, out=p)
+    km.add(p, c_c, out=p)                  # (p + B)^2 + C/A
+    km.mul(p, m, out=p)
+    km.rshift_round(p, e, out=p)           # on the 2^-_P12 grid
+    return km.rshift(p, km.minimum(z, 62, out=z), out=p)
 
 
 def iexp_softmax(q: QTensor, cfg: BitExpConfig | None = None,
@@ -212,9 +227,10 @@ def log2_softmax(q: QTensor, cfg: BitExpConfig | None = None,
     cfg = cfg or BitExpConfig()
     k = log2_softmax_codes(q, cfg, counter)
     km = KernelMath(counter)
-    capped = km.minimum(k, cfg.bits - 1)
-    codes = km.rshift(np.int64(1) << (cfg.bits - 1),
-                      np.where(k > cfg.bits - 1, np.int64(62), capped))
+    under = k > cfg.bits - 1          # probabilities below the output grid
+    km.minimum(k, cfg.bits - 1, out=k)
+    np.copyto(k, 62, where=under)
+    codes = km.rshift(np.int64(1) << (cfg.bits - 1), k, out=k)
     return QTensor(codes.astype(np.int32), softmax_out_params(cfg))
 
 
@@ -225,7 +241,7 @@ def log2_softmax_codes(q: QTensor, cfg: BitExpConfig | None = None,
     cfg = cfg or BitExpConfig()
     f = _dyadic_exponent(q.params)
     km = KernelMath(counter)
-    qd = _max_subtract_codes(km.asarray(q.codes), km)
+    qd = _max_subtract_codes(q.codes, km)
     num = _iexp_value_codes(qd, f, km)
     den = km.sum(num, axis=-1, keepdims=True)
     if np.any(den <= 0):
@@ -239,18 +255,23 @@ def log2_softmax_codes(q: QTensor, cfg: BitExpConfig | None = None,
     # shift-compare search it replaces: one shift and one compare per step
     # while num << k <= den, i.e. k + 1 of each per positive num.
     pos = num > 0
-    safe_num = np.where(pos, num, 1).astype(np.int64)
-    k = np.maximum(bit_length(den) - bit_length(safe_num), 0)
-    k = np.where(pos, np.maximum(k - ((safe_num << k) > den), 0), 0)
+    safe_num = np.where(pos, num, 1)
+    k = bit_length(safe_num)
+    np.maximum(np.subtract(bit_length(den), k, out=k), 0, out=k)
+    shifted = np.left_shift(safe_num, k)
+    np.maximum(np.subtract(k, shifted > den, out=k), 0, out=k)
+    np.multiply(k, pos, out=k)
     steps = int(k.sum()) + int(np.count_nonzero(pos))
     km.counter.shifts += steps
     km.counter.compares += steps
     # num * 2^k <= den bounds num^2 * 2^(2k+1) <= 2 * den^2, safe in int64
     km.counter.muls += num.size * 2
     km.counter.compares += num.size
-    round_up = den * den >= (safe_num * safe_num) << (2 * k + 1)
-    k = k + np.where(round_up, 1, 0)
-    return np.where(pos, k, np.int64(63))
+    sq = np.multiply(safe_num, safe_num, out=shifted)
+    twice = np.add(np.left_shift(k, 1, out=safe_num), 1, out=safe_num)   # 2k + 1
+    np.add(k, den * den >= np.left_shift(sq, twice, out=sq), out=k)   # round up
+    np.copyto(k, 63, where=~pos)
+    return k
 
 
 def base2_frac_approx_error(mode: str, grid: int = 10001) -> tuple[float, float]:

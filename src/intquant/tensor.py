@@ -5,6 +5,14 @@ The instrumentation exists to make "integer-only" a checkable claim: every
 arithmetic operation on the kernel path flows through the :class:`KernelMath`
 array facade, which counts operations and records a violation the moment a
 floating-point value shows up.
+
+Kernels run their elementwise chains in place: the first op of a chain
+allocates one int64 result and each later op writes into it through
+``out=``. The buffer rule is that ``out=`` must be an int64 array the caller
+owns, that is one it allocated itself, and that a kernel never writes into
+an array it was handed: input codes, edge arrays and weights stay as they
+were. ``KernelMath.asarray`` returns the caller's own array when it already
+holds int64, so its result is not owned either.
 """
 
 from __future__ import annotations
@@ -164,13 +172,15 @@ def rng_tensor(seed: int, dims, dist: str, *args) -> Tensor:
 
 def bit_length(n: np.ndarray) -> np.ndarray:
     """Bit length of each int64 element; 0 for elements <= 0."""
-    bl = np.zeros(np.shape(n), dtype=np.int64)
-    t = np.maximum(n, 0)
+    t = np.maximum(n, 0, out=np.empty(np.shape(n), dtype=np.int64))
+    bl = np.zeros_like(t)
+    step = np.empty_like(t)
     for s in (32, 16, 8, 4, 2, 1):
-        step = (t >= (1 << s)) * np.int64(s)
-        t >>= step
-        bl += step
-    return bl + (t > 0)
+        np.greater_equal(t, 1 << s, out=step)
+        np.multiply(step, s, out=step)
+        np.right_shift(t, step, out=t)
+        np.add(bl, step, out=bl)
+    return np.add(bl, t, out=bl)   # what is left of t is its top bit, 0 or 1
 
 
 @dataclass
@@ -202,6 +212,12 @@ class KernelMath:
     dtype records a float violation and raises) and charges the counter by
     the number of scalar operations performed. Right shifts on negative
     values are arithmetic, i.e. floor-division semantics.
+
+    The elementwise methods take an optional ``out=``, an int64 array the
+    caller owns (never one it was handed) with the result's shape; it may be
+    one of the operands. Every check runs before anything is written, so a
+    method that raises leaves ``out`` as it was, and the charge is the same
+    with or without ``out=``. Without it, a method allocates one result.
     """
 
     __slots__ = ("counter",)
@@ -244,38 +260,41 @@ class KernelMath:
         self._guard(x)
         return np.asarray(x, dtype=np.int64)
 
-    def add(self, a, b):
+    def add(self, a, b, out=None):
         self._guard(a, b)
         self.counter.adds += self._size(a, b)
-        return np.add(a, b, dtype=np.int64)
+        return np.add(a, b, out=out, dtype=np.int64)
 
-    def sub(self, a, b):
+    def sub(self, a, b, out=None):
         self._guard(a, b)
         self.counter.adds += self._size(a, b)
-        return np.subtract(a, b, dtype=np.int64)
+        return np.subtract(a, b, out=out, dtype=np.int64)
 
-    def mul(self, a, b):
+    def mul(self, a, b, out=None):
         self._guard(a, b)
-        # cheap magnitude check: products must stay inside 64 signed bits
-        ma, mb = self._magnitude(a), self._magnitude(b)
-        if ma and mb and ma.bit_length() + mb.bit_length() > 63:
+        # cheap magnitude check: products must stay inside 64 signed bits,
+        # and a zero operand does not excuse a scalar that int64 cannot hold
+        ma = self._magnitude(a)
+        mb = ma if b is a else self._magnitude(b)
+        bits = ma.bit_length() + mb.bit_length() if ma and mb else max(ma, mb).bit_length()
+        if bits > 63:
             raise KernelOverflowError(
                 f"product magnitudes up to {ma} * {mb} may exceed 64-bit signed range"
             )
         self.counter.muls += self._size(a, b)
-        return np.multiply(a, b, dtype=np.int64)
+        return np.multiply(a, b, out=out, dtype=np.int64)
 
-    def floordiv(self, a, b):
+    def floordiv(self, a, b, out=None):
         self._guard(a, b)
         self.counter.divs += self._size(a, b)
-        return np.floor_divide(a, b, dtype=np.int64)
+        return np.floor_divide(a, b, out=out, dtype=np.int64)
 
-    def rshift(self, a, k):
+    def rshift(self, a, k, out=None):
         self._guard(a, k)
         self.counter.shifts += self._size(a, k)
-        return np.right_shift(np.asarray(a, dtype=np.int64), k)
+        return np.right_shift(a, k, out=out, dtype=np.int64)
 
-    def lshift(self, a, k):
+    def lshift(self, a, k, out=None):
         self._guard(a, k)
         ma = self._magnitude(a)
         if isinstance(k, np.ndarray):
@@ -285,17 +304,17 @@ class KernelMath:
         if ma and ma.bit_length() + mk > 63:
             raise KernelOverflowError("left shift may exceed 64-bit signed range")
         self.counter.shifts += self._size(a, k)
-        return np.left_shift(np.asarray(a, dtype=np.int64), k)
+        return np.left_shift(a, k, out=out, dtype=np.int64)
 
-    def minimum(self, a, b):
+    def minimum(self, a, b, out=None):
         self._guard(a, b)
         self.counter.compares += self._size(a, b)
-        return np.minimum(a, b).astype(np.int64, copy=False)
+        return np.minimum(a, b, out=out, dtype=np.int64)
 
-    def maximum(self, a, b):
+    def maximum(self, a, b, out=None):
         self._guard(a, b)
         self.counter.compares += self._size(a, b)
-        return np.maximum(a, b).astype(np.int64, copy=False)
+        return np.maximum(a, b, out=out, dtype=np.int64)
 
     def abs(self, a):
         self._guard(a)
@@ -308,11 +327,13 @@ class KernelMath:
         self.counter.compares += 2 * self._size(a)
         return np.sign(a).astype(np.int64, copy=False)
 
-    def clip(self, a, lo, hi):
+    def clip(self, a, lo, hi, out=None):
         self._guard(a, lo, hi)
         self.counter.compares += 2 * self._size(a)
         # np.clip's Python wrapper builds np.iinfo objects on every call
-        return np.minimum(np.maximum(a, lo), hi).astype(np.int64, copy=False)
+        out = np.maximum(a, lo, out=out, dtype=np.int64)
+        # a scalar operand gives a scalar, which cannot be written into
+        return np.minimum(out, hi, out=out if isinstance(out, np.ndarray) else None)
 
     def sum(self, a, axis=-1, keepdims=True):
         self._guard(a)
@@ -350,11 +371,12 @@ class KernelMath:
         self.counter.adds += out.size * max(k - 1, 0)
         return out
 
-    def rshift_round(self, a, k: int):
+    def rshift_round(self, a, k: int, out=None):
         """Right shift with round-half-up, used to rescale after multiplies."""
         self._guard(a)
         if k <= 0:
-            return self.lshift(a, -k)
+            return self.lshift(a, -k, out=out)
         self.counter.adds += self._size(a)
         self.counter.shifts += self._size(a)
-        return np.right_shift(np.add(a, np.int64(1) << (k - 1), dtype=np.int64), k)
+        out = np.add(a, np.int64(1) << (k - 1), out=out, dtype=np.int64)
+        return np.right_shift(out, k, out=out if isinstance(out, np.ndarray) else None)

@@ -248,6 +248,21 @@ class TestInfer:
         assert self._infer(tmp_path, plan, self._input(tmp_path)) == 2
         assert "usage error: plan:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("edge, scale, named", [
+        ("embed.ln", 1e300, "block0.res1"), ("block0.mlp.fc1", 1e-300, "block0.mlp.fc1"),
+        ("block0.attn.scores", 0.5, "2 <= f"), ("block0.attn.scores", 1.0, "2 <= f"),
+        ("block0.mlp.fc1", float("inf"), "finite"),
+    ], ids=["add_multiplier_past_62_bits", "linear_multiplier_past_62_bits",
+            "scores_grid_2^-1", "scores_grid_2^0", "infinite_scale"])
+    def test_plan_scales_the_kernels_cannot_run_are_usage_error(
+            self, tmp_path, config_path, capsys, edge, scale, named):
+        plan = self._plan(tmp_path, config_path)
+        raw = json.loads(plan.read_text())
+        next(q for q in raw["qparams"] if q["layer_id"] == edge)["scale"] = scale
+        plan.write_text(json.dumps(raw))
+        assert self._infer(tmp_path, plan, self._input(tmp_path)) == 2
+        assert named in capsys.readouterr().err
+
     def test_pool_choice_changes_op_totals(self, tmp_path):
         # pin the softmax pool to one candidate per plan: the shift-heavy
         # fraction strictly out-costs the single-shift baseline

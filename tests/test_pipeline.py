@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import json
 import sys
 import threading
@@ -22,7 +23,7 @@ from intquant.pipeline import (STAGE1_MODES, AssignmentPlan, ConfigError,
 from intquant import layernorm as ln_mod
 from intquant import softmax as sm_mod
 from intquant.quantize import MinMaxObserver, QParams, QTensor, qparams_from_range
-from intquant.tensor import KernelOverflowError, OpCounter, rng_tensor
+from intquant.tensor import KernelMath, KernelOverflowError, OpCounter, rng_tensor
 
 
 def small_cfg(**kw):
@@ -371,13 +372,15 @@ class TestKernelCodeRanges:
     def test_softmax(self, tokens, bits, f, zero, taylor, seed):
         self._softmax_codes(tokens, f, zero, bits, taylor, seed)
 
-    @pytest.mark.xfail(raises=sm_mod.NormalizationError, strict=True,
-                       reason="on the 2^-1 grid, efficient_bit_softmax's floor-shift"
-                              " ln2 term drives the fraction codes negative")
-    def test_softmax_on_the_2_to_minus_1_grid(self):
-        # score ranges wider than 2^14 reach this grid; the property above
-        # starts at 2^-2 because of it
-        self._softmax_codes(8, 1, 0, 8, 1, 0)
+    @pytest.mark.parametrize("f", [0, 1])
+    @pytest.mark.parametrize("cand", CANDIDATE_POOLS["softmax"])
+    def test_softmax_refuses_grids_coarser_than_2_to_minus_2(self, cand, f):
+        # on 2^-1 efficient_bit_softmax's fraction codes went negative, on
+        # 2^0 iexp_softmax divided by a zero ln2 code; calibration floors the
+        # scores grid at 2^-2, so only a hand-edited plan gets here
+        q = QTensor(np.zeros((2, 8), np.int32), QParams(2.0 ** -f, 0, 16, "asymmetric"))
+        with pytest.raises(sm_mod.ConfigurationError, match="2 <= f"):
+            pl.run_softmax_candidate(cand, q, sm_mod.BitExpConfig())
 
 
 class TestStage2:
@@ -534,6 +537,65 @@ class TestStage3:
                              calibration_batches(cfg), cfg)
 
 
+def _read_only(a) -> np.ndarray:
+    a = np.array(a)
+    a.setflags(write=False)
+    return a
+
+
+class TestInputsStayUntouched:
+    """A kernel never writes into an array it was handed: on read-only int64
+    input codes every runner and every integer op runs and gives what it
+    gives on writable codes."""
+
+    @pytest.mark.parametrize("kind, taylor", [("softmax", 1), ("softmax", 2),
+                                              ("gelu", 1), ("layernorm", 1)])
+    def test_candidates_on_read_only_codes(self, kind, taylor):
+        rng = np.random.default_rng(3)
+        p_in = (QParams(2.0 ** -10, 1 << 15, 16, "asymmetric") if kind == "softmax"
+                else qparams_from_range(3.0, -3.0, 8))
+        p_out = qparams_from_range(2.0, -1.0, 8)
+        codes = rng.integers(0, p_in.qmax + 1, size=(2, 3, 16)).astype(np.int64)
+        gamma, beta = _read_only(rng.normal(size=16)), _read_only(rng.normal(size=16))
+        bexp = sm_mod.BitExpConfig(taylor_degree=taylor)
+
+        def run(cand, c):
+            counter = OpCounter()
+            q = QTensor(c, p_in)
+            if kind == "softmax":
+                out = pl.run_softmax_candidate(cand, q, bexp, counter)
+            elif kind == "gelu":
+                out = pl.run_gelu_candidate(cand, q, p_out, counter)
+            else:
+                out = pl.run_ln_candidate(cand, q, gamma, beta, p_out, counter)
+            return out.codes.tolist(), counter.as_dict()
+
+        for cand in CANDIDATE_POOLS[kind]:
+            assert run(cand, _read_only(codes)) == run(cand, codes.copy()), cand
+
+    def test_int_ops_on_read_only_edges(self, pipeline_result, monkeypatch):
+        (plan, table, graph, weights), cfg = pipeline_result
+        x = rng_tensor(11, [2, graph.tokens, graph.embed_dim], "normal", 0.0, 1.0).values
+        logits, counter = integer_forward(graph, weights, plan, x)
+        ran = set()
+
+        def frozen_inputs(fn):
+            def run(r, op, *args):
+                want = fn(dataclasses.replace(r, km=KernelMath()), op,
+                          *(np.array(a) for a in args))
+                got = fn(r, op, *(_read_only(a) for a in args))
+                np.testing.assert_array_equal(got, want)
+                ran.add(op.op)
+                return got
+            return run
+
+        for kind, fn in pl._INT_OPS.items():
+            monkeypatch.setitem(pl._INT_OPS, kind, frozen_inputs(fn))
+        got_logits, got_counter = integer_forward(graph, weights, plan, x)
+        assert ran == set(pl._INT_OPS)
+        assert got_logits == logits and got_counter.as_dict() == counter.as_dict()
+
+
 class TestIntegerForward:
     def test_zero_input_finite_no_violations(self, pipeline_result):
         (plan, table, graph, weights), cfg = pipeline_result
@@ -603,7 +665,7 @@ class TestIntegerForward:
         compiled = compile_plan(graph, weights, _fresh(plan))
         assert list(compiled.consts) == [
             op.out for op in graph.ops
-            if op.op in ("pos_add", "linear", "scores", "ctx", "pool")]
+            if op.op in ("pos_add", "linear", "scores", "ctx", "add", "pool")]
 
     def test_op_totals_deterministic(self, pipeline_result):
         (plan, table, graph, weights), cfg = pipeline_result

@@ -34,6 +34,9 @@ class TestParamsFromRange:
     def test_validation(self):
         with pytest.raises(ValueError):
             QParams(-1.0, 0, 8, "asymmetric")
+        for scale in (float("inf"), float("nan")):
+            with pytest.raises(ValueError, match="finite"):
+                QParams(scale, 0, 8, "asymmetric")
         with pytest.raises(ValueError):
             QParams(1.0, 300, 8, "asymmetric")
         with pytest.raises(ValueError):
@@ -169,6 +172,11 @@ class TestDyadicHelpers:
         assert q.codes.min() >= 0 and q.codes.max() <= p.qmax
         x = dequantize_np(q)
         np.testing.assert_allclose(x, [-5.0, 9.0], atol=float(p.scale))
+
+    def test_dyadic_params_floor_at_the_2_to_minus_2_grid(self):
+        assert dyadic_qparams_for_range(-1e6, 1e6, 16).scale == 0.25
+        assert dyadic_qparams_for_range(0.0, 16383.0, 16).scale == 0.25
+        assert dyadic_qparams_for_range(0.0, 16384.0, 16).scale == 0.25  # saturates
 
     def test_multiplier_encoding(self):
         m, e = encode_dyadic_multiplier(0.3)

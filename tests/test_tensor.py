@@ -1,4 +1,5 @@
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,8 +8,8 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from intquant.tensor import (IntegerViolation, KernelMath, KernelOverflowError,
-                             OpCounter, Tensor, TensorFormatError, rng_tensor,
-                             tensor_read, tensor_write)
+                             OpCounter, Tensor, TensorFormatError, bit_length,
+                             rng_tensor, tensor_read, tensor_write)
 
 INT64_MIN = int(np.iinfo(np.int64).min)
 INT64_MAX = int(np.iinfo(np.int64).max)
@@ -193,6 +194,13 @@ class TestOverflowGuards:
         with pytest.raises(KernelOverflowError):
             KernelMath().mul(np.array([3], dtype=np.int64), -(1 << 62))
 
+    def test_zero_array_with_a_scalar_past_int64(self):
+        # the product is 0, but numpy cannot take the scalar as an int64
+        with pytest.raises(KernelOverflowError):
+            KernelMath().mul(np.zeros(3, dtype=np.int64), 1 << 64)
+        with pytest.raises(KernelOverflowError):
+            KernelMath().mul(-(1 << 70), np.zeros(3, dtype=np.int64))
+
     def test_in_range_values_pass(self):
         km = KernelMath()
         np.testing.assert_array_equal(
@@ -230,6 +238,115 @@ class TestClip:
         assert got.tolist() == np.clip(codes, 0, 255).tolist()
         assert int(km.clip(np.int64(INT64_MIN), 0, 9)) == 0
         assert km.counter.compares == 10
+
+
+_A = np.array([INT64_MIN // 4, -(1 << 20) - 3, -7, -1, 0, 1, 5, 1 << 20, INT64_MAX // 4],
+              dtype=np.int64)
+_SMALL = np.array([-9, -3, -1, 0, 1, 2, 3, 8, 1 << 30], dtype=np.int64)
+_SHIFTS = np.arange(9, dtype=np.int64)
+
+# every elementwise method that takes out=, with int64 array, int32 array
+# and scalar operands, broadcasting and a second operand that is the first
+_OUT_CASES = {
+    "add": (_A, _SMALL), "add_scalar_first": (3, _SMALL.astype(np.int32)),
+    "sub": (_A, _SMALL), "sub_row": (_SMALL.reshape(3, 3), _SMALL[:3]),
+    "mul": (_SMALL, -(1 << 20)), "mul_square": (_SMALL, _SMALL),
+    "floordiv": (_A, 7), "floordiv_array": (_SMALL, np.where(_SMALL == 0, 5, _SMALL)),
+    "rshift": (_A, _SHIFTS), "rshift_scalar": (_A, 3),
+    "lshift": (_SMALL, 20), "lshift_array": (_SMALL, _SHIFTS),
+    "rshift_round": (_A, 5), "rshift_round_nonpositive": (_SMALL, -3),
+    "minimum": (_A, _SMALL), "maximum": (_A, -2),
+    "clip": (_A, -5, 1 << 20), "clip_int32": (_SMALL.astype(np.int32), 0, 255),
+}
+
+
+class TestOutBuffers:
+    """``out=`` gives the values and the op charge of the allocating call,
+    and a method that raises writes nothing."""
+
+    @staticmethod
+    def _method(case):
+        name = case.split("_")[0]
+        return "rshift_round" if case.startswith("rshift_round") else name
+
+    @pytest.mark.parametrize("case", _OUT_CASES)
+    def test_out_matches_the_allocating_call(self, case):
+        args = _OUT_CASES[case]
+        want_km, got_km = KernelMath(), KernelMath()
+        want = getattr(want_km, self._method(case))(*args)
+        out = np.full(np.shape(want), 99, dtype=np.int64)
+        got = getattr(got_km, self._method(case))(*args, out=out)
+        assert got is out and want.dtype == np.int64
+        assert got.tolist() == want.tolist()
+        assert got_km.counter.as_dict() == want_km.counter.as_dict()
+
+    @pytest.mark.parametrize("case", [c for c, args in _OUT_CASES.items()
+                                      if isinstance(args[0], np.ndarray)
+                                      and args[0].dtype == np.int64
+                                      and np.shape(args[0]) == np.broadcast_shapes(
+                                          *(np.shape(a) for a in args))])
+    def test_out_may_be_the_first_operand(self, case):
+        a, *rest = _OUT_CASES[case]
+        want = getattr(KernelMath(), self._method(case))(a, *rest)
+        buf = a.copy()
+        got = getattr(KernelMath(), self._method(case))(buf, *rest, out=buf)
+        assert got is buf and got.tolist() == want.tolist()
+
+    @pytest.mark.parametrize("case", [c for c in _OUT_CASES
+                                      if c not in ("add_scalar_first", "sub_row")])
+    def test_allocates_one_result(self, case):
+        args = [np.resize(a, 1 << 16) if isinstance(a, np.ndarray) else a
+                for a in _OUT_CASES[case]]
+        km = KernelMath()
+        getattr(km, self._method(case))(*args)    # warm up
+        tracemalloc.start()
+        try:
+            got = getattr(km, self._method(case))(*args)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.25 * got.nbytes
+
+    @pytest.mark.parametrize("name, args", [
+        ("mul", (np.array([1 << 40, 3], dtype=np.int64), np.array([1 << 30, 1], dtype=np.int64))),
+        ("mul", (np.zeros(2, dtype=np.int64), 1 << 64)),
+        ("lshift", (np.array([1 << 40, 3], dtype=np.int64), 30)),
+        ("rshift_round", (np.array([1 << 40, 3], dtype=np.int64), -30)),
+    ], ids=["mul", "mul_scalar_past_int64", "lshift", "rshift_round"])
+    def test_overflow_leaves_out_untouched(self, name, args):
+        km = KernelMath()
+        out = np.array([11, 12], dtype=np.int64)
+        with pytest.raises(KernelOverflowError):
+            getattr(km, name)(*args, out=out)
+        assert out.tolist() == [11, 12]
+        assert km.counter.total() == 0
+
+    @pytest.mark.parametrize("name", ["add", "sub", "mul", "floordiv", "rshift", "lshift",
+                                      "minimum", "maximum"])
+    def test_float_operand_leaves_out_untouched(self, name):
+        km = KernelMath()
+        out = np.array([11, 12], dtype=np.int64)
+        with pytest.raises(IntegerViolation):
+            getattr(km, name)(out, np.array([1.0, 2.0]), out=out)
+        assert out.tolist() == [11, 12]
+
+
+class TestBitLength:
+    def test_matches_int_bit_length(self):
+        values = [0, 1, 2, 3, INT64_MAX] + [(1 << k) + d for k in range(2, 63)
+                                            for d in (-1, 0, 1)]
+        got = bit_length(np.array(values, dtype=np.int64))
+        assert got.tolist() == [v.bit_length() for v in values]
+
+    def test_negatives_are_zero(self):
+        # documented: 0 for elements <= 0, unlike int.bit_length
+        values = np.array([-1, -2, -(1 << 40), INT64_MIN], dtype=np.int64)
+        assert bit_length(values).tolist() == [0, 0, 0, 0]
+
+    def test_leaves_its_input_alone(self):
+        n = np.array([[5, -3], [1 << 40, 0]], dtype=np.int64)
+        n.setflags(write=False)
+        assert bit_length(n).tolist() == [[3, 0], [41, 0]]
 
 
 class TestGuardDtypes:
