@@ -3,10 +3,9 @@ quantizer, and a unified-metric pipeline that assigns one approximation
 function per non-linear layer."""
 
 from .gelu import (ErfPolyCoeffs, FitResult, IBERT_ERF_COEFFS,
-                   QUARTIC_ERF_COEFFS, data_aware_poly_gelu,
-                   data_aware_poly_gelu_int, erf_poly_eval, fit_erf_poly,
-                   ibert_gelu, shift_gelu)
-from .layernorm import LNConfig, int_layernorm
+                   QUARTIC_ERF_COEFFS, data_aware_poly_gelu, erf_poly_eval,
+                   fit_erf_poly, ibert_gelu, poly_gelu_int, shift_gelu)
+from .layernorm import LN_VARIANTS, int_layernorm
 from .metric import approx_error, perturbation, softplus, sqnr, unified_score
 from .model import CANDIDATE_POOLS, ModelGraph, build_toy_vit, forward_float
 from .pipeline import (AssignmentPlan, PipelineConfig, capture_calibration,

@@ -19,7 +19,8 @@ import numpy as np
 from scipy.special import erf as _erf
 
 from .metric import approx_error
-from .quantize import QParams, QTensor, encode_dyadic_multiplier, qparams_from_range
+from .quantize import (QParams, QTensor, encode_dyadic_multiplier, qparams_from_range,
+                       requantize)
 from .tensor import KernelMath, OpCounter
 
 SQRT2 = math.sqrt(2.0)
@@ -198,21 +199,21 @@ _KS = 15   # bits of the shift GELU's sigmoid codes, grid 2^-(_KS-1)
 
 
 def default_gelu_out_params(in_params: QParams, bits: int,
-                            fn=data_aware_poly_gelu, **fn_kwargs) -> QParams:
+                            fn=data_aware_poly_gelu) -> QParams:
     """Output params covering fn over the input's representable range.
 
     Precomputed at configuration time, before any integer inference runs.
     """
     grid = np.arange(in_params.qmax + 1, dtype=np.float64)
     xs = (grid - float(in_params.zero_point)) * float(in_params.scale)
-    ys = fn(xs, **fn_kwargs) if fn_kwargs else fn(xs)
+    ys = fn(xs)
     lo, hi = float(np.min(ys)), float(np.max(ys))
     if hi <= lo:
         hi = lo + 1e-6
     return qparams_from_range(hi, lo, bits, "asymmetric")
 
 
-def poly_gelu_int(q: QTensor, c: ErfPolyCoeffs, out_params: QParams | None = None,
+def poly_gelu_int(q: QTensor, c: ErfPolyCoeffs, out_params: QParams,
                   counter: OpCounter | None = None) -> QTensor:
     """Integer-only evaluation of the polynomial GELU over codes.
 
@@ -222,20 +223,14 @@ def poly_gelu_int(q: QTensor, c: ErfPolyCoeffs, out_params: QParams | None = Non
     round-half-up right shifts on int64.
     """
     p = q.params
-    if out_params is None:
-        out_params = default_gelu_out_params(p, p.bits, data_aware_poly_gelu, c=c)
-
     # configuration-time constants (real arithmetic allowed here)
     s_u = float(p.scale) / SQRT2
     m1, e1 = encode_dyadic_multiplier(s_u * (1 << _KV))
     clip_code = int(round(-c.b * (1 << _KV)))
     a_mant = int(round(c.a * (1 << _KA)))
     m2, e2 = encode_dyadic_multiplier(float(p.scale) / (1 << (_KL + 1)) / float(out_params.scale))
-    z_in = int(p.zero_point)
-    z_out = int(out_params.zero_point)
-
     km = KernelMath(counter)
-    t = km.sub(q.codes, z_in)
+    t = km.sub(q.codes, int(p.zero_point))
     v = km.abs(t)
     km.rshift_round(km.mul(v, m1, out=v), e1, out=v)  # |x|/sqrt2 on the 2^-KV grid
     km.sub(km.minimum(v, clip_code, out=v), clip_code, out=v)  # clip(|u|, -b) + b, in [b, 0]
@@ -253,24 +248,10 @@ def poly_gelu_int(q: QTensor, c: ErfPolyCoeffs, out_params: QParams | None = Non
     gate = km.mul(km.sign(t), vd, out=vd)
     km.add(gate, 1 << _KL, out=gate)                  # (1 + L), grid 2^-KL
     acc = km.mul(t, gate, out=gate)                   # x*(1+L) at s_in * 2^-KL
-    km.rshift_round(km.mul(acc, m2, out=acc), e2, out=acc)
-    codes = km.clip(km.add(acc, z_out, out=acc), 0, out_params.qmax, out=acc)
-    return QTensor(codes.astype(np.int32), out_params)
+    return QTensor(requantize(km, acc, m2, e2, out_params), out_params)
 
 
-def data_aware_poly_gelu_int(q: QTensor, c: ErfPolyCoeffs = QUARTIC_ERF_COEFFS,
-                             out_params: QParams | None = None,
-                             counter: OpCounter | None = None) -> QTensor:
-    return poly_gelu_int(q, c, out_params, counter)
-
-
-def ibert_gelu_int(q: QTensor, c: ErfPolyCoeffs = IBERT_ERF_COEFFS,
-                   out_params: QParams | None = None,
-                   counter: OpCounter | None = None) -> QTensor:
-    return poly_gelu_int(q, c, out_params, counter)
-
-
-def shift_gelu_int(q: QTensor, out_params: QParams | None = None,
+def shift_gelu_int(q: QTensor, out_params: QParams,
                    counter: OpCounter | None = None) -> QTensor:
     """Bit-shift GELU: x * sigmoid(1.6875 x), sigmoid via base-2 shift exp.
 
@@ -282,21 +263,16 @@ def shift_gelu_int(q: QTensor, out_params: QParams | None = None,
     from .softmax import _shift_exp_codes  # local import avoids a cycle
 
     p = q.params
-    if out_params is None:
-        out_params = default_gelu_out_params(p, p.bits, shift_gelu)
-
     s = float(p.scale)
     # requantize the sigmoid argument onto a dyadic grid fine enough for
     # the exponent decomposition (codes stay under ~2^15)
     f = int(np.clip(math.floor(math.log2(32767.0 / max(1.6875 * s * p.qmax, 1e-9))), 4, 30))
     ms, es = encode_dyadic_multiplier(s * (1 << f))
     m2, e2 = encode_dyadic_multiplier(s / (1 << (_KS - 1)) / float(out_params.scale))
-    z_in = int(p.zero_point)
-    z_out = int(out_params.zero_point)
     M = 31
 
     km = KernelMath(counter)
-    t = km.sub(q.codes, z_in)
+    t = km.sub(q.codes, int(p.zero_point))
     zq = km.rshift(t, 1)
     km.add(t, zq, out=zq)
     part = km.rshift(t, 3)
@@ -311,7 +287,5 @@ def shift_gelu_int(q: QTensor, out_params: QParams | None = None,
     sig = km.mul(recip, num, out=num)
     km.rshift(sig, M - (_KS - 1), out=sig)
     acc = km.mul(t, sig, out=sig)                       # x*sigmoid at s * 2^-(bits-1)
-    km.rshift_round(km.mul(acc, m2, out=acc), e2, out=acc)
-    codes = km.clip(km.add(acc, z_out, out=acc), 0, out_params.qmax, out=acc)
-    return QTensor(codes.astype(np.int32), out_params)
+    return QTensor(requantize(km, acc, m2, e2, out_params), out_params)
 

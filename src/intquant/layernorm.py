@@ -12,11 +12,10 @@ code space.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .quantize import QParams, QTensor, encode_dyadic_multiplier, qparams_from_range
+from .quantize import QParams, QTensor, encode_dyadic_multiplier, requantize
 from .tensor import KernelMath, OpCounter, bit_length
 
 LN_VARIANTS = ("bitshift_newton", "poly_sqrt", "log2_scale")
@@ -26,15 +25,6 @@ _KG = 12   # fixed-point grid of the gain constants
 _KB = _KY + _KG  # beta rides on the post-gain grid
 _NEWTON_STEPS = 12  # cap on the kernels' square-root iterations
 _EPS_CODE = 1       # floor of the row statistic n*sum(c^2) - sum(c)^2
-
-
-@dataclass(frozen=True)
-class LNConfig:
-    variant: str = "bitshift_newton"
-
-    def __post_init__(self):
-        if self.variant not in LN_VARIANTS:
-            raise ValueError(f"unknown variant {self.variant!r}")
 
 
 def _int_sqrt_array(n: np.ndarray, km: KernelMath, iterations: int = 40,
@@ -99,8 +89,7 @@ def snap_pow2_out_params(p: QParams) -> tuple[QParams, int]:
     return QParams(2.0 ** (j - _KB), int(p.zero_point), p.bits, "asymmetric"), j
 
 
-def int_layernorm(q: QTensor, gamma, beta, cfg: LNConfig | None = None,
-                  out_params: QParams | None = None,
+def int_layernorm(q: QTensor, gamma, beta, variant: str, out_params: QParams,
                   counter: OpCounter | None = None) -> QTensor:
     """Integer LayerNorm over the last axis with quantized affine constants.
 
@@ -108,28 +97,23 @@ def int_layernorm(q: QTensor, gamma, beta, cfg: LNConfig | None = None,
     the kernel works directly on centered codes: d = n*c - sum(c) and
     V = n*sum(c^2) - sum(c)^2 give (c - mean)/std = d / sqrt(V) exactly.
     Zero-variance rows are stabilized by the ``_EPS_CODE`` floor.
+    ``variant`` is one of ``LN_VARIANTS``.
     """
-    cfg = cfg or LNConfig()
+    if variant not in LN_VARIANTS:
+        raise ValueError(f"unknown variant {variant!r}")
     p = q.params
     n = q.codes.shape[-1]
 
-    gamma = np.asarray(gamma, dtype=np.float64)
-    beta = np.asarray(beta, dtype=np.float64)
     # affine constants pre-encoded as fixed point (configuration time)
-    g_codes = np.rint(gamma * (1 << _KG)).astype(np.int64)
-    b_codes = np.rint(beta * (1 << _KB)).astype(np.int64)
+    g_codes = np.rint(np.asarray(gamma, dtype=np.float64) * (1 << _KG)).astype(np.int64)
+    b_codes = np.rint(np.asarray(beta, dtype=np.float64) * (1 << _KB)).astype(np.int64)
 
-    if out_params is None:
-        # cover gamma*N(0,1)+beta style outputs generously
-        amax = float(np.max(np.abs(gamma)) * 6 + np.max(np.abs(beta)) + 1)
-        out_params = qparams_from_range(amax, -amax, p.bits, "asymmetric")
-    if cfg.variant == "log2_scale":
+    if variant == "log2_scale":
         # shift-only requantization: no mantissa multiply, snapped scale
         out_params, j = snap_pow2_out_params(out_params)
         m2, e2 = 1, j
     else:
         m2, e2 = encode_dyadic_multiplier(1.0 / ((1 << _KB) * float(out_params.scale)))
-    z_out = int(out_params.zero_point)
 
     km = KernelMath(counter)
     c = km.sub(q.codes, int(p.zero_point))
@@ -139,16 +123,12 @@ def int_layernorm(q: QTensor, gamma, beta, cfg: LNConfig | None = None,
     var = km.maximum(var, _EPS_CODE)
     d = km.sub(km.mul(c, n, out=c), sc, out=c)
 
-    seed = "poly" if cfg.variant == "poly_sqrt" else "shift"
+    seed = "poly" if variant == "poly_sqrt" else "shift"
     std = km.maximum(_int_sqrt_array(var, km, iterations=_NEWTON_STEPS, seed=seed), 1)
 
     y = km.floordiv(km.lshift(d, _KY, out=d), std, out=d)   # (c - mean)/std on 2^-KY
     ya = km.add(km.mul(y, g_codes, out=y), b_codes, out=y)  # gamma*y + beta on 2^-KB
-    if m2 != 1:
-        km.mul(ya, m2, out=ya)
-    km.add(km.rshift_round(ya, e2, out=ya), z_out, out=ya)
-    codes = km.clip(ya, 0, out_params.qmax, out=ya)
-    return QTensor(codes.astype(np.int32), out_params)
+    return QTensor(requantize(km, ya, m2, e2, out_params), out_params)
 
 
 def layernorm_reference(x, gamma, beta, axis: int = -1) -> np.ndarray:

@@ -14,6 +14,7 @@ import json
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -27,7 +28,7 @@ from .model import (CANDIDATE_POOLS, INPUT, MODEL_FIELDS, ModelGraph, Op,
                     model_dims, split_heads)
 from .quantize import (MinMaxObserver, QParams, QTensor, dequantize_np,
                        dyadic_qparams_for_range, encode_dyadic_multiplier,
-                       quantize, requant_weight_per_channel)
+                       quantize, requant_weight_per_channel, requantize)
 from .tensor import KernelMath, KernelOverflowError, OpCounter, Tensor, rng_tensor
 
 SCORES_CODE_BITS = 16  # attention scores keep wide codes on a dyadic grid
@@ -210,22 +211,21 @@ def run_softmax_candidate(candidate: str, q: QTensor, cfg: sm_mod.BitExpConfig,
     return fn(q, cfg, counter)
 
 
+_GELU_KERNELS = {
+    "data_aware_poly_gelu": partial(gelu_mod.poly_gelu_int, c=gelu_mod.QUARTIC_ERF_COEFFS),
+    "ibert_gelu": partial(gelu_mod.poly_gelu_int, c=gelu_mod.IBERT_ERF_COEFFS),
+    "shift_gelu": gelu_mod.shift_gelu_int,
+}
+
+
 def run_gelu_candidate(candidate: str, q: QTensor, out_params: QParams,
                        counter: OpCounter | None = None) -> QTensor:
-    if candidate == "data_aware_poly_gelu":
-        return gelu_mod.data_aware_poly_gelu_int(q, out_params=out_params, counter=counter)
-    if candidate == "ibert_gelu":
-        return gelu_mod.ibert_gelu_int(q, out_params=out_params, counter=counter)
-    if candidate == "shift_gelu":
-        return gelu_mod.shift_gelu_int(q, out_params=out_params, counter=counter)
-    raise KeyError(candidate)
+    return _GELU_KERNELS[candidate](q, out_params=out_params, counter=counter)
 
 
 def run_ln_candidate(candidate: str, q: QTensor, gamma, beta, out_params: QParams,
                      counter: OpCounter | None = None) -> QTensor:
-    cfg = ln_mod.LNConfig(variant=candidate)
-    return ln_mod.int_layernorm(q, gamma, beta, cfg, out_params=out_params,
-                                counter=counter)
+    return ln_mod.int_layernorm(q, gamma, beta, candidate, out_params, counter)
 
 
 def _run_kernel(op: Op, candidate: str, q: QTensor, weights: dict, out_params: QParams,
@@ -472,17 +472,19 @@ class _LinearPlan:
     corr: np.ndarray        # z_in * column sums, already integer
     bias_int: np.ndarray
     mult: np.ndarray        # per-channel round(2^16 * s_in * s_w / s_out)
-    z_out: int
-    qmax: int
+    p_out: QParams
 
 
-def _multiplier(edge: str, mult):
-    """``mult`` as given, once it is known to lie below 2^62: a larger
-    requantization multiplier cannot keep its products inside int64.
-    Otherwise a ValueError names ``edge``."""
+def _multiplier(edge: str, mult, live=False):
+    """``mult`` as given, once it is known to lie below 2^62 (larger ones
+    overflow int64) and, where ``live``, not to round to 0 (which maps a
+    live row to the zero point whatever its input). Otherwise a ValueError
+    names ``edge``."""
     if not np.all(np.asarray(mult) < 1 << 62):
         raise ValueError(f"{edge}: requantization multiplier {np.max(mult):.3g}"
                          " does not fit in 62 bits")
+    if np.any((np.rint(mult) == 0) & live):
+        raise ValueError(f"{edge}: requantization multiplier rounds to 0")
     return mult
 
 
@@ -493,20 +495,21 @@ def _prepare_linear(edge: str, w: np.ndarray, b: np.ndarray, p_in: QParams,
     s_in = p_in.scale
     corr = p_in.zero_point * w_centered.sum(axis=1)
     bias_int = np.rint(np.asarray(b, dtype=np.float64) / (s_in * s_w)).astype(np.int64)
-    mult = np.rint(_multiplier(edge, (1 << 16) * s_in * s_w / p_out.scale)).astype(np.int64)
-    return _LinearPlan(w_centered, corr, bias_int, mult, p_out.zero_point, p_out.qmax)
+    # a row of zero weights scales nothing, so its multiplier may round to 0
+    mult = np.rint(_multiplier(edge, (1 << 16) * s_in * s_w / p_out.scale,
+                               live=np.any(w_centered, axis=1))).astype(np.int64)
+    return _LinearPlan(w_centered, corr, bias_int, mult, p_out)
 
 
 def _linear_int(km: KernelMath, codes: np.ndarray, lp: _LinearPlan) -> np.ndarray:
     acc = km.matmul(codes, lp.w_centered.T)
     km.add(km.sub(acc, lp.corr, out=acc), lp.bias_int, out=acc)
-    km.rshift_round(km.mul(acc, lp.mult, out=acc), 16, out=acc)
-    return km.clip(km.add(acc, lp.z_out, out=acc), 0, lp.qmax, out=acc)
+    return requantize(km, acc, lp.mult, 16, lp.p_out)
 
 
 def _requant_mult(edge: str, p_from: QParams, p_to: QParams) -> int:
     """Multiplier m of :func:`_add_requant`, codes on ``p_to`` ~ (c - z) * m >> 16."""
-    return int(round(_multiplier(edge, (1 << 16) * p_from.scale / p_to.scale)))
+    return int(round(_multiplier(edge, (1 << 16) * p_from.scale / p_to.scale, live=True)))
 
 
 def _requant_into(km: KernelMath, codes, zero_point: int, m: int):
@@ -521,15 +524,6 @@ def _add_requant(km: KernelMath, a, b, zeros: tuple[int, int], mults: tuple[int,
     out = _requant_into(km, a, zeros[0], mults[0])
     km.add(out, _requant_into(km, b, zeros[1], mults[1]), out=out)
     return km.clip(km.add(out, p_out.zero_point, out=out), 0, p_out.qmax, out=out)
-
-
-def _requant_dyadic(km: KernelMath, acc: np.ndarray, mult: tuple[int, int],
-                    p_out: QParams) -> np.ndarray:
-    """``acc`` times the dyadic ``mult``, clipped onto ``p_out``'s codes, in
-    ``acc``: the caller hands over an int64 accumulator it built itself."""
-    m, e = mult
-    km.add(km.rshift_round(km.mul(acc, m, out=acc), e, out=acc), p_out.zero_point, out=acc)
-    return km.clip(acc, 0, p_out.qmax, out=acc)
 
 
 def _matmul_corrected(km: KernelMath, a, za, b_t, zb):
@@ -588,8 +582,9 @@ def compile_plan(graph: ModelGraph, weights: dict, plan: AssignmentPlan) -> Comp
     the input, attach it to ``plan`` and return it.
 
     Raises ValueError naming the edge when the plan's parameters cannot run:
-    a softmax input off the kernels' dyadic grid, or a multiplier of 2^62
-    or more."""
+    a softmax input off the kernels' dyadic grid, a multiplier of 2^62 or
+    more, or an ``add``, ``pos_add`` or ``linear`` multiplier that rounds
+    to 0 (except on a row of zero weights)."""
     if not plan.calibrated:
         raise ValueError("plan must be calibrated before inference")
     cfg = plan.config
@@ -643,9 +638,8 @@ class _Run:
 
 
 def _int_nonlinear(r: _Run, op: Op, x):
-    out = _run_kernel(op, r.plan.assignments[op.out], QTensor(x, r.P[op.inputs[0]]),
-                      r.weights, r.P[op.out], r.compiled.bexp, r.km.counter)
-    return r.km.asarray(out.codes)
+    return _run_kernel(op, r.plan.assignments[op.out], QTensor(x, r.P[op.inputs[0]]),
+                       r.weights, r.P[op.out], r.compiled.bexp, r.km.counter).codes
 
 
 def _int_pos_add(r: _Run, op: Op, x):
@@ -665,23 +659,19 @@ def _int_scores(r: _Run, op: Op, q, k):
     acc = _matmul_corrected(r.km, split_heads(q, H), r.P[op.inputs[0]].zero_point,
                             split_heads(k, H).transpose(0, 1, 3, 2),
                             r.P[op.inputs[1]].zero_point)
-    return _requant_dyadic(r.km, acc, r.compiled.consts[op.out], r.P[op.out])
+    return requantize(r.km, acc, *r.compiled.consts[op.out], r.P[op.out])
 
 
 def _int_ctx(r: _Run, op: Op, probs, v):
-    km = r.km
-    acc = km.matmul(probs, split_heads(v, r.graph.heads))
-    zv = r.P[op.inputs[1]].zero_point
-    if zv:
-        km.sub(acc, km.mul(km.sum(probs, axis=-1, keepdims=True), zv), out=acc)
-    return merge_heads(_requant_dyadic(km, acc, r.compiled.consts[op.out], r.P[op.out]))
+    acc = _matmul_corrected(r.km, probs, 0, split_heads(v, r.graph.heads),
+                            r.P[op.inputs[1]].zero_point)
+    return merge_heads(requantize(r.km, acc, *r.compiled.consts[op.out], r.P[op.out]))
 
 
 def _int_pool(r: _Run, op: Op, h):
-    km = r.km
-    acc = km.sum(h, axis=1, keepdims=False)
-    km.sub(acc, r.graph.tokens * r.P[op.inputs[0]].zero_point, out=acc)
-    return _requant_dyadic(km, acc, r.compiled.consts[op.out], r.P[op.out])
+    acc = r.km.sum(h, axis=1, keepdims=False)
+    r.km.sub(acc, r.graph.tokens * r.P[op.inputs[0]].zero_point, out=acc)
+    return requantize(r.km, acc, *r.compiled.consts[op.out], r.P[op.out])
 
 
 # op kind -> fn(run, op, *input codes) -> output codes

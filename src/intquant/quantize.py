@@ -14,6 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .tensor import KernelMath
+
 
 class DegenerateRangeError(ValueError):
     """Calibration range has zero width."""
@@ -54,10 +56,6 @@ class QTensor:
         if np.any(self.codes < 0) or np.any(self.codes > self.params.qmax):
             raise ValueError(f"codes outside [0, {self.params.qmax}]")
         return self
-
-    @property
-    def shape(self) -> tuple[int, ...]:
-        return self.codes.shape
 
 
 def qparams_from_range(alpha: float, beta: float, bits: int,
@@ -183,6 +181,22 @@ def encode_dyadic_multiplier(mult: float, mant_bits: int = 15) -> tuple[int, int
         m /= 2.0
         e -= 1
     return int(round(m)), e
+
+
+def requantize(km: KernelMath, acc: np.ndarray, m, e: int, p_out: QParams) -> np.ndarray:
+    """The one requantization step every integer kernel ends with: ``acc``
+    times ``m``, shifted right by ``e`` with round-half-up, plus the zero
+    point of ``p_out``, clipped onto its codes.
+
+    It works in ``acc``, an int64 array the caller owns (the
+    :class:`KernelMath` buffer rule), and returns it. ``m`` is an int or a
+    per-channel int64 array; m = 1 skips the multiply, so a power-of-two
+    requantization is charged its shift alone.
+    """
+    if np.ndim(m) or m != 1:
+        km.mul(acc, m, out=acc)
+    km.add(km.rshift_round(acc, e, out=acc), p_out.zero_point, out=acc)
+    return km.clip(acc, 0, p_out.qmax, out=acc)
 
 
 def requant_weight_per_channel(w: np.ndarray, bits: int) -> tuple[np.ndarray, np.ndarray]:

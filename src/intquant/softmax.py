@@ -168,7 +168,7 @@ def _exp_div_softmax(q: QTensor, cfg: BitExpConfig | None, counter: OpCounter | 
     qd = _max_subtract_codes(q.codes, km)
     num = exp_codes(qd, f, cfg, km)
     codes = _int_div_codes(num, cfg, km, out=num)
-    return QTensor(codes.astype(np.int32), softmax_out_params(cfg))
+    return QTensor(codes, softmax_out_params(cfg))
 
 
 def efficient_bit_softmax(q: QTensor, cfg: BitExpConfig | None = None,
@@ -231,7 +231,7 @@ def log2_softmax(q: QTensor, cfg: BitExpConfig | None = None,
     km.minimum(k, cfg.bits - 1, out=k)
     np.copyto(k, 62, where=under)
     codes = km.rshift(np.int64(1) << (cfg.bits - 1), k, out=k)
-    return QTensor(codes.astype(np.int32), softmax_out_params(cfg))
+    return QTensor(codes, softmax_out_params(cfg))
 
 
 def log2_softmax_codes(q: QTensor, cfg: BitExpConfig | None = None,

@@ -12,9 +12,9 @@ import numpy as np
 from scipy.special import erf
 
 from intquant.gelu import (IBERT_ERF_COEFFS, QUARTIC_ERF_COEFFS,
-                           data_aware_poly_gelu, data_aware_poly_gelu_int,
-                           default_gelu_out_params, erf_poly_eval, fit_erf_poly,
-                           gelu_reference, ibert_gelu)
+                           data_aware_poly_gelu, default_gelu_out_params,
+                           erf_poly_eval, fit_erf_poly, gelu_reference, ibert_gelu,
+                           poly_gelu_int)
 from intquant.metric import approx_error, sqnr
 from intquant.pipeline import (PipelineConfig, calibration_batches,
                                integer_forward, run_pipeline, stage1_analyze)
@@ -170,7 +170,7 @@ def test_criterion_08_kernel_vs_oracle_accuracy():
         q = QTensor(np.arange(256, dtype=np.int64), p_in)
         x = dequantize_np(q)
         p_out = default_gelu_out_params(p_in, 8)
-        got = dequantize_np(data_aware_poly_gelu_int(q, out_params=p_out))
+        got = dequantize_np(poly_gelu_int(q, QUARTIC_ERF_COEFFS, p_out))
         gelu_err = float(np.abs(got - data_aware_poly_gelu(x)).max())
         assert gelu_err <= 2 * float(p_out.scale), \
             f"GELU sweep error {gelu_err:.5f} > {2 * float(p_out.scale):.5f}"

@@ -3,10 +3,9 @@ import pytest
 from scipy.special import erf
 
 from intquant.gelu import (IBERT_ERF_COEFFS, QUARTIC_ERF_COEFFS, ErfPolyCoeffs,
-                           data_aware_poly_gelu, data_aware_poly_gelu_int,
-                           default_gelu_out_params, erf_poly_eval, fit_erf_poly,
-                           gelu_reference, ibert_gelu, ibert_gelu_int,
-                           shift_gelu, shift_gelu_int)
+                           data_aware_poly_gelu, default_gelu_out_params,
+                           erf_poly_eval, fit_erf_poly, gelu_reference, ibert_gelu,
+                           poly_gelu_int, shift_gelu, shift_gelu_int)
 from intquant.metric import approx_error
 from intquant.quantize import QTensor, dequantize_np, qparams_from_range
 from intquant.tensor import OpCounter
@@ -128,13 +127,13 @@ class TestIntegerKernels:
 
     def test_quartic_exhaustive_sweep_within_two_steps(self):
         p_out = default_gelu_out_params(self.p_in, 8)
-        out = data_aware_poly_gelu_int(self.q, out_params=p_out)
+        out = poly_gelu_int(self.q, QUARTIC_ERF_COEFFS, p_out)
         err = np.abs(dequantize_np(out) - data_aware_poly_gelu(self.x))
         assert err.max() <= 2 * float(p_out.scale)
 
     def test_quadratic_exhaustive_sweep_within_two_steps(self):
         p_out = default_gelu_out_params(self.p_in, 8, ibert_gelu)
-        out = ibert_gelu_int(self.q, out_params=p_out)
+        out = poly_gelu_int(self.q, IBERT_ERF_COEFFS, p_out)
         err = np.abs(dequantize_np(out) - ibert_gelu(self.x))
         assert err.max() <= 2 * float(p_out.scale)
 
@@ -142,7 +141,7 @@ class TestIntegerKernels:
         # envelope verified empirically; the shift sigmoid's linear fraction
         # keeps this one above the polynomial kernels
         p_out = default_gelu_out_params(self.p_in, 8, shift_gelu)
-        out = shift_gelu_int(self.q, out_params=p_out)
+        out = shift_gelu_int(self.q, p_out)
         err = np.abs(dequantize_np(out) - shift_gelu(self.x))
         assert err.max() <= 0.05
 
@@ -152,30 +151,32 @@ class TestIntegerKernels:
         p_in = qparams_from_range(4.0, -4.0, 8, "asymmetric")
         q = QTensor(self.codes, p_in)
         p_out = default_gelu_out_params(p_in, 16, shift_gelu)
-        err = dequantize_np(shift_gelu_int(q, out_params=p_out)) - shift_gelu(dequantize_np(q))
+        err = dequantize_np(shift_gelu_int(q, p_out)) - shift_gelu(dequantize_np(q))
         assert np.sqrt(np.mean(err * err)) < 0.01
 
     def test_zero_input_maps_to_zero_code(self):
         p_out = default_gelu_out_params(self.p_in, 8)
         q0 = QTensor(np.array([int(self.p_in.zero_point)]), self.p_in)
-        out = data_aware_poly_gelu_int(q0, out_params=p_out)
+        out = poly_gelu_int(q0, QUARTIC_ERF_COEFFS, p_out)
         assert out.codes[0] == int(p_out.zero_point)
 
     def test_no_float_operations_recorded(self):
         counter = OpCounter()
-        data_aware_poly_gelu_int(self.q, counter=counter)
+        poly_gelu_int(self.q, QUARTIC_ERF_COEFFS, default_gelu_out_params(self.p_in, 8),
+                      counter)
         assert counter.float_violations == 0
         assert counter.total() > 0
 
     def test_deterministic_counts(self):
         c1, c2 = OpCounter(), OpCounter()
-        data_aware_poly_gelu_int(self.q, counter=c1)
-        data_aware_poly_gelu_int(self.q, counter=c2)
+        p_out = default_gelu_out_params(self.p_in, 8)
+        poly_gelu_int(self.q, QUARTIC_ERF_COEFFS, p_out, c1)
+        poly_gelu_int(self.q, QUARTIC_ERF_COEFFS, p_out, c2)
         assert c1.as_dict() == c2.as_dict()
 
     def test_monotone_in_codes(self):
         p_out = default_gelu_out_params(self.p_in, 8)
-        out = data_aware_poly_gelu_int(self.q, out_params=p_out)
+        out = poly_gelu_int(self.q, QUARTIC_ERF_COEFFS, p_out)
         x = dequantize_np(self.q)
         keep = x >= -0.6  # the exact function is decreasing left of its dip
         codes = out.codes[keep]

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from intquant.layernorm import (LN_VARIANTS, LNConfig, _int_sqrt_array,
+from intquant.layernorm import (LN_VARIANTS, _int_sqrt_array,
                                 int_layernorm, layernorm_reference,
                                 snap_pow2_out_params)
 from intquant.quantize import (MinMaxObserver, QTensor, dequantize_np,
@@ -142,8 +142,7 @@ class TestIntLayerNorm:
         gamma, beta = np.ones(16), np.zeros(16)
         out_p = qparams_from_range(1.0, -1.0, 8)
         for variant in LN_VARIANTS:
-            out = int_layernorm(q, gamma, beta, LNConfig(variant=variant),
-                                out_params=out_p)
+            out = int_layernorm(q, gamma, beta, variant, out_p)
             np.testing.assert_allclose(dequantize_np(out), 0.0,
                                        atol=float(out.params.scale))
 
@@ -153,7 +152,7 @@ class TestIntLayerNorm:
         q = _quantized_rows(x)
         gamma, beta = np.full(2, 1.5), np.zeros(2)
         out_p = qparams_from_range(2.0, -2.0, 8)
-        out = dequantize_np(int_layernorm(q, gamma, beta, out_params=out_p))
+        out = dequantize_np(int_layernorm(q, gamma, beta, "bitshift_newton", out_p))
         np.testing.assert_allclose(out, [[-1.5, 1.5]], atol=2 * 2.0 / 255 + 0.02)
 
     @pytest.mark.parametrize("variant", LN_VARIANTS)
@@ -167,7 +166,7 @@ class TestIntLayerNorm:
         out_p = qparams_from_range(float(ref.max()), float(ref.min()), 8)
         if variant == "log2_scale":
             out_p, _ = snap_pow2_out_params(out_p)
-        out = int_layernorm(q, gamma, beta, LNConfig(variant=variant), out_params=out_p)
+        out = int_layernorm(q, gamma, beta, variant, out_p)
         rms = float(np.sqrt(np.mean((dequantize_np(out) - ref) ** 2)))
         assert rms <= 0.05
 
@@ -177,16 +176,16 @@ class TestIntLayerNorm:
         p = qparams_from_range(2.0, -2.0, 8)
         gamma, beta = np.ones(32), np.zeros(32)
         out_p = qparams_from_range(3.0, -3.0, 8)
-        a = int_layernorm(QTensor(codes, p), gamma, beta, out_params=out_p)
-        b = int_layernorm(QTensor(codes + 17, p), gamma, beta, out_params=out_p)
+        a = int_layernorm(QTensor(codes, p), gamma, beta, "bitshift_newton", out_p)
+        b = int_layernorm(QTensor(codes + 17, p), gamma, beta, "bitshift_newton", out_p)
         np.testing.assert_array_equal(a.codes, b.codes)
 
     @pytest.mark.parametrize("variant", LN_VARIANTS)
     def test_zero_variance_stays_finite(self, variant):
         q = QTensor(np.full((2, 8), 100, dtype=np.int64),
                     qparams_from_range(1.0, -1.0, 8))
-        out = int_layernorm(q, np.ones(8), np.zeros(8), LNConfig(variant=variant),
-                            out_params=qparams_from_range(1.0, -1.0, 8))
+        out = int_layernorm(q, np.ones(8), np.zeros(8), variant,
+                            qparams_from_range(1.0, -1.0, 8))
         assert np.all(out.codes >= 0) and np.all(out.codes <= 255)
 
     def test_integer_only_and_counts_differ_by_variant(self):
@@ -198,15 +197,15 @@ class TestIntLayerNorm:
         totals = {}
         for variant in LN_VARIANTS:
             c = OpCounter()
-            int_layernorm(q, gamma, beta, LNConfig(variant=variant),
-                          out_params=out_p, counter=c)
+            int_layernorm(q, gamma, beta, variant, out_p, c)
             assert c.float_violations == 0
             totals[variant] = c.total()
         assert len(set(totals.values())) == 3
 
     def test_config_validation(self):
+        q = QTensor(np.full((1, 4), 100, dtype=np.int64), qparams_from_range(1.0, -1.0, 8))
         with pytest.raises(ValueError):
-            LNConfig(variant="nope")
+            int_layernorm(q, np.ones(4), np.zeros(4), "nope", q.params)
 
 
 def test_snap_pow2_idempotent():

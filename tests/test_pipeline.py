@@ -383,6 +383,26 @@ class TestKernelCodeRanges:
             pl.run_softmax_candidate(cand, q, sm_mod.BitExpConfig())
 
 
+@pytest.mark.parametrize("kind", ["softmax", "gelu", "layernorm"])
+def test_runners_return_the_int64_codes_the_kernel_computed(kind):
+    # int32 or int64 codes in, the kernel's own int64 array out
+    rng = np.random.default_rng(4)
+    p_in = (QParams(2.0 ** -10, 1 << 15, 16, "asymmetric") if kind == "softmax"
+            else qparams_from_range(3.0, -3.0, 8))
+    p_out = qparams_from_range(2.0, -1.0, 8)
+    for dtype in (np.int32, np.int64):
+        q = QTensor(rng.integers(0, p_in.qmax + 1, size=(2, 3, 16)).astype(dtype), p_in)
+        for cand in CANDIDATE_POOLS[kind]:
+            if kind == "softmax":
+                out = pl.run_softmax_candidate(cand, q, sm_mod.BitExpConfig())
+            elif kind == "gelu":
+                out = pl.run_gelu_candidate(cand, q, p_out)
+            else:
+                out = pl.run_ln_candidate(cand, q, np.ones(16), np.zeros(16), p_out)
+            assert out.codes.dtype == np.int64, (cand, dtype)
+            assert not np.shares_memory(out.codes, q.codes), cand
+
+
 class TestStage2:
     def _table(self):
         t = MetricTable()
@@ -742,6 +762,19 @@ class TestCompiledPlan:
         assert after == _run(graph, weights, _fresh(plan), inputs)
         if moves_logits:
             assert after[0] != before[0]
+
+    def test_zero_weight_row_keeps_its_zero_multiplier(self, pipeline_result, inputs):
+        # an all-zero row's multiplier rounds to 0 and scales nothing, so it
+        # is legal where any other row's 0 is refused
+        (plan, table, graph, weights), cfg = pipeline_result
+        plan = _fresh(plan)
+        changed = dict(weights)
+        changed["block0.attn.wq"] = np.array(weights["block0.attn.wq"])
+        changed["block0.attn.wq"][3] = 0.0
+        mult = compile_plan(graph, changed, plan).consts["block0.attn.q"].mult
+        assert mult[3] == 0 and np.all(np.delete(mult, 3) > 0)
+        out, counter = integer_forward(graph, changed, plan, inputs[0])
+        assert counter.float_violations == 0 and np.all(np.isfinite(out.values))
 
     def test_toy_weights_are_read_only(self):
         _, weights = build_toy_vit({"blocks": 1})

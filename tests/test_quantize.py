@@ -4,7 +4,8 @@ import pytest
 from intquant.quantize import (DegenerateRangeError, MinMaxObserver, QParams,
                                QTensor, dequantize_np, dyadic_qparams_for_range,
                                encode_dyadic_multiplier, qparams_from_range,
-                               quantize, requant_weight_per_channel)
+                               quantize, requant_weight_per_channel, requantize)
+from intquant.tensor import KernelMath, OpCounter
 
 
 class TestParamsFromRange:
@@ -182,3 +183,46 @@ class TestDyadicHelpers:
         m, e = encode_dyadic_multiplier(0.3)
         assert 1 << 14 <= m < 1 << 15
         assert m / (1 << e) == pytest.approx(0.3, rel=1e-4)
+
+
+class TestRequantize:
+    """The one requantization step: clip(((acc*m + 2^(e-1)) >> e) + z, 0, qmax),
+    in place."""
+
+    @staticmethod
+    def _want(acc, m, e, p):
+        return np.clip(((acc * m + (1 << (e - 1))) >> e) + p.zero_point, 0, p.qmax)
+
+    @pytest.mark.parametrize("per_channel", [False, True])
+    @pytest.mark.parametrize("e", [1, 16, 30])
+    def test_matches_the_formula_in_place(self, per_channel, e):
+        rng = np.random.default_rng(e)
+        p = QParams(0.1, 37, 8, "asymmetric")
+        m_hi = 1 << min(15, e + 3)   # 15-bit mantissas, fewer where e is small
+        m = (rng.integers(1, m_hi, size=6, dtype=np.int64) if per_channel
+             else int(rng.integers(1, m_hi)))
+        # products of about +-2^(e+9): codes on both sides of the clip
+        acc = rng.integers(-(1 << (e + 9)), 1 << (e + 9), size=(64, 6), dtype=np.int64) // m
+        want = self._want(acc, m, e, p)
+        out = requantize(KernelMath(), acc, m, e, p)
+        assert out is acc
+        np.testing.assert_array_equal(out, want)
+        assert want.min() == 0 and want.max() == p.qmax
+        assert np.count_nonzero((want > 0) & (want < p.qmax)) > 0
+
+    def test_unit_multiplier_is_a_shift_alone(self):
+        p = QParams(0.5, 3, 4, "asymmetric")
+        acc = np.arange(-40, 41, dtype=np.int64)
+        want = self._want(acc, 1, 2, p)
+        charged = {}
+        for m in (1, 3):
+            counter = OpCounter()
+            requantize(KernelMath(counter), acc.copy(), m, 2, p)
+            charged[m] = counter.as_dict()
+        np.testing.assert_array_equal(requantize(KernelMath(), acc.copy(), 1, 2, p), want)
+        n = acc.size
+        # a rounding add and shift, the zero point add and two clip compares
+        # per element; the multiply adds one product per element
+        assert charged[1] == dict(adds=2 * n, muls=0, divs=0, shifts=n, compares=2 * n,
+                                  float_violations=0, total=5 * n)
+        assert charged[3] == {**charged[1], "muls": n, "total": 6 * n}

@@ -4,7 +4,10 @@ Runs six configs at seeds 0 and 7 (model seed and calibration seed, two
 stage-1 jobs) through the ``intquant`` package found under ``--src`` and
 prints one JSON object. Per run it holds the sha256 of the plan JSON, of
 the metrics CSV, and of the integer logits and the ``OpCounter`` dict for a
-batch of 1, a batch of 3 and one unbatched sample.
+batch of 1, a batch of 3 and one unbatched sample. It also holds the CLI
+round trip: ``intquant assign`` writes the plan file, ``intquant infer``
+runs a batch of 2 under the plan it reads back, and the plan, logits and
+``.ops.json`` files are hashed as written.
 
 A change that should not alter any output is checked by running this on
 the parent and on the change, on one machine, and comparing:
@@ -21,7 +24,9 @@ machines do not compare; that is why this is a tool and not a test.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
+import io
 import json
 import os
 import sys
@@ -69,6 +74,36 @@ def digests(pl, raw: dict, seed: int, tmp: str) -> dict:
     return out
 
 
+def cli_digests(raw: dict, seed: int, tmp: str) -> dict:
+    """``assign`` then ``infer`` through ``intquant.cli.main``, with their
+    printed summaries discarded; digests of the files they write."""
+    from intquant import cli
+    from intquant import pipeline as pl
+    from intquant.tensor import Tensor, tensor_write
+
+    def path(name):
+        return os.path.join(tmp, name)
+
+    with open(path("config.json"), "w") as fh:
+        json.dump({**raw, "seed": seed}, fh)
+    cfg = pl.load_config(path("config.json"))
+    x = np.random.default_rng(seed).normal(size=(2, cfg.tokens, cfg.embed_dim))
+    tensor_write(Tensor(x, dtype="real32"), path("x.iptq"))
+    for argv in (["assign", "--config", path("config.json"), "--calib-seed", str(seed),
+                  "--jobs", str(JOBS), "--out", path("cli")],
+                 ["infer", "--plan", path("cli.plan.json"), "--input", path("x.iptq"),
+                  "--out", path("cli.logits.iptq")]):
+        with contextlib.redirect_stdout(io.StringIO()):
+            rc = cli.main(["--report-file", path("runs.jsonl"), *argv])
+        if rc != 0:
+            raise SystemExit(f"intquant {argv[0]} exited {rc}")
+    out = {}
+    for name in ("cli.plan.json", "cli.logits.iptq", "cli.logits.iptq.ops.json"):
+        with open(path(name), "rb") as fh:
+            out[name] = sha(fh.read())
+    return out
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--src", required=True,
@@ -84,7 +119,9 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory() as tmp:
         for name, raw in CONFIGS.items():
             for seed in SEEDS:
-                report[f"{name}/seed{seed}"] = digests(pl, raw, seed, tmp)
+                report[f"{name}/seed{seed}"] = {
+                    **digests(pl, raw, seed, tmp),
+                    **cli_digests(raw, seed, tmp)}
     print(json.dumps(report, indent=2, sort_keys=True))
     return 0
 
