@@ -20,6 +20,7 @@ import os
 import sys
 import time
 
+import numpy as np
 from scipy.special import erf
 
 from . import gelu as gelu_mod
@@ -152,6 +153,10 @@ def cmd_infer(args) -> tuple[list[str], int]:
         x = tensor_read(args.input)
     except (FileNotFoundError, TensorFormatError) as exc:
         raise UsageError(f"input: {exc}") from exc
+    nan = np.flatnonzero(np.isnan(x.data))
+    if nan.size:
+        raise UsageError(f"input: {args.input} holds NaN ({nan.size} elements,"
+                         f" the first at flat index {nan[0]}), which has no code")
     cfg = plan.config
     graph, weights = pl.build_toy_vit(cfg.model_config(), seed=cfg.seed,
                                       pools=cfg.pools)

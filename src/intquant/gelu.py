@@ -19,8 +19,7 @@ import numpy as np
 from scipy.special import erf as _erf
 
 from .metric import approx_error
-from .quantize import (QParams, QTensor, encode_dyadic_multiplier, qparams_from_range,
-                       requantize)
+from .quantize import QParams, QTensor, encode_dyadic_multiplier, requantize
 from .tensor import KernelMath, OpCounter
 
 SQRT2 = math.sqrt(2.0)
@@ -196,21 +195,6 @@ _KV = 12   # fixed-point grid (2^-12) for the clipped erf argument
 _KA = 20   # fixed-point grid for the leading coefficient
 _KL = 15   # fixed-point grid for the approximant value
 _KS = 15   # bits of the shift GELU's sigmoid codes, grid 2^-(_KS-1)
-
-
-def default_gelu_out_params(in_params: QParams, bits: int,
-                            fn=data_aware_poly_gelu) -> QParams:
-    """Output params covering fn over the input's representable range.
-
-    Precomputed at configuration time, before any integer inference runs.
-    """
-    grid = np.arange(in_params.qmax + 1, dtype=np.float64)
-    xs = (grid - float(in_params.zero_point)) * float(in_params.scale)
-    ys = fn(xs)
-    lo, hi = float(np.min(ys)), float(np.max(ys))
-    if hi <= lo:
-        hi = lo + 1e-6
-    return qparams_from_range(hi, lo, bits, "asymmetric")
 
 
 def poly_gelu_int(q: QTensor, c: ErfPolyCoeffs, out_params: QParams,

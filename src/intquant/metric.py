@@ -25,23 +25,43 @@ def sqnr(x, x_hat, convention: str = "power10") -> float:
     Exact reconstruction returns the +inf sentinel.
     """
     x = np.asarray(x, dtype=np.float64)
-    x_hat = np.asarray(x_hat, dtype=np.float64)
-    if x.shape != x_hat.shape:
-        raise ValueError(f"shape mismatch {x.shape} vs {x_hat.shape}")
-    noise = float(np.mean((x - x_hat) ** 2))
-    if noise == 0.0:
-        return INF_DB
-    power = float(np.mean(x * x))
-    return DB_FACTORS[convention] * math.log10(power / noise)
+    return error_scores(x, x_hat, signal_power(x), convention)[0]
 
 
 def perturbation(x, x_hat) -> float:
     """Sum of squared elementwise differences."""
+    return _residual_energy(x, x_hat)
+
+
+def signal_power(x) -> float:
+    """E[x^2], the signal power of :func:`sqnr`."""
+    x = np.asarray(x, dtype=np.float64)
+    return float(np.mean(x * x))
+
+
+def error_scores(x, x_hat, power: float, convention: str = "power10",
+                 out: np.ndarray | None = None) -> tuple[float, float]:
+    """(:func:`sqnr`, :func:`perturbation`) of ``x_hat`` against ``x`` from
+    one residual pass, given ``power`` = :func:`signal_power` of ``x``, so
+    that a caller scoring many ``x_hat`` against one ``x`` takes it once.
+    ``out`` is a float64 array of their shape to compute the residual in; it
+    may be ``x_hat``, which is then overwritten."""
+    p = _residual_energy(x, x_hat, out)
+    noise = p / np.size(x)
+    if noise == 0.0:
+        return INF_DB, p
+    return DB_FACTORS[convention] * math.log10(power / noise), p
+
+
+def _residual_energy(x, x_hat, out: np.ndarray | None = None) -> float:
+    """Sum of (x - x_hat)^2 over all elements: the perturbation, and n times
+    the noise power of the SQNR."""
     x = np.asarray(x, dtype=np.float64)
     x_hat = np.asarray(x_hat, dtype=np.float64)
     if x.shape != x_hat.shape:
         raise ValueError(f"shape mismatch {x.shape} vs {x_hat.shape}")
-    return float(np.sum((x - x_hat) ** 2))
+    d = np.subtract(x, x_hat, out=out)
+    return float(np.sum(np.square(d, out=d)))
 
 
 def softplus(x: float) -> float:

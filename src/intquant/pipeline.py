@@ -21,8 +21,10 @@ import numpy as np
 from . import gelu as gelu_mod
 from . import layernorm as ln_mod
 from . import softmax as sm_mod
-from .metric import (DB_FACTORS, MetricScore, MetricTable, perturbation, sqnr,
-                     unified_score)
+# sqnr and perturbation stay importable from here, where the benchmark's
+# tracer looks for them, although stage 1 scores through error_scores
+from .metric import (DB_FACTORS, MetricScore, MetricTable, error_scores,  # noqa: F401
+                     perturbation, signal_power, sqnr, unified_score)
 from .model import (CANDIDATE_POOLS, INPUT, MODEL_FIELDS, ModelGraph, Op,
                     batched, build_toy_vit, forward_float, merge_heads,
                     model_dims, split_heads)
@@ -243,35 +245,44 @@ def _run_kernel(op: Op, candidate: str, q: QTensor, weights: dict, out_params: Q
     return run_ln_candidate(candidate, q, gamma, beta, out_params, counter)
 
 
-# Stage 1 runs a candidate over the calibration set in slices of about this
-# many elements along the sample axis. One 4x256x256 sample of attention
-# scores is 2^18 int64 codes (2 MiB), so a kernel's intermediates stay in a
-# 4 MiB per-core L2 instead of faulting in a fresh whole-set array (32 MB at
-# 16 samples) on every op, and only one slice of them is alive at a time.
-# Every kernel is row-wise or elementwise and charges each row the same ops
-# in any call, so the slices' outputs and op counts add up to the whole
-# call's.
+# Stage 1 quantizes a layer's input, and runs a candidate over it, in slices
+# of about this many elements along the sample axis. One 4x256x256 sample of
+# attention scores is 2^18 codes (1 MiB of int32 input codes, 2 MiB per
+# int64 stage), so a kernel's intermediates stay in a 4 MiB per-core L2
+# instead of faulting in a fresh whole-set array (32 MB at 16 samples) on
+# every op, and only one slice of them is alive at a time. Every kernel is
+# row-wise or elementwise and charges each row the same ops in any call, so
+# the slices' outputs and op counts add up to the whole call's.
 STAGE1_SLICE_ELEMENTS = 1 << 18
 
 
-def _candidate_output(op: Op, candidate, x_in: np.ndarray, params: tuple,
+def _slices(x: np.ndarray):
+    step = max(1, STAGE1_SLICE_ELEMENTS // max(x[:1].size, 1))
+    return [slice(lo, lo + step) for lo in range(0, len(x), step)]
+
+
+def _input_codes(x: np.ndarray, p_in: QParams) -> np.ndarray:
+    """``quantize(x, p_in)``'s codes, quantized slice by slice into one array,
+    so that no whole-set float temporary is made."""
+    codes = np.empty(x.shape, dtype=np.int32)
+    for sl in _slices(x):
+        codes[sl] = quantize(x[sl], p_in).codes
+    return codes
+
+
+def _candidate_output(op: Op, candidate, codes: np.ndarray, params: tuple,
                       weights: dict, cfg: PipelineConfig,
                       counter: OpCounter | None = None) -> np.ndarray:
-    """Quantize ``x_in`` with ``params``, the op's input and output
-    parameters from :func:`calibrate_edges`, run the integer candidate,
-    dequantize.
-
-    The kernel runs slice by slice along the sample axis (see
-    ``STAGE1_SLICE_ELEMENTS``) into one output array.
-    """
+    """Run the integer candidate on ``codes``, the op's input quantized with
+    the first of ``params`` (its input and output parameters from
+    :func:`calibrate_edges`), and dequantize, slice by slice (see
+    ``STAGE1_SLICE_ELEMENTS``) into one float64 array."""
     p_in, out_params = params
     bexp = cfg.bit_exp_config()
-    step = max(1, STAGE1_SLICE_ELEMENTS // max(x_in[:1].size, 1))
-    out = np.empty(x_in.shape)
-    for lo in range(0, len(x_in), step):
-        q = quantize(x_in[lo:lo + step], p_in)
-        out[lo:lo + step] = dequantize_np(
-            _run_kernel(op, candidate, q, weights, out_params, bexp, counter))
+    out = np.empty(codes.shape)
+    for sl in _slices(codes):
+        out[sl] = dequantize_np(_run_kernel(op, candidate, QTensor(codes[sl], p_in),
+                                            weights, out_params, bexp, counter))
     return out
 
 
@@ -304,6 +315,11 @@ def stage1_analyze(graph: ModelGraph, weights: dict, calib: list,
     same run. A candidate whose kernel overflows is recorded with score
     0 and the ops it spent before the overflow. ``captured`` is
     :func:`capture_calibration` of ``calib``, when the caller has it.
+
+    A layer is the unit of work, and ``jobs`` layers run at once. In local
+    mode each layer's input is quantized once, for all its candidates, and
+    its reference power taken once; each candidate's q_db and p come from
+    one residual pass (:func:`metric.error_scores`).
     """
     cat = captured if captured is not None else capture_calibration(graph, weights, calib)
     logits = cat[graph.ops[-1].out]
@@ -311,38 +327,50 @@ def stage1_analyze(graph: ModelGraph, weights: dict, calib: list,
     qparams, _ = calibrate_edges(graph, cat, cfg)
 
     candidates = {rec.layer_id: rec.candidates for rec in graph.layers}
-    tasks = [(op, cand) for op in graph.ops for cand in candidates.get(op.out, ())]
+    layers = [op for op in graph.ops if candidates.get(op.out)]
+    n_samples = len(cat[INPUT])
+    logits_power = signal_power(logits) if cfg.stage1_mode == "global" else None
 
-    def evaluate(task):
-        op, cand = task
-        x_in = cat[op.inputs[0]]
-        x_out = cat[op.out]
-        params = (qparams[op.inputs[0]], qparams[op.out])
-        counter = OpCounter()   # one per task: counters are not thread-safe
+    def row(op, cand, output):
+        counter = OpCounter()   # one per candidate: counters are not thread-safe
         try:
-            if cfg.stage1_mode == "global":
-                def swapped(arr, _op=op, _cand=cand):
-                    return _candidate_output(_op, _cand, arr, params, weights, cfg, counter)
-                got = np.concatenate(
-                    [forward_float(graph, weights, b, swap=(op.out, swapped))
-                     for b in calib], axis=0)
-                ref = logits
-            else:
-                got = _candidate_output(op, cand, x_in, params, weights, cfg, counter)
-                ref = x_out
-            q_db = sqnr(ref, got, cfg.db_convention)
-            p = perturbation(ref, got)
+            got, ref, power = output(cand, counter)
+            q_db, p = error_scores(ref, got, power, cfg.db_convention, out=got)
         except KernelOverflowError:
             q_db, p = -np.inf, np.inf
-        c_ops = round(counter.total() / len(x_in))
+        c_ops = round(counter.total() / n_samples)
         score = unified_score(q_db, p, c_ops) if np.isfinite(p) else 0.0
         return op.out, op.op, cand, MetricScore(q_db, p, c_ops, score)
 
+    def evaluate(op):
+        """The rows of one layer's candidates. ``output`` gives a
+        candidate's output, the reference and the reference's power; in
+        local mode the candidates share the layer's input codes and
+        reference power, which are dropped when the layer returns."""
+        params = (qparams[op.inputs[0]], qparams[op.out])
+        if cfg.stage1_mode == "global":
+            def output(cand, counter):
+                def swapped(arr):
+                    return _candidate_output(op, cand, _input_codes(arr, params[0]),
+                                             params, weights, cfg, counter)
+                got = np.concatenate([forward_float(graph, weights, b, swap=(op.out, swapped))
+                                      for b in calib], axis=0)
+                return got, logits, logits_power
+        else:
+            codes = _input_codes(cat[op.inputs[0]], params[0])
+            ref, power = cat[op.out], signal_power(cat[op.out])
+
+            def output(cand, counter):
+                return (_candidate_output(op, cand, codes, params, weights, cfg, counter),
+                        ref, power)
+        return [row(op, cand, output) for cand in candidates[op.out]]
+
     if jobs > 1:
         with ThreadPoolExecutor(max_workers=jobs) as pool:
-            rows = list(pool.map(evaluate, tasks))
+            per_layer = list(pool.map(evaluate, layers))
     else:
-        rows = [evaluate(t) for t in tasks]
+        per_layer = [evaluate(op) for op in layers]
+    rows = [r for layer_rows in per_layer for r in layer_rows]
 
     table = MetricTable()
     if cfg.standardize:

@@ -73,7 +73,7 @@ def qparams_from_range(alpha: float, beta: float, bits: int,
                 f"asymmetric range needs alpha > beta, got ({beta}, {alpha})"
             )
         scale = (alpha - beta) / qmax
-        zero = int(np.clip(_round_half_even(-beta / scale), 0, qmax))
+        zero = int(np.clip(np.rint(-beta / scale), 0, qmax))   # clipped before the cast
     elif scheme == "symmetric":
         amax = max(abs(alpha), abs(beta))
         if not amax > 0:
@@ -85,16 +85,20 @@ def qparams_from_range(alpha: float, beta: float, bits: int,
     return QParams(scale, zero, bits, scheme)
 
 
-def _round_half_even(x):
-    return np.rint(x).astype(np.int64)
-
-
 def quantize(x, p: QParams) -> QTensor:
-    """codes = clip(round_half_even(x / s) + z, 0, 2^b - 1), elementwise."""
+    """codes = clip(round_half_even(x / s) + z, 0, 2^b - 1), elementwise.
+
+    The clip runs in float, before the one cast to integers, so an input of
+    any magnitude, infinities included, saturates to the nearer end. NaN has
+    no code and maps to 0; ``intquant infer`` refuses an input holding NaN.
+    """
     arr = np.asarray(x, dtype=np.float64)
-    # np.clip's Python wrapper builds np.iinfo objects on every call
-    codes = np.minimum(np.maximum(_round_half_even(arr / p.scale) + p.zero_point, 0), p.qmax)
-    return QTensor(codes.astype(np.int32), p)
+    v = np.divide(arr, p.scale, out=np.empty(arr.shape))
+    np.add(np.rint(v, out=v), p.zero_point, out=v)
+    # np.clip's Python wrapper builds np.iinfo objects on every call; fmax
+    # and fmin, unlike maximum and minimum, send NaN to 0
+    np.fmin(np.fmax(v, 0, out=v), p.qmax, out=v)
+    return QTensor(v.astype(np.int32), p)
 
 
 def dequantize_np(q: QTensor) -> np.ndarray:

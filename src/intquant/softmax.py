@@ -6,8 +6,10 @@ All kernels reduce over the last axis and require a dyadic input scale
 (1/2^f, f >= 2), which makes floor(1/scale) and the integer/fraction exponent
 decomposition exact in code space. Right shifts on negative codes are
 arithmetic, i.e. floor-division semantics. The code-domain stages below
-work on raw int64 codes and are private; the kernels wrap them for
-``QTensor`` inputs.
+work on raw integer codes and are private; the kernels wrap them for
+``QTensor`` inputs. A kernel runs its exponential in int32 where a static
+bound allows (see ``_max_subtract_codes``), and every kernel returns int64
+codes.
 """
 
 from __future__ import annotations
@@ -82,8 +84,42 @@ def _check_m(cfg: BitExpConfig, rowlen: int) -> None:
 # code-domain stages
 # ---------------------------------------------------------------------------
 
-def _max_subtract_codes(codes: np.ndarray, km: KernelMath) -> np.ndarray:
-    return km.sub(codes, km.max(codes, axis=-1, keepdims=True))
+def _max_subtract_codes(q: QTensor, bound, km: KernelMath):
+    """Codes minus their row max, and the KernelMath the exponential after
+    them runs in.
+
+    ``bound(D)`` is the exponential's static bound: no value of its chain
+    exceeds it in magnitude for max-subtracted codes in [-D, 0]. D is qmax,
+    from the input's code width, widened by the codes' own extremes where
+    they fall outside [0, qmax]: the row maxima are at hand, and the
+    minimum takes one uncharged pass. Where the bound fits 31 bits, the
+    subtraction and the chain run in int32, else in ``km``'s int64; the
+    results are the same either way.
+    """
+    codes, qmax = q.codes, q.params.qmax
+    mx = km.max(codes, axis=-1, keepdims=True)
+    span = max(qmax, int(mx.max())) - min(0, int(codes.min())) if codes.size else qmax
+    if bound(span) < 1 << 31:
+        km = KernelMath(km.counter, np.int32)
+    return km.sub(codes, mx), km
+
+
+def _mul_bound(a: int, b: int) -> int:
+    """Largest product of magnitudes up to a and b that the guard of
+    :meth:`KernelMath.mul` admits, so that a chain whose bound covers it
+    never trips that guard in int32."""
+    return (1 << (a.bit_length() + b.bit_length())) - 1
+
+
+def _shift_exp_bound(span: int, f: int, cfg: BitExpConfig) -> int:
+    """Bound of :func:`_eff_exp_codes` and :func:`_shift_exp_codes`: qd in
+    [-span, 0] gives qp in [-(span + span//2 + 1), 0], and the values of
+    its decomposition lie within that; the fraction codes lie within
+    2^f + 3, and their square (Taylor degree 2) within its _mul_bound."""
+    frac = (1 << f) + 3
+    if cfg.taylor_degree == 2:
+        frac = _mul_bound(frac, frac)
+    return max(span + span // 2 + 1, frac)
 
 
 def _log2e_codes(qd: np.ndarray, km: KernelMath) -> np.ndarray:
@@ -113,8 +149,8 @@ def _eff_frac_codes(neg_r: np.ndarray, f: int, cfg: BitExpConfig,
     """Codes of 2^(s*(-r)) ~ 1 + ln2*s*(-r) [+ (ln2*s*(-r))^2/2] on the 1/2^f grid."""
     lin = _phi(neg_r, km)
     if cfg.taylor_degree == 1:
-        return km.add(lin, np.int64(1) << f, out=lin)
-    frac = km.add(lin, np.int64(1) << f)
+        return km.add(lin, 1 << f, out=lin)
+    frac = km.add(lin, 1 << f)
     sq = km.mul(lin, lin, out=lin)
     return km.add(frac, km.rshift(sq, f + 1, out=sq), out=frac)
 
@@ -130,7 +166,7 @@ def _shift_exp_codes(qd: np.ndarray, f: int, km: KernelMath) -> np.ndarray:
     """Baseline shift exponential: fraction approximated by 1 + x/2."""
     q_int, r = _decompose_codes(_log2e_codes(qd, km), f, km)
     frac = km.rshift(km.sub(0, r, out=r), 1, out=r)
-    km.add(frac, np.int64(1) << f, out=frac)
+    km.add(frac, 1 << f, out=frac)
     return km.rshift(frac, km.minimum(q_int, 62, out=q_int), out=frac)
 
 
@@ -157,33 +193,55 @@ def softmax_out_params(cfg: BitExpConfig) -> QParams:
 # public operations
 # ---------------------------------------------------------------------------
 
-def _exp_div_softmax(q: QTensor, cfg: BitExpConfig | None, counter: OpCounter | None,
-                     exp_codes) -> QTensor:
+def _exp_div_softmax(q: QTensor, cfg: BitExpConfig, counter: OpCounter | None,
+                     exp_codes, exp_bound) -> QTensor:
     """Max-subtract, ``exp_codes(qd, f, cfg, km)``, reciprocal division: the
-    body every exponential softmax kernel shares."""
-    cfg = cfg or BitExpConfig()
+    body every exponential softmax kernel shares. ``exp_bound(span, f,
+    cfg)`` is the exponential's bound (see :func:`_max_subtract_codes`)."""
     f = _dyadic_exponent(q.params)
     _check_m(cfg, q.codes.shape[-1])
     km = KernelMath(counter)
-    qd = _max_subtract_codes(q.codes, km)
-    num = exp_codes(qd, f, cfg, km)
-    codes = _int_div_codes(num, cfg, km, out=num)
+    qd, exp_km = _max_subtract_codes(q, lambda span: exp_bound(span, f, cfg), km)
+    num = exp_codes(qd, f, cfg, exp_km)
+    # recip * num reaches 2^M, so the division is int64, in num if it is
+    codes = _int_div_codes(num, cfg, km, out=num if exp_km is km else None)
     return QTensor(codes, softmax_out_params(cfg))
 
 
-def efficient_bit_softmax(q: QTensor, cfg: BitExpConfig | None = None,
+def efficient_bit_softmax(q: QTensor, cfg: BitExpConfig,
                           counter: OpCounter | None = None) -> QTensor:
-    return _exp_div_softmax(q, cfg, counter, _eff_exp_codes)
+    return _exp_div_softmax(q, cfg, counter, _eff_exp_codes, _shift_exp_bound)
 
 
-def shiftmax(q: QTensor, cfg: BitExpConfig | None = None,
-             counter: OpCounter | None = None) -> QTensor:
+def shiftmax(q: QTensor, cfg: BitExpConfig, counter: OpCounter | None = None) -> QTensor:
     """Baseline with the endpoint-matched linear fraction 1 + x/2."""
     return _exp_div_softmax(q, cfg, counter,
-                            lambda qd, f, _, km: _shift_exp_codes(qd, f, km))
+                            lambda qd, f, _, km: _shift_exp_codes(qd, f, km),
+                            _shift_exp_bound)
 
 
 _P12 = 12  # fixed-point grid of the quadratic exponential value
+
+
+def _iexp_constants(f: int) -> tuple[int, int, int, int, int]:
+    """ln2, B and C/A on the 2^-f grid, and the dyadic multiplier (m, e) of
+    A onto the 2^-_P12 grid."""
+    s = 1.0 / (1 << f)
+    ln2_c = int(math.floor(math.log(2.0) / s))
+    b_c = int(math.floor(IEXP_B / s))
+    c_c = int(math.floor(IEXP_C / (IEXP_A * s * s)))
+    m, e = encode_dyadic_multiplier(IEXP_A * s * s * (1 << _P12))
+    return ln2_c, b_c, c_c, m, e
+
+
+def _iexp_bound(span: int, f: int, cfg: BitExpConfig | None = None) -> int:
+    """Bound of :func:`_iexp_value_codes`: qd in [-span, 0] gives z in
+    [0, span // ln2] and z*ln2 in [0, span]; p + B lies in (0, B], the
+    quadratic within _mul_bound(B, B) + C/A, and its product with m, plus
+    the rounding half, within that product's _mul_bound plus 2^e."""
+    ln2_c, b_c, c_c, m, e = _iexp_constants(f)
+    quad = _mul_bound(b_c, b_c) + c_c
+    return max(span, _mul_bound(span // ln2_c, ln2_c), _mul_bound(quad, m) + (1 << e))
 
 
 def _iexp_value_codes(qd: np.ndarray, f: int, km: KernelMath):
@@ -191,11 +249,7 @@ def _iexp_value_codes(qd: np.ndarray, f: int, km: KernelMath):
 
     Returns codes on the 2^-_P12 grid, shifted down by z.
     """
-    s = 1.0 / (1 << f)
-    ln2_c = int(math.floor(math.log(2.0) / s))
-    b_c = int(math.floor(IEXP_B / s))
-    c_c = int(math.floor(IEXP_C / (IEXP_A * s * s)))
-    m, e = encode_dyadic_multiplier(IEXP_A * s * s * (1 << _P12))
+    ln2_c, b_c, c_c, m, e = _iexp_constants(f)
 
     z = km.sub(0, qd)
     km.floordiv(z, ln2_c, out=z)
@@ -209,14 +263,14 @@ def _iexp_value_codes(qd: np.ndarray, f: int, km: KernelMath):
     return km.rshift(p, km.minimum(z, 62, out=z), out=p)
 
 
-def iexp_softmax(q: QTensor, cfg: BitExpConfig | None = None,
+def iexp_softmax(q: QTensor, cfg: BitExpConfig,
                  counter: OpCounter | None = None) -> QTensor:
     """Softmax with the quadratic range-reduction exponential numerator."""
     return _exp_div_softmax(q, cfg, counter,
-                            lambda qd, f, _, km: _iexp_value_codes(qd, f, km))
+                            lambda qd, f, _, km: _iexp_value_codes(qd, f, km), _iexp_bound)
 
 
-def log2_softmax(q: QTensor, cfg: BitExpConfig | None = None,
+def log2_softmax(q: QTensor, cfg: BitExpConfig,
                  counter: OpCounter | None = None) -> QTensor:
     """Softmax snapped onto the power-of-two grid: outputs are 2^(-k).
 
@@ -224,8 +278,7 @@ def log2_softmax(q: QTensor, cfg: BitExpConfig | None = None,
     integer bit lengths of both; the returned affine codes are 2^(bits-1) >> k,
     exactly representable on the 1/2^(bits-1) output grid.
     """
-    cfg = cfg or BitExpConfig()
-    k = log2_softmax_codes(q, cfg, counter)
+    k = log2_softmax_codes(q, counter)
     km = KernelMath(counter)
     under = k > cfg.bits - 1          # probabilities below the output grid
     km.minimum(k, cfg.bits - 1, out=k)
@@ -234,15 +287,13 @@ def log2_softmax(q: QTensor, cfg: BitExpConfig | None = None,
     return QTensor(codes, softmax_out_params(cfg))
 
 
-def log2_softmax_codes(q: QTensor, cfg: BitExpConfig | None = None,
-                       counter: OpCounter | None = None) -> np.ndarray:
+def log2_softmax_codes(q: QTensor, counter: OpCounter | None = None) -> np.ndarray:
     """Raw log2 probability codes k, value 2^(-k); the winner of a dominant
-    row gets code 0."""
-    cfg = cfg or BitExpConfig()
+    row gets code 0. They do not depend on the output grid."""
     f = _dyadic_exponent(q.params)
     km = KernelMath(counter)
-    qd = _max_subtract_codes(q.codes, km)
-    num = _iexp_value_codes(qd, f, km)
+    qd, exp_km = _max_subtract_codes(q, lambda span: _iexp_bound(span, f), km)
+    num = _iexp_value_codes(qd, f, exp_km)
     den = km.sum(num, axis=-1, keepdims=True)
     if np.any(den <= 0):
         bad = int(np.argwhere(den.reshape(-1) <= 0)[0][0])
@@ -255,7 +306,7 @@ def log2_softmax_codes(q: QTensor, cfg: BitExpConfig | None = None,
     # shift-compare search it replaces: one shift and one compare per step
     # while num << k <= den, i.e. k + 1 of each per positive num.
     pos = num > 0
-    safe_num = np.where(pos, num, 1)
+    safe_num = np.where(pos, num, np.int64(1))      # int64 whatever num's dtype
     k = bit_length(safe_num)
     np.maximum(np.subtract(bit_length(den), k, out=k), 0, out=k)
     shifted = np.left_shift(safe_num, k)

@@ -7,12 +7,15 @@ array facade, which counts operations and records a violation the moment a
 floating-point value shows up.
 
 Kernels run their elementwise chains in place: the first op of a chain
-allocates one int64 result and each later op writes into it through
-``out=``. The buffer rule is that ``out=`` must be an int64 array the caller
-owns, that is one it allocated itself, and that a kernel never writes into
-an array it was handed: input codes, edge arrays and weights stay as they
-were. ``KernelMath.asarray`` returns the caller's own array when it already
-holds int64, so its result is not owned either.
+allocates one result and each later op writes into it through ``out=``. The
+buffer rule is that ``out=`` must be an array of the ``KernelMath``'s dtype
+that the caller owns, that is one it allocated itself, and that a kernel
+never writes into an array it was handed: input codes, edge arrays and
+weights stay as they were. A ``KernelMath`` computes in int64 unless it is
+made for int32, which a kernel does only for a chain whose static bound
+shows that every value in it fits in 31 signed bits.
+``KernelMath.asarray`` returns the caller's own array when it already holds
+int64, so its result is not owned either.
 """
 
 from __future__ import annotations
@@ -42,7 +45,8 @@ class IntegerViolation(RuntimeError):
 
 
 class KernelOverflowError(OverflowError):
-    """An intermediate on the integer kernel path would exceed 64 signed bits."""
+    """An intermediate on the integer kernel path would exceed the signed
+    width it is computed in: 64 bits, or 32 on an int32 ``KernelMath``."""
 
 
 class Tensor:
@@ -170,17 +174,16 @@ def rng_tensor(seed: int, dims, dist: str, *args) -> Tensor:
     return Tensor(vals, dtype="real32")
 
 
+_POWERS_OF_TWO = np.left_shift(1, np.arange(63, dtype=np.int64))   # 2^0 .. 2^62
+
+
 def bit_length(n: np.ndarray) -> np.ndarray:
-    """Bit length of each int64 element; 0 for elements <= 0."""
-    t = np.maximum(n, 0, out=np.empty(np.shape(n), dtype=np.int64))
-    bl = np.zeros_like(t)
-    step = np.empty_like(t)
-    for s in (32, 16, 8, 4, 2, 1):
-        np.greater_equal(t, 1 << s, out=step)
-        np.multiply(step, s, out=step)
-        np.right_shift(t, step, out=t)
-        np.add(bl, step, out=bl)
-    return np.add(bl, t, out=bl)   # what is left of t is its top bit, 0 or 1
+    """Bit length of each integer element, as int64; 0 for elements <= 0.
+
+    For n >= 1 that is the number of powers 2^0 .. 2^62 at or below n, which
+    one binary search over the 63 of them counts exactly, in integers.
+    """
+    return np.searchsorted(_POWERS_OF_TWO, n, side="right").astype(np.int64, copy=False)
 
 
 @dataclass
@@ -206,24 +209,37 @@ class OpCounter:
 
 
 class KernelMath:
-    """Instrumented int64 array arithmetic for vectorized kernels.
+    """Instrumented integer array arithmetic for vectorized kernels.
 
     Every method checks that array operands carry an integer dtype (a real
     dtype records a float violation and raises) and charges the counter by
     the number of scalar operations performed. Right shifts on negative
     values are arithmetic, i.e. floor-division semantics.
 
-    The elementwise methods take an optional ``out=``, an int64 array the
-    caller owns (never one it was handed) with the result's shape; it may be
-    one of the operands. Every check runs before anything is written, so a
-    method that raises leaves ``out`` as it was, and the charge is the same
-    with or without ``out=``. Without it, a method allocates one result.
+    The elementwise methods compute in ``dtype``, int64 or int32, with
+    their operands cast to it, and take an optional ``out=``, an array of
+    that dtype the caller owns (never one it was handed) with the result's
+    shape; it may be one of the operands. Every check runs before anything
+    is written, so a method that raises leaves ``out`` as it was, and the
+    charge is the same with or without ``out=``. Without it, a method
+    allocates one result.
+
+    The overflow guards of ``mul`` and ``lshift`` check against the width
+    of ``dtype``, 63 or 31 signed bits. Nothing guards the other methods or
+    the operand casts, so an int32 ``KernelMath`` is its maker's promise,
+    from a static bound, that every value of the chain fits. Constants on
+    an int32 chain are Python ints, which numpy refuses rather than wraps
+    when they do not fit.
     """
 
-    __slots__ = ("counter",)
+    __slots__ = ("counter", "dtype", "_bits")
 
-    def __init__(self, counter: OpCounter | None = None):
+    def __init__(self, counter: OpCounter | None = None, dtype=np.int64):
         self.counter = counter if counter is not None else OpCounter()
+        self.dtype = np.dtype(dtype)
+        if self.dtype not in (np.int32, np.int64):
+            raise TypeError(f"KernelMath computes in int32 or int64, not {self.dtype}")
+        self._bits = 8 * self.dtype.itemsize - 1
 
     def _guard(self, *xs) -> None:
         for x in xs:
@@ -263,36 +279,35 @@ class KernelMath:
     def add(self, a, b, out=None):
         self._guard(a, b)
         self.counter.adds += self._size(a, b)
-        return np.add(a, b, out=out, dtype=np.int64)
+        return np.add(a, b, out=out, dtype=self.dtype)
 
     def sub(self, a, b, out=None):
         self._guard(a, b)
         self.counter.adds += self._size(a, b)
-        return np.subtract(a, b, out=out, dtype=np.int64)
+        return np.subtract(a, b, out=out, dtype=self.dtype)
 
     def mul(self, a, b, out=None):
         self._guard(a, b)
-        # cheap magnitude check: products must stay inside 64 signed bits,
-        # and a zero operand does not excuse a scalar that int64 cannot hold
+        # cheap magnitude check: products must stay inside the signed width,
+        # and a zero operand does not excuse a scalar that it cannot hold
         ma = self._magnitude(a)
         mb = ma if b is a else self._magnitude(b)
         bits = ma.bit_length() + mb.bit_length() if ma and mb else max(ma, mb).bit_length()
-        if bits > 63:
-            raise KernelOverflowError(
-                f"product magnitudes up to {ma} * {mb} may exceed 64-bit signed range"
-            )
+        if bits > self._bits:
+            raise KernelOverflowError(f"product magnitudes up to {ma} * {mb} may exceed"
+                                      f" {self._bits + 1}-bit signed range")
         self.counter.muls += self._size(a, b)
-        return np.multiply(a, b, out=out, dtype=np.int64)
+        return np.multiply(a, b, out=out, dtype=self.dtype)
 
     def floordiv(self, a, b, out=None):
         self._guard(a, b)
         self.counter.divs += self._size(a, b)
-        return np.floor_divide(a, b, out=out, dtype=np.int64)
+        return np.floor_divide(a, b, out=out, dtype=self.dtype)
 
     def rshift(self, a, k, out=None):
         self._guard(a, k)
         self.counter.shifts += self._size(a, k)
-        return np.right_shift(a, k, out=out, dtype=np.int64)
+        return np.right_shift(a, k, out=out, dtype=self.dtype)
 
     def lshift(self, a, k, out=None):
         self._guard(a, k)
@@ -301,20 +316,20 @@ class KernelMath:
             mk = int(k.max()) if k.size else 0
         else:
             mk = int(k)
-        if ma and ma.bit_length() + mk > 63:
-            raise KernelOverflowError("left shift may exceed 64-bit signed range")
+        if ma and ma.bit_length() + mk > self._bits:
+            raise KernelOverflowError(f"left shift may exceed {self._bits + 1}-bit signed range")
         self.counter.shifts += self._size(a, k)
-        return np.left_shift(a, k, out=out, dtype=np.int64)
+        return np.left_shift(a, k, out=out, dtype=self.dtype)
 
     def minimum(self, a, b, out=None):
         self._guard(a, b)
         self.counter.compares += self._size(a, b)
-        return np.minimum(a, b, out=out, dtype=np.int64)
+        return np.minimum(a, b, out=out, dtype=self.dtype)
 
     def maximum(self, a, b, out=None):
         self._guard(a, b)
         self.counter.compares += self._size(a, b)
-        return np.maximum(a, b, out=out, dtype=np.int64)
+        return np.maximum(a, b, out=out, dtype=self.dtype)
 
     def abs(self, a):
         self._guard(a)
@@ -331,7 +346,7 @@ class KernelMath:
         self._guard(a, lo, hi)
         self.counter.compares += 2 * self._size(a)
         # np.clip's Python wrapper builds np.iinfo objects on every call
-        out = np.maximum(a, lo, out=out, dtype=np.int64)
+        out = np.maximum(a, lo, out=out, dtype=self.dtype)
         # a scalar operand gives a scalar, which cannot be written into
         return np.minimum(out, hi, out=out if isinstance(out, np.ndarray) else None)
 
@@ -378,5 +393,5 @@ class KernelMath:
             return self.lshift(a, -k, out=out)
         self.counter.adds += self._size(a)
         self.counter.shifts += self._size(a)
-        out = np.add(a, np.int64(1) << (k - 1), out=out, dtype=np.int64)
+        out = np.add(a, 1 << (k - 1), out=out, dtype=self.dtype)
         return np.right_shift(out, k, out=out if isinstance(out, np.ndarray) else None)

@@ -175,6 +175,19 @@ class TestInfer:
         run(tmp_path, "infer", "--plan", str(plan), "--input", str(xpath), "--out", str(b))
         assert a.read_bytes() == b.read_bytes()
 
+    def test_nan_input_is_usage_error(self, tmp_path, config_path, capsys):
+        plan = self._plan(tmp_path, config_path)
+        x = np.zeros((8, 32), dtype=np.float32)
+        x[3, 5] = np.nan
+        xpath = tmp_path / "nan.iptq"
+        tensor_write(Tensor(x), xpath)
+        capsys.readouterr()
+        assert run(tmp_path, "infer", "--plan", str(plan), "--input", str(xpath),
+                   "--out", str(tmp_path / "y.iptq")) == 2
+        err = capsys.readouterr().err
+        assert "usage error: input:" in err and str(xpath) in err and "NaN" in err
+        assert not (tmp_path / "y.iptq").exists()
+
     def test_shape_mismatch_usage_error(self, tmp_path, config_path):
         plan = self._plan(tmp_path, config_path)
         bad = Tensor(np.zeros((4, 4), dtype=np.float32))

@@ -3,14 +3,26 @@ import pytest
 from scipy.special import erf
 
 from intquant.gelu import (IBERT_ERF_COEFFS, QUARTIC_ERF_COEFFS, ErfPolyCoeffs,
-                           data_aware_poly_gelu, default_gelu_out_params,
-                           erf_poly_eval, fit_erf_poly, gelu_reference, ibert_gelu,
-                           poly_gelu_int, shift_gelu, shift_gelu_int)
+                           data_aware_poly_gelu, erf_poly_eval, fit_erf_poly,
+                           gelu_reference, ibert_gelu, poly_gelu_int, shift_gelu,
+                           shift_gelu_int)
 from intquant.metric import approx_error
-from intquant.quantize import QTensor, dequantize_np, qparams_from_range
+from intquant.quantize import QParams, QTensor, dequantize_np, qparams_from_range
 from intquant.tensor import OpCounter
 
 RANGE = (-3.0, 3.0)
+
+
+def default_gelu_out_params(in_params: QParams, bits: int,
+                            fn=data_aware_poly_gelu) -> QParams:
+    """Output params covering fn over the input's representable range."""
+    grid = np.arange(in_params.qmax + 1, dtype=np.float64)
+    xs = (grid - float(in_params.zero_point)) * float(in_params.scale)
+    ys = fn(xs)
+    lo, hi = float(np.min(ys)), float(np.max(ys))
+    if hi <= lo:
+        hi = lo + 1e-6
+    return qparams_from_range(hi, lo, bits, "asymmetric")
 
 
 class TestErfPolyEval:

@@ -9,7 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from intquant.metric import INF_DB, MetricScore, MetricTable
+from intquant.metric import (INF_DB, MetricScore, MetricTable, perturbation, sqnr,
+                             unified_score)
 from intquant.model import CANDIDATE_POOLS, INPUT, build_toy_vit, forward_float
 import intquant.pipeline as pl
 from intquant.pipeline import (STAGE1_MODES, AssignmentPlan, ConfigError,
@@ -22,7 +23,8 @@ from intquant.pipeline import (STAGE1_MODES, AssignmentPlan, ConfigError,
                                stage3_calibrate)
 from intquant import layernorm as ln_mod
 from intquant import softmax as sm_mod
-from intquant.quantize import MinMaxObserver, QParams, QTensor, qparams_from_range
+from intquant.quantize import (MinMaxObserver, QParams, QTensor, dequantize_np,
+                               qparams_from_range, quantize)
 from intquant.tensor import KernelMath, KernelOverflowError, OpCounter, rng_tensor
 
 
@@ -273,8 +275,8 @@ class TestStage1Slices:
                 for cand in rec.candidates:
                     counter = OpCounter()
                     params = (qparams[op.inputs[0]], qparams[op.out])
-                    out = pl._candidate_output(op, cand, cat[op.inputs[0]], params,
-                                               weights, cfg, counter)
+                    codes = pl._input_codes(cat[op.inputs[0]], params[0])
+                    out = pl._candidate_output(op, cand, codes, params, weights, cfg, counter)
                     got[(op.out, cand)] = (out, counter.as_dict())
             return got
 
@@ -308,6 +310,51 @@ class TestStage1Slices:
         assert scores["shiftmax"].score == 0.0 and scores["shiftmax"].q_db == -np.inf
         assert all(ms.score > 0 for c, ms in scores.items() if c != "shiftmax")
         assert len(calls) == 2   # the candidate's later slices are not run
+
+
+class TestStage1SharedWork:
+    """Stage 1 quantizes each layer's input once and scores each candidate
+    from one residual pass; the table is what per-candidate recomputation
+    through the public functions gives."""
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_table_equals_a_per_candidate_recomputation(self, jobs):
+        cfg = small_cfg(tokens=64)
+        graph, weights = build_toy_vit(cfg.model_config())
+        calib = calibration_batches(cfg)
+        cat = capture_calibration(graph, weights, calib)
+        qparams, _ = pl.calibrate_edges(graph, cat, cfg)
+        table = stage1_analyze(graph, weights, calib, cfg, jobs=jobs, captured=cat)
+        ops = {op.out: op for op in graph.ops}
+        assert len(table) == 29
+        for lid, kind, cand, ms in table.entries:
+            op, counter = ops[lid], OpCounter()
+            q = quantize(cat[op.inputs[0]], qparams[op.inputs[0]])
+            if kind == "softmax":
+                out = pl.run_softmax_candidate(cand, q, cfg.bit_exp_config(), counter)
+            elif kind == "gelu":
+                out = pl.run_gelu_candidate(cand, q, qparams[lid], counter)
+            else:
+                gamma, beta = (weights[k] for k in op.weights)
+                out = pl.run_ln_candidate(cand, q, gamma, beta, qparams[lid], counter)
+            ref, got = cat[lid], dequantize_np(out)
+            q_db, p = sqnr(ref, got, cfg.db_convention), perturbation(ref, got)
+            c = round(counter.total() / len(ref))
+            assert (ms.q_db, ms.p, ms.c, ms.score) == (q_db, p, c, unified_score(q_db, p, c))
+
+    def test_each_layer_input_is_quantized_once(self, monkeypatch):
+        cfg = small_cfg(tokens=64)
+        graph, weights = build_toy_vit(cfg.model_config())
+        quantized = []
+
+        def spy(x, p, _fn=pl.quantize):
+            quantized.append(x.shape)
+            return _fn(x, p)
+
+        monkeypatch.setattr(pl, "quantize", spy)
+        stage1_analyze(graph, weights, calibration_batches(cfg), cfg)
+        # one slice per layer at this size, against 29 (layer, candidate) pairs
+        assert len(quantized) == len(graph.layers) == 9
 
 
 def _m_accepts(tokens, bits):

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -84,6 +86,32 @@ class TestQuantizeDequantize:
             q = quantize(rng.normal(0, 10, size=1000), p)
             assert q.codes.min() >= 0 and q.codes.max() <= p.qmax
             q.check()
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_huge_inputs_saturate_to_their_own_end(self, sign):
+        # |x/s| >= 2^63 and infinities once wrapped through an int64 cast to
+        # code 0 whatever their sign
+        p = QParams(0.01, 128, 8, "asymmetric")
+        x = sign * np.array([1e10, 1e17, 1e30, 3e38, np.inf, 2.0 ** 63 * 0.01])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            codes = quantize(x, p).codes
+        np.testing.assert_array_equal(codes, p.qmax if sign > 0 else 0)
+
+    def test_nan_maps_to_code_zero_without_a_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            codes = quantize(np.array([np.nan, 0.0]), self.p).codes
+        np.testing.assert_array_equal(codes, [0, 128])
+
+    def test_codes_below_2_63_match_the_integer_clip(self):
+        # the float clip gives the codes an int64 cast then clip gave
+        rng = np.random.default_rng(3)
+        p = QParams(1.0, 1 << 15, 16, "asymmetric")
+        x = np.concatenate([rng.normal(0, 1e4, 1000), rng.uniform(-2.0**62, 2.0**62, 1000),
+                            [2.0**53 + 2, -(2.0**53) - 2, 0.5, 1.5, -0.5, -2.5]])
+        want = np.clip(np.rint(x).astype(np.int64) + p.zero_point, 0, p.qmax)
+        np.testing.assert_array_equal(quantize(x, p).codes, want)
 
     @pytest.mark.parametrize("granularity", ["per_tensor", "per_channel"])
     def test_codes_match_np_clip_at_both_ends(self, granularity):

@@ -1,3 +1,4 @@
+import contextlib
 import math
 from unittest import mock
 
@@ -44,18 +45,22 @@ def f_of(scale):
     return _dyadic_exponent(QParams(scale, 0, 16, "asymmetric"))
 
 
+def max_subtract(codes):
+    return _max_subtract_codes(qt(codes), lambda span: span, KernelMath())[0]
+
+
 class TestMaxSubtract:
     def test_simple_row(self):
-        out = _max_subtract_codes(i64([[3, 7, 7]]), KernelMath())
+        out = max_subtract([[3, 7, 7]])
         np.testing.assert_array_equal(out, [[-4, 0, 0]])
 
     def test_constant_row(self):
-        out = _max_subtract_codes(i64([[5, 5, 5, 5]]), KernelMath())
+        out = max_subtract([[5, 5, 5, 5]])
         np.testing.assert_array_equal(out, 0)
 
     def test_row_max_is_zero(self):
         rng = np.random.default_rng(0)
-        out = _max_subtract_codes(i64(rng.integers(0, 256, size=(50, 9))), KernelMath())
+        out = max_subtract(rng.integers(0, 256, size=(50, 9)))
         assert np.all(out.max(axis=-1) == 0)
         assert np.all(out <= 0)
 
@@ -94,7 +99,7 @@ class TestDecompose:
 
     def test_non_dyadic_scale_rejected(self):
         with pytest.raises(ConfigurationError):
-            efficient_bit_softmax(qt([[-5]], scale=0.013))
+            efficient_bit_softmax(qt([[-5]], scale=0.013), BitExpConfig())
 
 
 def eff_exp(values, scale=1.0 / 64):
@@ -159,13 +164,13 @@ class TestIntDivNormalize:
 
 class TestEfficientBitSoftmax:
     def test_constant_row_uniform(self):
-        out = efficient_bit_softmax(qt([[9, 9, 9, 9]]))
+        out = efficient_bit_softmax(qt([[9, 9, 9, 9]]), BitExpConfig())
         assert len(set(out.codes[0].tolist())) == 1
 
     def test_dominant_logit(self):
         x = np.zeros((1, 8))
         x[0, 3] = 16.5
-        out = efficient_bit_softmax(quantize_rows(x))
+        out = efficient_bit_softmax(quantize_rows(x), BitExpConfig())
         assert dequantize_np(out)[0, 3] >= 0.95
 
     def test_shift_invariance_in_code_space(self):
@@ -173,14 +178,14 @@ class TestEfficientBitSoftmax:
         codes = rng.integers(0, 40000, size=(30, 12))
         base = qt(codes, scale=1.0 / 4096)
         shifted = qt(codes + 1234, scale=1.0 / 4096)
-        np.testing.assert_array_equal(efficient_bit_softmax(base).codes,
-                                      efficient_bit_softmax(shifted).codes)
+        np.testing.assert_array_equal(efficient_bit_softmax(base, BitExpConfig()).codes,
+                                      efficient_bit_softmax(shifted, BitExpConfig()).codes)
 
     def test_row_sums_within_floor_budget(self):
         rng = np.random.default_rng(4)
         for n in (2, 7, 33, 64):
             x = rng.normal(0, 3, size=(200, n))
-            out = dequantize_np(efficient_bit_softmax(quantize_rows(x)))
+            out = dequantize_np(efficient_bit_softmax(quantize_rows(x), BitExpConfig()))
             sums = out.sum(axis=-1)
             assert np.all(sums <= 1.0 + 1e-12)
             assert np.all(sums >= 1.0 - (n + 1) / 128.0 - 1e-12)
@@ -193,14 +198,14 @@ class TestEfficientBitSoftmax:
         for _ in range(50):
             x = rng.normal(0, 2, size=(8, 16))
             q = quantize_rows(x)
-            got = dequantize_np(efficient_bit_softmax(q))
+            got = dequantize_np(efficient_bit_softmax(q, BitExpConfig()))
             ref = exact_softmax(dequantize_np(q))
             worst = max(worst, float(np.abs(got - ref).max()))
         assert worst <= 0.11
 
     def test_integer_only(self):
         c = OpCounter()
-        efficient_bit_softmax(qt([[1, 2, 3]]), counter=c)
+        efficient_bit_softmax(qt([[1, 2, 3]]), BitExpConfig(), counter=c)
         assert c.float_violations == 0 and c.total() > 0
 
     def test_taylor_degree_two_runs(self):
@@ -229,7 +234,7 @@ class TestEfficientBitSoftmax:
 
 class TestShiftmax:
     def test_constant_row_uniform(self):
-        out = shiftmax(qt([[3, 3, 3]]))
+        out = shiftmax(qt([[3, 3, 3]]), BitExpConfig())
         assert len(set(out.codes[0].tolist())) == 1
 
     def test_order_preserving(self):
@@ -238,7 +243,7 @@ class TestShiftmax:
             n = int(rng.integers(2, 40))
             x = rng.normal(0, 3, size=(10, n))
             q = quantize_rows(x)
-            out = shiftmax(q).codes
+            out = shiftmax(q, BitExpConfig()).codes
             for row_in, row_out in zip(q.codes, out):
                 idx = np.argsort(row_in, kind="stable")
                 d_in = np.diff(row_in[idx])
@@ -251,8 +256,8 @@ class TestShiftmax:
         x = rng.normal(0, 2, size=(500, 16))
         q = quantize_rows(x)
         ref = exact_softmax(dequantize_np(q))
-        rms_eff = float(np.sqrt(np.mean((dequantize_np(efficient_bit_softmax(q)) - ref) ** 2)))
-        rms_shift = float(np.sqrt(np.mean((dequantize_np(shiftmax(q)) - ref) ** 2)))
+        rms_eff = float(np.sqrt(np.mean((dequantize_np(efficient_bit_softmax(q, BitExpConfig())) - ref) ** 2)))
+        rms_shift = float(np.sqrt(np.mean((dequantize_np(shiftmax(q, BitExpConfig())) - ref) ** 2)))
         assert rms_eff <= 0.05 and rms_shift <= 0.05
 
 
@@ -278,7 +283,7 @@ class TestIexpSoftmax:
         rng = np.random.default_rng(8)
         x = rng.normal(0, 2, size=(100, 12))
         q = quantize_rows(x)
-        got = dequantize_np(iexp_softmax(q))
+        got = dequantize_np(iexp_softmax(q, BitExpConfig()))
         ref = exact_softmax(dequantize_np(q))
         assert np.abs(got - ref).max() <= 0.02
 
@@ -286,7 +291,7 @@ class TestIexpSoftmax:
         rng = np.random.default_rng(9)
         x = rng.normal(0, 3, size=(300, 24))
         q = quantize_rows(x)
-        out = iexp_softmax(q).codes
+        out = iexp_softmax(q, BitExpConfig()).codes
         for row_in, row_out in zip(q.codes, out):
             idx = np.argsort(row_in, kind="stable")
             assert not np.any((np.diff(row_in[idx]) > 0) & (np.diff(row_out[idx]) < 0))
@@ -300,14 +305,15 @@ class TestLog2Softmax:
         assert k[0, 2] == 0
 
     def test_constant_row_of_four(self):
-        out = dequantize_np(log2_softmax(qt([[100, 100, 100, 100]], scale=1.0 / 2048)))
+        out = dequantize_np(log2_softmax(qt([[100, 100, 100, 100]], scale=1.0 / 2048),
+                                          BitExpConfig()))
         np.testing.assert_allclose(out, 0.25, rtol=0.5)  # within one log2 step
 
     def test_order_preserving(self):
         rng = np.random.default_rng(10)
         x = rng.normal(0, 3, size=(300, 16))
         q = quantize_rows(x)
-        out = log2_softmax(q).codes
+        out = log2_softmax(q, BitExpConfig()).codes
         for row_in, row_out in zip(q.codes, out):
             idx = np.argsort(row_in, kind="stable")
             assert not np.any((np.diff(row_in[idx]) > 0) & (np.diff(row_out[idx]) < 0))
@@ -315,18 +321,18 @@ class TestLog2Softmax:
     def test_outputs_are_powers_of_two(self):
         rng = np.random.default_rng(11)
         x = rng.normal(0, 2, size=(20, 8))
-        out = log2_softmax(quantize_rows(x))
+        out = log2_softmax(quantize_rows(x), BitExpConfig())
         codes = out.codes[out.codes > 0]
         assert np.all((codes & (codes - 1)) == 0)
 
 
-def _log2_codes_shift_loop(q, cfg=None, counter=None):
+def _log2_codes_shift_loop(q, counter=None):
     """Reference: log2 softmax codes with k = floor(log2(den/num)) found by
     shifting num up one step at a time, one shift and one compare per live
     element per step."""
     f = _dyadic_exponent(q.params)
     km = KernelMath(counter)
-    qd = _max_subtract_codes(km.asarray(q.codes), km)
+    qd, _ = _max_subtract_codes(q, lambda span: 1 << 63, km)     # int64 throughout
     num = _iexp_value_codes(qd, f, km)
     den = km.sum(num, axis=-1, keepdims=True)
     den = np.broadcast_to(den, num.shape)
@@ -384,8 +390,8 @@ class TestLog2CodesMatchLoop:
     def test_codes_and_counts(self, case):
         q, bits = case
         got_c, want_c = OpCounter(), OpCounter()
-        k = log2_softmax_codes(q, None, got_c)
-        want = _log2_codes_shift_loop(q, None, want_c)
+        k = log2_softmax_codes(q, got_c)
+        want = _log2_codes_shift_loop(q, want_c)
         np.testing.assert_array_equal(k, want)
         assert got_c.as_dict() == want_c.as_dict()
 
@@ -400,6 +406,113 @@ class TestLog2CodesMatchLoop:
     def test_examples_reach_both_edges(self):
         assert np.any(log2_softmax_codes(_ZERO_NUM_ROW[0]) == 63)
         assert log2_softmax_codes(_DOMINANT_ROW[0])[0, 0] == 0
+
+
+# every KernelMath method that computes in its dtype
+_ELEMENTWISE = ("add", "sub", "mul", "floordiv", "rshift", "lshift", "minimum", "maximum",
+                "clip", "rshift_round")
+_ROWS, _ROW_LEN = 6, 16
+_KERNELS = [("efficient_bit_softmax", 1), ("efficient_bit_softmax", 2), ("shiftmax", 1),
+            ("iexp_softmax", 1), ("log2_softmax", 1)]
+
+
+def _code_pattern(name, qmax):
+    rng = np.random.default_rng(qmax)
+    shape = (_ROWS, _ROW_LEN)
+    if name == "zeros":
+        return np.zeros(shape, dtype=np.int32)
+    if name == "qmax":
+        return np.full(shape, qmax, dtype=np.int32)
+    if name == "one_hot":
+        codes = np.zeros(shape, dtype=np.int32)
+        codes[np.arange(_ROWS), rng.integers(0, _ROW_LEN, _ROWS)] = qmax
+        return codes
+    return rng.integers(0, qmax + 1, size=shape).astype(np.int32)
+
+
+class TestExponentialBounds:
+    """A kernel runs its exponential in int32 where the exponential's static
+    bound fits 31 bits (``_max_subtract_codes``). Run with the chain forced
+    to int64, every value a chain op computes lies within that bound, and
+    the codes and op counts equal those of the run that used int32 where it
+    could."""
+
+    @pytest.mark.parametrize("pattern", ["zeros", "qmax", "one_hot", "random"])
+    @pytest.mark.parametrize("f", [2, 8, 20])
+    @pytest.mark.parametrize("bits", [2, 8, 16])
+    @pytest.mark.parametrize("kernel, degree", _KERNELS)
+    def test_every_chain_value_stays_within_its_bound(self, kernel, degree, bits, f, pattern):
+        cfg = BitExpConfig(taylor_degree=degree)
+        p = QParams(1.0 / (1 << f), 0, bits, "asymmetric")
+        q = QTensor(_code_pattern(pattern, p.qmax), p)
+        fn = getattr(sm_mod, kernel)
+        want_c = OpCounter()
+        want = fn(q, cfg, want_c).codes
+
+        bounds, chains, escapes = [], [], []
+
+        def int64_chain(q, bound, km, _real=sm_mod._max_subtract_codes):
+            # the real function's bound and span, and an int64 chain of its
+            # own, apart from the division's KernelMath
+            chain = KernelMath(km.counter)
+            qd, _ = _real(q, lambda span: bounds.append(bound(span)) or 1 << 63, chain)
+            chains.append(chain)
+            return qd, chain
+
+        def watch(name):
+            method = getattr(KernelMath, name)
+
+            def watched(self, *args, **kw):
+                res = method(self, *args, **kw)
+                if self in chains and np.size(res):
+                    worst = max(-int(np.min(res)), int(np.max(res)))
+                    if worst > bounds[chains.index(self)]:
+                        escapes.append((name, worst))
+                return res
+            return watched
+
+        got_c = OpCounter()
+        with contextlib.ExitStack() as stack:
+            stack.enter_context(mock.patch.object(sm_mod, "_max_subtract_codes", int64_chain))
+            for name in _ELEMENTWISE:
+                stack.enter_context(mock.patch.object(KernelMath, name, watch(name)))
+            got = fn(q, cfg, got_c).codes
+        assert len(bounds) == 1 and not escapes
+        assert want.dtype == got.dtype == np.int64
+        np.testing.assert_array_equal(want, got)
+        assert want_c.as_dict() == got_c.as_dict()
+
+    @pytest.mark.parametrize("kernel, dtype", [
+        ("efficient_bit_softmax", np.int32), ("shiftmax", np.int32),
+        ("iexp_softmax", np.int64), ("log2_softmax", np.int64)])
+    def test_score_edges_run_int32_where_the_whole_chain_fits(self, kernel, dtype):
+        # 16-bit score codes with f = 20: iexp's square (p + B)^2 needs
+        # int64, so its whole chain stays int64
+        chains = []
+
+        def recording(q, bound, km, _real=sm_mod._max_subtract_codes):
+            qd, chain = _real(q, bound, km)
+            chains.append(chain.dtype)
+            return qd, chain
+
+        p = QParams(1.0 / (1 << 20), 0, 16, "asymmetric")
+        q = QTensor(_code_pattern("random", p.qmax), p)
+        with mock.patch.object(sm_mod, "_max_subtract_codes", recording):
+            out = getattr(sm_mod, kernel)(q, BitExpConfig())
+        assert chains == [dtype] and out.codes.dtype == np.int64
+
+    def test_codes_past_their_width_widen_the_span(self):
+        # codes outside [0, qmax] must not wrap an int32 chain: the span
+        # follows their own spread
+        p = QParams(1.0 / (1 << 20), 0, 16, "asymmetric")
+        codes = np.array([[0, 1 << 40, 5, -(1 << 40)]], dtype=np.int64)
+        for kernel in ("efficient_bit_softmax", "shiftmax", "iexp_softmax", "log2_softmax"):
+            fn = getattr(sm_mod, kernel)
+            with mock.patch.object(sm_mod, "_max_subtract_codes",
+                                   lambda q, bound, km, _real=sm_mod._max_subtract_codes:
+                                   _real(q, lambda span: 1 << 63, km)):
+                want = fn(QTensor(codes, p), BitExpConfig()).codes
+            np.testing.assert_array_equal(fn(QTensor(codes, p), BitExpConfig()).codes, want)
 
 
 class TestFracApproxErrors:

@@ -349,6 +349,79 @@ class TestBitLength:
         assert bit_length(n).tolist() == [[3, 0], [41, 0]]
 
 
+    def test_matches_int_bit_length_at_every_edge(self):
+        # 0 for elements <= 0; int.bit_length otherwise, up to the 63 powers
+        values = ([0, -1, -5, INT64_MIN, INT64_MAX, (1 << 62) - 1, 1 << 62]
+                  + [(1 << k) + d for k in range(1, 63) for d in (-1, 0)])
+        got = bit_length(np.array(values, dtype=np.int64))
+        assert got.tolist() == [max(v, 0).bit_length() for v in values]
+
+    def test_int32_input_gives_a_fresh_int64_result(self):
+        values = [0, -3, 1, (1 << 31) - 1, -(1 << 31)] + [1 << k for k in range(31)]
+        n = np.array(values, dtype=np.int32)
+        got = bit_length(n)
+        assert got.dtype == np.int64 and got.flags.writeable and not np.shares_memory(got, n)
+        assert got.tolist() == [max(v, 0).bit_length() for v in values]
+
+
+class TestInt32KernelMath:
+    """An int32 KernelMath computes in int32, and its overflow guards check
+    against 31 bits."""
+
+    _A32 = np.array([-(1 << 24) - 3, -7, -1, 0, 1, 5, 1 << 24], dtype=np.int64)
+    _S32 = np.array([-9, -3, -1, 0, 1, 2, 8], dtype=np.int64)
+
+    @pytest.mark.parametrize("name, args", [
+        ("add", (_A32, 3)), ("sub", (_A32, _S32)), ("mul", (_A32, 3)),
+        ("floordiv", (_A32, 7)), ("rshift", (_A32, np.arange(7))), ("lshift", (_S32, 9)),
+        ("minimum", (_A32, 0)), ("maximum", (_A32, -2)), ("clip", (_A32, -5, 1 << 20)),
+        ("rshift_round", (_A32, 5)),
+    ], ids=lambda v: v if isinstance(v, str) else "")
+    def test_int32_matches_int64(self, name, args):
+        want_km, got_km = KernelMath(), KernelMath(dtype=np.int32)
+        want = getattr(want_km, name)(*args)
+        got = getattr(got_km, name)(*args)
+        out = np.full(np.shape(want), 99, dtype=np.int32)
+        assert getattr(got_km, name)(*args, out=out) is out
+        assert got.dtype == np.int32 and want.dtype == np.int64
+        assert got.tolist() == out.tolist() == want.tolist()
+        assert got_km.counter.total() == 2 * want_km.counter.total()
+
+    def test_int32_mul_needing_32_bits_raises_and_leaves_out_untouched(self):
+        km = KernelMath(dtype=np.int32)
+        a = np.array([46341, 3], dtype=np.int32)    # 46341^2 = 2^31 + 4633
+        out = np.array([11, 12], dtype=np.int32)
+        with pytest.raises(KernelOverflowError, match="32-bit"):
+            km.mul(a, a, out=out)
+        assert out.tolist() == [11, 12] and km.counter.total() == 0
+        # the same product fits int64
+        assert KernelMath().mul(a, a).tolist() == [46341 ** 2, 9]
+
+    def test_int32_lshift_guard(self):
+        km = KernelMath(dtype=np.int32)
+        a = np.array([1 << 20, 1], dtype=np.int64)
+        out = np.array([11, 12], dtype=np.int32)
+        with pytest.raises(KernelOverflowError, match="32-bit"):
+            km.lshift(a, 11, out=out)
+        assert out.tolist() == [11, 12]
+        assert km.lshift(a, 10, out=out).tolist() == [1 << 30, 1 << 10]
+
+    def test_python_constant_past_int32_is_refused(self):
+        out = np.array([11, 12], dtype=np.int32)
+        with pytest.raises(OverflowError):
+            KernelMath(dtype=np.int32).add(np.array([1, 2], dtype=np.int32), 1 << 40, out=out)
+        assert out.tolist() == [11, 12]
+
+    @pytest.mark.parametrize("dtype", [np.int16, np.uint32, np.float64])
+    def test_other_dtypes_are_refused(self, dtype):
+        with pytest.raises(TypeError, match="int32 or int64"):
+            KernelMath(dtype=dtype)
+
+    def test_default_computes_in_int64(self):
+        a = np.array([1, 2], dtype=np.int32)
+        assert KernelMath().add(a, a).dtype == np.int64
+
+
 class TestGuardDtypes:
     @pytest.mark.parametrize("dtype", list(np.typecodes["AllInteger"]))
     def test_integer_dtypes_accepted(self, dtype):
