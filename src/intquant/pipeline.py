@@ -72,8 +72,7 @@ class PipelineConfig:
         return {k: getattr(self, k) for k in MODEL_FIELDS}
 
     def bit_exp_config(self) -> sm_mod.BitExpConfig:
-        return sm_mod.BitExpConfig(bits=self.act_bits, M=31,
-                                   taylor_degree=self.taylor_degree)
+        return sm_mod.BitExpConfig(bits=self.act_bits, taylor_degree=self.taylor_degree)
 
 
 # config path -> PipelineConfig field, in plan JSON order; the type of the
@@ -582,32 +581,112 @@ class _Reads:
 
 @dataclass(frozen=True)
 class CompiledPlan:
-    """Configuration-time state of :func:`integer_forward`: per op, the
-    weight encodings (``linear``), the requantization multipliers of both
-    operands (``add``, and ``pos_add`` with its quantized positional table
-    and zero point) or the dyadic multiplier (``scores``, ``ctx``, ``pool``).
+    """Configuration-time state of :func:`integer_forward`: one step per op
+    of ``graph.ops`` (see :func:`_step`).
 
-    It is valid only while the graph, config, weight arrays and activation
-    parameters it was derived from are the very same objects; it is never
-    serialized.
+    It is valid only while the graph, config, assignments dict, weight
+    arrays and activation parameters it was derived from are the very same
+    objects; it is never serialized.
     """
 
     graph: ModelGraph
     config: PipelineConfig
+    assignments: dict         # read per call by the non-linear steps
     weights_read: tuple       # (name, array) pairs, checked by identity
     qparams_read: tuple       # (edge, QParams) pairs, checked by identity
-    bexp: sm_mod.BitExpConfig
-    consts: dict              # op output edge -> that op's constants
+    steps: tuple              # per op: fn(km, *input codes) -> output codes
 
     def matches(self, graph: ModelGraph, weights: dict, plan: AssignmentPlan) -> bool:
         return (self.graph is graph and self.config is plan.config
+                and self.assignments is plan.assignments
                 and all(weights.get(k) is v for k, v in self.weights_read)
                 and all(plan.qparams.get(e) is p for e, p in self.qparams_read))
 
 
+def _step(op: Op, graph: ModelGraph, plan: AssignmentPlan, P: _Reads, W: _Reads,
+          bexp: sm_mod.BitExpConfig):
+    """``op``'s integer step, ``step(km, *input codes) -> output codes``.
+
+    Every constant the step needs is derived here, from the parameters and
+    weights read through ``P`` and ``W``. A non-linear step binds its
+    parameters (and LayerNorm's gamma and beta) but looks up the layer's
+    candidate in ``plan.assignments``, and its runner, on every call.
+    """
+    out, ins, cfg = op.out, op.inputs, plan.config
+    p_out = P[out]
+    if op.op in ("softmax", "gelu", "layernorm"):
+        p_in = P[ins[0]]
+        if op.op == "softmax":
+            sm_mod._dyadic_exponent(p_in)   # the kernels need a dyadic input grid
+        layer_weights = {k: W[k] for k in op.weights}
+        assignments = plan.assignments
+
+        def nonlinear(km, x):
+            return _run_kernel(op, assignments[out], QTensor(x, p_in), layer_weights,
+                               p_out, bexp, km.counter).codes
+        return nonlinear
+    if op.op == "linear":
+        w, b = op.weights
+        return partial(_linear_int, lp=_prepare_linear(out, W[w], W[b], P[ins[0]], p_out,
+                                                       cfg.weight_bits))
+    if op.op == "add":
+        return partial(_add_requant, zeros=tuple(P[e].zero_point for e in ins),
+                       mults=tuple(_requant_mult(out, P[e], p_out) for e in ins),
+                       p_out=p_out)
+    if op.op == "pos_add":
+        # the positional table is constant: its requantized term is computed
+        # here once, on an uncharged counter, and a request pays only for
+        # its own codes
+        pos = W[op.weights[0]]
+        p_pos = MinMaxObserver().observe(pos).qparams(cfg.act_bits)
+        pos_codes = np.asarray(quantize(pos, p_pos).codes, dtype=np.int64)
+        pos_term = _requant_into(KernelMath(), pos_codes, p_pos.zero_point,
+                                 _requant_mult(out, p_pos, p_out))
+        z_in, m_in = P[ins[0]].zero_point, _requant_mult(out, P[ins[0]], p_out)
+
+        def pos_add(km, x):
+            y = _requant_into(km, x, z_in, m_in)
+            km.add(y, pos_term, out=y)
+            return km.clip(km.add(y, p_out.zero_point, out=y), 0, p_out.qmax, out=y)
+        return pos_add
+    H = graph.heads
+    if op.op == "scores":
+        zq, zk = (P[e].zero_point for e in ins)
+        dyadic = encode_dyadic_multiplier(_multiplier(
+            out, P[ins[0]].scale * P[ins[1]].scale / p_out.scale))
+
+        def scores(km, q, k):
+            acc = _matmul_corrected(km, split_heads(q, H), zq,
+                                    split_heads(k, H).transpose(0, 1, 3, 2), zk)
+            return requantize(km, acc, *dyadic, p_out)
+        return scores
+    if op.op == "ctx":
+        zv = P[ins[1]].zero_point
+        p_probs = sm_mod.softmax_out_params(bexp)
+        dyadic = encode_dyadic_multiplier(_multiplier(
+            out, p_probs.scale * P[ins[1]].scale / p_out.scale))
+
+        def ctx(km, probs, v):
+            acc = _matmul_corrected(km, probs, 0, split_heads(v, H), zv)
+            return merge_heads(requantize(km, acc, *dyadic, p_out))
+        return ctx
+    if op.op == "pool":
+        # mean pool over tokens, the 1/T division folded into the multiplier
+        z_sum = graph.tokens * P[ins[0]].zero_point
+        dyadic = encode_dyadic_multiplier(_multiplier(
+            out, P[ins[0]].scale / (graph.tokens * p_out.scale)))
+
+        def pool(km, h):
+            acc = km.sum(h, axis=1, keepdims=False)
+            km.sub(acc, z_sum, out=acc)
+            return requantize(km, acc, *dyadic, p_out)
+        return pool
+    raise ValueError(f"{out}: unknown op kind {op.op!r}")
+
+
 def compile_plan(graph: ModelGraph, weights: dict, plan: AssignmentPlan) -> CompiledPlan:
-    """Derive everything integer inference needs that does not depend on
-    the input, attach it to ``plan`` and return it.
+    """Compile ``graph.ops`` into one integer step each (see :func:`_step`),
+    attach the result to ``plan`` and return it.
 
     Raises ValueError naming the edge when the plan's parameters cannot run:
     a softmax input off the kernels' dyadic grid, a multiplier of 2^62 or
@@ -615,111 +694,19 @@ def compile_plan(graph: ModelGraph, weights: dict, plan: AssignmentPlan) -> Comp
     to 0 (except on a row of zero weights)."""
     if not plan.calibrated:
         raise ValueError("plan must be calibrated before inference")
-    cfg = plan.config
     P, W = _Reads(plan.qparams), _Reads(weights)
-    bexp = cfg.bit_exp_config()
-    p_probs = sm_mod.softmax_out_params(bexp)
-    consts = {}
-    for op in graph.ops:
-        out, ins = op.out, op.inputs
-        if op.op == "linear":
-            w, b = op.weights
-            consts[out] = _prepare_linear(out, W[w], W[b], P[ins[0]], P[out],
-                                          cfg.weight_bits)
-        elif op.op == "pos_add":
-            pos = W[op.weights[0]]
-            p_pos = MinMaxObserver().observe(pos).qparams(cfg.act_bits)
-            consts[out] = (np.asarray(quantize(pos, p_pos).codes, dtype=np.int64),
-                           p_pos.zero_point, (_requant_mult(out, P[ins[0]], P[out]),
-                                              _requant_mult(out, p_pos, P[out])))
-        elif op.op == "add":
-            consts[out] = tuple(_requant_mult(out, P[e], P[out]) for e in ins)
-        elif op.op == "softmax":
-            sm_mod._dyadic_exponent(P[ins[0]])   # the kernels need a dyadic input grid
-        elif op.op == "scores":
-            consts[out] = encode_dyadic_multiplier(_multiplier(
-                out, P[ins[0]].scale * P[ins[1]].scale / P[out].scale))
-        elif op.op == "ctx":
-            consts[out] = encode_dyadic_multiplier(_multiplier(
-                out, p_probs.scale * P[ins[1]].scale / P[out].scale))
-        elif op.op == "pool":
-            # mean pool over tokens, the 1/T division folded into the multiplier
-            consts[out] = encode_dyadic_multiplier(_multiplier(
-                out, P[ins[0]].scale / (graph.tokens * P[out].scale)))
-
-    compiled = CompiledPlan(graph, cfg, tuple(W.seen.items()), tuple(P.seen.items()),
-                            bexp, consts)
+    bexp = plan.config.bit_exp_config()
+    steps = tuple(_step(op, graph, plan, P, W, bexp) for op in graph.ops)
+    compiled = CompiledPlan(graph, plan.config, plan.assignments, tuple(W.seen.items()),
+                            tuple(P.seen.items()), steps)
     plan.compiled = compiled
     return compiled
 
 
-@dataclass
-class _Run:
-    """What every integer op of one forward pass reads besides its inputs."""
-
-    graph: ModelGraph
-    weights: dict
-    plan: AssignmentPlan
-    P: dict                 # edge -> QParams
-    compiled: CompiledPlan
-    km: KernelMath
-
-
-def _int_nonlinear(r: _Run, op: Op, x):
-    return _run_kernel(op, r.plan.assignments[op.out], QTensor(x, r.P[op.inputs[0]]),
-                       r.weights, r.P[op.out], r.compiled.bexp, r.km.counter).codes
-
-
-def _int_pos_add(r: _Run, op: Op, x):
-    pos_codes, z_pos, mults = r.compiled.consts[op.out]
-    return _add_requant(r.km, x, pos_codes, (r.P[op.inputs[0]].zero_point, z_pos),
-                        mults, r.P[op.out])
-
-
-def _int_add(r: _Run, op: Op, a, b):
-    ea, eb = op.inputs
-    return _add_requant(r.km, a, b, (r.P[ea].zero_point, r.P[eb].zero_point),
-                        r.compiled.consts[op.out], r.P[op.out])
-
-
-def _int_scores(r: _Run, op: Op, q, k):
-    H = r.graph.heads
-    acc = _matmul_corrected(r.km, split_heads(q, H), r.P[op.inputs[0]].zero_point,
-                            split_heads(k, H).transpose(0, 1, 3, 2),
-                            r.P[op.inputs[1]].zero_point)
-    return requantize(r.km, acc, *r.compiled.consts[op.out], r.P[op.out])
-
-
-def _int_ctx(r: _Run, op: Op, probs, v):
-    acc = _matmul_corrected(r.km, probs, 0, split_heads(v, r.graph.heads),
-                            r.P[op.inputs[1]].zero_point)
-    return merge_heads(requantize(r.km, acc, *r.compiled.consts[op.out], r.P[op.out]))
-
-
-def _int_pool(r: _Run, op: Op, h):
-    acc = r.km.sum(h, axis=1, keepdims=False)
-    r.km.sub(acc, r.graph.tokens * r.P[op.inputs[0]].zero_point, out=acc)
-    return requantize(r.km, acc, *r.compiled.consts[op.out], r.P[op.out])
-
-
-# op kind -> fn(run, op, *input codes) -> output codes
-_INT_OPS = {
-    "pos_add": _int_pos_add,
-    "layernorm": _int_nonlinear,
-    "linear": lambda r, op, a: _linear_int(r.km, a, r.compiled.consts[op.out]),
-    "scores": _int_scores,
-    "softmax": _int_nonlinear,
-    "ctx": _int_ctx,
-    "add": _int_add,
-    "gelu": _int_nonlinear,
-    "pool": _int_pool,
-}
-
-
 def integer_forward(graph: ModelGraph, weights: dict, plan: AssignmentPlan, x,
                     counter: OpCounter | None = None) -> tuple[Tensor, OpCounter]:
-    """End-to-end integer inference under the calibrated plan: interprets
-    ``graph.ops`` in order over integer codes.
+    """End-to-end integer inference under the calibrated plan: runs the
+    compiled step of each of ``graph.ops`` in order over integer codes.
 
     Floating point is used for two conversions only: quantizing the input
     tensor and dequantizing the output logits. Everything between runs
@@ -730,8 +717,8 @@ def integer_forward(graph: ModelGraph, weights: dict, plan: AssignmentPlan, x,
     below 2^52 and therefore exact; its result is cast back to int64.
 
     Configuration-time work (see :func:`compile_plan`) is done on the first
-    call and reused while the graph, config, weight arrays and activation
-    parameters are the same objects. Threads may share a plan: a race to
+    call, is not charged to the counter, and is reused while
+    :meth:`CompiledPlan.matches` holds. Threads may share a plan: a race to
     compile it only builds equal states twice.
     """
     compiled = plan.compiled
@@ -742,11 +729,10 @@ def integer_forward(graph: ModelGraph, weights: dict, plan: AssignmentPlan, x,
 
     xq = quantize(np.asarray(x, dtype=np.float64), plan.qparams[INPUT])
     codes, squeeze = batched(graph, km.asarray(xq.codes))
-    run = _Run(graph, weights, plan, plan.qparams, compiled, km)
     env = {INPUT: codes}
-    for op, dead in zip(graph.ops, graph.dead_after):
+    for op, dead, step in zip(graph.ops, graph.dead_after, compiled.steps):
         args = [env.pop(e) if e in dead else env[e] for e in op.inputs]
-        env[op.out] = _INT_OPS[op.op](run, op, *args)
+        env[op.out] = step(km, *args)
     out = dequantize_np(QTensor(env[op.out], plan.qparams[op.out]))
     if squeeze:
         out = out[0]

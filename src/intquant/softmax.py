@@ -29,6 +29,11 @@ IEXP_B = 1.353
 IEXP_C = 0.344
 
 
+# overflow-guard exponent of the reciprocal division; it must satisfy
+# M >= 2*bits + ceil(log2(row length)) + 2, checked per call
+M = 31
+
+
 class ConfigurationError(ValueError):
     """Kernel configuration does not match its preconditions."""
 
@@ -39,14 +44,9 @@ class NormalizationError(ValueError):
 
 @dataclass(frozen=True)
 class BitExpConfig:
-    """Configuration of the shift-exponential softmax kernels.
-
-    M is the overflow-guard exponent of the reciprocal division; it must
-    satisfy M >= 2*bits + ceil(log2(row length)) + 2, checked per call.
-    """
+    """Configuration of the shift-exponential softmax kernels."""
 
     bits: int = 8
-    M: int = 31
     taylor_degree: int = 1
 
     def __post_init__(self):
@@ -54,8 +54,6 @@ class BitExpConfig:
             raise ConfigurationError(f"taylor_degree must be 1 or 2, got {self.taylor_degree}")
         if not (2 <= self.bits <= 16):
             raise ConfigurationError(f"bits must be in [2, 16], got {self.bits}")
-        if not (8 <= self.M <= 62):
-            raise ConfigurationError(f"M must be in [8, 62], got {self.M}")
 
 
 def _dyadic_exponent(params: QParams) -> int:
@@ -73,9 +71,9 @@ def _dyadic_exponent(params: QParams) -> int:
 
 def _check_m(cfg: BitExpConfig, rowlen: int) -> None:
     need = 2 * cfg.bits + math.ceil(math.log2(max(rowlen, 2))) + 2
-    if cfg.M < need:
+    if M < need:
         raise ConfigurationError(
-            f"M={cfg.M} too small for bits={cfg.bits}, row length {rowlen};"
+            f"M={M} too small for bits={cfg.bits}, row length {rowlen};"
             f" need at least {need}"
         )
 
@@ -179,9 +177,9 @@ def _int_div_codes(q_exp: np.ndarray, cfg: BitExpConfig, km: KernelMath,
     if np.any(den <= 0):
         bad = int(np.argwhere(den.reshape(-1) <= 0)[0][0])
         raise NormalizationError(f"zero exponential sum in row {bad}")
-    recip = km.floordiv(np.int64(1) << cfg.M, den)
+    recip = km.floordiv(np.int64(1) << M, den)
     out = km.mul(recip, q_exp, out=out)
-    return km.rshift(out, cfg.M - (cfg.bits - 1), out=out)
+    return km.rshift(out, M - (cfg.bits - 1), out=out)
 
 
 def softmax_out_params(cfg: BitExpConfig) -> QParams:

@@ -640,26 +640,27 @@ class TestInputsStayUntouched:
         for cand in CANDIDATE_POOLS[kind]:
             assert run(cand, _read_only(codes)) == run(cand, codes.copy()), cand
 
-    def test_int_ops_on_read_only_edges(self, pipeline_result, monkeypatch):
+    def test_int_ops_on_read_only_edges(self, pipeline_result):
         (plan, table, graph, weights), cfg = pipeline_result
         x = rng_tensor(11, [2, graph.tokens, graph.embed_dim], "normal", 0.0, 1.0).values
         logits, counter = integer_forward(graph, weights, plan, x)
         ran = set()
 
-        def frozen_inputs(fn):
-            def run(r, op, *args):
-                want = fn(dataclasses.replace(r, km=KernelMath()), op,
-                          *(np.array(a) for a in args))
-                got = fn(r, op, *(_read_only(a) for a in args))
+        def frozen_inputs(op, step):
+            def run(km, *args):
+                want = step(KernelMath(), *(np.array(a) for a in args))
+                got = step(km, *(_read_only(a) for a in args))
                 np.testing.assert_array_equal(got, want)
                 ran.add(op.op)
                 return got
             return run
 
-        for kind, fn in pl._INT_OPS.items():
-            monkeypatch.setitem(pl._INT_OPS, kind, frozen_inputs(fn))
+        plan = _fresh(plan)
+        compiled = compile_plan(graph, weights, plan)
+        plan.compiled = dataclasses.replace(compiled, steps=tuple(
+            frozen_inputs(op, step) for op, step in zip(graph.ops, compiled.steps)))
         got_logits, got_counter = integer_forward(graph, weights, plan, x)
-        assert ran == set(pl._INT_OPS)
+        assert ran == {op.op for op in graph.ops}
         assert got_logits == logits and got_counter.as_dict() == counter.as_dict()
 
 
@@ -727,12 +728,40 @@ class TestIntegerForward:
         assert seen == [plan.assignments[r.layer_id] for r in graph.layers]
         assert got[0] == want[0] and got[1].as_dict() == want[1].as_dict()
 
-    def test_compiled_constants_per_op(self, pipeline_result):
+    def test_every_weight_read_is_checked(self, pipeline_result):
+        # a weight the forward pass reads but the compiled plan does not
+        # record would go stale when it is replaced
+        (plan, table, graph, weights), cfg = pipeline_result
+        seen = set()
+
+        class Recording(dict):
+            def __getitem__(self, key):
+                seen.add(key)
+                return super().__getitem__(key)
+
+        plan = _fresh(plan)
+        x = rng_tensor(12, [graph.tokens, graph.embed_dim], "normal", 0.0, 1.0).values
+        integer_forward(graph, Recording(weights), plan, x)
+        integer_forward(graph, Recording(weights), plan, x)
+        read = dict(plan.compiled.weights_read)
+        assert seen == set(read) == {w for op in graph.ops for w in op.weights}
+        assert {"embed.ln.gamma", "block1.ln2.beta"} <= seen
+        assert all(weights[k] is v for k, v in read.items())
+
+    def test_pos_add_charges_only_the_request(self, pipeline_result):
+        # the positional table is requantized at compile time, so the step's
+        # count has no per-request constant: twice the batch, twice the ops
         (plan, table, graph, weights), cfg = pipeline_result
         compiled = compile_plan(graph, weights, _fresh(plan))
-        assert list(compiled.consts) == [
-            op.out for op in graph.ops
-            if op.op in ("pos_add", "linear", "scores", "ctx", "add", "pool")]
+        step = compiled.steps[[op.op for op in graph.ops].index("pos_add")]
+        counts = []
+        for batch in (1, 2):
+            counter = OpCounter()
+            step(KernelMath(counter), np.zeros((batch, graph.tokens, graph.embed_dim),
+                                               dtype=np.int64))
+            counts.append(counter.as_dict())
+        assert counts[0]["total"] > 0
+        assert counts[1] == {k: 2 * v for k, v in counts[0].items()}
 
     def test_op_totals_deterministic(self, pipeline_result):
         (plan, table, graph, weights), cfg = pipeline_result
@@ -778,7 +807,8 @@ class TestCompiledPlan:
         assert plan.compiled is compiled
 
     @pytest.mark.parametrize("name", ["pos", "block0.attn.wv", "block1.mlp.w2",
-                                      "block0.mlp.b1", "head.w"])
+                                      "block0.mlp.b1", "head.w", "embed.ln.gamma",
+                                      "block1.ln2.beta"])
     def test_replaced_weight_recompiles(self, pipeline_result, inputs, name):
         (plan, table, graph, weights), cfg = pipeline_result
         plan = _fresh(plan)
@@ -810,6 +840,25 @@ class TestCompiledPlan:
         if moves_logits:
             assert after[0] != before[0]
 
+    @pytest.mark.parametrize("layer", ["embed.ln", "block0.softmax", "block1.gelu"])
+    def test_reassigned_candidate_runs_the_new_kernel(self, pipeline_result, inputs,
+                                                      layer):
+        # the compiled steps look the candidate up per call, and a plan with
+        # another assignments dict recompiles
+        (plan, table, graph, weights), cfg = pipeline_result
+        plan = _fresh(plan)
+        before = _run(graph, weights, plan, inputs)
+        compiled = plan.compiled
+        other = next(c for c in CANDIDATE_POOLS[plan.kinds[layer]]
+                     if c != plan.assignments[layer])
+        replaced = dataclasses.replace(plan, assignments={**plan.assignments, layer: other})
+        plan.assignments[layer] = other
+        after = _run(graph, weights, plan, inputs)
+        assert plan.compiled is compiled
+        assert after == _run(graph, weights, _fresh(plan), inputs) != before
+        assert _run(graph, weights, replaced, inputs) == after
+        assert replaced.compiled is not compiled
+
     def test_zero_weight_row_keeps_its_zero_multiplier(self, pipeline_result, inputs):
         # an all-zero row's multiplier rounds to 0 and scales nothing, so it
         # is legal where any other row's 0 is refused
@@ -818,7 +867,10 @@ class TestCompiledPlan:
         changed = dict(weights)
         changed["block0.attn.wq"] = np.array(weights["block0.attn.wq"])
         changed["block0.attn.wq"][3] = 0.0
-        mult = compile_plan(graph, changed, plan).consts["block0.attn.q"].mult
+        op = next(op for op in graph.ops if op.out == "block0.attn.q")
+        w, b = op.weights
+        mult = pl._prepare_linear(op.out, changed[w], changed[b], plan.qparams[op.inputs[0]],
+                                  plan.qparams[op.out], cfg.weight_bits).mult
         assert mult[3] == 0 and np.all(np.delete(mult, 3) > 0)
         out, counter = integer_forward(graph, changed, plan, inputs[0])
         assert counter.float_violations == 0 and np.all(np.isfinite(out.values))

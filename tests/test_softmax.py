@@ -158,8 +158,9 @@ class TestIntDivNormalize:
             int_div([[5, 5], [0, 0]])
 
     def test_m_invariant_enforced(self):
+        # 12 bits over a 64-long row need M >= 2*12 + 6 + 2 = 32 > 31
         with pytest.raises(ConfigurationError, match="M="):
-            efficient_bit_softmax(qt([[1] * 64]), BitExpConfig(bits=12, M=24))
+            efficient_bit_softmax(qt([[1] * 64]), BitExpConfig(bits=12))
 
 
 class TestEfficientBitSoftmax:

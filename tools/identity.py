@@ -4,10 +4,11 @@ Runs six configs at seeds 0 and 7 (model seed and calibration seed, two
 stage-1 jobs) through the ``intquant`` package found under ``--src`` and
 prints one JSON object. Per run it holds the sha256 of the plan JSON, of
 the metrics CSV, and of the integer logits and the ``OpCounter`` dict for a
-batch of 1, a batch of 3 and one unbatched sample. It also holds the CLI
-round trip: ``intquant assign`` writes the plan file, ``intquant infer``
-runs a batch of 2 under the plan it reads back, and the plan, logits and
-``.ops.json`` files are hashed as written.
+batch of 1, a batch of 3 and one unbatched sample, with each ``OpCounter``
+dict itself next to its digest so that a change in op counts reads off the
+diff. It also holds the CLI round trip: ``intquant assign`` writes the
+plan file, ``intquant infer`` runs a batch of 2 under the plan it reads
+back, and the plan, logits and ``.ops.json`` files are hashed as written.
 
 A change that should not alter any output is checked by running this on
 the parent and on the change, on one machine, and comparing:
@@ -71,6 +72,7 @@ def digests(pl, raw: dict, seed: int, tmp: str) -> dict:
         logits, counter = pl.integer_forward(graph, weights, plan, rng.normal(size=shape))
         out[f"logits.{name}"] = sha(np.ascontiguousarray(logits.values).tobytes())
         out[f"ops.{name}"] = sha(json.dumps(counter.as_dict(), sort_keys=True).encode())
+        out[f"ops.{name}.counts"] = counter.as_dict()
     return out
 
 
