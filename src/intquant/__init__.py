@@ -13,9 +13,8 @@ from .pipeline import (AssignmentPlan, PipelineConfig, capture_calibration,
                        stage1_analyze, stage2_assign, stage3_calibrate)
 from .quantize import (MinMaxObserver, QParams, QTensor, qparams_from_range,
                        quantize)
-from .softmax import (BitExpConfig, base2_frac_approx_error,
-                      efficient_bit_softmax, iexp_softmax, log2_softmax,
-                      shiftmax)
+from .softmax import (base2_frac_approx_error, efficient_bit_softmax,
+                      iexp_softmax, log2_softmax, shiftmax)
 from .tensor import (IntegerViolation, KernelMath, OpCounter, Tensor,
                      TensorFormatError, rng_tensor, tensor_read, tensor_write)
 

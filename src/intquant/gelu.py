@@ -20,6 +20,7 @@ from scipy.special import erf as _erf
 
 from .metric import approx_error
 from .quantize import QParams, QTensor, encode_dyadic_multiplier, requantize
+from .softmax import _recip_mul, _shift_add, _shift_exp_codes
 from .tensor import KernelMath, OpCounter
 
 SQRT2 = math.sqrt(2.0)
@@ -244,8 +245,6 @@ def shift_gelu_int(q: QTensor, out_params: QParams,
     the shift-exponential at a dyadic scale and normalized by integer
     division.
     """
-    from .softmax import _shift_exp_codes  # local import avoids a cycle
-
     p = q.params
     s = float(p.scale)
     # requantize the sigmoid argument onto a dyadic grid fine enough for
@@ -253,23 +252,16 @@ def shift_gelu_int(q: QTensor, out_params: QParams,
     f = int(np.clip(math.floor(math.log2(32767.0 / max(1.6875 * s * p.qmax, 1e-9))), 4, 30))
     ms, es = encode_dyadic_multiplier(s * (1 << f))
     m2, e2 = encode_dyadic_multiplier(s / (1 << (_KS - 1)) / float(out_params.scale))
-    M = 31
 
     km = KernelMath(counter)
     t = km.sub(q.codes, int(p.zero_point))
-    zq = km.rshift(t, 1)
-    km.add(t, zq, out=zq)
-    part = km.rshift(t, 3)
-    km.add(zq, part, out=zq)
-    km.add(zq, km.rshift(t, 4, out=part), out=zq)       # t + t>>1 + t>>3 + t>>4
+    zq = _shift_add(t, (1, 0, 3, 4), km)                 # t + t>>1 + t>>3 + t>>4
     km.rshift_round(km.mul(zq, ms, out=zq), es, out=zq)  # 1.6875*x on the 2^-f grid
-    mpos = km.maximum(zq, 0, out=part)
+    mpos = km.maximum(zq, 0)
     num = _shift_exp_codes(km.sub(zq, mpos, out=zq), f, km)     # e^(z - m)
     den = _shift_exp_codes(km.sub(0, mpos, out=mpos), f, km)
     km.add(num, den, out=den)
-    recip = km.floordiv(np.int64(1) << M, den, out=den)
-    sig = km.mul(recip, num, out=num)
-    km.rshift(sig, M - (_KS - 1), out=sig)
+    sig = _recip_mul(num, den, _KS, km, out=num)
     acc = km.mul(t, sig, out=sig)                       # x*sigmoid at s * 2^-(bits-1)
     return QTensor(requantize(km, acc, m2, e2, out_params), out_params)
 

@@ -114,10 +114,9 @@ class MetricScore:
 
 @dataclass
 class MetricTable:
-    """One row per (layer, candidate); omega aggregates the chosen layers."""
+    """One row per (layer, candidate)."""
 
     entries: list = field(default_factory=list)  # (layer_id, kind, candidate, MetricScore)
-    omega: float = 0.0
 
     def add(self, layer_id: str, kind: str, candidate: str, score: MetricScore):
         self.entries.append((layer_id, kind, candidate, score))

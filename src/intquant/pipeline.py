@@ -71,9 +71,6 @@ class PipelineConfig:
     def model_config(self) -> dict:
         return {k: getattr(self, k) for k in MODEL_FIELDS}
 
-    def bit_exp_config(self) -> sm_mod.BitExpConfig:
-        return sm_mod.BitExpConfig(bits=self.act_bits, taylor_degree=self.taylor_degree)
-
 
 # config path -> PipelineConfig field, in plan JSON order; the type of the
 # field's default is the type the config must give
@@ -125,6 +122,7 @@ def config_from_dict(raw: dict) -> PipelineConfig:
 # for integers, the choices for strings
 _ALLOWED = {
     "bits.weights": (2, 16),
+    "bits.activations": (2, 16),
     "calib.batches": (1, None),
     "calib.batch_size": (1, None),
     "taylor_degree": (1, 2),
@@ -151,7 +149,7 @@ def check_config(cfg: PipelineConfig) -> None:
                               f" got {val}")
     try:
         # the softmax kernels' reciprocal needs M >= 2*bits + log2(tokens) + 2
-        sm_mod._check_m(cfg.bit_exp_config(), cfg.tokens)
+        sm_mod._check_m(cfg.act_bits, cfg.tokens)
     except sm_mod.ConfigurationError as exc:
         raise ConfigError(f"bits.activations: {exc}") from exc
     for kind, cands in (cfg.pools or {}).items():
@@ -177,7 +175,6 @@ class AssignmentPlan:
     scores: dict = field(default_factory=dict)            # layer_id -> MetricScore
     kinds: dict = field(default_factory=dict)             # layer_id -> kind
     qparams: dict = field(default_factory=dict)           # edge -> QParams
-    metric_table: MetricTable | None = None
     omega: float = 0.0
     warnings: list = field(default_factory=list)
     # integer_forward's configuration-time state; see compile_plan
@@ -201,15 +198,17 @@ def calibration_batches(cfg: PipelineConfig, calib_seed: int = 0) -> list[np.nda
 # candidate runners (shared by stage 1 and integer inference)
 # ---------------------------------------------------------------------------
 
-def run_softmax_candidate(candidate: str, q: QTensor, cfg: sm_mod.BitExpConfig,
-                          counter: OpCounter | None = None) -> QTensor:
+def run_softmax_candidate(candidate: str, q: QTensor, out_params: QParams,
+                          counter: OpCounter | None = None,
+                          taylor_degree: int = 1) -> QTensor:
     fn = {
-        "efficient_bit_softmax": sm_mod.efficient_bit_softmax,
+        "efficient_bit_softmax": partial(sm_mod.efficient_bit_softmax,
+                                         taylor_degree=taylor_degree),
         "shiftmax": sm_mod.shiftmax,
         "iexp_softmax": sm_mod.iexp_softmax,
         "log2_softmax": sm_mod.log2_softmax,
     }[candidate]
-    return fn(q, cfg, counter)
+    return fn(q, out_params, counter)
 
 
 _GELU_KERNELS = {
@@ -230,14 +229,14 @@ def run_ln_candidate(candidate: str, q: QTensor, gamma, beta, out_params: QParam
 
 
 def _run_kernel(op: Op, candidate: str, q: QTensor, weights: dict, out_params: QParams,
-                bexp: sm_mod.BitExpConfig, counter: OpCounter | None) -> QTensor:
+                taylor_degree: int, counter: OpCounter | None) -> QTensor:
     """Run ``candidate`` as the non-linear ``op`` on the codes ``q``.
 
     The runners are looked up in this module's globals at call time, so
     that tests and tracing can rebind them.
     """
     if op.op == "softmax":
-        return run_softmax_candidate(candidate, q, bexp, counter)
+        return run_softmax_candidate(candidate, q, out_params, counter, taylor_degree)
     if op.op == "gelu":
         return run_gelu_candidate(candidate, q, out_params, counter)
     gamma, beta = (weights[k] for k in op.weights)
@@ -277,11 +276,10 @@ def _candidate_output(op: Op, candidate, codes: np.ndarray, params: tuple,
     :func:`calibrate_edges`), and dequantize, slice by slice (see
     ``STAGE1_SLICE_ELEMENTS``) into one float64 array."""
     p_in, out_params = params
-    bexp = cfg.bit_exp_config()
     out = np.empty(codes.shape)
     for sl in _slices(codes):
-        out[sl] = dequantize_np(_run_kernel(op, candidate, QTensor(codes[sl], p_in),
-                                            weights, out_params, bexp, counter))
+        out[sl] = dequantize_np(_run_kernel(op, candidate, QTensor(codes[sl], p_in), weights,
+                                            out_params, cfg.taylor_degree, counter))
     return out
 
 
@@ -415,7 +413,7 @@ def stage2_assign(table: MetricTable, graph: ModelGraph | None = None,
                 if (rec.layer_id, cand) not in have:
                     raise IncompleteTableError(
                         f"missing entry for ({rec.layer_id}, {cand})")
-    plan = AssignmentPlan(config=config or PipelineConfig(), metric_table=table)
+    plan = AssignmentPlan(config=config or PipelineConfig())
     for lid in table.layer_ids():
         cands = table.candidates_for(lid)
         top = max(ms.score for _, ms in cands)
@@ -427,7 +425,6 @@ def stage2_assign(table: MetricTable, graph: ModelGraph | None = None,
         kind = next(k for l, k, c, _ in table.entries if l == lid)
         plan.kinds[lid] = kind
     plan.omega = float(sum(ms.score for ms in plan.scores.values()))
-    table.omega = plan.omega
     return plan
 
 
@@ -448,7 +445,7 @@ def calibrate_edges(graph: ModelGraph, captured: dict,
                 qparams[edge] = dyadic_qparams_for_range(
                     float(obs.running_min), float(obs.running_max), SCORES_CODE_BITS)
             elif kind == "softmax":
-                qparams[edge] = sm_mod.softmax_out_params(cfg.bit_exp_config())
+                qparams[edge] = sm_mod.softmax_out_params(cfg.act_bits)
             else:
                 qparams[edge] = obs.qparams(cfg.act_bits)
     return qparams, [str(w.message) for w in caught]
@@ -603,8 +600,7 @@ class CompiledPlan:
                 and all(plan.qparams.get(e) is p for e, p in self.qparams_read))
 
 
-def _step(op: Op, graph: ModelGraph, plan: AssignmentPlan, P: _Reads, W: _Reads,
-          bexp: sm_mod.BitExpConfig):
+def _step(op: Op, graph: ModelGraph, plan: AssignmentPlan, P: _Reads, W: _Reads):
     """``op``'s integer step, ``step(km, *input codes) -> output codes``.
 
     Every constant the step needs is derived here, from the parameters and
@@ -617,13 +613,17 @@ def _step(op: Op, graph: ModelGraph, plan: AssignmentPlan, P: _Reads, W: _Reads,
     if op.op in ("softmax", "gelu", "layernorm"):
         p_in = P[ins[0]]
         if op.op == "softmax":
-            sm_mod._dyadic_exponent(p_in)   # the kernels need a dyadic input grid
+            try:   # the kernels need a dyadic input grid and their own output grid
+                sm_mod._dyadic_exponent(p_in)
+                sm_mod._prob_bits(p_out)
+            except sm_mod.ConfigurationError as exc:
+                raise ValueError(f"{out}: {exc}") from exc
         layer_weights = {k: W[k] for k in op.weights}
-        assignments = plan.assignments
+        assignments, degree = plan.assignments, cfg.taylor_degree
 
         def nonlinear(km, x):
             return _run_kernel(op, assignments[out], QTensor(x, p_in), layer_weights,
-                               p_out, bexp, km.counter).codes
+                               p_out, degree, km.counter).codes
         return nonlinear
     if op.op == "linear":
         w, b = op.weights
@@ -662,9 +662,8 @@ def _step(op: Op, graph: ModelGraph, plan: AssignmentPlan, P: _Reads, W: _Reads,
         return scores
     if op.op == "ctx":
         zv = P[ins[1]].zero_point
-        p_probs = sm_mod.softmax_out_params(bexp)
         dyadic = encode_dyadic_multiplier(_multiplier(
-            out, p_probs.scale * P[ins[1]].scale / p_out.scale))
+            out, P[ins[0]].scale * P[ins[1]].scale / p_out.scale))
 
         def ctx(km, probs, v):
             acc = _matmul_corrected(km, probs, 0, split_heads(v, H), zv)
@@ -689,14 +688,14 @@ def compile_plan(graph: ModelGraph, weights: dict, plan: AssignmentPlan) -> Comp
     attach the result to ``plan`` and return it.
 
     Raises ValueError naming the edge when the plan's parameters cannot run:
-    a softmax input off the kernels' dyadic grid, a multiplier of 2^62 or
-    more, or an ``add``, ``pos_add`` or ``linear`` multiplier that rounds
-    to 0 (except on a row of zero weights)."""
+    a softmax input off the kernels' dyadic grid or a softmax output off
+    their probability grid, a multiplier of 2^62 or more, or an ``add``,
+    ``pos_add`` or ``linear`` multiplier that rounds to 0 (except on a row
+    of zero weights)."""
     if not plan.calibrated:
         raise ValueError("plan must be calibrated before inference")
     P, W = _Reads(plan.qparams), _Reads(weights)
-    bexp = plan.config.bit_exp_config()
-    steps = tuple(_step(op, graph, plan, P, W, bexp) for op in graph.ops)
+    steps = tuple(_step(op, graph, plan, P, W) for op in graph.ops)
     compiled = CompiledPlan(graph, plan.config, plan.assignments, tuple(W.seen.items()),
                             tuple(P.seen.items()), steps)
     plan.compiled = compiled

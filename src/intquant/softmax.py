@@ -7,15 +7,16 @@ All kernels reduce over the last axis and require a dyadic input scale
 decomposition exact in code space. Right shifts on negative codes are
 arithmetic, i.e. floor-division semantics. The code-domain stages below
 work on raw integer codes and are private; the kernels wrap them for
-``QTensor`` inputs. A kernel runs its exponential in int32 where a static
-bound allows (see ``_max_subtract_codes``), and every kernel returns int64
-codes.
+``QTensor`` inputs. Every kernel writes probabilities onto the output
+parameters it is handed, which must be :func:`softmax_out_params` of their
+width. A kernel runs its exponential in int32 where a static bound allows
+(see ``_max_subtract_codes``), and every kernel returns int64 codes.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -42,20 +43,6 @@ class NormalizationError(ValueError):
     """A softmax row had a zero exponential denominator."""
 
 
-@dataclass(frozen=True)
-class BitExpConfig:
-    """Configuration of the shift-exponential softmax kernels."""
-
-    bits: int = 8
-    taylor_degree: int = 1
-
-    def __post_init__(self):
-        if self.taylor_degree not in (1, 2):
-            raise ConfigurationError(f"taylor_degree must be 1 or 2, got {self.taylor_degree}")
-        if not (2 <= self.bits <= 16):
-            raise ConfigurationError(f"bits must be in [2, 16], got {self.bits}")
-
-
 def _dyadic_exponent(params: QParams) -> int:
     """f of the input scale 2^-f. Grids coarser than 2^-2 are refused: on
     them the ln2 terms round to nothing (2^-1 drives efficient_bit_softmax's
@@ -69,13 +56,27 @@ def _dyadic_exponent(params: QParams) -> int:
     return f
 
 
-def _check_m(cfg: BitExpConfig, rowlen: int) -> None:
-    need = 2 * cfg.bits + math.ceil(math.log2(max(rowlen, 2))) + 2
+def _check_m(bits: int, rowlen: int) -> None:
+    need = 2 * bits + math.ceil(math.log2(max(rowlen, 2))) + 2
     if M < need:
         raise ConfigurationError(
-            f"M={M} too small for bits={cfg.bits}, row length {rowlen};"
+            f"M={M} too small for bits={bits}, row length {rowlen};"
             f" need at least {need}"
         )
+
+
+def softmax_out_params(bits: int) -> QParams:
+    """The one output grid of the softmax kernels: probabilities on 2^-(bits-1)."""
+    return QParams(1.0 / (1 << (bits - 1)), 0, bits, "asymmetric")
+
+
+def _prob_bits(out_params: QParams) -> int:
+    """The width of ``out_params``, which must be the kernels' grid."""
+    if out_params != softmax_out_params(out_params.bits):
+        raise ConfigurationError(
+            f"softmax kernels write onto softmax_out_params({out_params.bits}), not {out_params}"
+        )
+    return out_params.bits
 
 
 # ---------------------------------------------------------------------------
@@ -109,22 +110,30 @@ def _mul_bound(a: int, b: int) -> int:
     return (1 << (a.bit_length() + b.bit_length())) - 1
 
 
-def _shift_exp_bound(span: int, f: int, cfg: BitExpConfig) -> int:
-    """Bound of :func:`_eff_exp_codes` and :func:`_shift_exp_codes`: qd in
-    [-span, 0] gives qp in [-(span + span//2 + 1), 0], and the values of
-    its decomposition lie within that; the fraction codes lie within
-    2^f + 3, and their square (Taylor degree 2) within its _mul_bound."""
+def _shift_exp_bound(span: int, f: int, taylor_degree: int = 1) -> int:
+    """Bound of :func:`_shift_exp_codes`: qd in [-span, 0] gives qp in
+    [-(span + span//2 + 1), 0], and the values of its decomposition lie
+    within that; the fraction codes lie within 2^f + 3, and their square
+    (Taylor degree 2) within its _mul_bound."""
     frac = (1 << f) + 3
-    if cfg.taylor_degree == 2:
+    if taylor_degree == 2:
         frac = _mul_bound(frac, frac)
     return max(span + span // 2 + 1, frac)
 
 
-def _log2e_codes(qd: np.ndarray, km: KernelMath) -> np.ndarray:
-    # multiply by log2(e) ~ 1.4375 = 1 + 1/2 - 1/16 using arithmetic shifts
-    qp = km.rshift(qd, 1)
-    km.add(qd, qp, out=qp)
-    return km.sub(qp, km.rshift(qd, 4), out=qp)
+def _shift_add(x: np.ndarray, shifts: tuple, km: KernelMath) -> np.ndarray:
+    """x times a sum of signed powers of two, by arithmetic shifts: the term
+    x >> |s| of each s in ``shifts``, in order, added for s >= 0 and
+    subtracted for s < 0. s = 0 is x itself, so the first s is positive;
+    (1, 0, -4) is log2(e) ~ 1.4375 and (1, 3, 4) is ln2 ~ 0.6875."""
+    acc, tmp = km.rshift(x, shifts[0]), None
+    for s in shifts[1:]:
+        if s:
+            term = tmp = km.rshift(x, abs(s), out=tmp)
+        else:
+            term = x
+        (km.sub if s < 0 else km.add)(acc, term, out=acc)
+    return acc
 
 
 def _decompose_codes(qp: np.ndarray, f: int, km: KernelMath):
@@ -134,88 +143,81 @@ def _decompose_codes(qp: np.ndarray, f: int, km: KernelMath):
     return q_int, km.sub(pos, km.lshift(q_int, f), out=pos)
 
 
-def _phi(x: np.ndarray, km: KernelMath) -> np.ndarray:
-    """ln2 multiplier realized as (0.1011)_2: x>>1 + x>>3 + x>>4."""
-    lin = km.rshift(x, 1)
-    t = km.rshift(x, 3)
-    km.add(lin, t, out=lin)
-    return km.add(lin, km.rshift(x, 4, out=t), out=lin)
-
-
-def _eff_frac_codes(neg_r: np.ndarray, f: int, cfg: BitExpConfig,
-                    km: KernelMath) -> np.ndarray:
-    """Codes of 2^(s*(-r)) ~ 1 + ln2*s*(-r) [+ (ln2*s*(-r))^2/2] on the 1/2^f grid."""
-    lin = _phi(neg_r, km)
-    if cfg.taylor_degree == 1:
-        return km.add(lin, 1 << f, out=lin)
-    frac = km.add(lin, 1 << f)
-    sq = km.mul(lin, lin, out=lin)
-    return km.add(frac, km.rshift(sq, f + 1, out=sq), out=frac)
-
-
-def _eff_exp_codes(qd: np.ndarray, f: int, cfg: BitExpConfig,
-                   km: KernelMath) -> np.ndarray:
-    q_int, r = _decompose_codes(_log2e_codes(qd, km), f, km)
-    frac = _eff_frac_codes(km.sub(0, r, out=r), f, cfg, km)
+def _shift_exp_codes(qd: np.ndarray, f: int, km: KernelMath, slope: tuple = (1,),
+                     taylor_degree: int = 1) -> np.ndarray:
+    """Shift exponential of nonpositive codes on the 2^-f grid: qd times
+    log2(e) splits into an integer part q_int and a fraction x in (-1, 0],
+    and 2^x ~ 1 + a*x [+ (a*x)^2/2 at Taylor degree 2] is shifted down by
+    q_int. ``slope`` is a as :func:`_shift_add` shifts: (1,) is I-ViT's
+    1/2, (1, 3, 4) the efficient bit softmax's ln2 ~ 0.6875."""
+    q_int, r = _decompose_codes(_shift_add(qd, (1, 0, -4), km), f, km)
+    lin = _shift_add(km.sub(0, r, out=r), slope, km)
+    if taylor_degree == 1:
+        frac = km.add(lin, 1 << f, out=lin)
+    else:
+        frac = km.add(lin, 1 << f)
+        sq = km.mul(lin, lin, out=lin)
+        km.add(frac, km.rshift(sq, f + 1, out=sq), out=frac)
     return km.rshift(frac, km.minimum(q_int, 62, out=q_int), out=frac)
 
 
-def _shift_exp_codes(qd: np.ndarray, f: int, km: KernelMath) -> np.ndarray:
-    """Baseline shift exponential: fraction approximated by 1 + x/2."""
-    q_int, r = _decompose_codes(_log2e_codes(qd, km), f, km)
-    frac = km.rshift(km.sub(0, r, out=r), 1, out=r)
-    km.add(frac, 1 << f, out=frac)
-    return km.rshift(frac, km.minimum(q_int, 62, out=q_int), out=frac)
-
-
-def _int_div_codes(q_exp: np.ndarray, cfg: BitExpConfig, km: KernelMath,
-                   out: np.ndarray | None = None) -> np.ndarray:
-    """Reciprocal-division normalization onto the 1/2^(bits-1) grid; each
-    row's sum loses at most (n+1)/2^(bits-1), all of it downward. ``out``
-    follows the :class:`KernelMath` buffer rule and may be ``q_exp``."""
-    den = km.sum(q_exp, axis=-1, keepdims=True)
+def _row_sums(num: np.ndarray, km: KernelMath) -> np.ndarray:
+    """Row sums of the exponential codes, refused where one is not positive."""
+    den = km.sum(num, axis=-1, keepdims=True)
     if np.any(den <= 0):
         bad = int(np.argwhere(den.reshape(-1) <= 0)[0][0])
         raise NormalizationError(f"zero exponential sum in row {bad}")
+    return den
+
+
+def _recip_mul(num: np.ndarray, den: np.ndarray, bits: int, km: KernelMath,
+               out: np.ndarray | None = None) -> np.ndarray:
+    """num / den on the 2^-(bits-1) grid by one reciprocal division,
+    floor(2^M / den) * num >> (M - bits + 1); a row normalized so loses at
+    most (n+1)/2^(bits-1) of its sum, all of it downward. ``out`` follows
+    the :class:`KernelMath` buffer rule and may be ``num``."""
     recip = km.floordiv(np.int64(1) << M, den)
-    out = km.mul(recip, q_exp, out=out)
-    return km.rshift(out, M - (cfg.bits - 1), out=out)
-
-
-def softmax_out_params(cfg: BitExpConfig) -> QParams:
-    """Output parameters of every softmax candidate: probabilities on 2^-(bits-1)."""
-    return QParams(1.0 / (1 << (cfg.bits - 1)), 0, cfg.bits, "asymmetric")
+    out = km.mul(recip, num, out=out)
+    return km.rshift(out, M - (bits - 1), out=out)
 
 
 # ---------------------------------------------------------------------------
 # public operations
 # ---------------------------------------------------------------------------
 
-def _exp_div_softmax(q: QTensor, cfg: BitExpConfig, counter: OpCounter | None,
+def _exp_div_softmax(q: QTensor, out_params: QParams, counter: OpCounter | None,
                      exp_codes, exp_bound) -> QTensor:
-    """Max-subtract, ``exp_codes(qd, f, cfg, km)``, reciprocal division: the
-    body every exponential softmax kernel shares. ``exp_bound(span, f,
-    cfg)`` is the exponential's bound (see :func:`_max_subtract_codes`)."""
+    """Max-subtract, ``exp_codes(qd, f, km)``, reciprocal division onto
+    ``out_params``: the body every exponential softmax kernel shares.
+    ``exp_bound(span, f)`` is the exponential's bound (see
+    :func:`_max_subtract_codes`)."""
+    bits = _prob_bits(out_params)
     f = _dyadic_exponent(q.params)
-    _check_m(cfg, q.codes.shape[-1])
+    _check_m(bits, q.codes.shape[-1])
     km = KernelMath(counter)
-    qd, exp_km = _max_subtract_codes(q, lambda span: exp_bound(span, f, cfg), km)
-    num = exp_codes(qd, f, cfg, exp_km)
+    qd, exp_km = _max_subtract_codes(q, lambda span: exp_bound(span, f), km)
+    num = exp_codes(qd, f, exp_km)
     # recip * num reaches 2^M, so the division is int64, in num if it is
-    codes = _int_div_codes(num, cfg, km, out=num if exp_km is km else None)
-    return QTensor(codes, softmax_out_params(cfg))
+    codes = _recip_mul(num, _row_sums(num, km), bits, km,
+                       out=num if exp_km is km else None)
+    return QTensor(codes, out_params)
 
 
-def efficient_bit_softmax(q: QTensor, cfg: BitExpConfig,
-                          counter: OpCounter | None = None) -> QTensor:
-    return _exp_div_softmax(q, cfg, counter, _eff_exp_codes, _shift_exp_bound)
+def efficient_bit_softmax(q: QTensor, out_params: QParams, counter: OpCounter | None = None,
+                          taylor_degree: int = 1) -> QTensor:
+    """Shift exponential with the fraction 1 + ln2*x, ln2 ~ 0.6875 by
+    shifts, and its square term at Taylor degree 2."""
+    if taylor_degree not in (1, 2):
+        raise ConfigurationError(f"taylor_degree must be 1 or 2, got {taylor_degree}")
+    return _exp_div_softmax(
+        q, out_params, counter,
+        partial(_shift_exp_codes, slope=(1, 3, 4), taylor_degree=taylor_degree),
+        partial(_shift_exp_bound, taylor_degree=taylor_degree))
 
 
-def shiftmax(q: QTensor, cfg: BitExpConfig, counter: OpCounter | None = None) -> QTensor:
+def shiftmax(q: QTensor, out_params: QParams, counter: OpCounter | None = None) -> QTensor:
     """Baseline with the endpoint-matched linear fraction 1 + x/2."""
-    return _exp_div_softmax(q, cfg, counter,
-                            lambda qd, f, _, km: _shift_exp_codes(qd, f, km),
-                            _shift_exp_bound)
+    return _exp_div_softmax(q, out_params, counter, _shift_exp_codes, _shift_exp_bound)
 
 
 _P12 = 12  # fixed-point grid of the quadratic exponential value
@@ -232,7 +234,7 @@ def _iexp_constants(f: int) -> tuple[int, int, int, int, int]:
     return ln2_c, b_c, c_c, m, e
 
 
-def _iexp_bound(span: int, f: int, cfg: BitExpConfig | None = None) -> int:
+def _iexp_bound(span: int, f: int) -> int:
     """Bound of :func:`_iexp_value_codes`: qd in [-span, 0] gives z in
     [0, span // ln2] and z*ln2 in [0, span]; p + B lies in (0, B], the
     quadratic within _mul_bound(B, B) + C/A, and its product with m, plus
@@ -261,28 +263,26 @@ def _iexp_value_codes(qd: np.ndarray, f: int, km: KernelMath):
     return km.rshift(p, km.minimum(z, 62, out=z), out=p)
 
 
-def iexp_softmax(q: QTensor, cfg: BitExpConfig,
+def iexp_softmax(q: QTensor, out_params: QParams,
                  counter: OpCounter | None = None) -> QTensor:
     """Softmax with the quadratic range-reduction exponential numerator."""
-    return _exp_div_softmax(q, cfg, counter,
-                            lambda qd, f, _, km: _iexp_value_codes(qd, f, km), _iexp_bound)
+    return _exp_div_softmax(q, out_params, counter, _iexp_value_codes, _iexp_bound)
 
 
-def log2_softmax(q: QTensor, cfg: BitExpConfig,
+def log2_softmax(q: QTensor, out_params: QParams,
                  counter: OpCounter | None = None) -> QTensor:
     """Softmax snapped onto the power-of-two grid: outputs are 2^(-k).
 
     The log2 code k = round(log2(denominator / numerator)) comes from the
     integer bit lengths of both; the returned affine codes are 2^(bits-1) >> k,
-    exactly representable on the 1/2^(bits-1) output grid.
+    exactly representable on the 1/2^(bits-1) output grid, and 0 for k past it.
     """
+    bits = _prob_bits(out_params)
     k = log2_softmax_codes(q, counter)
     km = KernelMath(counter)
-    under = k > cfg.bits - 1          # probabilities below the output grid
-    km.minimum(k, cfg.bits - 1, out=k)
-    np.copyto(k, 62, where=under)
-    codes = km.rshift(np.int64(1) << (cfg.bits - 1), k, out=k)
-    return QTensor(codes, softmax_out_params(cfg))
+    km.minimum(k, 62, out=k)          # a zero numerator's k is 63
+    codes = km.rshift(np.int64(1) << (bits - 1), k, out=k)
+    return QTensor(codes, out_params)
 
 
 def log2_softmax_codes(q: QTensor, counter: OpCounter | None = None) -> np.ndarray:
@@ -292,10 +292,7 @@ def log2_softmax_codes(q: QTensor, counter: OpCounter | None = None) -> np.ndarr
     km = KernelMath(counter)
     qd, exp_km = _max_subtract_codes(q, lambda span: _iexp_bound(span, f), km)
     num = _iexp_value_codes(qd, f, exp_km)
-    den = km.sum(num, axis=-1, keepdims=True)
-    if np.any(den <= 0):
-        bad = int(np.argwhere(den.reshape(-1) <= 0)[0][0])
-        raise NormalizationError(f"zero exponential sum in row {bad}")
+    den = _row_sums(num, km)
 
     # k = floor(log2(den/num)), then round half upward in log space:
     # den/num >= 2^(k+1/2) <=> den^2 >= num^2 * 2^(2k+1). With

@@ -21,7 +21,7 @@ from intquant.model import build_toy_vit
 from intquant.quantize import (MinMaxObserver, QTensor, dequantize_np,
                                dyadic_qparams_for_range, qparams_from_range,
                                quantize)
-from intquant.softmax import BitExpConfig, efficient_bit_softmax
+from intquant.softmax import efficient_bit_softmax, softmax_out_params
 from intquant.tensor import rng_tensor
 
 RANGE = (-3.0, 3.0)
@@ -119,7 +119,7 @@ def test_criterion_06_integer_only_invariant():
 def test_criterion_07_softmax_kernel_properties():
     def check():
         rng = np.random.default_rng(0)
-        cfg = BitExpConfig(bits=8)
+        cfg = softmax_out_params(8)
         rows_per_length = 159  # 159 * 63 lengths > 1e4 rows
         inversions = 0
         first_example = None
@@ -177,7 +177,7 @@ def test_criterion_08_kernel_vs_oracle_accuracy():
             f"GELU sweep error {gelu_err:.5f} > {2 * float(p_out.scale):.5f}"
 
         rng = np.random.default_rng(1)
-        cfg = BitExpConfig(bits=8)
+        cfg = softmax_out_params(8)
         worst = 0.0
         for _ in range(200):
             xr = rng.normal(0.0, 2.0, size=(8, 16))

@@ -116,6 +116,7 @@ class TestAssign:
         ({"bits": {"activations": 14}}, "bits.activations"),
         ({"bits": {"activations": 16}}, "bits.activations"),
         ({"bits": {"activations": 1}}, "bits.activations"),
+        ({"bits": {"activations": 20}}, "bits.activations"),
         ({"bits": {"weights": 1}}, "bits.weights"),
         ({"model": {"tokens": 1}}, "model.tokens"),
         ({"model": {"heads": 3}}, "model.heads"),
@@ -268,10 +269,11 @@ class TestInfer:
         ("block0.ln1", 1e-300, "block0.attn.q: requantization multiplier rounds to 0"),
         ("embed.ln", 1e-30, "block0.res1: requantization multiplier rounds to 0"),
         ("block0.gelu", 1e-30, "block0.mlp.fc2: requantization multiplier rounds to 0"),
+        ("block0.softmax", 0.37, "block0.softmax"),
     ], ids=["add_multiplier_past_62_bits", "linear_multiplier_past_62_bits",
             "scores_grid_2^-1", "scores_grid_2^0", "infinite_scale",
             "linear_multiplier_rounds_to_0", "add_multiplier_rounds_to_0",
-            "gelu_output_under_the_fc2_multiplier"])
+            "gelu_output_under_the_fc2_multiplier", "probabilities_off_the_kernels_grid"])
     def test_plan_scales_the_kernels_cannot_run_are_usage_error(
             self, tmp_path, config_path, capsys, edge, scale, named):
         plan = self._plan(tmp_path, config_path)
@@ -280,6 +282,19 @@ class TestInfer:
         plan.write_text(json.dumps(raw))
         assert self._infer(tmp_path, plan, self._input(tmp_path)) == 2
         assert named in capsys.readouterr().err
+
+    @pytest.mark.parametrize("change", [
+        {"scale": 0.37, "zero_point": 5}, {"zero_point": 5}, {"bits": 7},
+    ], ids=["scale_and_zero_point", "zero_point", "bits"])
+    def test_softmax_edge_off_the_kernels_grid_is_usage_error(self, tmp_path, config_path,
+                                                              capsys, change):
+        plan = self._plan(tmp_path, config_path)
+        raw = json.loads(plan.read_text())
+        next(q for q in raw["qparams"] if q["layer_id"] == "block0.softmax").update(change)
+        plan.write_text(json.dumps(raw))
+        assert self._infer(tmp_path, plan, self._input(tmp_path)) == 2
+        err = capsys.readouterr().err
+        assert "usage error: plan: block0.softmax: softmax kernels write" in err
 
     def test_pool_choice_changes_op_totals(self, tmp_path):
         # pin the softmax pool to one candidate per plan: the shift-heavy

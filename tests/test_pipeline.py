@@ -190,7 +190,7 @@ class TestStage1:
             op = ops[lid]
             q = pl.quantize(cat[op.inputs[0]], qparams[op.inputs[0]])
             counter = OpCounter()
-            pl._run_kernel(op, cand, q, weights, qparams[lid], cfg.bit_exp_config(), counter)
+            pl._run_kernel(op, cand, q, weights, qparams[lid], cfg.taylor_degree, counter)
             assert ms.c == round(counter.total() / samples), (lid, cand)
 
     def test_global_mode_runs(self):
@@ -331,7 +331,8 @@ class TestStage1SharedWork:
             op, counter = ops[lid], OpCounter()
             q = quantize(cat[op.inputs[0]], qparams[op.inputs[0]])
             if kind == "softmax":
-                out = pl.run_softmax_candidate(cand, q, cfg.bit_exp_config(), counter)
+                out = pl.run_softmax_candidate(cand, q, qparams[lid], counter,
+                                                cfg.taylor_degree)
             elif kind == "gelu":
                 out = pl.run_gelu_candidate(cand, q, qparams[lid], counter)
             else:
@@ -359,7 +360,7 @@ class TestStage1SharedWork:
 
 def _m_accepts(tokens, bits):
     try:
-        sm_mod._check_m(sm_mod.BitExpConfig(bits=bits), tokens)
+        sm_mod._check_m(bits, tokens)
     except sm_mod.ConfigurationError:
         return False
     return True
@@ -406,9 +407,9 @@ class TestKernelCodeRanges:
                                qmax * np.eye(tokens, dtype=int),
                                np.random.default_rng(seed).integers(0, qmax + 1, (8, tokens))])
         q = QTensor(rows.astype(np.int32), QParams(2.0 ** -f, zero, 16, "asymmetric"))
-        bexp = sm_mod.BitExpConfig(bits=bits, taylor_degree=taylor)
+        p_out = sm_mod.softmax_out_params(bits)
         for cand in CANDIDATE_POOLS["softmax"]:
-            out = pl.run_softmax_candidate(cand, q, bexp)
+            out = pl.run_softmax_candidate(cand, q, p_out, taylor_degree=taylor)
             assert out.codes.shape == rows.shape
             assert 0 <= out.codes.min() and out.codes.max() <= (1 << bits) - 1
 
@@ -427,7 +428,7 @@ class TestKernelCodeRanges:
         # scores grid at 2^-2, so only a hand-edited plan gets here
         q = QTensor(np.zeros((2, 8), np.int32), QParams(2.0 ** -f, 0, 16, "asymmetric"))
         with pytest.raises(sm_mod.ConfigurationError, match="2 <= f"):
-            pl.run_softmax_candidate(cand, q, sm_mod.BitExpConfig())
+            pl.run_softmax_candidate(cand, q, sm_mod.softmax_out_params(8))
 
 
 @pytest.mark.parametrize("kind", ["softmax", "gelu", "layernorm"])
@@ -441,7 +442,7 @@ def test_runners_return_the_int64_codes_the_kernel_computed(kind):
         q = QTensor(rng.integers(0, p_in.qmax + 1, size=(2, 3, 16)).astype(dtype), p_in)
         for cand in CANDIDATE_POOLS[kind]:
             if kind == "softmax":
-                out = pl.run_softmax_candidate(cand, q, sm_mod.BitExpConfig())
+                out = pl.run_softmax_candidate(cand, q, sm_mod.softmax_out_params(8))
             elif kind == "gelu":
                 out = pl.run_gelu_candidate(cand, q, p_out)
             else:
@@ -624,13 +625,13 @@ class TestInputsStayUntouched:
         p_out = qparams_from_range(2.0, -1.0, 8)
         codes = rng.integers(0, p_in.qmax + 1, size=(2, 3, 16)).astype(np.int64)
         gamma, beta = _read_only(rng.normal(size=16)), _read_only(rng.normal(size=16))
-        bexp = sm_mod.BitExpConfig(taylor_degree=taylor)
+        p_probs = sm_mod.softmax_out_params(8)
 
         def run(cand, c):
             counter = OpCounter()
             q = QTensor(c, p_in)
             if kind == "softmax":
-                out = pl.run_softmax_candidate(cand, q, bexp, counter)
+                out = pl.run_softmax_candidate(cand, q, p_probs, counter, taylor)
             elif kind == "gelu":
                 out = pl.run_gelu_candidate(cand, q, p_out, counter)
             else:
@@ -858,6 +859,29 @@ class TestCompiledPlan:
         assert after == _run(graph, weights, _fresh(plan), inputs) != before
         assert _run(graph, weights, replaced, inputs) == after
         assert replaced.compiled is not compiled
+
+    @pytest.mark.parametrize("edge, p, message", [
+        ("block0.attn.scores", QParams(0.3, 0, 16, "asymmetric"), "softmax kernels need"),
+        ("block0.softmax", QParams(0.37, 5, 8, "asymmetric"), "softmax kernels write"),
+        ("block0.softmax", QParams(1.0 / 64, 0, 8, "asymmetric"), "softmax kernels write"),
+    ], ids=["input_off_the_dyadic_grid", "output_off_the_grid", "output_of_7_bits_on_8"])
+    def test_softmax_grid_refusals_name_the_edge(self, pipeline_result, edge, p, message):
+        (plan, table, graph, weights), cfg = pipeline_result
+        plan = _fresh(plan)
+        plan.qparams[edge] = p
+        with pytest.raises(ValueError, match=f"^block0.softmax: {message}"):
+            compile_plan(graph, weights, plan)
+
+    def test_ctx_reads_the_plans_probability_grid(self, pipeline_result):
+        (plan, table, graph, weights), cfg = pipeline_result
+        plan = _fresh(plan)
+        read = dict(compile_plan(graph, weights, plan).qparams_read)
+        for op in graph.ops:
+            if op.op == "ctx":
+                P = pl._Reads(plan.qparams)
+                pl._step(op, graph, plan, P, pl._Reads(weights))
+                assert read[op.inputs[0]] is P.seen[op.inputs[0]] is plan.qparams[op.inputs[0]]
+                assert op.inputs[0].endswith(".softmax")
 
     def test_zero_weight_row_keeps_its_zero_multiplier(self, pipeline_result, inputs):
         # an all-zero row's multiplier rounds to 0 and scales nothing, so it

@@ -9,16 +9,16 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from intquant import softmax as sm_mod
+from intquant.model import CANDIDATE_POOLS
 from intquant.quantize import (QParams, QTensor, dequantize_np,
                                dyadic_qparams_for_range)
-from intquant.softmax import (BitExpConfig, ConfigurationError,
-                              NormalizationError, _decompose_codes,
-                              _dyadic_exponent, _eff_exp_codes,
-                              _iexp_value_codes, _int_div_codes, _log2e_codes,
-                              _max_subtract_codes, _P12,
+from intquant.softmax import (ConfigurationError, NormalizationError,
+                              _decompose_codes, _dyadic_exponent,
+                              _iexp_value_codes, _max_subtract_codes, _P12,
+                              _recip_mul, _row_sums, _shift_add, _shift_exp_codes,
                               base2_frac_approx_error, efficient_bit_softmax,
                               iexp_softmax, log2_softmax, log2_softmax_codes,
-                              shiftmax)
+                              shiftmax, softmax_out_params)
 from intquant.tensor import KernelMath, OpCounter
 
 
@@ -49,6 +49,9 @@ def max_subtract(codes):
     return _max_subtract_codes(qt(codes), lambda span: span, KernelMath())[0]
 
 
+P8 = softmax_out_params(8)
+
+
 class TestMaxSubtract:
     def test_simple_row(self):
         out = max_subtract([[3, 7, 7]])
@@ -67,15 +70,37 @@ class TestMaxSubtract:
 
 class TestLog2eShift:
     def test_hand_value(self):
-        out = _log2e_codes(i64([[-16]]), KernelMath())
+        out = _shift_add(i64([[-16]]), (1, 0, -4), KernelMath())
         assert out[0][0] == -23  # -16 + (-8) - (-1)
 
     def test_zero(self):
-        assert _log2e_codes(i64([[0]]), KernelMath())[0][0] == 0
+        assert _shift_add(i64([[0]]), (1, 0, -4), KernelMath())[0][0] == 0
 
     def test_large_ratio_approaches_log2e(self):
-        q = _log2e_codes(i64([[-(1 << 20)]]), KernelMath())
+        q = _shift_add(i64([[-(1 << 20)]]), (1, 0, -4), KernelMath())
         assert q[0][0] / -(1 << 20) == pytest.approx(1.4375)
+
+
+class TestShiftAdd:
+    @pytest.mark.parametrize("shifts, ref", [
+        ((1, 3, 4), lambda x: (x >> 1) + (x >> 3) + (x >> 4)),
+        ((1, 0, 3, 4), lambda x: x + (x >> 1) + (x >> 3) + (x >> 4)),
+        ((1, 0, -4), lambda x: x + (x >> 1) - (x >> 4)),
+        ((1,), lambda x: x >> 1),
+    ])
+    def test_matches_the_shift_sum(self, shifts, ref):
+        x = np.arange(-4096, 4096, 7, dtype=np.int64)
+        c = OpCounter()
+        np.testing.assert_array_equal(_shift_add(x, shifts, KernelMath(c)), ref(x))
+        # one shift per nonzero s and one add or subtract per later term
+        assert c.shifts == sum(1 for s in shifts if s) * x.size
+        assert c.adds == (len(shifts) - 1) * x.size
+
+    def test_leaves_its_input_alone(self):
+        x = np.arange(-64, 64, dtype=np.int64)
+        x.setflags(write=False)
+        _shift_add(x, (1, 0, 3, 4), KernelMath())
+        np.testing.assert_array_equal(x, np.arange(-64, 64))
 
 
 class TestDecompose:
@@ -99,11 +124,11 @@ class TestDecompose:
 
     def test_non_dyadic_scale_rejected(self):
         with pytest.raises(ConfigurationError):
-            efficient_bit_softmax(qt([[-5]], scale=0.013), BitExpConfig())
+            efficient_bit_softmax(qt([[-5]], scale=0.013), P8)
 
 
 def eff_exp(values, scale=1.0 / 64):
-    return _eff_exp_codes(i64(values), f_of(scale), BitExpConfig(), KernelMath())
+    return _shift_exp_codes(i64(values), f_of(scale), KernelMath(), slope=(1, 3, 4))
 
 
 class TestEfficientBitExp:
@@ -133,7 +158,8 @@ class TestEfficientBitExp:
 
 
 def int_div(values):
-    return _int_div_codes(i64(values), BitExpConfig(), KernelMath())
+    km, v = KernelMath(), i64(values)
+    return _recip_mul(v, _row_sums(v, km), 8, km)
 
 
 class TestIntDivNormalize:
@@ -160,18 +186,45 @@ class TestIntDivNormalize:
     def test_m_invariant_enforced(self):
         # 12 bits over a 64-long row need M >= 2*12 + 6 + 2 = 32 > 31
         with pytest.raises(ConfigurationError, match="M="):
-            efficient_bit_softmax(qt([[1] * 64]), BitExpConfig(bits=12))
+            efficient_bit_softmax(qt([[1] * 64]), softmax_out_params(12))
+
+
+class TestOutputGrid:
+    """Every kernel writes onto the output parameters it is handed, and
+    only onto the kernels' own grid."""
+
+    @pytest.mark.parametrize("bits", [2, 6, 8])
+    @pytest.mark.parametrize("kernel", CANDIDATE_POOLS["softmax"])
+    def test_writes_onto_the_grid_it_is_handed(self, kernel, bits):
+        p_out = softmax_out_params(bits)
+        out = getattr(sm_mod, kernel)(qt([[0, 700, 90, 64]]), p_out)
+        assert out.params is p_out
+        assert 0 <= out.codes.min() and out.codes.max() <= p_out.qmax
+
+    @pytest.mark.parametrize("p_out", [
+        QParams(0.37, 5, 8, "asymmetric"), QParams(0.37, 0, 8, "asymmetric"),
+        QParams(1.0 / 128, 5, 8, "asymmetric"), QParams(1.0 / 128, 0, 7, "asymmetric"),
+        QParams(1.0 / 128, 0, 8, "symmetric"), QParams(1.0 / 256, 0, 8, "asymmetric"),
+    ], ids=["scale_and_zero", "scale", "zero_point", "bits", "scheme", "finer_scale"])
+    @pytest.mark.parametrize("kernel", CANDIDATE_POOLS["softmax"])
+    def test_any_other_grid_is_refused(self, kernel, p_out):
+        with pytest.raises(ConfigurationError, match="softmax_out_params"):
+            getattr(sm_mod, kernel)(qt([[1, 2, 3]]), p_out)
+
+    def test_taylor_degree_past_two_is_refused(self):
+        with pytest.raises(ConfigurationError, match="taylor_degree"):
+            efficient_bit_softmax(qt([[1, 2, 3]]), P8, taylor_degree=3)
 
 
 class TestEfficientBitSoftmax:
     def test_constant_row_uniform(self):
-        out = efficient_bit_softmax(qt([[9, 9, 9, 9]]), BitExpConfig())
+        out = efficient_bit_softmax(qt([[9, 9, 9, 9]]), P8)
         assert len(set(out.codes[0].tolist())) == 1
 
     def test_dominant_logit(self):
         x = np.zeros((1, 8))
         x[0, 3] = 16.5
-        out = efficient_bit_softmax(quantize_rows(x), BitExpConfig())
+        out = efficient_bit_softmax(quantize_rows(x), P8)
         assert dequantize_np(out)[0, 3] >= 0.95
 
     def test_shift_invariance_in_code_space(self):
@@ -179,14 +232,14 @@ class TestEfficientBitSoftmax:
         codes = rng.integers(0, 40000, size=(30, 12))
         base = qt(codes, scale=1.0 / 4096)
         shifted = qt(codes + 1234, scale=1.0 / 4096)
-        np.testing.assert_array_equal(efficient_bit_softmax(base, BitExpConfig()).codes,
-                                      efficient_bit_softmax(shifted, BitExpConfig()).codes)
+        np.testing.assert_array_equal(efficient_bit_softmax(base, P8).codes,
+                                      efficient_bit_softmax(shifted, P8).codes)
 
     def test_row_sums_within_floor_budget(self):
         rng = np.random.default_rng(4)
         for n in (2, 7, 33, 64):
             x = rng.normal(0, 3, size=(200, n))
-            out = dequantize_np(efficient_bit_softmax(quantize_rows(x), BitExpConfig()))
+            out = dequantize_np(efficient_bit_softmax(quantize_rows(x), P8))
             sums = out.sum(axis=-1)
             assert np.all(sums <= 1.0 + 1e-12)
             assert np.all(sums >= 1.0 - (n + 1) / 128.0 - 1e-12)
@@ -199,20 +252,20 @@ class TestEfficientBitSoftmax:
         for _ in range(50):
             x = rng.normal(0, 2, size=(8, 16))
             q = quantize_rows(x)
-            got = dequantize_np(efficient_bit_softmax(q, BitExpConfig()))
+            got = dequantize_np(efficient_bit_softmax(q, P8))
             ref = exact_softmax(dequantize_np(q))
             worst = max(worst, float(np.abs(got - ref).max()))
         assert worst <= 0.11
 
     def test_integer_only(self):
         c = OpCounter()
-        efficient_bit_softmax(qt([[1, 2, 3]]), BitExpConfig(), counter=c)
+        efficient_bit_softmax(qt([[1, 2, 3]]), P8, counter=c)
         assert c.float_violations == 0 and c.total() > 0
 
     def test_taylor_degree_two_runs(self):
         q = qt([[10, 20, 30]])
-        d1 = efficient_bit_softmax(q, BitExpConfig(taylor_degree=1))
-        d2 = efficient_bit_softmax(q, BitExpConfig(taylor_degree=2))
+        d1 = efficient_bit_softmax(q, P8, taylor_degree=1)
+        d2 = efficient_bit_softmax(q, P8, taylor_degree=2)
         assert d1.codes.shape == d2.codes.shape
 
     def test_degree_two_fraction_restores_order(self):
@@ -220,11 +273,10 @@ class TestEfficientBitSoftmax:
         # to ~0.549 >= 0.5, closing the cross-boundary gap that makes the
         # default degree-1 kernel non-monotone
         rng = np.random.default_rng(13)
-        cfg = BitExpConfig(taylor_degree=2)
         for n in (2, 5, 16, 48):
             x = rng.normal(0, 3, size=(200, n))
             q = quantize_rows(x)
-            out = efficient_bit_softmax(q, cfg).codes
+            out = efficient_bit_softmax(q, P8, taylor_degree=2).codes
             ci = q.codes.astype(np.int64)
             order = np.argsort(ci, axis=-1, kind="stable")
             s_in = np.take_along_axis(ci, order, -1)
@@ -235,7 +287,7 @@ class TestEfficientBitSoftmax:
 
 class TestShiftmax:
     def test_constant_row_uniform(self):
-        out = shiftmax(qt([[3, 3, 3]]), BitExpConfig())
+        out = shiftmax(qt([[3, 3, 3]]), P8)
         assert len(set(out.codes[0].tolist())) == 1
 
     def test_order_preserving(self):
@@ -244,7 +296,7 @@ class TestShiftmax:
             n = int(rng.integers(2, 40))
             x = rng.normal(0, 3, size=(10, n))
             q = quantize_rows(x)
-            out = shiftmax(q, BitExpConfig()).codes
+            out = shiftmax(q, P8).codes
             for row_in, row_out in zip(q.codes, out):
                 idx = np.argsort(row_in, kind="stable")
                 d_in = np.diff(row_in[idx])
@@ -257,8 +309,8 @@ class TestShiftmax:
         x = rng.normal(0, 2, size=(500, 16))
         q = quantize_rows(x)
         ref = exact_softmax(dequantize_np(q))
-        rms_eff = float(np.sqrt(np.mean((dequantize_np(efficient_bit_softmax(q, BitExpConfig())) - ref) ** 2)))
-        rms_shift = float(np.sqrt(np.mean((dequantize_np(shiftmax(q, BitExpConfig())) - ref) ** 2)))
+        rms_eff = float(np.sqrt(np.mean((dequantize_np(efficient_bit_softmax(q, P8)) - ref) ** 2)))
+        rms_shift = float(np.sqrt(np.mean((dequantize_np(shiftmax(q, P8)) - ref) ** 2)))
         assert rms_eff <= 0.05 and rms_shift <= 0.05
 
 
@@ -284,7 +336,7 @@ class TestIexpSoftmax:
         rng = np.random.default_rng(8)
         x = rng.normal(0, 2, size=(100, 12))
         q = quantize_rows(x)
-        got = dequantize_np(iexp_softmax(q, BitExpConfig()))
+        got = dequantize_np(iexp_softmax(q, P8))
         ref = exact_softmax(dequantize_np(q))
         assert np.abs(got - ref).max() <= 0.02
 
@@ -292,7 +344,7 @@ class TestIexpSoftmax:
         rng = np.random.default_rng(9)
         x = rng.normal(0, 3, size=(300, 24))
         q = quantize_rows(x)
-        out = iexp_softmax(q, BitExpConfig()).codes
+        out = iexp_softmax(q, P8).codes
         for row_in, row_out in zip(q.codes, out):
             idx = np.argsort(row_in, kind="stable")
             assert not np.any((np.diff(row_in[idx]) > 0) & (np.diff(row_out[idx]) < 0))
@@ -307,14 +359,14 @@ class TestLog2Softmax:
 
     def test_constant_row_of_four(self):
         out = dequantize_np(log2_softmax(qt([[100, 100, 100, 100]], scale=1.0 / 2048),
-                                          BitExpConfig()))
+                                          P8))
         np.testing.assert_allclose(out, 0.25, rtol=0.5)  # within one log2 step
 
     def test_order_preserving(self):
         rng = np.random.default_rng(10)
         x = rng.normal(0, 3, size=(300, 16))
         q = quantize_rows(x)
-        out = log2_softmax(q, BitExpConfig()).codes
+        out = log2_softmax(q, P8).codes
         for row_in, row_out in zip(q.codes, out):
             idx = np.argsort(row_in, kind="stable")
             assert not np.any((np.diff(row_in[idx]) > 0) & (np.diff(row_out[idx]) < 0))
@@ -322,7 +374,7 @@ class TestLog2Softmax:
     def test_outputs_are_powers_of_two(self):
         rng = np.random.default_rng(11)
         x = rng.normal(0, 2, size=(20, 8))
-        out = log2_softmax(quantize_rows(x), BitExpConfig())
+        out = log2_softmax(quantize_rows(x), P8)
         codes = out.codes[out.codes > 0]
         assert np.all((codes & (codes - 1)) == 0)
 
@@ -396,11 +448,11 @@ class TestLog2CodesMatchLoop:
         np.testing.assert_array_equal(k, want)
         assert got_c.as_dict() == want_c.as_dict()
 
-        cfg = BitExpConfig(bits=bits)
+        p_out = softmax_out_params(bits)
         got_c, want_c = OpCounter(), OpCounter()
-        got = log2_softmax(q, cfg, got_c)
+        got = log2_softmax(q, p_out, got_c)
         with mock.patch.object(sm_mod, "log2_softmax_codes", _log2_codes_shift_loop):
-            ref = log2_softmax(q, cfg, want_c)
+            ref = log2_softmax(q, p_out, want_c)
         np.testing.assert_array_equal(got.codes, ref.codes)
         assert got_c.as_dict() == want_c.as_dict()
 
@@ -415,6 +467,11 @@ _ELEMENTWISE = ("add", "sub", "mul", "floordiv", "rshift", "lshift", "minimum", 
 _ROWS, _ROW_LEN = 6, 16
 _KERNELS = [("efficient_bit_softmax", 1), ("efficient_bit_softmax", 2), ("shiftmax", 1),
             ("iexp_softmax", 1), ("log2_softmax", 1)]
+
+
+def run_kernel(kernel, q, degree, counter):
+    extra = {"taylor_degree": degree} if kernel == "efficient_bit_softmax" else {}
+    return getattr(sm_mod, kernel)(q, P8, counter, **extra)
 
 
 def _code_pattern(name, qmax):
@@ -443,12 +500,10 @@ class TestExponentialBounds:
     @pytest.mark.parametrize("bits", [2, 8, 16])
     @pytest.mark.parametrize("kernel, degree", _KERNELS)
     def test_every_chain_value_stays_within_its_bound(self, kernel, degree, bits, f, pattern):
-        cfg = BitExpConfig(taylor_degree=degree)
         p = QParams(1.0 / (1 << f), 0, bits, "asymmetric")
         q = QTensor(_code_pattern(pattern, p.qmax), p)
-        fn = getattr(sm_mod, kernel)
         want_c = OpCounter()
-        want = fn(q, cfg, want_c).codes
+        want = run_kernel(kernel, q, degree, want_c).codes
 
         bounds, chains, escapes = [], [], []
 
@@ -477,7 +532,7 @@ class TestExponentialBounds:
             stack.enter_context(mock.patch.object(sm_mod, "_max_subtract_codes", int64_chain))
             for name in _ELEMENTWISE:
                 stack.enter_context(mock.patch.object(KernelMath, name, watch(name)))
-            got = fn(q, cfg, got_c).codes
+            got = run_kernel(kernel, q, degree, got_c).codes
         assert len(bounds) == 1 and not escapes
         assert want.dtype == got.dtype == np.int64
         np.testing.assert_array_equal(want, got)
@@ -499,7 +554,7 @@ class TestExponentialBounds:
         p = QParams(1.0 / (1 << 20), 0, 16, "asymmetric")
         q = QTensor(_code_pattern("random", p.qmax), p)
         with mock.patch.object(sm_mod, "_max_subtract_codes", recording):
-            out = getattr(sm_mod, kernel)(q, BitExpConfig())
+            out = getattr(sm_mod, kernel)(q, P8)
         assert chains == [dtype] and out.codes.dtype == np.int64
 
     def test_codes_past_their_width_widen_the_span(self):
@@ -512,8 +567,8 @@ class TestExponentialBounds:
             with mock.patch.object(sm_mod, "_max_subtract_codes",
                                    lambda q, bound, km, _real=sm_mod._max_subtract_codes:
                                    _real(q, lambda span: 1 << 63, km)):
-                want = fn(QTensor(codes, p), BitExpConfig()).codes
-            np.testing.assert_array_equal(fn(QTensor(codes, p), BitExpConfig()).codes, want)
+                want = fn(QTensor(codes, p), P8).codes
+            np.testing.assert_array_equal(fn(QTensor(codes, p), P8).codes, want)
 
 
 class TestFracApproxErrors:

@@ -1,6 +1,6 @@
 """sha256 identity check of the pipeline's outputs.
 
-Runs six configs at seeds 0 and 7 (model seed and calibration seed, two
+Runs eight configs at seeds 0 and 7 (model seed and calibration seed, two
 stage-1 jobs) through the ``intquant`` package found under ``--src`` and
 prints one JSON object. Per run it holds the sha256 of the plan JSON, of
 the metrics CSV, and of the integer logits and the ``OpCounter`` dict for a
@@ -35,6 +35,11 @@ import tempfile
 
 import numpy as np
 
+LONGSEQ = {"model": {"blocks": 2, "embed_dim": 64, "heads": 4, "tokens": 256},
+           "calib": {"batches": 2, "batch_size": 8}}
+# stage 2 picks iexp_softmax on longseq-attn, and forced-pools runs
+# log2_softmax; the last two configs run the other two softmax kernels, with
+# their int32 exponential chains, in integer_forward
 CONFIGS = {
     "toy-default": {},
     "global": {"stage1_mode": "global"},
@@ -44,8 +49,9 @@ CONFIGS = {
         "taylor_degree": 2},
     "forced-pools": {"pools": {"softmax": ["log2_softmax"], "gelu": ["shift_gelu"],
                                "layernorm": ["log2_scale"]}},
-    "longseq-attn": {"model": {"blocks": 2, "embed_dim": 64, "heads": 4, "tokens": 256},
-                     "calib": {"batches": 2, "batch_size": 8}},
+    "longseq-attn": LONGSEQ,
+    "longseq-efficient-bit-softmax": {**LONGSEQ, "pools": {"softmax": ["efficient_bit_softmax"]}},
+    "longseq-shiftmax": {**LONGSEQ, "pools": {"softmax": ["shiftmax"]}},
 }
 SEEDS = (0, 7)
 JOBS = 2
