@@ -19,6 +19,7 @@ import json
 import os
 import sys
 import time
+from functools import partial
 
 import numpy as np
 from scipy.special import erf
@@ -26,7 +27,7 @@ from scipy.special import erf
 from . import gelu as gelu_mod
 from . import pipeline as pl
 from .metric import approx_error
-from .softmax import base2_frac_approx_error
+from .softmax import BASE2_FRAC_APPROXIMANTS
 from .tensor import OpCounter, TensorFormatError, tensor_read, tensor_write
 
 
@@ -73,43 +74,26 @@ def cmd_fit(args) -> tuple[list[str], None]:
     return [args.out], None
 
 
-def _erf_rows():
-    rng = (-3.0, 3.0)
-    rows = []
-    for name, coeffs in (("erf_ibert_quadratic", gelu_mod.IBERT_ERF_COEFFS),
-                         ("erf_quartic_ours", gelu_mod.QUARTIC_ERF_COEFFS)):
-        l2, linf = approx_error(erf, lambda x, c=coeffs: gelu_mod.erf_poly_eval(x, c), rng)
-        rows.append((name, rng, l2, linf))
-    return rows
-
-
-def _gelu_rows():
-    rng = (-3.0, 3.0)
-    ref = gelu_mod.gelu_reference
-    rows = []
-    for name, fn in (("i_gelu", gelu_mod.ibert_gelu),
-                     ("data_aware_poly_gelu", gelu_mod.data_aware_poly_gelu)):
-        l2, linf = approx_error(ref, fn, rng)
-        rows.append((name, rng, l2, linf))
-    return rows
-
-
-def _exp2_rows():
-    rng = (-1.0, 1.0)
-    rows = []
-    for name, mode in (("base2_exp_ivit", "ivit_linear"),
-                       ("base2_exp_ours_exact_ln2", "ours_exact_ln2"),
-                       ("base2_exp_ours_shift", "ours_shift")):
-        l2, linf = base2_frac_approx_error(mode)
-        rows.append((name, rng, l2, linf))
-    return rows
+# --which -> its rows of (method, reference, approximant, range) for approx_error
+_TABLES = {
+    "erf": [(name, erf, partial(gelu_mod.erf_poly_eval, c=coeffs), (-3.0, 3.0))
+            for name, coeffs in (("erf_ibert_quadratic", gelu_mod.IBERT_ERF_COEFFS),
+                                 ("erf_quartic_ours", gelu_mod.QUARTIC_ERF_COEFFS))],
+    "gelu": [(name, gelu_mod.gelu_reference, fn, (-3.0, 3.0))
+             for name, fn in (("i_gelu", gelu_mod.ibert_gelu),
+                              ("data_aware_poly_gelu", gelu_mod.data_aware_poly_gelu))],
+    "exp2": [(name, np.exp2, BASE2_FRAC_APPROXIMANTS[mode], (-1.0, 1.0))
+             for name, mode in (("base2_exp_ivit", "ivit_linear"),
+                                ("base2_exp_ours_exact_ln2", "ours_exact_ln2"),
+                                ("base2_exp_ours_shift", "ours_shift"))],
+}
 
 
 def cmd_eval_approx(args) -> tuple[list[str], None]:
-    table = {"erf": _erf_rows, "gelu": _gelu_rows, "exp2": _exp2_rows}
-    if args.which not in table:
-        raise UsageError(f"--which must be one of {sorted(table)}, got {args.which!r}")
-    rows = table[args.which]()
+    if args.which not in _TABLES:
+        raise UsageError(f"--which must be one of {sorted(_TABLES)}, got {args.which!r}")
+    rows = [(name, rng, *approx_error(ref, fn, rng))
+            for name, ref, fn, rng in _TABLES[args.which]]
     with open(args.out, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["method", "range", "l2", "linf"])
@@ -121,6 +105,10 @@ def cmd_eval_approx(args) -> tuple[list[str], None]:
 
 
 def cmd_assign(args) -> tuple[list[str], int]:
+    if args.calib_seed < 0:
+        raise UsageError(f"--calib-seed must be >= 0, got {args.calib_seed}")
+    if args.jobs < 1:
+        raise UsageError(f"--jobs must be >= 1, got {args.jobs}")
     try:
         cfg = pl.load_config(args.config)
     except pl.ConfigError as exc:
@@ -166,15 +154,6 @@ def cmd_infer(args) -> tuple[list[str], int]:
             f"input dims {list(shape)} do not match the plan's model"
             f" [{graph.tokens}, {graph.embed_dim}]"
         )
-    missing = [e for e in graph.edges if e not in plan.qparams]
-    missing += [r.layer_id for r in graph.layers if r.layer_id not in plan.assignments]
-    if missing:
-        raise UsageError(f"plan: no entries for {missing[:3]} of the plan's model")
-    for r in graph.layers:
-        cand = plan.assignments[r.layer_id]
-        if cand not in r.candidates:
-            raise UsageError(f"plan: {r.layer_id} is assigned {cand!r},"
-                             f" not one of {list(r.candidates)}")
     try:
         pl.compile_plan(graph, weights, plan)
     except (ValueError, OverflowError) as exc:

@@ -49,14 +49,11 @@ def _int_sqrt_array(n: np.ndarray, km: KernelMath, iterations: int = 40,
     else:
         # quadratic over-estimate on the reduced mantissa m in [0, 64):
         # sqrt(m * 4^e) <= ((m*m >> 9) + (m >> 3) + 4) * 2^e, so Newton
-        # still converges monotonically from above
-        e = np.zeros(n.shape, dtype=np.int64)
-        m = n.copy()
-        while np.any(m >= 64):
-            km.counter.shifts += int(np.count_nonzero(m >= 64))
-            big = m >= 64
-            m[big] >>= 2
-            e[big] += 1
+        # still converges monotonically from above. e quarterings bring n
+        # below 64; each is charged one shift, as a quartering loop spends
+        e = np.maximum(bit_length(n) - 5, 0) >> 1
+        m = n >> (2 * e)
+        km.counter.shifts += int(e.sum())
         km.counter.muls += n.size
         km.counter.shifts += 3 * n.size
         km.counter.adds += 2 * n.size

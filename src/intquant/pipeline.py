@@ -328,16 +328,14 @@ def stage1_analyze(graph: ModelGraph, weights: dict, calib: list,
     n_samples = len(cat[INPUT])
     logits_power = signal_power(logits) if cfg.stage1_mode == "global" else None
 
-    def row(op, cand, output):
+    def measure(cand, output):
         counter = OpCounter()   # one per candidate: counters are not thread-safe
         try:
             got, ref, power = output(cand, counter)
             q_db, p = error_scores(ref, got, power, cfg.db_convention, out=got)
         except KernelOverflowError:
             q_db, p = -np.inf, np.inf
-        c_ops = round(counter.total() / n_samples)
-        score = unified_score(q_db, p, c_ops) if np.isfinite(p) else 0.0
-        return op.out, op.op, cand, MetricScore(q_db, p, c_ops, score)
+        return q_db, p, round(counter.total() / n_samples)
 
     def evaluate(op):
         """The rows of one layer's candidates. ``output`` gives a
@@ -360,45 +358,41 @@ def stage1_analyze(graph: ModelGraph, weights: dict, calib: list,
             def output(cand, counter):
                 return (_candidate_output(op, cand, codes, params, weights, cfg, counter),
                         ref, power)
-        return [row(op, cand, output) for cand in candidates[op.out]]
+        cands = candidates[op.out]
+        scores = _layer_scores([measure(cand, output) for cand in cands], cfg.standardize)
+        return [(op.out, op.op, cand, ms) for cand, ms in zip(cands, scores)]
 
     if jobs > 1:
         with ThreadPoolExecutor(max_workers=jobs) as pool:
             per_layer = list(pool.map(evaluate, layers))
     else:
         per_layer = [evaluate(op) for op in layers]
-    rows = [r for layer_rows in per_layer for r in layer_rows]
-
     table = MetricTable()
-    if cfg.standardize:
-        rows = _standardize_rows(rows)
-    for row in rows:
+    for row in (r for layer_rows in per_layer for r in layer_rows):
         table.add(*row)
     return table
 
 
-def _standardize_rows(rows):
-    """Optional per-layer min-max standardization of p and c across the
-    candidate pool before softplus, so raw operation counts cannot swamp
-    the harmonic mean."""
-    by_layer: dict = {}
-    for lid, kind, cand, ms in rows:
-        by_layer.setdefault(lid, []).append((kind, cand, ms))
+def _layer_scores(measured: list, standardize: bool) -> list[MetricScore]:
+    """One layer's candidate scores from their (q_db, p, c). ``standardize``
+    min-max scales p and c over the candidates that ran, so that raw op
+    counts cannot swamp the harmonic mean; an overflowed one (p = inf, c a
+    partial count) scores 0."""
+    ps = [p for _, p, _ in measured if np.isfinite(p)]
+    cs = [c for _, p, c in measured if np.isfinite(p)]
+
+    def scaled(v, vals):
+        lo, hi = min(vals), max(vals)
+        return 0.0 if hi == lo else (v - lo) / (hi - lo)
     out = []
-    for lid, entries in by_layer.items():
-        # an overflowed candidate's p is inf and its c a partial count
-        ps = [ms.p for _, _, ms in entries if np.isfinite(ms.p)] or [0.0]
-        cs = [ms.c for _, _, ms in entries if np.isfinite(ms.p)] or [0]
-        p_lo, p_hi, c_lo, c_hi = min(ps), max(ps), min(cs), max(cs)
-        for kind, cand, ms in entries:
-            if ms.score == 0.0 and not np.isfinite(ms.p):
-                out.append((lid, kind, cand, ms))
-                continue
-            sp = 0.0 if p_hi == p_lo else (ms.p - p_lo) / (p_hi - p_lo)
-            sc = 0.0 if c_hi == c_lo else (ms.c - c_lo) / (c_hi - c_lo)
-            out.append((lid, kind, cand,
-                        MetricScore(ms.q_db, ms.p, ms.c,
-                                    unified_score(ms.q_db, sp, sc))))
+    for q_db, p, c in measured:
+        if not np.isfinite(p):
+            score = 0.0
+        elif standardize:
+            score = unified_score(q_db, scaled(p, ps), scaled(c, cs))
+        else:
+            score = unified_score(q_db, p, c)
+        out.append(MetricScore(q_db, p, c, score))
     return out
 
 
@@ -415,15 +409,9 @@ def stage2_assign(table: MetricTable, graph: ModelGraph | None = None,
                         f"missing entry for ({rec.layer_id}, {cand})")
     plan = AssignmentPlan(config=config or PipelineConfig())
     for lid in table.layer_ids():
-        cands = table.candidates_for(lid)
-        top = max(ms.score for _, ms in cands)
-        winners = sorted(c for c, ms in cands if ms.score == top)
-        chosen = winners[0]
-        ms = dict(cands)[chosen]
-        plan.assignments[lid] = chosen
-        plan.scores[lid] = ms
-        kind = next(k for l, k, c, _ in table.entries if l == lid)
-        plan.kinds[lid] = kind
+        _, kind, cand, ms = min((e for e in table.entries if e[0] == lid),
+                                key=lambda e: (-e[3].score, e[2]))
+        plan.assignments[lid], plan.kinds[lid], plan.scores[lid] = cand, kind, ms
     plan.omega = float(sum(ms.score for ms in plan.scores.values()))
     return plan
 
@@ -564,18 +552,6 @@ def _matmul_corrected(km: KernelMath, a, za, b_t, zb):
     return acc
 
 
-class _Reads:
-    """Mapping view that records every key read through it."""
-
-    def __init__(self, source):
-        self.source = source
-        self.seen: dict = {}
-
-    def __getitem__(self, key):
-        val = self.seen[key] = self.source[key]
-        return val
-
-
 @dataclass(frozen=True)
 class CompiledPlan:
     """Configuration-time state of :func:`integer_forward`: one step per op
@@ -589,8 +565,8 @@ class CompiledPlan:
     graph: ModelGraph
     config: PipelineConfig
     assignments: dict         # read per call by the non-linear steps
-    weights_read: tuple       # (name, array) pairs, checked by identity
-    qparams_read: tuple       # (edge, QParams) pairs, checked by identity
+    weights_read: tuple       # (name, array) pairs of the weights, checked by identity
+    qparams_read: tuple       # (edge, QParams) pairs of the plan, checked by identity
     steps: tuple              # per op: fn(km, *input codes) -> output codes
 
     def matches(self, graph: ModelGraph, weights: dict, plan: AssignmentPlan) -> bool:
@@ -600,11 +576,11 @@ class CompiledPlan:
                 and all(plan.qparams.get(e) is p for e, p in self.qparams_read))
 
 
-def _step(op: Op, graph: ModelGraph, plan: AssignmentPlan, P: _Reads, W: _Reads):
+def _step(op: Op, graph: ModelGraph, plan: AssignmentPlan, P: dict, W: dict):
     """``op``'s integer step, ``step(km, *input codes) -> output codes``.
 
-    Every constant the step needs is derived here, from the parameters and
-    weights read through ``P`` and ``W``. A non-linear step binds its
+    Every constant the step needs is derived here, from the parameters
+    ``P`` and the weights ``W``. A non-linear step binds its
     parameters (and LayerNorm's gamma and beta) but looks up the layer's
     candidate in ``plan.assignments``, and its runner, on every call.
     """
@@ -687,17 +663,31 @@ def compile_plan(graph: ModelGraph, weights: dict, plan: AssignmentPlan) -> Comp
     """Compile ``graph.ops`` into one integer step each (see :func:`_step`),
     attach the result to ``plan`` and return it.
 
-    Raises ValueError naming the edge when the plan's parameters cannot run:
-    a softmax input off the kernels' dyadic grid or a softmax output off
-    their probability grid, a multiplier of 2^62 or more, or an ``add``,
-    ``pos_add`` or ``linear`` multiplier that rounds to 0 (except on a row
-    of zero weights)."""
+    Raises ValueError naming the edge or layer when the plan does not fit
+    ``graph``: an edge or layer with no entry, an entry for one the graph
+    lacks, or a candidate outside the layer's pool. It does so too when the
+    plan's parameters cannot run: a softmax input off the kernels' dyadic
+    grid or a softmax output off their probability grid, a multiplier of
+    2^62 or more, or an ``add``, ``pos_add`` or ``linear`` multiplier that
+    rounds to 0 (except on a row of zero weights)."""
     if not plan.calibrated:
         raise ValueError("plan must be calibrated before inference")
-    P, W = _Reads(plan.qparams), _Reads(weights)
-    steps = tuple(_step(op, graph, plan, P, W) for op in graph.ops)
-    compiled = CompiledPlan(graph, plan.config, plan.assignments, tuple(W.seen.items()),
-                            tuple(P.seen.items()), steps)
+    edges, layers = graph.edges, {r.layer_id: r.candidates for r in graph.layers}
+    missing = [e for e in edges if e not in plan.qparams]
+    missing += [lid for lid in layers if lid not in plan.assignments]
+    if missing:
+        raise ValueError(f"no entries for {missing[:3]} of the plan's model")
+    extra = [e for e in plan.qparams if e not in edges]
+    extra += [lid for lid in plan.assignments if lid not in layers]
+    if extra:
+        raise ValueError(f"entries for {extra[:3]}, which the plan's model lacks")
+    for lid, cands in layers.items():
+        if plan.assignments[lid] not in cands:
+            raise ValueError(f"{lid} is assigned {plan.assignments[lid]!r},"
+                             f" not one of {list(cands)}")
+    steps = tuple(_step(op, graph, plan, plan.qparams, weights) for op in graph.ops)
+    compiled = CompiledPlan(graph, plan.config, plan.assignments, tuple(weights.items()),
+                            tuple(plan.qparams.items()), steps)
     plan.compiled = compiled
     return compiled
 

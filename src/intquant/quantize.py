@@ -3,7 +3,9 @@
 Codes always live in [0, 2^b - 1]. The symmetric scheme is realized as
 unsigned codes with a midpoint zero point z = 2^(b-1), which is equivalent
 to signed-range symmetric quantization but keeps a single code domain.
-Rounding is half-to-even everywhere, for bias-freeness and reproducibility.
+:func:`quantize` rounds half to even; :func:`requantize`'s shift rounds half
+up. :func:`encode_dyadic_multiplier` gives 15-bit mantissas; integer
+inference's ``linear``, ``add`` and ``pos_add`` use round(2^16 * ratio) at shift 16.
 """
 
 from __future__ import annotations

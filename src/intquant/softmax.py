@@ -20,6 +20,7 @@ from functools import partial
 
 import numpy as np
 
+from .metric import approx_error
 from .quantize import QParams, QTensor, encode_dyadic_multiplier
 from .tensor import KernelMath, OpCounter, bit_length
 
@@ -320,15 +321,16 @@ def log2_softmax_codes(q: QTensor, counter: OpCounter | None = None) -> np.ndarr
     return k
 
 
+# 2^x on (-1, 1) as I-ViT's shift exponential and ours (ln2 exact, by shifts) take it
+BASE2_FRAC_APPROXIMANTS = {
+    "ivit_linear": lambda x: 1.0 + x / 2.0,
+    "ours_exact_ln2": lambda x: 1.0 + math.log(2.0) * x,
+    "ours_shift": lambda x: 1.0 + 0.6875 * x,
+}
+
+
 def base2_frac_approx_error(mode: str, grid: int = 10001) -> tuple[float, float]:
     """(RMS, max) error of a 2^x approximant against exact 2^x on (-1, 1)."""
-    approximants = {
-        "ivit_linear": lambda x: 1.0 + x / 2.0,
-        "ours_exact_ln2": lambda x: 1.0 + math.log(2.0) * x,
-        "ours_shift": lambda x: 1.0 + 0.6875 * x,
-    }
-    if mode not in approximants:
+    if mode not in BASE2_FRAC_APPROXIMANTS:
         raise ValueError(f"unknown mode {mode!r}")
-    x = np.linspace(-1.0, 1.0, grid)
-    d = np.abs(np.exp2(x) - approximants[mode](x))
-    return float(np.sqrt(np.mean(d * d))), float(np.max(d))
+    return approx_error(np.exp2, BASE2_FRAC_APPROXIMANTS[mode], (-1.0, 1.0), grid)

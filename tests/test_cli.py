@@ -136,6 +136,16 @@ class TestAssign:
                    "--out", str(tmp_path / "x")) == 2
         assert not (tmp_path / "x.plan.json").exists()
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--calib-seed", "-1"), ("--jobs", "0"), ("--jobs", "-2"),
+    ])
+    def test_out_of_range_flag_is_usage_error(self, tmp_path, config_path, capsys,
+                                              flag, value):
+        assert run(tmp_path, "assign", "--config", str(config_path), flag, value,
+                   "--out", str(tmp_path / "x")) == 2
+        assert f"usage error: {flag} must be >= " in capsys.readouterr().err
+        assert not (tmp_path / "x.plan.json").exists()
+
     def test_malformed_config_json_is_usage_error(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{\"model\": ")
@@ -234,6 +244,18 @@ class TestInfer:
         raw["qparams"] = [q for q in raw["qparams"] if q["layer_id"] != "block1.res1"]
         plan.write_text(json.dumps(raw))
         assert self._infer(tmp_path, plan, self._input(tmp_path)) == 2
+
+    @pytest.mark.parametrize("section, entry", [
+        ("qparams", "block9.res1"), ("assignments", "block9.gelu"),
+    ], ids=["extra_edge", "extra_layer"])
+    def test_plan_entry_the_model_lacks_is_usage_error(self, tmp_path, config_path, capsys,
+                                                       section, entry):
+        plan = self._plan(tmp_path, config_path)
+        raw = json.loads(plan.read_text())
+        raw[section].append({**raw[section][-1], "layer_id": entry})
+        plan.write_text(json.dumps(raw))
+        assert self._infer(tmp_path, plan, self._input(tmp_path)) == 2
+        assert f"usage error: plan: entries for ['{entry}']" in capsys.readouterr().err
 
     def test_candidate_outside_the_layer_pool_is_usage_error(self, tmp_path, config_path,
                                                              capsys):

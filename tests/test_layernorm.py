@@ -70,20 +70,35 @@ class TestIntSqrt:
         np.testing.assert_array_equal(got, want)
 
 
-def _int_sqrt_shift_loop(n, km, iterations=40):
-    """Reference: the shift-seeded Newton floor-sqrt with the seed's bit
-    length found by shifting once per bit until zero, and each element
-    charged for the Newton steps it takes."""
+def _int_sqrt_loop(n, km, iterations=40, seed="shift"):
+    """Reference: the Newton floor-sqrt with its seed found by loops, and
+    each element charged for the Newton steps it takes. The shift seed's bit
+    length is found by shifting once per bit until zero; the poly seed's
+    mantissa m and exponent e by quartering n, one shift per quartering,
+    until it is below 64."""
     n = km.asarray(n)
     zero = n == 0
     n = np.where(zero, 1, n)
-    bl = np.zeros(n.shape, dtype=np.int64)
-    tmp = n.copy()
-    while np.any(tmp > 0):
-        km.counter.shifts += int(np.count_nonzero(tmp > 0))
-        bl[tmp > 0] += 1
-        tmp = tmp >> 1
-    x = np.int64(1) << ((bl + 1) >> 1)
+    if seed == "shift":
+        bl = np.zeros(n.shape, dtype=np.int64)
+        tmp = n.copy()
+        while np.any(tmp > 0):
+            km.counter.shifts += int(np.count_nonzero(tmp > 0))
+            bl[tmp > 0] += 1
+            tmp = tmp >> 1
+        x = np.int64(1) << ((bl + 1) >> 1)
+    else:
+        e = np.zeros(n.shape, dtype=np.int64)
+        m = n.copy()
+        while np.any(m >= 64):
+            km.counter.shifts += int(np.count_nonzero(m >= 64))
+            big = m >= 64
+            m[big] >>= 2
+            e[big] += 1
+        km.counter.muls += n.size
+        km.counter.shifts += 3 * n.size
+        km.counter.adds += 2 * n.size
+        x = (((m * m) >> 9) + (m >> 3) + 4) << e
     x = np.maximum(x, 1)
     # each Newton step is charged only to the elements still moving
     active = np.ones(n.shape, dtype=bool)
@@ -102,6 +117,7 @@ def _int_sqrt_shift_loop(n, km, iterations=40):
 
 
 class TestShiftSeedMatchesLoop:
+    SEED = "shift"
     EDGES = np.array(sorted({0, 1, 2, 3} | {(1 << k) + d for k in range(1, 63)
                                             for d in (-1, 0, 1) if (1 << k) + d < 1 << 63}
                             | {(1 << 63) - 1}), dtype=np.int64)
@@ -119,14 +135,20 @@ class TestShiftSeedMatchesLoop:
     def test_nonpositive_seed(self):
         self._check(np.array([[-5, -1, 0], [1, 0, -(1 << 62)]], dtype=np.int64), 0)
 
-    @staticmethod
-    def _check(n, iterations):
+    def _check(self, n, iterations):
         # iterations=0 returns the seed itself, so seeds are compared too
         km_new, km_ref = KernelMath(), KernelMath()
-        got = _int_sqrt_array(n, km_new, iterations=iterations)
-        want = _int_sqrt_shift_loop(n, km_ref, iterations=iterations)
+        got = _int_sqrt_array(n, km_new, iterations=iterations, seed=self.SEED)
+        want = _int_sqrt_loop(n, km_ref, iterations=iterations, seed=self.SEED)
         np.testing.assert_array_equal(got, want)
         assert km_new.counter.as_dict() == km_ref.counter.as_dict()
+
+
+class TestPolySeedMatchesLoop(TestShiftSeedMatchesLoop):
+    """The poly seed's closed-form exponent against the quartering loop, on
+    the same edges (0, 1, 63, 64, 255, 256, 2^k - 1, 2^k and 2^k + 1) and
+    random inputs."""
+    SEED = "poly"
 
 
 def _quantized_rows(x, bits=8):

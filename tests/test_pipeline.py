@@ -1,6 +1,7 @@
 import copy
 import dataclasses
 import json
+import re
 import sys
 import threading
 
@@ -231,6 +232,24 @@ class TestStage1:
         raw = {(l, c): (ms.q_db, ms.p, ms.c) for l, _, c, ms in lit.entries}
         for l, _, c, ms in std.entries:
             assert raw[(l, c)] == (ms.q_db, ms.p, ms.c)  # raw factors unchanged
+
+    def test_layer_scores_scale_over_the_candidates_that_ran(self):
+        # standardized p and c lie in [0, 1] over the candidates that ran, a
+        # span of one value scales to 0, and an overflowed candidate's
+        # partial count takes no part and scores 0; the factors stay raw
+        measured = [(30.0, 2.0, 100), (20.0, 4.0, 300), (-np.inf, np.inf, 10_000),
+                    (25.0, 2.0, 200)]
+        std = pl._layer_scores(measured, standardize=True)
+        assert [(ms.q_db, ms.p, ms.c) for ms in std] == measured
+        assert [ms.score for ms in std] == [
+            unified_score(30.0, 0.0, 0.0), unified_score(20.0, 1.0, 1.0), 0.0,
+            unified_score(25.0, 0.0, 0.5)]
+        raw = pl._layer_scores(measured, standardize=False)
+        assert [ms.score for ms in raw] == [
+            unified_score(*measured[0]), unified_score(*measured[1]), 0.0,
+            unified_score(*measured[3])]
+        only, = pl._layer_scores([(30.0, 2.0, 100)], standardize=True)
+        assert only.score == unified_score(30.0, 0.0, 0.0)
 
 
 class TestStage1Slices:
@@ -777,6 +796,18 @@ def _fresh(plan):
     return plan_from_dict(plan_to_dict(plan))
 
 
+class _Reads(dict):
+    """A dict that records every key read through it with []."""
+
+    def __init__(self, source):
+        super().__init__(source)
+        self.seen: dict = {}
+
+    def __getitem__(self, key):
+        val = self.seen[key] = super().__getitem__(key)
+        return val
+
+
 def _run(graph, weights, plan, xs):
     outs = [integer_forward(graph, weights, plan, x) for x in xs]
     return [o.values.tobytes() for o, _ in outs], [c.as_dict() for _, c in outs]
@@ -878,10 +909,31 @@ class TestCompiledPlan:
         read = dict(compile_plan(graph, weights, plan).qparams_read)
         for op in graph.ops:
             if op.op == "ctx":
-                P = pl._Reads(plan.qparams)
-                pl._step(op, graph, plan, P, pl._Reads(weights))
+                P = _Reads(plan.qparams)
+                pl._step(op, graph, plan, P, weights)
                 assert read[op.inputs[0]] is P.seen[op.inputs[0]] is plan.qparams[op.inputs[0]]
                 assert op.inputs[0].endswith(".softmax")
+
+    @pytest.mark.parametrize("change, named", [
+        (lambda p: p.qparams.pop("block1.res1"), "no entries for ['block1.res1']"),
+        (lambda p: p.assignments.pop("block0.gelu"), "no entries for ['block0.gelu']"),
+        (lambda p: p.assignments.update({"block0.softmax": "shift_gelu"}),
+         "block0.softmax is assigned 'shift_gelu'"),
+        (lambda p: p.assignments.update({"block0.gelu": "log2_scale"}),
+         "block0.gelu is assigned 'log2_scale'"),
+        (lambda p: p.qparams.update({"block9.res1": p.qparams["block1.res1"]}),
+         "entries for ['block9.res1'], which the plan's model lacks"),
+        (lambda p: p.assignments.update({"block9.gelu": "shift_gelu"}),
+         "entries for ['block9.gelu'], which the plan's model lacks"),
+    ], ids=["lacks_an_edge", "lacks_a_layer", "softmax_given_a_gelu_kernel",
+            "gelu_given_a_layernorm_kernel", "extra_edge", "extra_layer"])
+    def test_plan_that_does_not_fit_the_model_is_refused(self, pipeline_result, inputs,
+                                                         change, named):
+        (plan, table, graph, weights), cfg = pipeline_result
+        plan = _fresh(plan)
+        change(plan)
+        with pytest.raises(ValueError, match=re.escape(named)):
+            integer_forward(graph, weights, plan, inputs[0])
 
     def test_zero_weight_row_keeps_its_zero_multiplier(self, pipeline_result, inputs):
         # an all-zero row's multiplier rounds to 0 and scales nothing, so it

@@ -9,6 +9,7 @@ dict itself next to its digest so that a change in op counts reads off the
 diff. It also holds the CLI round trip: ``intquant assign`` writes the
 plan file, ``intquant infer`` runs a batch of 2 under the plan it reads
 back, and the plan, logits and ``.ops.json`` files are hashed as written.
+Last, it holds the sha256 of the three ``intquant eval-approx`` CSVs.
 
 A change that should not alter any output is checked by running this on
 the parent and on the change, on one machine, and comparing:
@@ -112,6 +113,23 @@ def cli_digests(raw: dict, seed: int, tmp: str) -> dict:
     return out
 
 
+def eval_approx_digests(tmp: str) -> dict:
+    """Digests of the CSVs that ``intquant eval-approx`` writes."""
+    from intquant import cli
+
+    out = {}
+    for which in ("erf", "gelu", "exp2"):
+        path = os.path.join(tmp, f"{which}.csv")
+        with contextlib.redirect_stdout(io.StringIO()):
+            rc = cli.main(["--report-file", os.path.join(tmp, "runs.jsonl"),
+                           "eval-approx", "--which", which, "--out", path])
+        if rc != 0:
+            raise SystemExit(f"intquant eval-approx --which {which} exited {rc}")
+        with open(path, "rb") as fh:
+            out[f"{which}.csv"] = sha(fh.read())
+    return out
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--src", required=True,
@@ -130,6 +148,7 @@ def main(argv=None) -> int:
                 report[f"{name}/seed{seed}"] = {
                     **digests(pl, raw, seed, tmp),
                     **cli_digests(raw, seed, tmp)}
+        report["eval-approx"] = eval_approx_digests(tmp)
     print(json.dumps(report, indent=2, sort_keys=True))
     return 0
 
