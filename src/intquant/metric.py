@@ -121,9 +121,6 @@ class MetricTable:
     def add(self, layer_id: str, kind: str, candidate: str, score: MetricScore):
         self.entries.append((layer_id, kind, candidate, score))
 
-    def candidates_for(self, layer_id: str):
-        return [(cand, ms) for lid, _, cand, ms in self.entries if lid == layer_id]
-
     def layer_ids(self):
         seen = dict.fromkeys(lid for lid, _, _, _ in self.entries)
         return list(seen)

@@ -557,32 +557,33 @@ class CompiledPlan:
     """Configuration-time state of :func:`integer_forward`: one step per op
     of ``graph.ops`` (see :func:`_step`).
 
-    It is valid only while the graph, config, assignments dict, weight
-    arrays and activation parameters it was derived from are the very same
-    objects; it is never serialized.
+    It is valid only while the graph and the weight arrays it was derived
+    from are the very same objects, and the plan's config, assignments and
+    activation parameters equal the copies taken here; it is never
+    serialized.
     """
 
     graph: ModelGraph
-    config: PipelineConfig
-    assignments: dict         # read per call by the non-linear steps
+    config: PipelineConfig    # frozen, so it is its own copy
+    assignments: dict         # copy of plan.assignments
     weights_read: tuple       # (name, array) pairs of the weights, checked by identity
-    qparams_read: tuple       # (edge, QParams) pairs of the plan, checked by identity
+    qparams_read: tuple       # (edge, QParams) pairs of the plan, checked by equality
     steps: tuple              # per op: fn(km, *input codes) -> output codes
 
     def matches(self, graph: ModelGraph, weights: dict, plan: AssignmentPlan) -> bool:
-        return (self.graph is graph and self.config is plan.config
-                and self.assignments is plan.assignments
-                and all(weights.get(k) is v for k, v in self.weights_read)
-                and all(plan.qparams.get(e) is p for e, p in self.qparams_read))
+        return (self.graph is graph and self.config == plan.config
+                and self.assignments == plan.assignments
+                and dict(self.qparams_read) == plan.qparams
+                and all(weights.get(k) is v for k, v in self.weights_read))
 
 
 def _step(op: Op, graph: ModelGraph, plan: AssignmentPlan, P: dict, W: dict):
     """``op``'s integer step, ``step(km, *input codes) -> output codes``.
 
     Every constant the step needs is derived here, from the parameters
-    ``P`` and the weights ``W``. A non-linear step binds its
-    parameters (and LayerNorm's gamma and beta) but looks up the layer's
-    candidate in ``plan.assignments``, and its runner, on every call.
+    ``P`` and the weights ``W``. A non-linear step binds its parameters,
+    the layer's candidate in ``plan.assignments`` (and LayerNorm's gamma and
+    beta) but looks up the candidate's runner on every call.
     """
     out, ins, cfg = op.out, op.inputs, plan.config
     p_out = P[out]
@@ -595,10 +596,10 @@ def _step(op: Op, graph: ModelGraph, plan: AssignmentPlan, P: dict, W: dict):
             except sm_mod.ConfigurationError as exc:
                 raise ValueError(f"{out}: {exc}") from exc
         layer_weights = {k: W[k] for k in op.weights}
-        assignments, degree = plan.assignments, cfg.taylor_degree
+        candidate, degree = plan.assignments[out], cfg.taylor_degree
 
         def nonlinear(km, x):
-            return _run_kernel(op, assignments[out], QTensor(x, p_in), layer_weights,
+            return _run_kernel(op, candidate, QTensor(x, p_in), layer_weights,
                                p_out, degree, km.counter).codes
         return nonlinear
     if op.op == "linear":
@@ -686,8 +687,8 @@ def compile_plan(graph: ModelGraph, weights: dict, plan: AssignmentPlan) -> Comp
             raise ValueError(f"{lid} is assigned {plan.assignments[lid]!r},"
                              f" not one of {list(cands)}")
     steps = tuple(_step(op, graph, plan, plan.qparams, weights) for op in graph.ops)
-    compiled = CompiledPlan(graph, plan.config, plan.assignments, tuple(weights.items()),
-                            tuple(plan.qparams.items()), steps)
+    compiled = CompiledPlan(graph, plan.config, dict(plan.assignments),
+                            tuple(weights.items()), tuple(plan.qparams.items()), steps)
     plan.compiled = compiled
     return compiled
 

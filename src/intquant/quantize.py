@@ -151,19 +151,25 @@ class MinMaxObserver:
         return qparams_from_range(hi, lo, bits)
 
 
+# The exponents f of the dyadic grids 2^-f that the softmax kernels run on.
+# f is floored at 2: on coarser grids their ln2 terms round to nothing. f is
+# capped at 20: finer grids add nothing at 16-bit code widths, and the cap
+# keeps every kernel's squared fixed-point terms inside 63 bits even for
+# near-constant inputs.
+DYADIC_EXPONENTS = range(2, 21)
+
+
 def dyadic_qparams_for_range(lo: float, hi: float, code_bits: int = 16) -> QParams:
     """Asymmetric params whose scale is a power-of-two reciprocal.
 
-    The scale is the finest 1/2^f that still covers [lo, hi] with
-    ``code_bits``-wide codes; exponent-decomposition kernels consume these.
-    f is capped at 20: finer grids add nothing at 16-bit code widths, and
-    the cap keeps every kernel's squared fixed-point terms inside 63 bits
-    even for near-constant inputs. f is floored at 2, the coarsest grid the
-    softmax kernels run on, so a range wider than qmax/4 saturates.
+    The scale is the finest 1/2^f, f in ``DYADIC_EXPONENTS``, that still
+    covers [lo, hi] with ``code_bits``-wide codes; exponent-decomposition
+    kernels consume these. A range wider than qmax/4 saturates.
     """
     width = max(hi - lo, 1e-12)
     qmax = (1 << code_bits) - 1
-    f = int(np.clip(math.floor(math.log2(qmax / width)), 2, 20))
+    f = int(np.clip(math.floor(math.log2(qmax / width)),
+                    DYADIC_EXPONENTS[0], DYADIC_EXPONENTS[-1]))
     scale = 1.0 / (1 << f)
     zero = int(np.clip(np.rint(-lo / scale), 0, qmax))
     return QParams(scale, zero, code_bits, "asymmetric")
@@ -178,15 +184,8 @@ def encode_dyadic_multiplier(mult: float, mant_bits: int = 15) -> tuple[int, int
     """
     if mult <= 0:
         raise ValueError("multiplier must be positive")
-    e = 0
-    m = float(mult)
-    while m < (1 << (mant_bits - 1)):
-        m *= 2.0
-        e += 1
-    while m >= (1 << mant_bits):
-        m /= 2.0
-        e -= 1
-    return int(round(m)), e
+    frac, exp = math.frexp(mult)   # mult = frac * 2^exp, frac in [0.5, 1)
+    return int(round(math.ldexp(frac, mant_bits))), mant_bits - exp
 
 
 def requantize(km: KernelMath, acc: np.ndarray, m, e: int, p_out: QParams) -> np.ndarray:

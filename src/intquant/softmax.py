@@ -21,7 +21,7 @@ from functools import partial
 import numpy as np
 
 from .metric import approx_error
-from .quantize import QParams, QTensor, encode_dyadic_multiplier
+from .quantize import DYADIC_EXPONENTS, QParams, QTensor, encode_dyadic_multiplier
 from .tensor import KernelMath, OpCounter, bit_length
 
 # quadratic used by the range-reduction exponential baseline:
@@ -45,14 +45,17 @@ class NormalizationError(ValueError):
 
 
 def _dyadic_exponent(params: QParams) -> int:
-    """f of the input scale 2^-f. Grids coarser than 2^-2 are refused: on
-    them the ln2 terms round to nothing (2^-1 drives efficient_bit_softmax's
-    fraction codes negative, 2^0 zeroes iexp_softmax's ln2 divisor)."""
+    """f of the input scale, which must be exactly 2^-f with f in
+    ``DYADIC_EXPONENTS``. On coarser grids the ln2 terms round to nothing
+    (2^-1 drives efficient_bit_softmax's fraction codes negative, 2^0 zeroes
+    iexp_softmax's ln2 divisor); finer ones overflow the kernels' terms."""
     s = float(params.scale)
-    f = round(-math.log2(s))
-    if not (2 <= f <= 62) or abs(1.0 / (1 << f) - s) > 1e-15:
+    frac, exp = math.frexp(s)   # s = frac * 2^exp, and 2^-f = 0.5 * 2^(1 - f)
+    f = 1 - exp
+    if frac != 0.5 or f not in DYADIC_EXPONENTS:
         raise ConfigurationError(
-            f"softmax kernels need a scale 2^-f with 2 <= f <= 62, got {s}"
+            f"softmax kernels need a scale 2^-f with {DYADIC_EXPONENTS[0]} <= f"
+            f" <= {DYADIC_EXPONENTS[-1]}, got {s}"
         )
     return f
 

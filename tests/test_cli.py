@@ -287,13 +287,15 @@ class TestInfer:
     @pytest.mark.parametrize("edge, scale, named", [
         ("embed.ln", 1e300, "block0.res1"), ("block0.mlp.fc1", 1e-300, "block0.mlp.fc1"),
         ("block0.attn.scores", 0.5, "2 <= f"), ("block0.attn.scores", 1.0, "2 <= f"),
+        ("block0.attn.scores", 1e-16, "2 <= f"), ("block0.attn.scores", 2.0 ** -40, "2 <= f"),
         ("block0.mlp.fc1", float("inf"), "finite"),
         ("block0.ln1", 1e-300, "block0.attn.q: requantization multiplier rounds to 0"),
         ("embed.ln", 1e-30, "block0.res1: requantization multiplier rounds to 0"),
         ("block0.gelu", 1e-30, "block0.mlp.fc2: requantization multiplier rounds to 0"),
         ("block0.softmax", 0.37, "block0.softmax"),
     ], ids=["add_multiplier_past_62_bits", "linear_multiplier_past_62_bits",
-            "scores_grid_2^-1", "scores_grid_2^0", "infinite_scale",
+            "scores_grid_2^-1", "scores_grid_2^0", "scores_scale_1e-16", "scores_grid_2^-40",
+            "infinite_scale",
             "linear_multiplier_rounds_to_0", "add_multiplier_rounds_to_0",
             "gelu_output_under_the_fc2_multiplier", "probabilities_off_the_kernels_grid"])
     def test_plan_scales_the_kernels_cannot_run_are_usage_error(

@@ -1,11 +1,16 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from scipy.special import erf
 
+import intquant
 from intquant.gelu import (IBERT_ERF_COEFFS, QUARTIC_ERF_COEFFS, ErfPolyCoeffs,
-                           data_aware_poly_gelu, erf_poly_eval, fit_erf_poly,
-                           gelu_reference, ibert_gelu, poly_gelu_int, shift_gelu,
-                           shift_gelu_int)
+                           FitConvergenceError, data_aware_poly_gelu, erf_poly_eval,
+                           fit_erf_poly, gelu_reference, ibert_gelu, poly_gelu_int,
+                           shift_gelu, shift_gelu_int)
 from intquant.metric import approx_error
 from intquant.quantize import QParams, QTensor, dequantize_np, qparams_from_range
 from intquant.tensor import OpCounter
@@ -120,6 +125,46 @@ class TestFit:
     def test_rms_bounded_by_max(self):
         res = fit_erf_poly(RANGE, 3, samples=501)
         assert res.l2_err <= res.linf_err
+
+    # sum of squared residuals over RANGE at 2,001 samples that the
+    # coordinate-descent solver this fit replaced reached, to 12 decimals
+    DESCENT_OBJECTIVES = {
+        ("erf", 2): 0.212334017088, ("erf", 3): 0.062469013988, ("erf", 4): 0.178985581879,
+        ("gelu", 2): 0.176800519017, ("gelu", 3): 0.028656333136, ("gelu", 4): 0.010639324212,
+    }
+
+    @pytest.mark.parametrize("level,degree", sorted(DESCENT_OBJECTIVES))
+    def test_objective_no_worse_than_coordinate_descent(self, level, degree):
+        res = fit_erf_poly(RANGE, degree, samples=2001, level=level)
+        x = np.linspace(*RANGE, 2001)
+        if level == "erf":
+            r = erf(x) - erf_poly_eval(x, res.coeffs)
+        else:
+            r = gelu_reference(x) - data_aware_poly_gelu(x, res.coeffs)
+        assert float(np.sum(r * r)) <= self.DESCENT_OBJECTIVES[level, degree] + 1e-12
+
+    def test_unconverged_run_raises_with_its_best_point(self, monkeypatch):
+        import scipy.optimize
+        minimize = scipy.optimize.minimize
+
+        def capped(*args, options, **kwargs):
+            return minimize(*args, options={**options, "maxiter": 5}, **kwargs)
+
+        monkeypatch.setattr(scipy.optimize, "minimize", capped)
+        with pytest.raises(FitConvergenceError, match="no convergence") as info:
+            fit_erf_poly(RANGE, 2, samples=501)
+        best = info.value.best
+        assert best.coeffs.degree == 2 and best.l2_err <= best.linf_err
+
+    def test_import_does_not_load_the_optimizer(self):
+        # scipy.optimize is imported inside fit_erf_poly only; at module
+        # level it would add about 0.2 s to every command's start
+        src = os.path.dirname(os.path.dirname(intquant.__file__))
+        code = ("import sys, intquant, intquant.cli;"
+                " print('scipy.optimize' in sys.modules)")
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             check=True, env={**os.environ, "PYTHONPATH": src})
+        assert out.stdout.strip() == "False"
 
     def test_degree_direction_holds_at_gelu_level(self):
         # fitting and scoring at the GELU level reproduces the

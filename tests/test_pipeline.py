@@ -499,7 +499,7 @@ class TestStage2:
     def test_assignments_are_pool_argmax(self, pipeline_result):
         (plan, table, graph, weights), cfg = pipeline_result
         for lid, chosen in plan.assignments.items():
-            scores = dict(table.candidates_for(lid))
+            scores = {cand: ms for row_lid, _, cand, ms in table.entries if row_lid == lid}
             top = max(ms.score for ms in scores.values())
             assert scores[chosen].score == top
 
@@ -508,8 +508,9 @@ class TestStage2:
         # factors at once (score monotonicity forbids it)
         (plan, table, graph, weights), cfg = pipeline_result
         for lid, chosen in plan.assignments.items():
-            ms = dict(table.candidates_for(lid))[chosen]
-            for rival, rms in table.candidates_for(lid):
+            rows = {cand: ms for row_lid, _, cand, ms in table.entries if row_lid == lid}
+            ms = rows[chosen]
+            for rival, rms in rows.items():
                 if rival == chosen:
                     continue
                 dominated = (ms.q_db < rms.q_db and ms.p > rms.p and ms.c > rms.c)
@@ -875,8 +876,8 @@ class TestCompiledPlan:
     @pytest.mark.parametrize("layer", ["embed.ln", "block0.softmax", "block1.gelu"])
     def test_reassigned_candidate_runs_the_new_kernel(self, pipeline_result, inputs,
                                                       layer):
-        # the compiled steps look the candidate up per call, and a plan with
-        # another assignments dict recompiles
+        # the compiled steps bind the candidate, so a plan whose assignments
+        # changed in place, or with another assignments dict, recompiles
         (plan, table, graph, weights), cfg = pipeline_result
         plan = _fresh(plan)
         before = _run(graph, weights, plan, inputs)
@@ -886,7 +887,7 @@ class TestCompiledPlan:
         replaced = dataclasses.replace(plan, assignments={**plan.assignments, layer: other})
         plan.assignments[layer] = other
         after = _run(graph, weights, plan, inputs)
-        assert plan.compiled is compiled
+        assert plan.compiled is not compiled
         assert after == _run(graph, weights, _fresh(plan), inputs) != before
         assert _run(graph, weights, replaced, inputs) == after
         assert replaced.compiled is not compiled
@@ -914,7 +915,7 @@ class TestCompiledPlan:
                 assert read[op.inputs[0]] is P.seen[op.inputs[0]] is plan.qparams[op.inputs[0]]
                 assert op.inputs[0].endswith(".softmax")
 
-    @pytest.mark.parametrize("change, named", [
+    MISFITS = pytest.mark.parametrize("change, named", [
         (lambda p: p.qparams.pop("block1.res1"), "no entries for ['block1.res1']"),
         (lambda p: p.assignments.pop("block0.gelu"), "no entries for ['block0.gelu']"),
         (lambda p: p.assignments.update({"block0.softmax": "shift_gelu"}),
@@ -927,10 +928,23 @@ class TestCompiledPlan:
          "entries for ['block9.gelu'], which the plan's model lacks"),
     ], ids=["lacks_an_edge", "lacks_a_layer", "softmax_given_a_gelu_kernel",
             "gelu_given_a_layernorm_kernel", "extra_edge", "extra_layer"])
+
+    @MISFITS
     def test_plan_that_does_not_fit_the_model_is_refused(self, pipeline_result, inputs,
                                                          change, named):
         (plan, table, graph, weights), cfg = pipeline_result
         plan = _fresh(plan)
+        change(plan)
+        with pytest.raises(ValueError, match=re.escape(named)):
+            integer_forward(graph, weights, plan, inputs[0])
+
+    @MISFITS
+    def test_plan_edited_after_a_first_call_is_refused(self, pipeline_result, inputs,
+                                                       change, named):
+        # an in-place edit of a compiled plan goes through the same gate
+        (plan, table, graph, weights), cfg = pipeline_result
+        plan = _fresh(plan)
+        integer_forward(graph, weights, plan, inputs[0])
         change(plan)
         with pytest.raises(ValueError, match=re.escape(named)):
             integer_forward(graph, weights, plan, inputs[0])

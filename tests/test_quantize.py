@@ -1,7 +1,11 @@
+import math
+import sys
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from intquant.quantize import (DegenerateRangeError, MinMaxObserver, QParams,
                                QTensor, dequantize_np, dyadic_qparams_for_range,
@@ -211,6 +215,35 @@ class TestDyadicHelpers:
         m, e = encode_dyadic_multiplier(0.3)
         assert 1 << 14 <= m < 1 << 15
         assert m / (1 << e) == pytest.approx(0.3, rel=1e-4)
+
+    @given(mult=st.floats(min_value=5e-324, max_value=1e300),
+           mant_bits=st.sampled_from([8, 15, 20]))
+    @example(mult=5e-324, mant_bits=15)              # smallest subnormal
+    @example(mult=2.2250738585072009e-308, mant_bits=15)   # largest subnormal
+    @example(mult=sys.float_info.min, mant_bits=15)
+    @example(mult=sys.float_info.max, mant_bits=20)
+    @example(mult=1.0, mant_bits=15)
+    @example(mult=2.0 ** -40, mant_bits=8)
+    @example(mult=2.0 ** 14, mant_bits=15)
+    @example(mult=2.0 ** 15, mant_bits=15)
+    @example(mult=(2.0 ** 15 - 0.5) / 2 ** 20, mant_bits=15)   # rounds up to 2^15
+    @example(mult=math.nextafter(1.0, 0.0), mant_bits=15)
+    def test_multiplier_encoding_matches_the_normalising_loop(self, mult, mant_bits):
+        assert encode_dyadic_multiplier(mult, mant_bits) == _encode_loop(mult, mant_bits)
+
+
+def _encode_loop(mult: float, mant_bits: int) -> tuple[int, int]:
+    """Reference: the mantissa normalised into [2^(mant_bits-1), 2^mant_bits)
+    by doubling or halving one step at a time."""
+    e = 0
+    m = float(mult)
+    while m < (1 << (mant_bits - 1)):
+        m *= 2.0
+        e += 1
+    while m >= (1 << mant_bits):
+        m /= 2.0
+        e -= 1
+    return int(round(m)), e
 
 
 class TestRequantize:

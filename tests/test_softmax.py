@@ -10,7 +10,7 @@ from hypothesis.extra.numpy import arrays
 
 from intquant import softmax as sm_mod
 from intquant.model import CANDIDATE_POOLS
-from intquant.quantize import (QParams, QTensor, dequantize_np,
+from intquant.quantize import (DYADIC_EXPONENTS, QParams, QTensor, dequantize_np,
                                dyadic_qparams_for_range)
 from intquant.softmax import (ConfigurationError, NormalizationError,
                               _decompose_codes, _dyadic_exponent,
@@ -122,9 +122,16 @@ class TestDecompose:
         np.testing.assert_array_equal(recon, qp)
         assert np.all(r >= 0) and np.all(r < (1 << f))
 
-    def test_non_dyadic_scale_rejected(self):
-        with pytest.raises(ConfigurationError):
-            efficient_bit_softmax(qt([[-5]], scale=0.013), P8)
+    # 1e-16 is within 1e-15 of 2^-50; 2^-21 and 2^-40 are finer than 2^-20
+    @pytest.mark.parametrize("scale", [0.013, 1e-16, 2.0 ** -21, 2.0 ** -40,
+                                       math.nextafter(2.0 ** -10, 1.0)])
+    def test_non_dyadic_scale_rejected(self, scale):
+        with pytest.raises(ConfigurationError, match="2 <= f <= 20"):
+            efficient_bit_softmax(qt([[-5]], scale=scale), P8)
+
+    @pytest.mark.parametrize("f", DYADIC_EXPONENTS)
+    def test_every_grid_of_the_range_is_accepted(self, f):
+        assert f_of(2.0 ** -f) == f
 
 
 def eff_exp(values, scale=1.0 / 64):

@@ -9,7 +9,9 @@ dict itself next to its digest so that a change in op counts reads off the
 diff. It also holds the CLI round trip: ``intquant assign`` writes the
 plan file, ``intquant infer`` runs a batch of 2 under the plan it reads
 back, and the plan, logits and ``.ops.json`` files are hashed as written.
-Last, it holds the sha256 of the three ``intquant eval-approx`` CSVs.
+Last, it holds the sha256 of the three ``intquant eval-approx`` CSVs and
+of the JSON that ``intquant fit`` writes for degrees 2, 3 and 4, the
+fitted values beside each.
 
 A change that should not alter any output is checked by running this on
 the parent and on the change, on one machine, and comparing:
@@ -113,20 +115,37 @@ def cli_digests(raw: dict, seed: int, tmp: str) -> dict:
     return out
 
 
-def eval_approx_digests(tmp: str) -> dict:
-    """Digests of the CSVs that ``intquant eval-approx`` writes."""
+def written_digest(tmp: str, argv: list, name: str) -> str:
+    """Digest of the file ``name`` that ``intquant <argv> --out name``
+    writes through ``intquant.cli.main``, its printed summary discarded."""
     from intquant import cli
 
+    path = os.path.join(tmp, name)
+    with contextlib.redirect_stdout(io.StringIO()):
+        rc = cli.main(["--report-file", os.path.join(tmp, "runs.jsonl"), *argv, "--out", path])
+    if rc != 0:
+        raise SystemExit(f"intquant {' '.join(argv)} exited {rc}")
+    with open(path, "rb") as fh:
+        return sha(fh.read())
+
+
+def eval_approx_digests(tmp: str) -> dict:
+    """Digests of the CSVs that ``intquant eval-approx`` writes."""
+    return {f"{which}.csv": written_digest(tmp, ["eval-approx", "--which", which],
+                                           f"{which}.csv")
+            for which in ("erf", "gelu", "exp2")}
+
+
+def fit_digests(tmp: str) -> dict:
+    """Digests of the JSON that ``intquant fit`` writes over (-3, 3) for
+    each degree, each next to the fitted values it holds."""
     out = {}
-    for which in ("erf", "gelu", "exp2"):
-        path = os.path.join(tmp, f"{which}.csv")
-        with contextlib.redirect_stdout(io.StringIO()):
-            rc = cli.main(["--report-file", os.path.join(tmp, "runs.jsonl"),
-                           "eval-approx", "--which", which, "--out", path])
-        if rc != 0:
-            raise SystemExit(f"intquant eval-approx --which {which} exited {rc}")
-        with open(path, "rb") as fh:
-            out[f"{which}.csv"] = sha(fh.read())
+    for degree in (2, 3, 4):
+        name = f"fit.degree{degree}.json"
+        out[name] = written_digest(tmp, ["fit", "--range", "-3", "3",
+                                         "--degree", str(degree)], name)
+        with open(os.path.join(tmp, name)) as fh:
+            out[f"{name}.values"] = json.load(fh)
     return out
 
 
@@ -149,6 +168,7 @@ def main(argv=None) -> int:
                     **digests(pl, raw, seed, tmp),
                     **cli_digests(raw, seed, tmp)}
         report["eval-approx"] = eval_approx_digests(tmp)
+        report["fit"] = fit_digests(tmp)
     print(json.dumps(report, indent=2, sort_keys=True))
     return 0
 
