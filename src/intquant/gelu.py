@@ -14,14 +14,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from scipy.special import erf as _erf
 
 from .metric import approx_error
-from .quantize import QParams, QTensor, encode_dyadic_multiplier, requantize
-from .softmax import _recip_mul, _shift_add, _shift_exp_codes
-from .tensor import KernelMath, OpCounter
+from .quantize import QParams, QTensor, encode_dyadic_multiplier, requant_bound, requantize
+from .softmax import _recip_bound, _recip_mul, _shift_add, _shift_exp_bound, _shift_exp_codes
+from .tensor import KernelMath, OpCounter, StageBound, buffer_for, mul_bound
 
 SQRT2 = math.sqrt(2.0)
 
@@ -66,8 +67,12 @@ class FitConvergenceError(RuntimeError):
 def erf_poly_eval(x, c: ErfPolyCoeffs):
     """Evaluate the erf approximant. sign(0) = 0, so f(0) = 0 exactly."""
     arr = np.asarray(x, dtype=np.float64)
-    u = np.clip(np.abs(arr), None, -c.b)
-    out = np.sign(arr) * (c.a * (u + c.b) ** c.degree + 1.0)
+    v = np.clip(np.abs(arr), None, -c.b) + c.b
+    # repeated multiplication: numpy's ** has a fast path for the square only
+    power = v
+    for _ in range(c.degree - 1):
+        power = power * v
+    out = np.sign(arr) * (c.a * power + 1.0)
     return out if arr.shape else float(out)
 
 
@@ -175,6 +180,36 @@ _KL = 15   # fixed-point grid for the approximant value
 _KS = 15   # bits of the shift GELU's sigmoid codes, grid 2^-(_KS-1)
 
 
+@lru_cache(maxsize=256)
+def _poly_gelu_plan(p: QParams, c: ErfPolyCoeffs, out_params: QParams) -> tuple:
+    """Constants of :func:`poly_gelu_int` (configuration time, real
+    arithmetic allowed) and the bounds of its two stages, from their
+    transfer functions: the front up to the power of the clipped argument,
+    the back from its coefficient on, with the requantization."""
+    s_u = float(p.scale) / SQRT2
+    m1, e1 = encode_dyadic_multiplier(s_u * (1 << _KV))
+    clip_code = int(round(-c.b * (1 << _KV)))
+    a_mant = int(round(c.a * (1 << _KA)))
+    m2, e2 = encode_dyadic_multiplier(float(p.scale) / (1 << (_KL + 1)) / float(out_params.scale))
+    t = p.centered_max
+    front = StageBound(t)
+    front.rshift_round(front.mul(t, m1), e1)
+    v = front.value(clip_code)                         # min(v, clip) - clip in [-clip, 0]
+    vd = front.rshift_round(front.mul(v, v), _KV)
+    if c.degree == 4:
+        power = front.mul(vd, vd)
+    elif c.degree == 3:
+        power = front.mul(vd, v)
+    else:
+        power = front.lshift(vd, _KV)
+    back = StageBound(power, t)
+    lv = back.add(back.rshift_round(back.mul(power, abs(a_mant)), _KA + 2 * _KV - _KL),
+                  1 << _KL)
+    acc = back.mul(t, back.add(back.mul(1, lv), 1 << _KL))
+    bounds = front.bound, max(back.bound, requant_bound(acc, m2, e2, out_params))
+    return m1, e1, clip_code, a_mant, m2, e2, bounds
+
+
 def poly_gelu_int(q: QTensor, c: ErfPolyCoeffs, out_params: QParams,
                   counter: OpCounter | None = None) -> QTensor:
     """Integer-only evaluation of the polynomial GELU over codes.
@@ -182,17 +217,13 @@ def poly_gelu_int(q: QTensor, c: ErfPolyCoeffs, out_params: QParams,
     The coefficients and all rescaling multipliers are pre-encoded as
     dyadic (mantissa, shift) constants; the sqrt(2) division is folded into
     the input scale, so the kernel body is adds, multiplies, compares and
-    round-half-up right shifts on int64.
+    round-half-up right shifts, in the two stages of
+    :func:`_poly_gelu_plan`.
     """
-    p = q.params
-    # configuration-time constants (real arithmetic allowed here)
-    s_u = float(p.scale) / SQRT2
-    m1, e1 = encode_dyadic_multiplier(s_u * (1 << _KV))
-    clip_code = int(round(-c.b * (1 << _KV)))
-    a_mant = int(round(c.a * (1 << _KA)))
-    m2, e2 = encode_dyadic_multiplier(float(p.scale) / (1 << (_KL + 1)) / float(out_params.scale))
-    km = KernelMath(counter)
-    t = km.sub(q.codes, int(p.zero_point))
+    m1, e1, clip_code, a_mant, m2, e2, bounds = _poly_gelu_plan(q.params, c, out_params)
+    counter = counter if counter is not None else OpCounter()
+    km, back = (KernelMath.within(counter, b) for b in bounds)
+    t = km.sub(q.codes, int(q.params.zero_point))
     v = km.abs(t)
     km.rshift_round(km.mul(v, m1, out=v), e1, out=v)  # |x|/sqrt2 on the 2^-KV grid
     km.sub(km.minimum(v, clip_code, out=v), clip_code, out=v)  # clip(|u|, -b) + b, in [b, 0]
@@ -205,12 +236,36 @@ def poly_gelu_int(q: QTensor, c: ErfPolyCoeffs, out_params: QParams,
     else:
         km.lshift(vd, _KV, out=vd)
     shift = _KA + 2 * _KV - _KL
-    km.rshift_round(km.mul(vd, a_mant, out=vd), shift, out=vd)
-    km.add(vd, 1 << _KL, out=vd)
-    gate = km.mul(km.sign(t), vd, out=vd)
-    km.add(gate, 1 << _KL, out=gate)                  # (1 + L), grid 2^-KL
-    acc = km.mul(t, gate, out=gate)                   # x*(1+L) at s_in * 2^-KL
-    return QTensor(requantize(km, acc, m2, e2, out_params), out_params)
+    vd = back.mul(vd, a_mant, out=buffer_for(back, vd))
+    back.rshift_round(vd, shift, out=vd)
+    back.add(vd, 1 << _KL, out=vd)
+    gate = back.mul(back.sign(t), vd, out=vd)
+    back.add(gate, 1 << _KL, out=gate)                # (1 + L), grid 2^-KL
+    acc = back.mul(t, gate, out=gate)                 # x*(1+L) at s_in * 2^-KL
+    return QTensor(requantize(back, acc, m2, e2, out_params), out_params)
+
+
+@lru_cache(maxsize=256)
+def _shift_gelu_plan(p: QParams, out_params: QParams) -> tuple:
+    """Constants of :func:`shift_gelu_int` and the bounds of its stages:
+    the front up to the exponentials' arguments, which lie in [-z, 0] for
+    the returned z, the exponentials' output bound, and the back from the
+    sigmoid's division on, save the division's own :func:`_recip_bound`,
+    which follows ``softmax.M`` at call time. The sigmoid codes lie within
+    2^(_KS-1), since num <= num + den."""
+    s = float(p.scale)
+    # requantize the sigmoid argument onto a dyadic grid fine enough for
+    # the exponent decomposition (codes stay under ~2^15)
+    f = int(np.clip(math.floor(math.log2(32767.0 / max(1.6875 * s * p.qmax, 1e-9))), 4, 30))
+    ms, es = encode_dyadic_multiplier(s * (1 << f))
+    m2, e2 = encode_dyadic_multiplier(s / (1 << (_KS - 1)) / float(out_params.scale))
+    t = p.centered_max
+    front = StageBound(t)
+    z = front.value(t + sum(-(-t >> k) for k in (1, 3, 4)))
+    z = front.rshift_round(front.mul(z, ms), es)
+    exp_out, sig = _shift_exp_bound(z, f)[1], 1 << (_KS - 1)
+    back = max(mul_bound(t, sig), requant_bound(t * sig, m2, e2, out_params))
+    return f, ms, es, m2, e2, (front.bound, z, exp_out, back)
 
 
 def shift_gelu_int(q: QTensor, out_params: QParams,
@@ -222,23 +277,17 @@ def shift_gelu_int(q: QTensor, out_params: QParams,
     the shift-exponential at a dyadic scale and normalized by integer
     division.
     """
-    p = q.params
-    s = float(p.scale)
-    # requantize the sigmoid argument onto a dyadic grid fine enough for
-    # the exponent decomposition (codes stay under ~2^15)
-    f = int(np.clip(math.floor(math.log2(32767.0 / max(1.6875 * s * p.qmax, 1e-9))), 4, 30))
-    ms, es = encode_dyadic_multiplier(s * (1 << f))
-    m2, e2 = encode_dyadic_multiplier(s / (1 << (_KS - 1)) / float(out_params.scale))
-
-    km = KernelMath(counter)
-    t = km.sub(q.codes, int(p.zero_point))
+    f, ms, es, m2, e2, (front_b, z, exp_out, back_b) = _shift_gelu_plan(q.params, out_params)
+    counter = counter if counter is not None else OpCounter()
+    km = KernelMath.within(counter, front_b)
+    back = KernelMath.within(counter, max(back_b, _recip_bound(exp_out, 2)))
+    t = km.sub(q.codes, int(q.params.zero_point))
     zq = _shift_add(t, (1, 0, 3, 4), km)                 # t + t>>1 + t>>3 + t>>4
     km.rshift_round(km.mul(zq, ms, out=zq), es, out=zq)  # 1.6875*x on the 2^-f grid
     mpos = km.maximum(zq, 0)
-    num = _shift_exp_codes(km.sub(zq, mpos, out=zq), f, km)     # e^(z - m)
-    den = _shift_exp_codes(km.sub(0, mpos, out=mpos), f, km)
-    km.add(num, den, out=den)
-    sig = _recip_mul(num, den, _KS, km, out=num)
-    acc = km.mul(t, sig, out=sig)                       # x*sigmoid at s * 2^-(bits-1)
-    return QTensor(requantize(km, acc, m2, e2, out_params), out_params)
-
+    num = _shift_exp_codes(km.sub(zq, mpos, out=zq), f, counter, z)    # e^(z - m)
+    den = _shift_exp_codes(km.sub(0, mpos, out=mpos), f, counter, z)
+    den = back.add(num, den, out=buffer_for(back, den))
+    sig = _recip_mul(num, den, _KS, back, out=buffer_for(back, num))
+    acc = back.mul(t, sig, out=buffer_for(back, sig))   # x*sigmoid at s * 2^-(bits-1)
+    return QTensor(requantize(back, acc, m2, e2, out_params), out_params)

@@ -12,11 +12,12 @@ code space.
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 
 import numpy as np
 
-from .quantize import QParams, QTensor, encode_dyadic_multiplier, requantize
-from .tensor import KernelMath, OpCounter, bit_length
+from .quantize import QParams, QTensor, encode_dyadic_multiplier, requant_bound, requantize
+from .tensor import KernelMath, OpCounter, StageBound, bit_length, buffer_for
 
 LN_VARIANTS = ("bitshift_newton", "poly_sqrt", "log2_scale")
 
@@ -86,6 +87,26 @@ def snap_pow2_out_params(p: QParams) -> tuple[QParams, int]:
     return QParams(2.0 ** (j - _KB), int(p.zero_point), p.bits, "asymmetric"), j
 
 
+@lru_cache(maxsize=256)
+def _ln_bounds(p: QParams, n: int, g: int, b: int, m2: int, e2: int,
+               out_params: QParams) -> tuple[int, int]:
+    """Transfer functions of :func:`int_layernorm`'s two stages, for rows
+    of n codes in [0, qmax] and gain and bias codes within g and b: the
+    bounds of the front, up to the normalized rows y, and of the back, the
+    affine step with the requantization. The square root of V and every
+    n // x of its Newton steps lie within V, and the division by std >= 1
+    keeps y within d << _KY."""
+    t = p.centered_max
+    front = StageBound(t)
+    sc = front.value(n * t)
+    sc2 = front.value(n * front.mul(t, t))
+    front.add(front.mul(sc2, n), front.mul(sc, sc))
+    y = front.lshift(front.add(front.mul(t, n), sc), _KY)
+    back = StageBound(y)
+    acc = back.add(back.mul(y, g), b)
+    return front.bound, max(back.bound, requant_bound(acc, m2, e2, out_params))
+
+
 def int_layernorm(q: QTensor, gamma, beta, variant: str, out_params: QParams,
                   counter: OpCounter | None = None) -> QTensor:
     """Integer LayerNorm over the last axis with quantized affine constants.
@@ -112,7 +133,9 @@ def int_layernorm(q: QTensor, gamma, beta, variant: str, out_params: QParams,
     else:
         m2, e2 = encode_dyadic_multiplier(1.0 / ((1 << _KB) * float(out_params.scale)))
 
-    km = KernelMath(counter)
+    counter = counter if counter is not None else OpCounter()
+    km, back = (KernelMath.within(counter, bound) for bound in _ln_bounds(
+        p, n, int(np.max(np.abs(g_codes))), int(np.max(np.abs(b_codes))), m2, e2, out_params))
     c = km.sub(q.codes, int(p.zero_point))
     sc = km.sum(c, axis=-1, keepdims=True)
     sc2 = km.sum(km.mul(c, c), axis=-1, keepdims=True)
@@ -124,8 +147,9 @@ def int_layernorm(q: QTensor, gamma, beta, variant: str, out_params: QParams,
     std = km.maximum(_int_sqrt_array(var, km, iterations=_NEWTON_STEPS, seed=seed), 1)
 
     y = km.floordiv(km.lshift(d, _KY, out=d), std, out=d)   # (c - mean)/std on 2^-KY
-    ya = km.add(km.mul(y, g_codes, out=y), b_codes, out=y)  # gamma*y + beta on 2^-KB
-    return QTensor(requantize(km, ya, m2, e2, out_params), out_params)
+    ya = back.mul(y, g_codes, out=buffer_for(back, y))
+    back.add(ya, b_codes, out=ya)                            # gamma*y + beta on 2^-KB
+    return QTensor(requantize(back, ya, m2, e2, out_params), out_params)
 
 
 def layernorm_reference(x, gamma, beta, axis: int = -1) -> np.ndarray:

@@ -30,8 +30,9 @@ from .model import (CANDIDATE_POOLS, INPUT, MODEL_FIELDS, ModelGraph, Op,
                     model_dims, split_heads)
 from .quantize import (MinMaxObserver, QParams, QTensor, dequantize_np,
                        dyadic_qparams_for_range, encode_dyadic_multiplier,
-                       quantize, requant_weight_per_channel, requantize)
-from .tensor import KernelMath, KernelOverflowError, OpCounter, Tensor, rng_tensor
+                       quantize, requant_bound, requant_weight_per_channel, requantize)
+from .tensor import (KernelMath, KernelOverflowError, OpCounter, StageBound, Tensor,
+                     buffer_for, rng_tensor)
 
 SCORES_CODE_BITS = 16  # attention scores keep wide codes on a dyadic grid
 STAGE1_MODES = ("local", "global")
@@ -302,7 +303,8 @@ def capture_calibration(graph: ModelGraph, weights: dict, calib: list) -> dict:
 
 def stage1_analyze(graph: ModelGraph, weights: dict, calib: list,
                    cfg: PipelineConfig, jobs: int = 1,
-                   captured: dict | None = None) -> MetricTable:
+                   captured: dict | None = None,
+                   calibrated: tuple | None = None) -> MetricTable:
     """Score every (layer, candidate) pair against the full-precision pass.
 
     Analysis is isolated: one layer is quantized at a time, under the
@@ -311,7 +313,8 @@ def stage1_analyze(graph: ModelGraph, weights: dict, calib: list,
     the candidate's measured op count per calibration sample, from this
     same run. A candidate whose kernel overflows is recorded with score
     0 and the ops it spent before the overflow. ``captured`` is
-    :func:`capture_calibration` of ``calib``, when the caller has it.
+    :func:`capture_calibration` of ``calib``, and ``calibrated`` is
+    :func:`calibrate_edges` of that, when the caller has them.
 
     A layer is the unit of work, and ``jobs`` layers run at once. In local
     mode each layer's input is quantized once, for all its candidates, and
@@ -321,7 +324,7 @@ def stage1_analyze(graph: ModelGraph, weights: dict, calib: list,
     cat = captured if captured is not None else capture_calibration(graph, weights, calib)
     logits = cat[graph.ops[-1].out]
 
-    qparams, _ = calibrate_edges(graph, cat, cfg)
+    qparams, _ = calibrated if calibrated is not None else calibrate_edges(graph, cat, cfg)
 
     candidates = {rec.layer_id: rec.candidates for rec in graph.layers}
     layers = [op for op in graph.ops if candidates.get(op.out)]
@@ -427,13 +430,14 @@ def calibrate_edges(graph: ModelGraph, captured: dict,
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         for edge in graph.edges:
-            obs = MinMaxObserver().observe(captured[edge])
             kind = kinds.get(edge)
+            if kind == "softmax":     # a fixed grid: nothing to observe
+                qparams[edge] = sm_mod.softmax_out_params(cfg.act_bits)
+                continue
+            obs = MinMaxObserver().observe(captured[edge])
             if kind == "scores":
                 qparams[edge] = dyadic_qparams_for_range(
                     float(obs.running_min), float(obs.running_max), SCORES_CODE_BITS)
-            elif kind == "softmax":
-                qparams[edge] = sm_mod.softmax_out_params(cfg.act_bits)
             else:
                 qparams[edge] = obs.qparams(cfg.act_bits)
     return qparams, [str(w.message) for w in caught]
@@ -441,21 +445,25 @@ def calibrate_edges(graph: ModelGraph, captured: dict,
 
 def stage3_calibrate(graph: ModelGraph, weights: dict, plan: AssignmentPlan,
                      calib: list, cfg: PipelineConfig,
-                     captured: dict | None = None) -> AssignmentPlan:
+                     captured: dict | None = None,
+                     calibrated: tuple | None = None) -> AssignmentPlan:
     """The plan's activation parameters: :func:`calibrate_edges`, with each
     ``log2_scale`` layer's output snapped as its kernel snaps it. Weights
     are re-derived per channel at inference, so the plan needs only
     activations.
 
-    ``captured`` is :func:`capture_calibration` of ``calib``, when the caller
-    has it; min and max are exact, so the envelopes do not depend on how the
+    ``captured`` is :func:`capture_calibration` of ``calib``, and
+    ``calibrated`` is :func:`calibrate_edges` of that, when the caller has
+    them; min and max are exact, so the envelopes do not depend on how the
     batches were joined.
     """
     if not plan.assignments:
         raise ValueError("assignments must be complete before calibration")
-    if captured is None:
-        captured = capture_calibration(graph, weights, calib)
-    plan.qparams, plan.warnings = calibrate_edges(graph, captured, cfg)
+    if calibrated is None:
+        if captured is None:
+            captured = capture_calibration(graph, weights, calib)
+        calibrated = calibrate_edges(graph, captured, cfg)
+    plan.qparams, plan.warnings = dict(calibrated[0]), list(calibrated[1])
     for lid, cand in plan.assignments.items():
         if cand == "log2_scale":
             plan.qparams[lid], _ = ln_mod.snap_pow2_out_params(plan.qparams[lid])
@@ -468,9 +476,12 @@ def run_pipeline(cfg: PipelineConfig, calib_seed: int = 0,
                                    pools=cfg.pools)
     calib = calibration_batches(cfg, calib_seed)
     captured = capture_calibration(graph, weights, calib)
-    table = stage1_analyze(graph, weights, calib, cfg, jobs=jobs, captured=captured)
+    # each edge is observed once, for stage 1 and the plan alike
+    calibrated = calibrate_edges(graph, captured, cfg)
+    table = stage1_analyze(graph, weights, calib, cfg, jobs=jobs, captured=captured,
+                           calibrated=calibrated)
     plan = stage2_assign(table, graph, cfg)
-    plan = stage3_calibrate(graph, weights, plan, calib, cfg, captured=captured)
+    plan = stage3_calibrate(graph, weights, plan, calib, cfg, calibrated=calibrated)
     return plan, table, graph, weights
 
 
@@ -485,6 +496,8 @@ class _LinearPlan:
     bias_int: np.ndarray
     mult: np.ndarray        # per-channel round(2^16 * s_in * s_w / s_out)
     p_out: QParams
+    mags: tuple             # static magnitudes of the input codes and the weights
+    bound: int              # stage bound of the step (see KernelMath.within)
 
 
 def _multiplier(edge: str, mult, live=False):
@@ -510,11 +523,23 @@ def _prepare_linear(edge: str, w: np.ndarray, b: np.ndarray, p_in: QParams,
     # a row of zero weights scales nothing, so its multiplier may round to 0
     mult = np.rint(_multiplier(edge, (1 << 16) * s_in * s_w / p_out.scale,
                                live=np.any(w_centered, axis=1))).astype(np.int64)
-    return _LinearPlan(w_centered, corr, bias_int, mult, p_out)
+    # transfer function: the product less its correction is the sum of
+    # (codes - z_in) * weights, plus the bias
+    k, w_max, b_max = w.shape[1], _max_abs(w_centered), _max_abs(bias_int)
+    b = StageBound()
+    b.add(b.add(b.matmul(k, p_in.qmax, w_max), _max_abs(corr)), b_max)
+    acc = k * p_in.centered_max * w_max + b_max
+    bound = max(b.bound, requant_bound(acc, mult, 16, p_out))
+    return _LinearPlan(w_centered, corr, bias_int, mult, p_out, (p_in.qmax, w_max), bound)
+
+
+def _max_abs(x: np.ndarray) -> int:
+    return int(np.max(np.abs(x))) if x.size else 0
 
 
 def _linear_int(km: KernelMath, codes: np.ndarray, lp: _LinearPlan) -> np.ndarray:
-    acc = km.matmul(codes, lp.w_centered.T)
+    km = KernelMath.within(km.counter, lp.bound)
+    acc = km.matmul(codes, lp.w_centered.T, mags=lp.mags)
     km.add(km.sub(acc, lp.corr, out=acc), lp.bias_int, out=acc)
     return requantize(km, acc, lp.mult, 16, lp.p_out)
 
@@ -529,19 +554,40 @@ def _requant_into(km: KernelMath, codes, zero_point: int, m: int):
     return km.rshift_round(km.mul(out, m, out=out), 16, out=out)
 
 
+def _requant_into_bound(b: StageBound, p_from: QParams, m: int) -> int:
+    """Transfer function of :func:`_requant_into`, on the stage bound ``b``,
+    for codes on ``p_from``; returns the bound of its result."""
+    return b.rshift_round(b.mul(p_from.centered_max, m), 16)
+
+
 def _add_requant(km: KernelMath, a, b, zeros: tuple[int, int], mults: tuple[int, int],
-                 p_out: QParams):
+                 p_out: QParams, bound: int):
     """a and b, each with its zero point and :func:`_requant_mult`,
-    requantized onto ``p_out`` and added."""
+    requantized onto ``p_out`` and added, in one stage within ``bound``."""
+    km = KernelMath.within(km.counter, bound)
     out = _requant_into(km, a, zeros[0], mults[0])
     km.add(out, _requant_into(km, b, zeros[1], mults[1]), out=out)
     return km.clip(km.add(out, p_out.zero_point, out=out), 0, p_out.qmax, out=out)
 
 
-def _matmul_corrected(km: KernelMath, a, za, b_t, zb):
-    """(a - za) @ (b - zb)^T on raw codes with zero-point corrections."""
+def _matmul_corrected_bound(k: int, pa: QParams, za: int, pb: QParams, zb: int):
+    """Transfer function of :func:`_matmul_corrected` over k-long rows of
+    codes on ``pa`` and ``pb``: its stage bound, and the bound of its
+    result, which is exactly the sum of (a - za) * (b - zb)."""
+    b = StageBound()
+    acc = b.matmul(k, pa.qmax, pb.qmax)
+    if zb:
+        acc = b.add(acc, b.mul(b.value(k * pa.qmax), zb))
+    if za:
+        acc = b.add(b.add(acc, b.mul(b.value(k * pb.qmax), za)), za * zb * k)
+    return b.bound, k * max(za, pa.qmax - za) * max(zb, pb.qmax - zb)
+
+
+def _matmul_corrected(km: KernelMath, a, za, b_t, zb, mags: tuple[int, int]):
+    """(a - za) @ (b - zb)^T on raw codes with zero-point corrections;
+    ``mags`` are the static magnitudes of a and b."""
     hd = a.shape[-1]
-    acc = km.matmul(a, b_t)
+    acc = km.matmul(a, b_t, mags=mags)
     if zb:
         km.sub(acc, km.mul(km.sum(a, axis=-1, keepdims=True), zb), out=acc)
     if za:
@@ -607,9 +653,12 @@ def _step(op: Op, graph: ModelGraph, plan: AssignmentPlan, P: dict, W: dict):
         return partial(_linear_int, lp=_prepare_linear(out, W[w], W[b], P[ins[0]], p_out,
                                                        cfg.weight_bits))
     if op.op == "add":
+        mults = tuple(_requant_mult(out, P[e], p_out) for e in ins)
+        b = StageBound(p_out.qmax)
+        b.add(b.add(*(_requant_into_bound(b, P[e], m) for e, m in zip(ins, mults))),
+              p_out.zero_point)
         return partial(_add_requant, zeros=tuple(P[e].zero_point for e in ins),
-                       mults=tuple(_requant_mult(out, P[e], p_out) for e in ins),
-                       p_out=p_out)
+                       mults=mults, p_out=p_out, bound=b.bound)
     if op.op == "pos_add":
         # the positional table is constant: its requantized term is computed
         # here once, on an uncharged counter, and a request pays only for
@@ -620,41 +669,45 @@ def _step(op: Op, graph: ModelGraph, plan: AssignmentPlan, P: dict, W: dict):
         pos_term = _requant_into(KernelMath(), pos_codes, p_pos.zero_point,
                                  _requant_mult(out, p_pos, p_out))
         z_in, m_in = P[ins[0]].zero_point, _requant_mult(out, P[ins[0]], p_out)
+        b = StageBound(p_out.qmax)
+        b.add(b.add(_requant_into_bound(b, P[ins[0]], m_in), _max_abs(pos_term)),
+              p_out.zero_point)
 
         def pos_add(km, x):
+            km = KernelMath.within(km.counter, b.bound)
             y = _requant_into(km, x, z_in, m_in)
             km.add(y, pos_term, out=y)
             return km.clip(km.add(y, p_out.zero_point, out=y), 0, p_out.qmax, out=y)
         return pos_add
     H = graph.heads
-    if op.op == "scores":
-        zq, zk = (P[e].zero_point for e in ins)
-        dyadic = encode_dyadic_multiplier(_multiplier(
-            out, P[ins[0]].scale * P[ins[1]].scale / p_out.scale))
+    if op.op in ("scores", "ctx"):
+        # two stages: the corrected product, and its requantization
+        pa, pb = (P[e] for e in ins)
+        za, zb = (0 if op.op == "ctx" else pa.zero_point), pb.zero_point
+        k = graph.embed_dim // H if op.op == "scores" else graph.tokens
+        dyadic = encode_dyadic_multiplier(_multiplier(out, pa.scale * pb.scale / p_out.scale))
+        corr_bound, acc = _matmul_corrected_bound(k, pa, za, pb, zb)
+        bounds = corr_bound, requant_bound(acc, *dyadic, p_out)
+        mags = (pa.qmax, pb.qmax)
 
-        def scores(km, q, k):
-            acc = _matmul_corrected(km, split_heads(q, H), zq,
-                                    split_heads(k, H).transpose(0, 1, 3, 2), zk)
-            return requantize(km, acc, *dyadic, p_out)
-        return scores
-    if op.op == "ctx":
-        zv = P[ins[1]].zero_point
-        dyadic = encode_dyadic_multiplier(_multiplier(
-            out, P[ins[0]].scale * P[ins[1]].scale / p_out.scale))
-
-        def ctx(km, probs, v):
-            acc = _matmul_corrected(km, probs, 0, split_heads(v, H), zv)
-            return merge_heads(requantize(km, acc, *dyadic, p_out))
-        return ctx
+        def corrected(km, a, b_t):
+            corr, rq = (KernelMath.within(km.counter, bound) for bound in bounds)
+            return requantize(rq, _matmul_corrected(corr, a, za, b_t, zb, mags), *dyadic, p_out)
+        if op.op == "scores":
+            return lambda km, q, k: corrected(km, split_heads(q, H),
+                                              split_heads(k, H).transpose(0, 1, 3, 2))
+        return lambda km, probs, v: merge_heads(corrected(km, probs, split_heads(v, H)))
     if op.op == "pool":
         # mean pool over tokens, the 1/T division folded into the multiplier
-        z_sum = graph.tokens * P[ins[0]].zero_point
-        dyadic = encode_dyadic_multiplier(_multiplier(
-            out, P[ins[0]].scale / (graph.tokens * p_out.scale)))
+        p_in, T = P[ins[0]], graph.tokens
+        z_sum = T * p_in.zero_point
+        dyadic = encode_dyadic_multiplier(_multiplier(out, p_in.scale / (T * p_out.scale)))
+        bound = max(T * p_in.qmax + z_sum, requant_bound(T * p_in.centered_max, *dyadic, p_out))
 
         def pool(km, h):
+            km = KernelMath.within(km.counter, bound)
             acc = km.sum(h, axis=1, keepdims=False)
-            km.sub(acc, z_sum, out=acc)
+            acc = km.sub(acc, z_sum, out=buffer_for(km, acc))
             return requantize(km, acc, *dyadic, p_out)
         return pool
     raise ValueError(f"{out}: unknown op kind {op.op!r}")

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import KernelMath
+from .tensor import KernelMath, StageBound, buffer_for
 
 
 class DegenerateRangeError(ValueError):
@@ -45,6 +45,11 @@ class QParams:
     @property
     def qmax(self) -> int:
         return (1 << self.bits) - 1
+
+    @property
+    def centered_max(self) -> int:
+        """Largest magnitude of a code in [0, qmax] less the zero point."""
+        return max(self.zero_point, self.qmax - self.zero_point)
 
 
 @dataclass(frozen=True)
@@ -193,15 +198,28 @@ def requantize(km: KernelMath, acc: np.ndarray, m, e: int, p_out: QParams) -> np
     times ``m``, shifted right by ``e`` with round-half-up, plus the zero
     point of ``p_out``, clipped onto its codes.
 
-    It works in ``acc``, an int64 array the caller owns (the
-    :class:`KernelMath` buffer rule), and returns it. ``m`` is an int or a
+    It works in ``acc``, an array the caller owns (the :class:`KernelMath`
+    buffer rule), where that holds ``km``'s dtype, else in one new array of
+    it, and returns that array. ``km`` is bounded by :func:`requant_bound`
+    where the caller has a bound of ``acc``. ``m`` is an int or a
     per-channel int64 array; m = 1 skips the multiply, so a power-of-two
     requantization is charged its shift alone.
     """
     if np.ndim(m) or m != 1:
-        km.mul(acc, m, out=acc)
-    km.add(km.rshift_round(acc, e, out=acc), p_out.zero_point, out=acc)
+        acc = km.mul(acc, m, out=buffer_for(km, acc))
+    acc = km.rshift_round(acc, e, out=buffer_for(km, acc))
+    km.add(acc, p_out.zero_point, out=acc)
     return km.clip(acc, 0, p_out.qmax, out=acc)
+
+
+def requant_bound(acc: int, m, e: int, p_out: QParams) -> int:
+    """Transfer function of :func:`requantize` for accumulators within
+    ``acc`` in magnitude and the same ``m``: its stage bound."""
+    b = StageBound(acc, p_out.qmax)
+    if np.ndim(m) or m != 1:
+        acc = b.mul(acc, int(np.max(np.abs(m))))
+    b.add(b.rshift_round(acc, e), p_out.zero_point)
+    return b.bound
 
 
 def requant_weight_per_channel(w: np.ndarray, bits: int) -> tuple[np.ndarray, np.ndarray]:

@@ -9,20 +9,23 @@ arithmetic, i.e. floor-division semantics. The code-domain stages below
 work on raw integer codes and are private; the kernels wrap them for
 ``QTensor`` inputs. Every kernel writes probabilities onto the output
 parameters it is handed, which must be :func:`softmax_out_params` of their
-width. A kernel runs its exponential in int32 where a static bound allows
-(see ``_max_subtract_codes``), and every kernel returns int64 codes.
+width, and returns int64 codes. Each stage runs on the ``KernelMath`` its
+transfer function's static bound gives (``KernelMath.within``), from input
+codes in [0, qmax]: the max-subtraction and the exponentials' fronts in
+int32, the reciprocal division in int64, none of them scanning operands
+for the overflow guards where the bound fits.
 """
 
 from __future__ import annotations
 
 import math
-from functools import partial
+from functools import lru_cache, partial
 
 import numpy as np
 
 from .metric import approx_error
 from .quantize import DYADIC_EXPONENTS, QParams, QTensor, encode_dyadic_multiplier
-from .tensor import KernelMath, OpCounter, bit_length
+from .tensor import KernelMath, OpCounter, StageBound, bit_length, buffer_for, mul_bound
 
 # quadratic used by the range-reduction exponential baseline:
 # exp(p) ~ A*(p + B)^2 + C on p in (-ln2, 0]
@@ -87,42 +90,26 @@ def _prob_bits(out_params: QParams) -> int:
 # code-domain stages
 # ---------------------------------------------------------------------------
 
-def _max_subtract_codes(q: QTensor, bound, km: KernelMath):
-    """Codes minus their row max, and the KernelMath the exponential after
-    them runs in.
-
-    ``bound(D)`` is the exponential's static bound: no value of its chain
-    exceeds it in magnitude for max-subtracted codes in [-D, 0]. D is qmax,
-    from the input's code width, widened by the codes' own extremes where
-    they fall outside [0, qmax]: the row maxima are at hand, and the
-    minimum takes one uncharged pass. Where the bound fits 31 bits, the
-    subtraction and the chain run in int32, else in ``km``'s int64; the
-    results are the same either way.
-    """
-    codes, qmax = q.codes, q.params.qmax
-    mx = km.max(codes, axis=-1, keepdims=True)
-    span = max(qmax, int(mx.max())) - min(0, int(codes.min())) if codes.size else qmax
-    if bound(span) < 1 << 31:
-        km = KernelMath(km.counter, np.int32)
-    return km.sub(codes, mx), km
+def _max_subtract_codes(q: QTensor, counter: OpCounter) -> np.ndarray:
+    """Codes minus their row max, in [-qmax, 0]: one stage, within qmax and
+    so in int32. The exponential after it takes span = qmax."""
+    km = KernelMath.within(counter, q.params.qmax)
+    return km.sub(q.codes, km.max(q.codes, axis=-1, keepdims=True))
 
 
-def _mul_bound(a: int, b: int) -> int:
-    """Largest product of magnitudes up to a and b that the guard of
-    :meth:`KernelMath.mul` admits, so that a chain whose bound covers it
-    never trips that guard in int32."""
-    return (1 << (a.bit_length() + b.bit_length())) - 1
-
-
-def _shift_exp_bound(span: int, f: int, taylor_degree: int = 1) -> int:
-    """Bound of :func:`_shift_exp_codes`: qd in [-span, 0] gives qp in
-    [-(span + span//2 + 1), 0], and the values of its decomposition lie
-    within that; the fraction codes lie within 2^f + 3, and their square
-    (Taylor degree 2) within its _mul_bound."""
-    frac = (1 << f) + 3
+def _shift_exp_bound(span: int, f: int, taylor_degree: int = 1) -> tuple[int, int]:
+    """Transfer function of :func:`_shift_exp_codes`: for qd in [-span, 0],
+    its stage bound and the bound of its output. qp = qd * log2(e) lies in
+    [-(span + span//2 + 1), 0], and the values of its decomposition within
+    that, save the guard envelope of q_int << f; the fraction codes lie
+    within 2^f + 3, and at Taylor degree 2 their square within its
+    mul_bound, of which sq >> (f + 1) is added to them."""
+    b = StageBound(span + span // 2 + 1)
+    b.lshift(b.bound >> f, f)
+    frac = b.value((1 << f) + 3)
     if taylor_degree == 2:
-        frac = _mul_bound(frac, frac)
-    return max(span + span // 2 + 1, frac)
+        frac = b.value(frac + (b.mul(frac, frac) >> (f + 1)))
+    return b.bound, frac
 
 
 def _shift_add(x: np.ndarray, shifts: tuple, km: KernelMath) -> np.ndarray:
@@ -147,13 +134,15 @@ def _decompose_codes(qp: np.ndarray, f: int, km: KernelMath):
     return q_int, km.sub(pos, km.lshift(q_int, f), out=pos)
 
 
-def _shift_exp_codes(qd: np.ndarray, f: int, km: KernelMath, slope: tuple = (1,),
-                     taylor_degree: int = 1) -> np.ndarray:
-    """Shift exponential of nonpositive codes on the 2^-f grid: qd times
+def _shift_exp_codes(qd: np.ndarray, f: int, counter: OpCounter, span: int,
+                     slope: tuple = (1,), taylor_degree: int = 1) -> np.ndarray:
+    """Shift exponential of codes in [-span, 0] on the 2^-f grid: qd times
     log2(e) splits into an integer part q_int and a fraction x in (-1, 0],
     and 2^x ~ 1 + a*x [+ (a*x)^2/2 at Taylor degree 2] is shifted down by
     q_int. ``slope`` is a as :func:`_shift_add` shifts: (1,) is I-ViT's
-    1/2, (1, 3, 4) the efficient bit softmax's ln2 ~ 0.6875."""
+    1/2, (1, 3, 4) the efficient bit softmax's ln2 ~ 0.6875. One stage,
+    bounded by :func:`_shift_exp_bound`."""
+    km = KernelMath.within(counter, _shift_exp_bound(span, f, taylor_degree)[0])
     q_int, r = _decompose_codes(_shift_add(qd, (1, 0, -4), km), f, km)
     lin = _shift_add(km.sub(0, r, out=r), slope, km)
     if taylor_degree == 1:
@@ -174,12 +163,22 @@ def _row_sums(num: np.ndarray, km: KernelMath) -> np.ndarray:
     return den
 
 
+def _recip_bound(num: int, n: int) -> int:
+    """Transfer function of :func:`_recip_mul` for numerators within
+    ``num``, n of them to a denominator: the denominators lie within
+    n * num, the reciprocal within 2^M and its products within their
+    mul_bound."""
+    return max(n * num, mul_bound(1 << M, num))
+
+
 def _recip_mul(num: np.ndarray, den: np.ndarray, bits: int, km: KernelMath,
                out: np.ndarray | None = None) -> np.ndarray:
     """num / den on the 2^-(bits-1) grid by one reciprocal division,
     floor(2^M / den) * num >> (M - bits + 1); a row normalized so loses at
-    most (n+1)/2^(bits-1) of its sum, all of it downward. ``out`` follows
-    the :class:`KernelMath` buffer rule and may be ``num``."""
+    most (n+1)/2^(bits-1) of its sum, all of it downward, and since
+    num <= den no code exceeds 2^(bits-1). ``km`` is bounded by
+    :func:`_recip_bound`; ``out`` follows the :class:`KernelMath` buffer
+    rule and may be ``num``."""
     recip = km.floordiv(np.int64(1) << M, den)
     out = km.mul(recip, num, out=out)
     return km.rshift(out, M - (bits - 1), out=out)
@@ -191,19 +190,20 @@ def _recip_mul(num: np.ndarray, den: np.ndarray, bits: int, km: KernelMath,
 
 def _exp_div_softmax(q: QTensor, out_params: QParams, counter: OpCounter | None,
                      exp_codes, exp_bound) -> QTensor:
-    """Max-subtract, ``exp_codes(qd, f, km)``, reciprocal division onto
-    ``out_params``: the body every exponential softmax kernel shares.
-    ``exp_bound(span, f)`` is the exponential's bound (see
-    :func:`_max_subtract_codes`)."""
+    """Max-subtract, ``exp_codes(qd, f, counter, span)``, reciprocal
+    division onto ``out_params``: the body every exponential softmax kernel
+    shares. ``exp_bound(span, f)`` is the exponential's transfer function,
+    whose last entry bounds its output."""
     bits = _prob_bits(out_params)
     f = _dyadic_exponent(q.params)
-    _check_m(bits, q.codes.shape[-1])
-    km = KernelMath(counter)
-    qd, exp_km = _max_subtract_codes(q, lambda span: exp_bound(span, f), km)
-    num = exp_codes(qd, f, exp_km)
+    n = q.codes.shape[-1]
+    _check_m(bits, n)
+    counter = counter if counter is not None else OpCounter()
+    span = q.params.qmax
+    num = exp_codes(_max_subtract_codes(q, counter), f, counter, span)
     # recip * num reaches 2^M, so the division is int64, in num if it is
-    codes = _recip_mul(num, _row_sums(num, km), bits, km,
-                       out=num if exp_km is km else None)
+    km = KernelMath.within(counter, _recip_bound(exp_bound(span, f)[-1], n))
+    codes = _recip_mul(num, _row_sums(num, km), bits, km, out=buffer_for(km, num))
     return QTensor(codes, out_params)
 
 
@@ -227,6 +227,7 @@ def shiftmax(q: QTensor, out_params: QParams, counter: OpCounter | None = None) 
 _P12 = 12  # fixed-point grid of the quadratic exponential value
 
 
+@lru_cache(maxsize=None)     # f takes the few values of DYADIC_EXPONENTS
 def _iexp_constants(f: int) -> tuple[int, int, int, int, int]:
     """ln2, B and C/A on the 2^-f grid, and the dyadic multiplier (m, e) of
     A onto the 2^-_P12 grid."""
@@ -238,33 +239,42 @@ def _iexp_constants(f: int) -> tuple[int, int, int, int, int]:
     return ln2_c, b_c, c_c, m, e
 
 
-def _iexp_bound(span: int, f: int) -> int:
-    """Bound of :func:`_iexp_value_codes`: qd in [-span, 0] gives z in
-    [0, span // ln2] and z*ln2 in [0, span]; p + B lies in (0, B], the
-    quadratic within _mul_bound(B, B) + C/A, and its product with m, plus
-    the rounding half, within that product's _mul_bound plus 2^e."""
+@lru_cache(maxsize=256)
+def _iexp_bound(span: int, f: int) -> tuple[int, int, int]:
+    """Transfer function of :func:`_iexp_value_codes`' two stages, for qd
+    in [-span, 0]: their bounds and the bound of the output. In the front,
+    z lies in [0, span // ln2], z*ln2 in [0, span] and p + B in (0, B]; in
+    the back, the quadratic lies within mul_bound(B, B) + C/A, and its
+    product with m, plus the rounding half, within that product's
+    mul_bound plus 2^e."""
     ln2_c, b_c, c_c, m, e = _iexp_constants(f)
-    quad = _mul_bound(b_c, b_c) + c_c
-    return max(span, _mul_bound(span // ln2_c, ln2_c), _mul_bound(quad, m) + (1 << e))
+    front = max(span, mul_bound(span // ln2_c, ln2_c), b_c, 62)
+    quad = mul_bound(b_c, b_c) + c_c
+    back = mul_bound(quad, m) + (1 << e)
+    return front, back, back >> e
 
 
-def _iexp_value_codes(qd: np.ndarray, f: int, km: KernelMath):
-    """Range-reduction exponential: e^x = 2^(-z) * quad(p), p in (-ln2, 0].
+def _iexp_value_codes(qd: np.ndarray, f: int, counter: OpCounter, span: int) -> np.ndarray:
+    """Range-reduction exponential: e^x = 2^(-z) * quad(p), p in (-ln2, 0],
+    for codes in [-span, 0]; the front, up to p + B, and the back, from its
+    square on, are the stages of :func:`_iexp_bound`.
 
     Returns codes on the 2^-_P12 grid, shifted down by z.
     """
     ln2_c, b_c, c_c, m, e = _iexp_constants(f)
+    bounds = _iexp_bound(span, f)
+    front, back = (KernelMath.within(counter, b) for b in bounds[:2])
 
-    z = km.sub(0, qd)
-    km.floordiv(z, ln2_c, out=z)
-    p = km.mul(z, ln2_c)
-    km.add(qd, p, out=p)
-    km.add(p, b_c, out=p)                  # p + B
-    km.mul(p, p, out=p)
-    km.add(p, c_c, out=p)                  # (p + B)^2 + C/A
-    km.mul(p, m, out=p)
-    km.rshift_round(p, e, out=p)           # on the 2^-_P12 grid
-    return km.rshift(p, km.minimum(z, 62, out=z), out=p)
+    z = front.sub(0, qd)
+    front.floordiv(z, ln2_c, out=z)
+    p = front.mul(z, ln2_c)
+    front.add(qd, p, out=p)
+    front.add(p, b_c, out=p)               # p + B
+    p = back.mul(p, p, out=buffer_for(back, p))
+    back.add(p, c_c, out=p)                # (p + B)^2 + C/A
+    back.mul(p, m, out=p)
+    back.rshift_round(p, e, out=p)         # on the 2^-_P12 grid
+    return back.rshift(p, front.minimum(z, 62, out=z), out=p)
 
 
 def iexp_softmax(q: QTensor, out_params: QParams,
@@ -282,9 +292,9 @@ def log2_softmax(q: QTensor, out_params: QParams,
     exactly representable on the 1/2^(bits-1) output grid, and 0 for k past it.
     """
     bits = _prob_bits(out_params)
-    k = log2_softmax_codes(q, counter)
     km = KernelMath(counter)
-    km.minimum(k, 62, out=k)          # a zero numerator's k is 63
+    k = log2_softmax_codes(q, km.counter)
+    k = km.minimum(k, 62, out=buffer_for(km, k))      # a zero numerator's k is 63
     codes = km.rshift(np.int64(1) << (bits - 1), k, out=k)
     return QTensor(codes, out_params)
 
@@ -293,9 +303,11 @@ def log2_softmax_codes(q: QTensor, counter: OpCounter | None = None) -> np.ndarr
     """Raw log2 probability codes k, value 2^(-k); the winner of a dominant
     row gets code 0. They do not depend on the output grid."""
     f = _dyadic_exponent(q.params)
-    km = KernelMath(counter)
-    qd, exp_km = _max_subtract_codes(q, lambda span: _iexp_bound(span, f), km)
-    num = _iexp_value_codes(qd, f, exp_km)
+    counter = counter if counter is not None else OpCounter()
+    span = q.params.qmax
+    num = _iexp_value_codes(_max_subtract_codes(q, counter), f, counter, span)
+    den_bound = q.codes.shape[-1] * _iexp_bound(span, f)[-1]
+    km = KernelMath.within(counter, den_bound)
     den = _row_sums(num, km)
 
     # k = floor(log2(den/num)), then round half upward in log space:
@@ -303,10 +315,14 @@ def log2_softmax_codes(q: QTensor, counter: OpCounter | None = None) -> np.ndarr
     # j = bitlen(den) - bitlen(num), num << j has the bit length of den, so
     # k is j, or j - 1 where num << j > den. This is charged as the
     # shift-compare search it replaces: one shift and one compare per step
-    # while num << k <= den, i.e. k + 1 of each per positive num.
+    # while num << k <= den, i.e. k + 1 of each per positive num. Since
+    # 0 <= num <= den, no value but the squares reaches 2^bitlen(den), so
+    # the rest runs in int32 where den's bound fits 31 bits.
+    dtype = np.int32 if den_bound.bit_length() <= 31 else np.int64
+    den = den.astype(dtype, copy=False)
     pos = num > 0
-    safe_num = np.where(pos, num, np.int64(1))      # int64 whatever num's dtype
-    k = bit_length(safe_num)
+    safe_num = np.maximum(num, 1, dtype=dtype)
+    k = bit_length(safe_num).astype(dtype, copy=False)
     np.maximum(np.subtract(bit_length(den), k, out=k), 0, out=k)
     shifted = np.left_shift(safe_num, k)
     np.maximum(np.subtract(k, shifted > den, out=k), 0, out=k)
@@ -317,8 +333,10 @@ def log2_softmax_codes(q: QTensor, counter: OpCounter | None = None) -> np.ndarr
     # num * 2^k <= den bounds num^2 * 2^(2k+1) <= 2 * den^2, safe in int64
     km.counter.muls += num.size * 2
     km.counter.compares += num.size
-    sq = np.multiply(safe_num, safe_num, out=shifted)
+    sq = np.multiply(safe_num, safe_num, out=shifted if dtype == np.int64 else None,
+                     dtype=np.int64)
     twice = np.add(np.left_shift(k, 1, out=safe_num), 1, out=safe_num)   # 2k + 1
+    den = den.astype(np.int64, copy=False)
     np.add(k, den * den >= np.left_shift(sq, twice, out=sq), out=k)   # round up
     np.copyto(k, 63, where=~pos)
     return k

@@ -11,11 +11,20 @@ allocates one result and each later op writes into it through ``out=``. The
 buffer rule is that ``out=`` must be an array of the ``KernelMath``'s dtype
 that the caller owns, that is one it allocated itself, and that a kernel
 never writes into an array it was handed: input codes, edge arrays and
-weights stay as they were. A ``KernelMath`` computes in int64 unless it is
-made for int32, which a kernel does only for a chain whose static bound
-shows that every value in it fits in 31 signed bits.
-``KernelMath.asarray`` returns the caller's own array when it already holds
-int64, so its result is not owned either.
+weights stay as they were. ``KernelMath.asarray`` returns the caller's own
+array when it already holds int64, so its result is not owned either.
+
+Static bounds: a kernel or compiled step splits its chain into stages and
+gives each a static magnitude bound, from its input codes' interval
+[0, qmax] and its constants, written once as a mirror of the stage on
+magnitudes (:class:`StageBound`). :meth:`KernelMath.within` makes the
+stage's ``KernelMath``: int32 where the bound fits 31 bits, and with the
+``mul`` and ``lshift`` overflow guards decided by the bound instead of a
+max/min scan of the operands; :meth:`KernelMath.matmul` takes its operands'
+static magnitudes the same way and picks float32, float64 or int64 from
+them. Where no bound fits, the stage runs in int64 under the runtime
+guards. A kernel's input codes must lie in [0, qmax] of their parameters
+(:meth:`quantize.QTensor.check`); every program path clips them there.
 """
 
 from __future__ import annotations
@@ -34,6 +43,13 @@ _CODE_BY_DTYPE = {v: k for k, v in _DTYPE_BY_CODE.items()}
 _NP_BY_DTYPE = {"real32": np.dtype("<f4"), "int32": np.dtype("<i4")}
 
 EXACT_FLOAT_BITS = 52  # integers below 2^52 survive float64 sums exactly
+EXACT_FLOAT32 = 1 << 24  # and integers below 2^24 survive float32 sums exactly
+
+# Whether KernelMath.within and matmul's static magnitudes take effect. Off,
+# every stage runs in int64 under the runtime guards; the bounds tests turn
+# it off to check that outputs and op charges are the same either way.
+STATIC_BOUNDS = True
+_INT32, _INT64 = np.dtype(np.int32), np.dtype(np.int64)
 
 
 class TensorFormatError(ValueError):
@@ -174,16 +190,20 @@ def rng_tensor(seed: int, dims, dist: str, *args) -> Tensor:
     return Tensor(vals, dtype="real32")
 
 
-_POWERS_OF_TWO = np.left_shift(1, np.arange(63, dtype=np.int64))   # 2^0 .. 2^62
+_POWERS_OF_TWO = {np.dtype(dt): np.left_shift(1, np.arange(bits, dtype=dt))
+                  for dt, bits in ((np.int64, 63), (np.int32, 31))}   # 2^0 .. 2^(bits-1)
 
 
 def bit_length(n: np.ndarray) -> np.ndarray:
-    """Bit length of each integer element, as int64; 0 for elements <= 0.
+    """Bit length of each element of an int32 or int64 array, as int64; 0
+    for elements <= 0.
 
-    For n >= 1 that is the number of powers 2^0 .. 2^62 at or below n, which
-    one binary search over the 63 of them counts exactly, in integers.
+    For n >= 1 that is the number of powers 2^0, 2^1, ... of n's dtype at
+    or below n, which one binary search over them counts exactly, in
+    integers.
     """
-    return np.searchsorted(_POWERS_OF_TWO, n, side="right").astype(np.int64, copy=False)
+    powers = _POWERS_OF_TWO[n.dtype]
+    return np.searchsorted(powers, n, side="right").astype(np.int64, copy=False)
 
 
 @dataclass
@@ -208,6 +228,59 @@ class OpCounter:
         return {**asdict(self), "total": self.total()}
 
 
+def mul_bound(a: int, b: int) -> int:
+    """Largest product of magnitudes up to a and b that the guard of
+    :meth:`KernelMath.mul` admits, so that a stage bound which covers it,
+    and fits the stage's width, passes that guard."""
+    return (1 << (a.bit_length() + b.bit_length())) - 1
+
+
+def buffer_for(km: KernelMath, x: np.ndarray) -> np.ndarray | None:
+    """``x`` as the ``out=`` of a ``km`` call where it holds ``km``'s dtype,
+    else None, so that the call allocates one result of that dtype; ``x``
+    must be the caller's own array (the buffer rule)."""
+    return x if x.dtype == km.dtype else None
+
+
+class StageBound:
+    """Static magnitude bound of one kernel stage: its transfer function
+    replays the stage's ``KernelMath`` calls on the largest magnitudes
+    their operands can take, and ``bound`` collects the largest value any
+    call can give, with the guard envelope of each ``mul`` and ``lshift``.
+    That is the bound :meth:`KernelMath.within` takes for the stage.
+
+    Every method returns the magnitude bound of the call's result;
+    ``add`` serves subtraction too."""
+
+    __slots__ = ("bound",)
+
+    def __init__(self, *inputs: int):
+        self.bound = max(inputs, default=0)
+
+    def value(self, v: int) -> int:
+        self.bound = max(self.bound, v)
+        return v
+
+    def add(self, a: int, b: int) -> int:
+        return self.value(a + b)
+
+    def mul(self, a: int, b: int) -> int:
+        self.value(mul_bound(a, b))
+        return a * b
+
+    def lshift(self, a: int, k: int) -> int:
+        self.value((1 << (a.bit_length() + k)) - 1 if a else 0)
+        return a << k
+
+    def rshift_round(self, a: int, k: int) -> int:
+        if k <= 0:
+            return self.lshift(a, -k)
+        return self.add(a, 1 << (k - 1)) >> k
+
+    def matmul(self, k: int, a: int, b: int) -> int:
+        return self.value(k * a * b)
+
+
 class KernelMath:
     """Instrumented integer array arithmetic for vectorized kernels.
 
@@ -225,14 +298,15 @@ class KernelMath:
     allocates one result.
 
     The overflow guards of ``mul`` and ``lshift`` check against the width
-    of ``dtype``, 63 or 31 signed bits. Nothing guards the other methods or
-    the operand casts, so an int32 ``KernelMath`` is its maker's promise,
-    from a static bound, that every value of the chain fits. Constants on
-    an int32 chain are Python ints, which numpy refuses rather than wraps
-    when they do not fit.
+    of ``dtype``, 63 or 31 signed bits: from ``bound`` where the instance
+    has one (see :meth:`within`), else from a max/min scan of the operands.
+    Nothing guards the other methods or the operand casts, so an int32
+    ``KernelMath`` is its maker's promise, from a static bound, that every
+    value of the chain fits. Constants on an int32 chain are Python ints,
+    which numpy refuses rather than wraps when they do not fit.
     """
 
-    __slots__ = ("counter", "dtype", "_bits")
+    __slots__ = ("counter", "dtype", "bound", "_bits")
 
     def __init__(self, counter: OpCounter | None = None, dtype=np.int64):
         self.counter = counter if counter is not None else OpCounter()
@@ -240,6 +314,27 @@ class KernelMath:
         if self.dtype not in (np.int32, np.int64):
             raise TypeError(f"KernelMath computes in int32 or int64, not {self.dtype}")
         self._bits = 8 * self.dtype.itemsize - 1
+        self.bound = None
+
+    @classmethod
+    def within(cls, counter: OpCounter, bound: int) -> "KernelMath":
+        """The ``KernelMath`` of a stage whose every value, and the guard
+        envelope of each of its multiplies and left shifts, lies within
+        ``bound`` in magnitude (a :class:`StageBound`), charging ``counter``.
+
+        It computes in int32 where the bound fits 31 bits, else in int64,
+        and where the bound fits that width the ``mul`` and ``lshift`` guards
+        pass without scanning their operands, since the bound shows they
+        would. A bound past 63 bits, or static bounds turned off, gives a
+        plain int64 instance under the runtime guards."""
+        km = cls.__new__(cls)
+        km.counter = counter
+        if STATIC_BOUNDS and bound < 1 << 63:
+            km.bound = bound
+            km.dtype, km._bits = (_INT32, 31) if bound < 1 << 31 else (_INT64, 63)
+        else:
+            km.bound, km.dtype, km._bits = None, _INT64, 63
+        return km
 
     def _guard(self, *xs) -> None:
         for x in xs:
@@ -288,14 +383,16 @@ class KernelMath:
 
     def mul(self, a, b, out=None):
         self._guard(a, b)
-        # cheap magnitude check: products must stay inside the signed width,
-        # and a zero operand does not excuse a scalar that it cannot hold
-        ma = self._magnitude(a)
-        mb = ma if b is a else self._magnitude(b)
-        bits = ma.bit_length() + mb.bit_length() if ma and mb else max(ma, mb).bit_length()
-        if bits > self._bits:
-            raise KernelOverflowError(f"product magnitudes up to {ma} * {mb} may exceed"
-                                      f" {self._bits + 1}-bit signed range")
+        if self.bound is None:
+            # cheap magnitude check: products must stay inside the signed
+            # width, and a zero operand does not excuse a scalar that it
+            # cannot hold
+            ma = self._magnitude(a)
+            mb = ma if b is a else self._magnitude(b)
+            bits = ma.bit_length() + mb.bit_length() if ma and mb else max(ma, mb).bit_length()
+            if bits > self._bits:
+                raise KernelOverflowError(f"product magnitudes up to {ma} * {mb} may exceed"
+                                          f" {self._bits + 1}-bit signed range")
         self.counter.muls += self._size(a, b)
         return np.multiply(a, b, out=out, dtype=self.dtype)
 
@@ -311,13 +408,15 @@ class KernelMath:
 
     def lshift(self, a, k, out=None):
         self._guard(a, k)
-        ma = self._magnitude(a)
-        if isinstance(k, np.ndarray):
-            mk = int(k.max()) if k.size else 0
-        else:
-            mk = int(k)
-        if ma and ma.bit_length() + mk > self._bits:
-            raise KernelOverflowError(f"left shift may exceed {self._bits + 1}-bit signed range")
+        if self.bound is None:
+            ma = self._magnitude(a)
+            if isinstance(k, np.ndarray):
+                mk = int(k.max()) if k.size else 0
+            else:
+                mk = int(k)
+            if ma and ma.bit_length() + mk > self._bits:
+                raise KernelOverflowError(
+                    f"left shift may exceed {self._bits + 1}-bit signed range")
         self.counter.shifts += self._size(a, k)
         return np.left_shift(a, k, out=out, dtype=self.dtype)
 
@@ -335,12 +434,12 @@ class KernelMath:
         self._guard(a)
         self.counter.compares += self._size(a)
         self.counter.adds += self._size(a)
-        return np.abs(a).astype(np.int64, copy=False)
+        return np.abs(a).astype(self.dtype, copy=False)
 
     def sign(self, a):
         self._guard(a)
         self.counter.compares += 2 * self._size(a)
-        return np.sign(a).astype(np.int64, copy=False)
+        return np.sign(a).astype(self.dtype, copy=False)
 
     def clip(self, a, lo, hi, out=None):
         self._guard(a, lo, hi)
@@ -351,6 +450,7 @@ class KernelMath:
         return np.minimum(out, hi, out=out if isinstance(out, np.ndarray) else None)
 
     def sum(self, a, axis=-1, keepdims=True):
+        """Row sums, accumulated in int64 whatever the dtype."""
         self._guard(a)
         n = a.shape[axis] if isinstance(a, np.ndarray) and a.ndim else 1
         self.counter.adds += max(n - 1, 0) * (a.size // max(n, 1))
@@ -360,28 +460,36 @@ class KernelMath:
         self._guard(a)
         n = a.shape[axis] if isinstance(a, np.ndarray) and a.ndim else 1
         self.counter.compares += max(n - 1, 0) * (a.size // max(n, 1))
-        return np.max(a, axis=axis, keepdims=keepdims).astype(np.int64, copy=False)
+        return np.max(a, axis=axis, keepdims=keepdims).astype(self.dtype, copy=False)
 
-    def matmul(self, a, b):
-        """Integer matrix product, exact.
+    def matmul(self, a, b, mags: tuple[int, int] | None = None):
+        """Integer matrix product, exact, in this instance's dtype.
 
-        Every partial sum is bounded by ``k * max|a| * max|b|``. Under
-        2^62 the int64 product cannot overflow; under 2^52 every partial
-        sum is an integer that float64 holds exactly in any summation
-        order, so the product runs on float64 BLAS and is cast back. Only
-        integer operands are accepted either way.
+        Every partial sum is bounded by ``k * max|a| * max|b|``, taken from
+        ``mags``, the operands' static magnitudes, where they are given and
+        pass the guard, else from a scan of the operands. Past 2^62 the
+        product is refused. Under 2^24 every partial sum is an integer that
+        float32 holds exactly in any summation order, and under 2^52 float64
+        does, so the product runs on float32 or float64 BLAS and is cast
+        back; otherwise on int64. Only integer operands are accepted either
+        way.
         """
         a, b = np.asarray(a), np.asarray(b)
         self._guard(a, b)
-        ma, mb = self._magnitude(a), self._magnitude(b)
         k = a.shape[-1]
-        bits = ma.bit_length() + mb.bit_length() + k.bit_length() if ma and mb else 0
-        if bits > 62:
-            raise KernelOverflowError("accumulated matmul may exceed 64-bit signed range")
-        if bits <= EXACT_FLOAT_BITS:
-            out = np.matmul(a.astype(np.float64), b.astype(np.float64)).astype(np.int64)
+
+        def bits(ma, mb):
+            return ma.bit_length() + mb.bit_length() + k.bit_length() if ma and mb else 0
+        if mags is None or not STATIC_BOUNDS or bits(*mags) > 62:
+            mags = self._magnitude(a), self._magnitude(b)
+            if bits(*mags) > 62:
+                raise KernelOverflowError("accumulated matmul may exceed 64-bit signed range")
+        if k * mags[0] * mags[1] < EXACT_FLOAT32:
+            out = np.matmul(a.astype(np.float32), b.astype(np.float32)).astype(self.dtype)
+        elif bits(*mags) <= EXACT_FLOAT_BITS:
+            out = np.matmul(a.astype(np.float64), b.astype(np.float64)).astype(self.dtype)
         else:
-            out = np.matmul(a.astype(np.int64), b.astype(np.int64))
+            out = np.matmul(a.astype(np.int64), b.astype(np.int64)).astype(self.dtype, copy=False)
         self.counter.muls += out.size * k
         self.counter.adds += out.size * max(k - 1, 0)
         return out

@@ -598,6 +598,23 @@ class TestStage3:
                 assert p == want[edge], edge
         assert snapped == len(lns[::2]) > 0
 
+    def test_run_pipeline_observes_each_edge_once(self, monkeypatch):
+        # stage 1 and the plan share one calibrate_edges pass, which skips
+        # the softmax edges, whose grid is fixed
+        cfg = small_cfg()
+        seen = []
+        real = MinMaxObserver.observe
+        monkeypatch.setattr(MinMaxObserver, "observe",
+                            lambda self, x: seen.append(id(x)) or real(self, x))
+        calls = []
+        monkeypatch.setattr(pl, "calibrate_edges",
+                            lambda *a, _real=pl.calibrate_edges: calls.append(1) or _real(*a))
+        plan, _, graph, _ = run_pipeline(cfg)
+        fixed = [e for e, kind in ((op.out, op.op) for op in graph.ops) if kind == "softmax"]
+        assert len(calls) == 1 and len(seen) == len(set(seen))
+        assert len(seen) == len(graph.edges) - len(fixed)
+        assert all(plan.qparams[e] == sm_mod.softmax_out_params(cfg.act_bits) for e in fixed)
+
     def test_run_pipeline_runs_the_float_pass_once(self, monkeypatch):
         cfg = small_cfg()
         calls = []

@@ -1,4 +1,3 @@
-import contextlib
 import math
 from unittest import mock
 
@@ -19,6 +18,7 @@ from intquant.softmax import (ConfigurationError, NormalizationError,
                               base2_frac_approx_error, efficient_bit_softmax,
                               iexp_softmax, log2_softmax, log2_softmax_codes,
                               shiftmax, softmax_out_params)
+from intquant import tensor as tensor_mod
 from intquant.tensor import KernelMath, OpCounter
 
 
@@ -46,7 +46,7 @@ def f_of(scale):
 
 
 def max_subtract(codes):
-    return _max_subtract_codes(qt(codes), lambda span: span, KernelMath())[0]
+    return _max_subtract_codes(qt(codes), OpCounter())
 
 
 P8 = softmax_out_params(8)
@@ -135,7 +135,8 @@ class TestDecompose:
 
 
 def eff_exp(values, scale=1.0 / 64):
-    return _shift_exp_codes(i64(values), f_of(scale), KernelMath(), slope=(1, 3, 4))
+    v = i64(values)
+    return _shift_exp_codes(v, f_of(scale), OpCounter(), -int(v.min()), slope=(1, 3, 4))
 
 
 class TestEfficientBitExp:
@@ -323,7 +324,8 @@ class TestShiftmax:
 
 def iexp_value(values, f):
     """e^(values / 2^f) from the kernel's codes on the 2^-_P12 grid."""
-    return _iexp_value_codes(i64(values), f, KernelMath()) / (1 << _P12)
+    v = i64(values)
+    return _iexp_value_codes(v, f, OpCounter(), -int(v.min())) / (1 << _P12)
 
 
 class TestIexpSoftmax:
@@ -392,8 +394,9 @@ def _log2_codes_shift_loop(q, counter=None):
     element per step."""
     f = _dyadic_exponent(q.params)
     km = KernelMath(counter)
-    qd, _ = _max_subtract_codes(q, lambda span: 1 << 63, km)     # int64 throughout
-    num = _iexp_value_codes(qd, f, km)
+    with mock.patch.object(tensor_mod, "STATIC_BOUNDS", False):     # int64 throughout
+        num = _iexp_value_codes(_max_subtract_codes(q, km.counter), f, km.counter,
+                                q.params.qmax)
     den = km.sum(num, axis=-1, keepdims=True)
     den = np.broadcast_to(den, num.shape)
     k = np.zeros(num.shape, dtype=np.int64)
@@ -466,116 +469,6 @@ class TestLog2CodesMatchLoop:
     def test_examples_reach_both_edges(self):
         assert np.any(log2_softmax_codes(_ZERO_NUM_ROW[0]) == 63)
         assert log2_softmax_codes(_DOMINANT_ROW[0])[0, 0] == 0
-
-
-# every KernelMath method that computes in its dtype
-_ELEMENTWISE = ("add", "sub", "mul", "floordiv", "rshift", "lshift", "minimum", "maximum",
-                "clip", "rshift_round")
-_ROWS, _ROW_LEN = 6, 16
-_KERNELS = [("efficient_bit_softmax", 1), ("efficient_bit_softmax", 2), ("shiftmax", 1),
-            ("iexp_softmax", 1), ("log2_softmax", 1)]
-
-
-def run_kernel(kernel, q, degree, counter):
-    extra = {"taylor_degree": degree} if kernel == "efficient_bit_softmax" else {}
-    return getattr(sm_mod, kernel)(q, P8, counter, **extra)
-
-
-def _code_pattern(name, qmax):
-    rng = np.random.default_rng(qmax)
-    shape = (_ROWS, _ROW_LEN)
-    if name == "zeros":
-        return np.zeros(shape, dtype=np.int32)
-    if name == "qmax":
-        return np.full(shape, qmax, dtype=np.int32)
-    if name == "one_hot":
-        codes = np.zeros(shape, dtype=np.int32)
-        codes[np.arange(_ROWS), rng.integers(0, _ROW_LEN, _ROWS)] = qmax
-        return codes
-    return rng.integers(0, qmax + 1, size=shape).astype(np.int32)
-
-
-class TestExponentialBounds:
-    """A kernel runs its exponential in int32 where the exponential's static
-    bound fits 31 bits (``_max_subtract_codes``). Run with the chain forced
-    to int64, every value a chain op computes lies within that bound, and
-    the codes and op counts equal those of the run that used int32 where it
-    could."""
-
-    @pytest.mark.parametrize("pattern", ["zeros", "qmax", "one_hot", "random"])
-    @pytest.mark.parametrize("f", [2, 8, 20])
-    @pytest.mark.parametrize("bits", [2, 8, 16])
-    @pytest.mark.parametrize("kernel, degree", _KERNELS)
-    def test_every_chain_value_stays_within_its_bound(self, kernel, degree, bits, f, pattern):
-        p = QParams(1.0 / (1 << f), 0, bits, "asymmetric")
-        q = QTensor(_code_pattern(pattern, p.qmax), p)
-        want_c = OpCounter()
-        want = run_kernel(kernel, q, degree, want_c).codes
-
-        bounds, chains, escapes = [], [], []
-
-        def int64_chain(q, bound, km, _real=sm_mod._max_subtract_codes):
-            # the real function's bound and span, and an int64 chain of its
-            # own, apart from the division's KernelMath
-            chain = KernelMath(km.counter)
-            qd, _ = _real(q, lambda span: bounds.append(bound(span)) or 1 << 63, chain)
-            chains.append(chain)
-            return qd, chain
-
-        def watch(name):
-            method = getattr(KernelMath, name)
-
-            def watched(self, *args, **kw):
-                res = method(self, *args, **kw)
-                if self in chains and np.size(res):
-                    worst = max(-int(np.min(res)), int(np.max(res)))
-                    if worst > bounds[chains.index(self)]:
-                        escapes.append((name, worst))
-                return res
-            return watched
-
-        got_c = OpCounter()
-        with contextlib.ExitStack() as stack:
-            stack.enter_context(mock.patch.object(sm_mod, "_max_subtract_codes", int64_chain))
-            for name in _ELEMENTWISE:
-                stack.enter_context(mock.patch.object(KernelMath, name, watch(name)))
-            got = run_kernel(kernel, q, degree, got_c).codes
-        assert len(bounds) == 1 and not escapes
-        assert want.dtype == got.dtype == np.int64
-        np.testing.assert_array_equal(want, got)
-        assert want_c.as_dict() == got_c.as_dict()
-
-    @pytest.mark.parametrize("kernel, dtype", [
-        ("efficient_bit_softmax", np.int32), ("shiftmax", np.int32),
-        ("iexp_softmax", np.int64), ("log2_softmax", np.int64)])
-    def test_score_edges_run_int32_where_the_whole_chain_fits(self, kernel, dtype):
-        # 16-bit score codes with f = 20: iexp's square (p + B)^2 needs
-        # int64, so its whole chain stays int64
-        chains = []
-
-        def recording(q, bound, km, _real=sm_mod._max_subtract_codes):
-            qd, chain = _real(q, bound, km)
-            chains.append(chain.dtype)
-            return qd, chain
-
-        p = QParams(1.0 / (1 << 20), 0, 16, "asymmetric")
-        q = QTensor(_code_pattern("random", p.qmax), p)
-        with mock.patch.object(sm_mod, "_max_subtract_codes", recording):
-            out = getattr(sm_mod, kernel)(q, P8)
-        assert chains == [dtype] and out.codes.dtype == np.int64
-
-    def test_codes_past_their_width_widen_the_span(self):
-        # codes outside [0, qmax] must not wrap an int32 chain: the span
-        # follows their own spread
-        p = QParams(1.0 / (1 << 20), 0, 16, "asymmetric")
-        codes = np.array([[0, 1 << 40, 5, -(1 << 40)]], dtype=np.int64)
-        for kernel in ("efficient_bit_softmax", "shiftmax", "iexp_softmax", "log2_softmax"):
-            fn = getattr(sm_mod, kernel)
-            with mock.patch.object(sm_mod, "_max_subtract_codes",
-                                   lambda q, bound, km, _real=sm_mod._max_subtract_codes:
-                                   _real(q, lambda span: 1 << 63, km)):
-                want = fn(QTensor(codes, p), P8).codes
-            np.testing.assert_array_equal(fn(QTensor(codes, p), P8).codes, want)
 
 
 class TestFracApproxErrors:

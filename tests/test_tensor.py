@@ -7,9 +7,12 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from unittest import mock
+
+from intquant import tensor as tensor_mod
 from intquant.tensor import (IntegerViolation, KernelMath, KernelOverflowError,
-                             OpCounter, Tensor, TensorFormatError, bit_length,
-                             rng_tensor, tensor_read, tensor_write)
+                             OpCounter, StageBound, Tensor, TensorFormatError, bit_length,
+                             mul_bound, rng_tensor, tensor_read, tensor_write)
 
 INT64_MIN = int(np.iinfo(np.int64).min)
 INT64_MAX = int(np.iinfo(np.int64).max)
@@ -420,6 +423,78 @@ class TestInt32KernelMath:
     def test_default_computes_in_int64(self):
         a = np.array([1, 2], dtype=np.int32)
         assert KernelMath().add(a, a).dtype == np.int64
+
+    @pytest.mark.parametrize("dtype", [np.int32, np.int64])
+    def test_abs_sign_and_max_keep_the_dtype(self, dtype):
+        # an int32 chain through them stays int32 instead of widening
+        a = np.array([[-(1 << 24) - 3, 7, 0], [-1, 5, -9]], dtype=np.int64)
+        km = KernelMath(dtype=dtype)
+        for got, want in ((km.abs(a), np.abs(a)), (km.sign(a), np.sign(a)),
+                          (km.max(a), a.max(axis=-1, keepdims=True))):
+            assert got.dtype == dtype and got.tolist() == want.tolist()
+        assert km.counter.as_dict() == {**OpCounter().as_dict(), "adds": 6,
+                                        "compares": 6 + 12 + 4, "total": 28}
+
+
+class TestStaticBounds:
+    """KernelMath.within: the width and the guards follow a stage's static
+    bound; matmul's static magnitudes pick its BLAS path."""
+
+    @pytest.mark.parametrize("bound, dtype, static", [
+        (0, np.int32, True), ((1 << 31) - 1, np.int32, True), (1 << 31, np.int64, True),
+        ((1 << 63) - 1, np.int64, True), (1 << 63, np.int64, False)])
+    def test_width_and_guards_follow_the_bound(self, bound, dtype, static):
+        c = OpCounter()
+        km = KernelMath.within(c, bound)
+        assert km.counter is c and km.dtype == dtype
+        assert km.bound == (bound if static else None)
+        with mock.patch.object(tensor_mod, "STATIC_BOUNDS", False):
+            off = KernelMath.within(c, bound)
+        assert off.dtype == np.int64 and off.bound is None
+
+    def test_a_bounded_stage_does_not_scan_its_operands(self):
+        a = np.array([3, -40000, 5], dtype=np.int64)
+        km = KernelMath.within(OpCounter(), mul_bound(40000, 40000))
+        with mock.patch.object(KernelMath, "_magnitude", side_effect=AssertionError):
+            got = km.mul(a, a)
+            km.lshift(got, 2, out=got)
+        assert got.dtype == np.int64 and got.tolist() == [36, 6400000000, 100]
+        assert km.counter.muls == 3 and km.counter.shifts == 3
+
+    def test_without_a_fitting_bound_the_runtime_guard_refuses(self):
+        big = np.array([1 << 40], dtype=np.int64)
+        for km in (KernelMath.within(OpCounter(), 1 << 63), KernelMath()):
+            with pytest.raises(KernelOverflowError):
+                km.mul(big, big)
+            with pytest.raises(KernelOverflowError):
+                km.matmul(big.reshape(1, 1), big.reshape(1, 1), mags=(1 << 40, 1 << 40))
+
+    def test_stage_bound_covers_the_guard_envelopes(self):
+        b = StageBound(5)
+        assert b.mul(5, 3) == 15 and b.bound == mul_bound(5, 3) == 31
+        assert b.lshift(3, 4) == 48 and b.bound == 63
+        assert b.rshift_round(100, 3) == 13
+        assert b.rshift_round(3, -2) == 12 and b.bound == 104
+
+    @pytest.mark.parametrize("k, ma, mb, path", [
+        (258, 255, 255, np.float32), (259, 255, 255, np.float64),
+        (16, 1 << 20, 1 << 20, np.float64), (4, (1 << 29) - 1, (1 << 29) - 1, np.int64)])
+    def test_matmul_path_from_static_magnitudes(self, k, ma, mb, path):
+        # every product at its largest, so the partial sums reach k*ma*mb
+        a = np.full((2, k), ma, dtype=np.int64)
+        b = np.full((k, 3), -mb, dtype=np.int64)
+        seen = []
+        real = np.matmul
+
+        def matmul(x, y):
+            seen.append(x.dtype)
+            return real(x, y)
+        for mags in ((ma, mb), None):
+            seen.clear()
+            with mock.patch.object(tensor_mod.np, "matmul", matmul):
+                out = KernelMath.within(OpCounter(), k * ma * mb).matmul(a, b, mags=mags)
+            assert seen == [path]
+            assert out.tolist() == np.matmul(a.astype(object), b.astype(object)).tolist()
 
 
 class TestGuardDtypes:

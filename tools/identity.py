@@ -1,6 +1,6 @@
 """sha256 identity check of the pipeline's outputs.
 
-Runs eight configs at seeds 0 and 7 (model seed and calibration seed, two
+Runs ten configs at seeds 0 and 7 (model seed and calibration seed, two
 stage-1 jobs) through the ``intquant`` package found under ``--src`` and
 prints one JSON object. Per run it holds the sha256 of the plan JSON, of
 the metrics CSV, and of the integer logits and the ``OpCounter`` dict for a
@@ -47,6 +47,8 @@ CONFIGS = {
     "toy-default": {},
     "global": {"stage1_mode": "global"},
     "act-bits-4": {"bits": {"activations": 4}},
+    "act-bits-12": {"bits": {"activations": 12}},
+    "w4a8": {"bits": {"weights": 4}},
     "standardize-amplitude20-taylor2": {
         "metric": {"standardize": True, "db_convention": "amplitude20"},
         "taylor_degree": 2},
