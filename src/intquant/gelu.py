@@ -20,7 +20,8 @@ import numpy as np
 from scipy.special import erf as _erf
 
 from .metric import approx_error
-from .quantize import QParams, QTensor, encode_dyadic_multiplier, requant_bound, requantize
+from .quantize import (QParams, QTensor, checks_codes, encode_dyadic_multiplier, requant_bound,
+                       requantize)
 from .softmax import _recip_bound, _recip_mul, _shift_add, _shift_exp_bound, _shift_exp_codes
 from .tensor import KernelMath, OpCounter, StageBound, buffer_for, mul_bound
 
@@ -210,6 +211,7 @@ def _poly_gelu_plan(p: QParams, c: ErfPolyCoeffs, out_params: QParams) -> tuple:
     return m1, e1, clip_code, a_mant, m2, e2, bounds
 
 
+@checks_codes
 def poly_gelu_int(q: QTensor, c: ErfPolyCoeffs, out_params: QParams,
                   counter: OpCounter | None = None) -> QTensor:
     """Integer-only evaluation of the polynomial GELU over codes.
@@ -268,6 +270,7 @@ def _shift_gelu_plan(p: QParams, out_params: QParams) -> tuple:
     return f, ms, es, m2, e2, (front.bound, z, exp_out, back)
 
 
+@checks_codes
 def shift_gelu_int(q: QTensor, out_params: QParams,
                    counter: OpCounter | None = None) -> QTensor:
     """Bit-shift GELU: x * sigmoid(1.6875 x), sigmoid via base-2 shift exp.

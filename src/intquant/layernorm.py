@@ -16,7 +16,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .quantize import QParams, QTensor, encode_dyadic_multiplier, requant_bound, requantize
+from .quantize import (QParams, QTensor, checks_codes, encode_dyadic_multiplier, requant_bound,
+                       requantize)
 from .tensor import KernelMath, OpCounter, StageBound, bit_length, buffer_for
 
 LN_VARIANTS = ("bitshift_newton", "poly_sqrt", "log2_scale")
@@ -107,6 +108,7 @@ def _ln_bounds(p: QParams, n: int, g: int, b: int, m2: int, e2: int,
     return front.bound, max(back.bound, requant_bound(acc, m2, e2, out_params))
 
 
+@checks_codes
 def int_layernorm(q: QTensor, gamma, beta, variant: str, out_params: QParams,
                   counter: OpCounter | None = None) -> QTensor:
     """Integer LayerNorm over the last axis with quantized affine constants.

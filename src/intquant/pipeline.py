@@ -196,26 +196,28 @@ def calibration_batches(cfg: PipelineConfig, calib_seed: int = 0) -> list[np.nda
 
 
 # ---------------------------------------------------------------------------
-# candidate runners (shared by stage 1 and integer inference)
+# candidate runners (shared by stage 1 and integer inference): their codes
+# are clipped onto [0, qmax], so they run the kernel bodies unchecked
 # ---------------------------------------------------------------------------
 
 def run_softmax_candidate(candidate: str, q: QTensor, out_params: QParams,
                           counter: OpCounter | None = None,
                           taylor_degree: int = 1) -> QTensor:
     fn = {
-        "efficient_bit_softmax": partial(sm_mod.efficient_bit_softmax,
+        "efficient_bit_softmax": partial(sm_mod.efficient_bit_softmax.unchecked,
                                          taylor_degree=taylor_degree),
-        "shiftmax": sm_mod.shiftmax,
-        "iexp_softmax": sm_mod.iexp_softmax,
-        "log2_softmax": sm_mod.log2_softmax,
+        "shiftmax": sm_mod.shiftmax.unchecked,
+        "iexp_softmax": sm_mod.iexp_softmax.unchecked,
+        "log2_softmax": sm_mod.log2_softmax.unchecked,
     }[candidate]
     return fn(q, out_params, counter)
 
 
 _GELU_KERNELS = {
-    "data_aware_poly_gelu": partial(gelu_mod.poly_gelu_int, c=gelu_mod.QUARTIC_ERF_COEFFS),
-    "ibert_gelu": partial(gelu_mod.poly_gelu_int, c=gelu_mod.IBERT_ERF_COEFFS),
-    "shift_gelu": gelu_mod.shift_gelu_int,
+    "data_aware_poly_gelu": partial(gelu_mod.poly_gelu_int.unchecked,
+                                    c=gelu_mod.QUARTIC_ERF_COEFFS),
+    "ibert_gelu": partial(gelu_mod.poly_gelu_int.unchecked, c=gelu_mod.IBERT_ERF_COEFFS),
+    "shift_gelu": gelu_mod.shift_gelu_int.unchecked,
 }
 
 
@@ -226,7 +228,7 @@ def run_gelu_candidate(candidate: str, q: QTensor, out_params: QParams,
 
 def run_ln_candidate(candidate: str, q: QTensor, gamma, beta, out_params: QParams,
                      counter: OpCounter | None = None) -> QTensor:
-    return ln_mod.int_layernorm(q, gamma, beta, candidate, out_params, counter)
+    return ln_mod.int_layernorm.unchecked(q, gamma, beta, candidate, out_params, counter)
 
 
 def _run_kernel(op: Op, candidate: str, q: QTensor, weights: dict, out_params: QParams,
@@ -445,24 +447,20 @@ def calibrate_edges(graph: ModelGraph, captured: dict,
 
 def stage3_calibrate(graph: ModelGraph, weights: dict, plan: AssignmentPlan,
                      calib: list, cfg: PipelineConfig,
-                     captured: dict | None = None,
                      calibrated: tuple | None = None) -> AssignmentPlan:
     """The plan's activation parameters: :func:`calibrate_edges`, with each
     ``log2_scale`` layer's output snapped as its kernel snaps it. Weights
     are re-derived per channel at inference, so the plan needs only
     activations.
 
-    ``captured`` is :func:`capture_calibration` of ``calib``, and
-    ``calibrated`` is :func:`calibrate_edges` of that, when the caller has
-    them; min and max are exact, so the envelopes do not depend on how the
-    batches were joined.
+    ``calibrated`` is :func:`calibrate_edges` of the capture of ``calib``
+    (:func:`capture_calibration`), when the caller has it; min and max are
+    exact, so the envelopes do not depend on how the batches were joined.
     """
     if not plan.assignments:
         raise ValueError("assignments must be complete before calibration")
     if calibrated is None:
-        if captured is None:
-            captured = capture_calibration(graph, weights, calib)
-        calibrated = calibrate_edges(graph, captured, cfg)
+        calibrated = calibrate_edges(graph, capture_calibration(graph, weights, calib), cfg)
     plan.qparams, plan.warnings = dict(calibrated[0]), list(calibrated[1])
     for lid, cand in plan.assignments.items():
         if cand == "log2_scale":

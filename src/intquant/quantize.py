@@ -10,13 +10,14 @@ inference's ``linear``, ``add`` and ``pos_add`` use round(2^16 * ratio) at shift
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import KernelMath, StageBound, buffer_for
+from .tensor import KernelMath, KernelOverflowError, StageBound, buffer_for
 
 
 class DegenerateRangeError(ValueError):
@@ -60,9 +61,27 @@ class QTensor:
     params: QParams
 
     def check(self) -> "QTensor":
-        if np.any(self.codes < 0) or np.any(self.codes > self.params.qmax):
-            raise ValueError(f"codes outside [0, {self.params.qmax}]")
+        """``self``, if its codes lie in [0, qmax]; else KernelOverflowError,
+        since they pass the width of their parameters."""
+        codes = self.codes
+        if codes.size and (int(codes.min()) < 0 or int(codes.max()) > self.params.qmax):
+            raise KernelOverflowError(f"codes outside [0, {self.params.qmax}] of their"
+                                      f" {self.params.bits}-bit parameters")
         return self
+
+
+def checks_codes(kernel):
+    """The exported form of ``kernel``, a function of a :class:`QTensor`
+    first: it refuses codes outside [0, qmax] once per call
+    (:meth:`QTensor.check`), before any stage runs, since the kernel's
+    stages take their static bounds from that interval and do not scan
+    their operands. ``.unchecked`` is ``kernel`` itself, for callers whose
+    codes are clipped onto [0, qmax]."""
+    @functools.wraps(kernel)
+    def checked(q, *args, **kw):
+        return kernel(q.check(), *args, **kw)
+    checked.unchecked = kernel
+    return checked
 
 
 def qparams_from_range(alpha: float, beta: float, bits: int,

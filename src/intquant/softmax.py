@@ -11,9 +11,10 @@ work on raw integer codes and are private; the kernels wrap them for
 parameters it is handed, which must be :func:`softmax_out_params` of their
 width, and returns int64 codes. Each stage runs on the ``KernelMath`` its
 transfer function's static bound gives (``KernelMath.within``), from input
-codes in [0, qmax]: the max-subtraction and the exponentials' fronts in
-int32, the reciprocal division in int64, none of them scanning operands
-for the overflow guards where the bound fits.
+codes in [0, qmax], which the kernels check once per call
+(:func:`quantize.checks_codes`): the max-subtraction and the exponentials'
+fronts in int32, the reciprocal division in int64, none of them scanning
+operands for the overflow guards where the bound fits.
 """
 
 from __future__ import annotations
@@ -24,7 +25,8 @@ from functools import lru_cache, partial
 import numpy as np
 
 from .metric import approx_error
-from .quantize import DYADIC_EXPONENTS, QParams, QTensor, encode_dyadic_multiplier
+from .quantize import (DYADIC_EXPONENTS, QParams, QTensor, checks_codes,
+                       encode_dyadic_multiplier)
 from .tensor import KernelMath, OpCounter, StageBound, bit_length, buffer_for, mul_bound
 
 # quadratic used by the range-reduction exponential baseline:
@@ -207,6 +209,7 @@ def _exp_div_softmax(q: QTensor, out_params: QParams, counter: OpCounter | None,
     return QTensor(codes, out_params)
 
 
+@checks_codes
 def efficient_bit_softmax(q: QTensor, out_params: QParams, counter: OpCounter | None = None,
                           taylor_degree: int = 1) -> QTensor:
     """Shift exponential with the fraction 1 + ln2*x, ln2 ~ 0.6875 by
@@ -219,6 +222,7 @@ def efficient_bit_softmax(q: QTensor, out_params: QParams, counter: OpCounter | 
         partial(_shift_exp_bound, taylor_degree=taylor_degree))
 
 
+@checks_codes
 def shiftmax(q: QTensor, out_params: QParams, counter: OpCounter | None = None) -> QTensor:
     """Baseline with the endpoint-matched linear fraction 1 + x/2."""
     return _exp_div_softmax(q, out_params, counter, _shift_exp_codes, _shift_exp_bound)
@@ -277,12 +281,14 @@ def _iexp_value_codes(qd: np.ndarray, f: int, counter: OpCounter, span: int) -> 
     return back.rshift(p, front.minimum(z, 62, out=z), out=p)
 
 
+@checks_codes
 def iexp_softmax(q: QTensor, out_params: QParams,
                  counter: OpCounter | None = None) -> QTensor:
     """Softmax with the quadratic range-reduction exponential numerator."""
     return _exp_div_softmax(q, out_params, counter, _iexp_value_codes, _iexp_bound)
 
 
+@checks_codes
 def log2_softmax(q: QTensor, out_params: QParams,
                  counter: OpCounter | None = None) -> QTensor:
     """Softmax snapped onto the power-of-two grid: outputs are 2^(-k).
@@ -293,12 +299,13 @@ def log2_softmax(q: QTensor, out_params: QParams,
     """
     bits = _prob_bits(out_params)
     km = KernelMath(counter)
-    k = log2_softmax_codes(q, km.counter)
+    k = log2_softmax_codes.unchecked(q, km.counter)
     k = km.minimum(k, 62, out=buffer_for(km, k))      # a zero numerator's k is 63
     codes = km.rshift(np.int64(1) << (bits - 1), k, out=k)
     return QTensor(codes, out_params)
 
 
+@checks_codes
 def log2_softmax_codes(q: QTensor, counter: OpCounter | None = None) -> np.ndarray:
     """Raw log2 probability codes k, value 2^(-k); the winner of a dominant
     row gets code 0. They do not depend on the output grid."""
@@ -317,8 +324,8 @@ def log2_softmax_codes(q: QTensor, counter: OpCounter | None = None) -> np.ndarr
     # shift-compare search it replaces: one shift and one compare per step
     # while num << k <= den, i.e. k + 1 of each per positive num. Since
     # 0 <= num <= den, no value but the squares reaches 2^bitlen(den), so
-    # the rest runs in int32 where den's bound fits 31 bits.
-    dtype = np.int32 if den_bound.bit_length() <= 31 else np.int64
+    # the rest runs in km's width: int32 where den's bound fits 31 bits.
+    dtype = km.dtype
     den = den.astype(dtype, copy=False)
     pos = num > 0
     safe_num = np.maximum(num, 1, dtype=dtype)

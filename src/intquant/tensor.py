@@ -23,8 +23,10 @@ stage's ``KernelMath``: int32 where the bound fits 31 bits, and with the
 max/min scan of the operands; :meth:`KernelMath.matmul` takes its operands'
 static magnitudes the same way and picks float32, float64 or int64 from
 them. Where no bound fits, the stage runs in int64 under the runtime
-guards. A kernel's input codes must lie in [0, qmax] of their parameters
-(:meth:`quantize.QTensor.check`); every program path clips them there.
+guards. A kernel's input codes must lie in [0, qmax] of their parameters:
+the exported kernels refuse other codes once per call
+(:func:`quantize.checks_codes`), and the program's own paths, whose codes
+are clipped there, run the kernel bodies unchecked.
 """
 
 from __future__ import annotations
@@ -44,11 +46,6 @@ _NP_BY_DTYPE = {"real32": np.dtype("<f4"), "int32": np.dtype("<i4")}
 
 EXACT_FLOAT_BITS = 52  # integers below 2^52 survive float64 sums exactly
 EXACT_FLOAT32 = 1 << 24  # and integers below 2^24 survive float32 sums exactly
-
-# Whether KernelMath.within and matmul's static magnitudes take effect. Off,
-# every stage runs in int64 under the runtime guards; the bounds tests turn
-# it off to check that outputs and op charges are the same either way.
-STATIC_BOUNDS = True
 _INT32, _INT64 = np.dtype(np.int32), np.dtype(np.int64)
 
 
@@ -62,7 +59,9 @@ class IntegerViolation(RuntimeError):
 
 class KernelOverflowError(OverflowError):
     """An intermediate on the integer kernel path would exceed the signed
-    width it is computed in: 64 bits, or 32 on an int32 ``KernelMath``."""
+    width it is computed in: 64 bits, or 32 on an int32 ``KernelMath``; or
+    a kernel's input codes lie outside [0, qmax] of their parameters, the
+    interval its static bounds are taken from."""
 
 
 class Tensor:
@@ -325,11 +324,11 @@ class KernelMath:
         It computes in int32 where the bound fits 31 bits, else in int64,
         and where the bound fits that width the ``mul`` and ``lshift`` guards
         pass without scanning their operands, since the bound shows they
-        would. A bound past 63 bits, or static bounds turned off, gives a
-        plain int64 instance under the runtime guards."""
+        would. A bound past 63 bits gives a plain int64 instance under the
+        runtime guards."""
         km = cls.__new__(cls)
         km.counter = counter
-        if STATIC_BOUNDS and bound < 1 << 63:
+        if bound < 1 << 63:
             km.bound = bound
             km.dtype, km._bits = (_INT32, 31) if bound < 1 << 31 else (_INT64, 63)
         else:
@@ -480,7 +479,7 @@ class KernelMath:
 
         def bits(ma, mb):
             return ma.bit_length() + mb.bit_length() + k.bit_length() if ma and mb else 0
-        if mags is None or not STATIC_BOUNDS or bits(*mags) > 62:
+        if mags is None or bits(*mags) > 62:
             mags = self._magnitude(a), self._magnitude(b)
             if bits(*mags) > 62:
                 raise KernelOverflowError("accumulated matmul may exceed 64-bit signed range")

@@ -6,7 +6,7 @@ constants (``KernelMath.within``), and each matmul takes its operands'
 static magnitudes. A watcher records every ``KernelMath`` result and checks
 that it lies within the bound of the stage that computed it, and that every
 matmul's operands lie within their static magnitudes. With the static
-bounds turned off, every stage runs in int64 under the runtime guards; the
+bounds patched out, every stage runs in int64 under the runtime guards; the
 codes, logits, plans and op charges must be the same either way.
 """
 
@@ -17,6 +17,8 @@ import numpy as np
 import pytest
 
 import intquant.pipeline as pl
+from intquant import gelu as gelu_mod
+from intquant import layernorm as ln_mod
 from intquant import softmax as sm_mod
 from intquant import tensor as tensor_mod
 from intquant.model import CANDIDATE_POOLS
@@ -73,7 +75,16 @@ class Watcher:
 
 
 def unbounded():
-    return mock.patch.object(tensor_mod, "STATIC_BOUNDS", False)
+    """Every stage as without static bounds: ``within`` gives a plain int64
+    KernelMath under the runtime guards, and ``matmul`` scans its operands
+    instead of taking their static magnitudes."""
+    real_matmul = KernelMath.matmul
+    stack = contextlib.ExitStack()
+    stack.enter_context(mock.patch.object(
+        KernelMath, "within", classmethod(lambda cls, counter, bound: cls(counter))))
+    stack.enter_context(mock.patch.object(
+        KernelMath, "matmul", lambda km, a, b, mags=None: real_matmul(km, a, b)))
+    return stack
 
 
 # ---------------------------------------------------------------------------
@@ -240,9 +251,54 @@ def test_where_no_bound_fits_the_runtime_guard_still_refuses():
                 QParams(2.0 ** -2, 0, 16, "asymmetric"))
     p_out = sm_mod.softmax_out_params(8)
     with mock.patch.object(sm_mod, "M", 62):
-        for static in (True, False):
-            with mock.patch.object(tensor_mod, "STATIC_BOUNDS", static):
+        for bounds in (contextlib.nullcontext(), unbounded()):
+            with bounds:
                 for kernel in ("efficient_bit_softmax", "shiftmax"):
                     with pytest.raises(tensor_mod.KernelOverflowError):
                         getattr(sm_mod, kernel)(q, p_out)
                 sm_mod.iexp_softmax(q, p_out)
+
+
+# ---------------------------------------------------------------------------
+# the exported kernels refuse codes past their width; the program's paths,
+# whose codes are clipped, do not check them
+# ---------------------------------------------------------------------------
+
+_P_SCORES = QParams(2.0 ** -8, 0, 8, "asymmetric")
+_P_ACT = qparams_from_range(3.0, -3.0, 8)
+_P_OUT = qparams_from_range(2.5, -0.5, 8)
+_P8 = sm_mod.softmax_out_params(8)
+_EXPORTED = {
+    "efficient_bit_softmax": (sm_mod.efficient_bit_softmax, _P_SCORES, (_P8,)),
+    "shiftmax": (sm_mod.shiftmax, _P_SCORES, (_P8,)),
+    "iexp_softmax": (sm_mod.iexp_softmax, _P_SCORES, (_P8,)),
+    "log2_softmax": (sm_mod.log2_softmax, _P_SCORES, (_P8,)),
+    "log2_softmax_codes": (sm_mod.log2_softmax_codes, _P_SCORES, ()),
+    "poly_gelu_int": (lambda q, p, **kw: gelu_mod.poly_gelu_int(
+        q, gelu_mod.QUARTIC_ERF_COEFFS, p, **kw), _P_ACT, (_P_OUT,)),
+    "shift_gelu_int": (gelu_mod.shift_gelu_int, _P_ACT, (_P_OUT,)),
+    **{f"int_layernorm-{v}": (lambda q, p, v=v, **kw: ln_mod.int_layernorm(
+        q, np.linspace(-2.0, 3.0, _ROW_LEN), np.zeros(_ROW_LEN), v, p, **kw), _P_ACT, (_P_OUT,))
+       for v in ln_mod.LN_VARIANTS},
+}
+
+
+@pytest.mark.parametrize("code", [-(1 << 40), -1, 256, 1 << 40])
+@pytest.mark.parametrize("name", list(_EXPORTED))
+def test_exported_kernels_refuse_codes_past_their_width(name, code):
+    # the stages' static bounds assume codes in [0, qmax], and an int32
+    # stage would wrap codes past it, so the kernel refuses them up front
+    kernel, p, args = _EXPORTED[name]
+    codes = _code_pattern("random", p.qmax).astype(np.int64)
+    kernel(QTensor(codes, p), *args)
+    codes[2, 5] = code
+    counter = OpCounter()
+    with pytest.raises(tensor_mod.KernelOverflowError, match="outside"):
+        kernel(QTensor(codes, p), *args, counter=counter)
+    assert counter.total() == 0
+
+
+def test_the_program_paths_run_the_kernels_unchecked():
+    cfg = pl.PipelineConfig(calib_batches=1, calib_batch_size=2)
+    with mock.patch.object(QTensor, "check", side_effect=AssertionError("checked")):
+        _pipeline(cfg)

@@ -587,7 +587,7 @@ class TestStage3:
         assignments = {r.layer_id: r.candidates[0] for r in graph.layers}
         assignments.update({lid: "log2_scale" for lid in lns[::2]})
         plan = stage3_calibrate(graph, weights, AssignmentPlan(cfg, assignments), None,
-                                cfg, captured=cat)
+                                cfg, calibrated=pl.calibrate_edges(graph, cat, cfg))
         assert list(plan.qparams) == list(want) and plan.warnings == warns
         snapped = 0
         for edge, p in plan.qparams.items():

@@ -9,8 +9,8 @@ from hypothesis.extra.numpy import arrays
 
 from intquant import softmax as sm_mod
 from intquant.model import CANDIDATE_POOLS
-from intquant.quantize import (DYADIC_EXPONENTS, QParams, QTensor, dequantize_np,
-                               dyadic_qparams_for_range)
+from intquant.quantize import (DYADIC_EXPONENTS, QParams, QTensor, checks_codes,
+                               dequantize_np, dyadic_qparams_for_range)
 from intquant.softmax import (ConfigurationError, NormalizationError,
                               _decompose_codes, _dyadic_exponent,
                               _iexp_value_codes, _max_subtract_codes, _P12,
@@ -18,7 +18,6 @@ from intquant.softmax import (ConfigurationError, NormalizationError,
                               base2_frac_approx_error, efficient_bit_softmax,
                               iexp_softmax, log2_softmax, log2_softmax_codes,
                               shiftmax, softmax_out_params)
-from intquant import tensor as tensor_mod
 from intquant.tensor import KernelMath, OpCounter
 
 
@@ -127,7 +126,7 @@ class TestDecompose:
                                        math.nextafter(2.0 ** -10, 1.0)])
     def test_non_dyadic_scale_rejected(self, scale):
         with pytest.raises(ConfigurationError, match="2 <= f <= 20"):
-            efficient_bit_softmax(qt([[-5]], scale=scale), P8)
+            efficient_bit_softmax(qt([[5]], scale=scale), P8)
 
     @pytest.mark.parametrize("f", DYADIC_EXPONENTS)
     def test_every_grid_of_the_range_is_accepted(self, f):
@@ -394,9 +393,7 @@ def _log2_codes_shift_loop(q, counter=None):
     element per step."""
     f = _dyadic_exponent(q.params)
     km = KernelMath(counter)
-    with mock.patch.object(tensor_mod, "STATIC_BOUNDS", False):     # int64 throughout
-        num = _iexp_value_codes(_max_subtract_codes(q, km.counter), f, km.counter,
-                                q.params.qmax)
+    num = _iexp_value_codes(_max_subtract_codes(q, km.counter), f, km.counter, q.params.qmax)
     den = km.sum(num, axis=-1, keepdims=True)
     den = np.broadcast_to(den, num.shape)
     k = np.zeros(num.shape, dtype=np.int64)
@@ -434,11 +431,13 @@ def _log2_cases(draw):
     if draw(st.booleans()):                # a dominant winner in one row
         codes[draw(st.integers(0, shape[0] - 1)),
               draw(st.integers(0, shape[1] - 1))] = spread + draw(st.integers(1, 1 << 15))
-    return _log2_case(codes, f), draw(st.integers(2, 16))
+    # shifted onto the 16-bit codes, which the rows' softmax does not see,
+    # and clipped at their top
+    return _log2_case(np.minimum(codes + spread, (1 << 16) - 1), f), draw(st.integers(2, 16))
 
 
 # rows where some numerator underflows to 0 (code 63), and a dominant row
-_ZERO_NUM_ROW = (_log2_case([[0, -(1 << 15), -40, -(1 << 14)]], 4), 8)
+_ZERO_NUM_ROW = (_log2_case([[1 << 15, 0, (1 << 15) - 40, 1 << 14]], 4), 8)
 _DOMINANT_ROW = (_log2_case([[1 << 12] + [0] * 299], 8), 16)
 
 
@@ -461,7 +460,8 @@ class TestLog2CodesMatchLoop:
         p_out = softmax_out_params(bits)
         got_c, want_c = OpCounter(), OpCounter()
         got = log2_softmax(q, p_out, got_c)
-        with mock.patch.object(sm_mod, "log2_softmax_codes", _log2_codes_shift_loop):
+        with mock.patch.object(sm_mod, "log2_softmax_codes",
+                               checks_codes(_log2_codes_shift_loop)):
             ref = log2_softmax(q, p_out, want_c)
         np.testing.assert_array_equal(got.codes, ref.codes)
         assert got_c.as_dict() == want_c.as_dict()

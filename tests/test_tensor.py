@@ -448,9 +448,6 @@ class TestStaticBounds:
         km = KernelMath.within(c, bound)
         assert km.counter is c and km.dtype == dtype
         assert km.bound == (bound if static else None)
-        with mock.patch.object(tensor_mod, "STATIC_BOUNDS", False):
-            off = KernelMath.within(c, bound)
-        assert off.dtype == np.int64 and off.bound is None
 
     def test_a_bounded_stage_does_not_scan_its_operands(self):
         a = np.array([3, -40000, 5], dtype=np.int64)
