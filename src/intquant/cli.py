@@ -22,7 +22,6 @@ import time
 from functools import partial
 
 import numpy as np
-from scipy.special import erf
 
 from . import gelu as gelu_mod
 from . import pipeline as pl
@@ -76,7 +75,7 @@ def cmd_fit(args) -> tuple[list[str], None]:
 
 # --which -> its rows of (method, reference, approximant, range) for approx_error
 _TABLES = {
-    "erf": [(name, erf, partial(gelu_mod.erf_poly_eval, c=coeffs), (-3.0, 3.0))
+    "erf": [(name, gelu_mod.erf, partial(gelu_mod.erf_poly_eval, c=coeffs), (-3.0, 3.0))
             for name, coeffs in (("erf_ibert_quadratic", gelu_mod.IBERT_ERF_COEFFS),
                                  ("erf_quartic_ours", gelu_mod.QUARTIC_ERF_COEFFS))],
     "gelu": [(name, gelu_mod.gelu_reference, fn, (-3.0, 3.0))

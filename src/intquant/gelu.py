@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import erf as _erf
 
 from .metric import approx_error
 from .quantize import (QParams, QTensor, checks_codes, encode_dyadic_multiplier, requant_bound,
@@ -100,10 +99,17 @@ def shift_gelu(x):
     return out if arr.shape else float(out)
 
 
+def erf(x):
+    """Exact erf (scipy.special, imported on first use: about 0.3 s that
+    `import intquant` and integer inference need not pay)."""
+    from scipy.special import erf as scipy_erf
+    return scipy_erf(x)
+
+
 def gelu_reference(x):
     """Exact GELU, used as the fitting target."""
     arr = np.asarray(x, dtype=np.float64)
-    out = 0.5 * arr * (1.0 + _erf(arr / SQRT2))
+    out = 0.5 * arr * (1.0 + erf(arr / SQRT2))
     return out if arr.shape else float(out)
 
 
@@ -145,7 +151,7 @@ def fit_erf_poly(fit_range: tuple[float, float], degree: int, samples: int = 200
     if level not in ("erf", "gelu"):
         raise ValueError(f"unknown fit level {level!r}")
     x = np.linspace(lo, hi, samples)
-    target = _erf(x) if level == "erf" else gelu_reference(x)
+    target = erf(x) if level == "erf" else gelu_reference(x)
 
     # coarse grid: b spans plausible saturation points, a spans both signs
     # (odd degrees need a > 0 for a monotone approximant)
@@ -161,7 +167,7 @@ def fit_erf_poly(fit_range: tuple[float, float], degree: int, samples: int = 200
 
     coeffs = ErfPolyCoeffs(float(run.x[0]), float(run.x[1]), degree)
     if level == "erf":
-        l2, linf = approx_error(_erf, lambda v: erf_poly_eval(v, coeffs), (lo, hi))
+        l2, linf = approx_error(erf, lambda v: erf_poly_eval(v, coeffs), (lo, hi))
     else:
         l2, linf = approx_error(gelu_reference,
                                 lambda v: data_aware_poly_gelu(v, coeffs), (lo, hi))

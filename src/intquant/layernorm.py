@@ -35,7 +35,9 @@ def _int_sqrt_array(n: np.ndarray, km: KernelMath, iterations: int = 40,
 
     Every op is charged to the element it works on, and a Newton step only
     to the elements that have not yet converged, so the count over a set of
-    rows does not depend on which rows share a call.
+    rows does not depend on which rows share a call. A step
+    ``x = min(x, (x + n // x) >> 1)`` runs on every element in place: an
+    element whose step does not fall keeps its x, so it never moves again.
     """
     shape = np.shape(n)
     n = km.asarray(n).ravel()
@@ -62,18 +64,19 @@ def _int_sqrt_array(n: np.ndarray, km: KernelMath, iterations: int = 40,
         q = ((m * m) >> 9) + (m >> 3) + 4
         x = q << e
     x = np.maximum(x, 1)
-    active = np.arange(n.size)   # elements still stepping
+    y = np.empty_like(x)
+    live = n.size   # elements still stepping; a converged x stays put
     for _ in range(iterations):
-        if not active.size:
+        if not live:
             break
-        xa = x[active]
-        y = (xa + km.floordiv(n[active], xa)) >> 1
-        km.counter.adds += active.size
-        km.counter.shifts += active.size
-        km.counter.compares += active.size
-        moving = y < xa
-        x[active[moving]] = y[moving]
-        active = active[moving]
+        np.floor_divide(n, x, out=y)
+        np.right_shift(np.add(y, x, out=y), 1, out=y)
+        km.counter.divs += live
+        km.counter.adds += live
+        km.counter.shifts += live
+        km.counter.compares += live
+        live = int(np.count_nonzero(y < x))
+        np.minimum(x, y, out=x)
     return np.where(zero, 0, x).reshape(shape)
 
 
@@ -88,7 +91,6 @@ def snap_pow2_out_params(p: QParams) -> tuple[QParams, int]:
     return QParams(2.0 ** (j - _KB), int(p.zero_point), p.bits, "asymmetric"), j
 
 
-@lru_cache(maxsize=256)
 def _ln_bounds(p: QParams, n: int, g: int, b: int, m2: int, e2: int,
                out_params: QParams) -> tuple[int, int]:
     """Transfer functions of :func:`int_layernorm`'s two stages, for rows
@@ -108,6 +110,34 @@ def _ln_bounds(p: QParams, n: int, g: int, b: int, m2: int, e2: int,
     return front.bound, max(back.bound, requant_bound(acc, m2, e2, out_params))
 
 
+def _value_key(x) -> tuple:
+    """``x`` as a hashable value: the shape and bytes of its float64 form."""
+    x = np.asarray(x, dtype=np.float64)
+    return x.shape, x.tobytes()
+
+
+@lru_cache(maxsize=256)
+def _ln_plan(p: QParams, n: int, variant: str, out_params: QParams,
+             gamma: tuple, beta: tuple) -> tuple:
+    """Constants of :func:`int_layernorm` (configuration time, real
+    arithmetic allowed) for rows of n codes on ``p``, keyed by value, with
+    gamma and beta as :func:`_value_key` gives them: the gain and bias
+    codes, the output params and multiplier, and the stage bounds."""
+    g_codes, b_codes = (np.rint(np.frombuffer(data).reshape(shape) * (1 << k)).astype(np.int64)
+                        for (shape, data), k in ((gamma, _KG), (beta, _KB)))
+    for codes in (g_codes, b_codes):   # shared by every call that hits the cache
+        codes.setflags(write=False)
+    if variant == "log2_scale":
+        # shift-only requantization: no mantissa multiply, snapped scale
+        out_params, j = snap_pow2_out_params(out_params)
+        m2, e2 = 1, j
+    else:
+        m2, e2 = encode_dyadic_multiplier(1.0 / ((1 << _KB) * float(out_params.scale)))
+    bounds = _ln_bounds(p, n, int(np.max(np.abs(g_codes))), int(np.max(np.abs(b_codes))),
+                        m2, e2, out_params)
+    return g_codes, b_codes, out_params, m2, e2, bounds
+
+
 @checks_codes
 def int_layernorm(q: QTensor, gamma, beta, variant: str, out_params: QParams,
                   counter: OpCounter | None = None) -> QTensor:
@@ -123,21 +153,11 @@ def int_layernorm(q: QTensor, gamma, beta, variant: str, out_params: QParams,
         raise ValueError(f"unknown variant {variant!r}")
     p = q.params
     n = q.codes.shape[-1]
-
-    # affine constants pre-encoded as fixed point (configuration time)
-    g_codes = np.rint(np.asarray(gamma, dtype=np.float64) * (1 << _KG)).astype(np.int64)
-    b_codes = np.rint(np.asarray(beta, dtype=np.float64) * (1 << _KB)).astype(np.int64)
-
-    if variant == "log2_scale":
-        # shift-only requantization: no mantissa multiply, snapped scale
-        out_params, j = snap_pow2_out_params(out_params)
-        m2, e2 = 1, j
-    else:
-        m2, e2 = encode_dyadic_multiplier(1.0 / ((1 << _KB) * float(out_params.scale)))
+    g_codes, b_codes, out_params, m2, e2, bounds = _ln_plan(
+        p, n, variant, out_params, _value_key(gamma), _value_key(beta))
 
     counter = counter if counter is not None else OpCounter()
-    km, back = (KernelMath.within(counter, bound) for bound in _ln_bounds(
-        p, n, int(np.max(np.abs(g_codes))), int(np.max(np.abs(b_codes))), m2, e2, out_params))
+    km, back = (KernelMath.within(counter, bound) for bound in bounds)
     c = km.sub(q.codes, int(p.zero_point))
     sc = km.sum(c, axis=-1, keepdims=True)
     sc2 = km.sum(km.mul(c, c), axis=-1, keepdims=True)

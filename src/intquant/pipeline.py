@@ -200,17 +200,21 @@ def calibration_batches(cfg: PipelineConfig, calib_seed: int = 0) -> list[np.nda
 # are clipped onto [0, qmax], so they run the kernel bodies unchecked
 # ---------------------------------------------------------------------------
 
+_SOFTMAX_KERNELS = {
+    "efficient_bit_softmax": sm_mod.efficient_bit_softmax.unchecked,
+    "shiftmax": sm_mod.shiftmax.unchecked,
+    "iexp_softmax": sm_mod.iexp_softmax.unchecked,
+    "log2_softmax": sm_mod.log2_softmax.unchecked,
+}
+
+
 def run_softmax_candidate(candidate: str, q: QTensor, out_params: QParams,
                           counter: OpCounter | None = None,
                           taylor_degree: int = 1) -> QTensor:
-    fn = {
-        "efficient_bit_softmax": partial(sm_mod.efficient_bit_softmax.unchecked,
-                                         taylor_degree=taylor_degree),
-        "shiftmax": sm_mod.shiftmax.unchecked,
-        "iexp_softmax": sm_mod.iexp_softmax.unchecked,
-        "log2_softmax": sm_mod.log2_softmax.unchecked,
-    }[candidate]
-    return fn(q, out_params, counter)
+    kernel = _SOFTMAX_KERNELS[candidate]
+    if candidate == "efficient_bit_softmax":   # the one kernel with a Taylor degree
+        return kernel(q, out_params, counter, taylor_degree)
+    return kernel(q, out_params, counter)
 
 
 _GELU_KERNELS = {

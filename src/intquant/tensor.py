@@ -335,7 +335,10 @@ class KernelMath:
             km.bound, km.dtype, km._bits = None, _INT64, 63
         return km
 
-    def _guard(self, *xs) -> None:
+    def _guard(self, *xs) -> int:
+        """Refuse real operands, recording a float violation, and return
+        the call's charge size: the largest array operand's size, at least 1."""
+        n = 1
         for x in xs:
             if isinstance(x, np.ndarray):
                 if x.dtype.kind not in "iu":
@@ -343,9 +346,12 @@ class KernelMath:
                     raise IntegerViolation(
                         f"array with dtype {x.dtype} on the integer kernel path"
                     )
+                if x.size > n:
+                    n = x.size
             elif isinstance(x, (float, np.floating)):
                 self.counter.float_violations += 1
                 raise IntegerViolation("real scalar on the integer kernel path")
+        return n
 
     @staticmethod
     def _magnitude(x) -> int:
@@ -358,30 +364,20 @@ class KernelMath:
             return max(int(x.max()), -int(x.min())) if x.size else 0
         return abs(int(x))
 
-    @staticmethod
-    def _size(*xs) -> int:
-        n = 1
-        for x in xs:
-            if isinstance(x, np.ndarray):
-                n = max(n, x.size)
-        return n
-
     def asarray(self, x) -> np.ndarray:
         self._guard(x)
         return np.asarray(x, dtype=np.int64)
 
     def add(self, a, b, out=None):
-        self._guard(a, b)
-        self.counter.adds += self._size(a, b)
+        self.counter.adds += self._guard(a, b)
         return np.add(a, b, out=out, dtype=self.dtype)
 
     def sub(self, a, b, out=None):
-        self._guard(a, b)
-        self.counter.adds += self._size(a, b)
+        self.counter.adds += self._guard(a, b)
         return np.subtract(a, b, out=out, dtype=self.dtype)
 
     def mul(self, a, b, out=None):
-        self._guard(a, b)
+        n = self._guard(a, b)
         if self.bound is None:
             # cheap magnitude check: products must stay inside the signed
             # width, and a zero operand does not excuse a scalar that it
@@ -392,21 +388,19 @@ class KernelMath:
             if bits > self._bits:
                 raise KernelOverflowError(f"product magnitudes up to {ma} * {mb} may exceed"
                                           f" {self._bits + 1}-bit signed range")
-        self.counter.muls += self._size(a, b)
+        self.counter.muls += n
         return np.multiply(a, b, out=out, dtype=self.dtype)
 
     def floordiv(self, a, b, out=None):
-        self._guard(a, b)
-        self.counter.divs += self._size(a, b)
+        self.counter.divs += self._guard(a, b)
         return np.floor_divide(a, b, out=out, dtype=self.dtype)
 
     def rshift(self, a, k, out=None):
-        self._guard(a, k)
-        self.counter.shifts += self._size(a, k)
+        self.counter.shifts += self._guard(a, k)
         return np.right_shift(a, k, out=out, dtype=self.dtype)
 
     def lshift(self, a, k, out=None):
-        self._guard(a, k)
+        n = self._guard(a, k)
         if self.bound is None:
             ma = self._magnitude(a)
             if isinstance(k, np.ndarray):
@@ -416,33 +410,30 @@ class KernelMath:
             if ma and ma.bit_length() + mk > self._bits:
                 raise KernelOverflowError(
                     f"left shift may exceed {self._bits + 1}-bit signed range")
-        self.counter.shifts += self._size(a, k)
+        self.counter.shifts += n
         return np.left_shift(a, k, out=out, dtype=self.dtype)
 
     def minimum(self, a, b, out=None):
-        self._guard(a, b)
-        self.counter.compares += self._size(a, b)
+        self.counter.compares += self._guard(a, b)
         return np.minimum(a, b, out=out, dtype=self.dtype)
 
     def maximum(self, a, b, out=None):
-        self._guard(a, b)
-        self.counter.compares += self._size(a, b)
+        self.counter.compares += self._guard(a, b)
         return np.maximum(a, b, out=out, dtype=self.dtype)
 
     def abs(self, a):
-        self._guard(a)
-        self.counter.compares += self._size(a)
-        self.counter.adds += self._size(a)
+        n = self._guard(a)
+        self.counter.compares += n
+        self.counter.adds += n
         return np.abs(a).astype(self.dtype, copy=False)
 
     def sign(self, a):
-        self._guard(a)
-        self.counter.compares += 2 * self._size(a)
+        self.counter.compares += 2 * self._guard(a)
         return np.sign(a).astype(self.dtype, copy=False)
 
     def clip(self, a, lo, hi, out=None):
-        self._guard(a, lo, hi)
-        self.counter.compares += 2 * self._size(a)
+        self._guard(lo, hi)
+        self.counter.compares += 2 * self._guard(a)
         # np.clip's Python wrapper builds np.iinfo objects on every call
         out = np.maximum(a, lo, out=out, dtype=self.dtype)
         # a scalar operand gives a scalar, which cannot be written into
@@ -453,13 +444,13 @@ class KernelMath:
         self._guard(a)
         n = a.shape[axis] if isinstance(a, np.ndarray) and a.ndim else 1
         self.counter.adds += max(n - 1, 0) * (a.size // max(n, 1))
-        return np.sum(a, axis=axis, keepdims=keepdims, dtype=np.int64)
+        return np.add.reduce(a, axis=axis, dtype=np.int64, keepdims=keepdims)
 
     def max(self, a, axis=-1, keepdims=True):
         self._guard(a)
         n = a.shape[axis] if isinstance(a, np.ndarray) and a.ndim else 1
         self.counter.compares += max(n - 1, 0) * (a.size // max(n, 1))
-        return np.max(a, axis=axis, keepdims=keepdims).astype(self.dtype, copy=False)
+        return np.maximum.reduce(a, axis=axis, keepdims=keepdims).astype(self.dtype, copy=False)
 
     def matmul(self, a, b, mags: tuple[int, int] | None = None):
         """Integer matrix product, exact, in this instance's dtype.
@@ -495,10 +486,10 @@ class KernelMath:
 
     def rshift_round(self, a, k: int, out=None):
         """Right shift with round-half-up, used to rescale after multiplies."""
-        self._guard(a)
+        n = self._guard(a, k)
         if k <= 0:
             return self.lshift(a, -k, out=out)
-        self.counter.adds += self._size(a)
-        self.counter.shifts += self._size(a)
+        self.counter.adds += n
+        self.counter.shifts += n
         out = np.add(a, 1 << (k - 1), out=out, dtype=self.dtype)
         return np.right_shift(out, k, out=out if isinstance(out, np.ndarray) else None)

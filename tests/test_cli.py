@@ -1,10 +1,14 @@
 import csv
 import json
+import os
 import struct
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import intquant
 from intquant.cli import main
 from intquant.pipeline import ConfigError, config_from_dict
 from intquant.tensor import Tensor, tensor_read, tensor_write
@@ -177,6 +181,21 @@ class TestInfer:
         assert ops["total"] > 0
         y = tensor_read(out)
         assert y.dims == (10,)
+
+    def test_infer_does_not_load_scipy_special(self, tmp_path, config_path):
+        # erf is imported where the float reference calls it, so neither the
+        # import nor integer inference on a saved plan pays for scipy.special
+        plan, xpath = self._plan(tmp_path, config_path), self._input(tmp_path)
+        code = ("import sys, intquant, intquant.cli;"
+                " before = 'scipy.special' in sys.modules;"
+                " code = intquant.cli.main(sys.argv[1:]);"
+                " print(before, code, 'scipy.special' in sys.modules)")
+        argv = ["--report-file", str(tmp_path / "runs.jsonl"), "infer", "--plan", str(plan),
+                "--input", str(xpath), "--out", str(tmp_path / "y.iptq")]
+        src = os.path.dirname(os.path.dirname(intquant.__file__))
+        out = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True,
+                             text=True, check=True, env={**os.environ, "PYTHONPATH": src})
+        assert out.stdout.splitlines()[-1] == "False 0 False"
 
     def test_deterministic_output_files(self, tmp_path, config_path):
         plan = self._plan(tmp_path, config_path)

@@ -870,6 +870,26 @@ class TestCompiledPlan:
         assert after == _run(graph, changed, _fresh(plan), inputs)
         assert after[0] != before[0]
 
+    def test_layernorm_plan_follows_replaced_gamma_and_beta(self, pipeline_result, inputs):
+        # LayerNorm's constants are cached by the values of gamma and beta:
+        # new arrays of other values, then new arrays equal to the original
+        # ones, must each give what a run with an empty cache gives
+        (plan, table, graph, weights), cfg = pipeline_result
+        plan, calib = _fresh(plan), calibration_batches(cfg)
+        names = ("block0.ln1.gamma", "block0.ln1.beta")
+
+        def ln_rows(w):
+            return [e for e in stage1_analyze(graph, w, calib, cfg).entries
+                    if e[1] == "layernorm"]
+        before = _run(graph, weights, plan, inputs), ln_rows(weights)
+        for values in ([1.5 * weights[names[0]] + 0.25, weights[names[1]] - 0.5],
+                       [np.array(weights[k]) for k in names]):
+            changed = {**weights, **dict(zip(names, values))}
+            got = _run(graph, changed, plan, inputs), ln_rows(changed)
+            pl.ln_mod._ln_plan.cache_clear()
+            assert got == (_run(graph, changed, _fresh(plan), inputs), ln_rows(changed))
+            assert (got == before) == (values[0] == weights[names[0]]).all()
+
     # a coarser attention-score grid does not move this model's 8-bit
     # logits, so for that edge only the rebuilt state is checked
     @pytest.mark.parametrize("edge,moves_logits", [

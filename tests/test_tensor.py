@@ -1,3 +1,4 @@
+import inspect
 import struct
 import tracemalloc
 
@@ -332,6 +333,94 @@ class TestOutBuffers:
         with pytest.raises(IntegerViolation):
             getattr(km, name)(out, np.array([1.0, 2.0]), out=out)
         assert out.tolist() == [11, 12]
+
+
+_GRID = np.arange(1, 257, dtype=np.int64).reshape(8, 32)
+_LOW = _GRID % 4 + 1      # kept small, so shifts and products stay in range
+# operand mixes: array/array, array/int, np.int64 scalar/array, an (8, 1)
+# column broadcast against (8, 32), and 0-d arrays
+_MIXES = {
+    "array_array": (_GRID, _LOW), "array_int": (_GRID, 3),
+    "int64_scalar_array": (np.int64(3), _LOW), "broadcast": (_GRID[:, :1], _LOW),
+    "zero_d": (np.array(9), np.array(2)),
+}
+
+
+def _n(*xs):
+    return max([1] + [x.size for x in xs if isinstance(x, np.ndarray)])
+
+
+def _rows(a):
+    n = a.shape[-1] if isinstance(a, np.ndarray) and a.ndim else 1
+    return (n - 1) * (np.size(a) // n)
+
+
+# per public method: (its args from a mix's two operands, its charge)
+_CHARGES = {
+    "asarray": (lambda a, b: (a,), lambda a: {}),
+    "add": (lambda a, b: (a, b), lambda a, b: {"adds": _n(a, b)}),
+    "sub": (lambda a, b: (a, b), lambda a, b: {"adds": _n(a, b)}),
+    "mul": (lambda a, b: (a, b), lambda a, b: {"muls": _n(a, b)}),
+    "floordiv": (lambda a, b: (a, b), lambda a, b: {"divs": _n(a, b)}),
+    "rshift": (lambda a, b: (a, b), lambda a, b: {"shifts": _n(a, b)}),
+    "lshift": (lambda a, b: (a, b), lambda a, b: {"shifts": _n(a, b)}),
+    "minimum": (lambda a, b: (a, b), lambda a, b: {"compares": _n(a, b)}),
+    "maximum": (lambda a, b: (a, b), lambda a, b: {"compares": _n(a, b)}),
+    "abs": (lambda a, b: (a,), lambda a: {"compares": _n(a), "adds": _n(a)}),
+    "sign": (lambda a, b: (a,), lambda a: {"compares": 2 * _n(a)}),
+    # bounds are not charged, even when they are the larger operand
+    "clip": (lambda a, b: (a, b, 50), lambda a, lo, hi: {"compares": 2 * _n(a)}),
+    "sum": (lambda a, b: (a,), lambda a: {"adds": _rows(a)}),
+    "max": (lambda a, b: (a,), lambda a: {"compares": _rows(a)}),
+    "matmul": (lambda a, b: (np.atleast_2d(a), np.atleast_2d(a).T),
+               lambda a, b: {"muls": a.shape[0] * b.shape[1] * a.shape[1],
+                             "adds": a.shape[0] * b.shape[1] * (a.shape[1] - 1)}),
+    "rshift_round": (lambda a, b: (a, 2), lambda a, k: {"adds": _n(a), "shifts": _n(a)}),
+}
+
+
+class TestCharges:
+    """Every public ``KernelMath`` method charges the same counts for each
+    operand mix, and refuses a real operand in any position without
+    charging or writing anything."""
+
+    def test_every_public_method_is_pinned(self):
+        public = {name for name in vars(KernelMath)
+                  if not name.startswith("_") and callable(getattr(KernelMath, name))}
+        assert public - {"within"} == set(_CHARGES)
+
+    @pytest.mark.parametrize("mix", _MIXES)
+    @pytest.mark.parametrize("name", _CHARGES)
+    def test_charge(self, name, mix):
+        make_args, charge = _CHARGES[name]
+        args = make_args(*_MIXES[mix])
+        km = KernelMath()
+        getattr(km, name)(*args)
+        want = {**OpCounter().as_dict(), **charge(*args)}
+        want["total"] = sum(want[k] for k in ("adds", "muls", "divs", "shifts", "compares"))
+        assert km.counter.as_dict() == want
+
+    def test_rshift_round_by_a_nonpositive_shift_charges_the_left_shift(self):
+        km = KernelMath()
+        km.rshift_round(_GRID, -3)
+        assert km.counter.as_dict() == {**OpCounter().as_dict(), "shifts": 256, "total": 256}
+
+    REALS = {"float_array": _GRID.astype(np.float64), "float": 2.0,
+             "float32_scalar": np.float32(2.0), "zero_d_float": np.array(2.0)}
+
+    @pytest.mark.parametrize("real", REALS)
+    @pytest.mark.parametrize("name", _CHARGES)
+    def test_real_operand_in_any_position_is_refused(self, name, real):
+        args = _CHARGES[name][0](_GRID, _LOW)
+        takes_out = "out" in inspect.signature(getattr(KernelMath, name)).parameters
+        for i in range(len(args)):
+            km = KernelMath()
+            out = np.full(_GRID.shape, 99, dtype=np.int64)
+            bad = (*args[:i], self.REALS[real], *args[i + 1:])
+            with pytest.raises(IntegerViolation):
+                getattr(km, name)(*bad, **({"out": out} if takes_out else {}))
+            assert km.counter.float_violations == 1 and km.counter.total() == 0
+            assert (out == 99).all()
 
 
 class TestBitLength:

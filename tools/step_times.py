@@ -1,0 +1,99 @@
+"""Milliseconds per request of each op kind of integer inference.
+
+Runs the pipeline on two shapes, the README default config and the
+longseq-attn shape (2 blocks, 64-d, 4 heads, 256 tokens), compiles its plan,
+and wraps every step of ``CompiledPlan.steps`` in a timer from outside the
+package: the plan gets a copy of its compiled state with the wrapped steps,
+which ``integer_forward`` then runs. After a warm-up it times batch-1
+requests and prints one table: per op kind (``linear``, ``layernorm``,
+``softmax``, ...) the milliseconds its steps take per request, then the
+steps' sum and the whole ``integer_forward`` call, whose difference is the
+call's own overhead and the timers'.
+
+``--src`` picks the ``intquant`` package, so that a parent and a change can
+be compared on one machine:
+
+    mkdir ../parent && git archive HEAD~1 | tar -x -C ../parent
+    python3 tools/step_times.py --src ../parent/src
+    python3 tools/step_times.py --src src
+"""
+
+from __future__ import annotations
+
+import argparse
+import dataclasses
+import os
+import sys
+import time
+
+import numpy as np
+
+SHAPES = {
+    "toy-default": {},
+    "longseq-attn": {"model": {"blocks": 2, "embed_dim": 64, "heads": 4, "tokens": 256},
+                     "calib": {"batches": 2, "batch_size": 8}},
+}
+
+
+def step_times(pl, raw: dict, seed: int, requests: int, warmup: int) -> dict:
+    """ms per request of each op kind's steps, of their sum and of the
+    whole ``integer_forward`` call, on the shape ``raw`` at ``seed``."""
+    cfg = pl.config_from_dict({**raw, "seed": seed})
+    plan, _, graph, weights = pl.run_pipeline(cfg, calib_seed=seed)
+    compiled = pl.compile_plan(graph, weights, plan)
+    spent = dict.fromkeys((op.op for op in graph.ops), 0.0)
+
+    def timed(kind, step):
+        def run(km, *codes):
+            t0 = time.perf_counter()
+            out = step(km, *codes)
+            spent[kind] += time.perf_counter() - t0
+            return out
+        return run
+
+    plan.compiled = wrapped = dataclasses.replace(compiled, steps=tuple(
+        timed(op.op, step) for op, step in zip(graph.ops, compiled.steps)))
+    rng = np.random.default_rng(seed)
+    xs = [rng.standard_normal((1, cfg.tokens, cfg.embed_dim)) for _ in range(warmup + requests)]
+    for x in xs[:warmup]:
+        pl.integer_forward(graph, weights, plan, x)
+    spent.update(dict.fromkeys(spent, 0.0))
+    t0 = time.perf_counter()
+    for x in xs[warmup:]:
+        pl.integer_forward(graph, weights, plan, x)
+    wall = time.perf_counter() - t0
+    if plan.compiled is not wrapped:
+        raise SystemExit("integer_forward recompiled the plan: the timers did not run")
+    ms = {kind: 1e3 * t / requests for kind, t in spent.items()}
+    ms["steps total"] = sum(ms.values())
+    ms["integer_forward"] = 1e3 * wall / requests
+    return ms
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--src", default=os.path.join(os.path.dirname(__file__), "..", "src"),
+                    help="directory that holds the intquant package to time")
+    ap.add_argument("--seed", type=int, default=1)
+    ap.add_argument("--requests", type=int, default=200)
+    ap.add_argument("--warmup", type=int, default=10)
+    args = ap.parse_args(argv)
+    src = os.path.abspath(args.src)
+    if not os.path.isfile(os.path.join(src, "intquant", "__init__.py")):
+        ap.error(f"no intquant package under {src}")
+    sys.path.insert(0, src)
+    from intquant import pipeline as pl
+
+    tables = {name: step_times(pl, raw, args.seed, args.requests, args.warmup)
+              for name, raw in SHAPES.items()}
+    rows = list(dict.fromkeys(k for t in tables.values() for k in t))
+    print(f"ms per request, {args.requests} batch-1 requests, seed {args.seed}, {src}")
+    print(f"{'op kind':<16}" + "".join(f"{name:>14}" for name in tables))
+    for row in rows:
+        print(f"{row:<16}" + "".join(f"{t[row]:>14.3f}" if row in t else f"{'-':>14}"
+                                     for t in tables.values()))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
