@@ -114,8 +114,12 @@ def cmd_assign(args) -> tuple[list[str], int]:
         raise UsageError(f"config: {exc}") from exc
     except FileNotFoundError as exc:
         raise UsageError(str(exc)) from exc
-    plan, table, graph, _ = pl.run_pipeline(cfg, calib_seed=args.calib_seed,
-                                            jobs=args.jobs)
+    plan, table, graph, weights = pl.run_pipeline(cfg, calib_seed=args.calib_seed,
+                                                  jobs=args.jobs)
+    try:   # a plan that infer would refuse is not written
+        pl.compile_plan(graph, weights, plan)
+    except (ValueError, OverflowError) as exc:
+        raise UsageError(f"plan: {exc}") from exc
     plan_path = args.out + ".plan.json"
     csv_path = args.out + ".metrics.csv"
     pl.save_plan(plan, plan_path)

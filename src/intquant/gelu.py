@@ -229,7 +229,6 @@ def poly_gelu_int(q: QTensor, c: ErfPolyCoeffs, out_params: QParams,
     :func:`_poly_gelu_plan`.
     """
     m1, e1, clip_code, a_mant, m2, e2, bounds = _poly_gelu_plan(q.params, c, out_params)
-    counter = counter if counter is not None else OpCounter()
     km, back = (KernelMath.within(counter, b) for b in bounds)
     t = km.sub(q.codes, int(q.params.zero_point))
     v = km.abs(t)
@@ -287,7 +286,6 @@ def shift_gelu_int(q: QTensor, out_params: QParams,
     division.
     """
     f, ms, es, m2, e2, (front_b, z, exp_out, back_b) = _shift_gelu_plan(q.params, out_params)
-    counter = counter if counter is not None else OpCounter()
     km = KernelMath.within(counter, front_b)
     back = KernelMath.within(counter, max(back_b, _recip_bound(exp_out, 2)))
     t = km.sub(q.codes, int(q.params.zero_point))

@@ -40,7 +40,7 @@ def _int_sqrt_array(n: np.ndarray, km: KernelMath, iterations: int = 40,
     element whose step does not fall keeps its x, so it never moves again.
     """
     shape = np.shape(n)
-    n = km.asarray(n).ravel()
+    n = np.asarray(n, dtype=np.int64).ravel()
     zero = n == 0
     n = np.where(zero, 1, n)  # keep Newton's divisor away from zero
     if seed == "shift":
@@ -156,7 +156,6 @@ def int_layernorm(q: QTensor, gamma, beta, variant: str, out_params: QParams,
     g_codes, b_codes, out_params, m2, e2, bounds = _ln_plan(
         p, n, variant, out_params, _value_key(gamma), _value_key(beta))
 
-    counter = counter if counter is not None else OpCounter()
     km, back = (KernelMath.within(counter, bound) for bound in bounds)
     c = km.sub(q.codes, int(p.zero_point))
     sc = km.sum(c, axis=-1, keepdims=True)

@@ -73,18 +73,21 @@ class PipelineConfig:
         return {k: getattr(self, k) for k in MODEL_FIELDS}
 
 
-# config path -> PipelineConfig field, in plan JSON order; the type of the
+# config path -> (PipelineConfig field, the values it may take beyond its
+# type: (min, max or None) for integers, the choices for strings, None where
+# model_dims or nothing checks it), in plan JSON order; the type of the
 # field's default is the type the config must give
 _CONFIG_FIELDS = {
-    "model.blocks": "blocks", "model.embed_dim": "embed_dim", "model.heads": "heads",
-    "model.tokens": "tokens", "model.mlp_ratio": "mlp_ratio", "model.classes": "classes",
-    "bits.weights": "weight_bits", "bits.activations": "act_bits",
-    "calib.batches": "calib_batches", "calib.batch_size": "calib_batch_size",
-    "metric.db_convention": "db_convention", "metric.standardize": "standardize",
-    "stage1_mode": "stage1_mode", "taylor_degree": "taylor_degree", "seed": "seed",
+    **{f"model.{name}": (name, None) for name in MODEL_FIELDS},
+    "bits.weights": ("weight_bits", (2, 16)), "bits.activations": ("act_bits", (2, 16)),
+    "calib.batches": ("calib_batches", (1, None)),
+    "calib.batch_size": ("calib_batch_size", (1, None)),
+    "metric.db_convention": ("db_convention", tuple(DB_FACTORS)),
+    "metric.standardize": ("standardize", None), "stage1_mode": ("stage1_mode", STAGE1_MODES),
+    "taylor_degree": ("taylor_degree", (1, 2)), "seed": ("seed", (0, None)),
 }
 _SECTIONS = {path.split(".")[0] for path in _CONFIG_FIELDS if "." in path}
-_FIELD_PATHS = {name: path for path, name in _CONFIG_FIELDS.items()}
+_FIELD_PATHS = {name: path for path, (name, _) in _CONFIG_FIELDS.items()}
 _TYPE_NAMES = {int: "an integer", str: "a string", bool: "a boolean"}
 
 
@@ -109,7 +112,7 @@ def config_from_dict(raw: dict) -> PipelineConfig:
         for path, v in items:
             if path not in _CONFIG_FIELDS:
                 raise ConfigError(f"{path}: unknown field")
-            field_name = _CONFIG_FIELDS[path]
+            field_name = _CONFIG_FIELDS[path][0]
             want = type(getattr(PipelineConfig, field_name))
             if type(v) is not want:
                 raise ConfigError(f"{path}: expected {_TYPE_NAMES[want]}")
@@ -119,20 +122,6 @@ def config_from_dict(raw: dict) -> PipelineConfig:
     return cfg
 
 
-# config path -> the values it may take beyond its type: (min, max or None)
-# for integers, the choices for strings
-_ALLOWED = {
-    "bits.weights": (2, 16),
-    "bits.activations": (2, 16),
-    "calib.batches": (1, None),
-    "calib.batch_size": (1, None),
-    "taylor_degree": (1, 2),
-    "seed": (0, None),
-    "metric.db_convention": tuple(DB_FACTORS),
-    "stage1_mode": STAGE1_MODES,
-}
-
-
 def check_config(cfg: PipelineConfig) -> None:
     """Refuse values that have the schema's types but cannot run; the
     ConfigError names the field."""
@@ -140,12 +129,12 @@ def check_config(cfg: PipelineConfig) -> None:
         model_dims(cfg.model_config())
     except ValueError as exc:
         raise ConfigError(f"model.{exc}") from exc
-    for path, allowed in _ALLOWED.items():
-        val = getattr(cfg, _CONFIG_FIELDS[path])
+    for path, (name, allowed) in _CONFIG_FIELDS.items():
+        val = getattr(cfg, name)
         if isinstance(val, str):
             if val not in allowed:
                 raise ConfigError(f"{path}: must be one of {list(allowed)}, got {val!r}")
-        elif val < allowed[0] or (allowed[1] is not None and val > allowed[1]):
+        elif allowed and (val < allowed[0] or (allowed[1] is not None and val > allowed[1])):
             raise ConfigError(f"{path}: must be in [{allowed[0]}, {allowed[1] or 'inf'}],"
                               f" got {val}")
     try:
@@ -491,17 +480,6 @@ def run_pipeline(cfg: PipelineConfig, calib_seed: int = 0,
 # integer-only inference
 # ---------------------------------------------------------------------------
 
-@dataclass
-class _LinearPlan:
-    w_centered: np.ndarray
-    corr: np.ndarray        # z_in * column sums, already integer
-    bias_int: np.ndarray
-    mult: np.ndarray        # per-channel round(2^16 * s_in * s_w / s_out)
-    p_out: QParams
-    mags: tuple             # static magnitudes of the input codes and the weights
-    bound: int              # stage bound of the step (see KernelMath.within)
-
-
 def _multiplier(edge: str, mult, live=False):
     """``mult`` as given, once it is known to lie below 2^62 (larger ones
     overflow int64) and, where ``live``, not to round to 0 (which maps a
@@ -515,35 +493,8 @@ def _multiplier(edge: str, mult, live=False):
     return mult
 
 
-def _prepare_linear(edge: str, w: np.ndarray, b: np.ndarray, p_in: QParams,
-                    p_out: QParams, weight_bits: int) -> _LinearPlan:
-    codes, s_w = requant_weight_per_channel(w, weight_bits)
-    w_centered = codes.astype(np.int64) - (1 << (weight_bits - 1))
-    s_in = p_in.scale
-    corr = p_in.zero_point * w_centered.sum(axis=1)
-    bias_int = np.rint(np.asarray(b, dtype=np.float64) / (s_in * s_w)).astype(np.int64)
-    # a row of zero weights scales nothing, so its multiplier may round to 0
-    mult = np.rint(_multiplier(edge, (1 << 16) * s_in * s_w / p_out.scale,
-                               live=np.any(w_centered, axis=1))).astype(np.int64)
-    # transfer function: the product less its correction is the sum of
-    # (codes - z_in) * weights, plus the bias
-    k, w_max, b_max = w.shape[1], _max_abs(w_centered), _max_abs(bias_int)
-    b = StageBound()
-    b.add(b.add(b.matmul(k, p_in.qmax, w_max), _max_abs(corr)), b_max)
-    acc = k * p_in.centered_max * w_max + b_max
-    bound = max(b.bound, requant_bound(acc, mult, 16, p_out))
-    return _LinearPlan(w_centered, corr, bias_int, mult, p_out, (p_in.qmax, w_max), bound)
-
-
 def _max_abs(x: np.ndarray) -> int:
     return int(np.max(np.abs(x))) if x.size else 0
-
-
-def _linear_int(km: KernelMath, codes: np.ndarray, lp: _LinearPlan) -> np.ndarray:
-    km = KernelMath.within(km.counter, lp.bound)
-    acc = km.matmul(codes, lp.w_centered.T, mags=lp.mags)
-    km.add(km.sub(acc, lp.corr, out=acc), lp.bias_int, out=acc)
-    return requantize(km, acc, lp.mult, 16, lp.p_out)
 
 
 def _requant_mult(edge: str, p_from: QParams, p_to: QParams) -> int:
@@ -562,13 +513,12 @@ def _requant_into_bound(b: StageBound, p_from: QParams, m: int) -> int:
     return b.rshift_round(b.mul(p_from.centered_max, m), 16)
 
 
-def _add_requant(km: KernelMath, a, b, zeros: tuple[int, int], mults: tuple[int, int],
-                 p_out: QParams, bound: int):
-    """a and b, each with its zero point and :func:`_requant_mult`,
-    requantized onto ``p_out`` and added, in one stage within ``bound``."""
-    km = KernelMath.within(km.counter, bound)
-    out = _requant_into(km, a, zeros[0], mults[0])
-    km.add(out, _requant_into(km, b, zeros[1], mults[1]), out=out)
+def _add_requant(km: KernelMath, a, term, zero_point: int, m: int, p_out: QParams):
+    """a, with its zero point and :func:`_requant_mult`, requantized onto
+    ``p_out`` and added to ``term``, the other input already requantized:
+    the stage of ``add`` and ``pos_add``."""
+    out = _requant_into(km, a, zero_point, m)
+    km.add(out, term, out=out)
     return km.clip(km.add(out, p_out.zero_point, out=out), 0, p_out.qmax, out=out)
 
 
@@ -616,7 +566,7 @@ class CompiledPlan:
     assignments: dict         # copy of plan.assignments
     weights_read: tuple       # (name, array) pairs of the weights, checked by identity
     qparams_read: tuple       # (edge, QParams) pairs of the plan, checked by equality
-    steps: tuple              # per op: fn(km, *input codes) -> output codes
+    steps: tuple              # per op: fn(counter, *input codes) -> output codes
 
     def matches(self, graph: ModelGraph, weights: dict, plan: AssignmentPlan) -> bool:
         return (self.graph is graph and self.config == plan.config
@@ -626,12 +576,15 @@ class CompiledPlan:
 
 
 def _step(op: Op, graph: ModelGraph, plan: AssignmentPlan, P: dict, W: dict):
-    """``op``'s integer step, ``step(km, *input codes) -> output codes``.
+    """``op``'s integer step, a closure ``step(counter, *input codes) ->
+    output codes`` that charges the request's ``counter``.
 
     Every constant the step needs is derived here, from the parameters
-    ``P`` and the weights ``W``. A non-linear step binds its parameters,
-    the layer's candidate in ``plan.assignments`` (and LayerNorm's gamma and
-    beta) but looks up the candidate's runner on every call.
+    ``P`` and the weights ``W``, and so is the static bound of each of its
+    stages, from which a call makes the stage's ``KernelMath``. A non-linear
+    step binds its parameters, the layer's candidate in ``plan.assignments``
+    (and LayerNorm's gamma and beta) but looks up the candidate's runner on
+    every call.
     """
     out, ins, cfg = op.out, op.inputs, plan.config
     p_out = P[out]
@@ -646,41 +599,60 @@ def _step(op: Op, graph: ModelGraph, plan: AssignmentPlan, P: dict, W: dict):
         layer_weights = {k: W[k] for k in op.weights}
         candidate, degree = plan.assignments[out], cfg.taylor_degree
 
-        def nonlinear(km, x):
+        def nonlinear(counter, x):
             return _run_kernel(op, candidate, QTensor(x, p_in), layer_weights,
-                               p_out, degree, km.counter).codes
+                               p_out, degree, counter).codes
         return nonlinear
     if op.op == "linear":
-        w, b = op.weights
-        return partial(_linear_int, lp=_prepare_linear(out, W[w], W[b], P[ins[0]], p_out,
-                                                       cfg.weight_bits))
-    if op.op == "add":
-        mults = tuple(_requant_mult(out, P[e], p_out) for e in ins)
-        b = StageBound(p_out.qmax)
-        b.add(b.add(*(_requant_into_bound(b, P[e], m) for e, m in zip(ins, mults))),
-              p_out.zero_point)
-        return partial(_add_requant, zeros=tuple(P[e].zero_point for e in ins),
-                       mults=mults, p_out=p_out, bound=b.bound)
-    if op.op == "pos_add":
-        # the positional table is constant: its requantized term is computed
-        # here once, on an uncharged counter, and a request pays only for
-        # its own codes
-        pos = W[op.weights[0]]
-        p_pos = MinMaxObserver().observe(pos).qparams(cfg.act_bits)
-        pos_codes = np.asarray(quantize(pos, p_pos).codes, dtype=np.int64)
-        pos_term = _requant_into(KernelMath(), pos_codes, p_pos.zero_point,
-                                 _requant_mult(out, p_pos, p_out))
-        z_in, m_in = P[ins[0]].zero_point, _requant_mult(out, P[ins[0]], p_out)
-        b = StageBound(p_out.qmax)
-        b.add(b.add(_requant_into_bound(b, P[ins[0]], m_in), _max_abs(pos_term)),
-              p_out.zero_point)
+        p_in, bits = P[ins[0]], cfg.weight_bits
+        codes, s_w = requant_weight_per_channel(W[op.weights[0]], bits)
+        w_centered = codes.astype(np.int64) - (1 << (bits - 1))
+        w_t, corr = w_centered.T, p_in.zero_point * w_centered.sum(axis=1)
+        bias = np.rint(np.asarray(W[op.weights[1]], dtype=np.float64)
+                       / (p_in.scale * s_w)).astype(np.int64)
+        # a row of zero weights scales nothing, so its multiplier may round to 0
+        mult = np.rint(_multiplier(out, (1 << 16) * p_in.scale * s_w / p_out.scale,
+                                   live=np.any(w_centered, axis=1))).astype(np.int64)
+        # transfer function: the product less its correction is the sum of
+        # (codes - z_in) * weights, plus the bias
+        k, w_max, b_max = w_t.shape[0], _max_abs(w_centered), _max_abs(bias)
+        b = StageBound()
+        b.add(b.add(b.matmul(k, p_in.qmax, w_max), _max_abs(corr)), b_max)
+        acc = k * p_in.centered_max * w_max + b_max
+        bound, mags = max(b.bound, requant_bound(acc, mult, 16, p_out)), (p_in.qmax, w_max)
 
-        def pos_add(km, x):
-            km = KernelMath.within(km.counter, b.bound)
-            y = _requant_into(km, x, z_in, m_in)
-            km.add(y, pos_term, out=y)
-            return km.clip(km.add(y, p_out.zero_point, out=y), 0, p_out.qmax, out=y)
-        return pos_add
+        def linear(counter, x):
+            km = KernelMath.within(counter, bound)
+            acc = km.matmul(x, w_t, mags=mags)
+            km.add(km.sub(acc, corr, out=acc), bias, out=acc)
+            return requantize(km, acc, mult, 16, p_out)
+        return linear
+    if op.op in ("add", "pos_add"):
+        # one stage: the first input requantized onto p_out, plus the other
+        # input's term. pos_add's positional table is constant, so its term
+        # is computed here once, on an uncharged counter, and a request
+        # pays only for its own codes
+        z, m = P[ins[0]].zero_point, _requant_mult(out, P[ins[0]], p_out)
+        b = StageBound(p_out.qmax)
+        if op.op == "add":
+            zb, mb = P[ins[1]].zero_point, _requant_mult(out, P[ins[1]], p_out)
+            term = _requant_into_bound(b, P[ins[1]], mb)
+        else:
+            pos = W[op.weights[0]]
+            p_pos = MinMaxObserver().observe(pos).qparams(cfg.act_bits)
+            pos_term = _requant_into(KernelMath(), quantize(pos, p_pos).codes,
+                                     p_pos.zero_point, _requant_mult(out, p_pos, p_out))
+            term = _max_abs(pos_term)
+        b.add(b.add(_requant_into_bound(b, P[ins[0]], m), term), p_out.zero_point)
+        bound = b.bound
+        if op.op == "pos_add":
+            return lambda counter, x: _add_requant(KernelMath.within(counter, bound), x,
+                                                   pos_term, z, m, p_out)
+
+        def add(counter, x, y):
+            km = KernelMath.within(counter, bound)
+            return _add_requant(km, x, _requant_into(km, y, zb, mb), z, m, p_out)
+        return add
     H = graph.heads
     if op.op in ("scores", "ctx"):
         # two stages: the corrected product, and its requantization
@@ -692,13 +664,13 @@ def _step(op: Op, graph: ModelGraph, plan: AssignmentPlan, P: dict, W: dict):
         bounds = corr_bound, requant_bound(acc, *dyadic, p_out)
         mags = (pa.qmax, pb.qmax)
 
-        def corrected(km, a, b_t):
-            corr, rq = (KernelMath.within(km.counter, bound) for bound in bounds)
+        def corrected(counter, a, b_t):
+            corr, rq = (KernelMath.within(counter, bound) for bound in bounds)
             return requantize(rq, _matmul_corrected(corr, a, za, b_t, zb, mags), *dyadic, p_out)
         if op.op == "scores":
-            return lambda km, q, k: corrected(km, split_heads(q, H),
-                                              split_heads(k, H).transpose(0, 1, 3, 2))
-        return lambda km, probs, v: merge_heads(corrected(km, probs, split_heads(v, H)))
+            return lambda counter, q, k: corrected(counter, split_heads(q, H),
+                                                   split_heads(k, H).transpose(0, 1, 3, 2))
+        return lambda counter, probs, v: merge_heads(corrected(counter, probs, split_heads(v, H)))
     if op.op == "pool":
         # mean pool over tokens, the 1/T division folded into the multiplier
         p_in, T = P[ins[0]], graph.tokens
@@ -706,8 +678,8 @@ def _step(op: Op, graph: ModelGraph, plan: AssignmentPlan, P: dict, W: dict):
         dyadic = encode_dyadic_multiplier(_multiplier(out, p_in.scale / (T * p_out.scale)))
         bound = max(T * p_in.qmax + z_sum, requant_bound(T * p_in.centered_max, *dyadic, p_out))
 
-        def pool(km, h):
-            km = KernelMath.within(km.counter, bound)
+        def pool(counter, h):
+            km = KernelMath.within(counter, bound)
             acc = km.sum(h, axis=1, keepdims=False)
             acc = km.sub(acc, z_sum, out=buffer_for(km, acc))
             return requantize(km, acc, *dyadic, p_out)
@@ -770,14 +742,13 @@ def integer_forward(graph: ModelGraph, weights: dict, plan: AssignmentPlan, x,
     if compiled is None or not compiled.matches(graph, weights, plan):
         compiled = compile_plan(graph, weights, plan)
     counter = counter if counter is not None else OpCounter()
-    km = KernelMath(counter)
 
     xq = quantize(np.asarray(x, dtype=np.float64), plan.qparams[INPUT])
-    codes, squeeze = batched(graph, km.asarray(xq.codes))
+    codes, squeeze = batched(graph, xq.codes)
     env = {INPUT: codes}
     for op, dead, step in zip(graph.ops, graph.dead_after, compiled.steps):
         args = [env.pop(e) if e in dead else env[e] for e in op.inputs]
-        env[op.out] = step(km, *args)
+        env[op.out] = step(counter, *args)
     out = dequantize_np(QTensor(env[op.out], plan.qparams[op.out]))
     if squeeze:
         out = out[0]
@@ -815,7 +786,7 @@ def _finite_or_str(x: float):
 
 def plan_to_dict(plan: AssignmentPlan) -> dict:
     return {
-        "model_config": {**{k: getattr(plan.config, k) for k in _CONFIG_FIELDS.values()},
+        "model_config": {**{k: getattr(plan.config, k) for k in _FIELD_PATHS},
                          "pools": None if plan.config.pools is None else
                          {k: list(v) for k, v in plan.config.pools.items()}},
         "assignments": [

@@ -92,7 +92,7 @@ def _prob_bits(out_params: QParams) -> int:
 # code-domain stages
 # ---------------------------------------------------------------------------
 
-def _max_subtract_codes(q: QTensor, counter: OpCounter) -> np.ndarray:
+def _max_subtract_codes(q: QTensor, counter: OpCounter | None) -> np.ndarray:
     """Codes minus their row max, in [-qmax, 0]: one stage, within qmax and
     so in int32. The exponential after it takes span = qmax."""
     km = KernelMath.within(counter, q.params.qmax)
@@ -136,7 +136,7 @@ def _decompose_codes(qp: np.ndarray, f: int, km: KernelMath):
     return q_int, km.sub(pos, km.lshift(q_int, f), out=pos)
 
 
-def _shift_exp_codes(qd: np.ndarray, f: int, counter: OpCounter, span: int,
+def _shift_exp_codes(qd: np.ndarray, f: int, counter: OpCounter | None, span: int,
                      slope: tuple = (1,), taylor_degree: int = 1) -> np.ndarray:
     """Shift exponential of codes in [-span, 0] on the 2^-f grid: qd times
     log2(e) splits into an integer part q_int and a fraction x in (-1, 0],
@@ -200,7 +200,6 @@ def _exp_div_softmax(q: QTensor, out_params: QParams, counter: OpCounter | None,
     f = _dyadic_exponent(q.params)
     n = q.codes.shape[-1]
     _check_m(bits, n)
-    counter = counter if counter is not None else OpCounter()
     span = q.params.qmax
     num = exp_codes(_max_subtract_codes(q, counter), f, counter, span)
     # recip * num reaches 2^M, so the division is int64, in num if it is
@@ -310,7 +309,6 @@ def log2_softmax_codes(q: QTensor, counter: OpCounter | None = None) -> np.ndarr
     """Raw log2 probability codes k, value 2^(-k); the winner of a dominant
     row gets code 0. They do not depend on the output grid."""
     f = _dyadic_exponent(q.params)
-    counter = counter if counter is not None else OpCounter()
     span = q.params.qmax
     num = _iexp_value_codes(_max_subtract_codes(q, counter), f, counter, span)
     den_bound = q.codes.shape[-1] * _iexp_bound(span, f)[-1]

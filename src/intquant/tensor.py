@@ -11,22 +11,21 @@ allocates one result and each later op writes into it through ``out=``. The
 buffer rule is that ``out=`` must be an array of the ``KernelMath``'s dtype
 that the caller owns, that is one it allocated itself, and that a kernel
 never writes into an array it was handed: input codes, edge arrays and
-weights stay as they were. ``KernelMath.asarray`` returns the caller's own
-array when it already holds int64, so its result is not owned either.
+weights stay as they were.
 
 Static bounds: a kernel or compiled step splits its chain into stages and
 gives each a static magnitude bound, from its input codes' interval
 [0, qmax] and its constants, written once as a mirror of the stage on
 magnitudes (:class:`StageBound`). :meth:`KernelMath.within` makes the
-stage's ``KernelMath``: int32 where the bound fits 31 bits, and with the
-``mul`` and ``lshift`` overflow guards decided by the bound instead of a
-max/min scan of the operands; :meth:`KernelMath.matmul` takes its operands'
-static magnitudes the same way and picks float32, float64 or int64 from
-them. Where no bound fits, the stage runs in int64 under the runtime
-guards. A kernel's input codes must lie in [0, qmax] of their parameters:
-the exported kernels refuse other codes once per call
-(:func:`quantize.checks_codes`), and the program's own paths, whose codes
-are clipped there, run the kernel bodies unchecked.
+stage's ``KernelMath``, and is the only maker of an int32 one: int32 where
+the bound fits 31 bits, and with the ``mul`` and ``lshift`` overflow guards
+decided by the bound instead of a max/min scan of the operands;
+:meth:`KernelMath.matmul` takes its operands' static magnitudes the same
+way and picks float32, float64 or int64 from them. Where no bound fits, the
+stage runs in int64 under the runtime guards. A kernel's input codes must
+lie in [0, qmax] of their parameters: the exported kernels refuse other
+codes once per call (:func:`quantize.checks_codes`), and the program's own
+paths, whose codes are clipped there, run the kernel bodies unchecked.
 """
 
 from __future__ import annotations
@@ -58,10 +57,9 @@ class IntegerViolation(RuntimeError):
 
 
 class KernelOverflowError(OverflowError):
-    """An intermediate on the integer kernel path would exceed the signed
-    width it is computed in: 64 bits, or 32 on an int32 ``KernelMath``; or
-    a kernel's input codes lie outside [0, qmax] of their parameters, the
-    interval its static bounds are taken from."""
+    """An intermediate on the integer kernel path would exceed 64 signed
+    bits; or a kernel's input codes lie outside [0, qmax] of their
+    parameters, the interval its static bounds are taken from."""
 
 
 class Tensor:
@@ -296,43 +294,39 @@ class KernelMath:
     charge is the same with or without ``out=``. Without it, a method
     allocates one result.
 
-    The overflow guards of ``mul`` and ``lshift`` check against the width
-    of ``dtype``, 63 or 31 signed bits: from ``bound`` where the instance
-    has one (see :meth:`within`), else from a max/min scan of the operands.
-    Nothing guards the other methods or the operand casts, so an int32
-    ``KernelMath`` is its maker's promise, from a static bound, that every
-    value of the chain fits. Constants on an int32 chain are Python ints,
-    which numpy refuses rather than wraps when they do not fit.
+    The overflow guards of ``mul`` and ``lshift`` check against 63 signed
+    bits: from ``bound`` where the instance has one (see :meth:`within`),
+    else from a max/min scan of the operands. An instance made without a
+    bound computes in int64. Only :meth:`within` makes an int32 one, and
+    nothing guards its other methods or its operand casts: its bound is the
+    promise that every value of the chain fits. Constants on an int32 chain
+    are Python ints, which numpy refuses rather than wraps when they do not
+    fit.
     """
 
-    __slots__ = ("counter", "dtype", "bound", "_bits")
+    __slots__ = ("counter", "dtype", "bound")
 
-    def __init__(self, counter: OpCounter | None = None, dtype=np.int64):
+    def __init__(self, counter: OpCounter | None = None):
         self.counter = counter if counter is not None else OpCounter()
-        self.dtype = np.dtype(dtype)
-        if self.dtype not in (np.int32, np.int64):
-            raise TypeError(f"KernelMath computes in int32 or int64, not {self.dtype}")
-        self._bits = 8 * self.dtype.itemsize - 1
+        self.dtype = _INT64
         self.bound = None
 
     @classmethod
-    def within(cls, counter: OpCounter, bound: int) -> "KernelMath":
+    def within(cls, counter: OpCounter | None, bound: int) -> "KernelMath":
         """The ``KernelMath`` of a stage whose every value, and the guard
         envelope of each of its multiplies and left shifts, lies within
-        ``bound`` in magnitude (a :class:`StageBound`), charging ``counter``.
+        ``bound`` in magnitude (a :class:`StageBound`), charging ``counter``
+        (a fresh one where it is None).
 
         It computes in int32 where the bound fits 31 bits, else in int64,
-        and where the bound fits that width the ``mul`` and ``lshift`` guards
+        and where the bound fits 63 bits the ``mul`` and ``lshift`` guards
         pass without scanning their operands, since the bound shows they
         would. A bound past 63 bits gives a plain int64 instance under the
         runtime guards."""
         km = cls.__new__(cls)
-        km.counter = counter
-        if bound < 1 << 63:
-            km.bound = bound
-            km.dtype, km._bits = (_INT32, 31) if bound < 1 << 31 else (_INT64, 63)
-        else:
-            km.bound, km.dtype, km._bits = None, _INT64, 63
+        km.counter = counter if counter is not None else OpCounter()
+        km.dtype = _INT32 if bound < 1 << 31 else _INT64
+        km.bound = bound if bound < 1 << 63 else None
         return km
 
     def _guard(self, *xs) -> int:
@@ -364,10 +358,6 @@ class KernelMath:
             return max(int(x.max()), -int(x.min())) if x.size else 0
         return abs(int(x))
 
-    def asarray(self, x) -> np.ndarray:
-        self._guard(x)
-        return np.asarray(x, dtype=np.int64)
-
     def add(self, a, b, out=None):
         self.counter.adds += self._guard(a, b)
         return np.add(a, b, out=out, dtype=self.dtype)
@@ -385,9 +375,9 @@ class KernelMath:
             ma = self._magnitude(a)
             mb = ma if b is a else self._magnitude(b)
             bits = ma.bit_length() + mb.bit_length() if ma and mb else max(ma, mb).bit_length()
-            if bits > self._bits:
+            if bits > 63:
                 raise KernelOverflowError(f"product magnitudes up to {ma} * {mb} may exceed"
-                                          f" {self._bits + 1}-bit signed range")
+                                          " 64-bit signed range")
         self.counter.muls += n
         return np.multiply(a, b, out=out, dtype=self.dtype)
 
@@ -407,9 +397,8 @@ class KernelMath:
                 mk = int(k.max()) if k.size else 0
             else:
                 mk = int(k)
-            if ma and ma.bit_length() + mk > self._bits:
-                raise KernelOverflowError(
-                    f"left shift may exceed {self._bits + 1}-bit signed range")
+            if ma and ma.bit_length() + mk > 63:
+                raise KernelOverflowError("left shift may exceed 64-bit signed range")
         self.counter.shifts += n
         return np.left_shift(a, k, out=out, dtype=self.dtype)
 

@@ -191,10 +191,13 @@ def test_pipeline_values_within_their_bounds(shape):
     assert got == want
 
 
+@pytest.mark.parametrize("dtype", [np.int32, np.int64])
 @pytest.mark.parametrize("shape", ["toy-default", "act-bits-12", "w4a8", "forced-pools"])
-def test_compiled_steps_at_the_ends_of_their_input_intervals(shape):
+def test_compiled_steps_at_the_ends_of_their_input_intervals(shape, dtype):
     # calibration data stays far inside [0, qmax]; here every step gets
-    # codes at the ends of its input edges' intervals
+    # codes at the ends of its input edges' intervals, as int32 codes (the
+    # model input's) or int64 ones, and gives the same codes and charges
+    # from either
     cfg = pl.PipelineConfig(**{"calib_batches": 1, "calib_batch_size": 2, **_SHAPES[shape]})
     plan, _, graph, weights = pl.run_pipeline(cfg, jobs=1)
     compiled = pl.compile_plan(graph, weights, plan)
@@ -208,12 +211,12 @@ def test_compiled_steps_at_the_ends_of_their_input_intervals(shape):
                 qmax, dims = plan.qparams[e].qmax, shapes[e][0].shape
                 codes = {"zeros": np.zeros(dims), "qmax": np.full(dims, qmax),
                          "ends": qmax * rng.integers(0, 2, dims)}[pattern]
-                args.append(codes.astype(np.int64))
+                args.append(codes.astype(dtype))
             want_c, got_c = OpCounter(), OpCounter()
             with unbounded():
-                want = step(KernelMath(want_c), *args)
+                want = step(want_c, *(a.astype(np.int64) for a in args))
             with Watcher().installed() as w:
-                got = step(KernelMath(got_c), *args)
+                got = step(got_c, *args)
             assert not w.escapes, (op.out, pattern, w.escapes[:3])
             np.testing.assert_array_equal(got, want)
             assert got_c.as_dict() == want_c.as_dict()

@@ -140,6 +140,21 @@ class TestAssign:
                    "--out", str(tmp_path / "x")) == 2
         assert not (tmp_path / "x.plan.json").exists()
 
+    # valid configs whose plans the integer path cannot run: assign refuses
+    # them, as infer would, and writes nothing
+    @pytest.mark.parametrize("raw, edge", [
+        ({"bits": {"weights": 16}}, "block0.attn.q"),
+        ({"model": {"embed_dim": 1, "heads": 1}}, "block1.attn.proj"),
+    ], ids=["w16", "embed_dim_1"])
+    def test_plan_infer_would_refuse_is_usage_error(self, tmp_path, capsys, raw, edge):
+        config_from_dict(raw)
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(raw))
+        assert run(tmp_path, "assign", "--config", str(path), "--jobs", "1",
+                   "--out", str(tmp_path / "x")) == 2
+        assert f"usage error: plan: {edge}: " in capsys.readouterr().err
+        assert not list(tmp_path.glob("x.*"))
+
     @pytest.mark.parametrize("flag, value", [
         ("--calib-seed", "-1"), ("--jobs", "0"), ("--jobs", "-2"),
     ])

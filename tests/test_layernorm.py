@@ -76,7 +76,7 @@ def _int_sqrt_loop(n, km, iterations=40, seed="shift"):
     length is found by shifting once per bit until zero; the poly seed's
     mantissa m and exponent e by quartering n, one shift per quartering,
     until it is below 64."""
-    n = km.asarray(n)
+    n = np.asarray(n, dtype=np.int64)
     zero = n == 0
     n = np.where(zero, 1, n)
     if seed == "shift":

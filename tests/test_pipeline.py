@@ -4,6 +4,7 @@ import json
 import re
 import sys
 import threading
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -26,7 +27,7 @@ from intquant import layernorm as ln_mod
 from intquant import softmax as sm_mod
 from intquant.quantize import (MinMaxObserver, QParams, QTensor, dequantize_np,
                                qparams_from_range, quantize)
-from intquant.tensor import KernelMath, KernelOverflowError, OpCounter, rng_tensor
+from intquant.tensor import KernelOverflowError, OpCounter, rng_tensor
 
 
 def small_cfg(**kw):
@@ -685,9 +686,9 @@ class TestInputsStayUntouched:
         ran = set()
 
         def frozen_inputs(op, step):
-            def run(km, *args):
-                want = step(KernelMath(), *(np.array(a) for a in args))
-                got = step(km, *(_read_only(a) for a in args))
+            def run(counter, *args):
+                want = step(OpCounter(), *(np.array(a) for a in args))
+                got = step(counter, *(_read_only(a) for a in args))
                 np.testing.assert_array_equal(got, want)
                 ran.add(op.op)
                 return got
@@ -795,8 +796,7 @@ class TestIntegerForward:
         counts = []
         for batch in (1, 2):
             counter = OpCounter()
-            step(KernelMath(counter), np.zeros((batch, graph.tokens, graph.embed_dim),
-                                               dtype=np.int64))
+            step(counter, np.zeros((batch, graph.tokens, graph.embed_dim), dtype=np.int64))
             counts.append(counter.as_dict())
         assert counts[0]["total"] > 0
         assert counts[1] == {k: 2 * v for k, v in counts[0].items()}
@@ -994,10 +994,17 @@ class TestCompiledPlan:
         changed = dict(weights)
         changed["block0.attn.wq"] = np.array(weights["block0.attn.wq"])
         changed["block0.attn.wq"][3] = 0.0
-        op = next(op for op in graph.ops if op.out == "block0.attn.q")
-        w, b = op.weights
-        mult = pl._prepare_linear(op.out, changed[w], changed[b], plan.qparams[op.inputs[0]],
-                                  plan.qparams[op.out], cfg.weight_bits).mult
+        # the multiplier the step requantizes with
+        step = compile_plan(graph, changed, plan).steps[
+            [op.out for op in graph.ops].index("block0.attn.q")]
+        seen, real = [], pl.requantize
+
+        def requantize(km, acc, m, *rest):
+            seen.append(m)
+            return real(km, acc, m, *rest)
+        with mock.patch.object(pl, "requantize", requantize):
+            step(OpCounter(), np.zeros((1, graph.tokens, graph.embed_dim), dtype=np.int32))
+        (mult,) = seen
         assert mult[3] == 0 and np.all(np.delete(mult, 3) > 0)
         out, counter = integer_forward(graph, changed, plan, inputs[0])
         assert counter.float_violations == 0 and np.all(np.isfinite(out.values))
@@ -1167,7 +1174,7 @@ class TestPlanSerialization:
         except PlanFormatError:
             return
         assert isinstance(got, AssignmentPlan)
-        for name in pl._CONFIG_FIELDS.values():
+        for name, _ in pl._CONFIG_FIELDS.values():
             assert type(getattr(got.config, name)) is type(getattr(PipelineConfig, name))
 
     def test_taylor_degree_one_beats_two_on_metric(self):

@@ -151,7 +151,7 @@ class TestKernelMath:
     def test_counts_deterministic(self):
         def run():
             km = KernelMath()
-            x = km.asarray(np.arange(-8, 8))
+            x = np.arange(-8, 8)
             y = km.add(km.mul(x, 3), 1)
             km.sum(y)
             km.max(y)
@@ -357,7 +357,6 @@ def _rows(a):
 
 # per public method: (its args from a mix's two operands, its charge)
 _CHARGES = {
-    "asarray": (lambda a, b: (a,), lambda a: {}),
     "add": (lambda a, b: (a, b), lambda a, b: {"adds": _n(a, b)}),
     "sub": (lambda a, b: (a, b), lambda a, b: {"adds": _n(a, b)}),
     "mul": (lambda a, b: (a, b), lambda a, b: {"muls": _n(a, b)}),
@@ -408,19 +407,45 @@ class TestCharges:
     REALS = {"float_array": _GRID.astype(np.float64), "float": 2.0,
              "float32_scalar": np.float32(2.0), "zero_d_float": np.array(2.0)}
 
-    @pytest.mark.parametrize("real", REALS)
-    @pytest.mark.parametrize("name", _CHARGES)
-    def test_real_operand_in_any_position_is_refused(self, name, real):
+    @staticmethod
+    def _refuses(name, real, make_km):
         args = _CHARGES[name][0](_GRID, _LOW)
         takes_out = "out" in inspect.signature(getattr(KernelMath, name)).parameters
         for i in range(len(args)):
-            km = KernelMath()
-            out = np.full(_GRID.shape, 99, dtype=np.int64)
-            bad = (*args[:i], self.REALS[real], *args[i + 1:])
+            km = make_km()
+            out = np.full(_GRID.shape, 99, dtype=km.dtype)
+            bad = (*args[:i], real, *args[i + 1:])
             with pytest.raises(IntegerViolation):
                 getattr(km, name)(*bad, **({"out": out} if takes_out else {}))
             assert km.counter.float_violations == 1 and km.counter.total() == 0
             assert (out == 99).all()
+
+    @pytest.mark.parametrize("real", REALS)
+    @pytest.mark.parametrize("name", _CHARGES)
+    def test_real_operand_in_any_position_is_refused(self, name, real):
+        self._refuses(name, self.REALS[real], KernelMath)
+
+    # an int32 instance, which only ``within`` makes: every mix fits 31 bits
+    @staticmethod
+    def _int32():
+        return KernelMath.within(None, (1 << 31) - 1)
+
+    @pytest.mark.parametrize("name", _CHARGES)
+    def test_an_int32_instance_computes_and_charges_as_int64(self, name):
+        make_args, _ = _CHARGES[name]
+        for mix in _MIXES.values():
+            args = make_args(*mix)
+            want_km, got_km = KernelMath(), self._int32()
+            want = getattr(want_km, name)(*args)
+            got = getattr(got_km, name)(*args)
+            assert got.dtype == (np.int64 if name == "sum" else np.int32)
+            assert got.tolist() == want.tolist()
+            assert got_km.counter.as_dict() == want_km.counter.as_dict()
+
+    @pytest.mark.parametrize("name", _CHARGES)
+    def test_an_int32_instance_refuses_a_real_operand_in_any_position(self, name):
+        for real in self.REALS.values():
+            self._refuses(name, real, self._int32)
 
 
 class TestBitLength:
@@ -457,8 +482,7 @@ class TestBitLength:
 
 
 class TestInt32KernelMath:
-    """An int32 KernelMath computes in int32, and its overflow guards check
-    against 31 bits."""
+    """An int32 KernelMath, which only ``within`` makes, computes in int32."""
 
     _A32 = np.array([-(1 << 24) - 3, -7, -1, 0, 1, 5, 1 << 24], dtype=np.int64)
     _S32 = np.array([-9, -3, -1, 0, 1, 2, 8], dtype=np.int64)
@@ -470,7 +494,7 @@ class TestInt32KernelMath:
         ("rshift_round", (_A32, 5)),
     ], ids=lambda v: v if isinstance(v, str) else "")
     def test_int32_matches_int64(self, name, args):
-        want_km, got_km = KernelMath(), KernelMath(dtype=np.int32)
+        want_km, got_km = KernelMath(), KernelMath.within(OpCounter(), (1 << 31) - 1)
         want = getattr(want_km, name)(*args)
         got = getattr(got_km, name)(*args)
         out = np.full(np.shape(want), 99, dtype=np.int32)
@@ -479,45 +503,23 @@ class TestInt32KernelMath:
         assert got.tolist() == out.tolist() == want.tolist()
         assert got_km.counter.total() == 2 * want_km.counter.total()
 
-    def test_int32_mul_needing_32_bits_raises_and_leaves_out_untouched(self):
-        km = KernelMath(dtype=np.int32)
-        a = np.array([46341, 3], dtype=np.int32)    # 46341^2 = 2^31 + 4633
-        out = np.array([11, 12], dtype=np.int32)
-        with pytest.raises(KernelOverflowError, match="32-bit"):
-            km.mul(a, a, out=out)
-        assert out.tolist() == [11, 12] and km.counter.total() == 0
-        # the same product fits int64
-        assert KernelMath().mul(a, a).tolist() == [46341 ** 2, 9]
-
-    def test_int32_lshift_guard(self):
-        km = KernelMath(dtype=np.int32)
-        a = np.array([1 << 20, 1], dtype=np.int64)
-        out = np.array([11, 12], dtype=np.int32)
-        with pytest.raises(KernelOverflowError, match="32-bit"):
-            km.lshift(a, 11, out=out)
-        assert out.tolist() == [11, 12]
-        assert km.lshift(a, 10, out=out).tolist() == [1 << 30, 1 << 10]
-
     def test_python_constant_past_int32_is_refused(self):
         out = np.array([11, 12], dtype=np.int32)
         with pytest.raises(OverflowError):
-            KernelMath(dtype=np.int32).add(np.array([1, 2], dtype=np.int32), 1 << 40, out=out)
+            KernelMath.within(OpCounter(), 1 << 30).add(np.array([1, 2], dtype=np.int32),
+                                                        1 << 40, out=out)
         assert out.tolist() == [11, 12]
-
-    @pytest.mark.parametrize("dtype", [np.int16, np.uint32, np.float64])
-    def test_other_dtypes_are_refused(self, dtype):
-        with pytest.raises(TypeError, match="int32 or int64"):
-            KernelMath(dtype=dtype)
 
     def test_default_computes_in_int64(self):
         a = np.array([1, 2], dtype=np.int32)
         assert KernelMath().add(a, a).dtype == np.int64
 
-    @pytest.mark.parametrize("dtype", [np.int32, np.int64])
-    def test_abs_sign_and_max_keep_the_dtype(self, dtype):
+    @pytest.mark.parametrize("bound, dtype", [((1 << 31) - 1, np.int32), (1 << 31, np.int64)],
+                             ids=["int32", "int64"])
+    def test_abs_sign_and_max_keep_the_dtype(self, bound, dtype):
         # an int32 chain through them stays int32 instead of widening
         a = np.array([[-(1 << 24) - 3, 7, 0], [-1, 5, -9]], dtype=np.int64)
-        km = KernelMath(dtype=dtype)
+        km = KernelMath.within(None, bound)
         for got, want in ((km.abs(a), np.abs(a)), (km.sign(a), np.sign(a)),
                           (km.max(a), a.max(axis=-1, keepdims=True))):
             assert got.dtype == dtype and got.tolist() == want.tolist()
@@ -537,6 +539,7 @@ class TestStaticBounds:
         km = KernelMath.within(c, bound)
         assert km.counter is c and km.dtype == dtype
         assert km.bound == (bound if static else None)
+        assert KernelMath.within(None, bound).counter.as_dict() == OpCounter().as_dict()
 
     def test_a_bounded_stage_does_not_scan_its_operands(self):
         a = np.array([3, -40000, 5], dtype=np.int64)
@@ -587,7 +590,7 @@ class TestGuardDtypes:
     @pytest.mark.parametrize("dtype", list(np.typecodes["AllInteger"]))
     def test_integer_dtypes_accepted(self, dtype):
         km = KernelMath()
-        out = km.asarray(np.array([0, 1, 7], dtype=dtype))
+        out = km.add(np.array([0, 1, 7], dtype=dtype), 0)
         assert out.dtype == np.int64
         np.testing.assert_array_equal(out, [0, 1, 7])
         assert km.counter.float_violations == 0
@@ -597,7 +600,7 @@ class TestGuardDtypes:
     def test_other_dtypes_rejected(self, dtype):
         km = KernelMath()
         with pytest.raises(IntegerViolation):
-            km.asarray(np.array([0, 1], dtype=dtype))
+            km.add(np.array([0, 1], dtype=dtype), 0)
         assert km.counter.float_violations == 1
 
 

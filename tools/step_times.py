@@ -44,9 +44,9 @@ def step_times(pl, raw: dict, seed: int, requests: int, warmup: int) -> dict:
     spent = dict.fromkeys((op.op for op in graph.ops), 0.0)
 
     def timed(kind, step):
-        def run(km, *codes):
+        def run(counter, *codes):
             t0 = time.perf_counter()
-            out = step(km, *codes)
+            out = step(counter, *codes)
             spent[kind] += time.perf_counter() - t0
             return out
         return run
