@@ -25,7 +25,7 @@ def sqnr(x, x_hat, convention: str = "power10") -> float:
     Exact reconstruction returns the +inf sentinel.
     """
     x = np.asarray(x, dtype=np.float64)
-    return error_scores(x, x_hat, signal_power(x), convention)[0]
+    return energy_scores(_residual_energy(x, x_hat), x.size, signal_power(x), convention)[0]
 
 
 def perturbation(x, x_hat) -> float:
@@ -39,29 +39,31 @@ def signal_power(x) -> float:
     return float(np.mean(x * x))
 
 
-def error_scores(x, x_hat, power: float, convention: str = "power10",
-                 out: np.ndarray | None = None) -> tuple[float, float]:
-    """(:func:`sqnr`, :func:`perturbation`) of ``x_hat`` against ``x`` from
-    one residual pass, given ``power`` = :func:`signal_power` of ``x``, so
-    that a caller scoring many ``x_hat`` against one ``x`` takes it once.
-    ``out`` is a float64 array of their shape to compute the residual in; it
-    may be ``x_hat``, which is then overwritten."""
-    p = _residual_energy(x, x_hat, out)
-    noise = p / np.size(x)
+def energy_scores(p: float, n: int, power: float,
+                  convention: str = "power10") -> tuple[float, float]:
+    """(:func:`sqnr`, :func:`perturbation`) from the residual energy ``p``
+    (the sum of :func:`squared_residual` over ``n`` elements) and the
+    reference's ``power``."""
+    noise = p / n
     if noise == 0.0:
         return INF_DB, p
     return DB_FACTORS[convention] * math.log10(power / noise), p
 
 
-def _residual_energy(x, x_hat, out: np.ndarray | None = None) -> float:
-    """Sum of (x - x_hat)^2 over all elements: the perturbation, and n times
-    the noise power of the SQNR."""
+def squared_residual(x, x_hat, out: np.ndarray | None = None) -> np.ndarray:
+    """(x - x_hat)^2 elementwise, as float64, written into ``out`` when given."""
     x = np.asarray(x, dtype=np.float64)
     x_hat = np.asarray(x_hat, dtype=np.float64)
     if x.shape != x_hat.shape:
         raise ValueError(f"shape mismatch {x.shape} vs {x_hat.shape}")
     d = np.subtract(x, x_hat, out=out)
-    return float(np.sum(np.square(d, out=d)))
+    return np.square(d, out=d)
+
+
+def _residual_energy(x, x_hat) -> float:
+    """Sum of (x - x_hat)^2 over all elements: the perturbation, and n times
+    the noise power of the SQNR."""
+    return float(np.sum(squared_residual(x, x_hat)))
 
 
 def softplus(x: float) -> float:
@@ -117,6 +119,9 @@ class MetricTable:
     """One row per (layer, candidate)."""
 
     entries: list = field(default_factory=list)  # (layer_id, kind, candidate, MetricScore)
+    # (qparams, warnings): the activation parameters the rows were scored
+    # under, as pipeline.calibrate_edges gives them, when the scorer has them
+    calibration: tuple | None = field(default=None, repr=False, compare=False)
 
     def add(self, layer_id: str, kind: str, candidate: str, score: MetricScore):
         self.entries.append((layer_id, kind, candidate, score))

@@ -176,8 +176,11 @@ def build_toy_vit(config: dict, seed: int = 0,
 # ---------------------------------------------------------------------------
 
 def _softmax(x):
-    e = np.exp(x - x.max(axis=-1, keepdims=True))
-    return e / e.sum(axis=-1, keepdims=True)
+    # one buffer, exponentiated and normalized in place
+    e = np.subtract(x, x.max(axis=-1, keepdims=True))
+    np.exp(e, out=e)
+    e /= e.sum(axis=-1, keepdims=True)
+    return e
 
 
 def split_heads(x, heads):
@@ -244,3 +247,39 @@ def forward_float(graph: ModelGraph, weights: dict, x, capture: dict | None = No
         if capture is not None:
             capture.setdefault(op.out, []).append(out)
     return out[0] if squeeze else out
+
+
+def batch_rows(graph: ModelGraph, batches: list) -> list[slice]:
+    """Each batch's rows once ``batches`` are joined along the sample axis."""
+    lens = [len(batched(graph, np.asarray(b))[0]) for b in batches]
+    ends = np.cumsum(lens, dtype=int).tolist()
+    return [slice(end - n, end) for n, end in zip(lens, ends)]
+
+
+def float_edges(graph: ModelGraph, weights: dict, batches: list, env: dict):
+    """The full-precision pass over ``batches``, op-major: each edge of
+    ``graph.edges`` is made whole, joined along the sample axis, and put in
+    ``env``, and then ``(edge, dead)`` is yielded, where ``dead`` are the
+    edges that no later op reads, which the caller may drop from ``env``.
+
+    Each op applies its float function to each batch's rows of its inputs,
+    exactly as :func:`forward_float` applies it to that batch, so an edge
+    equals the per-batch passes' arrays joined.
+    """
+    if not batches:
+        raise ValueError("calibration set must be non-empty")
+    xs = [batched(graph, np.asarray(b, dtype=np.float64))[0] for b in batches]
+    rows = batch_rows(graph, xs)
+    env[INPUT] = np.concatenate(xs)
+    del xs
+    yield INPUT, ()
+    for op, dead in zip(graph.ops, graph.dead_after):
+        ws, out = [weights[k] for k in op.weights], None
+        for sl in rows:
+            y = _FLOAT_OPS[op.op](graph, *(env[e][sl] for e in op.inputs), *ws)
+            if out is None:
+                out = np.empty((rows[-1].stop, *y.shape[1:]), dtype=y.dtype)
+            out[sl] = y
+            del y
+        env[op.out] = out
+        yield op.out, dead

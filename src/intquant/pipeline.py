@@ -11,8 +11,10 @@
 from __future__ import annotations
 
 import json
+import threading
 import warnings
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from functools import partial
 
@@ -22,12 +24,12 @@ from . import gelu as gelu_mod
 from . import layernorm as ln_mod
 from . import softmax as sm_mod
 # sqnr and perturbation stay importable from here, where the benchmark's
-# tracer looks for them, although stage 1 scores through error_scores
-from .metric import (DB_FACTORS, MetricScore, MetricTable, error_scores,  # noqa: F401
-                     perturbation, signal_power, sqnr, unified_score)
+# tracer looks for them, although stage 1 scores through energy_scores
+from .metric import (DB_FACTORS, MetricScore, MetricTable, energy_scores,  # noqa: F401
+                     perturbation, signal_power, sqnr, squared_residual, unified_score)
 from .model import (CANDIDATE_POOLS, INPUT, MODEL_FIELDS, ModelGraph, Op,
-                    batched, build_toy_vit, forward_float, merge_heads,
-                    model_dims, split_heads)
+                    batch_rows, batched, build_toy_vit, float_edges, forward_float,
+                    merge_heads, model_dims, split_heads)
 from .quantize import (MinMaxObserver, QParams, QTensor, dequantize_np,
                        dyadic_qparams_for_range, encode_dyadic_multiplier,
                        quantize, requant_bound, requant_weight_per_channel, requantize)
@@ -240,11 +242,12 @@ def _run_kernel(op: Op, candidate: str, q: QTensor, weights: dict, out_params: Q
 
 
 # Stage 1 quantizes a layer's input, and runs a candidate over it, in slices
-# of about this many elements along the sample axis. One 4x256x256 sample of
+# of about this many elements along the sample axis; a slice of one
+# candidate is one task of a --jobs worker. One 4x256x256 sample of
 # attention scores is 2^18 codes (1 MiB of int32 input codes, 2 MiB per
 # int64 stage), so a kernel's intermediates stay in a 4 MiB per-core L2
 # instead of faulting in a fresh whole-set array (32 MB at 16 samples) on
-# every op, and only one slice of them is alive at a time. Every kernel is
+# every op, and only one slice of them is alive per worker. Every kernel is
 # row-wise or elementwise and charges each row the same ops in any call, so
 # the slices' outputs and op counts add up to the whole call's.
 STAGE1_SLICE_ELEMENTS = 1 << 18
@@ -264,19 +267,92 @@ def _input_codes(x: np.ndarray, p_in: QParams) -> np.ndarray:
     return codes
 
 
+def _dequantized(op: Op, candidate, codes: np.ndarray, params: tuple, weights: dict,
+                 cfg: PipelineConfig, counter: OpCounter | None) -> np.ndarray:
+    """The integer candidate run on ``codes``, the op's input quantized with
+    the first of ``params`` (its input and output parameters from
+    :func:`calibrate_edges`), dequantized."""
+    p_in, out_params = params
+    return dequantize_np(_run_kernel(op, candidate, QTensor(codes, p_in), weights,
+                                     out_params, cfg.taylor_degree, counter))
+
+
 def _candidate_output(op: Op, candidate, codes: np.ndarray, params: tuple,
                       weights: dict, cfg: PipelineConfig,
                       counter: OpCounter | None = None) -> np.ndarray:
-    """Run the integer candidate on ``codes``, the op's input quantized with
-    the first of ``params`` (its input and output parameters from
-    :func:`calibrate_edges`), and dequantize, slice by slice (see
-    ``STAGE1_SLICE_ELEMENTS``) into one float64 array."""
-    p_in, out_params = params
+    """:func:`_dequantized`, slice by slice (see ``STAGE1_SLICE_ELEMENTS``)
+    into one float64 array."""
     out = np.empty(codes.shape)
     for sl in _slices(codes):
-        out[sl] = dequantize_np(_run_kernel(op, candidate, QTensor(codes[sl], p_in), weights,
-                                            out_params, cfg.taylor_degree, counter))
+        out[sl] = _dequantized(op, candidate, codes[sl], params, weights, cfg, counter)
     return out
+
+
+class _CandidateRun:
+    """One candidate's (q_db, p, c) over the parts of a reference ``ref``
+    (row slices ``parts``), from tasks ``part(i)`` that may run in any
+    order, on any thread. Each runs ``run(i, counter)``, the candidate's
+    output for part i, on its own OpCounter, and writes its squared
+    residual into one whole-set buffer, which exists only from the first
+    part run to the last. p is one sum over that buffer, so it does not
+    depend on the parts; c counts the parts up to the first that overflows,
+    that one's partial count included, as a serial run that stops there."""
+
+    def __init__(self, run, ref: np.ndarray, parts: list):
+        self.run, self.ref, self.parts = run, ref, parts
+        self.ops = [0] * len(parts)
+        self.overflow = self.left = len(parts)   # first overflowed part; parts to go
+        self.residual = self.energy = None
+        self.lock = threading.Lock()
+
+    def part(self, i: int) -> None:
+        if i < self.overflow:     # a part past an overflow cannot change the result
+            counter = OpCounter()
+            try:
+                got = self.run(i, counter)
+            except KernelOverflowError:
+                with self.lock:
+                    self.overflow = min(self.overflow, i)
+            else:
+                with self.lock:
+                    if self.residual is None:
+                        self.residual = np.empty(self.ref.shape)
+                sl = self.parts[i]
+                squared_residual(self.ref[sl], got, out=self.residual[sl])
+            self.ops[i] = counter.total()
+        with self.lock:
+            self.left -= 1
+            if self.left:
+                return
+        if self.overflow == len(self.parts):
+            self.energy = float(np.sum(self.residual))
+        self.residual = None
+
+    def measured(self, power: float, convention: str) -> tuple:
+        c = round(sum(self.ops[:self.overflow + 1]) / len(self.ref))
+        if self.energy is None:
+            return -np.inf, np.inf, c
+        return (*energy_scores(self.energy, self.ref.size, power, convention), c)
+
+
+def _layer_rows(pool, op: Op, cands: tuple, run, ref: np.ndarray, parts: list,
+                power: float, cfg: PipelineConfig) -> list:
+    """The table rows of layer ``op``'s candidates, scored against ``ref``
+    (of signal power ``power``); ``run(cand, i, counter)`` is a candidate's
+    output for ``ref``'s part i. The tasks (candidate, part) run in that
+    order, on ``pool`` when there is one, and all finish before this
+    returns."""
+    runs = [_CandidateRun(partial(run, cand), ref, parts) for cand in cands]
+    tasks = [partial(r.part, i) for r in runs for i in range(len(parts))]
+    if pool is None:
+        for task in tasks:
+            task()
+    else:
+        for future in [pool.submit(task) for task in tasks]:
+            future.result()
+    scores = _layer_scores([r.measured(power, cfg.db_convention) for r in runs],
+                           cfg.standardize)
+    return [(op.out, op.op, cand, ms) for cand, ms in zip(cands, scores)]
 
 
 # ---------------------------------------------------------------------------
@@ -285,21 +361,37 @@ def _candidate_output(op: Op, candidate, codes: np.ndarray, params: tuple,
 
 def capture_calibration(graph: ModelGraph, weights: dict, calib: list) -> dict:
     """Every edge of the full-precision pass over ``calib``, each joined
-    along the sample axis."""
-    if not calib:
-        raise ValueError("calibration set must be non-empty")
-    capture: dict = {}
-    for batch in calib:
-        forward_float(graph, weights, batch, capture)
-    # pop each edge's per-batch list as it is joined, so that only one copy
-    # of the captured activations stays alive
-    return {e: np.concatenate(capture.pop(e), axis=0) for e in list(capture)}
+    along the sample axis: the pass of :func:`stage1_analyze` with every
+    edge kept."""
+    captured: dict = {}
+    for _ in float_edges(graph, weights, calib, captured):
+        pass
+    return captured
+
+
+def _calibration_pass(graph: ModelGraph, weights: dict, calib: list, cfg: PipelineConfig,
+                      at_layer=None) -> tuple[tuple, np.ndarray]:
+    """One op-major full-precision pass over ``calib`` (:func:`float_edges`).
+    Each edge is observed (:func:`calibrate_edges`) as soon as it exists;
+    then, at a non-linear layer, ``at_layer(op, env, dead, qparams)`` runs,
+    with ``env`` the edges alive and ``dead`` those no later op reads; then
+    those are dropped. Returns the parameters and warnings of every edge,
+    and the whole-set logits."""
+    layers = {op.out: op for op in graph.ops if op.op in CANDIDATE_POOLS}
+    env, qparams, warns = {}, {}, []
+    for edge, dead in float_edges(graph, weights, calib, env):
+        edge_params, edge_warns = calibrate_edges(graph, {edge: env[edge]}, cfg)
+        qparams.update(edge_params)
+        warns += edge_warns
+        if at_layer is not None and edge in layers:
+            at_layer(layers[edge], env, dead, qparams)
+        for e in dead:
+            env.pop(e, None)
+    return (qparams, warns), env[graph.ops[-1].out]
 
 
 def stage1_analyze(graph: ModelGraph, weights: dict, calib: list,
-                   cfg: PipelineConfig, jobs: int = 1,
-                   captured: dict | None = None,
-                   calibrated: tuple | None = None) -> MetricTable:
+                   cfg: PipelineConfig, jobs: int = 1) -> MetricTable:
     """Score every (layer, candidate) pair against the full-precision pass.
 
     Analysis is isolated: one layer is quantized at a time, under the
@@ -307,66 +399,55 @@ def stage1_analyze(graph: ModelGraph, weights: dict, calib: list,
     output (global-logit comparison sits behind stage1_mode). The cost c is
     the candidate's measured op count per calibration sample, from this
     same run. A candidate whose kernel overflows is recorded with score
-    0 and the ops it spent before the overflow. ``captured`` is
-    :func:`capture_calibration` of ``calib``, and ``calibrated`` is
-    :func:`calibrate_edges` of that, when the caller has them.
+    0 and the ops it spent before the overflow. The table's
+    ``calibration`` holds the parameters and warnings of every edge.
 
-    A layer is the unit of work, and ``jobs`` layers run at once. In local
-    mode each layer's input is quantized once, for all its candidates, and
-    its reference power taken once; each candidate's q_db and p come from
-    one residual pass (:func:`metric.error_scores`).
+    One op-major float pass over ``calib`` makes each edge whole, observes
+    it and drops it once no later op reads it. In local mode each layer is
+    scored as soon as its output exists: its input is quantized once, into
+    codes all its candidates share, its reference power taken once, and its
+    float input dropped if dead; then its tasks (candidate, slice) run,
+    ``jobs`` at a time (on this thread for a layer smaller than one slice),
+    and finish before the pass goes on. Global mode
+    takes the parameters and whole-set logits from the same pass, then
+    runs each layer's tasks (candidate, batch), each a float forward of
+    one batch with the candidate swapped in.
     """
-    cat = captured if captured is not None else capture_calibration(graph, weights, calib)
-    logits = cat[graph.ops[-1].out]
-
-    qparams, _ = calibrated if calibrated is not None else calibrate_edges(graph, cat, cfg)
-
     candidates = {rec.layer_id: rec.candidates for rec in graph.layers}
-    layers = [op for op in graph.ops if candidates.get(op.out)]
-    n_samples = len(cat[INPUT])
-    logits_power = signal_power(logits) if cfg.stage1_mode == "global" else None
-
-    def measure(cand, output):
-        counter = OpCounter()   # one per candidate: counters are not thread-safe
-        try:
-            got, ref, power = output(cand, counter)
-            q_db, p = error_scores(ref, got, power, cfg.db_convention, out=got)
-        except KernelOverflowError:
-            q_db, p = -np.inf, np.inf
-        return q_db, p, round(counter.total() / n_samples)
-
-    def evaluate(op):
-        """The rows of one layer's candidates. ``output`` gives a
-        candidate's output, the reference and the reference's power; in
-        local mode the candidates share the layer's input codes and
-        reference power, which are dropped when the layer returns."""
-        params = (qparams[op.inputs[0]], qparams[op.out])
+    rows: list = []
+    with ThreadPoolExecutor(max_workers=jobs) if jobs > 1 else nullcontext() as pool:
         if cfg.stage1_mode == "global":
-            def output(cand, counter):
-                def swapped(arr):
-                    return _candidate_output(op, cand, _input_codes(arr, params[0]),
-                                             params, weights, cfg, counter)
-                got = np.concatenate([forward_float(graph, weights, b, swap=(op.out, swapped))
-                                      for b in calib], axis=0)
-                return got, logits, logits_power
+            calibration, logits = _calibration_pass(graph, weights, calib, cfg)
+            qparams, power = calibration[0], signal_power(logits)
+            parts = batch_rows(graph, calib)
+            for op in (op for op in graph.ops if op.out in candidates):
+                params = (qparams[op.inputs[0]], qparams[op.out])
+
+                def run(cand, i, counter, op=op, params=params):
+                    def swapped(arr):
+                        return _candidate_output(op, cand, _input_codes(arr, params[0]),
+                                                 params, weights, cfg, counter)
+                    return forward_float(graph, weights, calib[i], swap=(op.out, swapped))
+                rows += _layer_rows(pool, op, candidates[op.out], run, logits, parts, power, cfg)
         else:
-            codes = _input_codes(cat[op.inputs[0]], params[0])
-            ref, power = cat[op.out], signal_power(cat[op.out])
+            def local(op, env, dead, qparams):
+                params = (qparams[op.inputs[0]], qparams[op.out])
+                codes = _input_codes(env[op.inputs[0]], params[0])
+                ref = env[op.out]
+                power = signal_power(ref)
+                for e in dead:
+                    env.pop(e)
+                parts = _slices(codes)
 
-            def output(cand, counter):
-                return (_candidate_output(op, cand, codes, params, weights, cfg, counter),
-                        ref, power)
-        cands = candidates[op.out]
-        scores = _layer_scores([measure(cand, output) for cand in cands], cfg.standardize)
-        return [(op.out, op.op, cand, ms) for cand, ms in zip(cands, scores)]
-
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            per_layer = list(pool.map(evaluate, layers))
-    else:
-        per_layer = [evaluate(op) for op in layers]
-    table = MetricTable()
-    for row in (r for layer_rows in per_layer for r in layer_rows):
+                def run(cand, i, counter):
+                    return _dequantized(op, cand, codes[parts[i]], params, weights, cfg, counter)
+                # below one slice, numpy holds the GIL for most of each call,
+                # so workers would take turns and only add hand-offs
+                on = pool if codes.size >= STAGE1_SLICE_ELEMENTS else None
+                rows.extend(_layer_rows(on, op, candidates[op.out], run, ref, parts, power, cfg))
+            calibration, _ = _calibration_pass(graph, weights, calib, cfg, local)
+    table = MetricTable(calibration=calibration)
+    for row in rows:
         table.add(*row)
     return table
 
@@ -416,20 +497,22 @@ def stage2_assign(table: MetricTable, graph: ModelGraph | None = None,
 
 def calibrate_edges(graph: ModelGraph, captured: dict,
                     cfg: PipelineConfig) -> tuple[dict, list]:
-    """Per-tensor parameters of every activation edge from its min/max
-    envelope in ``captured`` (see :func:`capture_calibration`), and the
-    warnings raised: a dyadic grid for attention scores, the kernels' grid
-    for probabilities, asymmetric ``act_bits`` codes elsewhere."""
+    """Per-tensor parameters of each activation edge in ``captured`` (edge
+    -> whole-set array, e.g. :func:`capture_calibration`), in its order,
+    from the edge's min/max envelope, and the warnings raised: a dyadic
+    grid for attention scores, the kernels' grid for probabilities,
+    asymmetric ``act_bits`` codes elsewhere. Warnings are recorded around
+    the observation alone, since the filter they need is process-wide."""
     kinds = {op.out: op.op for op in graph.ops}
     qparams: dict[str, QParams] = {}
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        for edge in graph.edges:
+        for edge, arr in captured.items():
             kind = kinds.get(edge)
             if kind == "softmax":     # a fixed grid: nothing to observe
                 qparams[edge] = sm_mod.softmax_out_params(cfg.act_bits)
                 continue
-            obs = MinMaxObserver().observe(captured[edge])
+            obs = MinMaxObserver().observe(arr)
             if kind == "scores":
                 qparams[edge] = dyadic_qparams_for_range(
                     float(obs.running_min), float(obs.running_max), SCORES_CODE_BITS)
@@ -446,14 +529,15 @@ def stage3_calibrate(graph: ModelGraph, weights: dict, plan: AssignmentPlan,
     are re-derived per channel at inference, so the plan needs only
     activations.
 
-    ``calibrated`` is :func:`calibrate_edges` of the capture of ``calib``
-    (:func:`capture_calibration`), when the caller has it; min and max are
+    ``calibrated`` is :func:`calibrate_edges` of every edge of the float
+    pass over ``calib``, when the caller has it (stage 1's
+    ``table.calibration``); otherwise that pass runs here. Min and max are
     exact, so the envelopes do not depend on how the batches were joined.
     """
     if not plan.assignments:
         raise ValueError("assignments must be complete before calibration")
     if calibrated is None:
-        calibrated = calibrate_edges(graph, capture_calibration(graph, weights, calib), cfg)
+        calibrated, _ = _calibration_pass(graph, weights, calib, cfg)
     plan.qparams, plan.warnings = dict(calibrated[0]), list(calibrated[1])
     for lid, cand in plan.assignments.items():
         if cand == "log2_scale":
@@ -466,13 +550,10 @@ def run_pipeline(cfg: PipelineConfig, calib_seed: int = 0,
     graph, weights = build_toy_vit(cfg.model_config(), seed=cfg.seed,
                                    pools=cfg.pools)
     calib = calibration_batches(cfg, calib_seed)
-    captured = capture_calibration(graph, weights, calib)
-    # each edge is observed once, for stage 1 and the plan alike
-    calibrated = calibrate_edges(graph, captured, cfg)
-    table = stage1_analyze(graph, weights, calib, cfg, jobs=jobs, captured=captured,
-                           calibrated=calibrated)
+    # stage 1's float pass observes each edge once, for stage 1 and the plan alike
+    table = stage1_analyze(graph, weights, calib, cfg, jobs=jobs)
     plan = stage2_assign(table, graph, cfg)
-    plan = stage3_calibrate(graph, weights, plan, calib, cfg, calibrated=calibrated)
+    plan = stage3_calibrate(graph, weights, plan, calib, cfg, calibrated=table.calibration)
     return plan, table, graph, weights
 
 

@@ -187,20 +187,23 @@ def rng_tensor(seed: int, dims, dist: str, *args) -> Tensor:
     return Tensor(vals, dtype="real32")
 
 
-_POWERS_OF_TWO = {np.dtype(dt): np.left_shift(1, np.arange(bits, dtype=dt))
-                  for dt, bits in ((np.int64, 63), (np.int32, 31))}   # 2^0 .. 2^(bits-1)
+_POWERS_OF_TWO = np.left_shift(1, np.arange(63, dtype=np.int64))   # 2^0 .. 2^62
 
 
 def bit_length(n: np.ndarray) -> np.ndarray:
     """Bit length of each element of an int32 or int64 array, as int64; 0
     for elements <= 0.
 
-    For n >= 1 that is the number of powers 2^0, 2^1, ... of n's dtype at
-    or below n, which one binary search over them counts exactly, in
-    integers.
+    For int32, that is the exponent of ``np.frexp`` of the element, whose
+    float64 cast is exact. float64 cannot hold every int64, so for int64,
+    n >= 1, it is the number of powers 2^0, 2^1, ... at or below n, which
+    one binary search over them counts exactly, in integers.
     """
-    powers = _POWERS_OF_TWO[n.dtype]
-    return np.searchsorted(powers, n, side="right").astype(np.int64, copy=False)
+    if n.dtype == np.int32:
+        e = np.frexp(n)[1]
+        np.multiply(e, n > 0, out=e)
+        return e.astype(np.int64)
+    return np.searchsorted(_POWERS_OF_TWO, n, side="right").astype(np.int64, copy=False)
 
 
 @dataclass

@@ -4,6 +4,7 @@ import json
 import re
 import sys
 import threading
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -24,6 +25,7 @@ from intquant.pipeline import (STAGE1_MODES, AssignmentPlan, ConfigError,
                                save_plan, stage1_analyze, stage2_assign,
                                stage3_calibrate)
 from intquant import layernorm as ln_mod
+from intquant import model as model_mod
 from intquant import softmax as sm_mod
 from intquant.quantize import (MinMaxObserver, QParams, QTensor, dequantize_np,
                                qparams_from_range, quantize)
@@ -135,6 +137,25 @@ class TestGraphConstruction:
             later = {e for op in graph.ops[i + 1:] for e in op.inputs}
             assert set(dead) == set(graph.ops[i].inputs) - later
 
+    def test_op_major_pass_equals_the_per_batch_passes_joined(self):
+        # capture_calibration builds each edge op by op over the whole set;
+        # every edge is bit-identical to forward_float's, batch by batch
+        cfg = small_cfg(calib_batches=3, calib_batch_size=2)
+        graph, weights = build_toy_vit(cfg.model_config())
+        calib = calibration_batches(cfg)
+        per_batch: dict = {}
+        for batch in calib:
+            forward_float(graph, weights, batch, per_batch)
+        got = capture_calibration(graph, weights, calib)
+        assert tuple(got) == graph.edges
+        for edge in graph.edges:
+            np.testing.assert_array_equal(got[edge], np.concatenate(per_batch[edge]))
+
+    def test_softmax_is_the_textbook_formula_bit_for_bit(self):
+        x = rng_tensor(5, [3, 2, 7, 7], "normal", 0.0, 4.0).values.astype(np.float64)
+        e = np.exp(x - x.max(axis=-1, keepdims=True))
+        np.testing.assert_array_equal(model_mod._softmax(x), e / e.sum(axis=-1, keepdims=True))
+
     def test_swap_replaces_one_layer(self):
         graph, weights = build_toy_vit({"blocks": 2, "embed_dim": 16, "heads": 2,
                                         "tokens": 4, "mlp_ratio": 2})
@@ -167,14 +188,47 @@ class TestStage1:
         with pytest.raises(ValueError, match="non-empty"):
             stage1_analyze(graph, weights, [], cfg)
 
-    def test_parallel_jobs_match_serial(self):
+    @pytest.mark.parametrize("slice_elements", [pl.STAGE1_SLICE_ELEMENTS, 1])
+    def test_parallel_jobs_match_serial(self, monkeypatch, slice_elements):
+        # more workers than cores and a short switch interval: a lost update
+        # of a candidate's shared state would change its q_db, p or c
         cfg = small_cfg(calib_batches=1)
         graph, weights = build_toy_vit(cfg.model_config())
         calib = calibration_batches(cfg)
+        monkeypatch.setattr(pl, "STAGE1_SLICE_ELEMENTS", slice_elements)
         t1 = stage1_analyze(graph, weights, calib, cfg, jobs=1)
-        t4 = stage1_analyze(graph, weights, calib, cfg, jobs=4)
-        assert [(l, c, ms.c, ms.score) for l, _, c, ms in t1.entries] == \
-               [(l, c, ms.c, ms.score) for l, _, c, ms in t4.entries]
+        tables = []
+        worker = threading.Thread(target=lambda: tables.extend(
+            stage1_analyze(graph, weights, calib, cfg, jobs=4) for _ in range(3)))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            worker.start()
+            worker.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not worker.is_alive() and len(tables) == 3
+        for t4 in tables:
+            assert [(l, c, ms.q_db, ms.p, ms.c, ms.score) for l, _, c, ms in t1.entries] == \
+                   [(l, c, ms.q_db, ms.p, ms.c, ms.score) for l, _, c, ms in t4.entries]
+
+    def test_peak_memory_stays_below_the_whole_set_edges(self):
+        # the float pass drops each edge once no later op reads it, so
+        # stage 1 never holds every whole-set edge at once, even with two
+        # workers each holding a candidate's residual buffer
+        cfg = small_cfg(blocks=1, tokens=128, embed_dim=64, heads=1,
+                        calib_batches=4, calib_batch_size=8)
+        graph, weights = build_toy_vit(cfg.model_config())
+        edges = capture_calibration(graph, weights, calibration_batches(cfg))
+        whole_set = sum(a.nbytes for a in edges.values())
+        del edges
+        tracemalloc.start()
+        try:
+            run_pipeline(cfg, jobs=2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < whole_set
 
     def test_c_is_the_measured_count_per_sample(self):
         # c is the candidate's own OpCounter total over one whole-set call,
@@ -310,26 +364,39 @@ class TestStage1Slices:
             np.testing.assert_array_equal(sliced[key][0], out)
             assert sliced[key][1] == ops, key
 
-    def test_overflow_in_a_later_slice_scores_zero(self, monkeypatch):
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_overflow_in_a_later_slice_scores_zero(self, monkeypatch, jobs):
+        # the slice of the second sample overflows; c is what a serial run
+        # that stops there counts, whatever order the workers take
         cfg = small_cfg(blocks=1, calib_batches=1)
         graph, weights = build_toy_vit(cfg.model_config())
         calib = calibration_batches(cfg)
         monkeypatch.setattr(pl, "STAGE1_SLICE_ELEMENTS", 1)
+        lid = "block0.softmax"
+        op = next(o for o in graph.ops if o.out == lid)
+        cat = capture_calibration(graph, weights, calib)
+        qparams, _ = pl.calibrate_edges(graph, cat, cfg)
+        codes = pl._input_codes(cat[op.inputs[0]], qparams[op.inputs[0]])
+        first = OpCounter()
+        pl.run_softmax_candidate("shiftmax", QTensor(codes[:1], qparams[op.inputs[0]]),
+                                 qparams[lid], first)
         calls = []
 
-        def second_call_overflows(cand, *args, _fn=pl.run_softmax_candidate, **kw):
+        def second_slice_overflows(cand, q, *args, _fn=pl.run_softmax_candidate, **kw):
             if cand == "shiftmax":
                 calls.append(cand)
-                if len(calls) == 2:
+                if np.array_equal(q.codes, codes[1:2]):
                     raise KernelOverflowError("synthetic")
-            return _fn(cand, *args, **kw)
+            return _fn(cand, q, *args, **kw)
 
-        monkeypatch.setattr(pl, "run_softmax_candidate", second_call_overflows)
-        table = stage1_analyze(graph, weights, calib, cfg)
+        monkeypatch.setattr(pl, "run_softmax_candidate", second_slice_overflows)
+        table = stage1_analyze(graph, weights, calib, cfg, jobs=jobs)
         scores = {c: ms for _, k, c, ms in table.entries if k == "softmax"}
         assert scores["shiftmax"].score == 0.0 and scores["shiftmax"].q_db == -np.inf
+        assert scores["shiftmax"].c == round(first.total() / len(codes)) > 0
         assert all(ms.score > 0 for c, ms in scores.items() if c != "shiftmax")
-        assert len(calls) == 2   # the candidate's later slices are not run
+        if jobs == 1:
+            assert len(calls) == 2   # the candidate's later slices are not run
 
 
 class TestStage1SharedWork:
@@ -344,7 +411,7 @@ class TestStage1SharedWork:
         calib = calibration_batches(cfg)
         cat = capture_calibration(graph, weights, calib)
         qparams, _ = pl.calibrate_edges(graph, cat, cfg)
-        table = stage1_analyze(graph, weights, calib, cfg, jobs=jobs, captured=cat)
+        table = stage1_analyze(graph, weights, calib, cfg, jobs=jobs)
         ops = {op.out: op for op in graph.ops}
         assert len(table) == 29
         for lid, kind, cand, ms in table.entries:
@@ -600,33 +667,34 @@ class TestStage3:
         assert snapped == len(lns[::2]) > 0
 
     def test_run_pipeline_observes_each_edge_once(self, monkeypatch):
-        # stage 1 and the plan share one calibrate_edges pass, which skips
-        # the softmax edges, whose grid is fixed
+        # stage 1's float pass hands each edge to calibrate_edges once, for
+        # stage 1 and the plan alike; the softmax edges, whose grid is
+        # fixed, are not observed
         cfg = small_cfg()
         seen = []
         real = MinMaxObserver.observe
         monkeypatch.setattr(MinMaxObserver, "observe",
-                            lambda self, x: seen.append(id(x)) or real(self, x))
+                            lambda self, x: seen.append(x) or real(self, x))
         calls = []
         monkeypatch.setattr(pl, "calibrate_edges",
                             lambda *a, _real=pl.calibrate_edges: calls.append(1) or _real(*a))
         plan, _, graph, _ = run_pipeline(cfg)
         fixed = [e for e, kind in ((op.out, op.op) for op in graph.ops) if kind == "softmax"]
-        assert len(calls) == 1 and len(seen) == len(set(seen))
+        # seen holds the arrays, so that no id is reused as edges are dropped
+        assert len(calls) == len(graph.edges) and len(seen) == len({id(x) for x in seen})
         assert len(seen) == len(graph.edges) - len(fixed)
         assert all(plan.qparams[e] == sm_mod.softmax_out_params(cfg.act_bits) for e in fixed)
 
     def test_run_pipeline_runs_the_float_pass_once(self, monkeypatch):
+        # each op's float function runs once per calibration batch
         cfg = small_cfg()
         calls = []
-
-        def counted(*args, _fn=pl.forward_float, **kw):
-            calls.append(1)
-            return _fn(*args, **kw)
-
-        monkeypatch.setattr(pl, "forward_float", counted)
-        run_pipeline(cfg)
-        assert len(calls) == cfg.calib_batches
+        spied = {kind: (lambda *a, _fn=fn, _kind=kind: calls.append(_kind) or _fn(*a))
+                 for kind, fn in model_mod._FLOAT_OPS.items()}
+        monkeypatch.setattr(model_mod, "_FLOAT_OPS", spied)
+        _, _, graph, _ = run_pipeline(cfg)
+        assert sorted(calls) == sorted(op.op for op in graph.ops
+                                       for _ in range(cfg.calib_batches))
 
     def test_scores_edges_are_dyadic(self, pipeline_result):
         (plan, table, graph, weights), cfg = pipeline_result

@@ -473,6 +473,19 @@ class TestBitLength:
         got = bit_length(np.array(values, dtype=np.int64))
         assert got.tolist() == [max(v, 0).bit_length() for v in values]
 
+    @pytest.mark.parametrize("dtype", [np.int32, np.int64])
+    def test_matches_int_bit_length_for_each_dtype(self, dtype):
+        # int32 takes frexp's exponent, int64 the table search; both are
+        # int.bit_length for n >= 1 and 0 for n <= 0
+        info = np.iinfo(dtype)
+        width = info.bits - 1
+        values = ([0, 1, info.max, -1, -2, -info.max, info.min]
+                  + [(1 << k) + d for k in range(1, width) for d in (-1, 0, 1)]
+                  + [-(1 << k) for k in range(width)])
+        got = bit_length(np.array(values, dtype=dtype))
+        assert got.dtype == np.int64
+        assert got.tolist() == [max(v, 0).bit_length() for v in values]
+
     def test_int32_input_gives_a_fresh_int64_result(self):
         values = [0, -3, 1, (1 << 31) - 1, -(1 << 31)] + [1 << k for k in range(31)]
         n = np.array(values, dtype=np.int32)
