@@ -271,7 +271,6 @@ def float_edges(graph: ModelGraph, weights: dict, batches: list, env: dict):
     xs = [batched(graph, np.asarray(b, dtype=np.float64))[0] for b in batches]
     rows = batch_rows(graph, xs)
     env[INPUT] = np.concatenate(xs)
-    del xs
     yield INPUT, ()
     for op, dead in zip(graph.ops, graph.dead_after):
         ws, out = [weights[k] for k in op.weights], None

@@ -443,8 +443,9 @@ def stage1_analyze(graph: ModelGraph, weights: dict, calib: list,
                     return _dequantized(op, cand, codes[parts[i]], params, weights, cfg, counter)
                 # below one slice, numpy holds the GIL for most of each call,
                 # so workers would take turns and only add hand-offs
-                on = pool if codes.size >= STAGE1_SLICE_ELEMENTS else None
-                rows.extend(_layer_rows(on, op, candidates[op.out], run, ref, parts, power, cfg))
+                workers = pool if codes.size >= STAGE1_SLICE_ELEMENTS else None
+                rows.extend(_layer_rows(workers, op, candidates[op.out], run, ref, parts, power,
+                                        cfg))
             calibration, _ = _calibration_pass(graph, weights, calib, cfg, local)
     table = MetricTable(calibration=calibration)
     for row in rows:
