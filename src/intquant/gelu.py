@@ -8,6 +8,14 @@ The erf approximant family is
 
 which is odd, saturates to +/-1 for |x| >= -b, and needs only (a, b) per
 degree. GELU follows as 0.5 * x * (1 + L(x / sqrt(2))).
+
+Each integer kernel is a function of its input code alone, in [0, qmax]:
+its chain, requantization included, runs once over that interval into a
+table of its int64 output codes (``tensor.tabulated``), and each call
+gathers from it, charged per code what the chain charges, so op counts
+are those of the chain. Where a stage bound does not fit 63 bits, as for
+``shift_gelu_int`` with ``softmax.M`` raised to 62, the chain runs on the
+codes under its runtime guards instead.
 """
 
 from __future__ import annotations
@@ -22,7 +30,7 @@ from .metric import approx_error
 from .quantize import (QParams, QTensor, checks_codes, encode_dyadic_multiplier, requant_bound,
                        requantize)
 from .softmax import _recip_bound, _recip_mul, _shift_add, _shift_exp_bound, _shift_exp_codes
-from .tensor import KernelMath, OpCounter, StageBound, buffer_for, mul_bound
+from .tensor import KernelMath, OpCounter, StageBound, buffer_for, mul_bound, tabulated
 
 SQRT2 = math.sqrt(2.0)
 
@@ -217,20 +225,12 @@ def _poly_gelu_plan(p: QParams, c: ErfPolyCoeffs, out_params: QParams) -> tuple:
     return m1, e1, clip_code, a_mant, m2, e2, bounds
 
 
-@checks_codes
-def poly_gelu_int(q: QTensor, c: ErfPolyCoeffs, out_params: QParams,
-                  counter: OpCounter | None = None) -> QTensor:
-    """Integer-only evaluation of the polynomial GELU over codes.
-
-    The coefficients and all rescaling multipliers are pre-encoded as
-    dyadic (mantissa, shift) constants; the sqrt(2) division is folded into
-    the input scale, so the kernel body is adds, multiplies, compares and
-    round-half-up right shifts, in the two stages of
-    :func:`_poly_gelu_plan`.
-    """
-    m1, e1, clip_code, a_mant, m2, e2, bounds = _poly_gelu_plan(q.params, c, out_params)
+def _poly_gelu_codes(codes: np.ndarray, counter: OpCounter | None, p: QParams,
+                     out_params: QParams, c: ErfPolyCoeffs) -> np.ndarray:
+    """The chain of :func:`poly_gelu_int` on codes in [0, qmax] of ``p``."""
+    m1, e1, clip_code, a_mant, m2, e2, bounds = _poly_gelu_plan(p, c, out_params)
     km, back = (KernelMath.within(counter, b) for b in bounds)
-    t = km.sub(q.codes, int(q.params.zero_point))
+    t = km.sub(codes, int(p.zero_point))
     v = km.abs(t)
     km.rshift_round(km.mul(v, m1, out=v), e1, out=v)  # |x|/sqrt2 on the 2^-KV grid
     km.sub(km.minimum(v, clip_code, out=v), clip_code, out=v)  # clip(|u|, -b) + b, in [b, 0]
@@ -249,7 +249,25 @@ def poly_gelu_int(q: QTensor, c: ErfPolyCoeffs, out_params: QParams,
     gate = back.mul(back.sign(t), vd, out=vd)
     back.add(gate, 1 << _KL, out=gate)                # (1 + L), grid 2^-KL
     acc = back.mul(t, gate, out=gate)                 # x*(1+L) at s_in * 2^-KL
-    return QTensor(requantize(back, acc, m2, e2, out_params), out_params)
+    return requantize(back, acc, m2, e2, out_params)
+
+
+@checks_codes
+def poly_gelu_int(q: QTensor, c: ErfPolyCoeffs, out_params: QParams,
+                  counter: OpCounter | None = None) -> QTensor:
+    """Integer-only evaluation of the polynomial GELU over codes.
+
+    The coefficients and all rescaling multipliers are pre-encoded as
+    dyadic (mantissa, shift) constants; the sqrt(2) division is folded into
+    the input scale, so the kernel body is adds, multiplies, compares and
+    round-half-up right shifts, in the two stages of
+    :func:`_poly_gelu_plan`; it is looked up in its table over [0, qmax]
+    (:func:`tensor.tabulated`).
+    """
+    bounds = _poly_gelu_plan(q.params, c, out_params)[-1]
+    codes = tabulated(_poly_gelu_codes, q.codes, counter, bounds, 0, q.params.qmax,
+                      q.params, out_params, c)
+    return QTensor(codes, out_params)
 
 
 @lru_cache(maxsize=256)
@@ -275,6 +293,26 @@ def _shift_gelu_plan(p: QParams, out_params: QParams) -> tuple:
     return f, ms, es, m2, e2, (front.bound, z, exp_out, back)
 
 
+def _shift_gelu_codes(codes: np.ndarray, counter: OpCounter | None, p: QParams,
+                      out_params: QParams, back_bound: int) -> np.ndarray:
+    """The chain of :func:`shift_gelu_int` on codes in [0, qmax] of ``p``;
+    ``back_bound`` bounds its back stage, the reciprocal division's
+    :func:`_recip_bound` included."""
+    f, ms, es, m2, e2, (front_b, z, _, _) = _shift_gelu_plan(p, out_params)
+    km = KernelMath.within(counter, front_b)
+    back = KernelMath.within(counter, back_bound)
+    t = km.sub(codes, int(p.zero_point))
+    zq = _shift_add(t, (1, 0, 3, 4), km)                 # t + t>>1 + t>>3 + t>>4
+    km.rshift_round(km.mul(zq, ms, out=zq), es, out=zq)  # 1.6875*x on the 2^-f grid
+    mpos = km.maximum(zq, 0)
+    num = _shift_exp_codes(km.sub(zq, mpos, out=zq), counter, f, z)    # e^(z - m)
+    den = _shift_exp_codes(km.sub(0, mpos, out=mpos), counter, f, z)
+    den = back.add(num, den, out=buffer_for(back, den))
+    sig = _recip_mul(num, den, _KS, back, out=buffer_for(back, num))
+    acc = back.mul(t, sig, out=buffer_for(back, sig))   # x*sigmoid at s * 2^-(bits-1)
+    return requantize(back, acc, m2, e2, out_params)
+
+
 @checks_codes
 def shift_gelu_int(q: QTensor, out_params: QParams,
                    counter: OpCounter | None = None) -> QTensor:
@@ -283,18 +321,13 @@ def shift_gelu_int(q: QTensor, out_params: QParams,
     The 1.6875 multiplier is t + t>>1 + t>>3 + t>>4 on the centered codes;
     the sigmoid is exp(z)/(exp(z) + 1) with both exponentials evaluated by
     the shift-exponential at a dyadic scale and normalized by integer
-    division.
+    division. It is looked up in its table over [0, qmax]
+    (:func:`tensor.tabulated`), which is keyed on the back stage's bound,
+    since that follows ``softmax.M`` through the division.
     """
-    f, ms, es, m2, e2, (front_b, z, exp_out, back_b) = _shift_gelu_plan(q.params, out_params)
-    km = KernelMath.within(counter, front_b)
-    back = KernelMath.within(counter, max(back_b, _recip_bound(exp_out, 2)))
-    t = km.sub(q.codes, int(q.params.zero_point))
-    zq = _shift_add(t, (1, 0, 3, 4), km)                 # t + t>>1 + t>>3 + t>>4
-    km.rshift_round(km.mul(zq, ms, out=zq), es, out=zq)  # 1.6875*x on the 2^-f grid
-    mpos = km.maximum(zq, 0)
-    num = _shift_exp_codes(km.sub(zq, mpos, out=zq), f, counter, z)    # e^(z - m)
-    den = _shift_exp_codes(km.sub(0, mpos, out=mpos), f, counter, z)
-    den = back.add(num, den, out=buffer_for(back, den))
-    sig = _recip_mul(num, den, _KS, back, out=buffer_for(back, num))
-    acc = back.mul(t, sig, out=buffer_for(back, sig))   # x*sigmoid at s * 2^-(bits-1)
-    return QTensor(requantize(back, acc, m2, e2, out_params), out_params)
+    f, _, _, _, _, (front, z, exp_out, back) = _shift_gelu_plan(q.params, out_params)
+    back = max(back, _recip_bound(exp_out, 2))
+    bounds = (front, _shift_exp_bound(z, f)[0], back)
+    codes = tabulated(_shift_gelu_codes, q.codes, counter, bounds, 0, q.params.qmax,
+                      q.params, out_params, back)
+    return QTensor(codes, out_params)

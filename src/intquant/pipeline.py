@@ -405,8 +405,8 @@ def stage1_analyze(graph: ModelGraph, weights: dict, calib: list,
     One op-major float pass over ``calib`` makes each edge whole, observes
     it and drops it once no later op reads it. In local mode each layer is
     scored as soon as its output exists: its input is quantized once, into
-    codes all its candidates share, its reference power taken once, and its
-    float input dropped if dead; then its tasks (candidate, slice) run,
+    codes all its candidates share, its float input dropped if dead, and
+    its reference power taken once; then its tasks (candidate, slice) run,
     ``jobs`` at a time (on this thread for a layer smaller than one slice),
     and finish before the pass goes on. Global mode
     takes the parameters and whole-set logits from the same pass, then
@@ -434,9 +434,9 @@ def stage1_analyze(graph: ModelGraph, weights: dict, calib: list,
                 params = (qparams[op.inputs[0]], qparams[op.out])
                 codes = _input_codes(env[op.inputs[0]], params[0])
                 ref = env[op.out]
-                power = signal_power(ref)
-                for e in dead:
+                for e in dead:      # before the power, whose square is a temporary
                     env.pop(e)
+                power = signal_power(ref)
                 parts = _slices(codes)
 
                 def run(cand, i, counter):

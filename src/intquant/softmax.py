@@ -15,6 +15,14 @@ codes in [0, qmax], which the kernels check once per call
 (:func:`quantize.checks_codes`): the max-subtraction and the exponentials'
 fronts in int32, the reciprocal division in int64, none of them scanning
 operands for the overflow guards where the bound fits.
+
+An exponential is a function of the max-subtracted code alone, in
+[-qmax, 0]: its chain runs once over that interval into an int32 table
+(``tensor.tabulated``), and each call gathers from it, charged per code
+what the chain charges, so op counts are those of the chain. Where a stage
+bound of the exponential does not fit 63 bits the chain runs on the codes
+instead. The max-subtraction, the row sums, the reciprocal division and
+log2_softmax's bit-length tail run per call.
 """
 
 from __future__ import annotations
@@ -27,7 +35,8 @@ import numpy as np
 from .metric import approx_error
 from .quantize import (DYADIC_EXPONENTS, QParams, QTensor, checks_codes,
                        encode_dyadic_multiplier)
-from .tensor import KernelMath, OpCounter, StageBound, bit_length, buffer_for, mul_bound
+from .tensor import (KernelMath, OpCounter, StageBound, bit_length, buffer_for, mul_bound,
+                     tabulated)
 
 # quadratic used by the range-reduction exponential baseline:
 # exp(p) ~ A*(p + B)^2 + C on p in (-ln2, 0]
@@ -136,7 +145,7 @@ def _decompose_codes(qp: np.ndarray, f: int, km: KernelMath):
     return q_int, km.sub(pos, km.lshift(q_int, f), out=pos)
 
 
-def _shift_exp_codes(qd: np.ndarray, f: int, counter: OpCounter | None, span: int,
+def _shift_exp_codes(qd: np.ndarray, counter: OpCounter | None, f: int, span: int,
                      slope: tuple = (1,), taylor_degree: int = 1) -> np.ndarray:
     """Shift exponential of codes in [-span, 0] on the 2^-f grid: qd times
     log2(e) splits into an integer part q_int and a fraction x in (-1, 0],
@@ -191,19 +200,23 @@ def _recip_mul(num: np.ndarray, den: np.ndarray, bits: int, km: KernelMath,
 # ---------------------------------------------------------------------------
 
 def _exp_div_softmax(q: QTensor, out_params: QParams, counter: OpCounter | None,
-                     exp_codes, exp_bound) -> QTensor:
-    """Max-subtract, ``exp_codes(qd, f, counter, span)``, reciprocal
-    division onto ``out_params``: the body every exponential softmax kernel
-    shares. ``exp_bound(span, f)`` is the exponential's transfer function,
-    whose last entry bounds its output."""
+                     exp_bound, exp_codes, *shape) -> QTensor:
+    """Max-subtract, the exponential ``exp_codes(qd, counter, f, span,
+    *shape)``, reciprocal division onto ``out_params``: the body every
+    exponential softmax kernel shares. ``exp_bound(span, f)`` is the
+    exponential's transfer function, whose last entry bounds its output;
+    the exponential is looked up in its int32 table over [-span, 0]
+    (:func:`tensor.tabulated`)."""
     bits = _prob_bits(out_params)
     f = _dyadic_exponent(q.params)
     n = q.codes.shape[-1]
     _check_m(bits, n)
     span = q.params.qmax
-    num = exp_codes(_max_subtract_codes(q, counter), f, counter, span)
+    bounds = exp_bound(span, f)
+    num = tabulated(exp_codes, _max_subtract_codes(q, counter), counter, bounds, -span, 0,
+                    f, span, *shape)
     # recip * num reaches 2^M, so the division is int64, in num if it is
-    km = KernelMath.within(counter, _recip_bound(exp_bound(span, f)[-1], n))
+    km = KernelMath.within(counter, _recip_bound(bounds[-1], n))
     codes = _recip_mul(num, _row_sums(num, km), bits, km, out=buffer_for(km, num))
     return QTensor(codes, out_params)
 
@@ -215,16 +228,15 @@ def efficient_bit_softmax(q: QTensor, out_params: QParams, counter: OpCounter | 
     shifts, and its square term at Taylor degree 2."""
     if taylor_degree not in (1, 2):
         raise ConfigurationError(f"taylor_degree must be 1 or 2, got {taylor_degree}")
-    return _exp_div_softmax(
-        q, out_params, counter,
-        partial(_shift_exp_codes, slope=(1, 3, 4), taylor_degree=taylor_degree),
-        partial(_shift_exp_bound, taylor_degree=taylor_degree))
+    return _exp_div_softmax(q, out_params, counter,
+                            partial(_shift_exp_bound, taylor_degree=taylor_degree),
+                            _shift_exp_codes, (1, 3, 4), taylor_degree)
 
 
 @checks_codes
 def shiftmax(q: QTensor, out_params: QParams, counter: OpCounter | None = None) -> QTensor:
     """Baseline with the endpoint-matched linear fraction 1 + x/2."""
-    return _exp_div_softmax(q, out_params, counter, _shift_exp_codes, _shift_exp_bound)
+    return _exp_div_softmax(q, out_params, counter, _shift_exp_bound, _shift_exp_codes)
 
 
 _P12 = 12  # fixed-point grid of the quadratic exponential value
@@ -257,7 +269,8 @@ def _iexp_bound(span: int, f: int) -> tuple[int, int, int]:
     return front, back, back >> e
 
 
-def _iexp_value_codes(qd: np.ndarray, f: int, counter: OpCounter, span: int) -> np.ndarray:
+def _iexp_value_codes(qd: np.ndarray, counter: OpCounter | None, f: int,
+                      span: int) -> np.ndarray:
     """Range-reduction exponential: e^x = 2^(-z) * quad(p), p in (-ln2, 0],
     for codes in [-span, 0]; the front, up to p + B, and the back, from its
     square on, are the stages of :func:`_iexp_bound`.
@@ -284,7 +297,7 @@ def _iexp_value_codes(qd: np.ndarray, f: int, counter: OpCounter, span: int) -> 
 def iexp_softmax(q: QTensor, out_params: QParams,
                  counter: OpCounter | None = None) -> QTensor:
     """Softmax with the quadratic range-reduction exponential numerator."""
-    return _exp_div_softmax(q, out_params, counter, _iexp_value_codes, _iexp_bound)
+    return _exp_div_softmax(q, out_params, counter, _iexp_bound, _iexp_value_codes)
 
 
 @checks_codes
@@ -310,8 +323,10 @@ def log2_softmax_codes(q: QTensor, counter: OpCounter | None = None) -> np.ndarr
     row gets code 0. They do not depend on the output grid."""
     f = _dyadic_exponent(q.params)
     span = q.params.qmax
-    num = _iexp_value_codes(_max_subtract_codes(q, counter), f, counter, span)
-    den_bound = q.codes.shape[-1] * _iexp_bound(span, f)[-1]
+    bounds = _iexp_bound(span, f)
+    num = tabulated(_iexp_value_codes, _max_subtract_codes(q, counter), counter, bounds,
+                    -span, 0, f, span)
+    den_bound = q.codes.shape[-1] * bounds[-1]
     km = KernelMath.within(counter, den_bound)
     den = _row_sums(num, km)
 

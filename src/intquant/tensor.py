@@ -26,6 +26,15 @@ stage runs in int64 under the runtime guards. A kernel's input codes must
 lie in [0, qmax] of their parameters: the exported kernels refuse other
 codes once per call (:func:`quantize.checks_codes`), and the program's own
 paths, whose codes are clipped there, run the kernel bodies unchecked.
+
+Code tables: an elementwise stage that is a function of one bounded code
+(a softmax exponential of the max-subtracted code, a GELU kernel of its
+input code) runs once over its whole code domain, through its own chain,
+into a :class:`CodeTable` (:func:`code_table`), where every static bound of
+the chain fits 63 bits (:func:`tabulated`). Requests then gather from it
+with :meth:`KernelMath.lookup`, which charges the chain's per-code counts
+times the number of codes, so the ``OpCounter`` charges are those of the
+chain.
 """
 
 from __future__ import annotations
@@ -33,6 +42,7 @@ from __future__ import annotations
 import math
 import struct
 from dataclasses import asdict, dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -226,6 +236,63 @@ class OpCounter:
 
     def as_dict(self) -> dict:
         return {**asdict(self), "total": self.total()}
+
+
+_KINDS = ("adds", "muls", "divs", "shifts", "compares")
+
+
+@dataclass(frozen=True, eq=False)
+class CodeTable:
+    """A kernel stage evaluated once over every code of its domain
+    (:func:`code_table`): ``values[c]`` is its output at code c, negative
+    codes counting from the end, read-only, and ``charge`` what it charges
+    per code, as (kind, count) pairs."""
+
+    values: np.ndarray
+    charge: tuple[tuple[str, int], ...]
+
+
+@lru_cache(maxsize=64)
+def code_table(stage, lo: int, hi: int, dtype, *args) -> CodeTable:
+    """The table of ``stage(codes, counter, *args)`` over the codes lo..hi,
+    lo <= 0 <= hi, in ``dtype``, which must hold its every value.
+
+    It is cached by value, so ``stage`` is a module-level function and
+    ``args`` are values (ints, tuples, frozen dataclasses), never a
+    partial, which hashes by identity. The stage runs on the whole domain
+    with a fresh :class:`OpCounter`, so it must be one whose static bounds
+    fit 63 bits (:meth:`KernelMath.within`), where no guard can fire on
+    any code of the domain, and elementwise in its charges: that run must
+    charge each kind exactly n times what a run on the one code lo does.
+    """
+    def run(codes):
+        counter = OpCounter()
+        return stage(codes, counter, *args), counter
+    _, one = run(np.array([lo], dtype=np.int64))
+    values, whole = run(np.arange(lo, hi + 1, dtype=np.int64))
+    n = hi - lo + 1
+    if any(getattr(whole, k) != n * getattr(one, k) for k in _KINDS):
+        raise ValueError(f"{stage.__name__} does not charge per code")
+    cast = values.astype(dtype)
+    if not np.array_equal(cast, values):
+        raise OverflowError(f"{stage.__name__} has values past {np.dtype(dtype)}")
+    table = np.roll(cast, lo)
+    table.setflags(write=False)
+    return CodeTable(table, tuple((k, getattr(one, k)) for k in _KINDS if getattr(one, k)))
+
+
+def tabulated(stage, codes: np.ndarray, counter: OpCounter | None, bounds: tuple,
+              lo: int, hi: int, *args) -> np.ndarray:
+    """``stage(codes, counter, *args)`` on codes in [lo, hi], looked up in
+    its :func:`code_table` where every entry of ``bounds``, the stage's
+    static bounds, fits 63 bits, so that no guard can fire on any code of
+    the domain; the table holds the width of the last entry, which bounds
+    the stage's output. Where a bound does not fit, the stage runs on the
+    codes under its runtime guards."""
+    if max(bounds) >> 63:
+        return stage(codes, counter, *args)
+    km = KernelMath.within(counter, bounds[-1])
+    return km.lookup(code_table(stage, lo, hi, km.dtype, *args), codes)
 
 
 def mul_bound(a: int, b: int) -> int:
@@ -475,6 +542,18 @@ class KernelMath:
         self.counter.muls += out.size * k
         self.counter.adds += out.size * max(k - 1, 0)
         return out
+
+    def lookup(self, table: CodeTable, codes):
+        """``table``'s stage at each of ``codes``, in this instance's dtype,
+        by one gather, charged what the stage charges per code times the
+        call's charge size: the same counts as running the stage on
+        ``codes``. The codes must lie in the table's domain, as a kernel's
+        lie in [0, qmax]: only those past [-n, n), n the table's length,
+        raise IndexError."""
+        n = self._guard(table, codes)
+        for kind, count in table.charge:
+            setattr(self.counter, kind, getattr(self.counter, kind) + count * n)
+        return np.take(table.values, codes).astype(self.dtype, copy=False)
 
     def rshift_round(self, a, k: int, out=None):
         """Right shift with round-half-up, used to rescale after multiplies."""

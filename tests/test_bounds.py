@@ -7,7 +7,9 @@ static magnitudes. A watcher records every ``KernelMath`` result and checks
 that it lies within the bound of the stage that computed it, and that every
 matmul's operands lie within their static magnitudes. With the static
 bounds patched out, every stage runs in int64 under the runtime guards; the
-codes, logits, plans and op charges must be the same either way.
+codes, logits, plans and op charges must be the same either way. The
+kernels' code tables are cleared before each run, so that each run builds
+them over their whole domains, a superset of the codes it is given.
 """
 
 import contextlib
@@ -23,11 +25,11 @@ from intquant import softmax as sm_mod
 from intquant import tensor as tensor_mod
 from intquant.model import CANDIDATE_POOLS
 from intquant.quantize import QParams, QTensor, qparams_from_range
-from intquant.tensor import KernelMath, OpCounter
+from intquant.tensor import KernelMath, OpCounter, code_table
 
 # every KernelMath method that computes a value
 _METHODS = ("add", "sub", "mul", "floordiv", "rshift", "lshift", "minimum", "maximum",
-            "abs", "sign", "clip", "sum", "max", "matmul", "rshift_round")
+            "abs", "sign", "clip", "sum", "max", "matmul", "lookup", "rshift_round")
 
 
 def _magnitude(x) -> int:
@@ -146,8 +148,10 @@ class TestKernelStages:
     def test_every_value_within_its_stage_bound(self, kind, cand, degree, p, pattern):
         q = QTensor(_code_pattern(pattern, p.qmax), p)
         want_c, got_c = OpCounter(), OpCounter()
+        code_table.cache_clear()
         with unbounded():
             want = _run(kind, cand, q, degree, want_c).codes
+        code_table.cache_clear()
         with Watcher().installed() as w:
             got = _run(kind, cand, q, degree, got_c).codes
         assert not w.escapes and w.bounded
@@ -182,8 +186,10 @@ def _pipeline(cfg):
 @pytest.mark.parametrize("shape", list(_SHAPES))
 def test_pipeline_values_within_their_bounds(shape):
     cfg = pl.PipelineConfig(**{"calib_batches": 2, "calib_batch_size": 2, **_SHAPES[shape]})
+    code_table.cache_clear()
     with unbounded():
         want = _pipeline(cfg)
+    code_table.cache_clear()
     with Watcher().installed() as w:
         got = _pipeline(cfg)
     assert not w.escapes

@@ -13,7 +13,7 @@ from unittest import mock
 from intquant import tensor as tensor_mod
 from intquant.tensor import (IntegerViolation, KernelMath, KernelOverflowError,
                              OpCounter, StageBound, Tensor, TensorFormatError, bit_length,
-                             mul_bound, rng_tensor, tensor_read, tensor_write)
+                             code_table, mul_bound, rng_tensor, tensor_read, tensor_write)
 
 INT64_MIN = int(np.iinfo(np.int64).min)
 INT64_MAX = int(np.iinfo(np.int64).max)
@@ -355,6 +355,14 @@ def _rows(a):
     return (n - 1) * (np.size(a) // n)
 
 
+def _affine(codes, counter):
+    """3 * code + 1: one multiply and one add per code."""
+    km = KernelMath(counter)
+    return km.add(km.mul(codes, 3), 1)
+
+
+_AFFINE = code_table(_affine, 0, 256, np.int64)   # covers every code of the mixes
+
 # per public method: (its args from a mix's two operands, its charge)
 _CHARGES = {
     "add": (lambda a, b: (a, b), lambda a, b: {"adds": _n(a, b)}),
@@ -375,6 +383,8 @@ _CHARGES = {
                lambda a, b: {"muls": a.shape[0] * b.shape[1] * a.shape[1],
                              "adds": a.shape[0] * b.shape[1] * (a.shape[1] - 1)}),
     "rshift_round": (lambda a, b: (a, 2), lambda a, k: {"adds": _n(a), "shifts": _n(a)}),
+    # the table's stage charges per code; the table itself is not charged
+    "lookup": (lambda a, b: (_AFFINE, a), lambda t, a: {"muls": _n(a), "adds": _n(a)}),
 }
 
 
@@ -446,6 +456,37 @@ class TestCharges:
     def test_an_int32_instance_refuses_a_real_operand_in_any_position(self, name):
         for real in self.REALS.values():
             self._refuses(name, real, self._int32)
+
+
+class TestCodeTable:
+    def test_a_lookup_is_its_stage_on_every_code(self):
+        codes = np.arange(-9, 5, dtype=np.int64).reshape(2, 7)
+        want_km, got_km = KernelMath(), KernelMath()
+        want = _affine(codes, want_km.counter)
+        got = got_km.lookup(code_table(_affine, -9, 4, np.int64), codes)
+        assert got.dtype == want.dtype and got.tolist() == want.tolist()
+        assert got_km.counter == want_km.counter
+
+    def test_it_is_cached_by_value_and_read_only(self):
+        def shifted(codes, counter, shifts):
+            km = KernelMath(counter)
+            return km.add(km.rshift(codes, shifts[0]), km.rshift(codes, shifts[1]))
+        t = code_table(shifted, -3, 3, np.dtype(np.int32), (1, 2))
+        assert code_table(shifted, -3, 3, np.dtype(np.int32), tuple([1, 2])) is t
+        assert t.values.dtype == np.int32 and not t.values.flags.writeable
+        assert t.charge == (("adds", 1), ("shifts", 2))
+
+    def test_a_stage_that_does_not_charge_per_code_is_refused(self):
+        def row_sum(codes, counter):
+            return np.broadcast_to(KernelMath(counter).sum(codes), codes.shape)
+        with pytest.raises(ValueError, match="per code"):
+            code_table(row_sum, 0, 7, np.int64)
+
+    def test_values_past_the_dtype_are_refused(self):
+        def huge(codes, counter):
+            return KernelMath(counter).lshift(codes, 40)
+        with pytest.raises(OverflowError, match="past int32"):
+            code_table(huge, 0, 3, np.int32)
 
 
 class TestBitLength:

@@ -1,6 +1,6 @@
 """sha256 identity check of the pipeline's outputs.
 
-Runs ten configs at seeds 0 and 7 (model seed and calibration seed, two
+Runs eleven configs at seeds 0 and 7 (model seed and calibration seed, two
 stage-1 jobs) through the ``intquant`` package found under ``--src`` and
 prints one JSON object. Per run it holds the sha256 of the plan JSON, of
 the metrics CSV, and of the integer logits and the ``OpCounter`` dict for a
@@ -42,12 +42,14 @@ LONGSEQ = {"model": {"blocks": 2, "embed_dim": 64, "heads": 4, "tokens": 256},
            "calib": {"batches": 2, "batch_size": 8}}
 # stage 2 picks iexp_softmax on longseq-attn, and forced-pools runs
 # log2_softmax; the last two configs run the other two softmax kernels, with
-# their int32 exponential chains, in integer_forward
+# their int32 exponential tables, in integer_forward
 CONFIGS = {
     "toy-default": {},
     "global": {"stage1_mode": "global"},
     "act-bits-4": {"bits": {"activations": 4}},
     "act-bits-12": {"bits": {"activations": 12}},
+    # the widest activations 8 tokens accept (M = 31): 8,192-code GELU tables
+    "act-bits-13": {"bits": {"activations": 13}},
     "w4a8": {"bits": {"weights": 4}},
     "standardize-amplitude20-taylor2": {
         "metric": {"standardize": True, "db_convention": "amplitude20"},
