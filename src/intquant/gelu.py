@@ -10,12 +10,13 @@ which is odd, saturates to +/-1 for |x| >= -b, and needs only (a, b) per
 degree. GELU follows as 0.5 * x * (1 + L(x / sqrt(2))).
 
 Each integer kernel is a function of its input code alone, in [0, qmax]:
-its chain, requantization included, runs once over that interval into a
-table of its int64 output codes (``tensor.tabulated``), and each call
-gathers from it, charged per code what the chain charges, so op counts
-are those of the chain. Where a stage bound does not fit 63 bits, as for
-``shift_gelu_int`` with ``softmax.M`` raised to 62, the chain runs on the
-codes under its runtime guards instead.
+its chain, requantization included, runs once over that interval, in int64
+under the runtime guards, into a table of its int64 output codes
+(``tensor.tabulated``), and each call gathers from it, charged per code
+what the chain charges, so op counts are those of the chain. Where a guard
+fires on some code of the interval, as for ``shift_gelu_int`` with
+``softmax.M`` raised to 62, the chain runs on the call's codes under its
+guards instead.
 """
 
 from __future__ import annotations
@@ -26,11 +27,11 @@ from functools import lru_cache
 
 import numpy as np
 
+from . import softmax
 from .metric import approx_error
-from .quantize import (QParams, QTensor, checks_codes, encode_dyadic_multiplier, requant_bound,
-                       requantize)
-from .softmax import _recip_bound, _recip_mul, _shift_add, _shift_exp_bound, _shift_exp_codes
-from .tensor import KernelMath, OpCounter, StageBound, buffer_for, mul_bound, tabulated
+from .quantize import QParams, QTensor, checks_codes, encode_dyadic_multiplier, requantize
+from .softmax import _recip_mul, _shift_add, _shift_exp_codes
+from .tensor import KernelMath, OpCounter, tabulated
 
 SQRT2 = math.sqrt(2.0)
 
@@ -198,38 +199,20 @@ _KS = 15   # bits of the shift GELU's sigmoid codes, grid 2^-(_KS-1)
 @lru_cache(maxsize=256)
 def _poly_gelu_plan(p: QParams, c: ErfPolyCoeffs, out_params: QParams) -> tuple:
     """Constants of :func:`poly_gelu_int` (configuration time, real
-    arithmetic allowed) and the bounds of its two stages, from their
-    transfer functions: the front up to the power of the clipped argument,
-    the back from its coefficient on, with the requantization."""
+    arithmetic allowed)."""
     s_u = float(p.scale) / SQRT2
     m1, e1 = encode_dyadic_multiplier(s_u * (1 << _KV))
     clip_code = int(round(-c.b * (1 << _KV)))
     a_mant = int(round(c.a * (1 << _KA)))
     m2, e2 = encode_dyadic_multiplier(float(p.scale) / (1 << (_KL + 1)) / float(out_params.scale))
-    t = p.centered_max
-    front = StageBound(t)
-    front.rshift_round(front.mul(t, m1), e1)
-    v = front.value(clip_code)                         # min(v, clip) - clip in [-clip, 0]
-    vd = front.rshift_round(front.mul(v, v), _KV)
-    if c.degree == 4:
-        power = front.mul(vd, vd)
-    elif c.degree == 3:
-        power = front.mul(vd, v)
-    else:
-        power = front.lshift(vd, _KV)
-    back = StageBound(power, t)
-    lv = back.add(back.rshift_round(back.mul(power, abs(a_mant)), _KA + 2 * _KV - _KL),
-                  1 << _KL)
-    acc = back.mul(t, back.add(back.mul(1, lv), 1 << _KL))
-    bounds = front.bound, max(back.bound, requant_bound(acc, m2, e2, out_params))
-    return m1, e1, clip_code, a_mant, m2, e2, bounds
+    return m1, e1, clip_code, a_mant, m2, e2
 
 
 def _poly_gelu_codes(codes: np.ndarray, counter: OpCounter | None, p: QParams,
                      out_params: QParams, c: ErfPolyCoeffs) -> np.ndarray:
     """The chain of :func:`poly_gelu_int` on codes in [0, qmax] of ``p``."""
-    m1, e1, clip_code, a_mant, m2, e2, bounds = _poly_gelu_plan(p, c, out_params)
-    km, back = (KernelMath.within(counter, b) for b in bounds)
+    m1, e1, clip_code, a_mant, m2, e2 = _poly_gelu_plan(p, c, out_params)
+    km = KernelMath(counter)
     t = km.sub(codes, int(p.zero_point))
     v = km.abs(t)
     km.rshift_round(km.mul(v, m1, out=v), e1, out=v)  # |x|/sqrt2 on the 2^-KV grid
@@ -242,14 +225,13 @@ def _poly_gelu_codes(codes: np.ndarray, counter: OpCounter | None, p: QParams,
         km.mul(vd, v, out=vd)                         # scale 2^-2KV, nonpositive
     else:
         km.lshift(vd, _KV, out=vd)
-    shift = _KA + 2 * _KV - _KL
-    vd = back.mul(vd, a_mant, out=buffer_for(back, vd))
-    back.rshift_round(vd, shift, out=vd)
-    back.add(vd, 1 << _KL, out=vd)
-    gate = back.mul(back.sign(t), vd, out=vd)
-    back.add(gate, 1 << _KL, out=gate)                # (1 + L), grid 2^-KL
-    acc = back.mul(t, gate, out=gate)                 # x*(1+L) at s_in * 2^-KL
-    return requantize(back, acc, m2, e2, out_params)
+    km.mul(vd, a_mant, out=vd)
+    km.rshift_round(vd, _KA + 2 * _KV - _KL, out=vd)
+    km.add(vd, 1 << _KL, out=vd)
+    gate = km.mul(km.sign(t), vd, out=vd)
+    km.add(gate, 1 << _KL, out=gate)                  # (1 + L), grid 2^-KL
+    acc = km.mul(t, gate, out=gate)                   # x*(1+L) at s_in * 2^-KL
+    return requantize(km, acc, m2, e2, out_params)
 
 
 @checks_codes
@@ -260,57 +242,42 @@ def poly_gelu_int(q: QTensor, c: ErfPolyCoeffs, out_params: QParams,
     The coefficients and all rescaling multipliers are pre-encoded as
     dyadic (mantissa, shift) constants; the sqrt(2) division is folded into
     the input scale, so the kernel body is adds, multiplies, compares and
-    round-half-up right shifts, in the two stages of
-    :func:`_poly_gelu_plan`; it is looked up in its table over [0, qmax]
-    (:func:`tensor.tabulated`).
+    round-half-up right shifts; it is looked up in its table over
+    [0, qmax] (:func:`tensor.tabulated`).
     """
-    bounds = _poly_gelu_plan(q.params, c, out_params)[-1]
-    codes = tabulated(_poly_gelu_codes, q.codes, counter, bounds, 0, q.params.qmax,
-                      q.params, out_params, c)
+    codes, _ = tabulated(_poly_gelu_codes, q.codes, counter, 0, q.params.qmax, np.int64,
+                         q.params, out_params, c)
     return QTensor(codes, out_params)
 
 
 @lru_cache(maxsize=256)
 def _shift_gelu_plan(p: QParams, out_params: QParams) -> tuple:
-    """Constants of :func:`shift_gelu_int` and the bounds of its stages:
-    the front up to the exponentials' arguments, which lie in [-z, 0] for
-    the returned z, the exponentials' output bound, and the back from the
-    sigmoid's division on, save the division's own :func:`_recip_bound`,
-    which follows ``softmax.M`` at call time. The sigmoid codes lie within
-    2^(_KS-1), since num <= num + den."""
+    """Constants of :func:`shift_gelu_int`."""
     s = float(p.scale)
     # requantize the sigmoid argument onto a dyadic grid fine enough for
     # the exponent decomposition (codes stay under ~2^15)
     f = int(np.clip(math.floor(math.log2(32767.0 / max(1.6875 * s * p.qmax, 1e-9))), 4, 30))
     ms, es = encode_dyadic_multiplier(s * (1 << f))
     m2, e2 = encode_dyadic_multiplier(s / (1 << (_KS - 1)) / float(out_params.scale))
-    t = p.centered_max
-    front = StageBound(t)
-    z = front.value(t + sum(-(-t >> k) for k in (1, 3, 4)))
-    z = front.rshift_round(front.mul(z, ms), es)
-    exp_out, sig = _shift_exp_bound(z, f)[1], 1 << (_KS - 1)
-    back = max(mul_bound(t, sig), requant_bound(t * sig, m2, e2, out_params))
-    return f, ms, es, m2, e2, (front.bound, z, exp_out, back)
+    return f, ms, es, m2, e2
 
 
 def _shift_gelu_codes(codes: np.ndarray, counter: OpCounter | None, p: QParams,
-                      out_params: QParams, back_bound: int) -> np.ndarray:
-    """The chain of :func:`shift_gelu_int` on codes in [0, qmax] of ``p``;
-    ``back_bound`` bounds its back stage, the reciprocal division's
-    :func:`_recip_bound` included."""
-    f, ms, es, m2, e2, (front_b, z, _, _) = _shift_gelu_plan(p, out_params)
-    km = KernelMath.within(counter, front_b)
-    back = KernelMath.within(counter, back_bound)
+                      out_params: QParams, m: int) -> np.ndarray:
+    """The chain of :func:`shift_gelu_int` on codes in [0, qmax] of ``p``,
+    its sigmoid normalized by the reciprocal division at ``m``."""
+    f, ms, es, m2, e2 = _shift_gelu_plan(p, out_params)
+    km = KernelMath(counter)
     t = km.sub(codes, int(p.zero_point))
     zq = _shift_add(t, (1, 0, 3, 4), km)                 # t + t>>1 + t>>3 + t>>4
     km.rshift_round(km.mul(zq, ms, out=zq), es, out=zq)  # 1.6875*x on the 2^-f grid
     mpos = km.maximum(zq, 0)
-    num = _shift_exp_codes(km.sub(zq, mpos, out=zq), counter, f, z)    # e^(z - m)
-    den = _shift_exp_codes(km.sub(0, mpos, out=mpos), counter, f, z)
-    den = back.add(num, den, out=buffer_for(back, den))
-    sig = _recip_mul(num, den, _KS, back, out=buffer_for(back, num))
-    acc = back.mul(t, sig, out=buffer_for(back, sig))   # x*sigmoid at s * 2^-(bits-1)
-    return requantize(back, acc, m2, e2, out_params)
+    num = _shift_exp_codes(km.sub(zq, mpos, out=zq), counter, f)     # e^(z - m)
+    den = _shift_exp_codes(km.sub(0, mpos, out=mpos), counter, f)
+    km.add(num, den, out=den)
+    sig = _recip_mul(num, den, _KS, m, km, out=num)
+    acc = km.mul(t, sig, out=sig)                     # x*sigmoid at s * 2^-(bits-1)
+    return requantize(km, acc, m2, e2, out_params)
 
 
 @checks_codes
@@ -321,13 +288,9 @@ def shift_gelu_int(q: QTensor, out_params: QParams,
     The 1.6875 multiplier is t + t>>1 + t>>3 + t>>4 on the centered codes;
     the sigmoid is exp(z)/(exp(z) + 1) with both exponentials evaluated by
     the shift-exponential at a dyadic scale and normalized by integer
-    division. It is looked up in its table over [0, qmax]
-    (:func:`tensor.tabulated`), which is keyed on the back stage's bound,
-    since that follows ``softmax.M`` through the division.
+    division at ``softmax.M``. It is looked up in its table over [0, qmax]
+    (:func:`tensor.tabulated`), which is keyed on that M.
     """
-    f, _, _, _, _, (front, z, exp_out, back) = _shift_gelu_plan(q.params, out_params)
-    back = max(back, _recip_bound(exp_out, 2))
-    bounds = (front, _shift_exp_bound(z, f)[0], back)
-    codes = tabulated(_shift_gelu_codes, q.codes, counter, bounds, 0, q.params.qmax,
-                      q.params, out_params, back)
+    codes, _ = tabulated(_shift_gelu_codes, q.codes, counter, 0, q.params.qmax, np.int64,
+                         q.params, out_params, softmax.M)
     return QTensor(codes, out_params)

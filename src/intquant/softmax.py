@@ -9,34 +9,33 @@ arithmetic, i.e. floor-division semantics. The code-domain stages below
 work on raw integer codes and are private; the kernels wrap them for
 ``QTensor`` inputs. Every kernel writes probabilities onto the output
 parameters it is handed, which must be :func:`softmax_out_params` of their
-width, and returns int64 codes. Each stage runs on the ``KernelMath`` its
-transfer function's static bound gives (``KernelMath.within``), from input
-codes in [0, qmax], which the kernels check once per call
-(:func:`quantize.checks_codes`): the max-subtraction and the exponentials'
-fronts in int32, the reciprocal division in int64, none of them scanning
-operands for the overflow guards where the bound fits.
+width, and returns int64 codes.
 
 An exponential is a function of the max-subtracted code alone, in
-[-qmax, 0]: its chain runs once over that interval into an int32 table
-(``tensor.tabulated``), and each call gathers from it, charged per code
-what the chain charges, so op counts are those of the chain. Where a stage
-bound of the exponential does not fit 63 bits the chain runs on the codes
-instead. The max-subtraction, the row sums, the reciprocal division and
-log2_softmax's bit-length tail run per call.
+[-qmax, 0]: its chain runs once over that interval, in int64 under the
+runtime guards, into an int32 table (``tensor.tabulated``), and each call
+gathers from it, charged per code what the chain charges, so op counts are
+those of the chain. Where a guard fires on some code of the interval the
+chain runs on the call's codes instead. The max-subtraction, the row sums,
+the reciprocal division and log2_softmax's bit-length tail run per call,
+each on the ``KernelMath`` of its static bound (``KernelMath.within``),
+from input codes in [0, qmax], which the kernels check once per call
+(:func:`quantize.checks_codes`), and from the table's peak: the
+max-subtraction in int32, the reciprocal division in int64, neither
+scanning operands for the overflow guards where the bound fits.
 """
 
 from __future__ import annotations
 
 import math
-from functools import lru_cache, partial
+from functools import lru_cache
 
 import numpy as np
 
 from .metric import approx_error
 from .quantize import (DYADIC_EXPONENTS, QParams, QTensor, checks_codes,
                        encode_dyadic_multiplier)
-from .tensor import (KernelMath, OpCounter, StageBound, bit_length, buffer_for, mul_bound,
-                     tabulated)
+from .tensor import KernelMath, OpCounter, bit_length, buffer_for, mul_bound, tabulated
 
 # quadratic used by the range-reduction exponential baseline:
 # exp(p) ~ A*(p + B)^2 + C on p in (-ln2, 0]
@@ -103,24 +102,9 @@ def _prob_bits(out_params: QParams) -> int:
 
 def _max_subtract_codes(q: QTensor, counter: OpCounter | None) -> np.ndarray:
     """Codes minus their row max, in [-qmax, 0]: one stage, within qmax and
-    so in int32. The exponential after it takes span = qmax."""
+    so in int32."""
     km = KernelMath.within(counter, q.params.qmax)
     return km.sub(q.codes, km.max(q.codes, axis=-1, keepdims=True))
-
-
-def _shift_exp_bound(span: int, f: int, taylor_degree: int = 1) -> tuple[int, int]:
-    """Transfer function of :func:`_shift_exp_codes`: for qd in [-span, 0],
-    its stage bound and the bound of its output. qp = qd * log2(e) lies in
-    [-(span + span//2 + 1), 0], and the values of its decomposition within
-    that, save the guard envelope of q_int << f; the fraction codes lie
-    within 2^f + 3, and at Taylor degree 2 their square within its
-    mul_bound, of which sq >> (f + 1) is added to them."""
-    b = StageBound(span + span // 2 + 1)
-    b.lshift(b.bound >> f, f)
-    frac = b.value((1 << f) + 3)
-    if taylor_degree == 2:
-        frac = b.value(frac + (b.mul(frac, frac) >> (f + 1)))
-    return b.bound, frac
 
 
 def _shift_add(x: np.ndarray, shifts: tuple, km: KernelMath) -> np.ndarray:
@@ -145,15 +129,14 @@ def _decompose_codes(qp: np.ndarray, f: int, km: KernelMath):
     return q_int, km.sub(pos, km.lshift(q_int, f), out=pos)
 
 
-def _shift_exp_codes(qd: np.ndarray, counter: OpCounter | None, f: int, span: int,
+def _shift_exp_codes(qd: np.ndarray, counter: OpCounter | None, f: int,
                      slope: tuple = (1,), taylor_degree: int = 1) -> np.ndarray:
-    """Shift exponential of codes in [-span, 0] on the 2^-f grid: qd times
+    """Shift exponential of nonpositive codes on the 2^-f grid: qd times
     log2(e) splits into an integer part q_int and a fraction x in (-1, 0],
     and 2^x ~ 1 + a*x [+ (a*x)^2/2 at Taylor degree 2] is shifted down by
     q_int. ``slope`` is a as :func:`_shift_add` shifts: (1,) is I-ViT's
-    1/2, (1, 3, 4) the efficient bit softmax's ln2 ~ 0.6875. One stage,
-    bounded by :func:`_shift_exp_bound`."""
-    km = KernelMath.within(counter, _shift_exp_bound(span, f, taylor_degree)[0])
+    1/2, (1, 3, 4) the efficient bit softmax's ln2 ~ 0.6875."""
+    km = KernelMath(counter)
     q_int, r = _decompose_codes(_shift_add(qd, (1, 0, -4), km), f, km)
     lin = _shift_add(km.sub(0, r, out=r), slope, km)
     if taylor_degree == 1:
@@ -175,24 +158,23 @@ def _row_sums(num: np.ndarray, km: KernelMath) -> np.ndarray:
 
 
 def _recip_bound(num: int, n: int) -> int:
-    """Transfer function of :func:`_recip_mul` for numerators within
+    """Static bound of :func:`_recip_mul` at ``M`` for numerators within
     ``num``, n of them to a denominator: the denominators lie within
     n * num, the reciprocal within 2^M and its products within their
     mul_bound."""
     return max(n * num, mul_bound(1 << M, num))
 
 
-def _recip_mul(num: np.ndarray, den: np.ndarray, bits: int, km: KernelMath,
+def _recip_mul(num: np.ndarray, den: np.ndarray, bits: int, m: int, km: KernelMath,
                out: np.ndarray | None = None) -> np.ndarray:
-    """num / den on the 2^-(bits-1) grid by one reciprocal division,
-    floor(2^M / den) * num >> (M - bits + 1); a row normalized so loses at
-    most (n+1)/2^(bits-1) of its sum, all of it downward, and since
-    num <= den no code exceeds 2^(bits-1). ``km`` is bounded by
-    :func:`_recip_bound`; ``out`` follows the :class:`KernelMath` buffer
-    rule and may be ``num``."""
-    recip = km.floordiv(np.int64(1) << M, den)
+    """num / den on the 2^-(bits-1) grid by one reciprocal division at the
+    overflow-guard exponent m, floor(2^m / den) * num >> (m - bits + 1); a
+    row normalized so loses at most (n+1)/2^(bits-1) of its sum, all of it
+    downward, and since num <= den no code exceeds 2^(bits-1). ``out``
+    follows the :class:`KernelMath` buffer rule and may be ``num``."""
+    recip = km.floordiv(np.int64(1) << m, den)
     out = km.mul(recip, num, out=out)
-    return km.rshift(out, M - (bits - 1), out=out)
+    return km.rshift(out, m - (bits - 1), out=out)
 
 
 # ---------------------------------------------------------------------------
@@ -200,24 +182,21 @@ def _recip_mul(num: np.ndarray, den: np.ndarray, bits: int, km: KernelMath,
 # ---------------------------------------------------------------------------
 
 def _exp_div_softmax(q: QTensor, out_params: QParams, counter: OpCounter | None,
-                     exp_bound, exp_codes, *shape) -> QTensor:
-    """Max-subtract, the exponential ``exp_codes(qd, counter, f, span,
-    *shape)``, reciprocal division onto ``out_params``: the body every
-    exponential softmax kernel shares. ``exp_bound(span, f)`` is the
-    exponential's transfer function, whose last entry bounds its output;
-    the exponential is looked up in its int32 table over [-span, 0]
-    (:func:`tensor.tabulated`)."""
+                     exp_codes, *shape) -> QTensor:
+    """Max-subtract, the exponential ``exp_codes(qd, counter, f, *shape)``,
+    reciprocal division onto ``out_params``: the body every exponential
+    softmax kernel shares. The exponential is looked up in its int32 table
+    over [-qmax, 0] (:func:`tensor.tabulated`), whose peak bounds the
+    division."""
     bits = _prob_bits(out_params)
     f = _dyadic_exponent(q.params)
     n = q.codes.shape[-1]
     _check_m(bits, n)
-    span = q.params.qmax
-    bounds = exp_bound(span, f)
-    num = tabulated(exp_codes, _max_subtract_codes(q, counter), counter, bounds, -span, 0,
-                    f, span, *shape)
+    num, peak = tabulated(exp_codes, _max_subtract_codes(q, counter), counter,
+                          -q.params.qmax, 0, np.int32, f, *shape)
     # recip * num reaches 2^M, so the division is int64, in num if it is
-    km = KernelMath.within(counter, _recip_bound(bounds[-1], n))
-    codes = _recip_mul(num, _row_sums(num, km), bits, km, out=buffer_for(km, num))
+    km = KernelMath.within(counter, _recip_bound(peak, n))
+    codes = _recip_mul(num, _row_sums(num, km), bits, M, km, out=buffer_for(km, num))
     return QTensor(codes, out_params)
 
 
@@ -228,15 +207,13 @@ def efficient_bit_softmax(q: QTensor, out_params: QParams, counter: OpCounter | 
     shifts, and its square term at Taylor degree 2."""
     if taylor_degree not in (1, 2):
         raise ConfigurationError(f"taylor_degree must be 1 or 2, got {taylor_degree}")
-    return _exp_div_softmax(q, out_params, counter,
-                            partial(_shift_exp_bound, taylor_degree=taylor_degree),
-                            _shift_exp_codes, (1, 3, 4), taylor_degree)
+    return _exp_div_softmax(q, out_params, counter, _shift_exp_codes, (1, 3, 4), taylor_degree)
 
 
 @checks_codes
 def shiftmax(q: QTensor, out_params: QParams, counter: OpCounter | None = None) -> QTensor:
     """Baseline with the endpoint-matched linear fraction 1 + x/2."""
-    return _exp_div_softmax(q, out_params, counter, _shift_exp_bound, _shift_exp_codes)
+    return _exp_div_softmax(q, out_params, counter, _shift_exp_codes)
 
 
 _P12 = 12  # fixed-point grid of the quadratic exponential value
@@ -254,50 +231,31 @@ def _iexp_constants(f: int) -> tuple[int, int, int, int, int]:
     return ln2_c, b_c, c_c, m, e
 
 
-@lru_cache(maxsize=256)
-def _iexp_bound(span: int, f: int) -> tuple[int, int, int]:
-    """Transfer function of :func:`_iexp_value_codes`' two stages, for qd
-    in [-span, 0]: their bounds and the bound of the output. In the front,
-    z lies in [0, span // ln2], z*ln2 in [0, span] and p + B in (0, B]; in
-    the back, the quadratic lies within mul_bound(B, B) + C/A, and its
-    product with m, plus the rounding half, within that product's
-    mul_bound plus 2^e."""
-    ln2_c, b_c, c_c, m, e = _iexp_constants(f)
-    front = max(span, mul_bound(span // ln2_c, ln2_c), b_c, 62)
-    quad = mul_bound(b_c, b_c) + c_c
-    back = mul_bound(quad, m) + (1 << e)
-    return front, back, back >> e
-
-
-def _iexp_value_codes(qd: np.ndarray, counter: OpCounter | None, f: int,
-                      span: int) -> np.ndarray:
+def _iexp_value_codes(qd: np.ndarray, counter: OpCounter | None, f: int) -> np.ndarray:
     """Range-reduction exponential: e^x = 2^(-z) * quad(p), p in (-ln2, 0],
-    for codes in [-span, 0]; the front, up to p + B, and the back, from its
-    square on, are the stages of :func:`_iexp_bound`.
+    for nonpositive codes.
 
     Returns codes on the 2^-_P12 grid, shifted down by z.
     """
     ln2_c, b_c, c_c, m, e = _iexp_constants(f)
-    bounds = _iexp_bound(span, f)
-    front, back = (KernelMath.within(counter, b) for b in bounds[:2])
-
-    z = front.sub(0, qd)
-    front.floordiv(z, ln2_c, out=z)
-    p = front.mul(z, ln2_c)
-    front.add(qd, p, out=p)
-    front.add(p, b_c, out=p)               # p + B
-    p = back.mul(p, p, out=buffer_for(back, p))
-    back.add(p, c_c, out=p)                # (p + B)^2 + C/A
-    back.mul(p, m, out=p)
-    back.rshift_round(p, e, out=p)         # on the 2^-_P12 grid
-    return back.rshift(p, front.minimum(z, 62, out=z), out=p)
+    km = KernelMath(counter)
+    z = km.sub(0, qd)
+    km.floordiv(z, ln2_c, out=z)
+    p = km.mul(z, ln2_c)
+    km.add(qd, p, out=p)
+    km.add(p, b_c, out=p)                  # p + B
+    km.mul(p, p, out=p)
+    km.add(p, c_c, out=p)                  # (p + B)^2 + C/A
+    km.mul(p, m, out=p)
+    km.rshift_round(p, e, out=p)           # on the 2^-_P12 grid
+    return km.rshift(p, km.minimum(z, 62, out=z), out=p)
 
 
 @checks_codes
 def iexp_softmax(q: QTensor, out_params: QParams,
                  counter: OpCounter | None = None) -> QTensor:
     """Softmax with the quadratic range-reduction exponential numerator."""
-    return _exp_div_softmax(q, out_params, counter, _iexp_bound, _iexp_value_codes)
+    return _exp_div_softmax(q, out_params, counter, _iexp_value_codes)
 
 
 @checks_codes
@@ -322,12 +280,9 @@ def log2_softmax_codes(q: QTensor, counter: OpCounter | None = None) -> np.ndarr
     """Raw log2 probability codes k, value 2^(-k); the winner of a dominant
     row gets code 0. They do not depend on the output grid."""
     f = _dyadic_exponent(q.params)
-    span = q.params.qmax
-    bounds = _iexp_bound(span, f)
-    num = tabulated(_iexp_value_codes, _max_subtract_codes(q, counter), counter, bounds,
-                    -span, 0, f, span)
-    den_bound = q.codes.shape[-1] * bounds[-1]
-    km = KernelMath.within(counter, den_bound)
+    num, peak = tabulated(_iexp_value_codes, _max_subtract_codes(q, counter), counter,
+                          -q.params.qmax, 0, np.int32, f)
+    km = KernelMath.within(counter, q.codes.shape[-1] * peak)
     den = _row_sums(num, km)
 
     # k = floor(log2(den/num)), then round half upward in log space:

@@ -13,8 +13,9 @@ that the caller owns, that is one it allocated itself, and that a kernel
 never writes into an array it was handed: input codes, edge arrays and
 weights stay as they were.
 
-Static bounds: a kernel or compiled step splits its chain into stages and
-gives each a static magnitude bound, from its input codes' interval
+Static bounds: the LayerNorm kernel, the softmax stages around the
+exponential and each compiled step split their chains into stages and
+give each a static magnitude bound, from its input codes' interval
 [0, qmax] and its constants, written once as a mirror of the stage on
 magnitudes (:class:`StageBound`). :meth:`KernelMath.within` makes the
 stage's ``KernelMath``, and is the only maker of an int32 one: int32 where
@@ -29,12 +30,15 @@ paths, whose codes are clipped there, run the kernel bodies unchecked.
 
 Code tables: an elementwise stage that is a function of one bounded code
 (a softmax exponential of the max-subtracted code, a GELU kernel of its
-input code) runs once over its whole code domain, through its own chain,
-into a :class:`CodeTable` (:func:`code_table`), where every static bound of
-the chain fits 63 bits (:func:`tabulated`). Requests then gather from it
+input code) runs once over its whole code domain, through its own chain
+in int64 under the runtime guards, into a :class:`CodeTable`
+(:func:`code_table`). That build is its check: a stage whose guard fires
+on any code of the domain is not tabulated, and runs on each call's codes
+under its guards instead (:func:`tabulated`). Requests gather from a table
 with :meth:`KernelMath.lookup`, which charges the chain's per-code counts
 times the number of codes, so the ``OpCounter`` charges are those of the
-chain.
+chain. The tabulated stages have no static bounds of their own: the stage
+after a lookup takes its bound from the table's peak.
 """
 
 from __future__ import annotations
@@ -245,31 +249,38 @@ _KINDS = ("adds", "muls", "divs", "shifts", "compares")
 class CodeTable:
     """A kernel stage evaluated once over every code of its domain
     (:func:`code_table`): ``values[c]`` is its output at code c, negative
-    codes counting from the end, read-only, and ``charge`` what it charges
-    per code, as (kind, count) pairs."""
+    codes counting from the end, read-only; ``peak`` is the largest
+    magnitude among them, and ``charge`` what the stage charges per code,
+    as (kind, count) pairs."""
 
     values: np.ndarray
+    peak: int
     charge: tuple[tuple[str, int], ...]
 
 
 @lru_cache(maxsize=64)
-def code_table(stage, lo: int, hi: int, dtype, *args) -> CodeTable:
+def code_table(stage, lo: int, hi: int, dtype, *args) -> CodeTable | None:
     """The table of ``stage(codes, counter, *args)`` over the codes lo..hi,
-    lo <= 0 <= hi, in ``dtype``, which must hold its every value.
+    lo <= 0 <= hi, in ``dtype``, which must hold its every value; None
+    where a runtime overflow guard of the stage fires on some code of the
+    domain, so that the stage is not tabulated.
 
-    It is cached by value, so ``stage`` is a module-level function and
-    ``args`` are values (ints, tuples, frozen dataclasses), never a
-    partial, which hashes by identity. The stage runs on the whole domain
-    with a fresh :class:`OpCounter`, so it must be one whose static bounds
-    fit 63 bits (:meth:`KernelMath.within`), where no guard can fire on
-    any code of the domain, and elementwise in its charges: that run must
-    charge each kind exactly n times what a run on the one code lo does.
+    It is cached by value, None included, so ``stage`` is a module-level
+    function and ``args`` are values (ints, tuples, frozen dataclasses),
+    never a partial, which hashes by identity. The stage runs on the whole
+    domain with a fresh :class:`OpCounter`, so it must compute on plain
+    int64 ``KernelMath`` instances, under the runtime guards, and be
+    elementwise in its charges: that run must charge each kind exactly n
+    times what a run on the one code lo does.
     """
     def run(codes):
         counter = OpCounter()
         return stage(codes, counter, *args), counter
-    _, one = run(np.array([lo], dtype=np.int64))
-    values, whole = run(np.arange(lo, hi + 1, dtype=np.int64))
+    try:
+        _, one = run(np.array([lo], dtype=np.int64))
+        values, whole = run(np.arange(lo, hi + 1, dtype=np.int64))
+    except KernelOverflowError:
+        return None
     n = hi - lo + 1
     if any(getattr(whole, k) != n * getattr(one, k) for k in _KINDS):
         raise ValueError(f"{stage.__name__} does not charge per code")
@@ -278,21 +289,22 @@ def code_table(stage, lo: int, hi: int, dtype, *args) -> CodeTable:
         raise OverflowError(f"{stage.__name__} has values past {np.dtype(dtype)}")
     table = np.roll(cast, lo)
     table.setflags(write=False)
-    return CodeTable(table, tuple((k, getattr(one, k)) for k in _KINDS if getattr(one, k)))
+    return CodeTable(table, KernelMath._magnitude(values),
+                     tuple((k, getattr(one, k)) for k in _KINDS if getattr(one, k)))
 
 
-def tabulated(stage, codes: np.ndarray, counter: OpCounter | None, bounds: tuple,
-              lo: int, hi: int, *args) -> np.ndarray:
+def tabulated(stage, codes: np.ndarray, counter: OpCounter | None, lo: int, hi: int, dtype,
+              *args) -> tuple[np.ndarray, int]:
     """``stage(codes, counter, *args)`` on codes in [lo, hi], looked up in
-    its :func:`code_table` where every entry of ``bounds``, the stage's
-    static bounds, fits 63 bits, so that no guard can fire on any code of
-    the domain; the table holds the width of the last entry, which bounds
-    the stage's output. Where a bound does not fit, the stage runs on the
-    codes under its runtime guards."""
-    if max(bounds) >> 63:
-        return stage(codes, counter, *args)
-    km = KernelMath.within(counter, bounds[-1])
-    return km.lookup(code_table(stage, lo, hi, km.dtype, *args), codes)
+    its :func:`code_table` in ``dtype``, and the largest magnitude it can
+    give: the table's peak. Where the stage has no table, it runs on the
+    codes under its runtime guards, and the magnitude is that of its
+    result."""
+    table = code_table(stage, lo, hi, dtype, *args)
+    if table is None:
+        values = stage(codes, counter, *args)
+        return values, KernelMath._magnitude(values)
+    return KernelMath(counter).lookup(table, codes), table.peak
 
 
 def mul_bound(a: int, b: int) -> int:
@@ -544,7 +556,7 @@ class KernelMath:
         return out
 
     def lookup(self, table: CodeTable, codes):
-        """``table``'s stage at each of ``codes``, in this instance's dtype,
+        """``table``'s stage at each of ``codes``, in the table's dtype,
         by one gather, charged what the stage charges per code times the
         call's charge size: the same counts as running the stage on
         ``codes``. The codes must lie in the table's domain, as a kernel's
@@ -553,7 +565,7 @@ class KernelMath:
         n = self._guard(table, codes)
         for kind, count in table.charge:
             setattr(self.counter, kind, getattr(self.counter, kind) + count * n)
-        return np.take(table.values, codes).astype(self.dtype, copy=False)
+        return np.take(table.values, codes)
 
     def rshift_round(self, a, k: int, out=None):
         """Right shift with round-half-up, used to rescale after multiplies."""

@@ -135,7 +135,7 @@ class TestDecompose:
 
 def eff_exp(values, scale=1.0 / 64):
     v = i64(values)
-    return _shift_exp_codes(v, OpCounter(), f_of(scale), -int(v.min()), slope=(1, 3, 4))
+    return _shift_exp_codes(v, OpCounter(), f_of(scale), slope=(1, 3, 4))
 
 
 class TestEfficientBitExp:
@@ -166,7 +166,7 @@ class TestEfficientBitExp:
 
 def int_div(values):
     km, v = KernelMath(), i64(values)
-    return _recip_mul(v, _row_sums(v, km), 8, km)
+    return _recip_mul(v, _row_sums(v, km), 8, sm_mod.M, km)
 
 
 class TestIntDivNormalize:
@@ -324,7 +324,7 @@ class TestShiftmax:
 def iexp_value(values, f):
     """e^(values / 2^f) from the kernel's codes on the 2^-_P12 grid."""
     v = i64(values)
-    return _iexp_value_codes(v, OpCounter(), f, -int(v.min())) / (1 << _P12)
+    return _iexp_value_codes(v, OpCounter(), f) / (1 << _P12)
 
 
 class TestIexpSoftmax:
@@ -393,7 +393,7 @@ def _log2_codes_shift_loop(q, counter=None):
     element per step."""
     f = _dyadic_exponent(q.params)
     km = KernelMath(counter)
-    num = _iexp_value_codes(_max_subtract_codes(q, km.counter), km.counter, f, q.params.qmax)
+    num = _iexp_value_codes(_max_subtract_codes(q, km.counter), km.counter, f)
     den = km.sum(num, axis=-1, keepdims=True)
     den = np.broadcast_to(den, num.shape)
     k = np.zeros(num.shape, dtype=np.int64)

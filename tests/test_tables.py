@@ -1,11 +1,13 @@
 """The kernels' code tables are their chains.
 
-Each elementwise kernel stage whose static bounds fit 63 bits is looked up
-in a table that its own chain builds over its whole code domain
+Each elementwise kernel stage is looked up in a table that its own chain
+builds over its whole code domain, in int64 under the runtime guards
 (``tensor.code_table``): the softmax exponentials over the max-subtracted
 scores' [-qmax, 0], the GELU kernels, requantization included, over the
 input's [0, qmax]. A table holds the chain's codes at every code of its
-domain, and a lookup charges what the chain charges on the same codes.
+domain, and a lookup charges what the chain charges on the same codes. A
+stage whose guard fires on some code of its domain has no table and runs
+on the call's codes.
 """
 
 from unittest import mock
@@ -37,6 +39,7 @@ def _assert_is_its_chain(stage, lo, hi, dtype, *args):
     want = stage(codes, OpCounter(), *args)
     assert table.values.dtype == dtype
     np.testing.assert_array_equal(np.roll(table.values, -lo), want)
+    assert table.peak == int(np.abs(want).max())
     codes = np.random.default_rng(hi - lo).integers(lo, hi + 1, size=(3, 5, 16))
     want_c, got_c = OpCounter(), OpCounter()
     want = stage(codes, want_c, *args)
@@ -100,20 +103,41 @@ def test_every_gelu_table_is_its_chain(kernel, bits):
         assert _assert_is_its_chain(stage, lo, hi, dtype, *args) == dtype
 
 
-def test_shift_gelu_past_63_bits_is_not_tabulated_and_its_guard_decides():
-    # at M = 62 the sigmoid's reciprocal product has no bound within 63
-    # bits, so the chain runs on the codes under the runtime guard: codes
-    # at the zero point pass it, and the whole of [-6, 6] does not, where
-    # the sigmoid's smallest numerators are 0 (2^52 x 1024)
-    p = qparams_from_range(6.0, -6.0, 8)
-    p_out = qparams_from_range(2.5, -0.5, 8)
-    at_zero = QTensor(np.full((2, 8), p.zero_point), p)
-    whole = QTensor(np.arange(p.qmax + 1).reshape(16, 16), p)
-    want = gelu_mod.shift_gelu_int(at_zero, p_out).codes
+_P_ACT = qparams_from_range(6.0, -6.0, 8)
+_P_OUT = qparams_from_range(2.5, -0.5, 8)
+# codes at the zero point, and every code of [-6, 6], where at M = 62 the
+# sigmoid's smallest numerators are 0 and its reciprocal product 2^52 x 1024
+_AT_ZERO = QTensor(np.full((2, 8), _P_ACT.zero_point), _P_ACT)
+_WHOLE = QTensor(np.arange(_P_ACT.qmax + 1).reshape(16, 16), _P_ACT)
+
+
+def _assert_guard_decides():
+    want = gelu_mod.shift_gelu_int(_AT_ZERO, _P_OUT).codes
     with mock.patch.object(sm_mod, "M", 62):
-        assert _tables_of(lambda: gelu_mod.shift_gelu_int(at_zero, p_out)) == []
-        np.testing.assert_array_equal(gelu_mod.shift_gelu_int(at_zero, p_out).codes, want)
+        np.testing.assert_array_equal(gelu_mod.shift_gelu_int(_AT_ZERO, _P_OUT).codes, want)
         counter = OpCounter()
         with pytest.raises(KernelOverflowError):
-            gelu_mod.shift_gelu_int(whole, p_out, counter)
+            gelu_mod.shift_gelu_int(_WHOLE, _P_OUT, counter)
         assert counter.muls > 0         # the chain ran up to the guard
+
+
+def test_shift_gelu_whose_guard_fires_is_not_tabulated_and_its_guard_decides():
+    # at M = 62 the build over [-6, 6] trips the reciprocal's guard, so the
+    # chain runs on each call's codes; the refused build is cached, and a
+    # second call builds nothing
+    code_table.cache_clear()
+    with mock.patch.object(sm_mod, "M", 62):
+        gelu_mod.shift_gelu_int(_AT_ZERO, _P_OUT)
+        misses = code_table.cache_info().misses
+        (call,) = _tables_of(lambda: gelu_mod.shift_gelu_int(_AT_ZERO, _P_OUT))
+        assert code_table(*call) is None
+        assert code_table.cache_info().misses == misses
+    _assert_guard_decides()
+
+
+def test_a_shift_gelu_table_built_at_m_31_is_not_served_at_m_62():
+    # the table's key carries M, since the sigmoid's division follows it
+    code_table.cache_clear()
+    (call,) = _tables_of(lambda: gelu_mod.shift_gelu_int(_AT_ZERO, _P_OUT))
+    assert call[-1] == sm_mod.M == 31 and code_table(*call) is not None
+    _assert_guard_decides()

@@ -448,7 +448,8 @@ class TestCharges:
             want_km, got_km = KernelMath(), self._int32()
             want = getattr(want_km, name)(*args)
             got = getattr(got_km, name)(*args)
-            assert got.dtype == (np.int64 if name == "sum" else np.int32)
+            # a lookup gives its table's dtype, int64 for _AFFINE
+            assert got.dtype == (np.int64 if name in ("sum", "lookup") else np.int32)
             assert got.tolist() == want.tolist()
             assert got_km.counter.as_dict() == want_km.counter.as_dict()
 
@@ -475,6 +476,22 @@ class TestCodeTable:
         assert code_table(shifted, -3, 3, np.dtype(np.int32), tuple([1, 2])) is t
         assert t.values.dtype == np.int32 and not t.values.flags.writeable
         assert t.charge == (("adds", 1), ("shifts", 2))
+
+    @pytest.mark.parametrize("lo, hi", [(-9, 4), (0, 256), (-300, 0)])
+    def test_its_peak_is_its_largest_magnitude(self, lo, hi):
+        t = code_table(_affine, lo, hi, np.int64)
+        assert t.peak == max(abs(3 * c + 1) for c in range(lo, hi + 1))
+
+    def test_a_stage_whose_guard_fires_on_one_code_has_no_table(self):
+        # the shift's guard passes codes 0 and 1 and fires on code 2 alone,
+        # so that domain has no table, and the result is cached like one
+        def shifted(codes, counter):
+            return KernelMath(counter).lshift(codes, 62)
+        assert code_table(shifted, 0, 1, np.int64) is not None
+        hits = code_table.cache_info().hits
+        assert code_table(shifted, 0, 2, np.int64) is None
+        assert code_table(shifted, 0, 2, np.int64) is None
+        assert code_table.cache_info().hits == hits + 1
 
     def test_a_stage_that_does_not_charge_per_code_is_refused(self):
         def row_sum(codes, counter):
