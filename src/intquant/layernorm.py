@@ -18,7 +18,7 @@ import numpy as np
 
 from .quantize import (QParams, QTensor, checks_codes, encode_dyadic_multiplier, requant_bound,
                        requantize)
-from .tensor import KernelMath, OpCounter, StageBound, bit_length, buffer_for
+from .tensor import KernelMath, OpCounter, StageBound, bit_length, buffer_for, magnitude
 
 LN_VARIANTS = ("bitshift_newton", "poly_sqrt", "log2_scale")
 
@@ -133,8 +133,7 @@ def _ln_plan(p: QParams, n: int, variant: str, out_params: QParams,
         m2, e2 = 1, j
     else:
         m2, e2 = encode_dyadic_multiplier(1.0 / ((1 << _KB) * float(out_params.scale)))
-    bounds = _ln_bounds(p, n, int(np.max(np.abs(g_codes))), int(np.max(np.abs(b_codes))),
-                        m2, e2, out_params)
+    bounds = _ln_bounds(p, n, magnitude(g_codes), magnitude(b_codes), m2, e2, out_params)
     return g_codes, b_codes, out_params, m2, e2, bounds
 
 

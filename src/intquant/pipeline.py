@@ -34,7 +34,7 @@ from .quantize import (MinMaxObserver, QParams, QTensor, dequantize_np,
                        dyadic_qparams_for_range, encode_dyadic_multiplier,
                        quantize, requant_bound, requant_weight_per_channel, requantize)
 from .tensor import (KernelMath, KernelOverflowError, OpCounter, StageBound, Tensor,
-                     buffer_for, rng_tensor)
+                     buffer_for, magnitude, rng_tensor)
 
 SCORES_CODE_BITS = 16  # attention scores keep wide codes on a dyadic grid
 STAGE1_MODES = ("local", "global")
@@ -575,10 +575,6 @@ def _multiplier(edge: str, mult, live=False):
     return mult
 
 
-def _max_abs(x: np.ndarray) -> int:
-    return int(np.max(np.abs(x))) if x.size else 0
-
-
 def _requant_mult(edge: str, p_from: QParams, p_to: QParams) -> int:
     """Multiplier m of :func:`_add_requant`, codes on ``p_to`` ~ (c - z) * m >> 16."""
     return int(round(_multiplier(edge, (1 << 16) * p_from.scale / p_to.scale, live=True)))
@@ -604,32 +600,10 @@ def _add_requant(km: KernelMath, a, term, zero_point: int, m: int, p_out: QParam
     return km.clip(km.add(out, p_out.zero_point, out=out), 0, p_out.qmax, out=out)
 
 
-def _matmul_corrected_bound(k: int, pa: QParams, za: int, pb: QParams, zb: int):
-    """Transfer function of :func:`_matmul_corrected` over k-long rows of
-    codes on ``pa`` and ``pb``: its stage bound, and the bound of its
-    result, which is exactly the sum of (a - za) * (b - zb)."""
-    b = StageBound()
-    acc = b.matmul(k, pa.qmax, pb.qmax)
-    if zb:
-        acc = b.add(acc, b.mul(b.value(k * pa.qmax), zb))
-    if za:
-        acc = b.add(b.add(acc, b.mul(b.value(k * pb.qmax), za)), za * zb * k)
-    return b.bound, k * max(za, pa.qmax - za) * max(zb, pb.qmax - zb)
-
-
-def _matmul_corrected(km: KernelMath, a, za, b_t, zb, mags: tuple[int, int]):
-    """(a - za) @ (b - zb)^T on raw codes with zero-point corrections;
-    ``mags`` are the static magnitudes of a and b."""
-    hd = a.shape[-1]
-    acc = km.matmul(a, b_t, mags=mags)
-    if zb:
-        km.sub(acc, km.mul(km.sum(a, axis=-1, keepdims=True), zb), out=acc)
-    if za:
-        sb = km.sum(b_t, axis=-2, keepdims=True)
-        km.sub(acc, km.mul(sb, za), out=acc)
-        if zb:
-            km.add(acc, za * zb * hd, out=acc)
-    return acc
+def _centered(km: KernelMath, codes, zero_point: int):
+    """``codes`` less their zero point, as a GEMM operand; codes whose zero
+    point is 0 are their own."""
+    return km.sub(codes, zero_point) if zero_point else codes
 
 
 @dataclass(frozen=True)
@@ -686,28 +660,31 @@ def _step(op: Op, graph: ModelGraph, plan: AssignmentPlan, P: dict, W: dict):
                                p_out, degree, counter).codes
         return nonlinear
     if op.op == "linear":
+        # one stage: the product of the input codes and the centered weights,
+        # plus the bias codes less z_in * each row's weight sum, so that the
+        # sum is that of (codes - z_in) * weights, plus the bias
         p_in, bits = P[ins[0]], cfg.weight_bits
         codes, s_w = requant_weight_per_channel(W[op.weights[0]], bits)
         w_centered = codes.astype(np.int64) - (1 << (bits - 1))
-        w_t, corr = w_centered.T, p_in.zero_point * w_centered.sum(axis=1)
         bias = np.rint(np.asarray(W[op.weights[1]], dtype=np.float64)
                        / (p_in.scale * s_w)).astype(np.int64)
-        # a row of zero weights scales nothing, so its multiplier may round to 0
-        mult = np.rint(_multiplier(out, (1 << 16) * p_in.scale * s_w / p_out.scale,
+        w_t, folded = w_centered.T, bias - p_in.zero_point * w_centered.sum(axis=1)
+        # s_w shrinks as 2^-bits, so the shift grows past W8 to keep the
+        # multipliers' precision; a row of zero weights scales nothing, so
+        # its multiplier may round to 0
+        shift = 16 + max(0, bits - 8)
+        mult = np.rint(_multiplier(out, (1 << shift) * p_in.scale * s_w / p_out.scale,
                                    live=np.any(w_centered, axis=1))).astype(np.int64)
-        # transfer function: the product less its correction is the sum of
-        # (codes - z_in) * weights, plus the bias
-        k, w_max, b_max = w_t.shape[0], _max_abs(w_centered), _max_abs(bias)
+        k, w_max, b_max = w_t.shape[0], magnitude(w_centered), magnitude(bias)
         b = StageBound()
-        b.add(b.add(b.matmul(k, p_in.qmax, w_max), _max_abs(corr)), b_max)
+        b.add(b.matmul(k, p_in.qmax, w_max), magnitude(folded))
         acc = k * p_in.centered_max * w_max + b_max
-        bound, mags = max(b.bound, requant_bound(acc, mult, 16, p_out)), (p_in.qmax, w_max)
+        bound, mags = max(b.bound, requant_bound(acc, mult, shift, p_out)), (p_in.qmax, w_max)
 
         def linear(counter, x):
             km = KernelMath.within(counter, bound)
             acc = km.matmul(x, w_t, mags=mags)
-            km.add(km.sub(acc, corr, out=acc), bias, out=acc)
-            return requantize(km, acc, mult, 16, p_out)
+            return requantize(km, km.add(acc, folded, out=acc), mult, shift, p_out)
         return linear
     if op.op in ("add", "pos_add"):
         # one stage: the first input requantized onto p_out, plus the other
@@ -724,7 +701,7 @@ def _step(op: Op, graph: ModelGraph, plan: AssignmentPlan, P: dict, W: dict):
             p_pos = MinMaxObserver().observe(pos).qparams(cfg.act_bits)
             pos_term = _requant_into(KernelMath(), quantize(pos, p_pos).codes,
                                      p_pos.zero_point, _requant_mult(out, p_pos, p_out))
-            term = _max_abs(pos_term)
+            term = magnitude(pos_term)
         b.add(b.add(_requant_into_bound(b, P[ins[0]], m), term), p_out.zero_point)
         bound = b.bound
         if op.op == "pos_add":
@@ -737,22 +714,24 @@ def _step(op: Op, graph: ModelGraph, plan: AssignmentPlan, P: dict, W: dict):
         return add
     H = graph.heads
     if op.op in ("scores", "ctx"):
-        # two stages: the corrected product, and its requantization
-        pa, pb = (P[e] for e in ins)
-        za, zb = (0 if op.op == "ctx" else pa.zero_point), pb.zero_point
-        k = graph.embed_dim // H if op.op == "scores" else graph.tokens
+        # two stages: the product of the centered codes (the probabilities'
+        # zero point is 0), and its requantization
+        pa, pb, scores = *(P[e] for e in ins), op.op == "scores"
+        k = graph.embed_dim // H if scores else graph.tokens
+        mags = pa.centered_max, pb.centered_max
+        front = StageBound(*mags)
+        front.matmul(k, *mags)
         dyadic = encode_dyadic_multiplier(_multiplier(out, pa.scale * pb.scale / p_out.scale))
-        corr_bound, acc = _matmul_corrected_bound(k, pa, za, pb, zb)
-        bounds = corr_bound, requant_bound(acc, *dyadic, p_out)
-        mags = (pa.qmax, pb.qmax)
+        bounds = front.bound, requant_bound(k * mags[0] * mags[1], *dyadic, p_out)
 
-        def corrected(counter, a, b_t):
-            corr, rq = (KernelMath.within(counter, bound) for bound in bounds)
-            return requantize(rq, _matmul_corrected(corr, a, za, b_t, zb, mags), *dyadic, p_out)
-        if op.op == "scores":
-            return lambda counter, q, k: corrected(counter, split_heads(q, H),
-                                                   split_heads(k, H).transpose(0, 1, 3, 2))
-        return lambda counter, probs, v: merge_heads(corrected(counter, probs, split_heads(v, H)))
+        def product(counter, a, b):   # (q, k) or (probs, v)
+            km, rq = (KernelMath.within(counter, bound) for bound in bounds)
+            a, b = _centered(km, a, pa.zero_point), split_heads(_centered(km, b, pb.zero_point), H)
+            if scores:
+                a, b = split_heads(a, H), b.transpose(0, 1, 3, 2)
+            acc = requantize(rq, km.matmul(a, b, mags=mags), *dyadic, p_out)
+            return acc if scores else merge_heads(acc)
+        return product
     if op.op == "pool":
         # mean pool over tokens, the 1/T division folded into the multiplier
         p_in, T = P[ins[0]], graph.tokens

@@ -5,7 +5,8 @@ unsigned codes with a midpoint zero point z = 2^(b-1), which is equivalent
 to signed-range symmetric quantization but keeps a single code domain.
 :func:`quantize` rounds half to even; :func:`requantize`'s shift rounds half
 up. :func:`encode_dyadic_multiplier` gives 15-bit mantissas; integer
-inference's ``linear``, ``add`` and ``pos_add`` use round(2^16 * ratio) at shift 16.
+inference's ``add`` and ``pos_add`` use round(2^16 * ratio) at shift 16, and
+``linear`` round(2^e * ratio) at shift e = 16 + max(0, weight bits - 8).
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import KernelMath, KernelOverflowError, StageBound, buffer_for
+from .tensor import KernelMath, KernelOverflowError, StageBound, buffer_for, magnitude
 
 
 class DegenerateRangeError(ValueError):
@@ -236,7 +237,7 @@ def requant_bound(acc: int, m, e: int, p_out: QParams) -> int:
     ``acc`` in magnitude and the same ``m``: its stage bound."""
     b = StageBound(acc, p_out.qmax)
     if np.ndim(m) or m != 1:
-        acc = b.mul(acc, int(np.max(np.abs(m))))
+        acc = b.mul(acc, magnitude(m))
     b.add(b.rshift_round(acc, e), p_out.zero_point)
     return b.bound
 

@@ -220,6 +220,15 @@ def bit_length(n: np.ndarray) -> np.ndarray:
     return np.searchsorted(_POWERS_OF_TWO, n, side="right").astype(np.int64, copy=False)
 
 
+def magnitude(x) -> int:
+    """Largest absolute value in ``x``, an integer array or scalar, as a
+    Python int (0 for an empty array), from its extremes: ``np.abs``
+    allocates a copy and wraps INT64_MIN onto itself."""
+    if isinstance(x, np.ndarray):
+        return max(int(x.max()), -int(x.min())) if x.size else 0
+    return abs(int(x))
+
+
 @dataclass
 class OpCounter:
     """Integer-operation counts for one measurement scope.
@@ -289,7 +298,7 @@ def code_table(stage, lo: int, hi: int, dtype, *args) -> CodeTable | None:
         raise OverflowError(f"{stage.__name__} has values past {np.dtype(dtype)}")
     table = np.roll(cast, lo)
     table.setflags(write=False)
-    return CodeTable(table, KernelMath._magnitude(values),
+    return CodeTable(table, magnitude(values),
                      tuple((k, getattr(one, k)) for k in _KINDS if getattr(one, k)))
 
 
@@ -303,7 +312,7 @@ def tabulated(stage, codes: np.ndarray, counter: OpCounter | None, lo: int, hi: 
     table = code_table(stage, lo, hi, dtype, *args)
     if table is None:
         values = stage(codes, counter, *args)
-        return values, KernelMath._magnitude(values)
+        return values, magnitude(values)
     return KernelMath(counter).lookup(table, codes), table.peak
 
 
@@ -429,17 +438,6 @@ class KernelMath:
                 raise IntegerViolation("real scalar on the integer kernel path")
         return n
 
-    @staticmethod
-    def _magnitude(x) -> int:
-        """Largest absolute value in ``x`` as a Python int.
-
-        Taken from the extremes rather than ``np.abs``, which allocates a
-        copy and wraps INT64_MIN onto itself.
-        """
-        if isinstance(x, np.ndarray):
-            return max(int(x.max()), -int(x.min())) if x.size else 0
-        return abs(int(x))
-
     def add(self, a, b, out=None):
         self.counter.adds += self._guard(a, b)
         return np.add(a, b, out=out, dtype=self.dtype)
@@ -454,8 +452,8 @@ class KernelMath:
             # cheap magnitude check: products must stay inside the signed
             # width, and a zero operand does not excuse a scalar that it
             # cannot hold
-            ma = self._magnitude(a)
-            mb = ma if b is a else self._magnitude(b)
+            ma = magnitude(a)
+            mb = ma if b is a else magnitude(b)
             bits = ma.bit_length() + mb.bit_length() if ma and mb else max(ma, mb).bit_length()
             if bits > 63:
                 raise KernelOverflowError(f"product magnitudes up to {ma} * {mb} may exceed"
@@ -474,7 +472,7 @@ class KernelMath:
     def lshift(self, a, k, out=None):
         n = self._guard(a, k)
         if self.bound is None:
-            ma = self._magnitude(a)
+            ma = magnitude(a)
             if isinstance(k, np.ndarray):
                 mk = int(k.max()) if k.size else 0
             else:
@@ -542,7 +540,7 @@ class KernelMath:
         def bits(ma, mb):
             return ma.bit_length() + mb.bit_length() + k.bit_length() if ma and mb else 0
         if mags is None or bits(*mags) > 62:
-            mags = self._magnitude(a), self._magnitude(b)
+            mags = magnitude(a), magnitude(b)
             if bits(*mags) > 62:
                 raise KernelOverflowError("accumulated matmul may exceed 64-bit signed range")
         if k * mags[0] * mags[1] < EXACT_FLOAT32:

@@ -143,9 +143,8 @@ class TestAssign:
     # valid configs whose plans the integer path cannot run: assign refuses
     # them, as infer would, and writes nothing
     @pytest.mark.parametrize("raw, edge", [
-        ({"bits": {"weights": 16}}, "block0.attn.q"),
         ({"model": {"embed_dim": 1, "heads": 1}}, "block1.attn.proj"),
-    ], ids=["w16", "embed_dim_1"])
+    ], ids=["embed_dim_1"])
     def test_plan_infer_would_refuse_is_usage_error(self, tmp_path, capsys, raw, edge):
         config_from_dict(raw)
         path = tmp_path / "c.json"
@@ -154,6 +153,19 @@ class TestAssign:
                    "--out", str(tmp_path / "x")) == 2
         assert f"usage error: plan: {edge}: " in capsys.readouterr().err
         assert not list(tmp_path.glob("x.*"))
+
+    def test_widest_weights_assign_and_infer(self, tmp_path):
+        # the linear multipliers' shift grows with the weights' width, so
+        # at W16 they keep their precision instead of rounding to 0
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({"bits": {"weights": 16}}))
+        assert run(tmp_path, "assign", "--config", str(path), "--jobs", "1",
+                   "--out", str(tmp_path / "x")) == 0
+        x = tmp_path / "x.iptq"
+        tensor_write(Tensor(np.random.default_rng(0).normal(size=(2, 8, 32))), x)
+        assert run(tmp_path, "infer", "--plan", str(tmp_path / "x.plan.json"),
+                   "--input", str(x), "--out", str(tmp_path / "y.iptq")) == 0
+        assert tensor_read(tmp_path / "y.iptq").dims == (2, 10)
 
     @pytest.mark.parametrize("flag, value", [
         ("--calib-seed", "-1"), ("--jobs", "0"), ("--jobs", "-2"),

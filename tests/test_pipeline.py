@@ -14,7 +14,8 @@ from hypothesis import strategies as st
 
 from intquant.metric import (INF_DB, MetricScore, MetricTable, perturbation, sqnr,
                              unified_score)
-from intquant.model import CANDIDATE_POOLS, INPUT, build_toy_vit, forward_float
+from intquant.model import (CANDIDATE_POOLS, INPUT, build_toy_vit, forward_float,
+                            merge_heads, split_heads)
 import intquant.pipeline as pl
 from intquant.pipeline import (STAGE1_MODES, AssignmentPlan, ConfigError,
                                IncompleteTableError, PipelineConfig,
@@ -28,8 +29,9 @@ from intquant import layernorm as ln_mod
 from intquant import model as model_mod
 from intquant import softmax as sm_mod
 from intquant.quantize import (MinMaxObserver, QParams, QTensor, dequantize_np,
-                               qparams_from_range, quantize)
-from intquant.tensor import KernelOverflowError, OpCounter, rng_tensor
+                               encode_dyadic_multiplier, qparams_from_range, quantize,
+                               requant_weight_per_channel, requantize)
+from intquant.tensor import KernelMath, KernelOverflowError, OpCounter, rng_tensor
 
 
 def small_cfg(**kw):
@@ -1120,6 +1122,62 @@ class TestCompiledPlan:
         assert not any(t.is_alive() for t in threads)
         for runs in results:
             assert runs == [want] * 3
+
+
+def _reference_gemm(op, graph, plan, weights, args):
+    """An int64 reference for the compiled ``linear``, ``scores`` or ``ctx``
+    step ``op``: numpy's int64 matmul of the codes less their zero points
+    (plus the bias codes for ``linear``), requantized with the multiplier
+    the plan's scales give."""
+    P, H = plan.qparams, graph.heads
+    p_a, p_out = P[op.inputs[0]], P[op.out]
+    a = args[0].astype(np.int64) - p_a.zero_point
+    if op.op == "linear":
+        bits = plan.config.weight_bits
+        codes, s_w = requant_weight_per_channel(weights[op.weights[0]], bits)
+        w = codes.astype(np.int64) - (1 << (bits - 1))
+        bias = np.rint(weights[op.weights[1]] / (p_a.scale * s_w)).astype(np.int64)
+        shift = 16 + max(0, bits - 8)
+        m = np.rint((1 << shift) * p_a.scale * s_w / p_out.scale).astype(np.int64)
+        return requantize(KernelMath(), np.matmul(a, w.T) + bias, m, shift, p_out)
+    p_b = P[op.inputs[1]]
+    b = split_heads(args[1].astype(np.int64) - p_b.zero_point, H)
+    dyadic = encode_dyadic_multiplier(p_a.scale * p_b.scale / p_out.scale)
+    if op.op == "scores":
+        acc = np.matmul(split_heads(a, H), b.transpose(0, 1, 3, 2))
+        return requantize(KernelMath(), acc, *dyadic, p_out)
+    return merge_heads(requantize(KernelMath(), np.matmul(a, b), *dyadic, p_out))
+
+
+@pytest.mark.parametrize("shape", [
+    {}, {"weight_bits": 4}, {"weight_bits": 16}, {"act_bits": 12},
+    {"blocks": 1, "embed_dim": 64, "heads": 4, "tokens": 64}],
+    ids=["toy-default", "w4a8", "w16a8", "act-bits-12", "tokens-64"])
+def test_gemm_steps_match_an_int64_reference(shape):
+    # each input edge's codes at the ends of its interval and at random
+    cfg = PipelineConfig(**{"calib_batches": 1, "calib_batch_size": 2, **shape})
+    plan, _, graph, weights = run_pipeline(cfg, jobs=1)
+    compiled = compile_plan(graph, weights, plan)
+    shapes = {}
+    forward_float(graph, weights, np.zeros((2, cfg.tokens, cfg.embed_dim)), shapes)
+    rng = np.random.default_rng(5)
+    checked = set()
+    for op, step in zip(graph.ops, compiled.steps):
+        if op.op not in ("linear", "scores", "ctx"):
+            continue
+        for pattern in ("zeros", "qmax", "ends", "random"):
+            args = []
+            for e in op.inputs:
+                qmax, dims = plan.qparams[e].qmax, shapes[e][0].shape
+                codes = {"zeros": np.zeros(dims), "qmax": np.full(dims, qmax),
+                         "ends": qmax * rng.integers(0, 2, dims),
+                         "random": rng.integers(0, qmax + 1, dims)}[pattern]
+                args.append(codes.astype(np.int32))
+            np.testing.assert_array_equal(step(OpCounter(), *args),
+                                          _reference_gemm(op, graph, plan, weights, args),
+                                          err_msg=f"{op.out} {pattern}")
+        checked.add(op.op)
+    assert checked == {"linear", "scores", "ctx"}
 
 
 _JSON_SCALARS = (st.none() | st.booleans() | st.integers(-3, 300) | st.integers()
