@@ -174,10 +174,27 @@ def cmd_infer(args) -> tuple[list[str], int]:
     return [args.out, report_path], cfg.seed
 
 
+def _report_entries(path) -> list[dict]:
+    """The runs recorded in the report file, one object per non-blank line."""
+    entries = []
+    with open(path) as fh:
+        for n, line in enumerate(fh, 1):
+            if not line.strip():
+                continue
+            try:
+                entry = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise UsageError(f"--report-file: {path} line {n}: {exc}") from exc
+            if not isinstance(entry, dict) or "command" not in entry:
+                raise UsageError(f"--report-file: {path} line {n}: expected an object"
+                                 f" with a \"command\", got {line.strip()[:40]}")
+            entries.append(entry)
+    return entries
+
+
 def cmd_report(args) -> tuple[list[str], None]:
     try:
-        with open(args.report_file) as fh:
-            lines = [json.loads(line) for line in fh if line.strip()]
+        lines = _report_entries(args.report_file)
     except FileNotFoundError:
         print("no runs recorded")
         return [], None
@@ -234,6 +251,9 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     started = time.monotonic()
     try:
+        # refused before the command writes its outputs, not after
+        if os.path.isdir(args.report_file):
+            raise UsageError(f"--report-file: {args.report_file} is a directory")
         outputs, seed = args.func(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
@@ -241,7 +261,11 @@ def main(argv=None) -> int:
     except Exception as exc:  # internal failure
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    _append_report(args, outputs, seed, started)
+    try:
+        _append_report(args, outputs, seed, started)
+    except OSError as exc:
+        print(f"usage error: --report-file: {exc}", file=sys.stderr)
+        return 2
     return 0
 
 

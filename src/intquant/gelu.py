@@ -15,15 +15,14 @@ under the runtime guards, into a table of its int64 output codes
 (``tensor.tabulated``), and each call gathers from it, charged per code
 what the chain charges, so op counts are those of the chain. Where a guard
 fires on some code of the interval, as for ``shift_gelu_int`` with
-``softmax.M`` raised to 62, the chain runs on the call's codes under its
-guards instead.
+``softmax.M`` raised to 62, there is no table, and the kernel refuses every
+call with ``KernelOverflowError``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -196,22 +195,14 @@ _KL = 15   # fixed-point grid for the approximant value
 _KS = 15   # bits of the shift GELU's sigmoid codes, grid 2^-(_KS-1)
 
 
-@lru_cache(maxsize=256)
-def _poly_gelu_plan(p: QParams, c: ErfPolyCoeffs, out_params: QParams) -> tuple:
-    """Constants of :func:`poly_gelu_int` (configuration time, real
-    arithmetic allowed)."""
-    s_u = float(p.scale) / SQRT2
-    m1, e1 = encode_dyadic_multiplier(s_u * (1 << _KV))
+def _poly_gelu_codes(codes: np.ndarray, counter: OpCounter | None, p: QParams,
+                     out_params: QParams, c: ErfPolyCoeffs) -> np.ndarray:
+    """The chain of :func:`poly_gelu_int` on codes in [0, qmax] of ``p``;
+    it runs at table build, so its constants are encoded here."""
+    m1, e1 = encode_dyadic_multiplier(float(p.scale) / SQRT2 * (1 << _KV))
     clip_code = int(round(-c.b * (1 << _KV)))
     a_mant = int(round(c.a * (1 << _KA)))
     m2, e2 = encode_dyadic_multiplier(float(p.scale) / (1 << (_KL + 1)) / float(out_params.scale))
-    return m1, e1, clip_code, a_mant, m2, e2
-
-
-def _poly_gelu_codes(codes: np.ndarray, counter: OpCounter | None, p: QParams,
-                     out_params: QParams, c: ErfPolyCoeffs) -> np.ndarray:
-    """The chain of :func:`poly_gelu_int` on codes in [0, qmax] of ``p``."""
-    m1, e1, clip_code, a_mant, m2, e2 = _poly_gelu_plan(p, c, out_params)
     km = KernelMath(counter)
     t = km.sub(codes, int(p.zero_point))
     v = km.abs(t)
@@ -250,23 +241,16 @@ def poly_gelu_int(q: QTensor, c: ErfPolyCoeffs, out_params: QParams,
     return QTensor(codes, out_params)
 
 
-@lru_cache(maxsize=256)
-def _shift_gelu_plan(p: QParams, out_params: QParams) -> tuple:
-    """Constants of :func:`shift_gelu_int`."""
+def _shift_gelu_codes(codes: np.ndarray, counter: OpCounter | None, p: QParams,
+                      out_params: QParams, m: int) -> np.ndarray:
+    """The chain of :func:`shift_gelu_int` on codes in [0, qmax] of ``p``,
+    its sigmoid normalized by the reciprocal division at ``m``."""
     s = float(p.scale)
     # requantize the sigmoid argument onto a dyadic grid fine enough for
     # the exponent decomposition (codes stay under ~2^15)
     f = int(np.clip(math.floor(math.log2(32767.0 / max(1.6875 * s * p.qmax, 1e-9))), 4, 30))
     ms, es = encode_dyadic_multiplier(s * (1 << f))
     m2, e2 = encode_dyadic_multiplier(s / (1 << (_KS - 1)) / float(out_params.scale))
-    return f, ms, es, m2, e2
-
-
-def _shift_gelu_codes(codes: np.ndarray, counter: OpCounter | None, p: QParams,
-                      out_params: QParams, m: int) -> np.ndarray:
-    """The chain of :func:`shift_gelu_int` on codes in [0, qmax] of ``p``,
-    its sigmoid normalized by the reciprocal division at ``m``."""
-    f, ms, es, m2, e2 = _shift_gelu_plan(p, out_params)
     km = KernelMath(counter)
     t = km.sub(codes, int(p.zero_point))
     zq = _shift_add(t, (1, 0, 3, 4), km)                 # t + t>>1 + t>>3 + t>>4

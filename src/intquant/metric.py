@@ -25,12 +25,13 @@ def sqnr(x, x_hat, convention: str = "power10") -> float:
     Exact reconstruction returns the +inf sentinel.
     """
     x = np.asarray(x, dtype=np.float64)
-    return energy_scores(_residual_energy(x, x_hat), x.size, signal_power(x), convention)[0]
+    return energy_scores(perturbation(x, x_hat), x.size, signal_power(x), convention)[0]
 
 
 def perturbation(x, x_hat) -> float:
-    """Sum of squared elementwise differences."""
-    return _residual_energy(x, x_hat)
+    """Sum of (x - x_hat)^2 over all elements: n times the noise power of
+    :func:`sqnr`."""
+    return float(np.sum(squared_residual(x, x_hat)))
 
 
 def signal_power(x) -> float:
@@ -58,12 +59,6 @@ def squared_residual(x, x_hat, out: np.ndarray | None = None) -> np.ndarray:
         raise ValueError(f"shape mismatch {x.shape} vs {x_hat.shape}")
     d = np.subtract(x, x_hat, out=out)
     return np.square(d, out=d)
-
-
-def _residual_energy(x, x_hat) -> float:
-    """Sum of (x - x_hat)^2 over all elements: the perturbation, and n times
-    the noise power of the SQNR."""
-    return float(np.sum(squared_residual(x, x_hat)))
 
 
 def softplus(x: float) -> float:

@@ -8,15 +8,16 @@ The attention 1/sqrt(head_dim) factor is folded into the query projection at
 build time so neither execution path divides at runtime.
 
 The topology is written down once, as the ordered op list that
-:func:`build_toy_vit` puts on :class:`ModelGraph`. :func:`forward_float`
-interprets it in full precision; ``pipeline.integer_forward`` interprets the
-same list over integer codes.
+:func:`build_toy_vit` puts on :class:`ModelGraph`. :func:`float_edges`
+interprets it in full precision, op-major over a list of batches, and
+:func:`forward_float` is that pass over one batch; ``pipeline.integer_forward``
+interprets the same list over integer codes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 from typing import NamedTuple
 
 import numpy as np
@@ -224,28 +225,17 @@ def batched(graph: ModelGraph, x: np.ndarray) -> tuple[np.ndarray, bool]:
     return x, squeeze
 
 
-def forward_float(graph: ModelGraph, weights: dict, x, capture: dict | None = None,
+def forward_float(graph: ModelGraph, weights: dict, x,
                   swap: tuple | None = None) -> np.ndarray:
-    """Full-precision forward pass: interprets ``graph.ops`` in order.
-
-    capture, when given, collects every activation edge (appending one array
-    per call). swap = (layer_id, fn) replaces that single non-linear layer
-    with ``fn(input_array) -> output_array``, which is how isolated
-    sensitivity analysis runs a quantized candidate inside the float graph.
-    """
+    """Full-precision forward pass of one batch, or of one unbatched
+    sample: :func:`float_edges` over ``[x]``, whose last edge it returns.
+    ``swap`` is that function's."""
     x, squeeze = batched(graph, np.asarray(x, dtype=np.float64))
-    env = {INPUT: x}
-    if capture is not None:
-        capture.setdefault(INPUT, []).append(x)
-    for op, dead in zip(graph.ops, graph.dead_after):
-        args = [env.pop(e) if e in dead else env[e] for e in op.inputs]
-        if swap is not None and swap[0] == op.out:
-            out = swap[1](*args)
-        else:
-            out = _FLOAT_OPS[op.op](graph, *args, *(weights[k] for k in op.weights))
-        env[op.out] = out
-        if capture is not None:
-            capture.setdefault(op.out, []).append(out)
+    env: dict = {}
+    for _, dead in float_edges(graph, weights, [x], env, swap):
+        for e in dead:
+            del env[e]
+    out = env[graph.ops[-1].out]
     return out[0] if squeeze else out
 
 
@@ -256,15 +246,19 @@ def batch_rows(graph: ModelGraph, batches: list) -> list[slice]:
     return [slice(end - n, end) for n, end in zip(lens, ends)]
 
 
-def float_edges(graph: ModelGraph, weights: dict, batches: list, env: dict):
+def float_edges(graph: ModelGraph, weights: dict, batches: list, env: dict,
+                swap: tuple | None = None):
     """The full-precision pass over ``batches``, op-major: each edge of
     ``graph.edges`` is made whole, joined along the sample axis, and put in
     ``env``, and then ``(edge, dead)`` is yielded, where ``dead`` are the
     edges that no later op reads, which the caller may drop from ``env``.
 
-    Each op applies its float function to each batch's rows of its inputs,
-    exactly as :func:`forward_float` applies it to that batch, so an edge
-    equals the per-batch passes' arrays joined.
+    Each op applies its float function to each batch's rows of its inputs
+    in turn, so an edge is the one-batch passes' arrays joined.
+    swap = (layer_id, fn) replaces that single non-linear layer with
+    ``fn(input_array) -> output_array``, applied per batch, which is how
+    isolated sensitivity analysis runs a quantized candidate inside the
+    float graph.
     """
     if not batches:
         raise ValueError("calibration set must be non-empty")
@@ -273,9 +267,13 @@ def float_edges(graph: ModelGraph, weights: dict, batches: list, env: dict):
     env[INPUT] = np.concatenate(xs)
     yield INPUT, ()
     for op, dead in zip(graph.ops, graph.dead_after):
-        ws, out = [weights[k] for k in op.weights], None
+        if swap is not None and swap[0] == op.out:
+            fn, ws = swap[1], ()
+        else:
+            fn, ws = partial(_FLOAT_OPS[op.op], graph), [weights[k] for k in op.weights]
+        out = None
         for sl in rows:
-            y = _FLOAT_OPS[op.op](graph, *(env[e][sl] for e in op.inputs), *ws)
+            y = fn(*(env[e][sl] for e in op.inputs), *ws)
             if out is None:
                 out = np.empty((rows[-1].stop, *y.shape[1:]), dtype=y.dtype)
             out[sl] = y

@@ -149,6 +149,8 @@ def check_config(cfg: PipelineConfig) -> None:
         if not isinstance(cands, tuple) or not cands or any(c not in known for c in cands):
             raise ConfigError(f"pools.{kind}: expected a non-empty list from"
                               f" {list(known) or CANDIDATE_POOLS}, got {cands!r}")
+        if len(set(cands)) < len(cands):
+            raise ConfigError(f"pools.{kind}: lists a candidate more than once: {list(cands)}")
 
 
 def load_config(path) -> PipelineConfig:

@@ -15,11 +15,12 @@ An exponential is a function of the max-subtracted code alone, in
 [-qmax, 0]: its chain runs once over that interval, in int64 under the
 runtime guards, into an int32 table (``tensor.tabulated``), and each call
 gathers from it, charged per code what the chain charges, so op counts are
-those of the chain. Where a guard fires on some code of the interval the
-chain runs on the call's codes instead. The max-subtraction, the row sums,
-the reciprocal division and log2_softmax's bit-length tail run per call,
-each on the ``KernelMath`` of its static bound (``KernelMath.within``),
-from input codes in [0, qmax], which the kernels check once per call
+those of the chain. Where a guard fires on some code of the interval
+there is no table, and the kernel refuses every call with
+``KernelOverflowError``. The max-subtraction, the row sums, the reciprocal
+division and log2_softmax's bit-length tail run per call, each on the
+``KernelMath`` of its static bound (``KernelMath.within``), from input
+codes in [0, qmax], which the kernels check once per call
 (:func:`quantize.checks_codes`), and from the table's peak: the
 max-subtraction in int32, the reciprocal division in int64, neither
 scanning operands for the overflow guards where the bound fits.
@@ -28,7 +29,6 @@ scanning operands for the overflow guards where the bound fits.
 from __future__ import annotations
 
 import math
-from functools import lru_cache
 
 import numpy as np
 
@@ -219,25 +219,19 @@ def shiftmax(q: QTensor, out_params: QParams, counter: OpCounter | None = None) 
 _P12 = 12  # fixed-point grid of the quadratic exponential value
 
 
-@lru_cache(maxsize=None)     # f takes the few values of DYADIC_EXPONENTS
-def _iexp_constants(f: int) -> tuple[int, int, int, int, int]:
-    """ln2, B and C/A on the 2^-f grid, and the dyadic multiplier (m, e) of
-    A onto the 2^-_P12 grid."""
-    s = 1.0 / (1 << f)
-    ln2_c = int(math.floor(math.log(2.0) / s))
-    b_c = int(math.floor(IEXP_B / s))
-    c_c = int(math.floor(IEXP_C / (IEXP_A * s * s)))
-    m, e = encode_dyadic_multiplier(IEXP_A * s * s * (1 << _P12))
-    return ln2_c, b_c, c_c, m, e
-
-
 def _iexp_value_codes(qd: np.ndarray, counter: OpCounter | None, f: int) -> np.ndarray:
     """Range-reduction exponential: e^x = 2^(-z) * quad(p), p in (-ln2, 0],
     for nonpositive codes.
 
     Returns codes on the 2^-_P12 grid, shifted down by z.
     """
-    ln2_c, b_c, c_c, m, e = _iexp_constants(f)
+    # ln2, B and C/A on the 2^-f grid, and A as a dyadic multiplier onto
+    # the 2^-_P12 grid
+    s = 1.0 / (1 << f)
+    ln2_c = int(math.floor(math.log(2.0) / s))
+    b_c = int(math.floor(IEXP_B / s))
+    c_c = int(math.floor(IEXP_C / (IEXP_A * s * s)))
+    m, e = encode_dyadic_multiplier(IEXP_A * s * s * (1 << _P12))
     km = KernelMath(counter)
     z = km.sub(0, qd)
     km.floordiv(z, ln2_c, out=z)

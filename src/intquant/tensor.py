@@ -30,15 +30,15 @@ paths, whose codes are clipped there, run the kernel bodies unchecked.
 
 Code tables: an elementwise stage that is a function of one bounded code
 (a softmax exponential of the max-subtracted code, a GELU kernel of its
-input code) runs once over its whole code domain, through its own chain
-in int64 under the runtime guards, into a :class:`CodeTable`
+input code) runs only from its table. Its chain runs once over its whole
+code domain, in int64 under the runtime guards, into a :class:`CodeTable`
 (:func:`code_table`). That build is its check: a stage whose guard fires
-on any code of the domain is not tabulated, and runs on each call's codes
-under its guards instead (:func:`tabulated`). Requests gather from a table
-with :meth:`KernelMath.lookup`, which charges the chain's per-code counts
-times the number of codes, so the ``OpCounter`` charges are those of the
-chain. The tabulated stages have no static bounds of their own: the stage
-after a lookup takes its bound from the table's peak.
+on any code of the domain has no table, and every call of it is refused
+with :class:`KernelOverflowError` (:func:`tabulated`). Requests gather from
+a table with :meth:`KernelMath.lookup`, which charges the chain's per-code
+counts times the number of codes, so the ``OpCounter`` charges are those
+of the chain. The tabulated stages have no static bounds of their own: the
+stage after a lookup takes its bound from the table's peak.
 """
 
 from __future__ import annotations
@@ -272,7 +272,7 @@ def code_table(stage, lo: int, hi: int, dtype, *args) -> CodeTable | None:
     """The table of ``stage(codes, counter, *args)`` over the codes lo..hi,
     lo <= 0 <= hi, in ``dtype``, which must hold its every value; None
     where a runtime overflow guard of the stage fires on some code of the
-    domain, so that the stage is not tabulated.
+    domain, so that :func:`tabulated` refuses the stage.
 
     It is cached by value, None included, so ``stage`` is a module-level
     function and ``args`` are values (ints, tuples, frozen dataclasses),
@@ -306,13 +306,12 @@ def tabulated(stage, codes: np.ndarray, counter: OpCounter | None, lo: int, hi: 
               *args) -> tuple[np.ndarray, int]:
     """``stage(codes, counter, *args)`` on codes in [lo, hi], looked up in
     its :func:`code_table` in ``dtype``, and the largest magnitude it can
-    give: the table's peak. Where the stage has no table, it runs on the
-    codes under its runtime guards, and the magnitude is that of its
-    result."""
+    give: the table's peak. A stage that has no table is refused with
+    :class:`KernelOverflowError`: it never runs on a call's codes."""
     table = code_table(stage, lo, hi, dtype, *args)
     if table is None:
-        values = stage(codes, counter, *args)
-        return values, magnitude(values)
+        raise KernelOverflowError(f"{stage.__name__} overflows 64 signed bits on some code"
+                                  f" of [{lo}, {hi}], so it has no table")
     return KernelMath(counter).lookup(table, codes), table.peak
 
 

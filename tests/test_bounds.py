@@ -211,14 +211,13 @@ def test_compiled_steps_at_the_ends_of_their_input_intervals(shape, dtype):
     cfg = pl.PipelineConfig(**{"calib_batches": 1, "calib_batch_size": 2, **_SHAPES[shape]})
     plan, _, graph, weights = pl.run_pipeline(cfg, jobs=1)
     compiled = pl.compile_plan(graph, weights, plan)
-    shapes = {}
-    pl.forward_float(graph, weights, np.zeros((2, cfg.tokens, cfg.embed_dim)), shapes)
+    shapes = pl.capture_calibration(graph, weights, [np.zeros((2, cfg.tokens, cfg.embed_dim))])
     rng = np.random.default_rng(1)
     for op, step in zip(graph.ops, compiled.steps):
         for pattern in ("zeros", "qmax", "ends"):
             args = []
             for e in op.inputs:
-                qmax, dims = plan.qparams[e].qmax, shapes[e][0].shape
+                qmax, dims = plan.qparams[e].qmax, shapes[e].shape
                 codes = {"zeros": np.zeros(dims), "qmax": np.full(dims, qmax),
                          "ends": qmax * rng.integers(0, 2, dims)}[pattern]
                 args.append(codes.astype(dtype))

@@ -130,6 +130,7 @@ class TestAssign:
         ({"seed": -1}, "seed"),
         ({"pools": {"softmax": ["bogus"]}}, "pools.softmax"),
         ({"pools": {"gelu": 3}}, "pools.gelu"),
+        ({"pools": {"softmax": ["shiftmax", "shiftmax"]}}, "pools.softmax"),
     ])
     def test_unrunnable_config_is_refused(self, tmp_path, raw, field):
         with pytest.raises(ConfigError, match=field):
@@ -430,3 +431,27 @@ class TestReport:
         lines = (tmp_path / "runs.jsonl").read_text().strip().splitlines()
         assert len(lines) == 2
         assert all("wall_time_s" in json.loads(l) for l in lines)
+
+    @pytest.mark.parametrize("line, message", [
+        ("{\"command\": ", "line 2: Expecting value"),
+        ("[1,2]", "line 2: expected an object"),
+        ("{\"outputs\": []}", "line 2: expected an object"),
+    ], ids=["not-json", "a-list", "no-command"])
+    def test_malformed_report_line_is_usage_error(self, tmp_path, capsys, line, message):
+        run(tmp_path, "eval-approx", "--which", "exp2", "--out", str(tmp_path / "e.csv"))
+        with open(tmp_path / "runs.jsonl", "a") as fh:
+            fh.write(line + "\n")
+        capsys.readouterr()
+        assert run(tmp_path, "report") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: --report-file: ") and message in err
+
+    @pytest.mark.parametrize("command", [
+        ["report"], ["eval-approx", "--which", "exp2"]])
+    def test_report_file_that_is_a_directory_is_usage_error(self, tmp_path, capsys, command):
+        # refused before the command writes anything
+        (tmp_path / "runs.jsonl").mkdir()
+        out = ["--out", str(tmp_path / "e.csv")] if command[0] != "report" else []
+        assert run(tmp_path, *command, *out) == 2
+        assert "usage error: --report-file: " in capsys.readouterr().err
+        assert not (tmp_path / "e.csv").exists()

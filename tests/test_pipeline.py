@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from intquant.metric import (INF_DB, MetricScore, MetricTable, perturbation, sqnr,
                              unified_score)
-from intquant.model import (CANDIDATE_POOLS, INPUT, build_toy_vit, forward_float,
+from intquant.model import (CANDIDATE_POOLS, INPUT, build_toy_vit, float_edges, forward_float,
                             merge_heads, split_heads)
 import intquant.pipeline as pl
 from intquant.pipeline import (STAGE1_MODES, AssignmentPlan, ConfigError,
@@ -111,15 +111,16 @@ class TestGraphConstruction:
         for rec in graph.layers:
             assert rec.candidates == CANDIDATE_POOLS[rec.kind]
 
-    def test_forward_captures_every_edge(self):
+    def test_forward_is_the_last_edge_of_the_one_batch_pass(self):
         graph, weights = build_toy_vit({"blocks": 2, "embed_dim": 16, "heads": 2,
                                         "tokens": 4, "mlp_ratio": 2})
-        cap = {}
         x = rng_tensor(0, [4, 16], "normal", 0.0, 1.0).values
-        logits = forward_float(graph, weights, x, cap)
+        cap = capture_calibration(graph, weights, [x])
+        logits = forward_float(graph, weights, x)
         assert logits.shape == (10,)
         assert tuple(cap) == graph.edges
-        np.testing.assert_array_equal(cap["logits"][0][0], logits)
+        np.testing.assert_array_equal(cap["logits"][0], logits)
+        np.testing.assert_array_equal(forward_float(graph, weights, x[None]), cap["logits"])
 
     def test_nonlinear_input_edges_exist(self):
         graph, _ = build_toy_vit({"blocks": 3, "embed_dim": 16, "heads": 2,
@@ -141,17 +142,19 @@ class TestGraphConstruction:
 
     def test_op_major_pass_equals_the_per_batch_passes_joined(self):
         # capture_calibration builds each edge op by op over the whole set;
-        # every edge is bit-identical to forward_float's, batch by batch
+        # every edge is bit-identical to the one-batch passes' joined, and
+        # the logits to forward_float's, batch by batch
         cfg = small_cfg(calib_batches=3, calib_batch_size=2)
         graph, weights = build_toy_vit(cfg.model_config())
         calib = calibration_batches(cfg)
-        per_batch: dict = {}
-        for batch in calib:
-            forward_float(graph, weights, batch, per_batch)
+        per_batch = [capture_calibration(graph, weights, [batch]) for batch in calib]
         got = capture_calibration(graph, weights, calib)
         assert tuple(got) == graph.edges
         for edge in graph.edges:
-            np.testing.assert_array_equal(got[edge], np.concatenate(per_batch[edge]))
+            np.testing.assert_array_equal(got[edge],
+                                          np.concatenate([cap[edge] for cap in per_batch]))
+        np.testing.assert_array_equal(
+            got["logits"], np.concatenate([forward_float(graph, weights, b) for b in calib]))
 
     def test_softmax_is_the_textbook_formula_bit_for_bit(self):
         x = rng_tensor(5, [3, 2, 7, 7], "normal", 0.0, 4.0).values.astype(np.float64)
@@ -161,13 +164,20 @@ class TestGraphConstruction:
     def test_swap_replaces_one_layer(self):
         graph, weights = build_toy_vit({"blocks": 2, "embed_dim": 16, "heads": 2,
                                         "tokens": 4, "mlp_ratio": 2})
-        x = rng_tensor(1, [4, 16], "normal", 0.0, 1.0).values
+        xs = [rng_tensor(i, [2, 4, 16], "normal", 0.0, 1.0).values for i in (1, 2)]
+        swap = ("block1.gelu", lambda a: 2 * a)
         ref, got = {}, {}
-        forward_float(graph, weights, x, ref)
-        forward_float(graph, weights, x, got, swap=("block1.gelu", lambda a: 2 * a))
-        np.testing.assert_array_equal(got["block1.gelu"][0], 2 * ref["block1.mlp.fc1"][0])
+        for _ in float_edges(graph, weights, xs, ref):
+            pass
+        for _ in float_edges(graph, weights, xs, got, swap):
+            pass
+        np.testing.assert_array_equal(got["block1.gelu"], 2 * ref["block1.mlp.fc1"])
         for edge in graph.edges[:graph.edges.index("block1.gelu")]:
-            np.testing.assert_array_equal(got[edge][0], ref[edge][0])
+            np.testing.assert_array_equal(got[edge], ref[edge])
+        assert not np.array_equal(got["logits"], ref["logits"])
+        for x, sl in zip(xs, (slice(0, 2), slice(2, 4))):
+            np.testing.assert_array_equal(forward_float(graph, weights, x, swap),
+                                          got["logits"][sl])
 
 
 class TestStage1:
@@ -630,9 +640,7 @@ class TestStage3:
         (plan, table, graph, weights), cfg = pipeline_result
         observers = {e: MinMaxObserver() for e in graph.edges}
         for batch in calibration_batches(cfg):
-            capture: dict = {}
-            forward_float(graph, weights, batch, capture)
-            for edge, (arr,) in capture.items():
+            for edge, arr in capture_calibration(graph, weights, [batch]).items():
                 observers[edge].observe(arr)
         kinds = {op.out: op.op for op in graph.ops}
         checked = 0
@@ -1158,8 +1166,7 @@ def test_gemm_steps_match_an_int64_reference(shape):
     cfg = PipelineConfig(**{"calib_batches": 1, "calib_batch_size": 2, **shape})
     plan, _, graph, weights = run_pipeline(cfg, jobs=1)
     compiled = compile_plan(graph, weights, plan)
-    shapes = {}
-    forward_float(graph, weights, np.zeros((2, cfg.tokens, cfg.embed_dim)), shapes)
+    shapes = capture_calibration(graph, weights, [np.zeros((2, cfg.tokens, cfg.embed_dim))])
     rng = np.random.default_rng(5)
     checked = set()
     for op, step in zip(graph.ops, compiled.steps):
@@ -1168,7 +1175,7 @@ def test_gemm_steps_match_an_int64_reference(shape):
         for pattern in ("zeros", "qmax", "ends", "random"):
             args = []
             for e in op.inputs:
-                qmax, dims = plan.qparams[e].qmax, shapes[e][0].shape
+                qmax, dims = plan.qparams[e].qmax, shapes[e].shape
                 codes = {"zeros": np.zeros(dims), "qmax": np.full(dims, qmax),
                          "ends": qmax * rng.integers(0, 2, dims),
                          "random": rng.integers(0, qmax + 1, dims)}[pattern]

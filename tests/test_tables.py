@@ -6,8 +6,9 @@ builds over its whole code domain, in int64 under the runtime guards
 scores' [-qmax, 0], the GELU kernels, requantization included, over the
 input's [0, qmax]. A table holds the chain's codes at every code of its
 domain, and a lookup charges what the chain charges on the same codes. A
-stage whose guard fires on some code of its domain has no table and runs
-on the call's codes.
+stage whose guard fires on some code of its domain has no table, and every
+call of it is refused: a stage runs only from its table. No accepted
+config builds such a table.
 """
 
 from unittest import mock
@@ -16,6 +17,7 @@ import numpy as np
 import pytest
 
 from intquant import gelu as gelu_mod
+from intquant import pipeline as pl
 from intquant import softmax as sm_mod
 from intquant import tensor as tensor_mod
 from intquant.quantize import DYADIC_EXPONENTS, QParams, QTensor, qparams_from_range
@@ -111,28 +113,26 @@ _AT_ZERO = QTensor(np.full((2, 8), _P_ACT.zero_point), _P_ACT)
 _WHOLE = QTensor(np.arange(_P_ACT.qmax + 1).reshape(16, 16), _P_ACT)
 
 
-def _assert_guard_decides():
-    want = gelu_mod.shift_gelu_int(_AT_ZERO, _P_OUT).codes
+def _assert_refused_at_m_62():
+    # every call is refused, on codes that pass the guard as on codes that
+    # trip it, and none runs the chain on its codes: nothing is charged
     with mock.patch.object(sm_mod, "M", 62):
-        np.testing.assert_array_equal(gelu_mod.shift_gelu_int(_AT_ZERO, _P_OUT).codes, want)
-        counter = OpCounter()
-        with pytest.raises(KernelOverflowError):
-            gelu_mod.shift_gelu_int(_WHOLE, _P_OUT, counter)
-        assert counter.muls > 0         # the chain ran up to the guard
+        for q in (_AT_ZERO, _WHOLE):
+            counter = OpCounter()
+            with pytest.raises(KernelOverflowError, match="_shift_gelu_codes"):
+                gelu_mod.shift_gelu_int(q, _P_OUT, counter)
+            assert counter.total() == 0
 
 
-def test_shift_gelu_whose_guard_fires_is_not_tabulated_and_its_guard_decides():
-    # at M = 62 the build over [-6, 6] trips the reciprocal's guard, so the
-    # chain runs on each call's codes; the refused build is cached, and a
-    # second call builds nothing
+def test_shift_gelu_whose_guard_fires_has_no_table_and_every_call_is_refused():
+    # at M = 62 the build over [-6, 6] trips the reciprocal's guard; the
+    # refused build is cached, so four calls build it once
     code_table.cache_clear()
-    with mock.patch.object(sm_mod, "M", 62):
-        gelu_mod.shift_gelu_int(_AT_ZERO, _P_OUT)
-        misses = code_table.cache_info().misses
-        (call,) = _tables_of(lambda: gelu_mod.shift_gelu_int(_AT_ZERO, _P_OUT))
-        assert code_table(*call) is None
-        assert code_table.cache_info().misses == misses
-    _assert_guard_decides()
+    _assert_refused_at_m_62()
+    _assert_refused_at_m_62()
+    assert code_table.cache_info().misses == 1
+    assert code_table(gelu_mod._shift_gelu_codes, 0, _P_ACT.qmax, np.int64,
+                      _P_ACT, _P_OUT, 62) is None
 
 
 def test_a_shift_gelu_table_built_at_m_31_is_not_served_at_m_62():
@@ -140,4 +140,40 @@ def test_a_shift_gelu_table_built_at_m_31_is_not_served_at_m_62():
     code_table.cache_clear()
     (call,) = _tables_of(lambda: gelu_mod.shift_gelu_int(_AT_ZERO, _P_OUT))
     assert call[-1] == sm_mod.M == 31 and code_table(*call) is not None
-    _assert_guard_decides()
+    _assert_refused_at_m_62()
+
+
+_TABLE_RULE = {
+    "act-bits-2": {"act_bits": 2},
+    "act-bits-8": {},
+    "act-bits-13": {"act_bits": 13},
+    "w2": {"weight_bits": 2},
+    "w16": {"weight_bits": 16},
+    "taylor-2": {"taylor_degree": 2},
+    "forced-pools": {"pools": {"softmax": ("efficient_bit_softmax",),
+                               "gelu": ("shift_gelu",)}},
+    "tokens-64": {"blocks": 1, "embed_dim": 64, "heads": 4, "tokens": 64},
+}
+
+
+@pytest.mark.parametrize("shape", list(_TABLE_RULE))
+def test_every_accepted_config_builds_every_table(shape):
+    # stage 1 and integer inference, every table build watched: none is
+    # refused, so no stage is refused and no candidate overflows
+    cfg = pl.PipelineConfig(**{"calib_batches": 2, "calib_batch_size": 2,
+                               **_TABLE_RULE[shape]})
+    pl.check_config(cfg)
+    built = []
+
+    def watched(*args):
+        table = code_table(*args)
+        built.append((args[0].__name__, table))
+        return table
+    code_table.cache_clear()
+    with mock.patch.object(tensor_mod, "code_table", watched):
+        plan, table, graph, weights = pl.run_pipeline(cfg, jobs=1)
+        x = np.random.default_rng(1).normal(size=(3, cfg.tokens, cfg.embed_dim))
+        pl.integer_forward(graph, weights, plan, x)
+    assert {name for name, _ in built} >= {"_shift_gelu_codes", "_shift_exp_codes"}
+    assert [name for name, t in built if t is None] == []
+    assert all(np.isfinite(ms.p) for *_, ms in table.entries)

@@ -13,7 +13,8 @@ from unittest import mock
 from intquant import tensor as tensor_mod
 from intquant.tensor import (IntegerViolation, KernelMath, KernelOverflowError,
                              OpCounter, StageBound, Tensor, TensorFormatError, bit_length,
-                             code_table, mul_bound, rng_tensor, tensor_read, tensor_write)
+                             code_table, mul_bound, rng_tensor, tabulated, tensor_read,
+                             tensor_write)
 
 INT64_MIN = int(np.iinfo(np.int64).min)
 INT64_MAX = int(np.iinfo(np.int64).max)
@@ -487,16 +488,21 @@ class TestCodeTable:
         t = code_table(_affine, lo, hi, np.int64)
         assert t.peak == max(abs(3 * c + 1) for c in range(lo, hi + 1))
 
-    def test_a_stage_whose_guard_fires_on_one_code_has_no_table(self):
+    def test_a_stage_whose_guard_fires_on_one_code_has_no_table_and_is_refused(self):
         # the shift's guard passes codes 0 and 1 and fires on code 2 alone,
-        # so that domain has no table, and the result is cached like one
+        # so that domain has no table, and the result is cached like one;
+        # tabulated refuses the stage even on codes its guard passes, and
+        # charges nothing
         def shifted(codes, counter):
             return KernelMath(counter).lshift(codes, 62)
         assert code_table(shifted, 0, 1, np.int64) is not None
         hits = code_table.cache_info().hits
         assert code_table(shifted, 0, 2, np.int64) is None
-        assert code_table(shifted, 0, 2, np.int64) is None
+        counter = OpCounter()
+        with pytest.raises(KernelOverflowError, match=r"shifted .* \[0, 2\]"):
+            tabulated(shifted, np.zeros(3, dtype=np.int64), counter, 0, 2, np.int64)
         assert code_table.cache_info().hits == hits + 1
+        assert counter.total() == 0
 
     def test_a_stage_that_does_not_charge_per_code_is_refused(self):
         def row_sum(codes, counter):
