@@ -188,6 +188,13 @@ def _report_entries(path) -> list[dict]:
             if not isinstance(entry, dict) or "command" not in entry:
                 raise UsageError(f"--report-file: {path} line {n}: expected an object"
                                  f" with a \"command\", got {line.strip()[:40]}")
+            outputs, wall = entry.get("outputs", []), entry.get("wall_time_s", 0)
+            if not isinstance(outputs, list) or not all(isinstance(o, str) for o in outputs):
+                raise UsageError(f"--report-file: {path} line {n}: \"outputs\" must be a"
+                                 f" list of strings, got {outputs!r:.40}")
+            if not isinstance(wall, (int, float)):
+                raise UsageError(f"--report-file: {path} line {n}: \"wall_time_s\" must be"
+                                 f" a number, got {wall!r:.40}")
             entries.append(entry)
     return entries
 

@@ -254,7 +254,9 @@ def float_edges(graph: ModelGraph, weights: dict, batches: list, env: dict,
     edges that no later op reads, which the caller may drop from ``env``.
 
     Each op applies its float function to each batch's rows of its inputs
-    in turn, so an edge is the one-batch passes' arrays joined.
+    in turn, so an edge is the one-batch passes' arrays joined. Over one
+    batch nothing is joined: the batch is the ``input`` edge and each op's
+    output its edge.
     swap = (layer_id, fn) replaces that single non-linear layer with
     ``fn(input_array) -> output_array``, applied per batch, which is how
     isolated sensitivity analysis runs a quantized candidate inside the
@@ -264,19 +266,22 @@ def float_edges(graph: ModelGraph, weights: dict, batches: list, env: dict,
         raise ValueError("calibration set must be non-empty")
     xs = [batched(graph, np.asarray(b, dtype=np.float64))[0] for b in batches]
     rows = batch_rows(graph, xs)
-    env[INPUT] = np.concatenate(xs)
+    env[INPUT] = xs[0] if len(xs) == 1 else np.concatenate(xs)
     yield INPUT, ()
     for op, dead in zip(graph.ops, graph.dead_after):
         if swap is not None and swap[0] == op.out:
             fn, ws = swap[1], ()
         else:
             fn, ws = partial(_FLOAT_OPS[op.op], graph), [weights[k] for k in op.weights]
-        out = None
-        for sl in rows:
-            y = fn(*(env[e][sl] for e in op.inputs), *ws)
-            if out is None:
-                out = np.empty((rows[-1].stop, *y.shape[1:]), dtype=y.dtype)
-            out[sl] = y
-            del y
+        if len(xs) == 1:
+            out = fn(*(env[e] for e in op.inputs), *ws)
+        else:
+            out = None
+            for sl in rows:
+                y = fn(*(env[e][sl] for e in op.inputs), *ws)
+                if out is None:
+                    out = np.empty((rows[-1].stop, *y.shape[1:]), dtype=y.dtype)
+                out[sl] = y
+                del y
         env[op.out] = out
         yield op.out, dead

@@ -1,11 +1,12 @@
 """Three-stage assignment pipeline over the toy transformer graph:
 
-1. per-layer candidate analysis: each non-linear layer is run with every
-   candidate kernel in isolation against the full-precision forward pass,
-   scoring sensitivity, perturbation and measured operation count;
+1. per-layer candidate analysis: min/max calibration of every activation
+   edge, and each non-linear layer run with every candidate kernel in
+   isolation against the full-precision forward pass, scoring sensitivity,
+   perturbation and measured operation count;
 2. per-layer argmax assignment on the unified score;
-3. min/max calibration of every activation edge, producing a self-contained
-   plan for integer-only inference.
+3. stage 1's calibration written into the plan, which makes it
+   self-contained for integer-only inference; nothing is observed again.
 """
 
 from __future__ import annotations
@@ -228,19 +229,29 @@ def run_ln_candidate(candidate: str, q: QTensor, gamma, beta, out_params: QParam
     return ln_mod.int_layernorm.unchecked(q, gamma, beta, candidate, out_params, counter)
 
 
-def _run_kernel(op: Op, candidate: str, q: QTensor, weights: dict, out_params: QParams,
-                taylor_degree: int, counter: OpCounter | None) -> QTensor:
-    """Run ``candidate`` as the non-linear ``op`` on the codes ``q``.
-
-    The runners are looked up in this module's globals at call time, so
-    that tests and tracing can rebind them.
-    """
+def _runner(op: Op, candidate: str, p_in: QParams, p_out: QParams, weights: dict,
+            taylor_degree: int):
+    """``candidate`` bound as the non-linear ``op``, for stage 1 and
+    :func:`compile_plan` alike: ``run(counter, codes) -> QTensor``, the
+    kernel on codes taken on ``p_in``, its output on ``p_out`` (for
+    ``log2_scale``, on the grid its kernel snaps ``p_out`` to). A softmax
+    input off the kernels' dyadic grid, or output off their own grid,
+    raises a ValueError naming the layer. The ``run_*_candidate`` runner is
+    looked up on every call, so that tests and tracing can rebind it."""
     if op.op == "softmax":
-        return run_softmax_candidate(candidate, q, out_params, counter, taylor_degree)
+        try:
+            sm_mod._dyadic_exponent(p_in)
+            sm_mod._prob_bits(p_out)
+        except sm_mod.ConfigurationError as exc:
+            raise ValueError(f"{op.out}: {exc}") from exc
+        return lambda counter, codes: run_softmax_candidate(
+            candidate, QTensor(codes, p_in), p_out, counter, taylor_degree)
     if op.op == "gelu":
-        return run_gelu_candidate(candidate, q, out_params, counter)
+        return lambda counter, codes: run_gelu_candidate(
+            candidate, QTensor(codes, p_in), p_out, counter)
     gamma, beta = (weights[k] for k in op.weights)
-    return run_ln_candidate(candidate, q, gamma, beta, out_params, counter)
+    return lambda counter, codes: run_ln_candidate(
+        candidate, QTensor(codes, p_in), gamma, beta, p_out, counter)
 
 
 # Stage 1 quantizes a layer's input, and runs a candidate over it, in slices
@@ -269,24 +280,13 @@ def _input_codes(x: np.ndarray, p_in: QParams) -> np.ndarray:
     return codes
 
 
-def _dequantized(op: Op, candidate, codes: np.ndarray, params: tuple, weights: dict,
-                 cfg: PipelineConfig, counter: OpCounter | None) -> np.ndarray:
-    """The integer candidate run on ``codes``, the op's input quantized with
-    the first of ``params`` (its input and output parameters from
-    :func:`calibrate_edges`), dequantized."""
-    p_in, out_params = params
-    return dequantize_np(_run_kernel(op, candidate, QTensor(codes, p_in), weights,
-                                     out_params, cfg.taylor_degree, counter))
-
-
-def _candidate_output(op: Op, candidate, codes: np.ndarray, params: tuple,
-                      weights: dict, cfg: PipelineConfig,
-                      counter: OpCounter | None = None) -> np.ndarray:
-    """:func:`_dequantized`, slice by slice (see ``STAGE1_SLICE_ELEMENTS``)
-    into one float64 array."""
+def _candidate_output(run, codes: np.ndarray, counter: OpCounter) -> np.ndarray:
+    """The bound runner ``run`` (see :func:`_runner`) on ``codes``, slice by
+    slice (see ``STAGE1_SLICE_ELEMENTS``), dequantized into one float64
+    array."""
     out = np.empty(codes.shape)
     for sl in _slices(codes):
-        out[sl] = _dequantized(op, candidate, codes[sl], params, weights, cfg, counter)
+        out[sl] = dequantize_np(run(counter, codes[sl]))
     return out
 
 
@@ -337,14 +337,15 @@ class _CandidateRun:
         return (*energy_scores(self.energy, self.ref.size, power, convention), c)
 
 
-def _layer_rows(pool, op: Op, cands: tuple, run, ref: np.ndarray, parts: list,
+def _layer_rows(pool, op: Op, runners: dict, run, ref: np.ndarray, parts: list,
                 power: float, cfg: PipelineConfig) -> list:
     """The table rows of layer ``op``'s candidates, scored against ``ref``
-    (of signal power ``power``); ``run(cand, i, counter)`` is a candidate's
-    output for ``ref``'s part i. The tasks (candidate, part) run in that
-    order, on ``pool`` when there is one, and all finish before this
-    returns."""
-    runs = [_CandidateRun(partial(run, cand), ref, parts) for cand in cands]
+    (of signal power ``power``); ``runners`` maps each candidate to its
+    bound runner (see :func:`_runner`), and ``run(runner, i, counter)`` is
+    a candidate's output for ``ref``'s part i. The tasks (candidate, part)
+    run in that order, on ``pool`` when there is one, and all finish before
+    this returns."""
+    runs = [_CandidateRun(partial(run, runner), ref, parts) for runner in runners.values()]
     tasks = [partial(r.part, i) for r in runs for i in range(len(parts))]
     if pool is None:
         for task in tasks:
@@ -354,7 +355,7 @@ def _layer_rows(pool, op: Op, cands: tuple, run, ref: np.ndarray, parts: list,
             future.result()
     scores = _layer_scores([r.measured(power, cfg.db_convention) for r in runs],
                            cfg.standardize)
-    return [(op.out, op.op, cand, ms) for cand, ms in zip(cands, scores)]
+    return [(op.out, op.op, cand, ms) for cand, ms in zip(runners, scores)]
 
 
 # ---------------------------------------------------------------------------
@@ -405,49 +406,53 @@ def stage1_analyze(graph: ModelGraph, weights: dict, calib: list,
     ``calibration`` holds the parameters and warnings of every edge.
 
     One op-major float pass over ``calib`` makes each edge whole, observes
-    it and drops it once no later op reads it. In local mode each layer is
-    scored as soon as its output exists: its input is quantized once, into
-    codes all its candidates share, its float input dropped if dead, and
-    its reference power taken once; then its tasks (candidate, slice) run,
-    ``jobs`` at a time (on this thread for a layer smaller than one slice),
-    and finish before the pass goes on. Global mode
-    takes the parameters and whole-set logits from the same pass, then
+    it and drops it once no later op reads it. Each layer binds each of its
+    candidates once (:func:`_runner`, as inference does). In local mode
+    each layer is scored as soon as its output exists: its input is
+    quantized once, into codes all its candidates share, its float input
+    dropped if dead, and its reference power taken once; then its tasks
+    (candidate, slice) run, ``jobs`` at a time (on this thread for a layer
+    smaller than one slice), and finish before the pass goes on. Global
+    mode takes the parameters and whole-set logits from the same pass, then
     runs each layer's tasks (candidate, batch), each a float forward of
     one batch with the candidate swapped in.
     """
     candidates = {rec.layer_id: rec.candidates for rec in graph.layers}
     rows: list = []
+
+    def bind(op, qparams):   # the layer's input parameters and bound candidates
+        p_in, p_out = qparams[op.inputs[0]], qparams[op.out]
+        return p_in, {cand: _runner(op, cand, p_in, p_out, weights, cfg.taylor_degree)
+                      for cand in candidates[op.out]}
     with ThreadPoolExecutor(max_workers=jobs) if jobs > 1 else nullcontext() as pool:
         if cfg.stage1_mode == "global":
             calibration, logits = _calibration_pass(graph, weights, calib, cfg)
             qparams, power = calibration[0], signal_power(logits)
             parts = batch_rows(graph, calib)
             for op in (op for op in graph.ops if op.out in candidates):
-                params = (qparams[op.inputs[0]], qparams[op.out])
+                p_in, runners = bind(op, qparams)
 
-                def run(cand, i, counter, op=op, params=params):
+                def run(runner, i, counter, op=op, p_in=p_in):
                     def swapped(arr):
-                        return _candidate_output(op, cand, _input_codes(arr, params[0]),
-                                                 params, weights, cfg, counter)
+                        return _candidate_output(runner, _input_codes(arr, p_in), counter)
                     return forward_float(graph, weights, calib[i], swap=(op.out, swapped))
-                rows += _layer_rows(pool, op, candidates[op.out], run, logits, parts, power, cfg)
+                rows += _layer_rows(pool, op, runners, run, logits, parts, power, cfg)
         else:
             def local(op, env, dead, qparams):
-                params = (qparams[op.inputs[0]], qparams[op.out])
-                codes = _input_codes(env[op.inputs[0]], params[0])
+                p_in, runners = bind(op, qparams)
+                codes = _input_codes(env[op.inputs[0]], p_in)
                 ref = env[op.out]
                 for e in dead:      # before the power, whose square is a temporary
                     env.pop(e)
                 power = signal_power(ref)
                 parts = _slices(codes)
 
-                def run(cand, i, counter):
-                    return _dequantized(op, cand, codes[parts[i]], params, weights, cfg, counter)
+                def run(runner, i, counter):
+                    return dequantize_np(runner(counter, codes[parts[i]]))
                 # below one slice, numpy holds the GIL for most of each call,
                 # so workers would take turns and only add hand-offs
                 workers = pool if codes.size >= STAGE1_SLICE_ELEMENTS else None
-                rows.extend(_layer_rows(workers, op, candidates[op.out], run, ref, parts, power,
-                                        cfg))
+                rows.extend(_layer_rows(workers, op, runners, run, ref, parts, power, cfg))
             calibration, _ = _calibration_pass(graph, weights, calib, cfg, local)
     table = MetricTable(calibration=calibration)
     for row in rows:
@@ -524,24 +529,15 @@ def calibrate_edges(graph: ModelGraph, captured: dict,
     return qparams, [str(w.message) for w in caught]
 
 
-def stage3_calibrate(graph: ModelGraph, weights: dict, plan: AssignmentPlan,
-                     calib: list, cfg: PipelineConfig,
-                     calibrated: tuple | None = None) -> AssignmentPlan:
-    """The plan's activation parameters: :func:`calibrate_edges`, with each
-    ``log2_scale`` layer's output snapped as its kernel snaps it. Weights
-    are re-derived per channel at inference, so the plan needs only
-    activations.
-
-    ``calibrated`` is :func:`calibrate_edges` of every edge of the float
-    pass over ``calib``, when the caller has it (stage 1's
-    ``table.calibration``); otherwise that pass runs here. Min and max are
-    exact, so the envelopes do not depend on how the batches were joined.
-    """
+def stage3_calibrate(plan: AssignmentPlan, calibration: tuple) -> AssignmentPlan:
+    """Write stage 1's ``calibration`` (its table's: the parameters and
+    warnings of every edge, from :func:`calibrate_edges`) into ``plan``,
+    with each ``log2_scale`` layer's output snapped as its kernel snaps it.
+    Weights are re-derived per channel at inference, so the plan needs only
+    activations."""
     if not plan.assignments:
         raise ValueError("assignments must be complete before calibration")
-    if calibrated is None:
-        calibrated, _ = _calibration_pass(graph, weights, calib, cfg)
-    plan.qparams, plan.warnings = dict(calibrated[0]), list(calibrated[1])
+    plan.qparams, plan.warnings = dict(calibration[0]), list(calibration[1])
     for lid, cand in plan.assignments.items():
         if cand == "log2_scale":
             plan.qparams[lid], _ = ln_mod.snap_pow2_out_params(plan.qparams[lid])
@@ -556,7 +552,7 @@ def run_pipeline(cfg: PipelineConfig, calib_seed: int = 0,
     # stage 1's float pass observes each edge once, for stage 1 and the plan alike
     table = stage1_analyze(graph, weights, calib, cfg, jobs=jobs)
     plan = stage2_assign(table, graph, cfg)
-    plan = stage3_calibrate(graph, weights, plan, calib, cfg, calibrated=table.calibration)
+    plan = stage3_calibrate(plan, table.calibration)
     return plan, table, graph, weights
 
 
@@ -640,27 +636,14 @@ def _step(op: Op, graph: ModelGraph, plan: AssignmentPlan, P: dict, W: dict):
     Every constant the step needs is derived here, from the parameters
     ``P`` and the weights ``W``, and so is the static bound of each of its
     stages, from which a call makes the stage's ``KernelMath``. A non-linear
-    step binds its parameters, the layer's candidate in ``plan.assignments``
-    (and LayerNorm's gamma and beta) but looks up the candidate's runner on
-    every call.
+    step is the layer's candidate in ``plan.assignments`` bound as stage 1
+    binds it (:func:`_runner`).
     """
     out, ins, cfg = op.out, op.inputs, plan.config
     p_out = P[out]
-    if op.op in ("softmax", "gelu", "layernorm"):
-        p_in = P[ins[0]]
-        if op.op == "softmax":
-            try:   # the kernels need a dyadic input grid and their own output grid
-                sm_mod._dyadic_exponent(p_in)
-                sm_mod._prob_bits(p_out)
-            except sm_mod.ConfigurationError as exc:
-                raise ValueError(f"{out}: {exc}") from exc
-        layer_weights = {k: W[k] for k in op.weights}
-        candidate, degree = plan.assignments[out], cfg.taylor_degree
-
-        def nonlinear(counter, x):
-            return _run_kernel(op, candidate, QTensor(x, p_in), layer_weights,
-                               p_out, degree, counter).codes
-        return nonlinear
+    if op.op in CANDIDATE_POOLS:
+        run = _runner(op, plan.assignments[out], P[ins[0]], p_out, W, cfg.taylor_degree)
+        return lambda counter, x: run(counter, x).codes
     if op.op == "linear":
         # one stage: the product of the input codes and the centered weights,
         # plus the bias codes less z_in * each row's weight sum, so that the
@@ -788,13 +771,16 @@ def integer_forward(graph: ModelGraph, weights: dict, plan: AssignmentPlan, x,
     """End-to-end integer inference under the calibrated plan: runs the
     compiled step of each of ``graph.ops`` in order over integer codes.
 
-    Floating point is used for two conversions only: quantizing the input
-    tensor and dequantizing the output logits. Everything between runs
-    through the instrumented integer facade; the returned counter reports
-    the totals and any float violations (which must be zero). The one
-    exception inside the facade is :meth:`KernelMath.matmul`, which may
-    carry integer operands through float64 BLAS when every partial sum is
-    below 2^52 and therefore exact; its result is cast back to int64.
+    Floating point is used for two conversions, quantizing the input
+    tensor and dequantizing the output logits, and in two exact places
+    between: :meth:`KernelMath.matmul` may carry integer operands through
+    float BLAS when every partial sum is exact in the float type, and
+    ``log2_softmax``'s bit-length tail takes int32 bit lengths from
+    ``np.frexp`` (``tensor.bit_length``). The rest runs through the
+    instrumented integer facade, except that tail and LayerNorm's int64
+    Newton square root, which are raw numpy and charge their ops by hand;
+    the returned counter reports the totals and the float violations it
+    saw (which must be zero), and cannot see those two.
 
     Configuration-time work (see :func:`compile_plan`) is done on the first
     call, is not charged to the counter, and is reused while

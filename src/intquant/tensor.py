@@ -1,10 +1,15 @@
 """Dense tensor container, deterministic RNG, binary tensor file format,
 and instrumented integer arithmetic for the kernel path.
 
-The instrumentation exists to make "integer-only" a checkable claim: every
-arithmetic operation on the kernel path flows through the :class:`KernelMath`
-array facade, which counts operations and records a violation the moment a
-floating-point value shows up.
+The instrumentation exists to make "integer-only" a checkable claim: the
+kernel path's arithmetic flows through the :class:`KernelMath` array
+facade, which counts operations and records a violation the moment a
+floating-point value shows up. Two stages run in raw numpy outside it and
+charge their ops by hand, so ``float_violations`` cannot see them: the
+bit-length tail of ``softmax.log2_softmax_codes``, whose int32 bit lengths
+come from the exponent of ``np.frexp`` (:func:`bit_length`, exact, as
+float64 holds every int32), and LayerNorm's int64 Newton square root
+(``layernorm._int_sqrt_array``). Both are exact.
 
 Kernels run their elementwise chains in place: the first op of a chain
 allocates one result and each later op writes into it through ``out=``. The

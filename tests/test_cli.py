@@ -436,7 +436,12 @@ class TestReport:
         ("{\"command\": ", "line 2: Expecting value"),
         ("[1,2]", "line 2: expected an object"),
         ("{\"outputs\": []}", "line 2: expected an object"),
-    ], ids=["not-json", "a-list", "no-command"])
+        ("{\"command\": \"x\", \"wall_time_s\": \"slow\"}",
+         "line 2: \"wall_time_s\" must be a number, got 'slow'"),
+        ("{\"command\": \"x\", \"outputs\": [1]}",
+         "line 2: \"outputs\" must be a list of strings, got [1]"),
+    ], ids=["not-json", "a-list", "no-command", "wall-time-not-a-number",
+            "outputs-not-strings"])
     def test_malformed_report_line_is_usage_error(self, tmp_path, capsys, line, message):
         run(tmp_path, "eval-approx", "--which", "exp2", "--out", str(tmp_path / "e.csv"))
         with open(tmp_path / "runs.jsonl", "a") as fh:

@@ -122,6 +122,18 @@ class TestGraphConstruction:
         np.testing.assert_array_equal(cap["logits"][0], logits)
         np.testing.assert_array_equal(forward_float(graph, weights, x[None]), cap["logits"])
 
+    def test_one_batch_pass_joins_nothing(self):
+        # over one float64 batch the batch is the input edge, uncopied, and
+        # the pass reads it without writing it
+        graph, weights = build_toy_vit({"blocks": 2, "embed_dim": 16, "heads": 2,
+                                        "tokens": 4, "mlp_ratio": 2})
+        x = rng_tensor(0, [3, 4, 16], "normal", 0.0, 1.0).values.astype(np.float64)
+        env = {}
+        for _ in float_edges(graph, weights, [x], env):
+            pass
+        assert np.shares_memory(env[INPUT], x)
+        np.testing.assert_array_equal(forward_float(graph, weights, x.copy()), env["logits"])
+
     def test_nonlinear_input_edges_exist(self):
         graph, _ = build_toy_vit({"blocks": 3, "embed_dim": 16, "heads": 2,
                                   "tokens": 4, "mlp_ratio": 2})
@@ -256,10 +268,33 @@ class TestStage1:
         assert len(table) == 29
         for lid, _, cand, ms in table.entries:
             op = ops[lid]
-            q = pl.quantize(cat[op.inputs[0]], qparams[op.inputs[0]])
+            p_in = qparams[op.inputs[0]]
+            run = pl._runner(op, cand, p_in, qparams[lid], weights, cfg.taylor_degree)
             counter = OpCounter()
-            pl._run_kernel(op, cand, q, weights, qparams[lid], cfg.taylor_degree, counter)
+            run(counter, pl.quantize(cat[op.inputs[0]], p_in).codes)
             assert ms.c == round(counter.total() / samples), (lid, cand)
+
+    @pytest.mark.parametrize("kw", [
+        {}, {"stage1_mode": "global"},
+        {"taylor_degree": 2, "pools": {"softmax": ("efficient_bit_softmax",),
+                                       "layernorm": ("log2_scale",)}},
+    ], ids=["local", "global", "taylor-degree-2"])
+    def test_c_is_the_compiled_steps_count(self, kw):
+        # stage 1 measures the step that inference runs: the c of each
+        # layer's plan candidate is the op count per sample of the layer's
+        # compiled step on the codes stage 1 ran it on, its calibration input
+        # quantized under table.calibration (the plan's grid differs after a
+        # log2_scale layer, which the plan snaps)
+        cfg = small_cfg(**kw)
+        plan, table, graph, weights = run_pipeline(cfg)
+        steps = dict(zip((op.out for op in graph.ops), compile_plan(graph, weights, plan).steps))
+        cat = capture_calibration(graph, weights, calibration_batches(cfg))
+        qparams = table.calibration[0]
+        samples = cfg.calib_batches * cfg.calib_batch_size
+        for op in (op for op in graph.ops if op.out in plan.assignments):
+            counter = OpCounter()
+            steps[op.out](counter, quantize(cat[op.inputs[0]], qparams[op.inputs[0]]).codes)
+            assert plan.scores[op.out].c == round(counter.total() / samples), op.out
 
     def test_global_mode_runs(self):
         cfg = small_cfg(stage1_mode="global", calib_batches=1, calib_batch_size=2)
@@ -268,19 +303,19 @@ class TestStage1:
         assert len(table) == 29
 
     def test_global_mode_quantizes_as_local_mode(self, monkeypatch):
-        # each (layer, candidate) runs under one input and output quantizer,
-        # taken from the whole calibration set, in either mode, and so
-        # measures the same op count
+        # each (layer, candidate) is bound once, under one input and output
+        # quantizer taken from the whole calibration set, in either mode,
+        # and so measures the same op count
         cfg = small_cfg()
         graph, weights = build_toy_vit(cfg.model_config())
         calib = calibration_batches(cfg)
         seen = {}
 
-        def spy(op, cand, q, w, out_params, *args, _fn=pl._run_kernel):
-            seen.setdefault((op.out, cand), set()).add((q.params, out_params))
-            return _fn(op, cand, q, w, out_params, *args)
+        def spy(op, cand, p_in, p_out, *args, _fn=pl._runner):
+            seen.setdefault((op.out, cand), []).append((p_in, p_out))
+            return _fn(op, cand, p_in, p_out, *args)
 
-        monkeypatch.setattr(pl, "_run_kernel", spy)
+        monkeypatch.setattr(pl, "_runner", spy)
         local_table = stage1_analyze(graph, weights, calib, cfg)
         local = dict(seen)
         seen.clear()
@@ -360,9 +395,10 @@ class TestStage1Slices:
                 op = next(o for o in graph.ops if o.out == rec.layer_id)
                 for cand in rec.candidates:
                     counter = OpCounter()
-                    params = (qparams[op.inputs[0]], qparams[op.out])
-                    codes = pl._input_codes(cat[op.inputs[0]], params[0])
-                    out = pl._candidate_output(op, cand, codes, params, weights, cfg, counter)
+                    p_in = qparams[op.inputs[0]]
+                    run = pl._runner(op, cand, p_in, qparams[op.out], weights, cfg.taylor_degree)
+                    out = pl._candidate_output(run, pl._input_codes(cat[op.inputs[0]], p_in),
+                                               counter)
                     got[(op.out, cand)] = (out, counter.as_dict())
             return got
 
@@ -622,17 +658,20 @@ class TestStage3:
         assert tuple(plan.qparams) == graph.edges
 
     def test_idempotent(self, pipeline_result):
+        # calibrating with the plan's own parameters, snapped ones included,
+        # changes nothing
         (plan, table, graph, weights), cfg = pipeline_result
-        calib = calibration_batches(cfg)
-        again = stage3_calibrate(graph, weights, plan, calib, cfg)
-        for edge, p in plan.qparams.items():
-            q = again.qparams[edge]
-            assert (p.scale, p.zero_point) == (q.scale, q.zero_point)
+        again = stage3_calibrate(copy.copy(plan), (plan.qparams, plan.warnings))
+        assert again.qparams == plan.qparams and again.warnings == plan.warnings
 
     def test_duplication_invariance(self, pipeline_result):
+        # min and max are exact, so the calibration of calib + calib is
+        # that of calib
         (plan, table, graph, weights), cfg = pipeline_result
         calib = calibration_batches(cfg)
-        doubled = stage3_calibrate(graph, weights, plan, calib + calib, cfg)
+        doubled = stage3_calibrate(
+            copy.copy(plan),
+            pl.calibrate_edges(graph, capture_calibration(graph, weights, calib + calib), cfg))
         for edge, p in plan.qparams.items():
             assert p.scale == pytest.approx(doubled.qparams[edge].scale)
 
@@ -664,8 +703,8 @@ class TestStage3:
         lns = [r.layer_id for r in graph.layers if r.kind == "layernorm"]
         assignments = {r.layer_id: r.candidates[0] for r in graph.layers}
         assignments.update({lid: "log2_scale" for lid in lns[::2]})
-        plan = stage3_calibrate(graph, weights, AssignmentPlan(cfg, assignments), None,
-                                cfg, calibrated=pl.calibrate_edges(graph, cat, cfg))
+        plan = stage3_calibrate(AssignmentPlan(cfg, assignments),
+                                pl.calibrate_edges(graph, cat, cfg))
         assert list(plan.qparams) == list(want) and plan.warnings == warns
         snapped = 0
         for edge, p in plan.qparams.items():
@@ -714,11 +753,8 @@ class TestStage3:
                 assert f == int(f)
 
     def test_requires_assignments(self):
-        cfg = small_cfg()
-        graph, weights = build_toy_vit(cfg.model_config())
         with pytest.raises(ValueError, match="assignments"):
-            stage3_calibrate(graph, weights, AssignmentPlan(config=cfg),
-                             calibration_batches(cfg), cfg)
+            stage3_calibrate(AssignmentPlan(config=small_cfg()), ({}, []))
 
 
 def _read_only(a) -> np.ndarray:
