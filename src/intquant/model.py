@@ -8,10 +8,10 @@ The attention 1/sqrt(head_dim) factor is folded into the query projection at
 build time so neither execution path divides at runtime.
 
 The topology is written down once, as the ordered op list that
-:func:`build_toy_vit` puts on :class:`ModelGraph`. :func:`float_edges`
-interprets it in full precision, op-major over a list of batches, and
-:func:`forward_float` is that pass over one batch; ``pipeline.integer_forward``
-interprets the same list over integer codes.
+:func:`build_toy_vit` puts on :class:`ModelGraph`, and walked by one loop,
+:func:`walk`: :func:`float_edges` in full precision, op-major over a list of
+batches (:func:`forward_float` over one), and ``pipeline.integer_edges``
+over integer codes (``pipeline.integer_forward`` over one batch).
 """
 
 from __future__ import annotations
@@ -83,18 +83,20 @@ class ModelGraph:
         return tuple(reversed(dead))
 
 
-# model config field -> (default, minimum)
-MODEL_FIELDS = {"blocks": (2, 1), "embed_dim": (32, 1), "heads": (2, 1),
-                "tokens": (8, 2), "mlp_ratio": (2, 1), "classes": (10, 1)}
+# model config field -> (default, minimum, maximum); the maxima admit a
+# ViT-S/16-sized encoder (12 blocks, 384-d, 6 heads, 197 tokens) and refuse
+# a dimension no array could hold before anything is allocated
+MODEL_FIELDS = {"blocks": (2, 1, 24), "embed_dim": (32, 1, 768), "heads": (2, 1, 16),
+                "tokens": (8, 2, 1024), "mlp_ratio": (2, 1, 4), "classes": (10, 1, 1000)}
 
 
 def model_dims(config: dict) -> dict:
     """``config`` with defaults filled in; the ValueError for an invalid
     config starts with the offending field's name."""
-    dims = {k: int(config.get(k, default)) for k, (default, _) in MODEL_FIELDS.items()}
-    for k, (_, lo) in MODEL_FIELDS.items():
-        if dims[k] < lo:
-            raise ValueError(f"{k} must be >= {lo}, got {dims[k]}")
+    dims = {k: int(config.get(k, default)) for k, (default, _, _) in MODEL_FIELDS.items()}
+    for k, (_, lo, hi) in MODEL_FIELDS.items():
+        if not lo <= dims[k] <= hi:
+            raise ValueError(f"{k} must be in [{lo}, {hi}], got {dims[k]}")
     if dims["embed_dim"] % dims["heads"]:
         raise ValueError(f"heads ({dims['heads']}) must divide embed_dim"
                          f" ({dims['embed_dim']})")
@@ -225,6 +227,21 @@ def batched(graph: ModelGraph, x: np.ndarray) -> tuple[np.ndarray, bool]:
     return x, squeeze
 
 
+def walk(graph: ModelGraph, fns, env: dict, *lead, swap: tuple | None = None):
+    """The op loop of both interpreters: from the input edge in ``env``, puts
+    each op's edge there, ``fn(*lead, *inputs)`` of its callable in ``fns``
+    or of swap = (layer_id, fn) at that layer, and yields ``(edge, dead)``
+    for each, ``dead`` the edges no later op reads; it holds no edge itself."""
+    if swap is not None:
+        if swap[0] not in {rec.layer_id for rec in graph.layers}:
+            raise ValueError(f"swap: {swap[0]!r} is not a non-linear layer")
+        fns = [swap[1] if op.out == swap[0] else fn for op, fn in zip(graph.ops, fns)]
+    yield INPUT, ()
+    for op, dead, fn in zip(graph.ops, graph.dead_after, fns):
+        env[op.out] = fn(*lead, *[env[e] for e in op.inputs])
+        yield op.out, dead
+
+
 def forward_float(graph: ModelGraph, weights: dict, x,
                   swap: tuple | None = None) -> np.ndarray:
     """Full-precision forward pass of one batch, or of one unbatched
@@ -248,40 +265,30 @@ def batch_rows(graph: ModelGraph, batches: list) -> list[slice]:
 
 def float_edges(graph: ModelGraph, weights: dict, batches: list, env: dict,
                 swap: tuple | None = None):
-    """The full-precision pass over ``batches``, op-major: each edge of
-    ``graph.edges`` is made whole, joined along the sample axis, and put in
-    ``env``, and then ``(edge, dead)`` is yielded, where ``dead`` are the
-    edges that no later op reads, which the caller may drop from ``env``.
-
-    Each op applies its float function to each batch's rows of its inputs
-    in turn, so an edge is the one-batch passes' arrays joined. Over one
-    batch nothing is joined: the batch is the ``input`` edge and each op's
-    output its edge.
-    swap = (layer_id, fn) replaces that single non-linear layer with
-    ``fn(input_array) -> output_array``, applied per batch, which is how
-    isolated sensitivity analysis runs a quantized candidate inside the
-    float graph.
-    """
+    """The full-precision :func:`walk` over ``batches``: each op applies its
+    float function to each batch's rows in turn, so an edge is the one-batch
+    passes' arrays joined (over one batch, the batch is the ``input`` edge
+    and each op's output its edge). swap = (layer_id, fn) runs
+    ``fn(input_array) -> output_array`` in that layer's place, per batch."""
     if not batches:
         raise ValueError("calibration set must be non-empty")
     xs = [batched(graph, np.asarray(b, dtype=np.float64))[0] for b in batches]
     rows = batch_rows(graph, xs)
-    env[INPUT] = xs[0] if len(xs) == 1 else np.concatenate(xs)
-    yield INPUT, ()
-    for op, dead in zip(graph.ops, graph.dead_after):
-        if swap is not None and swap[0] == op.out:
-            fn, ws = swap[1], ()
-        else:
-            fn, ws = partial(_FLOAT_OPS[op.op], graph), [weights[k] for k in op.weights]
-        if len(xs) == 1:
-            out = fn(*(env[e] for e in op.inputs), *ws)
-        else:
+
+    def per_batch(fn, ws=()):   # fn on each batch's rows, the outputs joined
+        def run(*ins):
+            if len(rows) == 1:
+                return fn(*ins, *ws)
             out = None
             for sl in rows:
-                y = fn(*(env[e][sl] for e in op.inputs), *ws)
+                y = fn(*(x[sl] for x in ins), *ws)
                 if out is None:
                     out = np.empty((rows[-1].stop, *y.shape[1:]), dtype=y.dtype)
                 out[sl] = y
                 del y
-        env[op.out] = out
-        yield op.out, dead
+            return out
+        return run
+    fns = [per_batch(partial(_FLOAT_OPS[op.op], graph), [weights[k] for k in op.weights])
+           for op in graph.ops]
+    env[INPUT] = xs[0] if len(xs) == 1 else np.concatenate(xs)  # env alone holds a join
+    yield from walk(graph, fns, env, swap=swap and (swap[0], per_batch(swap[1])))

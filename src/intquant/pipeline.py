@@ -30,7 +30,7 @@ from .metric import (DB_FACTORS, MetricScore, MetricTable, energy_scores,  # noq
                      perturbation, signal_power, sqnr, squared_residual, unified_score)
 from .model import (CANDIDATE_POOLS, INPUT, MODEL_FIELDS, ModelGraph, Op,
                     batch_rows, batched, build_toy_vit, float_edges, forward_float,
-                    merge_heads, model_dims, split_heads)
+                    merge_heads, model_dims, split_heads, walk)
 from .quantize import (MinMaxObserver, QParams, QTensor, dequantize_np,
                        dyadic_qparams_for_range, encode_dyadic_multiplier,
                        quantize, requant_bound, requant_weight_per_channel, requantize)
@@ -174,10 +174,6 @@ class AssignmentPlan:
     warnings: list = field(default_factory=list)
     # integer_forward's configuration-time state; see compile_plan
     compiled: CompiledPlan | None = field(default=None, repr=False, compare=False)
-
-    @property
-    def calibrated(self) -> bool:
-        return bool(self.qparams)
 
 
 def calibration_batches(cfg: PipelineConfig, calib_seed: int = 0) -> list[np.ndarray]:
@@ -583,12 +579,6 @@ def _requant_into(km: KernelMath, codes, zero_point: int, m: int):
     return km.rshift_round(km.mul(out, m, out=out), 16, out=out)
 
 
-def _requant_into_bound(b: StageBound, p_from: QParams, m: int) -> int:
-    """Transfer function of :func:`_requant_into`, on the stage bound ``b``,
-    for codes on ``p_from``; returns the bound of its result."""
-    return b.rshift_round(b.mul(p_from.centered_max, m), 16)
-
-
 def _add_requant(km: KernelMath, a, term, zero_point: int, m: int, p_out: QParams):
     """a, with its zero point and :func:`_requant_mult`, requantized onto
     ``p_out`` and added to ``term``, the other input already requantized:
@@ -680,14 +670,14 @@ def _step(op: Op, graph: ModelGraph, plan: AssignmentPlan, P: dict, W: dict):
         b = StageBound(p_out.qmax)
         if op.op == "add":
             zb, mb = P[ins[1]].zero_point, _requant_mult(out, P[ins[1]], p_out)
-            term = _requant_into_bound(b, P[ins[1]], mb)
+            term = b.rshift_round(b.mul(P[ins[1]].centered_max, mb), 16)  # _requant_into
         else:
             pos = W[op.weights[0]]
             p_pos = MinMaxObserver().observe(pos).qparams(cfg.act_bits)
             pos_term = _requant_into(KernelMath(), quantize(pos, p_pos).codes,
                                      p_pos.zero_point, _requant_mult(out, p_pos, p_out))
             term = magnitude(pos_term)
-        b.add(b.add(_requant_into_bound(b, P[ins[0]], m), term), p_out.zero_point)
+        b.add(b.add(b.rshift_round(b.mul(P[ins[0]].centered_max, m), 16), term), p_out.zero_point)
         bound = b.bound
         if op.op == "pos_add":
             return lambda counter, x: _add_requant(KernelMath.within(counter, bound), x,
@@ -744,7 +734,7 @@ def compile_plan(graph: ModelGraph, weights: dict, plan: AssignmentPlan) -> Comp
     grid or a softmax output off their probability grid, a multiplier of
     2^62 or more, or an ``add``, ``pos_add`` or ``linear`` multiplier that
     rounds to 0 (except on a row of zero weights)."""
-    if not plan.calibrated:
+    if not plan.qparams:
         raise ValueError("plan must be calibrated before inference")
     edges, layers = graph.edges, {r.layer_id: r.candidates for r in graph.layers}
     missing = [e for e in edges if e not in plan.qparams]
@@ -766,21 +756,28 @@ def compile_plan(graph: ModelGraph, weights: dict, plan: AssignmentPlan) -> Comp
     return compiled
 
 
+def integer_edges(compiled: CompiledPlan, counter: OpCounter, codes: np.ndarray, env: dict,
+                  swap: tuple | None = None):
+    """``model.walk`` over ``compiled.steps`` from the batched input
+    ``codes``, each step charging ``counter``. swap = (layer_id, run) runs
+    ``run``, a candidate bound by :func:`_runner` as :func:`_step` binds
+    the plan's, in that layer's place."""
+    env[INPUT] = codes
+    return walk(compiled.graph, compiled.steps, env, counter,
+                swap=swap and (swap[0], lambda counter, x: swap[1](counter, x).codes))
+
+
 def integer_forward(graph: ModelGraph, weights: dict, plan: AssignmentPlan, x,
                     counter: OpCounter | None = None) -> tuple[Tensor, OpCounter]:
-    """End-to-end integer inference under the calibrated plan: runs the
-    compiled step of each of ``graph.ops`` in order over integer codes.
-
-    Floating point is used for two conversions, quantizing the input
-    tensor and dequantizing the output logits, and in two exact places
-    between: :meth:`KernelMath.matmul` may carry integer operands through
-    float BLAS when every partial sum is exact in the float type, and
-    ``log2_softmax``'s bit-length tail takes int32 bit lengths from
-    ``np.frexp`` (``tensor.bit_length``). The rest runs through the
-    instrumented integer facade, except that tail and LayerNorm's int64
-    Newton square root, which are raw numpy and charge their ops by hand;
-    the returned counter reports the totals and the float violations it
-    saw (which must be zero), and cannot see those two.
+    """End-to-end integer inference under the calibrated plan: the
+    :func:`integer_edges` walk over one batch, as ``model.forward_float``
+    is ``model.float_edges``' (whose ``swap`` :func:`integer_edges` shares).
+    The input is quantized on the plan's ``input`` grid, each yield's dead
+    edges are dropped, and the last edge, the logits, is dequantized.
+    Between the two, floating point runs only in the two exact places the
+    ``tensor`` module docstring names; the returned counter reports the
+    totals and the float violations it saw (which must be zero), and
+    cannot see the two raw-numpy stages named there.
 
     Configuration-time work (see :func:`compile_plan`) is done on the first
     call, is not charged to the counter, and is reused while
@@ -794,14 +791,12 @@ def integer_forward(graph: ModelGraph, weights: dict, plan: AssignmentPlan, x,
 
     xq = quantize(np.asarray(x, dtype=np.float64), plan.qparams[INPUT])
     codes, squeeze = batched(graph, xq.codes)
-    env = {INPUT: codes}
-    for op, dead, step in zip(graph.ops, graph.dead_after, compiled.steps):
-        args = [env.pop(e) if e in dead else env[e] for e in op.inputs]
-        env[op.out] = step(counter, *args)
-    out = dequantize_np(QTensor(env[op.out], plan.qparams[op.out]))
-    if squeeze:
-        out = out[0]
-    return Tensor(out, dtype="real32"), counter
+    env: dict = {}
+    for _, dead in integer_edges(compiled, counter, codes, env):
+        for e in dead:
+            del env[e]
+    out = dequantize_np(QTensor(env[graph.ops[-1].out], plan.qparams[graph.ops[-1].out]))
+    return Tensor(out[0] if squeeze else out, dtype="real32"), counter
 
 
 # ---------------------------------------------------------------------------

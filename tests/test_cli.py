@@ -7,9 +7,13 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import intquant
+from intquant import pipeline as pl
 from intquant.cli import main
+from intquant.model import MODEL_FIELDS
 from intquant.pipeline import ConfigError, config_from_dict
 from intquant.tensor import Tensor, tensor_read, tensor_write
 
@@ -385,6 +389,62 @@ class TestInfer:
             ops = json.loads((tmp_path / f"{cand}.out.iptq.ops.json").read_text())
             totals[cand] = ops["total"]
         assert totals["efficient_bit_softmax"] > totals["shiftmax"]
+
+
+def _leaf_paths(node, path=()) -> list:
+    """The path of every value in a JSON document that is not a non-empty
+    object or list."""
+    if isinstance(node, (dict, list)) and node:
+        keys = node if isinstance(node, dict) else range(len(node))
+        return [p for k in keys for p in _leaf_paths(node[k], (*path, k))]
+    return [path]
+
+
+# wrong JSON types, 0, -1, each maximum + 1 and 2^62; never a large in-bound
+# dimension, which would be run instead of refused
+_ADVERSARIAL = (None, "x", [], {}, 1.5, True, 0, -1, 1 << 62,
+                *sorted({hi + 1 for _, _, hi in MODEL_FIELDS.values()}
+                        | {lim[1] + 1 for _, lim in pl._CONFIG_FIELDS.values()
+                           if isinstance(lim, tuple) and type(lim[-1]) is int}))
+
+
+class TestPlanMutations:
+    """A toy-default plan file with one value replaced is run or refused
+    (exit 0 or 2), never an internal failure (exit 1)."""
+
+    @pytest.fixture(scope="class")
+    def toy(self, tmp_path_factory):
+        d = tmp_path_factory.mktemp("toy")
+        (d / "config.json").write_text("{}")
+        assert run(d, "assign", "--config", str(d / "config.json"), "--jobs", "1",
+                   "--out", str(d / "toy")) == 0
+        x = np.random.default_rng(0).normal(0, 1, size=(8, 32)).astype(np.float32)
+        tensor_write(Tensor(x), d / "x.iptq")
+        return d, json.loads((d / "toy.plan.json").read_text())
+
+    def _infer(self, toy, raw):
+        d, _ = toy
+        (d / "m.plan.json").write_text(json.dumps(raw))
+        return run(d, "infer", "--plan", str(d / "m.plan.json"), "--input", str(d / "x.iptq"),
+                   "--out", str(d / "y.iptq"))
+
+    def test_embed_dim_no_array_can_hold_is_usage_error(self, toy, capsys):
+        raw = json.loads(json.dumps(toy[1]))
+        raw["model_config"]["embed_dim"] = 1 << 62
+        assert self._infer(toy, raw) == 2
+        assert "usage error: plan: ConfigError: model.embed_dim must be in [1, 768]" in \
+            capsys.readouterr().err
+
+    @settings(max_examples=400, deadline=None)
+    @given(data=st.data())
+    def test_single_field_mutation_exits_0_or_2(self, toy, data):
+        raw = json.loads(json.dumps(toy[1]))
+        path = data.draw(st.sampled_from(_leaf_paths(raw)), label="path")
+        node = raw
+        for k in path[:-1]:
+            node = node[k]
+        node[path[-1]] = data.draw(st.sampled_from(_ADVERSARIAL), label="value")
+        assert self._infer(toy, raw) in (0, 2)
 
 
 class TestRunReport:

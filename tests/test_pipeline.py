@@ -5,6 +5,7 @@ import re
 import sys
 import threading
 import tracemalloc
+import weakref
 from unittest import mock
 
 import numpy as np
@@ -14,8 +15,8 @@ from hypothesis import strategies as st
 
 from intquant.metric import (INF_DB, MetricScore, MetricTable, perturbation, sqnr,
                              unified_score)
-from intquant.model import (CANDIDATE_POOLS, INPUT, build_toy_vit, float_edges, forward_float,
-                            merge_heads, split_heads)
+from intquant.model import (CANDIDATE_POOLS, INPUT, MODEL_FIELDS, build_toy_vit, float_edges,
+                            forward_float, merge_heads, split_heads)
 import intquant.pipeline as pl
 from intquant.pipeline import (STAGE1_MODES, AssignmentPlan, ConfigError,
                                IncompleteTableError, PipelineConfig,
@@ -31,7 +32,7 @@ from intquant import softmax as sm_mod
 from intquant.quantize import (MinMaxObserver, QParams, QTensor, dequantize_np,
                                encode_dyadic_multiplier, qparams_from_range, quantize,
                                requant_weight_per_channel, requantize)
-from intquant.tensor import KernelMath, KernelOverflowError, OpCounter, rng_tensor
+from intquant.tensor import KernelMath, KernelOverflowError, OpCounter, Tensor, rng_tensor
 
 
 def small_cfg(**kw):
@@ -105,6 +106,23 @@ class TestGraphConstruction:
             build_toy_vit({"blocks": 1, "embed_dim": 30, "heads": 4,
                            "tokens": 4, "mlp_ratio": 2})
 
+    @pytest.mark.parametrize("field", list(MODEL_FIELDS))
+    def test_dimensions_past_their_maximum_are_refused(self, field):
+        hi = MODEL_FIELDS[field][2]
+        with pytest.raises(ValueError, match=f"^{field} must be in"):
+            build_toy_vit({field: hi + 1})
+        with pytest.raises(ConfigError, match=f"^model.{field} must be in"):
+            config_from_dict({"model": {field: hi + 1}})
+        assert getattr(config_from_dict({"model": {field: hi}}), field) == hi
+
+    @pytest.mark.parametrize("model", [
+        {"blocks": 12, "embed_dim": 192, "heads": 3, "tokens": 64},
+        {"blocks": 12, "embed_dim": 384, "heads": 6, "tokens": 197, "mlp_ratio": 4,
+         "classes": 1000},
+    ], ids=["vit-s-like", "vit-s-16"])
+    def test_maxima_admit_vit_s_shapes(self, model):
+        config_from_dict({"model": model})
+
     def test_candidate_pools_match_kind(self):
         graph, _ = build_toy_vit({"blocks": 1, "embed_dim": 16, "heads": 2,
                                   "tokens": 4, "mlp_ratio": 2})
@@ -133,6 +151,20 @@ class TestGraphConstruction:
             pass
         assert np.shares_memory(env[INPUT], x)
         np.testing.assert_array_equal(forward_float(graph, weights, x.copy()), env["logits"])
+
+    def test_joined_input_is_freed_once_dead(self):
+        # the walk keeps no reference of its own to an edge, so dropping a
+        # dead edge from env frees it, the input joined from batches too
+        graph, weights = build_toy_vit({"blocks": 1, "embed_dim": 16, "heads": 2,
+                                        "tokens": 4, "mlp_ratio": 2})
+        xs = [rng_tensor(i, [2, 4, 16], "normal", 0.0, 1.0).values for i in (1, 2)]
+        env, refs = {}, {}
+        for edge, dead in float_edges(graph, weights, xs, env):
+            refs[edge] = weakref.ref(env[edge])
+            for e in dead:
+                del env[e]
+                assert refs[e]() is None, e
+        assert list(env) == ["logits"]
 
     def test_nonlinear_input_edges_exist(self):
         graph, _ = build_toy_vit({"blocks": 3, "embed_dim": 16, "heads": 2,
@@ -921,6 +953,85 @@ class TestIntegerForward:
         _, c1 = integer_forward(graph, weights, plan, x)
         _, c2 = integer_forward(graph, weights, plan, x)
         assert c1.as_dict() == c2.as_dict()
+
+
+class TestIntegerEdges:
+    """The integer pass is the float pass's walk over the compiled steps:
+    one op list, one swap."""
+
+    X = rng_tensor(21, [2, 8, 32], "normal", 0.0, 1.0).values.astype(np.float64)
+
+    @pytest.fixture(scope="class")
+    def toy(self):
+        return run_pipeline(PipelineConfig())    # the toy-default plan
+
+    @staticmethod
+    def drained(edges, env):
+        """The walk's yields, each one's dead edges dropped from ``env``."""
+        seen = []
+        for edge, dead in edges:
+            seen.append((edge, dead))
+            for e in dead:
+                del env[e]
+        return seen
+
+    @staticmethod
+    def logits(plan, env):
+        return Tensor(dequantize_np(QTensor(env["logits"], plan.qparams["logits"])),
+                      dtype="real32")
+
+    def test_both_walks_yield_one_list(self, toy):
+        plan, _, graph, weights = toy
+        compiled = compile_plan(graph, weights, _fresh(plan))
+        codes = quantize(self.X, plan.qparams[INPUT]).codes
+        float_env, int_env = {}, {}
+        walked = self.drained(float_edges(graph, weights, [self.X], float_env), float_env)
+        counter = OpCounter()
+        assert self.drained(pl.integer_edges(compiled, counter, codes, int_env),
+                            int_env) == walked
+        assert [edge for edge, _ in walked] == list(graph.edges)
+        assert list(float_env) == list(int_env) == ["logits"]
+        want, want_counter = integer_forward(graph, weights, _fresh(plan), self.X)
+        assert self.logits(plan, int_env) == want
+        assert counter.as_dict() == want_counter.as_dict()
+
+    def test_swap_is_the_plan_with_that_layer_reassigned(self, toy):
+        # every (layer, candidate), bound as stage 1 and compile_plan bind
+        # it, run in the walk of the plan's compiled steps, against a fresh
+        # compile of the plan with that one assignment changed (the same
+        # parameters: stage 3 is not rerun)
+        plan, _, graph, weights = toy
+        compiled = compile_plan(graph, weights, _fresh(plan))
+        codes = quantize(self.X, plan.qparams[INPUT]).codes
+        own = integer_forward(graph, weights, _fresh(plan), self.X)
+        ops = {op.out: op for op in graph.ops}
+        swaps = 0
+        for rec in graph.layers:
+            op = ops[rec.layer_id]
+            for cand in rec.candidates:
+                run = pl._runner(op, cand, plan.qparams[op.inputs[0]], plan.qparams[op.out],
+                                 weights, plan.config.taylor_degree)
+                counter, env = OpCounter(), {}
+                self.drained(pl.integer_edges(compiled, counter, codes, env,
+                                              swap=(rec.layer_id, run)), env)
+                other = _fresh(plan)
+                other.assignments[rec.layer_id] = cand
+                want, want_counter = integer_forward(graph, weights, other, self.X)
+                got = (self.logits(plan, env), counter.as_dict())
+                assert got == (want, want_counter.as_dict()), (rec.layer_id, cand)
+                if cand == plan.assignments[rec.layer_id]:
+                    assert got == (own[0], own[1].as_dict()), rec.layer_id
+                swaps += 1
+        assert swaps == 29
+
+    def test_swap_names_a_nonlinear_layer(self, toy):
+        plan, _, graph, weights = toy
+        compiled = compile_plan(graph, weights, _fresh(plan))
+        codes = quantize(self.X, plan.qparams[INPUT]).codes
+        for edges in (float_edges(graph, weights, [self.X], {}, ("block0.attn.q", abs)),
+                      pl.integer_edges(compiled, OpCounter(), codes, {}, ("nowhere", abs))):
+            with pytest.raises(ValueError, match="not a non-linear layer"):
+                next(edges)
 
 
 def _fresh(plan):
