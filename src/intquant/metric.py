@@ -30,8 +30,16 @@ def sqnr(x, x_hat, convention: str = "power10") -> float:
 
 def perturbation(x, x_hat) -> float:
     """Sum of (x - x_hat)^2 over all elements: n times the noise power of
-    :func:`sqnr`."""
-    return float(np.sum(squared_residual(x, x_hat)))
+    :func:`sqnr`. It is the sum of the :func:`sample_energies`, in sample
+    order, so stage 1 gets the same bits from any split of the samples."""
+    return float(np.sum(sample_energies(x, x_hat)))
+
+
+def sample_energies(x, x_hat) -> np.ndarray:
+    """Sum of (x - x_hat)^2 over each sample (index of the first axis); a
+    1-D input's samples are its elements."""
+    d = squared_residual(x, x_hat)
+    return d.sum(axis=tuple(range(1, d.ndim)))
 
 
 def signal_power(x) -> float:
@@ -51,13 +59,13 @@ def energy_scores(p: float, n: int, power: float,
     return DB_FACTORS[convention] * math.log10(power / noise), p
 
 
-def squared_residual(x, x_hat, out: np.ndarray | None = None) -> np.ndarray:
-    """(x - x_hat)^2 elementwise, as float64, written into ``out`` when given."""
+def squared_residual(x, x_hat) -> np.ndarray:
+    """(x - x_hat)^2 elementwise, as float64."""
     x = np.asarray(x, dtype=np.float64)
     x_hat = np.asarray(x_hat, dtype=np.float64)
     if x.shape != x_hat.shape:
         raise ValueError(f"shape mismatch {x.shape} vs {x_hat.shape}")
-    d = np.subtract(x, x_hat, out=out)
+    d = np.subtract(x, x_hat)
     return np.square(d, out=d)
 
 

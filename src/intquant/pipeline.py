@@ -27,7 +27,7 @@ from . import softmax as sm_mod
 # sqnr and perturbation stay importable from here, where the benchmark's
 # tracer looks for them, although stage 1 scores through energy_scores
 from .metric import (DB_FACTORS, MetricScore, MetricTable, energy_scores,  # noqa: F401
-                     perturbation, signal_power, sqnr, squared_residual, unified_score)
+                     perturbation, sample_energies, signal_power, sqnr, unified_score)
 from .model import (CANDIDATE_POOLS, INPUT, MODEL_FIELDS, ModelGraph, Op,
                     batch_rows, batched, build_toy_vit, float_edges, forward_float,
                     merge_heads, model_dims, split_heads, walk)
@@ -83,8 +83,8 @@ class PipelineConfig:
 _CONFIG_FIELDS = {
     **{f"model.{name}": (name, None) for name in MODEL_FIELDS},
     "bits.weights": ("weight_bits", (2, 16)), "bits.activations": ("act_bits", (2, 16)),
-    "calib.batches": ("calib_batches", (1, None)),
-    "calib.batch_size": ("calib_batch_size", (1, None)),
+    "calib.batches": ("calib_batches", (1, 1024)),
+    "calib.batch_size": ("calib_batch_size", (1, 1024)),
     "metric.db_convention": ("db_convention", tuple(DB_FACTORS)),
     "metric.standardize": ("standardize", None), "stage1_mode": ("stage1_mode", STAGE1_MODES),
     "taylor_degree": ("taylor_degree", (1, 2)), "seed": ("seed", (0, None)),
@@ -290,17 +290,19 @@ class _CandidateRun:
     """One candidate's (q_db, p, c) over the parts of a reference ``ref``
     (row slices ``parts``), from tasks ``part(i)`` that may run in any
     order, on any thread. Each runs ``run(i, counter)``, the candidate's
-    output for part i, on its own OpCounter, and writes its squared
-    residual into one whole-set buffer, which exists only from the first
-    part run to the last. p is one sum over that buffer, so it does not
-    depend on the parts; c counts the parts up to the first that overflows,
-    that one's partial count included, as a serial run that stops there."""
+    output for part i, on its own OpCounter, and writes the residual energy
+    of each of the part's samples (:func:`metric.sample_energies`, in
+    slice-sized scratch) into the candidate's vector of one energy per
+    sample. p is ``np.sum`` over that vector, as in
+    :func:`metric.perturbation`, so it does not depend on the parts or the
+    thread order; c counts the parts up to the first that overflows, that
+    one's partial count included, as a serial run that stops there."""
 
     def __init__(self, run, ref: np.ndarray, parts: list):
         self.run, self.ref, self.parts = run, ref, parts
         self.ops = [0] * len(parts)
-        self.overflow = self.left = len(parts)   # first overflowed part; parts to go
-        self.residual = self.energy = None
+        self.overflow = len(parts)      # the first overflowed part
+        self.energies = np.empty(len(ref))
         self.lock = threading.Lock()
 
     def part(self, i: int) -> None:
@@ -312,25 +314,16 @@ class _CandidateRun:
                 with self.lock:
                     self.overflow = min(self.overflow, i)
             else:
-                with self.lock:
-                    if self.residual is None:
-                        self.residual = np.empty(self.ref.shape)
                 sl = self.parts[i]
-                squared_residual(self.ref[sl], got, out=self.residual[sl])
+                self.energies[sl] = sample_energies(self.ref[sl], got)
             self.ops[i] = counter.total()
-        with self.lock:
-            self.left -= 1
-            if self.left:
-                return
-        if self.overflow == len(self.parts):
-            self.energy = float(np.sum(self.residual))
-        self.residual = None
 
     def measured(self, power: float, convention: str) -> tuple:
         c = round(sum(self.ops[:self.overflow + 1]) / len(self.ref))
-        if self.energy is None:
+        if self.overflow < len(self.parts):
             return -np.inf, np.inf, c
-        return (*energy_scores(self.energy, self.ref.size, power, convention), c)
+        p = float(np.sum(self.energies))
+        return (*energy_scores(p, self.ref.size, power, convention), c)
 
 
 def _layer_rows(pool, op: Op, runners: dict, run, ref: np.ndarray, parts: list,

@@ -129,8 +129,11 @@ def quantize(x, p: QParams) -> QTensor:
 
 
 def dequantize_np(q: QTensor) -> np.ndarray:
-    """x_hat = s * (code - z), as a float64 ndarray."""
-    return (q.codes.astype(np.float64) - q.params.zero_point) * q.params.scale
+    """x_hat = s * (code - z), as a float64 ndarray, the one array made."""
+    out = q.codes.astype(np.float64)
+    out -= q.params.zero_point
+    out *= q.params.scale
+    return out
 
 
 class MinMaxObserver:

@@ -130,6 +130,11 @@ class TestAssign:
         ({"model": {"heads": 3}}, "model.heads"),
         ({"calib": {"batches": 0}}, "calib.batches"),
         ({"calib": {"batch_size": 0}}, "calib.batch_size"),
+        # refused before the calibration set is allocated
+        ({"calib": {"batches": 1025}}, "calib.batches"),
+        ({"calib": {"batches": 1 << 62}}, "calib.batches"),
+        ({"calib": {"batch_size": 1025}}, "calib.batch_size"),
+        ({"calib": {"batch_size": 1 << 62}}, "calib.batch_size"),
         ({"taylor_degree": 3}, "taylor_degree"),
         ({"seed": -1}, "seed"),
         ({"pools": {"softmax": ["bogus"]}}, "pools.softmax"),

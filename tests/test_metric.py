@@ -6,7 +6,8 @@ from scipy.special import erf
 
 from intquant.gelu import QUARTIC_ERF_COEFFS, erf_poly_eval
 from intquant.metric import (INF_DB, MetricScore, MetricTable, approx_error,
-                             perturbation, softplus, sqnr, unified_score)
+                             perturbation, sample_energies, softplus, sqnr,
+                             unified_score)
 
 
 class TestSqnr:
@@ -43,6 +44,18 @@ class TestPerturbation:
 
     def test_hand_value(self):
         assert perturbation(np.array([3.0, 4.0]), np.zeros(2)) == 25.0
+
+    @pytest.mark.parametrize("shape", [(37,), (16, 10), (6, 4, 33, 33)])
+    def test_sum_of_the_sample_energies_bit_for_bit(self, shape):
+        # stage 1 sums its per-sample energies, so it gets perturbation's bits
+        rng = np.random.default_rng(1)
+        x, y = rng.normal(size=shape), rng.normal(size=shape)
+        energies = sample_energies(x, y)
+        assert energies.shape == shape[:1]
+        assert perturbation(x, y) == float(np.sum(energies))
+        for i in (0, shape[0] - 1):
+            assert energies[i] == np.sum((x[i] - y[i]) ** 2)
+            assert sample_energies(x[i:i + 1], y[i:i + 1])[0] == energies[i]
 
     def test_quadratic_homogeneity(self):
         rng = np.random.default_rng(0)

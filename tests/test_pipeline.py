@@ -271,7 +271,7 @@ class TestStage1:
     def test_peak_memory_stays_below_the_whole_set_edges(self):
         # the float pass drops each edge once no later op reads it, so
         # stage 1 never holds every whole-set edge at once, even with two
-        # workers each holding a candidate's residual buffer
+        # workers each holding one slice of a candidate's scratch
         cfg = small_cfg(blocks=1, tokens=128, embed_dim=64, heads=1,
                         calib_batches=4, calib_batch_size=8)
         graph, weights = build_toy_vit(cfg.model_config())
@@ -285,6 +285,34 @@ class TestStage1:
         finally:
             tracemalloc.stop()
         assert peak < whole_set
+
+    def test_scoring_a_layer_holds_less_than_its_reference(self, monkeypatch):
+        # each (candidate, slice) task reduces its residual to one energy per
+        # sample in slice-sized scratch, so the softmax layer's scoring, with
+        # two workers, allocates less than one whole-set float64 array of
+        # the layer (two residual buffers in flight would be twice that)
+        cfg = small_cfg(blocks=1, tokens=128, embed_dim=64, heads=8,
+                        calib_batches=4, calib_batch_size=8)
+        graph, weights = build_toy_vit(cfg.model_config())
+        calib, seen = calibration_batches(cfg), []
+
+        def traced(pool, op, runners, run, ref, *args, _fn=pl._layer_rows):
+            if op.op != "softmax":
+                return _fn(pool, op, runners, run, ref, *args)
+            entry = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            rows = _fn(pool, op, runners, run, ref, *args)
+            seen.append((tracemalloc.get_traced_memory()[1] - entry, ref.nbytes))
+            return rows
+        monkeypatch.setattr(pl, "_layer_rows", traced)
+        tracemalloc.start()
+        try:
+            stage1_analyze(graph, weights, calib, cfg, jobs=2)
+        finally:
+            tracemalloc.stop()
+        [(peak, ref_bytes)] = seen
+        assert ref_bytes == 32 * 8 * 128 * 128 * 8
+        assert peak < ref_bytes
 
     def test_c_is_the_measured_count_per_sample(self):
         # c is the candidate's own OpCounter total over one whole-set call,

@@ -3,15 +3,18 @@
 Runs eleven configs at seeds 0 and 7 (model seed and calibration seed, two
 stage-1 jobs) through the ``intquant`` package found under ``--src`` and
 prints one JSON object. Per run it holds the sha256 of the plan JSON, of
-the metrics CSV, and of the integer logits, the ``OpCounter`` dict and the
-``forward_float`` logits for a batch of 1, a batch of 3 and one unbatched
-sample, with each ``OpCounter`` dict itself next to its digest so that a
-change in op counts reads off the diff. It also holds the CLI round
-trip: ``intquant assign`` writes the plan file, ``intquant infer`` runs
-a batch of 2 under the plan it reads back, and the plan, logits and
-``.ops.json`` files are hashed as written. Last, it holds the sha256 of
-the three ``intquant eval-approx`` CSVs and of the JSON that ``intquant
-fit`` writes for degrees 2, 3 and 4, the fitted values beside each.
+the plan's assignments and activation parameters alone (no scores, so a
+change that moves only score bits differs in the first and not in this
+one), of the metrics CSV, and of the integer logits, the ``OpCounter``
+dict and the ``forward_float`` logits for a batch of 1, a batch of 3 and
+one unbatched sample, with each ``OpCounter`` dict itself next to its
+digest so that a change in op counts reads off the diff. It also holds
+the CLI round trip: ``intquant assign`` writes the plan file, ``intquant
+infer`` runs a batch of 2 under the plan it reads back, and the plan,
+logits and ``.ops.json`` files are hashed as written. Last, it holds the
+sha256 of the three ``intquant eval-approx`` CSVs and of the JSON that
+``intquant fit`` writes for degrees 2, 3 and 4, the fitted values beside
+each.
 
 A change that should not alter any output is checked by running this on
 the parent and on the change, on one machine, and comparing:
@@ -78,6 +81,9 @@ def digests(pl, raw: dict, seed: int, tmp: str) -> dict:
     for name in ("plan.json", "metrics.csv"):
         with open(os.path.join(tmp, name), "rb") as fh:
             out[name] = sha(fh.read())
+    chosen = {"assignments": list(plan.assignments.items()),
+              "qparams": pl.plan_to_dict(plan)["qparams"]}
+    out["plan.assignments+qparams"] = sha(json.dumps(chosen).encode())
     rng = np.random.default_rng(seed)
     sample = (graph.tokens, graph.embed_dim)
     for name, shape in (("batch1", (1, *sample)), ("batch3", (3, *sample)),
