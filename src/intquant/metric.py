@@ -12,20 +12,16 @@ from dataclasses import dataclass, field
 import numpy as np
 
 INF_DB = math.inf
-DB_FACTORS = {"power10": 10.0, "amplitude20": 20.0}  # sqnr conventions
 
 
-def sqnr(x, x_hat, convention: str = "power10") -> float:
-    """Signal-to-quantization-noise ratio in dB.
-
-    The default convention is 10*log10 of the power ratio E[x^2]/E[(x-x_hat)^2];
-    that is the reading consistent with (1e4 signal power, 100 noise power)
-    giving 20 dB and (1e4, 60) giving 22.21 dB. The 20*log10 variant stays
-    available behind ``convention="amplitude20"`` for auditability.
-    Exact reconstruction returns the +inf sentinel.
+def sqnr(x, x_hat) -> float:
+    """Signal-to-quantization-noise ratio in dB: 10*log10 of the power ratio
+    E[x^2]/E[(x-x_hat)^2], the reading consistent with (1e4 signal power,
+    100 noise power) giving 20 dB and (1e4, 60) giving 22.21 dB. Exact
+    reconstruction returns the +inf sentinel.
     """
     x = np.asarray(x, dtype=np.float64)
-    return energy_scores(perturbation(x, x_hat), x.size, signal_power(x), convention)[0]
+    return energy_scores(perturbation(x, x_hat), x.size, signal_power(x))[0]
 
 
 def perturbation(x, x_hat) -> float:
@@ -48,15 +44,14 @@ def signal_power(x) -> float:
     return float(np.mean(x * x))
 
 
-def energy_scores(p: float, n: int, power: float,
-                  convention: str = "power10") -> tuple[float, float]:
+def energy_scores(p: float, n: int, power: float) -> tuple[float, float]:
     """(:func:`sqnr`, :func:`perturbation`) from the residual energy ``p``
     (the sum of :func:`squared_residual` over ``n`` elements) and the
     reference's ``power``."""
     noise = p / n
     if noise == 0.0:
         return INF_DB, p
-    return DB_FACTORS[convention] * math.log10(power / noise), p
+    return 10.0 * math.log10(power / noise), p
 
 
 def squared_residual(x, x_hat) -> np.ndarray:

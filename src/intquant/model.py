@@ -242,14 +242,12 @@ def walk(graph: ModelGraph, fns, env: dict, *lead, swap: tuple | None = None):
         yield op.out, dead
 
 
-def forward_float(graph: ModelGraph, weights: dict, x,
-                  swap: tuple | None = None) -> np.ndarray:
+def forward_float(graph: ModelGraph, weights: dict, x) -> np.ndarray:
     """Full-precision forward pass of one batch, or of one unbatched
-    sample: :func:`float_edges` over ``[x]``, whose last edge it returns.
-    ``swap`` is that function's."""
+    sample: :func:`float_edges` over ``[x]``, whose last edge it returns."""
     x, squeeze = batched(graph, np.asarray(x, dtype=np.float64))
     env: dict = {}
-    for _, dead in float_edges(graph, weights, [x], env, swap):
+    for _, dead in float_edges(graph, weights, [x], env):
         for e in dead:
             del env[e]
     out = env[graph.ops[-1].out]
@@ -263,19 +261,18 @@ def batch_rows(graph: ModelGraph, batches: list) -> list[slice]:
     return [slice(end - n, end) for n, end in zip(lens, ends)]
 
 
-def float_edges(graph: ModelGraph, weights: dict, batches: list, env: dict,
-                swap: tuple | None = None):
+def float_edges(graph: ModelGraph, weights: dict, batches: list, env: dict):
     """The full-precision :func:`walk` over ``batches``: each op applies its
     float function to each batch's rows in turn, so an edge is the one-batch
     passes' arrays joined (over one batch, the batch is the ``input`` edge
-    and each op's output its edge). swap = (layer_id, fn) runs
-    ``fn(input_array) -> output_array`` in that layer's place, per batch."""
+    and each op's output its edge). It takes no swap: the walk that runs
+    one layer on another candidate is ``pipeline.integer_edges``."""
     if not batches:
         raise ValueError("calibration set must be non-empty")
     xs = [batched(graph, np.asarray(b, dtype=np.float64))[0] for b in batches]
     rows = batch_rows(graph, xs)
 
-    def per_batch(fn, ws=()):   # fn on each batch's rows, the outputs joined
+    def per_batch(fn, ws):   # fn on each batch's rows, the outputs joined
         def run(*ins):
             if len(rows) == 1:
                 return fn(*ins, *ws)
@@ -291,4 +288,4 @@ def float_edges(graph: ModelGraph, weights: dict, batches: list, env: dict,
     fns = [per_batch(partial(_FLOAT_OPS[op.op], graph), [weights[k] for k in op.weights])
            for op in graph.ops]
     env[INPUT] = xs[0] if len(xs) == 1 else np.concatenate(xs)  # env alone holds a join
-    yield from walk(graph, fns, env, swap=swap and (swap[0], per_batch(swap[1])))
+    yield from walk(graph, fns, env)

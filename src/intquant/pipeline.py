@@ -24,13 +24,14 @@ import numpy as np
 from . import gelu as gelu_mod
 from . import layernorm as ln_mod
 from . import softmax as sm_mod
-# sqnr and perturbation stay importable from here, where the benchmark's
-# tracer looks for them, although stage 1 scores through energy_scores
-from .metric import (DB_FACTORS, MetricScore, MetricTable, energy_scores,  # noqa: F401
-                     perturbation, sample_energies, signal_power, sqnr, unified_score)
-from .model import (CANDIDATE_POOLS, INPUT, MODEL_FIELDS, ModelGraph, Op,
-                    batch_rows, batched, build_toy_vit, float_edges, forward_float,
-                    merge_heads, model_dims, split_heads, walk)
+# sqnr, perturbation and forward_float stay importable from here, where the
+# benchmark's tracer rebinds them and tools/identity.py calls forward_float,
+# although stage 1 scores through energy_scores over float_edges' pass
+from .metric import (MetricScore, MetricTable, energy_scores, perturbation,  # noqa: F401
+                     sample_energies, signal_power, sqnr, unified_score)
+from .model import (CANDIDATE_POOLS, INPUT, MODEL_FIELDS, ModelGraph, Op,  # noqa: F401
+                    batched, build_toy_vit, float_edges, forward_float, merge_heads,
+                    model_dims, split_heads, walk)
 from .quantize import (MinMaxObserver, QParams, QTensor, dequantize_np,
                        dyadic_qparams_for_range, encode_dyadic_multiplier,
                        quantize, requant_bound, requant_weight_per_channel, requantize)
@@ -38,7 +39,6 @@ from .tensor import (KernelMath, KernelOverflowError, OpCounter, StageBound, Ten
                      buffer_for, magnitude, rng_tensor)
 
 SCORES_CODE_BITS = 16  # attention scores keep wide codes on a dyadic grid
-STAGE1_MODES = ("local", "global")
 
 
 class ConfigError(ValueError):
@@ -65,9 +65,6 @@ class PipelineConfig:
     act_bits: int = 8
     calib_batches: int = 4
     calib_batch_size: int = 8
-    db_convention: str = "power10"
-    standardize: bool = False
-    stage1_mode: str = "local"
     taylor_degree: int = 1
     seed: int = 0
     pools: dict | None = None
@@ -76,22 +73,17 @@ class PipelineConfig:
         return {k: getattr(self, k) for k in MODEL_FIELDS}
 
 
-# config path -> (PipelineConfig field, the values it may take beyond its
-# type: (min, max or None) for integers, the choices for strings, None where
-# model_dims or nothing checks it), in plan JSON order; the type of the
-# field's default is the type the config must give
+# config path -> (PipelineConfig integer field, its (min, max or None), or
+# None where model_dims checks it), in plan JSON order
 _CONFIG_FIELDS = {
     **{f"model.{name}": (name, None) for name in MODEL_FIELDS},
     "bits.weights": ("weight_bits", (2, 16)), "bits.activations": ("act_bits", (2, 16)),
     "calib.batches": ("calib_batches", (1, 1024)),
     "calib.batch_size": ("calib_batch_size", (1, 1024)),
-    "metric.db_convention": ("db_convention", tuple(DB_FACTORS)),
-    "metric.standardize": ("standardize", None), "stage1_mode": ("stage1_mode", STAGE1_MODES),
     "taylor_degree": ("taylor_degree", (1, 2)), "seed": ("seed", (0, None)),
 }
 _SECTIONS = {path.split(".")[0] for path in _CONFIG_FIELDS if "." in path}
 _FIELD_PATHS = {name: path for path, (name, _) in _CONFIG_FIELDS.items()}
-_TYPE_NAMES = {int: "an integer", str: "a string", bool: "a boolean"}
 
 
 def config_from_dict(raw: dict) -> PipelineConfig:
@@ -106,7 +98,9 @@ def config_from_dict(raw: dict) -> PipelineConfig:
             kwargs["pools"] = {k: tuple(v) if isinstance(v, (list, tuple)) else v
                                for k, v in val.items()}
             continue
-        if key in _SECTIONS:
+        # an object under a key that is no field reads as a section, so
+        # that an unknown field in it is named by its path
+        if key in _SECTIONS or (key not in _CONFIG_FIELDS and isinstance(val, dict) and val):
             if not isinstance(val, dict):
                 raise ConfigError(f"{key}: expected an object")
             items = [(f"{key}.{sub}", v) for sub, v in val.items()]
@@ -115,11 +109,9 @@ def config_from_dict(raw: dict) -> PipelineConfig:
         for path, v in items:
             if path not in _CONFIG_FIELDS:
                 raise ConfigError(f"{path}: unknown field")
-            field_name = _CONFIG_FIELDS[path][0]
-            want = type(getattr(PipelineConfig, field_name))
-            if type(v) is not want:
-                raise ConfigError(f"{path}: expected {_TYPE_NAMES[want]}")
-            kwargs[field_name] = v
+            if type(v) is not int:
+                raise ConfigError(f"{path}: expected an integer")
+            kwargs[_CONFIG_FIELDS[path][0]] = v
     cfg = PipelineConfig(**kwargs)
     check_config(cfg)
     return cfg
@@ -134,10 +126,7 @@ def check_config(cfg: PipelineConfig) -> None:
         raise ConfigError(f"model.{exc}") from exc
     for path, (name, allowed) in _CONFIG_FIELDS.items():
         val = getattr(cfg, name)
-        if isinstance(val, str):
-            if val not in allowed:
-                raise ConfigError(f"{path}: must be one of {list(allowed)}, got {val!r}")
-        elif allowed and (val < allowed[0] or (allowed[1] is not None and val > allowed[1])):
+        if allowed and (val < allowed[0] or (allowed[1] is not None and val > allowed[1])):
             raise ConfigError(f"{path}: must be in [{allowed[0]}, {allowed[1] or 'inf'}],"
                               f" got {val}")
     try:
@@ -276,75 +265,48 @@ def _input_codes(x: np.ndarray, p_in: QParams) -> np.ndarray:
     return codes
 
 
-def _candidate_output(run, codes: np.ndarray, counter: OpCounter) -> np.ndarray:
-    """The bound runner ``run`` (see :func:`_runner`) on ``codes``, slice by
-    slice (see ``STAGE1_SLICE_ELEMENTS``), dequantized into one float64
-    array."""
-    out = np.empty(codes.shape)
-    for sl in _slices(codes):
-        out[sl] = dequantize_np(run(counter, codes[sl]))
-    return out
-
-
 class _CandidateRun:
-    """One candidate's (q_db, p, c) over the parts of a reference ``ref``
-    (row slices ``parts``), from tasks ``part(i)`` that may run in any
-    order, on any thread. Each runs ``run(i, counter)``, the candidate's
-    output for part i, on its own OpCounter, and writes the residual energy
-    of each of the part's samples (:func:`metric.sample_energies`, in
-    slice-sized scratch) into the candidate's vector of one energy per
-    sample. p is ``np.sum`` over that vector, as in
-    :func:`metric.perturbation`, so it does not depend on the parts or the
-    thread order; c counts the parts up to the first that overflows, that
-    one's partial count included, as a serial run that stops there."""
+    """One candidate's score on a layer: the bound runner ``run`` (see
+    :func:`_runner`) on the layer's input ``codes``, against its reference
+    output ``ref``, from tasks ``part(i)``, one per slice of ``codes`` (see
+    ``STAGE1_SLICE_ELEMENTS``), that may run in any order, on any thread.
+    Each runs the candidate on its slice on its own OpCounter and writes
+    the residual energy of each of the slice's samples
+    (:func:`metric.sample_energies`, in slice-sized scratch) into the
+    candidate's vector of one energy per sample. p is ``np.sum`` over that
+    vector, as in :func:`metric.perturbation`, so it does not depend on the
+    slicing or the thread order; c counts the slices up to the first that
+    overflows, that one's partial count included, as a serial run that
+    stops there."""
 
-    def __init__(self, run, ref: np.ndarray, parts: list):
-        self.run, self.ref, self.parts = run, ref, parts
-        self.ops = [0] * len(parts)
-        self.overflow = len(parts)      # the first overflowed part
+    def __init__(self, run, codes: np.ndarray, ref: np.ndarray):
+        self.run, self.codes, self.ref = run, codes, ref
+        self.parts = _slices(codes)
+        self.ops = [0] * len(self.parts)
+        self.overflow = len(self.parts)      # the first overflowed part
         self.energies = np.empty(len(ref))
         self.lock = threading.Lock()
 
     def part(self, i: int) -> None:
         if i < self.overflow:     # a part past an overflow cannot change the result
-            counter = OpCounter()
+            counter, sl = OpCounter(), self.parts[i]
             try:
-                got = self.run(i, counter)
+                got = dequantize_np(self.run(counter, self.codes[sl]))
             except KernelOverflowError:
                 with self.lock:
                     self.overflow = min(self.overflow, i)
             else:
-                sl = self.parts[i]
                 self.energies[sl] = sample_energies(self.ref[sl], got)
             self.ops[i] = counter.total()
 
-    def measured(self, power: float, convention: str) -> tuple:
+    def measured(self, power: float) -> MetricScore:
+        """The candidate's (q_db, p, c) and unified score, ``power`` being
+        the reference's signal power; one that overflowed scores 0."""
         c = round(sum(self.ops[:self.overflow + 1]) / len(self.ref))
         if self.overflow < len(self.parts):
-            return -np.inf, np.inf, c
-        p = float(np.sum(self.energies))
-        return (*energy_scores(p, self.ref.size, power, convention), c)
-
-
-def _layer_rows(pool, op: Op, runners: dict, run, ref: np.ndarray, parts: list,
-                power: float, cfg: PipelineConfig) -> list:
-    """The table rows of layer ``op``'s candidates, scored against ``ref``
-    (of signal power ``power``); ``runners`` maps each candidate to its
-    bound runner (see :func:`_runner`), and ``run(runner, i, counter)`` is
-    a candidate's output for ``ref``'s part i. The tasks (candidate, part)
-    run in that order, on ``pool`` when there is one, and all finish before
-    this returns."""
-    runs = [_CandidateRun(partial(run, runner), ref, parts) for runner in runners.values()]
-    tasks = [partial(r.part, i) for r in runs for i in range(len(parts))]
-    if pool is None:
-        for task in tasks:
-            task()
-    else:
-        for future in [pool.submit(task) for task in tasks]:
-            future.result()
-    scores = _layer_scores([r.measured(power, cfg.db_convention) for r in runs],
-                           cfg.standardize)
-    return [(op.out, op.op, cand, ms) for cand, ms in zip(runners, scores)]
+            return MetricScore(-np.inf, np.inf, c, 0.0)
+        q_db, p = energy_scores(float(np.sum(self.energies)), self.ref.size, power)
+        return MetricScore(q_db, p, c, unified_score(q_db, p, c))
 
 
 # ---------------------------------------------------------------------------
@@ -361,115 +323,61 @@ def capture_calibration(graph: ModelGraph, weights: dict, calib: list) -> dict:
     return captured
 
 
-def _calibration_pass(graph: ModelGraph, weights: dict, calib: list, cfg: PipelineConfig,
-                      at_layer=None) -> tuple[tuple, np.ndarray]:
-    """One op-major full-precision pass over ``calib`` (:func:`float_edges`).
-    Each edge is observed (:func:`calibrate_edges`) as soon as it exists;
-    then, at a non-linear layer, ``at_layer(op, env, dead, qparams)`` runs,
-    with ``env`` the edges alive and ``dead`` those no later op reads; then
-    those are dropped. Returns the parameters and warnings of every edge,
-    and the whole-set logits."""
-    layers = {op.out: op for op in graph.ops if op.op in CANDIDATE_POOLS}
-    env, qparams, warns = {}, {}, []
-    for edge, dead in float_edges(graph, weights, calib, env):
-        edge_params, edge_warns = calibrate_edges(graph, {edge: env[edge]}, cfg)
-        qparams.update(edge_params)
-        warns += edge_warns
-        if at_layer is not None and edge in layers:
-            at_layer(layers[edge], env, dead, qparams)
-        for e in dead:
-            env.pop(e, None)
-    return (qparams, warns), env[graph.ops[-1].out]
-
-
 def stage1_analyze(graph: ModelGraph, weights: dict, calib: list,
                    cfg: PipelineConfig, jobs: int = 1) -> MetricTable:
     """Score every (layer, candidate) pair against the full-precision pass.
 
     Analysis is isolated: one layer is quantized at a time, under the
     plan's parameters (:func:`calibrate_edges`), and compared at its own
-    output (global-logit comparison sits behind stage1_mode). The cost c is
-    the candidate's measured op count per calibration sample, from this
-    same run. A candidate whose kernel overflows is recorded with score
-    0 and the ops it spent before the overflow. The table's
-    ``calibration`` holds the parameters and warnings of every edge.
+    output. The cost c is the candidate's measured op count per calibration
+    sample, from this same run. A candidate whose kernel overflows is
+    recorded with score 0 and the ops it spent before the overflow. The
+    table's ``calibration`` holds the parameters and warnings of every edge.
 
-    One op-major float pass over ``calib`` makes each edge whole, observes
-    it and drops it once no later op reads it. Each layer binds each of its
-    candidates once (:func:`_runner`, as inference does). In local mode
-    each layer is scored as soon as its output exists: its input is
-    quantized once, into codes all its candidates share, its float input
-    dropped if dead, and its reference power taken once; then its tasks
-    (candidate, slice) run, ``jobs`` at a time (on this thread for a layer
-    smaller than one slice), and finish before the pass goes on. Global
-    mode takes the parameters and whole-set logits from the same pass, then
-    runs each layer's tasks (candidate, batch), each a float forward of
-    one batch with the candidate swapped in.
+    One op-major float pass over ``calib`` (:func:`float_edges`) makes each
+    edge whole, observes it as soon as it exists and drops it once no later
+    op reads it. Each layer is scored as soon as its output exists: each of
+    its candidates is bound once (:func:`_runner`, as inference binds it),
+    its input is quantized once, into codes all its candidates share, its
+    float input dropped if dead, and its reference power taken once; then
+    its tasks (candidate, slice) run, ``jobs`` at a time (on this thread
+    for a layer smaller than one slice), and finish before the pass goes on.
     """
     candidates = {rec.layer_id: rec.candidates for rec in graph.layers}
-    rows: list = []
+    ops = {op.out: op for op in graph.ops}
+    table, env, qparams, warns = MetricTable(), {}, {}, []
 
-    def bind(op, qparams):   # the layer's input parameters and bound candidates
-        p_in, p_out = qparams[op.inputs[0]], qparams[op.out]
-        return p_in, {cand: _runner(op, cand, p_in, p_out, weights, cfg.taylor_degree)
-                      for cand in candidates[op.out]}
+    def score(op, dead):    # the layer's rows; its arrays go when this returns
+        p_in = qparams[op.inputs[0]]
+        runners = [_runner(op, cand, p_in, qparams[op.out], weights, cfg.taylor_degree)
+                   for cand in candidates[op.out]]
+        codes, ref = _input_codes(env[op.inputs[0]], p_in), env[op.out]
+        for e in dead:      # before the power, whose square is a temporary
+            env.pop(e)
+        power = signal_power(ref)
+        runs = [_CandidateRun(run, codes, ref) for run in runners]
+        tasks = [partial(r.part, i) for r in runs for i in range(len(r.parts))]
+        # below one slice, numpy holds the GIL for most of each call, so
+        # workers would take turns and only add hand-offs
+        if pool is None or codes.size < STAGE1_SLICE_ELEMENTS:
+            for task in tasks:
+                task()
+        else:
+            for future in [pool.submit(task) for task in tasks]:
+                future.result()
+        return [(op.out, op.op, cand, r.measured(power))
+                for cand, r in zip(candidates[op.out], runs)]
     with ThreadPoolExecutor(max_workers=jobs) if jobs > 1 else nullcontext() as pool:
-        if cfg.stage1_mode == "global":
-            calibration, logits = _calibration_pass(graph, weights, calib, cfg)
-            qparams, power = calibration[0], signal_power(logits)
-            parts = batch_rows(graph, calib)
-            for op in (op for op in graph.ops if op.out in candidates):
-                p_in, runners = bind(op, qparams)
-
-                def run(runner, i, counter, op=op, p_in=p_in):
-                    def swapped(arr):
-                        return _candidate_output(runner, _input_codes(arr, p_in), counter)
-                    return forward_float(graph, weights, calib[i], swap=(op.out, swapped))
-                rows += _layer_rows(pool, op, runners, run, logits, parts, power, cfg)
-        else:
-            def local(op, env, dead, qparams):
-                p_in, runners = bind(op, qparams)
-                codes = _input_codes(env[op.inputs[0]], p_in)
-                ref = env[op.out]
-                for e in dead:      # before the power, whose square is a temporary
-                    env.pop(e)
-                power = signal_power(ref)
-                parts = _slices(codes)
-
-                def run(runner, i, counter):
-                    return dequantize_np(runner(counter, codes[parts[i]]))
-                # below one slice, numpy holds the GIL for most of each call,
-                # so workers would take turns and only add hand-offs
-                workers = pool if codes.size >= STAGE1_SLICE_ELEMENTS else None
-                rows.extend(_layer_rows(workers, op, runners, run, ref, parts, power, cfg))
-            calibration, _ = _calibration_pass(graph, weights, calib, cfg, local)
-    table = MetricTable(calibration=calibration)
-    for row in rows:
-        table.add(*row)
+        for edge, dead in float_edges(graph, weights, calib, env):
+            edge_params, edge_warns = calibrate_edges(graph, {edge: env[edge]}, cfg)
+            qparams.update(edge_params)
+            warns += edge_warns
+            if edge in candidates:
+                table.entries += score(ops[edge], dead)
+            for e in dead:
+                env.pop(e, None)
+    table.calibration = qparams, warns
     return table
-
-
-def _layer_scores(measured: list, standardize: bool) -> list[MetricScore]:
-    """One layer's candidate scores from their (q_db, p, c). ``standardize``
-    min-max scales p and c over the candidates that ran, so that raw op
-    counts cannot swamp the harmonic mean; an overflowed one (p = inf, c a
-    partial count) scores 0."""
-    ps = [p for _, p, _ in measured if np.isfinite(p)]
-    cs = [c for _, p, c in measured if np.isfinite(p)]
-
-    def scaled(v, vals):
-        lo, hi = min(vals), max(vals)
-        return 0.0 if hi == lo else (v - lo) / (hi - lo)
-    out = []
-    for q_db, p, c in measured:
-        if not np.isfinite(p):
-            score = 0.0
-        elif standardize:
-            score = unified_score(q_db, scaled(p, ps), scaled(c, cs))
-        else:
-            score = unified_score(q_db, p, c)
-        out.append(MetricScore(q_db, p, c, score))
-    return out
 
 
 def stage2_assign(table: MetricTable, graph: ModelGraph | None = None,
@@ -764,7 +672,7 @@ def integer_forward(graph: ModelGraph, weights: dict, plan: AssignmentPlan, x,
                     counter: OpCounter | None = None) -> tuple[Tensor, OpCounter]:
     """End-to-end integer inference under the calibrated plan: the
     :func:`integer_edges` walk over one batch, as ``model.forward_float``
-    is ``model.float_edges``' (whose ``swap`` :func:`integer_edges` shares).
+    is ``model.float_edges``'.
     The input is quantized on the plan's ``input`` grid, each yield's dead
     edges are dropped, and the last edge, the logits, is dequantized.
     Between the two, floating point runs only in the two exact places the

@@ -4,6 +4,7 @@ import os
 import struct
 import subprocess
 import sys
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -117,10 +118,12 @@ class TestAssign:
         assert run(tmp_path, "assign", "--config", str(bad),
                    "--out", str(tmp_path / "x")) == 2
 
-    # values of the right type that the pipeline cannot run
+    # values of the right type that the pipeline cannot run, and fields
+    # that were removed from the schema
     @pytest.mark.parametrize("raw, field", [
         ({"stage1_mode": "bogus"}, "stage1_mode"),
         ({"metric": {"db_convention": "bogus"}}, "metric.db_convention"),
+        ({"metric": {"standardize": True}}, "metric.standardize"),
         ({"bits": {"activations": 14}}, "bits.activations"),
         ({"bits": {"activations": 16}}, "bits.activations"),
         ({"bits": {"activations": 1}}, "bits.activations"),
@@ -440,6 +443,19 @@ class TestPlanMutations:
         assert "usage error: plan: ConfigError: model.embed_dim must be in [1, 768]" in \
             capsys.readouterr().err
 
+    def test_plan_with_removed_fields_is_usage_error(self, toy, capsys):
+        # a plan written before metric.db_convention, metric.standardize and
+        # stage1_mode were removed carries them in its model_config, in
+        # this order, after calib_batch_size; it must be assigned again
+        raw = json.loads(json.dumps(toy[1]))
+        fields = list(raw["model_config"].items())
+        at = [k for k, _ in fields].index("calib_batch_size") + 1
+        old = [("db_convention", "power10"), ("standardize", False), ("stage1_mode", "local")]
+        raw["model_config"] = dict(fields[:at] + old + fields[at:])
+        assert self._infer(toy, raw) == 2
+        assert "usage error: plan: ConfigError: db_convention: unknown field" in \
+            capsys.readouterr().err
+
     @settings(max_examples=400, deadline=None)
     @given(data=st.data())
     def test_single_field_mutation_exits_0_or_2(self, toy, data):
@@ -450,6 +466,92 @@ class TestPlanMutations:
             node = node[k]
         node[path[-1]] = data.draw(st.sampled_from(_ADVERSARIAL), label="value")
         assert self._infer(toy, raw) in (0, 2)
+
+
+# in-range values drawn for these fields are capped, so that an example
+# runs in milliseconds; the values just outside a range are the schema's own
+_CAPS = {"model.blocks": 2, "model.embed_dim": 16, "model.heads": 4, "model.tokens": 8,
+         "model.classes": 10, "calib.batches": 2, "calib.batch_size": 2, "seed": 1000}
+
+
+def _field_range(name, allowed):
+    """(min, max or None) of a config field: its ``_CONFIG_FIELDS`` entry, or
+    its ``MODEL_FIELDS`` one where ``model_dims`` checks it."""
+    return MODEL_FIELDS[name][1:] if allowed is None else allowed
+
+
+# (config path, a value just outside the field's range), for every field
+_OUTSIDE = [(path, v) for path, (name, allowed) in pl._CONFIG_FIELDS.items()
+            for lo, hi in [_field_range(name, allowed)]
+            for v in (lo - 1, *([hi + 1] if hi is not None else []))]
+_WRONG_TYPES = (1.0, "1", True, None, [1])
+
+
+def _nested(values: dict) -> dict:
+    """A config file's object from {config path: value}."""
+    raw: dict = {}
+    for path, v in values.items():
+        section, _, key = path.rpartition(".")
+        (raw.setdefault(section, {}) if section else raw)[key] = v
+    return raw
+
+
+@st.composite
+def _drawn_configs(draw):
+    """A config whose fields are drawn from ``pl._CONFIG_FIELDS``: each is
+    left out or takes a value in its range, and at most one is then given
+    a value just outside its range or of another type. Returns the config
+    and whether it has such a value."""
+    values = {}
+    for path, (name, allowed) in pl._CONFIG_FIELDS.items():
+        lo, hi = _field_range(name, allowed)
+        if draw(st.booleans()):
+            values[path] = draw(st.integers(lo, _CAPS.get(path, hi)))
+    bad = draw(st.none() | st.sampled_from(_OUTSIDE)
+               | st.tuples(st.sampled_from(list(pl._CONFIG_FIELDS)), st.sampled_from(_WRONG_TYPES)))
+    if bad is not None:
+        values[bad[0]] = bad[1]
+    return _nested(values), bad is not None
+
+
+class TestDrawnConfigs:
+    """Every config the schema's fields can express is assigned and
+    inferred (exit 0) or refused (exit 2), never an internal failure; a
+    value outside its field's range or type is refused before the
+    pipeline allocates anything."""
+
+    @pytest.fixture(scope="class")
+    def workdir(self, tmp_path_factory):
+        return tmp_path_factory.mktemp("drawn")
+
+    def _assign(self, workdir, raw):
+        """``assign``'s exit code on ``raw``, and whether it ran the pipeline."""
+        (workdir / "config.json").write_text(json.dumps(raw))
+        with mock.patch.object(pl, "run_pipeline", wraps=pl.run_pipeline) as pipeline:
+            code = run(workdir, "assign", "--config", str(workdir / "config.json"),
+                       "--jobs", "1", "--out", str(workdir / "run"))
+        return code, pipeline.called
+
+    @pytest.mark.parametrize("path, value", _OUTSIDE, ids=[f"{p}={v}" for p, v in _OUTSIDE])
+    def test_value_just_outside_its_range_is_refused_first(self, workdir, path, value):
+        assert self._assign(workdir, _nested({path: value})) == (2, False)
+
+    @settings(max_examples=100, deadline=None)
+    @given(drawn=_drawn_configs())
+    def test_assign_then_infer_exits_0_or_2(self, workdir, drawn):
+        raw, bad = drawn
+        code, ran = self._assign(workdir, raw)
+        assert code in (0, 2)
+        if bad:
+            assert (code, ran) == (2, False)
+        if code == 2:
+            return
+        cfg = config_from_dict(raw)
+        x = np.random.default_rng(0).normal(size=(2, cfg.tokens, cfg.embed_dim))
+        tensor_write(Tensor(x, dtype="real32"), workdir / "x.iptq")
+        assert run(workdir, "infer", "--plan", str(workdir / "run.plan.json"),
+                   "--input", str(workdir / "x.iptq"), "--out", str(workdir / "y.iptq")) == 0
+        assert tensor_read(workdir / "y.iptq").dims == (2, cfg.classes)
 
 
 class TestRunReport:

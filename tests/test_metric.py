@@ -27,11 +27,6 @@ class TestSqnr:
         x = np.arange(5.0)
         assert sqnr(x, x.copy()) == INF_DB
 
-    def test_amplitude_convention_flag(self):
-        x = np.full(4, 100.0)
-        x_hat = x - 10.0
-        assert sqnr(x, x_hat, "amplitude20") == pytest.approx(40.0, abs=0.01)
-
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
             sqnr(np.zeros(3), np.zeros(4))

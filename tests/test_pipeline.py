@@ -18,7 +18,7 @@ from intquant.metric import (INF_DB, MetricScore, MetricTable, perturbation, sqn
 from intquant.model import (CANDIDATE_POOLS, INPUT, MODEL_FIELDS, build_toy_vit, float_edges,
                             forward_float, merge_heads, split_heads)
 import intquant.pipeline as pl
-from intquant.pipeline import (STAGE1_MODES, AssignmentPlan, ConfigError,
+from intquant.pipeline import (AssignmentPlan, ConfigError,
                                IncompleteTableError, PipelineConfig,
                                PlanFormatError,
                                calibration_batches, capture_calibration,
@@ -205,24 +205,6 @@ class TestGraphConstruction:
         e = np.exp(x - x.max(axis=-1, keepdims=True))
         np.testing.assert_array_equal(model_mod._softmax(x), e / e.sum(axis=-1, keepdims=True))
 
-    def test_swap_replaces_one_layer(self):
-        graph, weights = build_toy_vit({"blocks": 2, "embed_dim": 16, "heads": 2,
-                                        "tokens": 4, "mlp_ratio": 2})
-        xs = [rng_tensor(i, [2, 4, 16], "normal", 0.0, 1.0).values for i in (1, 2)]
-        swap = ("block1.gelu", lambda a: 2 * a)
-        ref, got = {}, {}
-        for _ in float_edges(graph, weights, xs, ref):
-            pass
-        for _ in float_edges(graph, weights, xs, got, swap):
-            pass
-        np.testing.assert_array_equal(got["block1.gelu"], 2 * ref["block1.mlp.fc1"])
-        for edge in graph.edges[:graph.edges.index("block1.gelu")]:
-            np.testing.assert_array_equal(got[edge], ref[edge])
-        assert not np.array_equal(got["logits"], ref["logits"])
-        for x, sl in zip(xs, (slice(0, 2), slice(2, 4))):
-            np.testing.assert_array_equal(forward_float(graph, weights, x, swap),
-                                          got["logits"][sl])
-
 
 class TestStage1:
     def test_entry_count_law_two_blocks(self, pipeline_result):
@@ -294,17 +276,25 @@ class TestStage1:
         cfg = small_cfg(blocks=1, tokens=128, embed_dim=64, heads=8,
                         calib_batches=4, calib_batch_size=8)
         graph, weights = build_toy_vit(cfg.model_config())
-        calib, seen = calibration_batches(cfg), []
+        calib, seen, entry = calibration_batches(cfg), [], []
 
-        def traced(pool, op, runners, run, ref, *args, _fn=pl._layer_rows):
-            if op.op != "softmax":
-                return _fn(pool, op, runners, run, ref, *args)
-            entry = tracemalloc.get_traced_memory()[0]
-            tracemalloc.reset_peak()
-            rows = _fn(pool, op, runners, run, ref, *args)
-            seen.append((tracemalloc.get_traced_memory()[1] - entry, ref.nbytes))
-            return rows
-        monkeypatch.setattr(pl, "_layer_rows", traced)
+        # the softmax layer's scoring runs from its reference power (taken
+        # before any candidate runs) to its first candidate's score (taken
+        # once all its tasks are done)
+        def power(ref, _fn=pl.signal_power):
+            out = _fn(ref)
+            if ref.ndim == 4:
+                entry.append((tracemalloc.get_traced_memory()[0], ref.nbytes))
+                tracemalloc.reset_peak()
+            return out
+
+        def measured(run, power, _fn=pl._CandidateRun.measured):
+            if run.ref.ndim == 4 and not seen:
+                (start, ref_bytes), = entry
+                seen.append((tracemalloc.get_traced_memory()[1] - start, ref_bytes))
+            return _fn(run, power)
+        monkeypatch.setattr(pl, "signal_power", power)
+        monkeypatch.setattr(pl._CandidateRun, "measured", measured)
         tracemalloc.start()
         try:
             stage1_analyze(graph, weights, calib, cfg, jobs=2)
@@ -335,10 +325,10 @@ class TestStage1:
             assert ms.c == round(counter.total() / samples), (lid, cand)
 
     @pytest.mark.parametrize("kw", [
-        {}, {"stage1_mode": "global"},
+        {},
         {"taylor_degree": 2, "pools": {"softmax": ("efficient_bit_softmax",),
                                        "layernorm": ("log2_scale",)}},
-    ], ids=["local", "global", "taylor-degree-2"])
+    ], ids=["local", "taylor-degree-2"])
     def test_c_is_the_compiled_steps_count(self, kw):
         # stage 1 measures the step that inference runs: the c of each
         # layer's plan candidate is the op count per sample of the layer's
@@ -356,19 +346,14 @@ class TestStage1:
             steps[op.out](counter, quantize(cat[op.inputs[0]], qparams[op.inputs[0]]).codes)
             assert plan.scores[op.out].c == round(counter.total() / samples), op.out
 
-    def test_global_mode_runs(self):
-        cfg = small_cfg(stage1_mode="global", calib_batches=1, calib_batch_size=2)
-        graph, weights = build_toy_vit(cfg.model_config())
-        table = stage1_analyze(graph, weights, calibration_batches(cfg), cfg)
-        assert len(table) == 29
-
-    def test_global_mode_quantizes_as_local_mode(self, monkeypatch):
-        # each (layer, candidate) is bound once, under one input and output
-        # quantizer taken from the whole calibration set, in either mode,
-        # and so measures the same op count
+    def test_each_candidate_is_bound_once(self, monkeypatch):
+        # each (layer, candidate) is bound once, under the input and output
+        # quantizers calibrate_edges takes from the whole calibration set
         cfg = small_cfg()
         graph, weights = build_toy_vit(cfg.model_config())
         calib = calibration_batches(cfg)
+        qparams, _ = pl.calibrate_edges(graph, capture_calibration(graph, weights, calib), cfg)
+        ops = {op.out: op for op in graph.ops}
         seen = {}
 
         def spy(op, cand, p_in, p_out, *args, _fn=pl._runner):
@@ -376,52 +361,19 @@ class TestStage1:
             return _fn(op, cand, p_in, p_out, *args)
 
         monkeypatch.setattr(pl, "_runner", spy)
-        local_table = stage1_analyze(graph, weights, calib, cfg)
-        local = dict(seen)
-        seen.clear()
-        global_table = stage1_analyze(graph, weights, calib, small_cfg(stage1_mode="global"))
-        assert len(local) == 29 and all(len(p) == 1 for p in local.values())
-        assert seen == local
-        assert [(l, c, ms.c) for l, _, c, ms in global_table.entries] == \
-               [(l, c, ms.c) for l, _, c, ms in local_table.entries]
-
-    def test_standardize_rescores(self):
-        cfg = small_cfg(calib_batches=1)
-        graph, weights = build_toy_vit(cfg.model_config())
-        calib = calibration_batches(cfg)
-        lit = stage1_analyze(graph, weights, calib, cfg)
-        std = stage1_analyze(graph, weights, calib, small_cfg(calib_batches=1, standardize=True))
-        raw = {(l, c): (ms.q_db, ms.p, ms.c) for l, _, c, ms in lit.entries}
-        for l, _, c, ms in std.entries:
-            assert raw[(l, c)] == (ms.q_db, ms.p, ms.c)  # raw factors unchanged
-
-    def test_layer_scores_scale_over_the_candidates_that_ran(self):
-        # standardized p and c lie in [0, 1] over the candidates that ran, a
-        # span of one value scales to 0, and an overflowed candidate's
-        # partial count takes no part and scores 0; the factors stay raw
-        measured = [(30.0, 2.0, 100), (20.0, 4.0, 300), (-np.inf, np.inf, 10_000),
-                    (25.0, 2.0, 200)]
-        std = pl._layer_scores(measured, standardize=True)
-        assert [(ms.q_db, ms.p, ms.c) for ms in std] == measured
-        assert [ms.score for ms in std] == [
-            unified_score(30.0, 0.0, 0.0), unified_score(20.0, 1.0, 1.0), 0.0,
-            unified_score(25.0, 0.0, 0.5)]
-        raw = pl._layer_scores(measured, standardize=False)
-        assert [ms.score for ms in raw] == [
-            unified_score(*measured[0]), unified_score(*measured[1]), 0.0,
-            unified_score(*measured[3])]
-        only, = pl._layer_scores([(30.0, 2.0, 100)], standardize=True)
-        assert only.score == unified_score(30.0, 0.0, 0.0)
+        stage1_analyze(graph, weights, calib, cfg)
+        assert seen == {(rec.layer_id, cand): [(qparams[ops[rec.layer_id].inputs[0]],
+                                                qparams[rec.layer_id])]
+                        for rec in graph.layers for cand in rec.candidates}
 
 
 class TestStage1Slices:
     """Stage 1 runs every candidate slice by slice; one-sample slices must
     give what one whole-set call gives."""
 
-    @pytest.mark.parametrize("mode", STAGE1_MODES)
     @pytest.mark.parametrize("tokens", [8, 64])
-    def test_one_sample_slices_give_the_same_table(self, monkeypatch, mode, tokens):
-        cfg = small_cfg(tokens=tokens, stage1_mode=mode)
+    def test_one_sample_slices_give_the_same_table(self, monkeypatch, tokens):
+        cfg = small_cfg(tokens=tokens)
         graph, weights = build_toy_vit(cfg.model_config())
         calib = calibration_batches(cfg)
         whole = stage1_analyze(graph, weights, calib, cfg)
@@ -457,8 +409,9 @@ class TestStage1Slices:
                     counter = OpCounter()
                     p_in = qparams[op.inputs[0]]
                     run = pl._runner(op, cand, p_in, qparams[op.out], weights, cfg.taylor_degree)
-                    out = pl._candidate_output(run, pl._input_codes(cat[op.inputs[0]], p_in),
-                                               counter)
+                    codes = pl._input_codes(cat[op.inputs[0]], p_in)
+                    out = np.concatenate([dequantize_np(run(counter, codes[sl]))
+                                          for sl in pl._slices(codes)])
                     got[(op.out, cand)] = (out, counter.as_dict())
             return got
 
@@ -534,7 +487,7 @@ class TestStage1SharedWork:
                 gamma, beta = (weights[k] for k in op.weights)
                 out = pl.run_ln_candidate(cand, q, gamma, beta, qparams[lid], counter)
             ref, got = cat[lid], dequantize_np(out)
-            q_db, p = sqnr(ref, got, cfg.db_convention), perturbation(ref, got)
+            q_db, p = sqnr(ref, got), perturbation(ref, got)
             c = round(counter.total() / len(ref))
             assert (ms.q_db, ms.p, ms.c, ms.score) == (q_db, p, c, unified_score(q_db, p, c))
 
@@ -1056,8 +1009,8 @@ class TestIntegerEdges:
         plan, _, graph, weights = toy
         compiled = compile_plan(graph, weights, _fresh(plan))
         codes = quantize(self.X, plan.qparams[INPUT]).codes
-        for edges in (float_edges(graph, weights, [self.X], {}, ("block0.attn.q", abs)),
-                      pl.integer_edges(compiled, OpCounter(), codes, {}, ("nowhere", abs))):
+        for lid in ("block0.attn.q", "nowhere"):
+            edges = pl.integer_edges(compiled, OpCounter(), codes, {}, (lid, abs))
             with pytest.raises(ValueError, match="not a non-linear layer"):
                 next(edges)
 
@@ -1364,7 +1317,9 @@ def test_gemm_steps_match_an_int64_reference(shape):
 
 _JSON_SCALARS = (st.none() | st.booleans() | st.integers(-3, 300) | st.integers()
                  | st.floats() | st.text(max_size=6)
-                 | st.sampled_from(STAGE1_MODES + sum(CANDIDATE_POOLS.values(), ())))
+                 | st.sampled_from(sum(CANDIDATE_POOLS.values(), ())))
+# the keys of removed fields (metric, stage1_mode, ...) stay: configs and
+# plans that still carry them must be refused with a ConfigError
 _CONFIG_KEYS = ("model", "bits", "calib", "metric", "pools", "seed", "stage1_mode",
                 "taylor_degree", "blocks", "embed_dim", "heads", "tokens", "mlp_ratio",
                 "classes", "weights", "activations", "batches", "batch_size",
@@ -1510,10 +1465,10 @@ class TestConfigParsing:
                       "mlp_ratio": 2, "classes": 5},
             "bits": {"weights": 8, "activations": 8},
             "calib": {"batches": 2, "batch_size": 4},
-            "metric": {"db_convention": "power10", "standardize": True},
+            "taylor_degree": 2,
             "seed": 11,
         })
-        assert cfg.blocks == 3 and cfg.classes == 5 and cfg.standardize
+        assert cfg.blocks == 3 and cfg.classes == 5 and cfg.taylor_degree == 2
         assert cfg.seed == 11
 
     def test_unknown_field_names_path(self):

@@ -1,6 +1,6 @@
 """sha256 identity check of the pipeline's outputs.
 
-Runs eleven configs at seeds 0 and 7 (model seed and calibration seed, two
+Runs ten configs at seeds 0 and 7 (model seed and calibration seed, two
 stage-1 jobs) through the ``intquant`` package found under ``--src`` and
 prints one JSON object. Per run it holds the sha256 of the plan JSON, of
 the plan's assignments and activation parameters alone (no scores, so a
@@ -48,15 +48,12 @@ LONGSEQ = {"model": {"blocks": 2, "embed_dim": 64, "heads": 4, "tokens": 256},
 # their int32 exponential tables, in integer_forward
 CONFIGS = {
     "toy-default": {},
-    "global": {"stage1_mode": "global"},
     "act-bits-4": {"bits": {"activations": 4}},
     "act-bits-12": {"bits": {"activations": 12}},
     # the widest activations 8 tokens accept (M = 31): 8,192-code GELU tables
     "act-bits-13": {"bits": {"activations": 13}},
     "w4a8": {"bits": {"weights": 4}},
-    "standardize-amplitude20-taylor2": {
-        "metric": {"standardize": True, "db_convention": "amplitude20"},
-        "taylor_degree": 2},
+    "taylor2": {"taylor_degree": 2},
     "forced-pools": {"pools": {"softmax": ["log2_softmax"], "gelu": ["shift_gelu"],
                                "layernorm": ["log2_scale"]}},
     "longseq-attn": LONGSEQ,
