@@ -18,7 +18,8 @@ def sqnr(x, x_hat) -> float:
     """Signal-to-quantization-noise ratio in dB: 10*log10 of the power ratio
     E[x^2]/E[(x-x_hat)^2], the reading consistent with (1e4 signal power,
     100 noise power) giving 20 dB and (1e4, 60) giving 22.21 dB. Exact
-    reconstruction returns the +inf sentinel.
+    reconstruction returns the +inf sentinel, and any noise on a silent
+    reference -inf.
     """
     x = np.asarray(x, dtype=np.float64)
     return energy_scores(perturbation(x, x_hat), x.size, signal_power(x))[0]
@@ -38,10 +39,23 @@ def sample_energies(x, x_hat) -> np.ndarray:
     return d.sum(axis=tuple(range(1, d.ndim)))
 
 
+# elements squared at a time by signal_power: its scratch, 512 KiB
+POWER_BLOCK = 1 << 16
+
+
 def signal_power(x) -> float:
-    """E[x^2], the signal power of :func:`sqnr`."""
-    x = np.asarray(x, dtype=np.float64)
-    return float(np.mean(x * x))
+    """E[x^2], the signal power of :func:`sqnr`, squared and summed block
+    by block (``POWER_BLOCK`` elements), so that no whole-set temporary is
+    made. The blocks are the leaves of numpy's own pairwise summation, so
+    the bits are ``np.mean(x * x)``'s."""
+    flat = np.ravel(np.asarray(x, dtype=np.float64), order="K")
+
+    def total(a):   # numpy's split: halves rounded down to a multiple of 8
+        if len(a) <= POWER_BLOCK:
+            return np.add.reduce(np.square(a))
+        half = len(a) // 2 // 8 * 8
+        return total(a[:half]) + total(a[half:])
+    return float(total(flat) / flat.size)
 
 
 def energy_scores(p: float, n: int, power: float) -> tuple[float, float]:
@@ -51,7 +65,8 @@ def energy_scores(p: float, n: int, power: float) -> tuple[float, float]:
     noise = p / n
     if noise == 0.0:
         return INF_DB, p
-    return 10.0 * math.log10(power / noise), p
+    ratio = power / noise   # 0 for a silent reference: -inf dB
+    return (10.0 * math.log10(ratio) if ratio > 0 else -INF_DB), p
 
 
 def squared_residual(x, x_hat) -> np.ndarray:
@@ -65,7 +80,8 @@ def squared_residual(x, x_hat) -> np.ndarray:
 
 
 def softplus(x: float) -> float:
-    """log(1 + exp(x)), numerically stable on both tails; output > 0."""
+    """log(1 + exp(x)), numerically stable on both tails; output > 0 until
+    exp(x) underflows, below about x = -745."""
     if x == INF_DB:
         return INF_DB
     if x > 0:
@@ -79,11 +95,12 @@ def unified_score(q_db: float, p: float, c: float) -> float:
         3 / (N(q_db)^-1 + N(p) + N(c))
 
     Strictly increasing in q_db, strictly decreasing in p and c. The +inf
-    sentinel for q_db (exact reconstruction) sends N(q)^-1 to 0 rather than
-    erroring.
+    sentinel for q_db (exact reconstruction) sends N(q)^-1 to 0, and a q_db
+    so low that N(q) underflows to 0 sends it to +inf, so the score is 0,
+    as an overflowed candidate's.
     """
     nq = softplus(q_db)
-    inv_nq = 0.0 if nq == INF_DB else 1.0 / nq
+    inv_nq = 0.0 if nq == INF_DB else 1.0 / nq if nq else math.inf
     return 3.0 / (inv_nq + softplus(p) + softplus(c))
 
 

@@ -82,6 +82,13 @@ class ModelGraph:
             later.update(op.inputs)
         return tuple(reversed(dead))
 
+    @cached_property
+    def in_place(self) -> dict[str, str]:
+        """Op -> the input edge the float pass writes its output over: each
+        softmax's scores, which no later op reads."""
+        return {op.out: op.inputs[0] for op, dead in zip(self.ops, self.dead_after)
+                if op.op == "softmax" and op.inputs[0] in dead}
+
 
 # model config field -> (default, minimum, maximum); the maxima admit a
 # ViT-S/16-sized encoder (12 blocks, 384-d, 6 heads, 197 tokens) and refuse
@@ -178,9 +185,10 @@ def build_toy_vit(config: dict, seed: int = 0,
 # reference float forward
 # ---------------------------------------------------------------------------
 
-def _softmax(x):
-    # one buffer, exponentiated and normalized in place
-    e = np.subtract(x, x.max(axis=-1, keepdims=True))
+def _softmax(x, out=None):
+    # one buffer, out (which may be x) or a new one, exponentiated and
+    # normalized in place
+    e = np.subtract(x, x.max(axis=-1, keepdims=True), out=out)
     np.exp(e, out=e)
     e /= e.sum(axis=-1, keepdims=True)
     return e
@@ -198,14 +206,15 @@ def merge_heads(x):
     return x.transpose(0, 2, 1, 3).reshape(b, t, h * hd)
 
 
-# op kind -> fn(graph, *input arrays, *weight arrays)
+# op kind -> fn(graph, *input arrays, *weight arrays); softmax takes the
+# array to write into last, which float_edges makes its input
 _FLOAT_OPS = {
     "pos_add": lambda g, x, pos: x + pos,
     "layernorm": lambda g, x, gamma, beta: layernorm_reference(x, gamma, beta),
     "linear": lambda g, a, w, b: a @ w.T + b,
     "scores": lambda g, q, k: (split_heads(q, g.heads)
                                @ split_heads(k, g.heads).transpose(0, 1, 3, 2)),
-    "softmax": lambda g, s: _softmax(s),
+    "softmax": lambda g, s, out=None: _softmax(s, out),
     "ctx": lambda g, p, v: merge_heads(p @ split_heads(v, g.heads)),
     "add": lambda g, a, b: a + b,
     "gelu": lambda g, x: gelu_reference(x),
@@ -265,15 +274,23 @@ def float_edges(graph: ModelGraph, weights: dict, batches: list, env: dict):
     """The full-precision :func:`walk` over ``batches``: each op applies its
     float function to each batch's rows in turn, so an edge is the one-batch
     passes' arrays joined (over one batch, the batch is the ``input`` edge
-    and each op's output its edge). It takes no swap: the walk that runs
-    one layer on another candidate is ``pipeline.integer_edges``."""
+    and each op's output its edge). An op in ``graph.in_place`` (a softmax)
+    writes its output over its input edge, batch by batch, so an attention
+    map is held once: an edge's array keeps its values until the op that
+    kills it (``graph.dead_after``) runs, and a caller that keeps an edge
+    past that op copies it first. It takes no swap: the walk that runs one
+    layer on another candidate is ``pipeline.integer_edges``."""
     if not batches:
         raise ValueError("calibration set must be non-empty")
     xs = [batched(graph, np.asarray(b, dtype=np.float64))[0] for b in batches]
     rows = batch_rows(graph, xs)
 
-    def per_batch(fn, ws):   # fn on each batch's rows, the outputs joined
+    def per_batch(fn, ws, in_place):   # fn on each batch's rows, the outputs joined
         def run(*ins):
+            if in_place:       # into the input edge, which no later op reads
+                for sl in rows:
+                    fn(ins[0][sl], *ws, ins[0][sl])
+                return ins[0]
             if len(rows) == 1:
                 return fn(*ins, *ws)
             out = None
@@ -285,7 +302,7 @@ def float_edges(graph: ModelGraph, weights: dict, batches: list, env: dict):
                 del y
             return out
         return run
-    fns = [per_batch(partial(_FLOAT_OPS[op.op], graph), [weights[k] for k in op.weights])
-           for op in graph.ops]
+    fns = [per_batch(partial(_FLOAT_OPS[op.op], graph), [weights[k] for k in op.weights],
+                     op.out in graph.in_place) for op in graph.ops]
     env[INPUT] = xs[0] if len(xs) == 1 else np.concatenate(xs)  # env alone holds a join
     yield from walk(graph, fns, env)

@@ -316,10 +316,14 @@ class _CandidateRun:
 def capture_calibration(graph: ModelGraph, weights: dict, calib: list) -> dict:
     """Every edge of the full-precision pass over ``calib``, each joined
     along the sample axis: the pass of :func:`stage1_analyze` with every
-    edge kept."""
-    captured: dict = {}
-    for _ in float_edges(graph, weights, calib, captured):
-        pass
+    edge kept. An edge's array keeps its values only until the op that
+    kills it runs, so an edge that op writes over (``graph.in_place``) is
+    kept as a copy taken when it is yielded."""
+    captured, kept, written_over = {}, {}, set(graph.in_place.values())
+    for edge, _ in float_edges(graph, weights, calib, captured):
+        if edge in written_over:
+            kept[edge] = captured[edge].copy()
+    captured.update(kept)
     return captured
 
 
@@ -336,24 +340,25 @@ def stage1_analyze(graph: ModelGraph, weights: dict, calib: list,
 
     One op-major float pass over ``calib`` (:func:`float_edges`) makes each
     edge whole, observes it as soon as it exists and drops it once no later
-    op reads it. Each layer is scored as soon as its output exists: each of
-    its candidates is bound once (:func:`_runner`, as inference binds it),
-    its input is quantized once, into codes all its candidates share, its
-    float input dropped if dead, and its reference power taken once; then
-    its tasks (candidate, slice) run, ``jobs`` at a time (on this thread
-    for a layer smaller than one slice), and finish before the pass goes on.
+    op reads it. A layer's input is quantized as soon as it is observed,
+    before the next op runs (a softmax writes its probabilities over its
+    scores), into codes all the layer's candidates share. Each layer is
+    scored as soon as its output exists: each of its candidates is bound
+    once (:func:`_runner`, as inference binds it) and its reference power
+    taken once; then its tasks (candidate, slice) run, ``jobs`` at a time
+    (on this thread for a layer smaller than one slice), and finish before
+    the pass goes on.
     """
     candidates = {rec.layer_id: rec.candidates for rec in graph.layers}
     ops = {op.out: op for op in graph.ops}
-    table, env, qparams, warns = MetricTable(), {}, {}, []
+    inputs = {ops[lid].inputs[0] for lid in candidates}   # each read by one layer
+    table, env, qparams, warns, held = MetricTable(), {}, {}, [], {}
 
-    def score(op, dead):    # the layer's rows; its arrays go when this returns
+    def score(op, codes):   # the layer's rows; its arrays go when this returns
         p_in = qparams[op.inputs[0]]
         runners = [_runner(op, cand, p_in, qparams[op.out], weights, cfg.taylor_degree)
                    for cand in candidates[op.out]]
-        codes, ref = _input_codes(env[op.inputs[0]], p_in), env[op.out]
-        for e in dead:      # before the power, whose square is a temporary
-            env.pop(e)
+        ref = env[op.out]
         power = signal_power(ref)
         runs = [_CandidateRun(run, codes, ref) for run in runners]
         tasks = [partial(r.part, i) for r in runs for i in range(len(r.parts))]
@@ -372,10 +377,12 @@ def stage1_analyze(graph: ModelGraph, weights: dict, calib: list,
             edge_params, edge_warns = calibrate_edges(graph, {edge: env[edge]}, cfg)
             qparams.update(edge_params)
             warns += edge_warns
-            if edge in candidates:
-                table.entries += score(ops[edge], dead)
             for e in dead:
-                env.pop(e, None)
+                del env[e]
+            if edge in candidates:
+                table.entries += score(ops[edge], held.pop(ops[edge].inputs[0]))
+            if edge in inputs:      # before the next op, which may write over it
+                held[edge] = _input_codes(env[edge], qparams[edge])
     table.calibration = qparams, warns
     return table
 

@@ -5,8 +5,8 @@ import pytest
 from scipy.special import erf
 
 from intquant.gelu import QUARTIC_ERF_COEFFS, erf_poly_eval
-from intquant.metric import (INF_DB, MetricScore, MetricTable, approx_error,
-                             perturbation, sample_energies, softplus, sqnr,
+from intquant.metric import (INF_DB, POWER_BLOCK, MetricScore, MetricTable, approx_error,
+                             perturbation, sample_energies, signal_power, softplus, sqnr,
                              unified_score)
 
 
@@ -30,6 +30,21 @@ class TestSqnr:
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
             sqnr(np.zeros(3), np.zeros(4))
+
+    def test_noise_on_a_silent_reference_is_minus_inf(self):
+        assert sqnr(np.zeros(4), np.ones(4)) == -INF_DB
+
+
+class TestSignalPower:
+    @pytest.mark.parametrize("size", [64, 129, POWER_BLOCK, POWER_BLOCK + 1,
+                                      5 * POWER_BLOCK + 37, 16 * POWER_BLOCK])
+    def test_block_sums_are_the_mean_of_the_square_bit_for_bit(self, size):
+        # the blocks are the leaves of numpy's pairwise sum, so the sliced
+        # power has the bits of the whole-set one
+        x = np.random.default_rng(size).normal(size=size) * 3.0
+        assert signal_power(x) == float(np.mean(x * x))
+        x4 = x[:size // 64 * 64].reshape(-1, 4, 4, 4)
+        assert signal_power(x4) == float(np.mean(x4 * x4))
 
 
 class TestPerturbation:
@@ -102,6 +117,11 @@ class TestUnifiedScore:
             better = unified_score(q2, p1, c1)
             worse = unified_score(q1, p2, c2)
             assert better >= worse
+
+    def test_underflowed_sensitivity_scores_zero(self):
+        # softplus(-800) underflows to 0, so its reciprocal is +inf
+        assert softplus(-800.0) == 0.0
+        assert unified_score(-800.0, 1.0, 10) == unified_score(-INF_DB, 1.0, 10) == 0.0
 
     def test_bounded_by_sensitivity_term(self):
         q, p, c = 13.0, 2.5, 1000

@@ -153,17 +153,20 @@ class TestGraphConstruction:
         np.testing.assert_array_equal(forward_float(graph, weights, x.copy()), env["logits"])
 
     def test_joined_input_is_freed_once_dead(self):
-        # the walk keeps no reference of its own to an edge, so dropping a
-        # dead edge from env frees it, the input joined from batches too
+        # the walk keeps no reference of its own to an edge, so after each
+        # drop of a dead edge from env every array still alive is the buffer
+        # of a live edge: the input joined from batches is freed, and the
+        # scores live on only as the probabilities the softmax wrote over them
         graph, weights = build_toy_vit({"blocks": 1, "embed_dim": 16, "heads": 2,
                                         "tokens": 4, "mlp_ratio": 2})
         xs = [rng_tensor(i, [2, 4, 16], "normal", 0.0, 1.0).values for i in (1, 2)]
-        env, refs = {}, {}
+        env, refs = {}, []
         for edge, dead in float_edges(graph, weights, xs, env):
-            refs[edge] = weakref.ref(env[edge])
+            refs.append(weakref.ref(env[edge]))
             for e in dead:
                 del env[e]
-                assert refs[e]() is None, e
+                assert all(ref() is None or any(ref() is v for v in env.values())
+                           for ref in refs), e
         assert list(env) == ["logits"]
 
     def test_nonlinear_input_edges_exist(self):
@@ -199,6 +202,23 @@ class TestGraphConstruction:
                                           np.concatenate([cap[edge] for cap in per_batch]))
         np.testing.assert_array_equal(
             got["logits"], np.concatenate([forward_float(graph, weights, b) for b in calib]))
+
+    def test_each_captured_edge_is_its_op_on_the_captured_inputs(self):
+        # the float softmax writes over its scores, so capture_calibration
+        # must keep them apart: each kept edge is its op's float function on
+        # the kept input edges, batch by batch (the scores edge is q @ k.T,
+        # not the probabilities)
+        cfg = small_cfg(calib_batches=3, calib_batch_size=2)
+        graph, weights = build_toy_vit(cfg.model_config())
+        calib = calibration_batches(cfg)
+        cap = capture_calibration(graph, weights, calib)
+        assert set(graph.in_place.items()) == {(f"block{i}.softmax", f"block{i}.attn.scores")
+                                               for i in range(cfg.blocks)}
+        for op in graph.ops:
+            fn, ws = model_mod._FLOAT_OPS[op.op], [weights[k] for k in op.weights]
+            want = np.concatenate([fn(graph, *(cap[e][sl] for e in op.inputs), *ws)
+                                   for sl in model_mod.batch_rows(graph, calib)])
+            np.testing.assert_array_equal(cap[op.out], want, err_msg=op.out)
 
     def test_softmax_is_the_textbook_formula_bit_for_bit(self):
         x = rng_tensor(5, [3, 2, 7, 7], "normal", 0.0, 4.0).values.astype(np.float64)
@@ -303,6 +323,23 @@ class TestStage1:
         [(peak, ref_bytes)] = seen
         assert ref_bytes == 32 * 8 * 128 * 128 * 8
         assert peak < ref_bytes
+
+    def test_softmax_layer_holds_its_attention_once(self):
+        # the scores are quantized before the softmax writes its
+        # probabilities over them, and the power is summed block by block,
+        # so the float scores, the probabilities and their square are never
+        # alive together: the pass holds about the probabilities, the codes
+        # and the workers' slice scratch
+        cfg = small_cfg(blocks=1, tokens=128, embed_dim=64, heads=8,
+                        calib_batches=4, calib_batch_size=8)
+        probs = cfg.calib_batches * cfg.calib_batch_size * cfg.heads * cfg.tokens ** 2 * 8
+        tracemalloc.start()
+        try:
+            run_pipeline(cfg, jobs=2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5 * probs
 
     def test_c_is_the_measured_count_per_sample(self):
         # c is the candidate's own OpCounter total over one whole-set call,

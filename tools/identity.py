@@ -8,7 +8,9 @@ change that moves only score bits differs in the first and not in this
 one), of the metrics CSV, and of the integer logits, the ``OpCounter``
 dict and the ``forward_float`` logits for a batch of 1, a batch of 3 and
 one unbatched sample, with each ``OpCounter`` dict itself next to its
-digest so that a change in op counts reads off the diff. It also holds
+digest so that a change in op counts reads off the diff, and one digest
+of every edge ``capture_calibration`` keeps over the calibration set
+(name, shape and bytes, in forward order). It also holds
 the CLI round trip: ``intquant assign`` writes the plan file, ``intquant
 infer`` runs a batch of 2 under the plan it reads back, and the plan,
 logits and ``.ops.json`` files are hashed as written. Last, it holds the
@@ -81,6 +83,10 @@ def digests(pl, raw: dict, seed: int, tmp: str) -> dict:
     chosen = {"assignments": list(plan.assignments.items()),
               "qparams": pl.plan_to_dict(plan)["qparams"]}
     out["plan.assignments+qparams"] = sha(json.dumps(chosen).encode())
+    captured = pl.capture_calibration(graph, weights, pl.calibration_batches(cfg, seed))
+    out["capture"] = sha(b"".join(f"{edge}{arr.shape}".encode() + arr.tobytes()
+                                  for edge, arr in captured.items()))
+    del captured
     rng = np.random.default_rng(seed)
     sample = (graph.tokens, graph.embed_dim)
     for name, shape in (("batch1", (1, *sample)), ("batch3", (3, *sample)),
