@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 import time
@@ -50,10 +51,13 @@ def cmd_fit(args) -> tuple[list[str], None]:
     lo, hi = args.range
     if not lo < hi:
         raise UsageError(f"--range needs lo < hi, got ({lo}, {hi})")
+    if not math.isfinite(hi - lo):
+        raise UsageError(f"--range needs finite bounds a float can span, got ({lo}, {hi})")
     if args.degree not in (2, 3, 4):
         raise UsageError(f"--degree must be 2, 3 or 4, got {args.degree}")
-    if args.samples < 100:
-        raise UsageError(f"--samples must be >= 100, got {args.samples}")
+    if not 100 <= args.samples <= gelu_mod.FIT_MAX_SAMPLES:
+        raise UsageError(f"--samples must be in [100, {gelu_mod.FIT_MAX_SAMPLES}],"
+                         f" got {args.samples}")
     result = gelu_mod.fit_erf_poly((lo, hi), args.degree, samples=args.samples,
                                    level=args.level)
     payload = {

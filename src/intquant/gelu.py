@@ -107,11 +107,95 @@ def shift_gelu(x):
     return out if arr.shape else float(out)
 
 
+# Cephes ndtr.c (Moshier), as scipy.special.erf runs it. Each tuple lists a
+# polynomial's coefficients from the highest power down; the denominators'
+# leading 1 is written out, since 1.0*x + c rounds as p1evl's x + c does.
+_ERF_T = (9.60497373987051638749E0, 9.00260197203842689217E1, 2.23200534594684319226E3,
+          7.00332514112805075473E3, 5.55923013010394962768E4)
+_ERF_U = (1.0, 3.35617141647503099647E1, 5.21357949780152679795E2,
+          4.59432382970980127987E3, 2.26290000613890934246E4, 4.92673942608635921086E4)
+_ERFC_P = (2.46196981473530512524E-10, 5.64189564831068821977E-1, 7.46321056442269912687E0,
+           4.86371970985681366614E1, 1.96520832956077098242E2, 5.26445194995477358631E2,
+           9.34528527171957607540E2, 1.02755188689515710272E3, 5.57535335369399327526E2)
+_ERFC_Q = (1.0, 1.32281951154744992508E1, 8.67072140885989742329E1, 3.54937778887819891062E2,
+           9.75708501743205489753E2, 1.82390916687909736289E3, 2.24633760818710981792E3,
+           1.65666309194161350182E3, 5.57535340817727675546E2)
+_ERFC_R = (5.64189583547755073984E-1, 1.27536670759978104416E0, 5.01905042251180477414E0,
+           6.16021097993053585195E0, 7.40974269950448939160E0, 2.97886665372100240670E0)
+_ERFC_S = (1.0, 2.26052863220117276590E0, 9.39603524938001434673E0, 1.20489539808096656605E1,
+           1.70814450747565897222E1, 9.60896809063285878198E0, 3.36907645100081516050E0)
+_MAXLOG = 7.09782712893383996843E2   # log(2^1024): exp(-x^2) underflows past it
+_CHUNK = 1 << 15   # elements per Horner pass, so that its temporaries stay in cache
+
+
+def _polevl(x: np.ndarray, coef: tuple, out: np.ndarray | None = None) -> np.ndarray:
+    """Cephes' polevl: Horner's rule in its order of operations, in place."""
+    acc = np.multiply(x, coef[0], out=out)
+    acc += coef[1]
+    for c in coef[2:]:
+        acc *= x
+        acc += c
+    return acc
+
+
+def _erf_small(x: np.ndarray) -> np.ndarray:
+    """x * T(x^2) / U(x^2), Cephes' erf on |x| <= 1, over a flat array."""
+    y = np.empty_like(x)
+    for i in range(0, x.size, _CHUNK):
+        xs, ys = x[i:i + _CHUNK], y[i:i + _CHUNK]
+        z = xs * xs
+        _polevl(z, _ERF_T, out=ys)
+        ys *= xs
+        ys /= _polevl(z, _ERF_U)
+    return y
+
+
+def _erf_wide(x: np.ndarray) -> np.ndarray:
+    """Cephes' erf over a flat array with some |x| > 1 or nan in it."""
+    a = np.abs(x)
+    y = np.full_like(x, np.nan)
+    small = a <= 1.0
+    y[small] = _erf_small(x[small])
+    big = a > 1.0
+    y[big] = 1.0                                 # erfc is 0 where x^2 passes MAXLOG
+    with np.errstate(over="ignore"):             # a*a is inf past 1e154, as in C
+        tail = big & (a * a <= _MAXLOG)
+    t = a[tail]
+    e = np.fromiter(map(math.exp, (-t * t).tolist()), np.float64, count=t.size)
+    near = t < 8.0
+    p = np.where(near, _polevl(t, _ERFC_P), _polevl(t, _ERFC_R))
+    q = np.where(near, _polevl(t, _ERFC_Q), _polevl(t, _ERFC_S))
+    y[tail] = 1.0 - e * p / q                    # 1 - erfc(|x|)
+    return np.copysign(y, x, out=y)              # the odd extension
+
+
 def erf(x):
-    """Exact erf (scipy.special, imported on first use: about 0.3 s that
-    `import intquant` and integer inference need not pay)."""
-    from scipy.special import erf as scipy_erf
-    return scipy_erf(x)
+    """Exact erf: a numpy port of Cephes' ``ndtr.c`` erf/erfc (Moshier),
+    whose every output bit equals ``scipy.special.erf``'s on float64.
+
+    Same coefficients, branches and order of operations:
+
+    - x * T(x^2) / U(x^2) for |x| <= 1;
+    - 1 - erfc(|x|) above it, where erfc is exp(-x^2) * P(|x|) / Q(|x|)
+      below 8, exp(-x^2) * R(|x|) / S(|x|) from 8 up, and 0 once x^2
+      passes MAXLOG (so erf(+-inf) = +-1);
+    - the odd extension for negative x; -0.0 and nan come back as given.
+
+    The erfc exponential is libm's (``math.exp``, one call per element),
+    as Cephes calls it: numpy's SIMD ``np.exp`` is one ulp off glibc's on
+    some arguments, and that ulp reaches erf. Only |x| > 1 pays for it:
+    when every |x| <= 1, as every GELU input of the toy configs is, no
+    mask is built and Horner's rule runs in place, in cache-sized chunks.
+    Computes in float64, as scipy's "d" loop; a 0-d input gives a numpy
+    scalar.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    flat = x.ravel()
+    if flat.min(initial=0.0) >= -1.0 and flat.max(initial=0.0) <= 1.0:
+        y = _erf_small(flat)
+    else:
+        y = _erf_wide(flat)
+    return y.reshape(x.shape) if x.ndim else y[0]
 
 
 def gelu_reference(x):
@@ -131,6 +215,11 @@ def _objective(a: float, b: float, degree: int, x: np.ndarray,
     else:
         r = target - data_aware_poly_gelu(x, c)
     return float(np.sum(r * r))
+
+
+# the most samples a fit takes: its coarse grid alone evaluates the objective
+# over them 2,046 times, so a fit at the maximum takes seconds
+FIT_MAX_SAMPLES = 100_000
 
 
 def fit_erf_poly(fit_range: tuple[float, float], degree: int, samples: int = 2001,
@@ -154,8 +243,10 @@ def fit_erf_poly(fit_range: tuple[float, float], degree: int, samples: int = 200
     lo, hi = float(fit_range[0]), float(fit_range[1])
     if not lo < hi:
         raise ValueError(f"fit range must satisfy lo < hi, got ({lo}, {hi})")
-    if samples < 100:
-        raise ValueError(f"need at least 100 samples, got {samples}")
+    if not math.isfinite(hi - lo):
+        raise ValueError(f"fit range must be finite, got ({lo}, {hi})")
+    if not 100 <= samples <= FIT_MAX_SAMPLES:
+        raise ValueError(f"samples must be in [100, {FIT_MAX_SAMPLES}], got {samples}")
     if level not in ("erf", "gelu"):
         raise ValueError(f"unknown fit level {level!r}")
     x = np.linspace(lo, hi, samples)

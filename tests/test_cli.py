@@ -52,6 +52,18 @@ class TestFit:
         assert run(tmp_path, "fit", "--range", "0", "0",
                    "--out", str(tmp_path / "x.json")) == 2
 
+    @pytest.mark.parametrize("argv, message", [
+        (["--range", "-3", "3", "--samples", "4611686018427387904"], "--samples must be in"),
+        (["--range", "-3", "3", "--samples", "100000000000"], "--samples must be in"),
+        (["--range", "-3", "inf"], "--range needs finite bounds"),
+    ], ids=["samples-past-int62", "samples-745-gib", "infinite-bound"])
+    def test_argument_out_of_range_is_usage_error(self, tmp_path, capsys, argv, message):
+        # refused before the sample grid is allocated or the optimizer runs
+        out = tmp_path / "x.json"
+        assert run(tmp_path, "fit", *argv, "--out", str(out)) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
     def test_repeat_runs_byte_identical(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         run(tmp_path, "fit", "--range", "-2", "2", "--degree", "2",
@@ -92,6 +104,23 @@ class TestEvalApprox:
     def test_unknown_selector(self, tmp_path):
         assert run(tmp_path, "eval-approx", "--which", "tanh",
                    "--out", str(tmp_path / "x.csv")) == 2
+
+
+def test_no_command_but_fit_loads_scipy(tmp_path, config_path):
+    # the float GELU's erf is numpy's Cephes port, so assign (its stage-1
+    # references) and the erf and gelu tables import no scipy module
+    code = ("import json, sys, intquant.cli;"
+            " codes = [intquant.cli.main(argv) for argv in json.loads(sys.argv[1])];"
+            " print(codes, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    report = ["--report-file", str(tmp_path / "runs.jsonl")]
+    argvs = [[*report, "assign", "--config", str(config_path), "--jobs", "1",
+              "--out", str(tmp_path / "run")],
+             *([*report, "eval-approx", "--which", which, "--out", str(tmp_path / f"{which}.csv")]
+               for which in ("erf", "gelu"))]
+    src = os.path.dirname(os.path.dirname(intquant.__file__))
+    out = subprocess.run([sys.executable, "-c", code, json.dumps(argvs)], capture_output=True,
+                         text=True, check=True, env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.splitlines()[-1] == "[0, 0, 0] []"
 
 
 class TestAssign:

@@ -1,16 +1,20 @@
+import math
 import os
 import subprocess
 import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import erf
 
 import intquant
-from intquant.gelu import (IBERT_ERF_COEFFS, QUARTIC_ERF_COEFFS, ErfPolyCoeffs,
-                           FitConvergenceError, data_aware_poly_gelu, erf_poly_eval,
-                           fit_erf_poly, gelu_reference, ibert_gelu, poly_gelu_int,
-                           shift_gelu, shift_gelu_int)
+from intquant import gelu
+from intquant.gelu import (FIT_MAX_SAMPLES, IBERT_ERF_COEFFS, QUARTIC_ERF_COEFFS,
+                           ErfPolyCoeffs, FitConvergenceError, data_aware_poly_gelu,
+                           erf_poly_eval, fit_erf_poly, gelu_reference, ibert_gelu,
+                           poly_gelu_int, shift_gelu, shift_gelu_int)
 from intquant.metric import approx_error
 from intquant.quantize import QParams, QTensor, dequantize_np, qparams_from_range
 from intquant.tensor import OpCounter
@@ -28,6 +32,65 @@ def default_gelu_out_params(in_params: QParams, bits: int,
     if hi <= lo:
         hi = lo + 1e-6
     return qparams_from_range(hi, lo, bits, "asymmetric")
+
+
+def bits(a) -> np.ndarray:
+    """The float64 bit patterns of a, so that -0.0 != 0.0 and nan == nan."""
+    return np.asarray(a, dtype=np.float64).view(np.int64)
+
+
+SQRT_MAXLOG = math.sqrt(gelu._MAXLOG)
+
+
+class TestErfPort:
+    """``gelu.erf`` is Cephes' erf in numpy; scipy.special.erf is the oracle,
+    output bit for output bit."""
+
+    def test_dense_grid_over_every_branch(self):
+        x = np.linspace(-30.0, 30.0, 600_001)
+        assert np.array_equal(bits(gelu.erf(x)), bits(erf(x)))
+
+    @pytest.mark.parametrize("edge", [1.0, 8.0, SQRT_MAXLOG],
+                             ids=["small-to-erfc", "P/Q-to-R/S", "maxlog"])
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_branch_edges_and_their_neighbours(self, edge, sign):
+        c = sign * edge
+        x = np.array([np.nextafter(c, -np.inf), c, np.nextafter(c, np.inf)])
+        assert np.array_equal(bits(gelu.erf(x)), bits(erf(x)))
+
+    def test_special_values(self):
+        tiny = np.nextafter(0.0, 1.0)
+        x = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, tiny, -tiny])
+        got = gelu.erf(x)
+        assert np.array_equal(bits(got), bits(erf(x)))
+        assert np.signbit(got[1]) and np.isnan(got[4])
+        assert list(got[2:4]) == [1.0, -1.0]
+
+    def test_common_case_matches_the_masked_path(self):
+        # every |x| <= 1 skips the masks; the same values inside a wide
+        # array run through them
+        x = np.random.default_rng(0).uniform(-1.0, 1.0, 100_000)
+        wide = gelu.erf(np.append(x, 2.0))[:-1]
+        assert np.array_equal(bits(gelu.erf(x)), bits(wide))
+        assert np.array_equal(bits(gelu.erf(x)), bits(erf(x)))
+
+    def test_scalar_and_integer_inputs(self):
+        for v in (0.5, -2.5, 10.0):
+            got = gelu.erf(v)
+            assert isinstance(got, np.float64) and bits(got) == bits(erf(v))
+            assert bits(gelu.erf(np.array(v))) == bits(erf(v))
+        ints = np.arange(-5, 6)
+        assert np.array_equal(bits(gelu.erf(ints)), bits(erf(ints)))
+        assert gelu.erf(np.zeros((0, 3))).shape == (0, 3)
+        assert gelu.erf(np.ones((2, 3, 4)) * 0.5).shape == (2, 3, 4)
+        ref = gelu_reference(1.5)
+        assert type(ref) is float and ref == 0.5 * 1.5 * (1.0 + float(erf(1.5 / math.sqrt(2))))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=8))
+    def test_finite_floats(self, xs):
+        x = np.array(xs, dtype=np.float64)
+        assert np.array_equal(bits(gelu.erf(x)), bits(erf(x)))
 
 
 class TestErfPolyEval:
@@ -121,6 +184,16 @@ class TestFit:
         a = fit_erf_poly((-2.0, 2.0), 2, samples=501)
         b = fit_erf_poly((-2.0, 2.0), 2, samples=501)
         assert a == b
+
+    @pytest.mark.parametrize("fit_range", [(-3.0, math.inf), (-math.inf, 3.0), (-1e308, 1e308)])
+    def test_range_a_float_cannot_span_is_refused(self, fit_range):
+        with pytest.raises(ValueError, match="finite"):
+            fit_erf_poly(fit_range, 4)
+
+    @pytest.mark.parametrize("samples", [99, FIT_MAX_SAMPLES + 1, 2**62])
+    def test_samples_outside_their_range_are_refused(self, samples):
+        with pytest.raises(ValueError, match="samples"):
+            fit_erf_poly(RANGE, 4, samples=samples)
 
     def test_rms_bounded_by_max(self):
         res = fit_erf_poly(RANGE, 3, samples=501)

@@ -16,7 +16,8 @@ infer`` runs a batch of 2 under the plan it reads back, and the plan,
 logits and ``.ops.json`` files are hashed as written. Last, it holds the
 sha256 of the three ``intquant eval-approx`` CSVs and of the JSON that
 ``intquant fit`` writes for degrees 2, 3 and 4, the fitted values beside
-each.
+each, and of ``gelu.erf`` over a grid that crosses its branches and over
+its branch edges and special values.
 
 A change that should not alter any output is checked by running this on
 the parent and on the change, on one machine, and comparing:
@@ -37,6 +38,7 @@ import contextlib
 import hashlib
 import io
 import json
+import math
 import os
 import sys
 import tempfile
@@ -165,6 +167,23 @@ def fit_digests(tmp: str) -> dict:
     return out
 
 
+def erf_digest() -> dict:
+    """Digest of ``gelu.erf`` over a grid on [-30, 30], which crosses each of
+    its branches (|x| <= 1, erfc's P/Q below 8 and R/S from 8 up, erfc 0
+    past x^2 = MAXLOG), and over each branch edge with its neighbours and
+    the special values, beside the number of points."""
+    from intquant import gelu
+
+    edges = np.array([s * e for e in (1.0, 8.0, math.sqrt(7.09782712893383996843e2))
+                      for s in (1.0, -1.0)])
+    tiny = np.nextafter(0.0, 1.0)
+    x = np.concatenate([np.linspace(-30.0, 30.0, 240_001),
+                        np.nextafter(edges, -np.inf), edges, np.nextafter(edges, np.inf),
+                        [0.0, -0.0, np.inf, -np.inf, np.nan, tiny, -tiny]])
+    return {"erf.grid": sha(np.asarray(gelu.erf(x), dtype=np.float64).tobytes()),
+            "erf.points": int(x.size)}
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--src", required=True,
@@ -185,6 +204,7 @@ def main(argv=None) -> int:
                     **cli_digests(raw, seed, tmp)}
         report["eval-approx"] = eval_approx_digests(tmp)
         report["fit"] = fit_digests(tmp)
+    report["erf"] = erf_digest()
     print(json.dumps(report, indent=2, sort_keys=True))
     return 0
 
