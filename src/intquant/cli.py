@@ -18,6 +18,7 @@ import csv
 import json
 import math
 import os
+import re
 import sys
 import time
 from functools import partial
@@ -217,6 +218,11 @@ def cmd_report(args) -> tuple[list[str], None]:
     return [], None
 
 
+# a negative float literal, exponent form and infinity included: argparse
+# itself reads only -1 and -1.5 shapes as numbers and takes -1e-3 for an option
+_NEGATIVE_NUMBER = re.compile(r"-(\d+\.?\d*|\.\d+)(e[-+]?\d+)?$|-inf(inity)?$", re.IGNORECASE)
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="intquant",
@@ -228,6 +234,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("fit", help="fit erf-approximant coefficients")
     p.add_argument("--range", nargs=2, type=float, required=True, metavar=("LO", "HI"))
+    p._negative_number_matcher = _NEGATIVE_NUMBER
     p.add_argument("--degree", type=int, default=4)
     p.add_argument("--samples", type=int, default=2001)
     p.add_argument("--level", choices=("erf", "gelu"), default="erf")
@@ -259,7 +266,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     ap = build_parser()
-    args = ap.parse_args(argv)
+    # argparse counts an attached --range=LO as both of the option's values
+    args = ap.parse_args([part for arg in (sys.argv[1:] if argv is None else argv)
+                          for part in (arg.split("=", 1) if arg.startswith("--range=")
+                                       else (arg,))])
     started = time.monotonic()
     try:
         # refused before the command writes its outputs, not after

@@ -72,15 +72,26 @@ class FitConvergenceError(RuntimeError):
         self.best = best
 
 
+def _erf_poly_into(c: ErfPolyCoeffs, mag: np.ndarray, sign: np.ndarray, v: np.ndarray,
+                   out: np.ndarray) -> np.ndarray:
+    """The erf approximant at the points whose magnitudes are ``mag`` and
+    whose ``np.sign`` is ``sign``, written into ``out``, with ``v`` as work
+    space: sign * (a * (min(mag, -b) + b)^degree + 1)."""
+    np.minimum(mag, -c.b, out=v)
+    v += c.b
+    # repeated multiplication: numpy's ** has a fast path for the square only
+    np.multiply(v, v, out=out)
+    for _ in range(c.degree - 2):
+        out *= v
+    out *= c.a
+    out += 1.0
+    return np.multiply(sign, out, out=out)   # in this order, for the sign of a nan
+
+
 def erf_poly_eval(x, c: ErfPolyCoeffs):
     """Evaluate the erf approximant. sign(0) = 0, so f(0) = 0 exactly."""
     arr = np.asarray(x, dtype=np.float64)
-    v = np.clip(np.abs(arr), None, -c.b) + c.b
-    # repeated multiplication: numpy's ** has a fast path for the square only
-    power = v
-    for _ in range(c.degree - 1):
-        power = power * v
-    out = np.sign(arr) * (c.a * power + 1.0)
+    out = _erf_poly_into(c, np.abs(arr), np.sign(arr), np.empty(arr.shape), np.empty(arr.shape))
     return out if arr.shape else float(out)
 
 
@@ -198,23 +209,39 @@ def erf(x):
     return y.reshape(x.shape) if x.ndim else y[0]
 
 
-def gelu_reference(x):
-    """Exact GELU, used as the fitting target."""
+def gelu_reference(x, out=None):
+    """Exact GELU, 0.5 * x * (1 + erf(x / sqrt 2)), used as the fitting
+    target, written into ``out`` (float64, the shape of ``x``) where it is
+    given."""
     arr = np.asarray(x, dtype=np.float64)
-    out = 0.5 * arr * (1.0 + erf(arr / SQRT2))
+    e = erf(arr / SQRT2)
+    e += 1.0
+    out = np.multiply(arr, 0.5, out=out)
+    out *= e
     return out if arr.shape else float(out)
 
 
-def _objective(a: float, b: float, degree: int, x: np.ndarray,
-               target: np.ndarray, level: str) -> float:
-    if b >= 0:
-        return math.inf
-    c = ErfPolyCoeffs(a, b, degree)
-    if level == "erf":
-        r = target - erf_poly_eval(x, c)
-    else:
-        r = target - data_aware_poly_gelu(x, c)
-    return float(np.sum(r * r))
+def _objective(x: np.ndarray, target: np.ndarray, level: str, degree: int):
+    """The least-squares objective of a fit over the samples ``x``, as a
+    function of (a, b): the sum of (target - f)^2, f the erf approximant
+    (``level`` "erf") or its GELU, bit for bit as :func:`erf_poly_eval` and
+    :func:`data_aware_poly_gelu` compute them. A fit evaluates it thousands
+    of times, so it works in two buffers made here, once per fit, and the
+    parts that depend on ``x`` alone are computed here too."""
+    u = x if level == "erf" else x / SQRT2
+    mag, sign, half = np.abs(u), np.sign(u), 0.5 * x
+    v, r = np.empty_like(x), np.empty_like(x)
+
+    def objective(ab) -> float:
+        a, b = ab
+        if b >= 0:
+            return math.inf
+        _erf_poly_into(ErfPolyCoeffs(a, b, degree), mag, sign, v, r)
+        if level == "gelu":
+            np.multiply(half, np.add(r, 1.0, out=r), out=r)
+        np.subtract(target, r, out=r)
+        return float(np.sum(np.multiply(r, r, out=r)))
+    return objective
 
 
 # the most samples a fit takes: its coarse grid alone evaluates the objective
@@ -257,9 +284,7 @@ def fit_erf_poly(fit_range: tuple[float, float], degree: int, samples: int = 200
     b_grid = np.linspace(-4.0, -0.8, 33)
     a_grid = np.concatenate([np.linspace(-1.2, -0.002, 31), np.linspace(0.002, 1.2, 31)])
 
-    def objective(ab):
-        return _objective(ab[0], ab[1], degree, x, target, level)
-
+    objective = _objective(x, target, level, degree)
     start = min(((a, b) for b in b_grid for a in a_grid), key=objective)
     run = minimize(objective, start, method="Nelder-Mead",
                    options={"xatol": 1e-12, "fatol": 1e-15})

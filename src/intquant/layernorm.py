@@ -92,13 +92,14 @@ def snap_pow2_out_params(p: QParams) -> tuple[QParams, int]:
 
 
 def _ln_bounds(p: QParams, n: int, g: int, b: int, m2: int, e2: int,
-               out_params: QParams) -> tuple[int, int]:
+               out_params: QParams) -> tuple[int, int, int]:
     """Transfer functions of :func:`int_layernorm`'s two stages, for rows
     of n codes in [0, qmax] and gain and bias codes within g and b: the
     bounds of the front, up to the normalized rows y, and of the back, the
-    affine step with the requantization. The square root of V and every
-    n // x of its Newton steps lie within V, and the division by std >= 1
-    keeps y within d << _KY."""
+    affine step with the requantization, and the bit length of the row
+    division's numerators d << _KY. The square root of V and every n // x
+    of its Newton steps lie within V, and the division by std >= 1 keeps y
+    within d << _KY."""
     t = p.centered_max
     front = StageBound(t)
     sc = front.value(n * t)
@@ -107,7 +108,7 @@ def _ln_bounds(p: QParams, n: int, g: int, b: int, m2: int, e2: int,
     y = front.lshift(front.add(front.mul(t, n), sc), _KY)
     back = StageBound(y)
     acc = back.add(back.mul(y, g), b)
-    return front.bound, max(back.bound, requant_bound(acc, m2, e2, out_params))
+    return front.bound, max(back.bound, requant_bound(acc, m2, e2, out_params)), y.bit_length()
 
 
 def _value_key(x) -> tuple:
@@ -122,7 +123,7 @@ def _ln_plan(p: QParams, n: int, variant: str, out_params: QParams,
     """Constants of :func:`int_layernorm` (configuration time, real
     arithmetic allowed) for rows of n codes on ``p``, keyed by value, with
     gamma and beta as :func:`_value_key` gives them: the gain and bias
-    codes, the output params and multiplier, and the stage bounds."""
+    codes, the output params and multiplier, and :func:`_ln_bounds`."""
     g_codes, b_codes = (np.rint(np.frombuffer(data).reshape(shape) * (1 << k)).astype(np.int64)
                         for (shape, data), k in ((gamma, _KG), (beta, _KB)))
     for codes in (g_codes, b_codes):   # shared by every call that hits the cache
@@ -152,10 +153,10 @@ def int_layernorm(q: QTensor, gamma, beta, variant: str, out_params: QParams,
         raise ValueError(f"unknown variant {variant!r}")
     p = q.params
     n = q.codes.shape[-1]
-    g_codes, b_codes, out_params, m2, e2, bounds = _ln_plan(
+    g_codes, b_codes, out_params, m2, e2, (front, back, y_bits) = _ln_plan(
         p, n, variant, out_params, _value_key(gamma), _value_key(beta))
 
-    km, back = (KernelMath.within(counter, bound) for bound in bounds)
+    km, back = KernelMath.within(counter, front), KernelMath.within(counter, back)
     c = km.sub(q.codes, int(p.zero_point))
     sc = km.sum(c, axis=-1, keepdims=True)
     sc2 = km.sum(km.mul(c, c), axis=-1, keepdims=True)
@@ -166,15 +167,21 @@ def int_layernorm(q: QTensor, gamma, beta, variant: str, out_params: QParams,
     seed = "poly" if variant == "poly_sqrt" else "shift"
     std = km.maximum(_int_sqrt_array(var, km, iterations=_NEWTON_STEPS, seed=seed), 1)
 
-    y = km.floordiv(km.lshift(d, _KY, out=d), std, out=d)   # (c - mean)/std on 2^-KY
+    y = km.floordiv_rows(km.lshift(d, _KY, out=d), std, y_bits, out=d)  # (c - mean)/std, 2^-KY
     ya = back.mul(y, g_codes, out=buffer_for(back, y))
     back.add(ya, b_codes, out=ya)                            # gamma*y + beta on 2^-KB
     return QTensor(requantize(back, ya, m2, e2, out_params), out_params)
 
 
-def layernorm_reference(x, gamma, beta, axis: int = -1) -> np.ndarray:
-    """Exact LayerNorm used by calibration and the float forward pass."""
+def layernorm_reference(x, gamma, beta, axis: int = -1, out=None) -> np.ndarray:
+    """Exact LayerNorm used by calibration and the float forward pass,
+    (x - mean) / sqrt(var + 1e-12) * gamma + beta, written into ``out``
+    (float64, the shape of ``x``) where it is given."""
     x = np.asarray(x, dtype=np.float64)
     mu = x.mean(axis=axis, keepdims=True)
     var = x.var(axis=axis, keepdims=True)
-    return (x - mu) / np.sqrt(var + 1e-12) * np.asarray(gamma) + np.asarray(beta)
+    out = np.subtract(x, mu, out=out)
+    out /= np.sqrt(var + 1e-12)
+    out *= np.asarray(gamma)
+    out += np.asarray(beta)
+    return out

@@ -206,20 +206,50 @@ def merge_heads(x):
     return x.transpose(0, 2, 1, 3).reshape(b, t, h * hd)
 
 
-# op kind -> fn(graph, *input arrays, *weight arrays); softmax takes the
-# array to write into last, which float_edges makes its input
+def _linear(g, a, w, b, out=None):
+    out = np.matmul(a, w.T, out=out)
+    out += b
+    return out
+
+
+def _ctx(g, p, v, out=None):
+    y = p @ split_heads(v, g.heads)
+    if out is None:
+        return merge_heads(y)
+    split_heads(out, g.heads)[...] = y
+    return out
+
+
+# op kind -> fn(graph, *input arrays, *weight arrays, out=None), which
+# writes into out, passed last, where it is given: float_edges' rows of the
+# joined edge, or for softmax its input
 _FLOAT_OPS = {
-    "pos_add": lambda g, x, pos: x + pos,
-    "layernorm": lambda g, x, gamma, beta: layernorm_reference(x, gamma, beta),
-    "linear": lambda g, a, w, b: a @ w.T + b,
-    "scores": lambda g, q, k: (split_heads(q, g.heads)
-                               @ split_heads(k, g.heads).transpose(0, 1, 3, 2)),
+    "pos_add": lambda g, x, pos, out=None: np.add(x, pos, out=out),
+    "layernorm": lambda g, x, gamma, beta, out=None: layernorm_reference(x, gamma, beta,
+                                                                         out=out),
+    "linear": _linear,
+    "scores": lambda g, q, k, out=None: np.matmul(
+        split_heads(q, g.heads), split_heads(k, g.heads).transpose(0, 1, 3, 2), out=out),
     "softmax": lambda g, s, out=None: _softmax(s, out),
-    "ctx": lambda g, p, v: merge_heads(p @ split_heads(v, g.heads)),
-    "add": lambda g, a, b: a + b,
-    "gelu": lambda g, x: gelu_reference(x),
-    "pool": lambda g, h: h.mean(axis=1),
+    "ctx": _ctx,
+    "add": lambda g, a, b, out=None: np.add(a, b, out=out),
+    "gelu": lambda g, x, out=None: gelu_reference(x, out=out),
+    "pool": lambda g, h, out=None: h.mean(axis=1, out=out),
 }
+
+
+def _joined_shape(graph: ModelGraph, op: Op, ins: list, ws: list) -> tuple:
+    """Shape of ``op``'s output edge over the joined inputs ``ins``."""
+    n = len(ins[0])
+    if op.op == "scores":
+        return n, graph.heads, graph.tokens, graph.tokens
+    if op.op == "ctx":
+        return n, graph.tokens, graph.embed_dim
+    if op.op == "pool":
+        return n, graph.embed_dim
+    if op.op == "linear":
+        return *ins[0].shape[:-1], len(ws[0])
+    return ins[0].shape
 
 
 def batched(graph: ModelGraph, x: np.ndarray) -> tuple[np.ndarray, bool]:
@@ -285,24 +315,20 @@ def float_edges(graph: ModelGraph, weights: dict, batches: list, env: dict):
     xs = [batched(graph, np.asarray(b, dtype=np.float64))[0] for b in batches]
     rows = batch_rows(graph, xs)
 
-    def per_batch(fn, ws, in_place):   # fn on each batch's rows, the outputs joined
+    def per_batch(op):   # the op on each batch's rows, written into its rows of the edge
+        fn, ws = partial(_FLOAT_OPS[op.op], graph), [weights[k] for k in op.weights]
+
         def run(*ins):
-            if in_place:       # into the input edge, which no later op reads
-                for sl in rows:
-                    fn(ins[0][sl], *ws, ins[0][sl])
-                return ins[0]
-            if len(rows) == 1:
+            if op.out in graph.in_place:   # into the input edge, which no later op reads
+                out = ins[0]
+            elif len(rows) == 1:
                 return fn(*ins, *ws)
-            out = None
+            else:
+                out = np.empty(_joined_shape(graph, op, ins, ws))
             for sl in rows:
-                y = fn(*(x[sl] for x in ins), *ws)
-                if out is None:
-                    out = np.empty((rows[-1].stop, *y.shape[1:]), dtype=y.dtype)
-                out[sl] = y
-                del y
+                fn(*(x[sl] for x in ins), *ws, out[sl])
             return out
         return run
-    fns = [per_batch(partial(_FLOAT_OPS[op.op], graph), [weights[k] for k in op.weights],
-                     op.out in graph.in_place) for op in graph.ops]
+    fns = [per_batch(op) for op in graph.ops]
     env[INPUT] = xs[0] if len(xs) == 1 else np.concatenate(xs)  # env alone holds a join
     yield from walk(graph, fns, env)

@@ -230,8 +230,8 @@ def requantize(km: KernelMath, acc: np.ndarray, m, e: int, p_out: QParams) -> np
     """
     if np.ndim(m) or m != 1:
         acc = km.mul(acc, m, out=buffer_for(km, acc))
-    acc = km.rshift_round(acc, e, out=buffer_for(km, acc))
-    km.add(acc, p_out.zero_point, out=acc)
+    # the zero point rides on the rounding constant: one add, charged as two
+    acc = km.rshift_round_add(acc, e, p_out.zero_point, out=buffer_for(km, acc))
     return km.clip(acc, 0, p_out.qmax, out=acc)
 
 
@@ -241,7 +241,7 @@ def requant_bound(acc: int, m, e: int, p_out: QParams) -> int:
     b = StageBound(acc, p_out.qmax)
     if np.ndim(m) or m != 1:
         acc = b.mul(acc, magnitude(m))
-    b.add(b.rshift_round(acc, e), p_out.zero_point)
+    b.rshift_round_add(acc, e, p_out.zero_point)
     return b.bound
 
 

@@ -21,9 +21,10 @@ there is no table, and the kernel refuses every call with
 division and log2_softmax's bit-length tail run per call, each on the
 ``KernelMath`` of its static bound (``KernelMath.within``), from input
 codes in [0, qmax], which the kernels check once per call
-(:func:`quantize.checks_codes`), and from the table's peak: the
-max-subtraction in int32, the reciprocal division in int64, neither
-scanning operands for the overflow guards where the bound fits.
+(:func:`quantize.checks_codes`), and from the table's peak: the reciprocal
+division in int64, not scanning operands for the overflow guards where the
+bound fits. The max-subtraction runs in int64, the gather's index dtype;
+it has no guard to pass.
 """
 
 from __future__ import annotations
@@ -101,9 +102,10 @@ def _prob_bits(out_params: QParams) -> int:
 # ---------------------------------------------------------------------------
 
 def _max_subtract_codes(q: QTensor, counter: OpCounter | None) -> np.ndarray:
-    """Codes minus their row max, in [-qmax, 0]: one stage, within qmax and
-    so in int32."""
-    km = KernelMath.within(counter, q.params.qmax)
+    """Codes minus their row max, in [-qmax, 0], in int64, which is intp on
+    64-bit platforms: they index the exponential's table, and ``np.take``
+    would first convert narrower indices to intp."""
+    km = KernelMath(counter)
     return km.sub(q.codes, km.max(q.codes, axis=-1, keepdims=True))
 
 

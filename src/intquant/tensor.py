@@ -24,8 +24,9 @@ give each a static magnitude bound, from its input codes' interval
 [0, qmax] and its constants, written once as a mirror of the stage on
 magnitudes (:class:`StageBound`). :meth:`KernelMath.within` makes the
 stage's ``KernelMath``, and is the only maker of an int32 one: int32 where
-the bound fits 31 bits, and with the ``mul`` and ``lshift`` overflow guards
-decided by the bound instead of a max/min scan of the operands;
+the bound fits 31 bits, and with the ``mul``, ``lshift`` and
+``rshift_round_add`` overflow guards decided by the bound instead of a
+max/min scan of the operands;
 :meth:`KernelMath.matmul` takes its operands' static magnitudes the same
 way and picks float32, float64 or int64 from them. Where no bound fits, the
 stage runs in int64 under the runtime guards. A kernel's input codes must
@@ -44,6 +45,22 @@ a table with :meth:`KernelMath.lookup`, which charges the chain's per-code
 counts times the number of codes, so the ``OpCounter`` charges are those
 of the chain. The tabulated stages have no static bounds of their own: the
 stage after a lookup takes its bound from the table's peak.
+
+Fewer passes, the same charges: a ``KernelMath`` method may compute its
+result in fewer numpy passes than the scalar operations it charges, but
+never with other values. ``clip`` is numpy's clip ufunc, one pass for its
+two compares. ``rshift_round_add`` adds a constant after a rounding shift
+by folding it into the rounding constant, (x + 2^(k-1) + (c << k)) >> k,
+which equals the shift followed by the add for arithmetic shifts; it is
+charged both adds, and :func:`quantize.requantize` ends with it. Division
+is ``floordiv``, elementwise, or ``floordiv_rows``, by one divisor per row,
+as LayerNorm divides each row by its std: where the numerators' static
+bound fits 31 bits and the call holds at least ``RECIP_MIN_SIZE``
+elements, it multiplies by each row's exact reciprocal
+(:func:`reciprocal_floordiv`, Granlund and Montgomery) instead, the same
+quotients for one div charged per element; smaller calls, for which the
+reciprocals cost more to set up than they save, and wider numerators
+divide.
 """
 
 from __future__ import annotations
@@ -65,6 +82,8 @@ _NP_BY_DTYPE = {"real32": np.dtype("<f4"), "int32": np.dtype("<i4")}
 EXACT_FLOAT_BITS = 52  # integers below 2^52 survive float64 sums exactly
 EXACT_FLOAT32 = 1 << 24  # and integers below 2^24 survive float32 sums exactly
 _INT32, _INT64 = np.dtype(np.int32), np.dtype(np.int64)
+# the clip ufunc itself: np.clip's Python wrapper costs about 5 us a call
+_clip = np._core.umath.clip
 
 
 class TensorFormatError(ValueError):
@@ -225,6 +244,38 @@ def bit_length(n: np.ndarray) -> np.ndarray:
     return np.searchsorted(_POWERS_OF_TWO, n, side="right").astype(np.int64, copy=False)
 
 
+# fewest elements a KernelMath.floordiv_rows call divides by reciprocals:
+# below about 5,000, one floor_divide pass costs less than the reciprocals'
+# dozen numpy calls (measured on 64-element rows of int64)
+RECIP_MIN_SIZE = 5000
+
+
+def reciprocal_floordiv(a, b, bits: int, out=None, dtype=_INT64):
+    """``a // b`` by exact reciprocals, for every |a| < 2^bits, bits <= 31,
+    and divisors b >= 1 that broadcast against ``a``, in ``dtype``.
+
+    Granlund and Montgomery (PLDI 1994, theorem 4.2): with l = bitlen(b - 1)
+    and m = floor(2^(bits + l) / b) + 1, floor(u / b) = (u * m) >> (bits + l)
+    for every 0 <= u < 2^bits, and u * m < 2^(2 bits + 1) fits int64. A
+    negative a goes through ~a = -a - 1, in [0, 2^bits): floor(a / b) =
+    ~floor(~a / b). A divisor past 2^bits gives what 2^bits gives, 0 or -1,
+    so it is capped there, which keeps bits + l within 62."""
+    b = np.minimum(b, 1 << bits, dtype=np.int64)
+    shift = bit_length(b - 1)
+    shift += bits
+    m = np.left_shift(1, shift)
+    m //= b
+    m += 1
+    sign = np.right_shift(a, bits)           # 0 where a >= 0, -1 where a < 0
+    u = np.bitwise_xor(a, sign, out=out if out is not None and out.dtype == _INT64 else None,
+                       dtype=np.int64)
+    np.multiply(u, m, out=u)
+    np.right_shift(u, shift, out=u)
+    if out is None and dtype == _INT64:
+        out = u
+    return np.bitwise_xor(u, sign, out=out, dtype=dtype)
+
+
 def magnitude(x) -> int:
     """Largest absolute value in ``x``, an integer array or scalar, as a
     Python int (0 for an empty array), from its extremes: ``np.abs``
@@ -369,6 +420,11 @@ class StageBound:
             return self.lshift(a, -k)
         return self.add(a, 1 << (k - 1)) >> k
 
+    def rshift_round_add(self, a: int, k: int, c: int) -> int:
+        if k <= 0:
+            return self.add(self.lshift(a, -k), c)
+        return self.add(a, (1 << (k - 1)) + (c << k)) >> k
+
     def matmul(self, k: int, a: int, b: int) -> int:
         return self.value(k * a * b)
 
@@ -389,9 +445,9 @@ class KernelMath:
     charge is the same with or without ``out=``. Without it, a method
     allocates one result.
 
-    The overflow guards of ``mul`` and ``lshift`` check against 63 signed
-    bits: from ``bound`` where the instance has one (see :meth:`within`),
-    else from a max/min scan of the operands. An instance made without a
+    The overflow guards of ``mul``, ``lshift`` and ``rshift_round_add``
+    check against 63 signed bits: from ``bound`` where the instance has one
+    (see :meth:`within`), else from a max/min scan of the operands. An instance made without a
     bound computes in int64. Only :meth:`within` makes an int32 one, and
     nothing guards its other methods or its operand casts: its bound is the
     promise that every value of the chain fits. Constants on an int32 chain
@@ -414,10 +470,10 @@ class KernelMath:
         (a fresh one where it is None).
 
         It computes in int32 where the bound fits 31 bits, else in int64,
-        and where the bound fits 63 bits the ``mul`` and ``lshift`` guards
-        pass without scanning their operands, since the bound shows they
-        would. A bound past 63 bits gives a plain int64 instance under the
-        runtime guards."""
+        and where the bound fits 63 bits the ``mul``, ``lshift`` and
+        ``rshift_round_add`` guards pass without scanning their operands,
+        since the bound shows they would. A bound past 63 bits gives a
+        plain int64 instance under the runtime guards."""
         km = cls.__new__(cls)
         km.counter = counter if counter is not None else OpCounter()
         km.dtype = _INT32 if bound < 1 << 31 else _INT64
@@ -469,6 +525,22 @@ class KernelMath:
         self.counter.divs += self._guard(a, b)
         return np.floor_divide(a, b, out=out, dtype=self.dtype)
 
+    def floordiv_rows(self, a, b, bits: int, out=None):
+        """``a // b``, charged as :meth:`floordiv`, for ``a`` within
+        2^bits - 1 in magnitude (a static bound: nothing scans it) and ``b``
+        one divisor >= 1 per row of ``a``, its last axis of length 1.
+
+        Where bits <= 31 and ``a`` has at least ``RECIP_MIN_SIZE``
+        elements, each row divides by its exact reciprocal
+        (:func:`reciprocal_floordiv`): a few passes of multiplies, shifts
+        and xors instead of one of divisions. Smaller calls, whose
+        reciprocals would cost more to set up than they save, and wider
+        ``a`` divide."""
+        self.counter.divs += self._guard(a, b, bits)
+        if bits <= 31 and np.size(a) >= RECIP_MIN_SIZE:
+            return reciprocal_floordiv(a, b, bits, out=out, dtype=self.dtype)
+        return np.floor_divide(a, b, out=out, dtype=self.dtype)
+
     def rshift(self, a, k, out=None):
         self.counter.shifts += self._guard(a, k)
         return np.right_shift(a, k, out=out, dtype=self.dtype)
@@ -505,12 +577,11 @@ class KernelMath:
         return np.sign(a).astype(self.dtype, copy=False)
 
     def clip(self, a, lo, hi, out=None):
+        """``a`` clipped onto [lo, hi] in one pass, charged as the two
+        compares it replaces; the bounds are not charged."""
         self._guard(lo, hi)
         self.counter.compares += 2 * self._guard(a)
-        # np.clip's Python wrapper builds np.iinfo objects on every call
-        out = np.maximum(a, lo, out=out, dtype=self.dtype)
-        # a scalar operand gives a scalar, which cannot be written into
-        return np.minimum(out, hi, out=out if isinstance(out, np.ndarray) else None)
+        return _clip(a, lo, hi, out=out, dtype=self.dtype)
 
     def sum(self, a, axis=-1, keepdims=True):
         """Row sums, accumulated in int64 whatever the dtype."""
@@ -577,4 +648,22 @@ class KernelMath:
         self.counter.adds += n
         self.counter.shifts += n
         out = np.add(a, 1 << (k - 1), out=out, dtype=self.dtype)
+        return np.right_shift(out, k, out=out if isinstance(out, np.ndarray) else None)
+
+    def rshift_round_add(self, a, k: int, c: int, out=None):
+        """``rshift_round(a, k) + c``, charged as those two calls. For k > 0
+        it is one add and one shift: c << k rides on the rounding constant,
+        since (x + (c << k)) >> k = (x >> k) + c for arithmetic shifts.
+        Where the instance has no bound, that folded sum is guarded against
+        63 signed bits by a scan of ``a``."""
+        n = self._guard(a, k, c)
+        if k <= 0:
+            out = self.lshift(a, -k, out=out)
+            return self.add(out, c, out=out if isinstance(out, np.ndarray) else None)
+        const = (1 << (k - 1)) + (c << k)
+        if self.bound is None and magnitude(a) + abs(const) >= 1 << 63:
+            raise KernelOverflowError("rounding shift may exceed 64-bit signed range")
+        self.counter.adds += 2 * n
+        self.counter.shifts += n
+        out = np.add(a, const, out=out, dtype=self.dtype)
         return np.right_shift(out, k, out=out if isinstance(out, np.ndarray) else None)

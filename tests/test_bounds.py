@@ -32,7 +32,8 @@ from intquant.tensor import KernelMath, OpCounter, code_table
 
 # every KernelMath method that computes a value
 _METHODS = ("add", "sub", "mul", "floordiv", "rshift", "lshift", "minimum", "maximum",
-            "abs", "sign", "clip", "sum", "max", "matmul", "lookup", "rshift_round")
+            "abs", "sign", "clip", "sum", "max", "matmul", "lookup", "rshift_round",
+            "rshift_round_add", "floordiv_rows")
 
 
 def _magnitude(x) -> int:

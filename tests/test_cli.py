@@ -48,6 +48,15 @@ class TestFit:
         assert payload["degree"] == 4
         assert payload["linf_err"] <= 0.0555  # no worse than the shipped quartic
 
+    @pytest.mark.parametrize("argv", [["--range", "-1e-3", "3"], ["--range=-1e-3", "3"]],
+                             ids=["separate", "attached"])
+    def test_negative_bound_in_exponent_form(self, tmp_path, argv):
+        # argparse took -1e-3 for an option, and --range=LO for both values
+        out = tmp_path / "fit.json"
+        assert run(tmp_path, "fit", *argv, "--degree", "2", "--samples", "101",
+                   "--out", str(out)) == 0
+        assert json.loads(out.read_text())["range"] == [-1e-3, 3.0]
+
     def test_degenerate_range_is_usage_error(self, tmp_path):
         assert run(tmp_path, "fit", "--range", "0", "0",
                    "--out", str(tmp_path / "x.json")) == 2

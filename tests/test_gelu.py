@@ -5,7 +5,7 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.special import erf
 
@@ -118,6 +118,27 @@ class TestErfPolyEval:
     def test_coefficient_validation(self):
         with pytest.raises(ValueError):
             ErfPolyCoeffs(-0.1, 1.0, 4)
+
+    @staticmethod
+    def _allocating(x, c):
+        """The form erf_poly_eval had before it wrote into two buffers."""
+        arr = np.asarray(x, dtype=np.float64)
+        v = np.clip(np.abs(arr), None, -c.b) + c.b
+        power = v
+        for _ in range(c.degree - 1):
+            power = power * v
+        return np.sign(arr) * (c.a * power + 1.0)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.floats(allow_nan=True, allow_infinity=True), min_size=1, max_size=40),
+           st.floats(-2.0, 2.0), st.floats(-5.0, -1e-3), st.sampled_from([2, 3, 4]))
+    @example([-math.nan, math.nan, -0.0, 0.0, -math.inf], 0.0, -1.0, 2)
+    def test_is_its_allocating_form_bit_for_bit(self, xs, a, b, degree):
+        c = ErfPolyCoeffs(a, b, degree)
+        got, want = erf_poly_eval(np.array(xs), c), self._allocating(xs, c)
+        np.testing.assert_array_equal(got, want)
+        assert np.signbit(got).tolist() == np.signbit(want).tolist()
+        assert erf_poly_eval(xs[0], c) == float(self._allocating(xs[0], c)) or math.isnan(xs[0])
         with pytest.raises(ValueError):
             ErfPolyCoeffs(-0.1, -1.0, 5)
 
@@ -162,6 +183,24 @@ class TestGeluFunctions:
 
 
 class TestFit:
+    @settings(max_examples=100, deadline=None)
+    @given(st.floats(-1.5, 1.5), st.floats(-5.0, 0.5), st.sampled_from([2, 3, 4]),
+           st.sampled_from(["erf", "gelu"]))
+    def test_objective_is_the_residual_sum_bit_for_bit(self, a, b, degree, level):
+        # evaluated twice into the same buffers, the fit's objective is the
+        # sum of squares of the residual that erf_poly_eval and
+        # data_aware_poly_gelu give
+        x = np.linspace(-3.0, 3.0, 1001)
+        target = erf(x) if level == "erf" else gelu_reference(x)
+        objective = gelu._objective(x, target, level, degree)
+        if b >= 0:
+            assert objective((a, b)) == math.inf
+            return
+        c = ErfPolyCoeffs(a, b, degree)
+        r = target - (erf_poly_eval(x, c) if level == "erf" else data_aware_poly_gelu(x, c))
+        want = float(np.sum(r * r))
+        assert objective((a, b)) == want and objective(np.array([a, b])) == want
+
     def test_degenerate_range(self):
         with pytest.raises(ValueError):
             fit_erf_poly((0.0, 0.0), 4)

@@ -1,4 +1,5 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ import pytest
 from intquant.layernorm import (LN_VARIANTS, _int_sqrt_array,
                                 int_layernorm, layernorm_reference,
                                 snap_pow2_out_params)
+from intquant import tensor as tensor_mod
 from intquant.quantize import (MinMaxObserver, QTensor, dequantize_np,
                                qparams_from_range, quantize)
 from intquant.tensor import KernelMath, OpCounter
@@ -223,6 +225,29 @@ class TestIntLayerNorm:
             assert c.float_violations == 0
             totals[variant] = c.total()
         assert len(set(totals.values())) == 3
+
+    @pytest.mark.parametrize("bits, reciprocal", [(8, True), (12, False)])
+    def test_row_division_path_follows_the_static_bound(self, bits, reciprocal):
+        # 256 rows of 64 codes: at 8 bits the numerators (c - mean) << 15
+        # fit 31 bits, so each row divides by its reciprocal; at 12 bits they
+        # do not, and the rows divide. Either way, the codes and charges are
+        # those of the division alone (a call under RECIP_MIN_SIZE)
+        rng = np.random.default_rng(bits)
+        x = rng.normal(0, 1, size=(256, 64))
+        p = qparams_from_range(float(x.max()), float(x.min()), bits)
+        q = quantize(x, p)
+        gamma, beta = rng.normal(1.0, 0.1, size=64), rng.normal(0.0, 0.1, size=64)
+        out_p = qparams_from_range(3.0, -3.0, 8)
+        runs = []
+        for size in (tensor_mod.RECIP_MIN_SIZE, 1 << 62):
+            counter = OpCounter()
+            with mock.patch.object(tensor_mod, "RECIP_MIN_SIZE", size), \
+                    mock.patch.object(tensor_mod, "reciprocal_floordiv",
+                                      wraps=tensor_mod.reciprocal_floordiv) as recip:
+                out = int_layernorm(q, gamma, beta, "bitshift_newton", out_p, counter)
+            runs.append((out.codes.tolist(), counter.as_dict(), recip.call_count))
+        assert runs[0][2] == reciprocal and runs[1][2] == 0
+        assert runs[0][:2] == runs[1][:2]
 
     def test_config_validation(self):
         q = QTensor(np.full((1, 4), 100, dtype=np.int64), qparams_from_range(1.0, -1.0, 8))

@@ -169,6 +169,28 @@ class TestGraphConstruction:
                            for ref in refs), e
         assert list(env) == ["logits"]
 
+    @pytest.mark.parametrize("edge", ["block0.attn.q", "block0.attn.scores", "block0.res1"])
+    def test_each_batch_is_written_into_its_rows_of_the_edge(self, edge):
+        # over four batches, the op allocates its joined edge and nothing
+        # beside it as large as half one batch's output (128 KiB for q and
+        # res1, twice numpy's 64 KiB ufunc buffer): no batch's output waits
+        # in an array of its own to be copied in
+        graph, weights = build_toy_vit({"blocks": 1, "embed_dim": 64, "heads": 4,
+                                        "tokens": 64, "mlp_ratio": 2})
+        xs = [rng_tensor(i, [8, 64, 64], "normal", 0.0, 1.0).values for i in range(4)]
+        env = {}
+        walk = float_edges(graph, weights, xs, env)
+        for _ in range(graph.edges.index(edge)):
+            next(walk)
+        tracemalloc.start()
+        try:
+            assert next(walk)[0] == edge
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        joined = env[edge].nbytes
+        assert peak < joined + joined // len(xs) // 2
+
     def test_nonlinear_input_edges_exist(self):
         graph, _ = build_toy_vit({"blocks": 3, "embed_dim": 16, "heads": 2,
                                   "tokens": 4, "mlp_ratio": 2})

@@ -4,14 +4,15 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from intquant.quantize import (DegenerateRangeError, MinMaxObserver, QParams,
                                QTensor, dequantize_np, dyadic_qparams_for_range,
                                encode_dyadic_multiplier, qparams_from_range,
-                               quantize, requant_weight_per_channel, requantize)
-from intquant.tensor import KernelMath, OpCounter
+                               quantize, requant_bound, requant_weight_per_channel, requantize)
+from intquant.tensor import KernelMath, OpCounter, magnitude
 
 
 class TestParamsFromRange:
@@ -246,6 +247,20 @@ def _encode_loop(mult: float, mant_bits: int) -> tuple[int, int]:
     return int(round(m)), e
 
 
+@st.composite
+def _requant_cases(draw):
+    """(acc, m, e, p_out): accumulators up to 2^40 in magnitude, one 15-bit
+    multiplier or one per channel, shifts from -4 to 40 and any output
+    width and zero point."""
+    bits, cols = draw(st.integers(2, 16)), draw(st.integers(1, 6))
+    p = QParams(0.1, draw(st.integers(0, (1 << bits) - 1)), bits, "asymmetric")
+    acc = draw(arrays(np.int64, (draw(st.integers(1, 5)), cols),
+                      elements=st.integers(-(1 << 40), 1 << 40)))
+    mant = st.integers(1, 1 << 15)
+    m = draw(st.one_of(mant, arrays(np.int64, cols, elements=mant)))
+    return acc, m, draw(st.integers(-4, 40)), p
+
+
 class TestRequantize:
     """The one requantization step: clip(((acc*m + 2^(e-1)) >> e) + z, 0, qmax),
     in place."""
@@ -270,6 +285,34 @@ class TestRequantize:
         np.testing.assert_array_equal(out, want)
         assert want.min() == 0 and want.max() == p.qmax
         assert np.count_nonzero((want > 0) & (want < p.qmax)) > 0
+
+    @staticmethod
+    def _unfused(km, acc, m, e, p):
+        """The chain the zero point's fold replaced: the multiply, the
+        rounding shift, the zero point's add and the clip, one call each."""
+        if np.ndim(m) or m != 1:
+            acc = km.mul(acc, m)
+        return km.clip(km.add(km.rshift_round(acc, e), p.zero_point), 0, p.qmax)
+
+    @settings(max_examples=300, deadline=None)
+    @given(_requant_cases())
+    @example((np.array([[-9, 0, 5], [3, -1, 60]]), np.array([1, 7, 3]), 0,
+              QParams(0.1, 200, 8, "asymmetric")))
+    @example((np.array([[-9, 0, 5], [3, -1, 60]]), 5, -3, QParams(0.1, 9, 4, "asymmetric")))
+    def test_folded_zero_point_is_the_unfused_chain(self, case):
+        # exact against the unfused chain, on int64 and on the KernelMath of
+        # requant_bound, with the same charges; the bound covers the folded
+        # sum acc*m + 2^(e-1) + (z << e)
+        acc, m, e, p = case
+        bound = requant_bound(magnitude(acc), m, e, p)
+        if e > 0:
+            assert magnitude(acc) * magnitude(m) + (1 << (e - 1)) + (p.zero_point << e) <= bound
+        want_km = KernelMath()
+        want = self._unfused(want_km, acc, m, e, p)
+        for km in (KernelMath(), KernelMath.within(None, bound)):
+            got = requantize(km, acc.copy(), m, e, p)
+            assert got.dtype == km.dtype and got.tolist() == want.tolist()
+            assert km.counter.as_dict() == want_km.counter.as_dict()
 
     def test_unit_multiplier_is_a_shift_alone(self):
         p = QParams(0.5, 3, 4, "asymmetric")

@@ -66,6 +66,18 @@ class TestMaxSubtract:
         assert np.all(out.max(axis=-1) == 0)
         assert np.all(out <= 0)
 
+    @pytest.mark.parametrize("dtype", [np.int32, np.int64])
+    def test_codes_are_the_gathers_index_dtype(self, dtype):
+        # they index the exponential's table, and np.take converts any
+        # other integer dtype to intp first
+        counter = OpCounter()
+        q = QTensor(np.array([[3, 9, 0], [7, 7, 1]], dtype=dtype),
+                    QParams(1.0 / 64, 0, 16, "asymmetric"))
+        out = _max_subtract_codes(q, counter)
+        assert out.dtype == np.intp and out.tolist() == [[-6, 0, -9], [0, 0, -6]]
+        assert counter.as_dict() == {**OpCounter().as_dict(), "adds": 6, "compares": 4,
+                                     "total": 10}
+
 
 class TestLog2eShift:
     def test_hand_value(self):

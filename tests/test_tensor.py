@@ -267,6 +267,8 @@ _OUT_CASES = {
     "rshift_round": (_A, 5), "rshift_round_nonpositive": (_SMALL, -3),
     "minimum": (_A, _SMALL), "maximum": (_A, -2),
     "clip": (_A, -5, 1 << 20), "clip_int32": (_SMALL.astype(np.int32), 0, 255),
+    "rshift_round_add": (_A, 5, 7), "rshift_round_add_nonpositive": (_SMALL, -3, 7),
+    "floordiv_rows": (_SMALL.reshape(3, 3), np.array([[7], [1], [3]]), 31),
 }
 
 
@@ -276,8 +278,10 @@ class TestOutBuffers:
 
     @staticmethod
     def _method(case):
-        name = case.split("_")[0]
-        return "rshift_round" if case.startswith("rshift_round") else name
+        for name in ("rshift_round_add", "rshift_round", "floordiv_rows"):
+            if case.startswith(name):
+                return name
+        return case.split("_")[0]
 
     @pytest.mark.parametrize("case", _OUT_CASES)
     def test_out_matches_the_allocating_call(self, case):
@@ -302,8 +306,11 @@ class TestOutBuffers:
         got = getattr(KernelMath(), self._method(case))(buf, *rest, out=buf)
         assert got is buf and got.tolist() == want.tolist()
 
+    # floordiv_rows at 2^16 elements divides by reciprocals, which hold the
+    # numerators' sign mask beside the result
     @pytest.mark.parametrize("case", [c for c in _OUT_CASES
-                                      if c not in ("add_scalar_first", "sub_row")])
+                                      if c not in ("add_scalar_first", "sub_row",
+                                                   "floordiv_rows")])
     def test_allocates_one_result(self, case):
         args = [np.resize(a, 1 << 16) if isinstance(a, np.ndarray) else a
                 for a in _OUT_CASES[case]]
@@ -322,7 +329,10 @@ class TestOutBuffers:
         ("mul", (np.zeros(2, dtype=np.int64), 1 << 64)),
         ("lshift", (np.array([1 << 40, 3], dtype=np.int64), 30)),
         ("rshift_round", (np.array([1 << 40, 3], dtype=np.int64), -30)),
-    ], ids=["mul", "mul_scalar_past_int64", "lshift", "rshift_round"])
+        ("rshift_round_add", (np.array([1 << 40, 3], dtype=np.int64), -30, 1)),
+        ("rshift_round_add", (np.array([INT64_MAX - (1 << 20), 3], dtype=np.int64), 20, 1)),
+    ], ids=["mul", "mul_scalar_past_int64", "lshift", "rshift_round", "rshift_round_add_left",
+            "rshift_round_add_folded_sum"])
     def test_overflow_leaves_out_untouched(self, name, args):
         km = KernelMath()
         out = np.array([11, 12], dtype=np.int64)
@@ -389,6 +399,11 @@ _CHARGES = {
                lambda a, b: {"muls": a.shape[0] * b.shape[1] * a.shape[1],
                              "adds": a.shape[0] * b.shape[1] * (a.shape[1] - 1)}),
     "rshift_round": (lambda a, b: (a, 2), lambda a, k: {"adds": _n(a), "shifts": _n(a)}),
+    # the zero point's add is folded into the rounding constant, but charged
+    "rshift_round_add": (lambda a, b: (a, 2, 5),
+                         lambda a, k, c: {"adds": 2 * _n(a), "shifts": _n(a)}),
+    # every operand of the mixes lies within 2^9 - 1
+    "floordiv_rows": (lambda a, b: (a, b, 9), lambda a, b, bits: {"divs": _n(a, b)}),
     # the table's stage charges per code; the table itself is not charged
     "lookup": (lambda a, b: (_AFFINE, a), lambda t, a: {"muls": _n(a), "adds": _n(a)}),
 }
@@ -419,6 +434,27 @@ class TestCharges:
         km = KernelMath()
         km.rshift_round(_GRID, -3)
         assert km.counter.as_dict() == {**OpCounter().as_dict(), "shifts": 256, "total": 256}
+
+    def test_rshift_round_add_by_a_nonpositive_shift_charges_the_left_shift_and_the_add(self):
+        km = KernelMath()
+        got = km.rshift_round_add(_GRID, -3, 7)
+        assert got.tolist() == ((_GRID << 3) + 7).tolist()
+        assert km.counter.as_dict() == {**OpCounter().as_dict(), "shifts": 256, "adds": 256,
+                                        "total": 512}
+
+    @pytest.mark.parametrize("bits", [9, 31])
+    def test_floordiv_rows_charges_one_div_per_element_on_the_reciprocal_path(self, bits):
+        # a call past RECIP_MIN_SIZE divides by reciprocals where bits <= 31
+        a = np.resize(_GRID - 128, (128, 64))
+        b = np.arange(1, 129, dtype=np.int64).reshape(128, 1)
+        km = KernelMath()
+        with mock.patch.object(tensor_mod, "reciprocal_floordiv",
+                               wraps=tensor_mod.reciprocal_floordiv) as recip:
+            got = km.floordiv_rows(a, b, bits)
+        assert recip.call_count == 1 and a.size >= tensor_mod.RECIP_MIN_SIZE
+        assert got.tolist() == np.floor_divide(a, b).tolist()
+        assert km.counter.as_dict() == {**OpCounter().as_dict(), "divs": a.size,
+                                        "total": a.size}
 
     REALS = {"float_array": _GRID.astype(np.float64), "float": 2.0,
              "float32_scalar": np.float32(2.0), "zero_d_float": np.array(2.0)}
@@ -517,6 +553,75 @@ class TestCodeTable:
             code_table(huge, 0, 3, np.int32)
 
 
+_INT31 = (1 << 31) - 1
+
+
+@st.composite
+def _row_divisions(draw):
+    """(a, b, bits): numerators within 2^bits - 1, the extremes and zero
+    among them, and one divisor >= 1 per row: 1, powers of two, their
+    neighbours, values past 2^bits and any other."""
+    bits = draw(st.integers(1, 62))
+    top = (1 << bits) - 1
+    rows, cols = draw(st.integers(1, 5)), draw(st.integers(1, 9))
+    a = draw(arrays(np.int64, (rows, cols), elements=st.one_of(
+        st.integers(-top, top), st.sampled_from([-top, top, 0, -1, 1]))))
+    b = draw(arrays(np.int64, (rows, 1), elements=st.one_of(
+        st.just(1), st.integers(0, 62).map(lambda k: 1 << k),
+        st.integers(1, 62).map(lambda k: (1 << k) + 1),
+        st.integers(2, 62).map(lambda k: (1 << k) - 1), st.integers(1, INT64_MAX))))
+    return a, b, bits
+
+
+class TestRowDivision:
+    """KernelMath.floordiv_rows is np.floor_divide on both of its paths:
+    the exact reciprocals where the numerators fit 31 bits and the call is
+    large, floor_divide itself otherwise."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(_row_divisions())
+    @example((np.array([[-_INT31, _INT31, -_INT31 + 1, 0]]), np.array([[1]]), 31))
+    @example((np.array([[-_INT31, _INT31, -1, 1]]), np.array([[1 << 30]]), 31))
+    @example((np.array([[-_INT31, _INT31, -2, 2]]), np.array([[_INT31]]), 31))
+    @example((np.array([[-_INT31, _INT31, -3, 3]]), np.array([[1 << 31]]), 31))
+    @example((np.array([[-_INT31, _INT31, -3, 3, 0]]), np.array([[(1 << 31) + 1]]), 31))
+    @example((np.array([[-_INT31, _INT31, -3, 3, 0]]), np.array([[INT64_MAX]]), 31))
+    @example((np.array([[-(1 << 40), 1 << 40, -1]]), np.array([[3]]), 41))
+    def test_reciprocal_division_is_floor_division(self, case):
+        a, b, bits = case
+        want = np.floor_divide(a, b)
+        if bits <= 31:
+            assert tensor_mod.reciprocal_floordiv(a, b, bits).tolist() == want.tolist()
+        # tiled past RECIP_MIN_SIZE, the method takes its reciprocal path
+        # where bits <= 31 and divides past it
+        reps = -(-tensor_mod.RECIP_MIN_SIZE // a.size)
+        big_a, big_b = np.tile(a, (reps, 1)), np.tile(b, (reps, 1))
+        km = KernelMath()
+        with mock.patch.object(tensor_mod, "reciprocal_floordiv",
+                               wraps=tensor_mod.reciprocal_floordiv) as recip:
+            got = km.floordiv_rows(big_a, big_b, bits)
+        assert recip.call_count == (bits <= 31)
+        assert got.tolist() == np.floor_divide(big_a, big_b).tolist()
+        assert km.counter.divs == km.counter.total() == big_a.size
+
+    @pytest.mark.parametrize("dtype", [np.int32, np.int64])
+    def test_int32_numerators_and_out_buffers(self, dtype):
+        a = np.arange(-_INT31, _INT31, 1 << 19, dtype=np.int64)[:8192].reshape(128, 64)
+        b = np.arange(1, 129, dtype=np.int64).reshape(128, 1) ** 3
+        want = np.floor_divide(a, b)
+        km = KernelMath.within(None, _INT31 if dtype == np.int32 else 1 << 31)
+        out = a.astype(dtype)
+        got = km.floordiv_rows(out, b.astype(dtype), 31, out=out)
+        assert got is out and got.dtype == dtype and got.tolist() == want.tolist()
+
+    def test_a_small_call_divides(self):
+        a, b = _GRID - 128, np.arange(1, 9, dtype=np.int64).reshape(8, 1)
+        with mock.patch.object(tensor_mod, "reciprocal_floordiv",
+                               side_effect=AssertionError) as recip:
+            got = KernelMath().floordiv_rows(a, b, 9)
+        assert not recip.called and got.tolist() == np.floor_divide(a, b).tolist()
+
+
 class TestBitLength:
     def test_matches_int_bit_length(self):
         values = [0, 1, 2, 3, INT64_MAX] + [(1 << k) + d for k in range(2, 63)
@@ -573,7 +678,8 @@ class TestInt32KernelMath:
         ("add", (_A32, 3)), ("sub", (_A32, _S32)), ("mul", (_A32, 3)),
         ("floordiv", (_A32, 7)), ("rshift", (_A32, np.arange(7))), ("lshift", (_S32, 9)),
         ("minimum", (_A32, 0)), ("maximum", (_A32, -2)), ("clip", (_A32, -5, 1 << 20)),
-        ("rshift_round", (_A32, 5)),
+        ("rshift_round", (_A32, 5)), ("rshift_round_add", (_A32, 5, 9)),
+        ("floordiv_rows", (_A32.reshape(7, 1) * 3, _S32.reshape(7, 1) % 4 + 1, 27)),
     ], ids=lambda v: v if isinstance(v, str) else "")
     def test_int32_matches_int64(self, name, args):
         want_km, got_km = KernelMath(), KernelMath.within(OpCounter(), (1 << 31) - 1)
@@ -646,6 +752,9 @@ class TestStaticBounds:
         assert b.lshift(3, 4) == 48 and b.bound == 63
         assert b.rshift_round(100, 3) == 13
         assert b.rshift_round(3, -2) == 12 and b.bound == 104
+        # the zero point rides on the rounding constant: 100 + 4 + (7 << 3)
+        assert b.rshift_round_add(100, 3, 7) == 20 and b.bound == 160
+        assert b.rshift_round_add(3, -2, 7) == 19 and b.bound == 160
 
     @pytest.mark.parametrize("k, ma, mb, path", [
         (258, 255, 255, np.float32), (259, 255, 255, np.float64),

@@ -1,4 +1,5 @@
-"""Milliseconds per request of each op kind of integer inference.
+"""Milliseconds per request of each op kind of integer inference, and of
+each ``KernelMath`` call.
 
 Runs the pipeline on two shapes, the README default config and the
 longseq-attn shape (2 blocks, 64-d, 4 heads, 256 tokens), compiles its plan,
@@ -9,6 +10,13 @@ requests and prints one table: per op kind (``linear``, ``layernorm``,
 ``softmax``, ...) the milliseconds its steps take per request, then the
 steps' sum and the whole ``integer_forward`` call, whose difference is the
 call's own overhead and the timers'.
+
+A second pass over the same requests wraps every public ``KernelMath``
+method in a timer and prints, per shape, the costliest calls: the caller's
+file and line, the method and its milliseconds per request. A call made
+inside another ``KernelMath`` call counts toward the outer one alone. The
+timers add a few microseconds to each call, so this pass's total runs above
+the first table's.
 
 ``--src`` picks the ``intquant`` package, so that a parent and a change can
 be compared on one machine:
@@ -33,11 +41,14 @@ SHAPES = {
     "longseq-attn": {"model": {"blocks": 2, "embed_dim": 64, "heads": 4, "tokens": 256},
                      "calib": {"batches": 2, "batch_size": 8}},
 }
+CALL_ROWS = 15   # rows of each shape's KernelMath call table
 
 
-def step_times(pl, raw: dict, seed: int, requests: int, warmup: int) -> dict:
+def step_times(pl, raw: dict, seed: int, requests: int, warmup: int) -> tuple[dict, dict]:
     """ms per request of each op kind's steps, of their sum and of the
-    whole ``integer_forward`` call, on the shape ``raw`` at ``seed``."""
+    whole ``integer_forward`` call, on the shape ``raw`` at ``seed``; and
+    of each (caller:line, method) of :func:`call_times` over the same
+    requests."""
     cfg = pl.config_from_dict({**raw, "seed": seed})
     plan, _, graph, weights = pl.run_pipeline(cfg, calib_seed=seed)
     compiled = pl.compile_plan(graph, weights, plan)
@@ -67,7 +78,45 @@ def step_times(pl, raw: dict, seed: int, requests: int, warmup: int) -> dict:
     ms = {kind: 1e3 * t / requests for kind, t in spent.items()}
     ms["steps total"] = sum(ms.values())
     ms["integer_forward"] = 1e3 * wall / requests
-    return ms
+    from intquant.tensor import KernelMath
+    calls = call_times(KernelMath, lambda: [pl.integer_forward(graph, weights, plan, x)
+                                    for x in xs[warmup:]])
+    return ms, {key: 1e3 * t / requests for key, t in calls.items()}
+
+
+def call_times(km_class, run) -> dict:
+    """Seconds spent in each (caller:line, method) of the outermost
+    ``KernelMath`` calls while ``run()`` runs, with every public method
+    wrapped in a timer and restored afterwards."""
+    spent: dict = {}
+    depth = [0]
+
+    def timed(name, method):
+        def call(*args, **kw):
+            depth[0] += 1
+            t0 = time.perf_counter()
+            try:
+                return method(*args, **kw)
+            finally:
+                t = time.perf_counter() - t0
+                depth[0] -= 1
+                if not depth[0]:
+                    caller = sys._getframe(1)
+                    key = (f"{os.path.basename(caller.f_code.co_filename)}:{caller.f_lineno}",
+                           name)
+                    spent[key] = spent.get(key, 0.0) + t
+        return call
+
+    methods = {name: fn for name, fn in vars(km_class).items()
+               if not name.startswith("_") and callable(fn) and name != "within"}
+    try:
+        for name, fn in methods.items():
+            setattr(km_class, name, timed(name, fn))
+        run()
+    finally:
+        for name, fn in methods.items():
+            setattr(km_class, name, fn)
+    return spent
 
 
 def main(argv=None) -> int:
@@ -84,14 +133,20 @@ def main(argv=None) -> int:
     sys.path.insert(0, src)
     from intquant import pipeline as pl
 
-    tables = {name: step_times(pl, raw, args.seed, args.requests, args.warmup)
-              for name, raw in SHAPES.items()}
+    timed = {name: step_times(pl, raw, args.seed, args.requests, args.warmup)
+             for name, raw in SHAPES.items()}
+    tables = {name: t for name, (t, _) in timed.items()}
     rows = list(dict.fromkeys(k for t in tables.values() for k in t))
     print(f"ms per request, {args.requests} batch-1 requests, seed {args.seed}, {src}")
     print(f"{'op kind':<16}" + "".join(f"{name:>14}" for name in tables))
     for row in rows:
         print(f"{row:<16}" + "".join(f"{t[row]:>14.3f}" if row in t else f"{'-':>14}"
                                      for t in tables.values()))
+    for name, (_, calls) in timed.items():
+        print(f"\nKernelMath calls on {name}, ms per request, the {CALL_ROWS} costliest"
+              f" (all {len(calls)} calls: {sum(calls.values()):.3f})")
+        for (where, method), ms in sorted(calls.items(), key=lambda kv: -kv[1])[:CALL_ROWS]:
+            print(f"{where:<24}{method:<18}{ms:>9.3f}")
     return 0
 
 
