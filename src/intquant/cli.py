@@ -218,11 +218,6 @@ def cmd_report(args) -> tuple[list[str], None]:
     return [], None
 
 
-# a negative float literal, exponent form and infinity included: argparse
-# itself reads only -1 and -1.5 shapes as numbers and takes -1e-3 for an option
-_NEGATIVE_NUMBER = re.compile(r"-(\d+\.?\d*|\.\d+)(e[-+]?\d+)?$|-inf(inity)?$", re.IGNORECASE)
-
-
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="intquant",
@@ -234,7 +229,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("fit", help="fit erf-approximant coefficients")
     p.add_argument("--range", nargs=2, type=float, required=True, metavar=("LO", "HI"))
-    p._negative_number_matcher = _NEGATIVE_NUMBER
+    # a negative float literal, exponent form and infinity included, is a
+    # value: argparse itself reads only -1 and -1.5 shapes as numbers, and
+    # takes -1e-3 for an option
+    p._negative_number_matcher = re.compile(r"-(\d+\.?\d*|\.\d+)(e[-+]?\d+)?$|-inf(inity)?$",
+                                            re.IGNORECASE)
     p.add_argument("--degree", type=int, default=4)
     p.add_argument("--samples", type=int, default=2001)
     p.add_argument("--level", choices=("erf", "gelu"), default="erf")
