@@ -117,8 +117,6 @@ def cmd_assign(args) -> tuple[list[str], int]:
         cfg = pl.load_config(args.config)
     except pl.ConfigError as exc:
         raise UsageError(f"config: {exc}") from exc
-    except FileNotFoundError as exc:
-        raise UsageError(str(exc)) from exc
     plan, table, graph, weights = pl.run_pipeline(cfg, calib_seed=args.calib_seed,
                                                   jobs=args.jobs)
     try:   # a plan that infer would refuse is not written
@@ -143,11 +141,11 @@ def cmd_assign(args) -> tuple[list[str], int]:
 def cmd_infer(args) -> tuple[list[str], int]:
     try:
         plan = pl.load_plan(args.plan)
-    except (FileNotFoundError, pl.PlanFormatError) as exc:
+    except pl.PlanFormatError as exc:
         raise UsageError(f"plan: {exc}") from exc
     try:
         x = tensor_read(args.input)
-    except (FileNotFoundError, TensorFormatError) as exc:
+    except TensorFormatError as exc:
         raise UsageError(f"input: {exc}") from exc
     nan = np.flatnonzero(np.isnan(x.data))
     if nan.size:
@@ -182,8 +180,12 @@ def cmd_infer(args) -> tuple[list[str], int]:
 def _report_entries(path) -> list[dict]:
     """The runs recorded in the report file, one object per non-blank line."""
     entries = []
-    with open(path) as fh:
-        for n, line in enumerate(fh, 1):
+    with open(path, encoding="utf-8") as fh:
+        try:
+            lines = list(fh)
+        except UnicodeDecodeError as exc:
+            raise UsageError(f"--report-file: {path}: {exc}") from exc
+        for n, line in enumerate(lines, 1):
             if not line.strip():
                 continue
             try:
@@ -275,7 +277,8 @@ def main(argv=None) -> int:
         if os.path.isdir(args.report_file):
             raise UsageError(f"--report-file: {args.report_file} is a directory")
         outputs, seed = args.func(args)
-    except UsageError as exc:
+    # an OSError is a path the arguments name that cannot be read or written
+    except (UsageError, OSError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # internal failure

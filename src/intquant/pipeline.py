@@ -12,7 +12,6 @@
 from __future__ import annotations
 
 import json
-import threading
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
@@ -143,13 +142,18 @@ def check_config(cfg: PipelineConfig) -> None:
             raise ConfigError(f"pools.{kind}: lists a candidate more than once: {list(cands)}")
 
 
-def load_config(path) -> PipelineConfig:
-    with open(path) as fh:
+def _json_file(path, error: type):
+    """The JSON value in the file at ``path``; a file that is not UTF-8
+    JSON raises ``error``, naming the path."""
+    with open(path, encoding="utf-8") as fh:
         try:
-            raw = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"not valid JSON: {exc}") from exc
-    return config_from_dict(raw)
+            return json.load(fh)
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+            raise error(f"{path}: not valid JSON: {exc}") from exc
+
+
+def load_config(path) -> PipelineConfig:
+    return config_from_dict(_json_file(path, ConfigError))
 
 
 @dataclass
@@ -265,48 +269,37 @@ def _input_codes(x: np.ndarray, p_in: QParams) -> np.ndarray:
     return codes
 
 
-class _CandidateRun:
-    """One candidate's score on a layer: the bound runner ``run`` (see
-    :func:`_runner`) on the layer's input ``codes``, against its reference
-    output ``ref``, from tasks ``part(i)``, one per slice of ``codes`` (see
-    ``STAGE1_SLICE_ELEMENTS``), that may run in any order, on any thread.
-    Each runs the candidate on its slice on its own OpCounter and writes
-    the residual energy of each of the slice's samples
-    (:func:`metric.sample_energies`, in slice-sized scratch) into the
-    candidate's vector of one energy per sample. p is ``np.sum`` over that
-    vector, as in :func:`metric.perturbation`, so it does not depend on the
-    slicing or the thread order; c counts the slices up to the first that
-    overflows, that one's partial count included, as a serial run that
-    stops there."""
+def _score_slice(run, codes: np.ndarray, ref: np.ndarray, sl: slice):
+    """One stage-1 task: the bound runner ``run`` (:func:`_runner`) on the
+    slice ``sl`` of a layer's input ``codes``, on its own OpCounter. Returns
+    the residual energy of each of the slice's samples against ``ref``
+    (:func:`metric.sample_energies`), or None if the kernel overflowed,
+    and the ops counted."""
+    counter = OpCounter()
+    try:
+        got = dequantize_np(run(counter, codes[sl]))
+    except KernelOverflowError:
+        return None, counter.total()
+    return sample_energies(ref[sl], got), counter.total()
 
-    def __init__(self, run, codes: np.ndarray, ref: np.ndarray):
-        self.run, self.codes, self.ref = run, codes, ref
-        self.parts = _slices(codes)
-        self.ops = [0] * len(self.parts)
-        self.overflow = len(self.parts)      # the first overflowed part
-        self.energies = np.empty(len(ref))
-        self.lock = threading.Lock()
 
-    def part(self, i: int) -> None:
-        if i < self.overflow:     # a part past an overflow cannot change the result
-            counter, sl = OpCounter(), self.parts[i]
-            try:
-                got = dequantize_np(self.run(counter, self.codes[sl]))
-            except KernelOverflowError:
-                with self.lock:
-                    self.overflow = min(self.overflow, i)
-            else:
-                self.energies[sl] = sample_energies(self.ref[sl], got)
-            self.ops[i] = counter.total()
-
-    def measured(self, power: float) -> MetricScore:
-        """The candidate's (q_db, p, c) and unified score, ``power`` being
-        the reference's signal power; one that overflowed scores 0."""
-        c = round(sum(self.ops[:self.overflow + 1]) / len(self.ref))
-        if self.overflow < len(self.parts):
-            return MetricScore(-np.inf, np.inf, c, 0.0)
-        q_db, p = energy_scores(float(np.sum(self.energies)), self.ref.size, power)
-        return MetricScore(q_db, p, c, unified_score(q_db, p, c))
+def _measured(results, samples: int, size: int, power: float) -> MetricScore:
+    """One candidate's score from its :func:`_score_slice` results, read in
+    slice order up to the first that overflowed; ``power`` is the
+    reference's signal power over ``size`` elements. p is ``np.sum`` over
+    the per-sample energies, as in :func:`metric.perturbation`, so the
+    slicing does not change it; c is the ops of the slices read, an
+    overflowed one's partial count included, per sample. A candidate that
+    overflowed scores 0."""
+    energies, ops = [], 0
+    for energy, n in results:
+        ops += n
+        if energy is None:
+            return MetricScore(-np.inf, np.inf, round(ops / samples), 0.0)
+        energies.append(energy)
+    c = round(ops / samples)
+    q_db, p = energy_scores(float(np.sum(np.concatenate(energies))), size, power)
+    return MetricScore(q_db, p, c, unified_score(q_db, p, c))
 
 
 # ---------------------------------------------------------------------------
@@ -345,9 +338,13 @@ def stage1_analyze(graph: ModelGraph, weights: dict, calib: list,
     scores), into codes all the layer's candidates share. Each layer is
     scored as soon as its output exists: each of its candidates is bound
     once (:func:`_runner`, as inference binds it) and its reference power
-    taken once; then its tasks (candidate, slice) run, ``jobs`` at a time
-    (on this thread for a layer smaller than one slice), and finish before
-    the pass goes on.
+    taken once. Its tasks, one per (candidate, slice), are pure: each
+    returns its slice's energies and op count (:func:`_score_slice`). They
+    are all queued, candidate by candidate, on ``jobs`` workers (run on
+    this thread, lazily, for a layer smaller than one slice), and each
+    candidate's results are folded in slice order into its score
+    (:func:`_measured`). Every task that started ends before the pass goes
+    on.
     """
     candidates = {rec.layer_id: rec.candidates for rec in graph.layers}
     ops = {op.out: op for op in graph.ops}
@@ -360,18 +357,17 @@ def stage1_analyze(graph: ModelGraph, weights: dict, calib: list,
                    for cand in candidates[op.out]]
         ref = env[op.out]
         power = signal_power(ref)
-        runs = [_CandidateRun(run, codes, ref) for run in runners]
-        tasks = [partial(r.part, i) for r in runs for i in range(len(r.parts))]
+        slices = _slices(codes)
         # below one slice, numpy holds the GIL for most of each call, so
-        # workers would take turns and only add hand-offs
-        if pool is None or codes.size < STAGE1_SLICE_ELEMENTS:
-            for task in tasks:
-                task()
-        else:
-            for future in [pool.submit(task) for task in tasks]:
-                future.result()
-        return [(op.out, op.op, cand, r.measured(power))
-                for cand, r in zip(candidates[op.out], runs)]
+        # workers would take turns and only add hand-offs; the builtin map
+        # runs a candidate's tasks only as _measured reads them
+        serial = pool is None or codes.size < STAGE1_SLICE_ELEMENTS
+        results = [(map if serial else pool.map)(partial(_score_slice, run, codes, ref), slices)
+                   for run in runners]
+        if not serial:   # every task queued; each ends before the pass goes on
+            results = [list(r) for r in results]
+        return [(op.out, op.op, cand, _measured(r, len(ref), ref.size, power))
+                for cand, r in zip(candidates[op.out], results)]
     with ThreadPoolExecutor(max_workers=jobs) if jobs > 1 else nullcontext() as pool:
         for edge, dead in float_edges(graph, weights, calib, env):
             edge_params, edge_warns = calibrate_edges(graph, {edge: env[edge]}, cfg)
@@ -798,9 +794,4 @@ def save_plan(plan: AssignmentPlan, path) -> None:
 
 
 def load_plan(path) -> AssignmentPlan:
-    with open(path) as fh:
-        try:
-            raw = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise PlanFormatError(f"not valid JSON: {exc}") from exc
-    return plan_from_dict(raw)
+    return plan_from_dict(_json_file(path, PlanFormatError))

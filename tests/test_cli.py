@@ -665,3 +665,47 @@ class TestReport:
         assert run(tmp_path, *command, *out) == 2
         assert "usage error: --report-file: " in capsys.readouterr().err
         assert not (tmp_path / "e.csv").exists()
+
+
+class TestUnusablePaths:
+    """A path the arguments name that cannot be read, decoded or written is
+    a usage error (exit 2) that names the path, and no internal failure."""
+
+    @pytest.mark.parametrize("case", [
+        "assign-config-dir", "assign-config-not-utf8", "infer-plan-dir",
+        "infer-plan-not-utf8", "infer-input-dir", "assign-out-no-dir",
+        "eval-approx-out-no-dir", "fit-out-no-dir", "infer-out-no-dir", "infer-out-dir",
+        "report-file-not-utf8"])
+    def test_is_usage_error_naming_the_path(self, tmp_path, config_path, capsys, case):
+        adir, nodir = tmp_path / "adir", tmp_path / "missing" / "out"
+        adir.mkdir()
+        latin1 = tmp_path / "latin1.json"
+        latin1.write_bytes('{"command": "caf\xe9"}\n'.encode("latin-1"))
+
+        def infer(plan=None, x=None, out=tmp_path / "y.iptq"):
+            plan = plan or TestInfer()._plan(tmp_path, config_path)
+            x = x or TestInfer()._input(tmp_path)
+            return ["infer", "--plan", str(plan), "--input", str(x), "--out", str(out)]
+
+        argv, path = {
+            "assign-config-dir": (lambda: ["assign", "--config", str(adir)], adir),
+            "assign-config-not-utf8": (lambda: ["assign", "--config", str(latin1)], latin1),
+            "infer-plan-dir": (lambda: infer(plan=adir, x=adir), adir),
+            "infer-plan-not-utf8": (lambda: infer(plan=latin1, x=adir), latin1),
+            "infer-input-dir": (lambda: infer(x=adir), adir),
+            "assign-out-no-dir": (lambda: ["assign", "--config", str(config_path),
+                                           "--out", str(nodir)], nodir),
+            "eval-approx-out-no-dir": (lambda: ["eval-approx", "--which", "erf",
+                                                "--out", str(nodir)], nodir),
+            "fit-out-no-dir": (lambda: ["fit", "--range", "-1", "1", "--samples", "100",
+                                        "--out", str(nodir)], nodir),
+            "infer-out-no-dir": (lambda: infer(out=nodir), nodir),
+            "infer-out-dir": (lambda: infer(out=adir), adir),
+            "report-file-not-utf8": (lambda: ["--report-file", str(latin1), "report"], latin1),
+        }[case]
+        argv = argv()
+        capsys.readouterr()
+        code = main(argv) if argv[0] == "--report-file" else run(tmp_path, *argv)
+        err = capsys.readouterr().err
+        assert code == 2, err
+        assert err.startswith("usage error: ") and str(path) in err

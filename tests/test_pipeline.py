@@ -270,8 +270,9 @@ class TestStage1:
 
     @pytest.mark.parametrize("slice_elements", [pl.STAGE1_SLICE_ELEMENTS, 1])
     def test_parallel_jobs_match_serial(self, monkeypatch, slice_elements):
-        # more workers than cores and a short switch interval: a lost update
-        # of a candidate's shared state would change its q_db, p or c
+        # more workers than cores and a short switch interval: results
+        # folded in any other than slice order, or read from another
+        # candidate's tasks, would change a q_db, p or c
         cfg = small_cfg(calib_batches=1)
         graph, weights = build_toy_vit(cfg.model_config())
         calib = calibration_batches(cfg)
@@ -321,7 +322,7 @@ class TestStage1:
         calib, seen, entry = calibration_batches(cfg), [], []
 
         # the softmax layer's scoring runs from its reference power (taken
-        # before any candidate runs) to its first candidate's score (taken
+        # before any candidate runs) to its first candidate's score (folded
         # once all its tasks are done)
         def power(ref, _fn=pl.signal_power):
             out = _fn(ref)
@@ -330,13 +331,14 @@ class TestStage1:
                 tracemalloc.reset_peak()
             return out
 
-        def measured(run, power, _fn=pl._CandidateRun.measured):
-            if run.ref.ndim == 4 and not seen:
+        def measured(results, samples, size, power, _fn=pl._measured):
+            if entry and not seen:
                 (start, ref_bytes), = entry
+                assert size * 8 == ref_bytes
                 seen.append((tracemalloc.get_traced_memory()[1] - start, ref_bytes))
-            return _fn(run, power)
+            return _fn(results, samples, size, power)
         monkeypatch.setattr(pl, "signal_power", power)
-        monkeypatch.setattr(pl._CandidateRun, "measured", measured)
+        monkeypatch.setattr(pl, "_measured", measured)
         tracemalloc.start()
         try:
             stage1_analyze(graph, weights, calib, cfg, jobs=2)
@@ -517,6 +519,35 @@ class TestStage1Slices:
         assert all(ms.score > 0 for c, ms in scores.items() if c != "shiftmax")
         if jobs == 1:
             assert len(calls) == 2   # the candidate's later slices are not run
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_an_overflowed_slice_keeps_its_partial_count(self, monkeypatch, jobs):
+        # the slice of the second sample overflows after its kernel has
+        # charged ops: c counts the first slice and that partial count
+        cfg = small_cfg(blocks=1, calib_batches=1)
+        graph, weights = build_toy_vit(cfg.model_config())
+        monkeypatch.setattr(pl, "STAGE1_SLICE_ELEMENTS", 1)
+        lid = "block0.softmax"
+        op = next(o for o in graph.ops if o.out == lid)
+        cat = capture_calibration(graph, weights, calibration_batches(cfg))
+        qparams, _ = pl.calibrate_edges(graph, cat, cfg)
+        codes = pl._input_codes(cat[op.inputs[0]], qparams[op.inputs[0]])
+        counts = [OpCounter(), OpCounter()]
+        for counter, sl in zip(counts, (slice(0, 1), slice(1, 2))):
+            pl.run_softmax_candidate("shiftmax", QTensor(codes[sl], qparams[op.inputs[0]]),
+                                     qparams[lid], counter)
+
+        def overflows_once_charged(cand, q, *args, _fn=pl.run_softmax_candidate, **kw):
+            out = _fn(cand, q, *args, **kw)
+            if cand == "shiftmax" and np.array_equal(q.codes, codes[1:2]):
+                raise KernelOverflowError("synthetic")
+            return out
+
+        monkeypatch.setattr(pl, "run_softmax_candidate", overflows_once_charged)
+        table = stage1_analyze(graph, weights, calibration_batches(cfg), cfg, jobs=jobs)
+        [got] = [ms for _, _, c, ms in table.entries if c == "shiftmax"]
+        assert got.score == 0.0 and counts[1].total() > 0
+        assert got.c == round((counts[0].total() + counts[1].total()) / len(codes))
 
 
 class TestStage1SharedWork:
