@@ -273,9 +273,12 @@ def main(argv=None) -> int:
                                        else (arg,))])
     started = time.monotonic()
     try:
-        # refused before the command writes its outputs, not after
+        # refused before the command does its work and writes its outputs
         if os.path.isdir(args.report_file):
             raise UsageError(f"--report-file: {args.report_file} is a directory")
+        out_dir = os.path.dirname(getattr(args, "out", "")) or "."
+        if not os.path.isdir(out_dir):
+            raise UsageError(f"--out: {args.out}: {out_dir} is not a directory")
         outputs, seed = args.func(args)
     # an OSError is a path the arguments name that cannot be read or written
     except (UsageError, OSError) as exc:

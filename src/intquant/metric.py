@@ -32,10 +32,11 @@ def perturbation(x, x_hat) -> float:
     return float(np.sum(sample_energies(x, x_hat)))
 
 
-def sample_energies(x, x_hat) -> np.ndarray:
+def sample_energies(x, x_hat, out=None) -> np.ndarray:
     """Sum of (x - x_hat)^2 over each sample (index of the first axis); a
-    1-D input's samples are its elements."""
-    d = squared_residual(x, x_hat)
+    1-D input's samples are its elements. The squares are made in ``out``
+    (see :func:`squared_residual`) where it is given."""
+    d = squared_residual(x, x_hat, out=out)
     return d.sum(axis=tuple(range(1, d.ndim)))
 
 
@@ -69,13 +70,14 @@ def energy_scores(p: float, n: int, power: float) -> tuple[float, float]:
     return (10.0 * math.log10(ratio) if ratio > 0 else -INF_DB), p
 
 
-def squared_residual(x, x_hat) -> np.ndarray:
-    """(x - x_hat)^2 elementwise, as float64."""
+def squared_residual(x, x_hat, out=None) -> np.ndarray:
+    """(x - x_hat)^2 elementwise, as float64, in ``out`` (a float64 array of
+    their shape, which may be ``x_hat`` itself) where it is given."""
     x = np.asarray(x, dtype=np.float64)
     x_hat = np.asarray(x_hat, dtype=np.float64)
     if x.shape != x_hat.shape:
         raise ValueError(f"shape mismatch {x.shape} vs {x_hat.shape}")
-    d = np.subtract(x, x_hat)
+    d = np.subtract(x, x_hat, out=out)
     return np.square(d, out=d)
 
 

