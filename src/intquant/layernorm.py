@@ -18,7 +18,7 @@ import numpy as np
 
 from .quantize import (QParams, QTensor, checks_codes, encode_dyadic_multiplier, requant_bound,
                        requantize)
-from .tensor import KernelMath, OpCounter, StageBound, bit_length, buffer_for, magnitude
+from .tensor import KernelMath, OpCounter, StageBound, buffer_for, magnitude
 
 LN_VARIANTS = ("bitshift_newton", "poly_sqrt", "log2_scale")
 
@@ -27,57 +27,6 @@ _KG = 12   # fixed-point grid of the gain constants
 _KB = _KY + _KG  # beta rides on the post-gain grid
 _NEWTON_STEPS = 12  # cap on the kernels' square-root iterations
 _EPS_CODE = 1       # floor of the row statistic n*sum(c^2) - sum(c)^2
-
-
-def _int_sqrt_array(n: np.ndarray, km: KernelMath, iterations: int = 40,
-                    seed: str = "shift") -> np.ndarray:
-    """Vectorized Newton floor-sqrt; ``seed`` picks the initial estimate.
-
-    Every op is charged to the element it works on, and a Newton step only
-    to the elements that have not yet converged, so the count over a set of
-    rows does not depend on which rows share a call. A step
-    ``x = min(x, (x + n // x) >> 1)`` runs on every element in place: an
-    element whose step does not fall keeps its x, so it never moves again.
-    """
-    shape = np.shape(n)
-    n = np.asarray(n, dtype=np.int64).ravel()
-    zero = n == 0
-    n = np.where(zero, 1, n)  # keep Newton's divisor away from zero
-    if seed == "shift":
-        # 2^ceil(bitlength/2) per element; the bit length comes from a
-        # 6-step binary search, charged as the one shift per bit that a
-        # shift-until-zero loop would spend
-        bl = bit_length(n)
-        km.counter.shifts += int(bl.sum())
-        x = np.int64(1) << ((bl + 1) >> 1)
-    else:
-        # quadratic over-estimate on the reduced mantissa m in [0, 64):
-        # sqrt(m * 4^e) <= ((m*m >> 9) + (m >> 3) + 4) * 2^e, so Newton
-        # still converges monotonically from above. e quarterings bring n
-        # below 64; each is charged one shift, as a quartering loop spends
-        e = np.maximum(bit_length(n) - 5, 0) >> 1
-        m = n >> (2 * e)
-        km.counter.shifts += int(e.sum())
-        km.counter.muls += n.size
-        km.counter.shifts += 3 * n.size
-        km.counter.adds += 2 * n.size
-        q = ((m * m) >> 9) + (m >> 3) + 4
-        x = q << e
-    x = np.maximum(x, 1)
-    y = np.empty_like(x)
-    live = n.size   # elements still stepping; a converged x stays put
-    for _ in range(iterations):
-        if not live:
-            break
-        np.floor_divide(n, x, out=y)
-        np.right_shift(np.add(y, x, out=y), 1, out=y)
-        km.counter.divs += live
-        km.counter.adds += live
-        km.counter.shifts += live
-        km.counter.compares += live
-        live = int(np.count_nonzero(y < x))
-        np.minimum(x, y, out=x)
-    return np.where(zero, 0, x).reshape(shape)
 
 
 def snap_pow2_out_params(p: QParams) -> tuple[QParams, int]:
@@ -145,8 +94,10 @@ def int_layernorm(q: QTensor, gamma, beta, variant: str, out_params: QParams,
 
     The normalized value (c - mean)/std is scale-free in the input scale, so
     the kernel works directly on centered codes: d = n*c - sum(c) and
-    V = n*sum(c^2) - sum(c)^2 give (c - mean)/std = d / sqrt(V) exactly.
-    Zero-variance rows are stabilized by the ``_EPS_CODE`` floor.
+    V = n*sum(c^2) - sum(c)^2 give (c - mean)/std = d / sqrt(V), with
+    sqrt(V) the floor square root by ``KernelMath.isqrt``, from the
+    variant's seed. Zero-variance rows are stabilized by the ``_EPS_CODE``
+    floor.
     ``variant`` is one of ``LN_VARIANTS``.
     """
     if variant not in LN_VARIANTS:
@@ -165,7 +116,7 @@ def int_layernorm(q: QTensor, gamma, beta, variant: str, out_params: QParams,
     d = km.sub(km.mul(c, n, out=c), sc, out=c)
 
     seed = "poly" if variant == "poly_sqrt" else "shift"
-    std = km.maximum(_int_sqrt_array(var, km, iterations=_NEWTON_STEPS, seed=seed), 1)
+    std = km.maximum(km.isqrt(var, _NEWTON_STEPS, seed), 1)
 
     y = km.floordiv_rows(km.lshift(d, _KY, out=d), std, y_bits, out=d)  # (c - mean)/std, 2^-KY
     ya = back.mul(y, g_codes, out=buffer_for(back, y))

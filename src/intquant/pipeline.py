@@ -702,14 +702,14 @@ def compile_plan(graph: ModelGraph, weights: dict, plan: AssignmentPlan) -> Comp
 
     Raises ValueError naming the edge or layer when the plan does not fit
     ``graph``: an edge or layer with no entry, an entry for one the graph
-    lacks, or a candidate outside the layer's pool. It does so too when the
-    plan's parameters cannot run: a softmax input off the kernels' dyadic
-    grid or a softmax output off their probability grid, a multiplier of
-    2^62 or more, or an ``add``, ``pos_add`` or ``linear`` multiplier that
-    rounds to 0 (except on a row of zero weights)."""
+    lacks, a layer's wrong kind or a candidate outside its pool. It does
+    so too when the plan's parameters cannot run: a softmax input off the
+    kernels' dyadic grid or a softmax output off their probability grid, a
+    multiplier of 2^62 or more, or an ``add``, ``pos_add`` or ``linear``
+    multiplier that rounds to 0 (except on a row of zero weights)."""
     if not plan.qparams:
         raise ValueError("plan must be calibrated before inference")
-    edges, layers = graph.edges, {r.layer_id: r.candidates for r in graph.layers}
+    edges, layers = graph.edges, {r.layer_id: r for r in graph.layers}
     missing = [e for e in edges if e not in plan.qparams]
     missing += [lid for lid in layers if lid not in plan.assignments]
     if missing:
@@ -718,10 +718,12 @@ def compile_plan(graph: ModelGraph, weights: dict, plan: AssignmentPlan) -> Comp
     extra += [lid for lid in plan.assignments if lid not in layers]
     if extra:
         raise ValueError(f"entries for {extra[:3]}, which the plan's model lacks")
-    for lid, cands in layers.items():
-        if plan.assignments[lid] not in cands:
+    for lid, r in layers.items():
+        if plan.kinds.get(lid, r.kind) != r.kind:
+            raise ValueError(f"{lid} is a {r.kind} layer, not {plan.kinds[lid]!r}")
+        if plan.assignments[lid] not in r.candidates:
             raise ValueError(f"{lid} is assigned {plan.assignments[lid]!r},"
-                             f" not one of {list(cands)}")
+                             f" not one of {list(r.candidates)}")
     steps = tuple(_step(op, graph, plan, plan.qparams, weights) for op in graph.ops)
     compiled = CompiledPlan(graph, plan.config, dict(plan.assignments),
                             tuple(weights.items()), tuple(plan.qparams.items()), steps)
@@ -749,8 +751,7 @@ def integer_forward(graph: ModelGraph, weights: dict, plan: AssignmentPlan, x,
     edges are dropped, and the last edge, the logits, is dequantized.
     Between the two, floating point runs only in the two exact places the
     ``tensor`` module docstring names; the returned counter reports the
-    totals and the float violations it saw (which must be zero), and
-    cannot see the two raw-numpy stages named there.
+    totals and the float violations it saw (which must be zero).
 
     Configuration-time work (see :func:`compile_plan`) is done on the first
     call, is not charged to the counter, and is reused while
@@ -843,11 +844,15 @@ def plan_from_dict(raw: dict) -> AssignmentPlan:
         plan = AssignmentPlan(config=cfg)
         for entry in raw["assignments"]:
             lid = entry["layer_id"]
+            if lid in plan.assignments:
+                raise ValueError(f"{lid}: listed twice in assignments")
             plan.assignments[lid] = entry["candidate"]
             plan.kinds[lid] = entry["kind"]
             plan.scores[lid] = MetricScore(float(entry["q_db"]), float(entry["p"]),
                                            int(entry["c"]), float(entry["score"]))
         for pd in raw["qparams"]:
+            if pd["layer_id"] in plan.qparams:
+                raise ValueError(f"{pd['layer_id']}: listed twice in qparams")
             plan.qparams[pd["layer_id"]] = _params_from_dict(pd)
         plan.omega = float(raw.get("omega", 0.0))
         plan.warnings = list(raw.get("warnings", []))

@@ -18,13 +18,13 @@ gathers from it, charged per code what the chain charges, so op counts are
 those of the chain. Where a guard fires on some code of the interval
 there is no table, and the kernel refuses every call with
 ``KernelOverflowError``. The max-subtraction, the row sums, the reciprocal
-division and log2_softmax's bit-length tail run per call, each on the
-``KernelMath`` of its static bound (``KernelMath.within``), from input
-codes in [0, qmax], which the kernels check once per call
-(:func:`quantize.checks_codes`), and from the table's peak: the reciprocal
-division in int64, not scanning operands for the overflow guards where the
-bound fits. The max-subtraction runs in int64, the gather's index dtype;
-it has no guard to pass.
+division and log2_softmax's bit-length tail (``KernelMath.log2_ratio``) run
+per call, each on the ``KernelMath`` of its static bound
+(``KernelMath.within``), from input codes in [0, qmax], which the kernels
+check once per call (:func:`quantize.checks_codes`), and from the table's
+peak: the reciprocal division in int64, not scanning operands for the
+overflow guards where the bound fits. The max-subtraction runs in int64,
+the gather's index dtype; it has no guard to pass.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ import numpy as np
 from .metric import approx_error
 from .quantize import (DYADIC_EXPONENTS, QParams, QTensor, checks_codes,
                        encode_dyadic_multiplier)
-from .tensor import KernelMath, OpCounter, bit_length, buffer_for, mul_bound, tabulated
+from .tensor import KernelMath, OpCounter, buffer_for, mul_bound, tabulated
 
 # quadratic used by the range-reduction exponential baseline:
 # exp(p) ~ A*(p + B)^2 + C on p in (-ln2, 0]
@@ -278,39 +278,8 @@ def log2_softmax_codes(q: QTensor, counter: OpCounter | None = None) -> np.ndarr
     f = _dyadic_exponent(q.params)
     num, peak = tabulated(_iexp_value_codes, _max_subtract_codes(q, counter), counter,
                           -q.params.qmax, 0, np.int32, f)
-    km = KernelMath.within(counter, q.codes.shape[-1] * peak)
-    den = _row_sums(num, km)
-
-    # k = floor(log2(den/num)), then round half upward in log space:
-    # den/num >= 2^(k+1/2) <=> den^2 >= num^2 * 2^(2k+1). With
-    # j = bitlen(den) - bitlen(num), num << j has the bit length of den, so
-    # k is j, or j - 1 where num << j > den. This is charged as the
-    # shift-compare search it replaces: one shift and one compare per step
-    # while num << k <= den, i.e. k + 1 of each per positive num. Since
-    # 0 <= num <= den, no value but the squares reaches 2^bitlen(den), so
-    # the rest runs in km's width: int32 where den's bound fits 31 bits.
-    dtype = km.dtype
-    den = den.astype(dtype, copy=False)
-    pos = num > 0
-    safe_num = np.maximum(num, 1, dtype=dtype)
-    k = bit_length(safe_num).astype(dtype, copy=False)
-    np.maximum(np.subtract(bit_length(den), k, out=k), 0, out=k)
-    shifted = np.left_shift(safe_num, k)
-    np.maximum(np.subtract(k, shifted > den, out=k), 0, out=k)
-    np.multiply(k, pos, out=k)
-    steps = int(k.sum()) + int(np.count_nonzero(pos))
-    km.counter.shifts += steps
-    km.counter.compares += steps
-    # num * 2^k <= den bounds num^2 * 2^(2k+1) <= 2 * den^2, safe in int64
-    km.counter.muls += num.size * 2
-    km.counter.compares += num.size
-    sq = np.multiply(safe_num, safe_num, out=shifted if dtype == np.int64 else None,
-                     dtype=np.int64)
-    twice = np.add(np.left_shift(k, 1, out=safe_num), 1, out=safe_num)   # 2k + 1
-    den = den.astype(np.int64, copy=False)
-    np.add(k, den * den >= np.left_shift(sq, twice, out=sq), out=k)   # round up
-    np.copyto(k, 63, where=~pos)
-    return k
+    km = KernelMath.within(counter, q.codes.shape[-1] * peak)   # int32 where den fits
+    return km.log2_ratio(num, _row_sums(num, km))
 
 
 # 2^x on (-1, 1) as I-ViT's shift exponential and ours (ln2 exact, by shifts) take it

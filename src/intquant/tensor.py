@@ -4,12 +4,11 @@ and instrumented integer arithmetic for the kernel path.
 The instrumentation exists to make "integer-only" a checkable claim: the
 kernel path's arithmetic flows through the :class:`KernelMath` array
 facade, which counts operations and records a violation the moment a
-floating-point value shows up. Two stages run in raw numpy outside it and
-charge their ops by hand, so ``float_violations`` cannot see them: the
-bit-length tail of ``softmax.log2_softmax_codes``, whose int32 bit lengths
-come from the exponent of ``np.frexp`` (:func:`bit_length`, exact, as
-float64 holds every int32), and LayerNorm's int64 Newton square root
-(``layernorm._int_sqrt_array``). Both are exact.
+floating-point value shows up. It is the one place that charges ops: even
+LayerNorm's Newton square root (:meth:`KernelMath.isqrt`) and the
+bit-length tail of ``softmax.log2_softmax_codes``
+(:meth:`KernelMath.log2_ratio`) are its methods. Their int32 bit lengths
+come from the exponent of ``np.frexp``, exact as float64 holds every int32.
 
 Kernels run their elementwise chains in place: the first op of a chain
 allocates one result and each later op writes into it through ``out=``. The
@@ -228,7 +227,7 @@ def rng_tensor(seed: int, dims, dist: str, *args) -> Tensor:
 _POWERS_OF_TWO = np.left_shift(1, np.arange(63, dtype=np.int64))   # 2^0 .. 2^62
 
 
-def bit_length(n: np.ndarray) -> np.ndarray:
+def _bit_length(n: np.ndarray) -> np.ndarray:
     """Bit length of each element of an int32 or int64 array, as int64; 0
     for elements <= 0.
 
@@ -264,7 +263,7 @@ def reciprocal_floordiv(a, b, bits: int, out=None, dtype=_INT64):
     256x64 int32 numerators that takes 61.5 to 55.8 us per call, the int64
     numerators' time (2-vCPU VM)."""
     b = np.minimum(b, 1 << bits, dtype=np.int64)
-    shift = bit_length(b - 1)
+    shift = _bit_length(b - 1)
     shift += bits
     m = np.left_shift(1, shift)
     m //= b
@@ -670,3 +669,79 @@ class KernelMath:
         self.counter.shifts += n
         out = np.add(a, const, out=out, dtype=self.dtype)
         return np.right_shift(out, k, out=out if isinstance(out, np.ndarray) else None)
+
+    def isqrt(self, n, steps: int, seed: str):
+        """Floor square root of each element of ``n`` >= 0, in this
+        instance's dtype, by at most ``steps`` Newton steps
+        x = min(x, (x + n // x) >> 1) in int64, each charged only to the
+        elements still moving, so a row's count does not depend on the rows
+        beside it. The ``"shift"`` seed 2^ceil(bitlen(n)/2) is charged a
+        shift per bit, as a shift-until-zero loop spends; the ``"poly"``
+        seed ((m*m >> 9) + (m >> 3) + 4) * 2^e >= sqrt(m * 4^e), on the
+        mantissa m < 64 left by e quarterings, a shift per quartering."""
+        self._guard(n, steps, seed)
+        if seed not in ("shift", "poly"):
+            raise ValueError(f"unknown square-root seed {seed!r}")
+        c, shape = self.counter, np.shape(n)
+        n = np.asarray(n, dtype=np.int64).ravel()
+        zero, size = n == 0, n.size
+        n = np.where(zero, 1, n)  # keep Newton's divisor away from zero
+        if seed == "shift":
+            bl = _bit_length(n)
+            c.shifts += int(bl.sum())
+            x = np.int64(1) << ((bl + 1) >> 1)
+        else:
+            e = np.maximum(_bit_length(n) - 5, 0) >> 1
+            m = n >> (2 * e)
+            c.shifts += int(e.sum()) + 3 * size
+            c.muls += size
+            c.adds += 2 * size
+            x = (((m * m) >> 9) + (m >> 3) + 4) << e
+        x = np.maximum(x, 1)
+        y, live = np.empty_like(x), size   # live: elements still stepping
+        for _ in range(steps):
+            if not live:
+                break
+            np.floor_divide(n, x, out=y)
+            np.right_shift(np.add(y, x, out=y), 1, out=y)
+            c.divs += live
+            c.adds += live
+            c.shifts += live
+            c.compares += live
+            live = int(np.count_nonzero(y < x))
+            np.minimum(x, y, out=x)
+        return np.where(zero, 0, x).reshape(shape).astype(self.dtype, copy=False)
+
+    def log2_ratio(self, num, den):
+        """round(log2(den / num)), half upward in log space, per element of
+        the array ``num``, 0 <= num <= den (``den`` broadcasts), and 63
+        where num is 0, in this instance's dtype: k = floor(log2(den/num)),
+        j or j - 1 for j = bitlen(den) - bitlen(num), plus one where
+        den^2 >= num^2 * 2^(2k+1). It is charged as the shift-compare search
+        it replaces, k + 1 shifts and compares per positive num, and two
+        multiplies and a compare per element. Bit lengths are exact, int32
+        ones by ``np.frexp``. The int64 squares reach 2 den^2, so den must
+        fit 31 bits, as an int32 instance's bound promises and an int64 one checks."""
+        self._guard(num, den)
+        dtype, size = self.dtype, num.size
+        if dtype != _INT32 and magnitude(den) >> 31:
+            raise KernelOverflowError("log2_ratio's squares may exceed 64-bit signed range")
+        den = np.asarray(den, dtype=dtype)
+        pos = num > 0
+        safe_num = np.maximum(num, 1, dtype=dtype)
+        k = _bit_length(safe_num).astype(dtype, copy=False)
+        np.maximum(np.subtract(_bit_length(den), k, out=k), 0, out=k)
+        shifted = np.left_shift(safe_num, k)
+        np.maximum(np.subtract(k, shifted > den, out=k), 0, out=k)
+        np.multiply(k, pos, out=k)
+        steps = int(k.sum()) + int(np.count_nonzero(pos))
+        self.counter.shifts += steps
+        self.counter.compares += steps + size
+        self.counter.muls += 2 * size
+        sq = np.multiply(safe_num, safe_num, out=shifted if dtype == _INT64 else None,
+                         dtype=np.int64)
+        twice = np.add(np.left_shift(k, 1, out=safe_num), 1, out=safe_num)   # 2k + 1
+        den = den.astype(np.int64, copy=False)
+        np.add(k, den * den >= np.left_shift(sq, twice, out=sq), out=k)   # round up
+        np.copyto(k, 63, where=~pos)
+        return k

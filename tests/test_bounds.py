@@ -33,7 +33,7 @@ from intquant.tensor import KernelMath, OpCounter, code_table
 # every KernelMath method that computes a value
 _METHODS = ("add", "sub", "mul", "floordiv", "rshift", "lshift", "minimum", "maximum",
             "abs", "sign", "clip", "sum", "max", "matmul", "lookup", "rshift_round",
-            "rshift_round_add", "floordiv_rows")
+            "rshift_round_add", "floordiv_rows", "isqrt", "log2_ratio")
 
 
 def _magnitude(x) -> int:

@@ -364,6 +364,29 @@ class TestInfer:
         assert self._infer(tmp_path, plan, self._input(tmp_path)) == 2
         assert "block0.softmax" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("section, entry", [
+        ("qparams", "block0.res1"), ("assignments", "block0.gelu"),
+    ], ids=["edge_twice", "layer_twice"])
+    def test_plan_entry_listed_twice_is_usage_error(self, tmp_path, config_path, capsys,
+                                                    section, entry):
+        # the second entry would win silently; the file is refused instead
+        plan = self._plan(tmp_path, config_path)
+        raw = json.loads(plan.read_text())
+        raw[section].append(dict(next(e for e in raw[section] if e["layer_id"] == entry)))
+        plan.write_text(json.dumps(raw))
+        assert self._infer(tmp_path, plan, self._input(tmp_path)) == 2
+        assert f"{entry}: listed twice in {section}" in capsys.readouterr().err
+
+    def test_layer_kind_other_than_the_model_s_is_usage_error(self, tmp_path, config_path,
+                                                             capsys):
+        plan = self._plan(tmp_path, config_path)
+        raw = json.loads(plan.read_text())
+        next(a for a in raw["assignments"] if a["layer_id"] == "block0.ln1")["kind"] = "gelu"
+        plan.write_text(json.dumps(raw))
+        assert self._infer(tmp_path, plan, self._input(tmp_path)) == 2
+        assert "usage error: plan: block0.ln1 is a layernorm layer, not 'gelu'" in \
+            capsys.readouterr().err
+
     @pytest.mark.parametrize("edge, per_channel", [
         ("block0.attn.scores", False), ("input", True), ("block0.res1", True),
     ], ids=["non_dyadic_scores", "per_channel_input", "per_channel_residual"])

@@ -4,8 +4,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from intquant.layernorm import (LN_VARIANTS, _int_sqrt_array,
-                                int_layernorm, layernorm_reference,
+from intquant.layernorm import (LN_VARIANTS, int_layernorm, layernorm_reference,
                                 snap_pow2_out_params)
 from intquant import tensor as tensor_mod
 from intquant.quantize import (MinMaxObserver, QTensor, dequantize_np,
@@ -13,23 +12,23 @@ from intquant.quantize import (MinMaxObserver, QTensor, dequantize_np,
 from intquant.tensor import KernelMath, OpCounter
 
 
-def _isqrt(values, seed="shift"):
-    return _int_sqrt_array(np.asarray(values, dtype=np.int64), KernelMath(), seed=seed)
+def _isqrt(values, seed):
+    return KernelMath().isqrt(np.asarray(values, dtype=np.int64), 40, seed)
 
 
 class TestIntSqrt:
     def test_zero(self):
-        assert _isqrt([0]).tolist() == [0]
-        assert _isqrt([0], seed="poly").tolist() == [0]
+        assert _isqrt([0], "shift").tolist() == [0]
+        assert _isqrt([0], "poly").tolist() == [0]
 
     def test_hand_value(self):
-        assert _isqrt([255, 256]).tolist() == [15, 16]
-        assert _isqrt([255, 256], seed="poly").tolist() == [15, 16]
+        assert _isqrt([255, 256], "shift").tolist() == [15, 16]
+        assert _isqrt([255, 256], "poly").tolist() == [15, 16]
 
     def test_exhaustive_small_domain(self):
         km = KernelMath()
         n = np.arange(1 << 20, dtype=np.int64)
-        got = _int_sqrt_array(n, km)
+        got = km.isqrt(n, 40, "shift")
         want = np.sqrt(n.astype(np.float64)).astype(np.int64)
         # float sqrt is exact here; guard the few boundary cases explicitly
         for edge in (2 ** 20 - 1, 2 ** 18, 999999):
@@ -41,11 +40,11 @@ class TestIntSqrt:
         n = np.concatenate([rng.integers(0, 1 << 40, size=200),
                             rng.integers(0, 1 << 62, size=200)])
         want = [math.isqrt(int(v)) for v in n]
-        assert _isqrt(n).tolist() == want
-        assert _isqrt(n, seed="poly").tolist() == want
+        assert _isqrt(n, "shift").tolist() == want
+        assert _isqrt(n, "poly").tolist() == want
 
     def test_monotone(self):
-        vals = _isqrt(np.arange(5000)).tolist()
+        vals = _isqrt(np.arange(5000), "shift").tolist()
         assert all(b >= a for a, b in zip(vals, vals[1:]))
 
     @pytest.mark.parametrize("seed", ["shift", "poly"])
@@ -57,7 +56,7 @@ class TestIntSqrt:
         runs = []
         for n in (a, b, np.concatenate([a, b])):
             km = KernelMath()
-            runs.append((_int_sqrt_array(n, km, iterations=12, seed=seed),
+            runs.append((km.isqrt(n, 12, seed),
                          km.counter.as_dict()))
         (ra, ca), (rb, cb), (rab, cab) = runs
         np.testing.assert_array_equal(rab, np.concatenate([ra, rb]))
@@ -67,7 +66,7 @@ class TestIntSqrt:
     def test_poly_seed_matches(self):
         km = KernelMath()
         n = np.arange(1, 1 << 16, dtype=np.int64)
-        got = _int_sqrt_array(n, km, seed="poly")
+        got = km.isqrt(n, 40, "poly")
         want = np.asarray([math.isqrt(int(v)) for v in n])
         np.testing.assert_array_equal(got, want)
 
@@ -140,7 +139,7 @@ class TestShiftSeedMatchesLoop:
     def _check(self, n, iterations):
         # iterations=0 returns the seed itself, so seeds are compared too
         km_new, km_ref = KernelMath(), KernelMath()
-        got = _int_sqrt_array(n, km_new, iterations=iterations, seed=self.SEED)
+        got = km_new.isqrt(n, iterations, self.SEED)
         want = _int_sqrt_loop(n, km_ref, iterations=iterations, seed=self.SEED)
         np.testing.assert_array_equal(got, want)
         assert km_new.counter.as_dict() == km_ref.counter.as_dict()

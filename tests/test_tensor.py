@@ -1,6 +1,9 @@
+import ast
 import inspect
+import math
 import struct
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,7 +15,7 @@ from unittest import mock
 
 from intquant import tensor as tensor_mod
 from intquant.tensor import (IntegerViolation, KernelMath, KernelOverflowError,
-                             OpCounter, StageBound, Tensor, TensorFormatError, bit_length,
+                             OpCounter, StageBound, Tensor, TensorFormatError, _bit_length,
                              code_table, mul_bound, rng_tensor, tabulated, tensor_read,
                              tensor_write)
 
@@ -379,6 +382,36 @@ def _affine(codes, counter):
 
 _AFFINE = code_table(_affine, 0, 256, np.int64)   # covers every code of the mixes
 
+
+def _isqrt_charge(n, steps, seed):
+    """``isqrt``'s charge from the shift seed, element by element: a shift
+    per bit of n (of 1 where n is 0), then a div, an add, a shift and a
+    compare per Newton step the element takes."""
+    assert seed == "shift"
+    c = dict.fromkeys(("divs", "adds", "shifts", "compares"), 0)
+    for v in np.ravel(n).tolist():
+        v = max(v, 1)
+        c["shifts"] += v.bit_length()
+        x = 1 << ((v.bit_length() + 1) >> 1)
+        for _ in range(steps):
+            for kind in c:
+                c[kind] += 1
+            y = (x + v // x) >> 1
+            if y >= x:
+                break
+            x = y
+    return c
+
+
+def _log2_ratio_charge(num, den):
+    """``log2_ratio``'s charge: a shift and a compare per step of the search
+    while num << k <= den, bitlen(den // num) steps per positive num, and
+    two multiplies and a compare per element."""
+    num, den = np.broadcast_arrays(num, den)
+    steps = sum((d // v).bit_length() for v, d in zip(num.ravel().tolist(), den.ravel().tolist())
+                if v > 0)
+    return {"shifts": steps, "compares": steps + num.size, "muls": 2 * num.size}
+
 # per public method: (its args from a mix's two operands, its charge)
 _CHARGES = {
     "add": (lambda a, b: (a, b), lambda a, b: {"adds": _n(a, b)}),
@@ -406,6 +439,14 @@ _CHARGES = {
     "floordiv_rows": (lambda a, b: (a, b, 9), lambda a, b, bits: {"divs": _n(a, b)}),
     # the table's stage charges per code; the table itself is not charged
     "lookup": (lambda a, b: (_AFFINE, a), lambda t, a: {"muls": _n(a), "adds": _n(a)}),
+    # charged per element by what it does: the seed's bits and the Newton
+    # steps each element takes (see _isqrt_charge)
+    "isqrt": (lambda a, b: (a, 12, "shift"), _isqrt_charge),
+    # num an array of the result's shape, zeros included, and den one per
+    # row at or above the row's numerators, as the softmax's row sums
+    "log2_ratio": (lambda a, b: (np.atleast_1d(np.minimum(a, b) - 1),
+                                 np.atleast_1d(np.maximum(a, b)).max(axis=-1, keepdims=True)),
+                   _log2_ratio_charge),
 }
 
 
@@ -499,6 +540,88 @@ class TestCharges:
     def test_an_int32_instance_refuses_a_real_operand_in_any_position(self, name):
         for real in self.REALS.values():
             self._refuses(name, real, self._int32)
+
+
+def _counter_writes(path) -> list:
+    """Lines of ``path`` that assign to an ``OpCounter`` field by name:
+    ``x.adds = ...``, ``x.adds += ...`` or ``setattr(x, "adds", ...)``."""
+    fields = {"adds", "muls", "divs", "shifts", "compares", "float_violations"}
+    lines = []
+    for node in ast.walk(ast.parse(Path(path).read_text())):
+        targets = (node.targets if isinstance(node, ast.Assign)
+                   else [node.target] if isinstance(node, (ast.AugAssign, ast.AnnAssign))
+                   else [])
+        if any(isinstance(t, ast.Attribute) and t.attr in fields for t in targets):
+            lines.append(node.lineno)
+        if (isinstance(node, ast.Call) and getattr(node.func, "id", None) == "setattr"
+                and len(node.args) > 1 and getattr(node.args[1], "value", None) in fields):
+            lines.append(node.lineno)
+    return lines
+
+
+def test_only_the_tensor_module_charges_ops():
+    # one cost model: every other module charges through KernelMath's methods
+    src = Path(tensor_mod.__file__).parent
+    writes = {p.name: _counter_writes(p) for p in sorted(src.glob("*.py"))}
+    assert writes.pop("tensor.py")
+    assert {name: lines for name, lines in writes.items() if lines} == {}
+
+
+def _log2_ratio_exact(num: int, den: int) -> int:
+    if num == 0:
+        return 63
+    k = (den // num).bit_length() - 1
+    return k + (den * den >= num * num << (2 * k + 1))
+
+
+class TestSquareRootAndLog2Ratio:
+    """The two multi-step methods: LayerNorm's square root and the log2
+    tail of log2_softmax. Their charges are pinned in ``_CHARGES``."""
+
+    @pytest.mark.parametrize("name, args", [
+        ("isqrt", (np.array([4.0]), 12, "shift")), ("isqrt", (np.array([4.0]), 12, "poly")),
+        ("log2_ratio", (np.array([[1.0, 2.0]]), np.array([[3]]))),
+        ("log2_ratio", (np.array([[1, 2]]), np.array([[3.0]]))),
+    ])
+    def test_a_float_array_is_refused_uncharged(self, name, args):
+        km = KernelMath()
+        with pytest.raises(IntegerViolation):
+            getattr(km, name)(*args)
+        assert km.counter.float_violations == 1 and km.counter.total() == 0
+
+    @pytest.mark.parametrize("bound", [(1 << 31) - 1, 1 << 31])
+    def test_log2_ratio_rounds_half_up_in_each_dtype(self, bound):
+        rng = np.random.default_rng(5)
+        den = rng.integers(1, 1 << 30, size=(64, 1))
+        den[:4] = [[1], [2], [3], [(1 << 31) - 1]]
+        num = np.minimum(rng.integers(0, 1 << 31, size=(64, 16)) >> rng.integers(0, 31, (64, 16)),
+                         den)
+        num[:, 0], num[:, 1] = 0, den[:, 0]
+        km = KernelMath.within(None, bound)
+        got = km.log2_ratio(num.astype(km.dtype), den)
+        assert got.dtype == km.dtype
+        assert got.tolist() == [[_log2_ratio_exact(v, int(d[0])) for v in row]
+                                for row, d in zip(num.tolist(), den.tolist())]
+
+    def test_log2_ratio_refuses_a_den_whose_square_overflows(self):
+        km = KernelMath()
+        with pytest.raises(KernelOverflowError):
+            km.log2_ratio(np.array([[1, 2]]), np.array([[1 << 31]]))
+        assert km.counter.total() == 0
+
+    @pytest.mark.parametrize("seed", ["shift", "poly"])
+    def test_isqrt_in_each_dtype(self, seed):
+        n = np.array([[0, 1, 2, 3, 99, (1 << 31) - 1]], dtype=np.int64)
+        for km in (KernelMath(), KernelMath.within(None, (1 << 31) - 1)):
+            got = km.isqrt(n.astype(km.dtype), 40, seed)
+            assert got.dtype == km.dtype and got.shape == n.shape
+            assert got.ravel().tolist() == [math.isqrt(v) for v in n.ravel().tolist()]
+
+    def test_isqrt_refuses_an_unknown_seed_uncharged(self):
+        km = KernelMath()
+        with pytest.raises(ValueError, match="seed"):
+            km.isqrt(np.array([4]), 12, "newton")
+        assert km.counter.total() == 0
 
 
 class TestCodeTable:
@@ -626,25 +749,25 @@ class TestBitLength:
     def test_matches_int_bit_length(self):
         values = [0, 1, 2, 3, INT64_MAX] + [(1 << k) + d for k in range(2, 63)
                                             for d in (-1, 0, 1)]
-        got = bit_length(np.array(values, dtype=np.int64))
+        got = _bit_length(np.array(values, dtype=np.int64))
         assert got.tolist() == [v.bit_length() for v in values]
 
     def test_negatives_are_zero(self):
         # documented: 0 for elements <= 0, unlike int.bit_length
         values = np.array([-1, -2, -(1 << 40), INT64_MIN], dtype=np.int64)
-        assert bit_length(values).tolist() == [0, 0, 0, 0]
+        assert _bit_length(values).tolist() == [0, 0, 0, 0]
 
     def test_leaves_its_input_alone(self):
         n = np.array([[5, -3], [1 << 40, 0]], dtype=np.int64)
         n.setflags(write=False)
-        assert bit_length(n).tolist() == [[3, 0], [41, 0]]
+        assert _bit_length(n).tolist() == [[3, 0], [41, 0]]
 
 
     def test_matches_int_bit_length_at_every_edge(self):
         # 0 for elements <= 0; int.bit_length otherwise, up to the 63 powers
         values = ([0, -1, -5, INT64_MIN, INT64_MAX, (1 << 62) - 1, 1 << 62]
                   + [(1 << k) + d for k in range(1, 63) for d in (-1, 0)])
-        got = bit_length(np.array(values, dtype=np.int64))
+        got = _bit_length(np.array(values, dtype=np.int64))
         assert got.tolist() == [max(v, 0).bit_length() for v in values]
 
     @pytest.mark.parametrize("dtype", [np.int32, np.int64])
@@ -656,14 +779,14 @@ class TestBitLength:
         values = ([0, 1, info.max, -1, -2, -info.max, info.min]
                   + [(1 << k) + d for k in range(1, width) for d in (-1, 0, 1)]
                   + [-(1 << k) for k in range(width)])
-        got = bit_length(np.array(values, dtype=dtype))
+        got = _bit_length(np.array(values, dtype=dtype))
         assert got.dtype == np.int64
         assert got.tolist() == [max(v, 0).bit_length() for v in values]
 
     def test_int32_input_gives_a_fresh_int64_result(self):
         values = [0, -3, 1, (1 << 31) - 1, -(1 << 31)] + [1 << k for k in range(31)]
         n = np.array(values, dtype=np.int32)
-        got = bit_length(n)
+        got = _bit_length(n)
         assert got.dtype == np.int64 and got.flags.writeable and not np.shares_memory(got, n)
         assert got.tolist() == [max(v, 0).bit_length() for v in values]
 
