@@ -3,7 +3,7 @@
 The graph is shaped like a standard pre-norm encoder: one leading LayerNorm
 after the positional add, then per block LayerNorm -> attention -> residual,
 LayerNorm -> MLP with GELU -> residual, mean pooling and a classifier head.
-Every non-linear layer carries a stable identifier and a candidate pool.
+Every non-linear layer carries a stable identifier and a pool from ``CANDIDATES``.
 The attention 1/sqrt(head_dim) factor is folded into the query projection at
 build time so neither execution path divides at runtime.
 
@@ -18,21 +18,47 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property, partial
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .gelu import gelu_reference
-from .layernorm import layernorm_reference
+from .gelu import (IBERT_ERF_COEFFS, QUARTIC_ERF_COEFFS, gelu_reference, poly_gelu_int,
+                   shift_gelu_int)
+from .layernorm import LN_VARIANTS, int_layernorm, layernorm_reference
+from .softmax import efficient_bit_softmax, iexp_softmax, log2_softmax, shiftmax
 from .tensor import rng_tensor
 
 INPUT = "input"  # the edge that carries the model input
 
-CANDIDATE_POOLS = {
-    "softmax": ("efficient_bit_softmax", "iexp_softmax", "log2_softmax", "shiftmax"),
-    "gelu": ("data_aware_poly_gelu", "ibert_gelu", "shift_gelu"),
-    "layernorm": ("bitshift_newton", "log2_scale", "poly_sqrt"),
+
+class Candidate(NamedTuple):
+    """A kernel a layer may run, as ``kernel(q, out_params=, counter=,
+    **params(op, weights, cfg))``; unchecked, since its codes are clipped."""
+
+    kind: str   # the op kind it stands for
+    kernel: Callable
+    params: Callable = lambda op, weights, cfg: {}   # its keywords for one layer
+
+
+# every candidate kernel by name; each kind's default pool is read from it
+CANDIDATES = {
+    "efficient_bit_softmax": Candidate("softmax", efficient_bit_softmax.unchecked,
+                                       lambda op, w, cfg: {"taylor_degree": cfg.taylor_degree}),
+    "iexp_softmax": Candidate("softmax", iexp_softmax.unchecked),
+    "log2_softmax": Candidate("softmax", log2_softmax.unchecked),
+    "shiftmax": Candidate("softmax", shiftmax.unchecked),
+    "data_aware_poly_gelu": Candidate("gelu", poly_gelu_int.unchecked,
+                                      lambda op, w, cfg: {"c": QUARTIC_ERF_COEFFS}),
+    "ibert_gelu": Candidate("gelu", poly_gelu_int.unchecked,
+                            lambda op, w, cfg: {"c": IBERT_ERF_COEFFS}),
+    "shift_gelu": Candidate("gelu", shift_gelu_int.unchecked),
+    **{v: Candidate("layernorm", int_layernorm.unchecked, lambda op, w, cfg, v=v: {
+        "gamma": w[op.weights[0]], "beta": w[op.weights[1]], "variant": v}) for v in LN_VARIANTS},
 }
+
+# op kind -> its candidates' names, sorted: the default pool of each layer
+CANDIDATE_POOLS = {kind: tuple(sorted(n for n, c in CANDIDATES.items() if c.kind == kind))
+                   for kind in dict.fromkeys(c.kind for c in CANDIDATES.values())}
 
 
 class Op(NamedTuple):

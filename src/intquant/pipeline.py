@@ -22,7 +22,6 @@ from functools import cache, partial
 
 import numpy as np
 
-from . import gelu as gelu_mod
 from . import layernorm as ln_mod
 from . import softmax as sm_mod
 # sqnr, perturbation and forward_float stay importable from here, where the
@@ -30,8 +29,8 @@ from . import softmax as sm_mod
 # although stage 1 scores through energy_scores over float_edges' pass
 from .metric import (MetricScore, MetricTable, energy_scores, perturbation,  # noqa: F401
                      sample_energies, signal_power, sqnr, unified_score)
-from .model import (CANDIDATE_POOLS, INPUT, MODEL_FIELDS, ModelGraph, Op,  # noqa: F401
-                    batched, build_toy_vit, float_edges, forward_float, merge_heads,
+from .model import (CANDIDATE_POOLS, CANDIDATES, INPUT, MODEL_FIELDS, ModelGraph,  # noqa: F401
+                    Op, batched, build_toy_vit, float_edges, forward_float, merge_heads,
                     model_dims, split_heads, walk)
 from .quantize import (MinMaxObserver, QParams, QTensor, dequantize_np,
                        dyadic_qparams_for_range, encode_dyadic_multiplier,
@@ -181,68 +180,40 @@ def calibration_batches(cfg: PipelineConfig, calib_seed: int = 0) -> list[np.nda
 
 
 # ---------------------------------------------------------------------------
-# candidate runners (shared by stage 1 and integer inference): their codes
-# are clipped onto [0, qmax], so they run the kernel bodies unchecked
+# candidate runners, shared by stage 1 and integer inference
 # ---------------------------------------------------------------------------
 
-_SOFTMAX_KERNELS = {
-    "efficient_bit_softmax": sm_mod.efficient_bit_softmax.unchecked,
-    "shiftmax": sm_mod.shiftmax.unchecked,
-    "iexp_softmax": sm_mod.iexp_softmax.unchecked,
-    "log2_softmax": sm_mod.log2_softmax.unchecked,
-}
+def run_candidate(candidate: str, q: QTensor, out_params: QParams,
+                  counter: OpCounter | None = None, **params) -> QTensor:
+    """``candidate``'s kernel (``model.CANDIDATES``) on ``q``, with the
+    keywords its entry's ``params`` gives for a layer."""
+    return CANDIDATES[candidate].kernel(q, out_params=out_params, counter=counter, **params)
 
 
-def run_softmax_candidate(candidate: str, q: QTensor, out_params: QParams,
-                          counter: OpCounter | None = None,
-                          taylor_degree: int = 1) -> QTensor:
-    kernel = _SOFTMAX_KERNELS[candidate]
-    if candidate == "efficient_bit_softmax":   # the one kernel with a Taylor degree
-        return kernel(q, out_params, counter, taylor_degree)
-    return kernel(q, out_params, counter)
-
-
-_GELU_KERNELS = {
-    "data_aware_poly_gelu": partial(gelu_mod.poly_gelu_int.unchecked,
-                                    c=gelu_mod.QUARTIC_ERF_COEFFS),
-    "ibert_gelu": partial(gelu_mod.poly_gelu_int.unchecked, c=gelu_mod.IBERT_ERF_COEFFS),
-    "shift_gelu": gelu_mod.shift_gelu_int.unchecked,
-}
-
-
-def run_gelu_candidate(candidate: str, q: QTensor, out_params: QParams,
-                       counter: OpCounter | None = None) -> QTensor:
-    return _GELU_KERNELS[candidate](q, out_params=out_params, counter=counter)
-
-
-def run_ln_candidate(candidate: str, q: QTensor, gamma, beta, out_params: QParams,
-                     counter: OpCounter | None = None) -> QTensor:
-    return ln_mod.int_layernorm.unchecked(q, gamma, beta, candidate, out_params, counter)
+# run_candidate under one name per kind, which _runner calls by name, so
+# that tracing labels each kind's calls apart and tests can rebind them
+run_softmax_candidate = run_gelu_candidate = run_ln_candidate = run_candidate
+_RUN_BY_KIND = {"softmax": "run_softmax_candidate", "gelu": "run_gelu_candidate",
+                "layernorm": "run_ln_candidate"}
 
 
 def _runner(op: Op, candidate: str, p_in: QParams, p_out: QParams, weights: dict,
-            taylor_degree: int):
+            cfg: PipelineConfig):
     """``candidate`` bound as the non-linear ``op``, for stage 1 and
-    :func:`compile_plan` alike: ``run(counter, codes) -> QTensor``, the
-    kernel on codes taken on ``p_in``, its output on ``p_out`` (for
-    ``log2_scale``, on the grid its kernel snaps ``p_out`` to). A softmax
-    input off the kernels' dyadic grid, or output off their own grid,
-    raises a ValueError naming the layer. The ``run_*_candidate`` runner is
-    looked up on every call, so that tests and tracing can rebind it."""
+    :func:`compile_plan` alike: ``run(counter, codes) -> QTensor``, its
+    kernel on codes taken on ``p_in``, with its entry's ``params``, onto
+    ``p_out`` (which ``log2_scale`` snaps). A softmax grid off the kernels'
+    raises a ValueError naming the layer. The kind's ``run_*_candidate``
+    is looked up on every call, so that tests and tracing can rebind it."""
     if op.op == "softmax":
         try:
             sm_mod._dyadic_exponent(p_in)
             sm_mod._prob_bits(p_out)
         except sm_mod.ConfigurationError as exc:
             raise ValueError(f"{op.out}: {exc}") from exc
-        return lambda counter, codes: run_softmax_candidate(
-            candidate, QTensor(codes, p_in), p_out, counter, taylor_degree)
-    if op.op == "gelu":
-        return lambda counter, codes: run_gelu_candidate(
-            candidate, QTensor(codes, p_in), p_out, counter)
-    gamma, beta = (weights[k] for k in op.weights)
-    return lambda counter, codes: run_ln_candidate(
-        candidate, QTensor(codes, p_in), gamma, beta, p_out, counter)
+    params, name = CANDIDATES[candidate].params(op, weights, cfg), _RUN_BY_KIND[op.op]
+    return lambda counter, codes: globals()[name](candidate, QTensor(codes, p_in), p_out,
+                                                  counter, **params)
 
 
 # Stage 1 quantizes a layer's input, and runs a candidate over it, in slices
@@ -421,7 +392,7 @@ def stage1_analyze(graph: ModelGraph, weights: dict, calib: list,
 
     def score(op, codes):   # the layer's rows; its arrays go when this returns
         p_in = qparams[op.inputs[0]]
-        runners = [_runner(op, cand, p_in, qparams[op.out], weights, cfg.taylor_degree)
+        runners = [_runner(op, cand, p_in, qparams[op.out], weights, cfg)
                    for cand in candidates[op.out]]
         ref = env[op.out]
         power = signal_power(ref)
@@ -605,7 +576,7 @@ def _step(op: Op, graph: ModelGraph, plan: AssignmentPlan, P: dict, W: dict):
     out, ins, cfg = op.out, op.inputs, plan.config
     p_out = P[out]
     if op.op in CANDIDATE_POOLS:
-        run = _runner(op, plan.assignments[out], P[ins[0]], p_out, W, cfg.taylor_degree)
+        run = _runner(op, plan.assignments[out], P[ins[0]], p_out, W, cfg)
         return lambda counter, x: run(counter, x).codes
     if op.op == "linear":
         # one stage: the product of the input codes and the centered weights,

@@ -671,17 +671,19 @@ class KernelMath:
         return np.right_shift(out, k, out=out if isinstance(out, np.ndarray) else None)
 
     def isqrt(self, n, steps: int, seed: str):
-        """Floor square root of each element of ``n`` >= 0, in this
-        instance's dtype, by at most ``steps`` Newton steps
-        x = min(x, (x + n // x) >> 1) in int64, each charged only to the
-        elements still moving, so a row's count does not depend on the rows
-        beside it. The ``"shift"`` seed 2^ceil(bitlen(n)/2) is charged a
-        shift per bit, as a shift-until-zero loop spends; the ``"poly"``
-        seed ((m*m >> 9) + (m >> 3) + 4) * 2^e >= sqrt(m * 4^e), on the
-        mantissa m < 64 left by e quarterings, a shift per quartering."""
+        """Floor square root of each element of ``n`` >= 0 (a negative one
+        is refused uncharged), in this instance's dtype, by at most
+        ``steps`` Newton steps x = min(x, (x + n // x) >> 1) in int64, each
+        charged only to the elements still moving, so that a row's count is
+        its own. The ``"shift"`` seed 2^ceil(bitlen(n)/2) is charged a shift
+        per bit, as a shift-until-zero loop spends; the ``"poly"`` seed
+        ((m*m >> 9) + (m >> 3) + 4) * 2^e >= sqrt(m * 4^e), on the mantissa
+        m < 64 left by e quarterings, a shift per quartering."""
         self._guard(n, steps, seed)
         if seed not in ("shift", "poly"):
             raise ValueError(f"unknown square-root seed {seed!r}")
+        if np.any(np.less(n, 0)):
+            raise ValueError("isqrt of a negative element")
         c, shape = self.counter, np.shape(n)
         n = np.asarray(n, dtype=np.int64).ravel()
         zero, size = n == 0, n.size

@@ -26,7 +26,7 @@ from intquant import gelu as gelu_mod
 from intquant import layernorm as ln_mod
 from intquant import softmax as sm_mod
 from intquant import tensor as tensor_mod
-from intquant.model import CANDIDATE_POOLS
+from intquant.model import CANDIDATE_POOLS, CANDIDATES, Op
 from intquant.quantize import QParams, QTensor, qparams_from_range
 from intquant.tensor import KernelMath, OpCounter, code_table
 
@@ -114,16 +114,16 @@ def _code_pattern(name, qmax):
     return rng.integers(0, qmax + 1, size=shape).astype(np.int32)
 
 
+_GAMMA = np.linspace(-2.0, 3.0, _ROW_LEN)
+_LAYER_WEIGHTS = {"gamma": _GAMMA, "beta": _GAMMA[::-1] / 4}   # read by LayerNorm alone
+
+
 def _run(kind, cand, q, degree, counter):
-    if kind == "softmax":
-        extra = {"taylor_degree": degree} if cand == "efficient_bit_softmax" else {}
-        return pl.run_softmax_candidate(cand, q, sm_mod.softmax_out_params(8), counter,
-                                        **extra)
-    p_out = qparams_from_range(2.5, -0.5, 8)
-    if kind == "gelu":
-        return pl.run_gelu_candidate(cand, q, p_out, counter)
-    gamma = np.linspace(-2.0, 3.0, _ROW_LEN)
-    return pl.run_ln_candidate(cand, q, gamma, gamma[::-1] / 4, p_out, counter)
+    # bound as its table entry binds a layer of the kind, at Taylor degree ``degree``
+    op = Op("layer", kind, ("x",), ("gamma", "beta"))
+    params = CANDIDATES[cand].params(op, _LAYER_WEIGHTS, pl.PipelineConfig(taylor_degree=degree))
+    p_out = sm_mod.softmax_out_params(8) if kind == "softmax" else qparams_from_range(2.5, -0.5, 8)
+    return pl.run_candidate(cand, q, p_out, counter, **params)
 
 
 def _input_params(kind):

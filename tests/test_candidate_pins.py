@@ -5,13 +5,15 @@ The inputs are integer codes and exactly representable parameters, so the
 pins do not depend on the numpy or BLAS build.
 """
 
+import ast
 import hashlib
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import intquant.pipeline as pl
-from intquant.model import CANDIDATE_POOLS
+from intquant.model import CANDIDATE_POOLS, CANDIDATES, Op
 from intquant.quantize import QParams, QTensor
 from intquant.softmax import softmax_out_params
 from intquant.tensor import OpCounter
@@ -42,15 +44,21 @@ _GAMMA = (np.arange(16) % 5 + 3) / 4.0
 _BETA = (np.arange(16) % 7 - 3) / 8.0
 
 
+# kind -> (input codes, output grid)
+_CASE = {
+    "softmax": lambda: (_softmax_input(), softmax_out_params(8)),
+    "gelu": lambda: (QTensor(np.arange(256, dtype=np.int64).reshape(4, 64), _GELU_IN),
+                     _GELU_OUT),
+    "layernorm": lambda: (QTensor(_codes((4, 8, 16), 255, 3), _LN_IN), _LN_OUT),
+}
+
+
 def _run(kind, candidate, degree, counter):
-    if kind == "softmax":
-        return pl.run_softmax_candidate(candidate, _softmax_input(), softmax_out_params(8),
-                                        counter, taylor_degree=degree)
-    if kind == "gelu":
-        q = QTensor(np.arange(256, dtype=np.int64).reshape(4, 64), _GELU_IN)
-        return pl.run_gelu_candidate(candidate, q, _GELU_OUT, counter)
-    q = QTensor(_codes((4, 8, 16), 255, 3), _LN_IN)
-    return pl.run_ln_candidate(candidate, q, _GAMMA, _BETA, _LN_OUT, counter)
+    # bound as its table entry binds a layer of the kind, at Taylor degree ``degree``
+    op = Op("layer", kind, ("x",), ("gamma", "beta"))
+    params = CANDIDATES[candidate].params(op, {"gamma": _GAMMA, "beta": _BETA},
+                                          pl.PipelineConfig(taylor_degree=degree))
+    return pl.run_candidate(candidate, *_CASE[kind](), counter, **params)
 
 
 def _counts(adds, muls, divs, shifts, compares):
@@ -95,6 +103,28 @@ PINS = {
         "d0ba055e2ba792a00685a958a39bfcea62177c116cfe74a73292d64f8827feff",
         _counts(3736, 2144, 632, 1496, 1208)),
 }
+
+
+def test_pools_are_the_tables_names_in_their_order():
+    # pool order is the order of stage 1's table and of the metrics CSV
+    assert CANDIDATE_POOLS == {
+        "softmax": ("efficient_bit_softmax", "iexp_softmax", "log2_softmax", "shiftmax"),
+        "gelu": ("data_aware_poly_gelu", "ibert_gelu", "shift_gelu"),
+        "layernorm": ("bitshift_newton", "log2_scale", "poly_sqrt"),
+    }
+    assert list(CANDIDATE_POOLS) == ["softmax", "gelu", "layernorm"]
+    assert {c.kind for c in CANDIDATES.values()} <= {"softmax", "gelu", "layernorm"}
+
+
+def test_the_benchmarks_candidate_list_is_the_pools():
+    # bench/run.py names its per-candidate metrics from its own copy of the
+    # pools; a candidate missing there would drop out of its trace unseen.
+    # The literal is read from the source, so bench is not imported.
+    tree = ast.parse((Path(__file__).parents[1] / "bench" / "run.py").read_text())
+    [literal] = [node.value for node in tree.body if isinstance(node, ast.Assign)
+                 and [getattr(t, "id", None) for t in node.targets] == ["CANDIDATES"]]
+    bench = ast.literal_eval(literal)
+    assert bench == CANDIDATE_POOLS and list(bench) == list(CANDIDATE_POOLS)
 
 
 def test_pins_cover_every_candidate():

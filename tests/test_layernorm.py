@@ -134,7 +134,12 @@ class TestShiftSeedMatchesLoop:
             self._check(rng.integers(0, top, size=(7, 33), endpoint=True), iterations)
 
     def test_nonpositive_seed(self):
-        self._check(np.array([[-5, -1, 0], [1, 0, -(1 << 62)]], dtype=np.int64), 0)
+        # a zero is seeded as the loop seeds it; a negative element is refused
+        self._check(np.array([[0, 1, 0], [1, 0, 2]], dtype=np.int64), 0)
+        km = KernelMath()
+        with pytest.raises(ValueError, match="negative"):
+            km.isqrt(np.array([[-5, -1, 0], [1, 0, -(1 << 62)]], dtype=np.int64), 0, self.SEED)
+        assert km.counter.total() == 0
 
     def _check(self, n, iterations):
         # iterations=0 returns the seed itself, so seeds are compared too

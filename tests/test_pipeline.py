@@ -42,6 +42,14 @@ def small_cfg(**kw):
     return PipelineConfig(**base)
 
 
+def _params(cand, gamma=None, beta=None, taylor=1):
+    """The keywords ``cand``'s table entry gives a layer of its kind with
+    LayerNorm weights ``gamma`` and ``beta`` at Taylor degree ``taylor``."""
+    op = model_mod.Op("layer", model_mod.CANDIDATES[cand].kind, ("x",), ("gamma", "beta"))
+    return model_mod.CANDIDATES[cand].params(op, {"gamma": gamma, "beta": beta},
+                                             small_cfg(taylor_degree=taylor))
+
+
 @pytest.fixture(scope="module")
 def pipeline_result():
     cfg = small_cfg()
@@ -380,7 +388,7 @@ class TestStage1:
         for lid, _, cand, ms in table.entries:
             op = ops[lid]
             p_in = qparams[op.inputs[0]]
-            run = pl._runner(op, cand, p_in, qparams[lid], weights, cfg.taylor_degree)
+            run = pl._runner(op, cand, p_in, qparams[lid], weights, cfg)
             counter = OpCounter()
             run(counter, pl.quantize(cat[op.inputs[0]], p_in).codes)
             assert ms.c == round(counter.total() / samples), (lid, cand)
@@ -469,7 +477,7 @@ class TestStage1Slices:
                 for cand in rec.candidates:
                     counter = OpCounter()
                     p_in = qparams[op.inputs[0]]
-                    run = pl._runner(op, cand, p_in, qparams[op.out], weights, cfg.taylor_degree)
+                    run = pl._runner(op, cand, p_in, qparams[op.out], weights, cfg)
                     codes = pl._input_codes(cat[op.inputs[0]], p_in)
                     out = np.concatenate([dequantize_np(run(counter, codes[sl]))
                                           for sl in pl._slices(codes)])
@@ -586,14 +594,8 @@ class TestStage1SharedWork:
         for lid, kind, cand, ms in table.entries:
             op, counter = ops[lid], OpCounter()
             q = quantize(cat[op.inputs[0]], qparams[op.inputs[0]])
-            if kind == "softmax":
-                out = pl.run_softmax_candidate(cand, q, qparams[lid], counter,
-                                                cfg.taylor_degree)
-            elif kind == "gelu":
-                out = pl.run_gelu_candidate(cand, q, qparams[lid], counter)
-            else:
-                gamma, beta = (weights[k] for k in op.weights)
-                out = pl.run_ln_candidate(cand, q, gamma, beta, qparams[lid], counter)
+            out = pl.run_candidate(cand, q, qparams[lid], counter,
+                                   **model_mod.CANDIDATES[cand].params(op, weights, cfg))
             ref, got = cat[lid], dequantize_np(out)
             q_db, p = sqnr(ref, got), perturbation(ref, got)
             c = round(counter.total() / len(ref))
@@ -730,9 +732,8 @@ class TestKernelCodeRanges:
         np.testing.assert_array_equal(np.unique(codes), np.arange(p_in.qmax + 1))
         q = QTensor(codes.astype(np.int32), p_in)
         gamma, beta = gain * rng.normal(size=row), gain * rng.normal(size=row)
-        outs = [pl.run_gelu_candidate(c, q, p_out) for c in CANDIDATE_POOLS["gelu"]]
-        outs += [pl.run_ln_candidate(c, q, gamma, beta, p_out)
-                 for c in CANDIDATE_POOLS["layernorm"]]
+        outs = [pl.run_candidate(c, q, p_out, **_params(c, gamma, beta))
+                for c in CANDIDATE_POOLS["gelu"] + CANDIDATE_POOLS["layernorm"]]
         for out in outs:
             assert out.codes.shape == codes.shape
             assert 0 <= out.codes.min() and out.codes.max() <= out.params.qmax == p_out.qmax
@@ -748,7 +749,7 @@ class TestKernelCodeRanges:
         q = QTensor(rows.astype(np.int32), QParams(2.0 ** -f, zero, 16, "asymmetric"))
         p_out = sm_mod.softmax_out_params(bits)
         for cand in CANDIDATE_POOLS["softmax"]:
-            out = pl.run_softmax_candidate(cand, q, p_out, taylor_degree=taylor)
+            out = pl.run_candidate(cand, q, p_out, **_params(cand, taylor=taylor))
             assert out.codes.shape == rows.shape
             assert 0 <= out.codes.min() and out.codes.max() <= (1 << bits) - 1
 
@@ -776,16 +777,12 @@ def test_runners_return_the_int64_codes_the_kernel_computed(kind):
     rng = np.random.default_rng(4)
     p_in = (QParams(2.0 ** -10, 1 << 15, 16, "asymmetric") if kind == "softmax"
             else qparams_from_range(3.0, -3.0, 8))
-    p_out = qparams_from_range(2.0, -1.0, 8)
+    p_out = (sm_mod.softmax_out_params(8) if kind == "softmax"
+             else qparams_from_range(2.0, -1.0, 8))
     for dtype in (np.int32, np.int64):
         q = QTensor(rng.integers(0, p_in.qmax + 1, size=(2, 3, 16)).astype(dtype), p_in)
         for cand in CANDIDATE_POOLS[kind]:
-            if kind == "softmax":
-                out = pl.run_softmax_candidate(cand, q, sm_mod.softmax_out_params(8))
-            elif kind == "gelu":
-                out = pl.run_gelu_candidate(cand, q, p_out)
-            else:
-                out = pl.run_ln_candidate(cand, q, np.ones(16), np.zeros(16), p_out)
+            out = pl.run_candidate(cand, q, p_out, **_params(cand, np.ones(16), np.zeros(16)))
             assert out.codes.dtype == np.int64, (cand, dtype)
             assert not np.shares_memory(out.codes, q.codes), cand
 
@@ -986,12 +983,8 @@ class TestInputsStayUntouched:
         def run(cand, c):
             counter = OpCounter()
             q = QTensor(c, p_in)
-            if kind == "softmax":
-                out = pl.run_softmax_candidate(cand, q, p_probs, counter, taylor)
-            elif kind == "gelu":
-                out = pl.run_gelu_candidate(cand, q, p_out, counter)
-            else:
-                out = pl.run_ln_candidate(cand, q, gamma, beta, p_out, counter)
+            out = pl.run_candidate(cand, q, p_probs if kind == "softmax" else p_out, counter,
+                                   **_params(cand, gamma, beta, taylor))
             return out.codes.tolist(), counter.as_dict()
 
         for cand in CANDIDATE_POOLS[kind]:
@@ -1182,7 +1175,7 @@ class TestIntegerEdges:
             op = ops[rec.layer_id]
             for cand in rec.candidates:
                 run = pl._runner(op, cand, plan.qparams[op.inputs[0]], plan.qparams[op.out],
-                                 weights, plan.config.taylor_degree)
+                                 weights, plan.config)
                 counter, env = OpCounter(), {}
                 self.drained(pl.integer_edges(compiled, counter, codes, env,
                                               swap=(rec.layer_id, run)), env)

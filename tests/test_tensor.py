@@ -623,6 +623,15 @@ class TestSquareRootAndLog2Ratio:
             km.isqrt(np.array([4]), 12, "newton")
         assert km.counter.total() == 0
 
+    @pytest.mark.parametrize("seed, n", [("shift", [-1, -5]), ("poly", [-4]),
+                                         ("shift", [[9, 0], [4, -1]])])
+    def test_isqrt_refuses_a_negative_element_uncharged(self, seed, n):
+        # a negative element has no square root, and a Newton step on it divides by 0
+        for km in (KernelMath(), KernelMath.within(None, (1 << 31) - 1)):
+            with pytest.raises(ValueError, match="negative"):
+                km.isqrt(np.array(n, dtype=km.dtype), 12, seed)
+            assert km.counter.total() == 0
+
 
 class TestCodeTable:
     def test_a_lookup_is_its_stage_on_every_code(self):
