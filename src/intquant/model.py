@@ -326,16 +326,22 @@ def batch_rows(graph: ModelGraph, batches: list) -> list[slice]:
     return [slice(end - n, end) for n, end in zip(lens, ends)]
 
 
-def float_edges(graph: ModelGraph, weights: dict, batches: list, env: dict):
+def float_edges(graph: ModelGraph, weights: dict, batches: list, env: dict, map=map):
     """The full-precision :func:`walk` over ``batches``: each op applies its
-    float function to each batch's rows in turn, so an edge is the one-batch
+    float function to each batch's rows, so an edge is the one-batch
     passes' arrays joined (over one batch, the batch is the ``input`` edge
-    and each op's output its edge). An op in ``graph.in_place`` (a softmax)
-    writes its output over its input edge, batch by batch, so an attention
-    map is held once: an edge's array keeps its values until the op that
-    kills it (``graph.dead_after``) runs, and a caller that keeps an edge
-    past that op copies it first. It takes no swap: the walk that runs one
-    layer on another candidate is ``pipeline.integer_edges``."""
+    and each op's output its edge). Over several batches, an op's per-batch
+    calls run as ``map(fn, *columns)``, one column per input and one for
+    the output, each holding every batch's rows (views); each call writes
+    its own rows of the output, and every call ends before the edge is
+    yielded. ``map`` is the builtin by default; a pool's map runs them side
+    by side, with the same values, as no two calls share rows. An op in
+    ``graph.in_place`` (a softmax) writes its output over its input edge,
+    batch by batch, so an attention map is held once: an edge's array keeps
+    its values until the op that kills it (``graph.dead_after``) runs, and
+    a caller that keeps an edge past that op copies it first. It takes no
+    swap: the walk that runs one layer on another candidate is
+    ``pipeline.integer_edges``."""
     if not batches:
         raise ValueError("calibration set must be non-empty")
     xs = [batched(graph, np.asarray(b, dtype=np.float64))[0] for b in batches]
@@ -344,6 +350,9 @@ def float_edges(graph: ModelGraph, weights: dict, batches: list, env: dict):
     def per_batch(op):   # the op on each batch's rows, written into its rows of the edge
         fn, ws = partial(_FLOAT_OPS[op.op], graph), [weights[k] for k in op.weights]
 
+        def one(*args):   # one batch's inputs, then its rows of the output
+            return fn(*args[:-1], *ws, args[-1])
+
         def run(*ins):
             if op.out in graph.in_place:   # into the input edge, which no later op reads
                 out = ins[0]
@@ -351,8 +360,8 @@ def float_edges(graph: ModelGraph, weights: dict, batches: list, env: dict):
                 return fn(*ins, *ws)
             else:
                 out = np.empty(_joined_shape(graph, op, ins, ws))
-            for sl in rows:
-                fn(*(x[sl] for x in ins), *ws, out[sl])
+            for _ in map(one, *([x[sl] for sl in rows] for x in (*ins, out))):
+                pass
             return out
         return run
     fns = [per_batch(op) for op in graph.ops]

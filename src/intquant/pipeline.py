@@ -233,12 +233,21 @@ def _slices(x: np.ndarray):
     return [slice(lo, lo + step) for lo in range(0, len(x), step)]
 
 
-def _input_codes(x: np.ndarray, p_in: QParams) -> np.ndarray:
+def _input_codes(x: np.ndarray, p_in: QParams, map=map) -> np.ndarray:
     """``quantize(x, p_in)``'s codes, quantized slice by slice into one array,
-    so that no whole-set float temporary is made."""
+    so that no whole-set float temporary is made. Over more than one slice,
+    the slices are quantized as ``map`` runs them (a pool's map runs them
+    side by side), each into its own rows; all end before this returns."""
     codes = np.empty(x.shape, dtype=np.int32)
-    for sl in _slices(x):
+
+    def fill(sl):
         codes[sl] = quantize(x[sl], p_in).codes
+    slices = _slices(x)
+    if len(slices) == 1:
+        fill(slices[0])
+    else:
+        for _ in map(fill, slices):
+            pass
     return codes
 
 
@@ -381,9 +390,17 @@ def stage1_analyze(graph: ModelGraph, weights: dict, calib: list,
     this thread, lazily, for a layer smaller than one slice), and each
     candidate's results are folded in slice order into its score
     (:func:`_measured`). Every task that started ends before the pass goes
-    on. With workers, numpy's OpenBLAS runs on one thread for the whole
-    call, the float pass included, and gets its thread count back when the
-    call returns or raises (:class:`_OneBlasThread`).
+    on. With workers, the float pass runs an op's per-batch calls on them
+    too, for an op whose output or largest input holds at least one slice,
+    as does the quantization of a layer's input over more than one slice;
+    so below one slice, as on the README config, the pass stays on this
+    thread. Each such task writes only its own rows, and all of an op's end
+    before its edge is observed: ``calibrate_edges`` records warnings under
+    a process-wide filter, so no worker runs meanwhile. With workers,
+    numpy's OpenBLAS runs on one thread for the whole call, the float pass
+    included, and gets its thread count back when the call returns or
+    raises (:class:`_OneBlasThread`); so each batch's GEMM gives the
+    values it gives on this thread.
     """
     candidates = {rec.layer_id: rec.candidates for rec in graph.layers}
     ops = {op.out: op for op in graph.ops}
@@ -407,9 +424,13 @@ def stage1_analyze(graph: ModelGraph, weights: dict, calib: list,
             results = [list(r) for r in results]
         return [(op.out, op.op, cand, _measured(r, len(ref), ref.size, power))
                 for cand, r in zip(candidates[op.out], results)]
+    def float_map(fn, *columns):   # on the workers for an op of at least one slice
+        big = max(sum(a.size for a in col) for col in columns) >= STAGE1_SLICE_ELEMENTS
+        return (pool.map if big else map)(fn, *columns)
     with (_one_blas_thread if jobs > 1 else nullcontext(),
           ThreadPoolExecutor(max_workers=jobs) if jobs > 1 else nullcontext() as pool):
-        for edge, dead in float_edges(graph, weights, calib, env):
+        for edge, dead in float_edges(graph, weights, calib, env,
+                                      map if pool is None else float_map):
             edge_params, edge_warns = calibrate_edges(graph, {edge: env[edge]}, cfg)
             qparams.update(edge_params)
             warns += edge_warns
@@ -418,7 +439,8 @@ def stage1_analyze(graph: ModelGraph, weights: dict, calib: list,
             if edge in candidates:
                 table.entries += score(ops[edge], held.pop(ops[edge].inputs[0]))
             if edge in inputs:      # before the next op, which may write over it
-                held[edge] = _input_codes(env[edge], qparams[edge])
+                held[edge] = _input_codes(env[edge], qparams[edge],
+                                          map if pool is None else pool.map)
     table.calibration = qparams, warns
     return table
 

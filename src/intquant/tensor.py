@@ -224,6 +224,7 @@ def rng_tensor(seed: int, dims, dist: str, *args) -> Tensor:
     return Tensor(vals, dtype="real32")
 
 
+_SQRT_HALF_Q32 = 3037000500   # ceil(2^31.5): 1 / sqrt 2 on a 2^-32 grid, rounded up
 _POWERS_OF_TWO = np.left_shift(1, np.arange(63, dtype=np.int64))   # 2^0 .. 2^62
 
 
@@ -717,33 +718,43 @@ class KernelMath:
     def log2_ratio(self, num, den):
         """round(log2(den / num)), half upward in log space, per element of
         the array ``num``, 0 <= num <= den (``den`` broadcasts), and 63
-        where num is 0, in this instance's dtype: k = floor(log2(den/num)),
-        j or j - 1 for j = bitlen(den) - bitlen(num), plus one where
-        den^2 >= num^2 * 2^(2k+1). It is charged as the shift-compare search
-        it replaces, k + 1 shifts and compares per positive num, and two
-        multiplies and a compare per element. Bit lengths are exact, int32
-        ones by ``np.frexp``. The int64 squares reach 2 den^2, so den must
-        fit 31 bits, as an int32 instance's bound promises and an int64 one checks."""
+        where num is 0, in this instance's dtype. It is charged as the
+        shift-compare search it replaces, k + 1 shifts and compares per
+        positive num for k = floor(log2(den/num)), and two multiplies and a
+        compare per element, but runs in a few passes: with
+        j = bitlen(den) - bitlen(num) and s = num << j, k is j or j - 1 (s >
+        den), rounded up where den^2 >= 2 (num << k)^2. That test is two
+        compares of s with per-row thresholds, r = isqrt(den^2 >> 1) (round
+        up where s <= r) and max(den, 2r + 1) (go down where s is above
+        it), so no element is squared. A zero num takes j = 62, which those
+        compares turn into 63. Bit lengths are exact, int32 ones by
+        ``np.frexp``. den^2 must fit int64, so den must fit 31 bits, as an
+        int32 instance's bound promises and an int64 one checks."""
         self._guard(num, den)
         dtype, size = self.dtype, num.size
         if dtype != _INT32 and magnitude(den) >> 31:
             raise KernelOverflowError("log2_ratio's squares may exceed 64-bit signed range")
-        den = np.asarray(den, dtype=dtype)
-        pos = num > 0
-        safe_num = np.maximum(num, 1, dtype=dtype)
-        k = _bit_length(safe_num).astype(dtype, copy=False)
-        np.maximum(np.subtract(_bit_length(den), k, out=k), 0, out=k)
-        shifted = np.left_shift(safe_num, k)
-        np.maximum(np.subtract(k, shifted > den, out=k), 0, out=k)
-        np.multiply(k, pos, out=k)
-        steps = int(k.sum()) + int(np.count_nonzero(pos))
+        den = np.asarray(den, dtype=np.int64)
+        # the thresholds, per row and uncharged. r = isqrt(den^2 >> 1), which
+        # is floor(den / sqrt 2), is x or x - 1 for x = den * ceil(2^31.5)
+        # >> 32: the constant exceeds 2^32 / sqrt 2 by under 0.03, which
+        # den < 2^31 turns into under 0.02. s < 2^31, so a threshold past
+        # the int32 range compares as the range's top.
+        r = np.right_shift(den * _SQRT_HALF_Q32, 32)
+        r -= r * r > (den * den) >> 1
+        hi = np.minimum(np.maximum(den, 2 * r + 1), np.iinfo(dtype).max).astype(dtype)
+        r, bits, den = r.astype(dtype), _bit_length(den).astype(dtype), den.astype(dtype)
+        # bitlen(num), 0 for 0: int32 ones are frexp's int32 exponents as they are
+        k = np.frexp(num)[1] if num.dtype == _INT32 else _bit_length(num)
+        k = np.subtract(bits, k, out=k if k.dtype == dtype else None, dtype=dtype)   # j
+        positive = int(np.count_nonzero(num))
+        if positive < size:
+            np.maximum(k, np.multiply(num == 0, 62, dtype=dtype), out=k)
+        shifted = np.left_shift(num, k, dtype=dtype)
+        steps = (int(k.sum()) - 62 * (size - positive) + positive
+                 - int(np.count_nonzero(shifted > den)))
         self.counter.shifts += steps
         self.counter.compares += steps + size
         self.counter.muls += 2 * size
-        sq = np.multiply(safe_num, safe_num, out=shifted if dtype == _INT64 else None,
-                         dtype=np.int64)
-        twice = np.add(np.left_shift(k, 1, out=safe_num), 1, out=safe_num)   # 2k + 1
-        den = den.astype(np.int64, copy=False)
-        np.add(k, den * den >= np.left_shift(sq, twice, out=sq), out=k)   # round up
-        np.copyto(k, 63, where=~pos)
-        return k
+        np.add(k, shifted <= r, out=k)
+        return np.subtract(k, shifted > hi, out=k)

@@ -6,6 +6,7 @@ import sys
 import threading
 import tracemalloc
 import weakref
+from concurrent.futures import ThreadPoolExecutor
 from unittest import mock
 
 import numpy as np
@@ -616,6 +617,87 @@ class TestStage1SharedWork:
         assert len(quantized) == len(graph.layers) == 9
 
 
+def _thread_spies(monkeypatch):
+    """{float op kind or "quantize": set of whether each call ran on the
+    calling thread}, filled by spies on model._FLOAT_OPS and pl.quantize."""
+    caller, seen = threading.get_ident(), {}
+
+    def spy(key, fn):
+        def call(*args, **kw):
+            seen.setdefault(key, set()).add(threading.get_ident() == caller)
+            return fn(*args, **kw)
+        return call
+    for kind, fn in list(model_mod._FLOAT_OPS.items()):
+        monkeypatch.setitem(model_mod._FLOAT_OPS, kind, spy(kind, fn))
+    monkeypatch.setattr(pl, "quantize", spy("quantize", pl.quantize))
+    return seen
+
+
+class TestStage1FloatPassOnWorkers:
+    """With workers, stage 1 maps the float pass's per-batch calls of an op
+    of at least one slice, and the slices of a layer's input quantization,
+    onto them; the table and the calibration are those of jobs=1."""
+
+    @staticmethod
+    def _model(cfg):
+        graph, weights = build_toy_vit(cfg.model_config())
+        # a constant edge, so that the calibration records a warning
+        weights = {**weights, "block0.mlp.w2": np.zeros_like(weights["block0.mlp.w2"])}
+        return graph, weights, calibration_batches(cfg)
+
+    @pytest.mark.parametrize("jobs", [2, 4])
+    def test_across_the_gate_workers_give_the_serial_table(self, monkeypatch, jobs):
+        # 4: more workers than cores, with a short switch interval
+        cfg = small_cfg(calib_batches=3, calib_batch_size=2)
+        graph, weights, calib = self._model(cfg)
+        # each edge inside the blocks holds 6 x 8 x 32 or more elements
+        monkeypatch.setattr(pl, "STAGE1_SLICE_ELEMENTS", 300)
+        serial = stage1_analyze(graph, weights, calib, cfg, jobs=1)
+        seen = _thread_spies(monkeypatch)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            mapped = stage1_analyze(graph, weights, calib, cfg, jobs=jobs)
+        finally:
+            sys.setswitchinterval(interval)
+        # every call ran on the workers but the head's: its input (6 x 32)
+        # and output (6 x 10) hold less than one slice
+        assert seen == {**{k: {False} for k in (*model_mod._FLOAT_OPS, "quantize")},
+                        "linear": {False, True}}
+        assert len(mapped) == len(serial) == 29
+        for (l, k, c, got), (wl, wk, wc, want) in zip(mapped.entries, serial.entries):
+            assert (l, k, c) == (wl, wk, wc)
+            assert (got.q_db, got.p, got.c, got.score) == \
+                   (want.q_db, want.p, want.c, want.score)
+        assert serial.calibration[1], "no warning to compare"
+        assert mapped.calibration == serial.calibration
+
+    def test_below_the_gate_everything_stays_on_the_calling_thread(self, monkeypatch):
+        # the README config: no edge holds a slice
+        cfg = PipelineConfig()
+        graph, weights, calib = self._model(cfg)
+        seen = _thread_spies(monkeypatch)
+        stage1_analyze(graph, weights, calib, cfg, jobs=2)
+        assert seen == {k: {True} for k in (*model_mod._FLOAT_OPS, "quantize")}
+
+    def test_capture_is_the_pass_on_a_pool_byte_for_byte(self, monkeypatch):
+        # capture_calibration stays serial, and a pool's map gives its edges
+        cfg = small_cfg(calib_batches=3, calib_batch_size=2, tokens=16)
+        graph, weights, calib = self._model(cfg)
+        seen = _thread_spies(monkeypatch)
+        captured = capture_calibration(graph, weights, calib)
+        assert seen == {k: {True} for k in model_mod._FLOAT_OPS}
+        env, mapped = {}, {}
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            for edge, _ in float_edges(graph, weights, calib, env, pool.map):
+                mapped[edge] = env[edge].copy()
+        assert seen == {k: {True, False} for k in model_mod._FLOAT_OPS}
+        assert list(mapped) == list(captured) == list(graph.edges)
+        for edge, arr in captured.items():
+            assert (arr.dtype, arr.shape) == (mapped[edge].dtype, mapped[edge].shape), edge
+            assert arr.tobytes() == mapped[edge].tobytes(), edge
+
+
 _OPENBLAS = pl._openblas_threads()
 needs_openblas = pytest.mark.skipif(_OPENBLAS is None, reason="numpy loaded no OpenBLAS")
 
@@ -660,6 +742,26 @@ class TestStage1BlasThreads:
         with pytest.raises(RuntimeError, match="task"):
             self._stage1(2)
         assert blas_count() == 2
+
+    @needs_openblas
+    def test_a_float_op_failing_on_a_worker_propagates(self, blas_count, monkeypatch):
+        # every op is on the workers; the GELU's float function raises there
+        monkeypatch.setattr(pl, "STAGE1_SLICE_ELEMENTS", 1)
+        caller, calls = threading.get_ident(), []
+
+        def fails_on_a_worker(*args, _fn=model_mod._FLOAT_OPS["gelu"], **kw):
+            calls.append(threading.get_ident())
+            if threading.get_ident() != caller:
+                raise RuntimeError("float op")
+            return _fn(*args, **kw)
+
+        monkeypatch.setitem(model_mod._FLOAT_OPS, "gelu", fails_on_a_worker)
+        threads = threading.active_count()
+        with pytest.raises(RuntimeError, match="float op"):
+            self._stage1(2)
+        assert calls and caller not in calls
+        assert blas_count() == 2
+        assert threading.active_count() == threads   # the workers are gone
 
     def test_runs_unchanged_where_no_openblas_is_found(self, monkeypatch):
         want = self._stage1(2).entries

@@ -574,6 +574,44 @@ def _log2_ratio_exact(num: int, den: int) -> int:
     return k + (den * den >= num * num << (2 * k + 1))
 
 
+def _log2_ratio_squares(km, num, den):
+    """Reference: ``log2_ratio`` as it was first written, charging ``km``'s
+    counter the same way. k = floor(log2(den/num)) is j or j - 1 for
+    j = bitlen(den) - bitlen(num), rounded up where den^2 >= num^2 2^(2k+1),
+    in int64 squares, and set to 63 where num is 0."""
+    dtype, size = km.dtype, num.size
+    den = np.asarray(den, dtype=dtype)
+    pos = num > 0
+    safe_num = np.maximum(num, 1, dtype=dtype)
+    k = _bit_length(safe_num).astype(dtype)
+    k = np.maximum(_bit_length(den).astype(dtype) - k, 0)
+    k = np.maximum(k - (np.left_shift(safe_num, k) > den), 0) * pos
+    steps = int(k.sum()) + int(np.count_nonzero(pos))
+    km.counter.shifts += steps
+    km.counter.compares += steps + size
+    km.counter.muls += 2 * size
+    sq = safe_num.astype(np.int64) ** 2
+    den = den.astype(np.int64)
+    k = (k + (den * den >= sq << (2 * k.astype(np.int64) + 1))).astype(dtype)
+    k[~pos] = 63
+    return k
+
+
+def _assert_log2_ratio_is_the_reference(make, num, den):
+    want_km, got_km = make(), make()
+    want = _log2_ratio_squares(want_km, num, den)
+    got = got_km.log2_ratio(num, den)
+    assert got.dtype == want.dtype == got_km.dtype
+    assert got.tolist() == want.tolist()
+    assert got_km.counter.as_dict() == want_km.counter.as_dict()
+
+
+# (instance, numerator dtype): int32 as the int32 front stage runs it, and
+# int64 instances, one of them fed the int32 numerators of an exponential table
+_LOG2_RATIO_INSTANCES = [(lambda: KernelMath.within(None, (1 << 31) - 1), np.int32),
+                         (KernelMath, np.int64), (KernelMath, np.int32)]
+
+
 class TestSquareRootAndLog2Ratio:
     """The two multi-step methods: LayerNorm's square root and the log2
     tail of log2_softmax. Their charges are pinned in ``_CHARGES``."""
@@ -608,6 +646,46 @@ class TestSquareRootAndLog2Ratio:
         with pytest.raises(KernelOverflowError):
             km.log2_ratio(np.array([[1, 2]]), np.array([[1 << 31]]))
         assert km.counter.total() == 0
+
+    @pytest.mark.parametrize("make, num_dtype", _LOG2_RATIO_INSTANCES)
+    def test_log2_ratio_is_the_squares_formula_on_every_small_pair(self, make, num_dtype):
+        # every 0 <= num <= den <= 80, den = 0 and 1 included
+        den = np.arange(81).reshape(-1, 1)
+        num = np.minimum(np.arange(81), den)
+        _assert_log2_ratio_is_the_reference(make, num.astype(num_dtype), den)
+
+    @pytest.mark.parametrize("make, num_dtype", _LOG2_RATIO_INSTANCES)
+    @pytest.mark.parametrize("den", [275807, 2013265952, (1 << 31) - 1])
+    def test_log2_ratio_round_up_edge(self, make, num_dtype, den):
+        # num around den / sqrt 2, where k rounds up or not; 275807 / sqrt 2
+        # = 195024.99999872 and 2013265952 / sqrt 2 = 1423594006.991 lie
+        # just below an integer, which a short product for 1 / sqrt 2 misses
+        r = math.isqrt(den * den >> 1)
+        num = np.array([[r - 1, r, r + 1, r + 2, (r + 1) >> 1, r >> 1, den, 0]])
+        _assert_log2_ratio_is_the_reference(make, num.astype(num_dtype), np.array([[den]]))
+
+    @pytest.mark.parametrize("make, num_dtype", _LOG2_RATIO_INSTANCES)
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    @example(data=None)
+    def test_log2_ratio_is_the_squares_formula(self, make, num_dtype, data):
+        # rows of numerators up to their den, with zeros, num == den and
+        # den at 2^31 - 1 among the draws; None: one row of each edge
+        top = (1 << 31) - 1
+        if data is None:
+            den = np.array([[top], [top], [1], [0], [(1 << 30) + 1]])
+            num = np.array([[0, 1, top, top >> 1, (top >> 1) + 1, 1 << 30],
+                            [top - 1, 3, 7, 0, 0, top],
+                            [0, 1, 1, 0, 1, 0], [0] * 6, [1 << 29, 1, 0, 3, 1 << 30, 5]])
+        else:
+            edge = st.sampled_from([0, 1, 2, 3, top - 1, top, 1 << 30, (1 << 30) + 1])
+            den = np.array(data.draw(st.lists(edge | st.integers(0, top), min_size=1,
+                                              max_size=6)))[:, None]
+            cols = data.draw(st.integers(1, 12))
+            num = np.array([[data.draw(st.sampled_from([0, d, d >> 1, 1]) | st.integers(0, d))
+                             for _ in range(cols)] for d in den[:, 0].tolist()])
+        num = np.minimum(num, den)
+        _assert_log2_ratio_is_the_reference(make, num.astype(num_dtype), den)
 
     @pytest.mark.parametrize("seed", ["shift", "poly"])
     def test_isqrt_in_each_dtype(self, seed):
