@@ -548,10 +548,11 @@ def _requant_into(km: KernelMath, codes, zero_point: int, m: int):
 def _add_requant(km: KernelMath, a, term, zero_point: int, m: int, p_out: QParams):
     """a, with its zero point and :func:`_requant_mult`, requantized onto
     ``p_out`` and added to ``term``, the other input already requantized:
-    the stage of ``add`` and ``pos_add``."""
-    out = _requant_into(km, a, zero_point, m)
-    km.add(out, term, out=out)
-    return km.clip(km.add(out, p_out.zero_point, out=out), 0, p_out.qmax, out=out)
+    the stage of ``add`` and ``pos_add``. The output zero point rides on
+    the rounding constant of ``a``'s shift (:meth:`KernelMath.rshift_round_add`)."""
+    out = km.sub(a, zero_point)
+    out = km.rshift_round_add(km.mul(out, m, out=out), 16, p_out.zero_point, out=out)
+    return km.clip(km.add(out, term, out=out), 0, p_out.qmax, out=out)
 
 
 def _centered(km: KernelMath, codes, zero_point: int):
@@ -643,7 +644,7 @@ def _step(op: Op, graph: ModelGraph, plan: AssignmentPlan, P: dict, W: dict):
             pos_term = _requant_into(KernelMath(), quantize(pos, p_pos).codes,
                                      p_pos.zero_point, _requant_mult(out, p_pos, p_out))
             term = magnitude(pos_term)
-        b.add(b.add(b.rshift_round(b.mul(P[ins[0]].centered_max, m), 16), term), p_out.zero_point)
+        b.add(b.rshift_round_add(b.mul(P[ins[0]].centered_max, m), 16, p_out.zero_point), term)
         bound = b.bound
         if op.op == "pos_add":
             return lambda counter, x: _add_requant(KernelMath.within(counter, bound), x,

@@ -228,7 +228,7 @@ def requantize(km: KernelMath, acc: np.ndarray, m, e: int, p_out: QParams) -> np
     per-channel int64 array; m = 1 skips the multiply, so a power-of-two
     requantization is charged its shift alone.
     """
-    if np.ndim(m) or m != 1:
+    if isinstance(m, np.ndarray) or m != 1:
         acc = km.mul(acc, m, out=buffer_for(km, acc))
     # the zero point rides on the rounding constant: one add, charged as two
     acc = km.rshift_round_add(acc, e, p_out.zero_point, out=buffer_for(km, acc))
@@ -239,7 +239,7 @@ def requant_bound(acc: int, m, e: int, p_out: QParams) -> int:
     """Transfer function of :func:`requantize` for accumulators within
     ``acc`` in magnitude and the same ``m``: its stage bound."""
     b = StageBound(acc, p_out.qmax)
-    if np.ndim(m) or m != 1:
+    if isinstance(m, np.ndarray) or m != 1:
         acc = b.mul(acc, magnitude(m))
     b.rshift_round_add(acc, e, p_out.zero_point)
     return b.bound

@@ -59,7 +59,11 @@ elements, it multiplies by each row's exact reciprocal
 (:func:`reciprocal_floordiv`, Granlund and Montgomery) instead, the same
 quotients for one div charged per element; smaller calls, for which the
 reciprocals cost more to set up than they save, and wider numerators
-divide.
+divide. The same holds the other way round where numpy's fixed cost per
+call is the larger: an :meth:`KernelMath.isqrt` operand of at most
+``ISQRT_INT_MAX_SIZE`` elements, as a batch-1 request's LayerNorm rows,
+steps each element in Python ints, by the same recurrence and with the
+same charges as the vectorized loop that larger operands run.
 """
 
 from __future__ import annotations
@@ -248,6 +252,14 @@ def _bit_length(n: np.ndarray) -> np.ndarray:
 # below about 5,000, one floor_divide pass costs less than the reciprocals'
 # dozen numpy calls (measured on 64-element rows of int64)
 RECIP_MIN_SIZE = 5000
+
+# most elements a KernelMath.isqrt call steps one by one in Python ints: up
+# to 32, that costs less than the vectorized loop's half-dozen numpy calls
+# per Newton step for both seeds (operands in [2^16, 2^24), 12 steps allowed,
+# 2-vCPU VM: 8 elements 9-11 us against 31-35 us, 32 elements 23-34 us
+# against 29-36 us; the poly seed crosses over near 36 elements, the shift
+# seed near 48)
+ISQRT_INT_MAX_SIZE = 32
 
 
 def reciprocal_floordiv(a, b, bits: int, out=None, dtype=_INT64):
@@ -488,6 +500,8 @@ class KernelMath:
         the call's charge size: the largest array operand's size, at least 1."""
         n = 1
         for x in xs:
+            if type(x) is int:   # the commonest operand after arrays, and never real
+                continue
             if isinstance(x, np.ndarray):
                 if x.dtype.kind not in "iu":
                     self.counter.float_violations += 1
@@ -597,7 +611,8 @@ class KernelMath:
         self._guard(a)
         n = a.shape[axis] if isinstance(a, np.ndarray) and a.ndim else 1
         self.counter.compares += max(n - 1, 0) * (a.size // max(n, 1))
-        return np.maximum.reduce(a, axis=axis, keepdims=keepdims).astype(self.dtype, copy=False)
+        out = np.maximum.reduce(a, axis=axis, keepdims=keepdims)
+        return out if out.dtype == self.dtype else out.astype(self.dtype)
 
     def matmul(self, a, b, mags: tuple[int, int] | None = None):
         """Integer matrix product, exact, in this instance's dtype.
@@ -609,21 +624,23 @@ class KernelMath:
         float32 holds exactly in any summation order, and under 2^52 float64
         does, so the product runs on float32 or float64 BLAS and is cast
         back; otherwise on int64. Only integer operands are accepted either
-        way.
+        way. The bit budget bitlen(max|a|) + bitlen(max|b|) + bitlen(k) is
+        summed once per magnitudes taken, and both the guard and the path
+        read it.
         """
         a, b = np.asarray(a), np.asarray(b)
         self._guard(a, b)
         k = a.shape[-1]
-
-        def bits(ma, mb):
-            return ma.bit_length() + mb.bit_length() + k.bit_length() if ma and mb else 0
-        if mags is None or bits(*mags) > 62:
-            mags = magnitude(a), magnitude(b)
-            if bits(*mags) > 62:
-                raise KernelOverflowError("accumulated matmul may exceed 64-bit signed range")
-        if k * mags[0] * mags[1] < EXACT_FLOAT32:
+        ma, mb = mags if mags is not None else (magnitude(a), magnitude(b))
+        bits = ma.bit_length() + mb.bit_length() + k.bit_length() if ma and mb else 0
+        if bits > 62 and mags is not None:   # static magnitudes past the guard: scan
+            ma, mb = magnitude(a), magnitude(b)
+            bits = ma.bit_length() + mb.bit_length() + k.bit_length() if ma and mb else 0
+        if bits > 62:
+            raise KernelOverflowError("accumulated matmul may exceed 64-bit signed range")
+        if k * ma * mb < EXACT_FLOAT32:
             out = np.matmul(a.astype(np.float32), b.astype(np.float32)).astype(self.dtype)
-        elif bits(*mags) <= EXACT_FLOAT_BITS:
+        elif bits <= EXACT_FLOAT_BITS:
             out = np.matmul(a.astype(np.float64), b.astype(np.float64)).astype(self.dtype)
         else:
             out = np.matmul(a.astype(np.int64), b.astype(np.int64)).astype(self.dtype, copy=False)
@@ -679,10 +696,17 @@ class KernelMath:
         its own. The ``"shift"`` seed 2^ceil(bitlen(n)/2) is charged a shift
         per bit, as a shift-until-zero loop spends; the ``"poly"`` seed
         ((m*m >> 9) + (m >> 3) + 4) * 2^e >= sqrt(m * 4^e), on the mantissa
-        m < 64 left by e quarterings, a shift per quartering."""
+        m < 64 left by e quarterings, a shift per quartering.
+
+        An operand of at most ``ISQRT_INT_MAX_SIZE`` elements steps one
+        element at a time in Python ints (:meth:`_isqrt_ints`), with the
+        same roots and charges: for so few elements the vectorized loop's
+        half-dozen numpy calls per step cost more than the steps."""
         self._guard(n, steps, seed)
         if seed not in ("shift", "poly"):
             raise ValueError(f"unknown square-root seed {seed!r}")
+        if np.size(n) <= ISQRT_INT_MAX_SIZE:
+            return self._isqrt_ints(n, steps, seed)
         if np.any(np.less(n, 0)):
             raise ValueError("isqrt of a negative element")
         c, shape = self.counter, np.shape(n)
@@ -714,6 +738,44 @@ class KernelMath:
             live = int(np.count_nonzero(y < x))
             np.minimum(x, y, out=x)
         return np.where(zero, 0, x).reshape(shape).astype(self.dtype, copy=False)
+
+    def _isqrt_ints(self, n, steps: int, seed: str):
+        """:meth:`isqrt` one element at a time in Python ints: the same
+        seeds, Newton steps and stopping test, so the same roots, and each
+        element charged what the vectorized loop charges it, its seed and
+        one step for each step it takes, the one that stops it included."""
+        values = np.ravel(n).tolist()
+        if values and min(values) < 0:
+            raise ValueError("isqrt of a negative element")
+        roots, shifts, taken = [], 0, 0   # taken: Newton steps, over all elements
+        for v in values:
+            w = v or 1   # keep Newton's divisor away from zero
+            bl = w.bit_length()
+            if seed == "shift":
+                shifts += bl
+                x = 1 << ((bl + 1) >> 1)
+            else:
+                e = max(bl - 5, 0) >> 1
+                m = w >> 2 * e
+                shifts += e
+                x = (((m * m) >> 9) + (m >> 3) + 4) << e
+            for _ in range(steps):   # both seeds are >= 1
+                taken += 1
+                y = (x + w // x) >> 1
+                if y >= x:
+                    break
+                x = y
+            roots.append(x if v else 0)
+        c, size = self.counter, len(values)
+        if seed == "poly":
+            shifts += 3 * size
+            c.muls += size
+            c.adds += 2 * size
+        c.shifts += shifts + taken
+        c.divs += taken
+        c.adds += taken
+        c.compares += taken
+        return np.array(roots, dtype=_INT64).reshape(np.shape(n)).astype(self.dtype, copy=False)
 
     def log2_ratio(self, num, den):
         """round(log2(den / num)), half upward in log space, per element of

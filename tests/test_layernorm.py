@@ -3,6 +3,8 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from intquant.layernorm import (LN_VARIANTS, int_layernorm, layernorm_reference,
                                 snap_pow2_out_params)
@@ -155,6 +157,91 @@ class TestPolySeedMatchesLoop(TestShiftSeedMatchesLoop):
     the same edges (0, 1, 63, 64, 255, 256, 2^k - 1, 2^k and 2^k + 1) and
     random inputs."""
     SEED = "poly"
+
+
+_TOP = (1 << 62) - 1
+# zeros, 1, the largest operand and the neighbours of each power of two up to it
+_SQRT_EDGES = sorted({0, 1, 2, _TOP - 1, _TOP} | {(1 << k) + d for k in range(1, 62)
+                                                  for d in (-1, 0, 1)})
+
+
+def _isqrt_on_path(n, steps, seed, bound, python_ints):
+    """``isqrt`` on a fresh instance of ``bound``, through the per-element
+    Python-int path where ``python_ints``, else through the numpy loop,
+    whatever the operand's size; the roots and the charges as a dict."""
+    km = KernelMath.within(None, bound)
+    limit = n.size if python_ints else -1
+    with mock.patch.object(tensor_mod, "ISQRT_INT_MAX_SIZE", limit):
+        got = km.isqrt(n, steps, seed)
+    assert got.dtype == km.dtype and got.shape == n.shape
+    return got, km.counter.as_dict()
+
+
+class TestSmallOperandSquareRoot:
+    """Operands of at most ``ISQRT_INT_MAX_SIZE`` elements step in Python
+    ints: the same roots and the same charge of every kind as the numpy
+    loop, and as the loop reference, on both sides of the size threshold."""
+
+    # an int32 instance's bound promises that every value of its chain fits
+    # 31 bits, the operand and each Newton iterate included
+    @settings(max_examples=300, deadline=None)
+    @given(seed=st.sampled_from(["shift", "poly"]), steps=st.integers(1, 12),
+           bound=st.sampled_from([(1 << 31) - 1, _TOP]), data=st.data())
+    def test_both_paths_agree(self, seed, steps, bound, data):
+        edges = [v for v in _SQRT_EDGES if v <= bound]
+        values = data.draw(st.lists(st.sampled_from(edges) | st.integers(0, bound), min_size=1,
+                                    max_size=tensor_mod.ISQRT_INT_MAX_SIZE + 1))
+        self._check(np.array(values, dtype=np.int64), steps, seed, bound)
+
+    @pytest.mark.parametrize("seed", ["shift", "poly"])
+    @pytest.mark.parametrize("steps", [1, 12])
+    def test_both_paths_agree_on_the_edges(self, seed, steps):
+        for bound in ((1 << 31) - 1, _TOP):
+            edges = np.array([v for v in _SQRT_EDGES if v <= bound], dtype=np.int64)
+            for chunk in np.array_split(edges, -(-edges.size // tensor_mod.ISQRT_INT_MAX_SIZE)):
+                self._check(chunk, steps, seed, bound)
+            self._check(np.zeros(tensor_mod.ISQRT_INT_MAX_SIZE + 1, dtype=np.int64), steps,
+                        seed, bound)
+
+    @staticmethod
+    def _check(n, steps, seed, bound):
+        py_roots, py_charge = _isqrt_on_path(n, steps, seed, bound, python_ints=True)
+        np_roots, np_charge = _isqrt_on_path(n, steps, seed, bound, python_ints=False)
+        assert py_roots.tolist() == np_roots.tolist()
+        assert py_charge == np_charge
+        ref = KernelMath()
+        assert py_roots.tolist() == _int_sqrt_loop(n, ref, steps, seed).tolist()
+        assert py_charge == ref.counter.as_dict()
+
+    @pytest.mark.parametrize("seed", ["shift", "poly"])
+    @pytest.mark.parametrize("size", [1, tensor_mod.ISQRT_INT_MAX_SIZE,
+                                      tensor_mod.ISQRT_INT_MAX_SIZE + 1])
+    def test_the_threshold_picks_the_path(self, seed, size):
+        # the default threshold: operands up to it never reach the numpy
+        # loop's floor_divide, larger ones do
+        n = np.arange(size, dtype=np.int64) * 1000003
+        km, calls = KernelMath(), []
+        real = np.floor_divide
+
+        def floor_divide(*args, **kw):
+            calls.append(1)
+            return real(*args, **kw)
+        with mock.patch.object(tensor_mod.np, "floor_divide", floor_divide):
+            got = km.isqrt(n, 12, seed)
+        assert got.tolist() == [math.isqrt(v) for v in n.tolist()]
+        assert bool(calls) == (size > tensor_mod.ISQRT_INT_MAX_SIZE)
+
+    @pytest.mark.parametrize("python_ints", [True, False])
+    @pytest.mark.parametrize("seed", ["shift", "poly"])
+    def test_a_negative_element_is_refused_uncharged(self, seed, python_ints):
+        n = np.array([[4, 0, 9], [1, -1, 1 << 40]], dtype=np.int64)
+        for bound in ((1 << 31) - 1, 1 << 62):
+            km = KernelMath.within(None, bound)
+            limit = n.size if python_ints else -1
+            with mock.patch.object(tensor_mod, "ISQRT_INT_MAX_SIZE", limit):
+                with pytest.raises(ValueError, match="negative"):
+                    km.isqrt(n, 12, seed)
+            assert km.counter.total() == 0
 
 
 def _quantized_rows(x, bits=8):

@@ -33,6 +33,7 @@ from intquant import softmax as sm_mod
 from intquant.quantize import (MinMaxObserver, QParams, QTensor, dequantize_np,
                                encode_dyadic_multiplier, qparams_from_range, quantize,
                                requant_weight_per_channel, requantize)
+from intquant import tensor as tensor_mod
 from intquant.tensor import KernelMath, KernelOverflowError, OpCounter, Tensor, rng_tensor
 
 
@@ -1220,6 +1221,31 @@ class TestIntegerForward:
         _, c1 = integer_forward(graph, weights, plan, x)
         _, c2 = integer_forward(graph, weights, plan, x)
         assert c1.as_dict() == c2.as_dict()
+
+    @pytest.mark.parametrize("candidate", ln_mod.LN_VARIANTS)
+    def test_a_batch_is_its_single_requests_stacked(self, candidate, monkeypatch):
+        # on the README shape, a batch of 6 gives LayerNorm 48 rows, past
+        # ISQRT_INT_MAX_SIZE (the numpy Newton loop), and each batch-1
+        # request 8 (Python ints): the same logits and the summed charges
+        cfg = config_from_dict({"pools": {"layernorm": [candidate]}})
+        plan, _, graph, weights = run_pipeline(cfg)
+        layers = [op.out for op in graph.ops if op.op == "layernorm"]
+        assert {plan.assignments[e] for e in layers} == {candidate}
+        sizes, real = [], KernelMath.isqrt
+
+        def isqrt(km, n, *args):
+            sizes.append(np.size(n))
+            return real(km, n, *args)
+        monkeypatch.setattr(KernelMath, "isqrt", isqrt)
+        x = rng_tensor(11, [6, graph.tokens, graph.embed_dim], "normal", 0.0, 1.0).values
+        batch, counter = integer_forward(graph, weights, plan, x)
+        singles = [integer_forward(graph, weights, plan, x[i:i + 1]) for i in range(6)]
+        assert batch.values.tobytes() == np.concatenate([t.values for t, _ in singles]).tobytes()
+        summed = {k: sum(c.as_dict()[k] for _, c in singles) for k in counter.as_dict()}
+        assert counter.as_dict() == summed
+        limit = tensor_mod.ISQRT_INT_MAX_SIZE
+        assert sizes == [6 * graph.tokens] * len(layers) + [graph.tokens] * 6 * len(layers)
+        assert graph.tokens <= limit < 6 * graph.tokens
 
 
 class TestIntegerEdges:

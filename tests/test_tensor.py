@@ -3,6 +3,7 @@ import inspect
 import math
 import struct
 import tracemalloc
+from enum import IntEnum
 from pathlib import Path
 
 import numpy as np
@@ -966,9 +967,15 @@ class TestStaticBounds:
         assert b.rshift_round_add(100, 3, 7) == 20 and b.bound == 160
         assert b.rshift_round_add(3, -2, 7) == 19 and b.bound == 160
 
+    # 3 * 455 * 12291 = 2^24 - 1 and 4 * 2^11 * 2^11 = 2^24 around
+    # EXACT_FLOAT32; 24 + 25 + 3 = 52 and 24 + 26 + 3 = 53 bits around
+    # EXACT_FLOAT_BITS; 29 + 30 + 3 = 62 bits, the most admitted
     @pytest.mark.parametrize("k, ma, mb, path", [
         (258, 255, 255, np.float32), (259, 255, 255, np.float64),
-        (16, 1 << 20, 1 << 20, np.float64), (4, (1 << 29) - 1, (1 << 29) - 1, np.int64)])
+        (16, 1 << 20, 1 << 20, np.float64), (4, (1 << 29) - 1, (1 << 29) - 1, np.int64),
+        (3, 455, 12291, np.float32), (4, 1 << 11, 1 << 11, np.float64),
+        (4, (1 << 24) - 1, (1 << 25) - 1, np.float64), (4, (1 << 24) - 1, (1 << 26) - 1, np.int64),
+        (4, (1 << 29) - 1, (1 << 30) - 1, np.int64)])
     def test_matmul_path_from_static_magnitudes(self, k, ma, mb, path):
         # every product at its largest, so the partial sums reach k*ma*mb
         a = np.full((2, k), ma, dtype=np.int64)
@@ -1067,6 +1074,99 @@ class TestMatmul:
         with pytest.raises(IntegerViolation):
             km.matmul(np.ones((2, 2)), np.ones((2, 2), dtype=np.int64))
         assert km.counter.float_violations == 1
+
+
+def _full_operands(k, ma, mb):
+    """(2, k) and (k, 3) operands at ma and -mb, so that every partial sum
+    of their product reaches k * ma * mb in magnitude."""
+    return np.full((2, k), ma, dtype=np.int64), np.full((k, 3), -mb, dtype=np.int64)
+
+
+def _matmul_recorded(a, b, mags):
+    """``matmul(a, b, mags=mags)`` on an int64 instance with a static
+    bound: the dtype of each ``np.matmul`` call's operands, the number of
+    ``magnitude`` scans it made and its counter."""
+    seen, scans = [], []
+    real_matmul, real_magnitude = np.matmul, tensor_mod.magnitude
+
+    def matmul(x, y):
+        seen.append((x.dtype, y.dtype))
+        return real_matmul(x, y)
+
+    def magnitude(x):
+        scans.append(1)
+        return real_magnitude(x)
+    km = KernelMath.within(OpCounter(), 1 << 62)
+    with mock.patch.object(tensor_mod.np, "matmul", matmul), \
+            mock.patch.object(tensor_mod, "magnitude", magnitude):
+        out = km.matmul(a, b, mags=mags)
+    assert out.dtype == km.dtype
+    assert out.tolist() == np.matmul(a.astype(object), b.astype(object)).tolist()
+    assert all(x == y for x, y in seen)
+    return [x for x, _ in seen], len(scans), km.counter
+
+
+class TestMatmulPathChoice:
+    """When :meth:`KernelMath.matmul` scans its operands: static magnitudes
+    are taken as given unless they fail the 62-bit guard, and then the
+    operands' own pick the path or the refusal. The paths at each boundary
+    are pinned in ``TestStaticBounds``."""
+
+    @pytest.mark.parametrize("k, ma, mb, path", [
+        (3, 455, 12291, np.float32), (4, (1 << 24) - 1, (1 << 26) - 1, np.int64)])
+    def test_stated_magnitudes_are_not_scanned(self, k, ma, mb, path):
+        a, b = _full_operands(k, ma, mb)
+        assert _matmul_recorded(a, b, (ma, mb))[:2] == ([path], 0)
+        assert _matmul_recorded(a, b, None)[:2] == ([path], 2)
+
+    def test_magnitudes_that_fail_the_guard_are_rescanned(self):
+        # stated magnitudes past 62 bits are not refused on their word: the
+        # operands are scanned, and their own magnitudes pick float32
+        a, b = _full_operands(3, 5, 7)
+        paths, scans, counter = _matmul_recorded(a, b, (1 << 40, 1 << 40))
+        assert (paths, scans) == ([np.float32], 2)
+        assert (counter.muls, counter.adds) == (2 * 3 * 3, 2 * 3 * 2)
+
+    def test_understated_magnitudes_are_taken_as_given(self):
+        # within the guard nothing is scanned: the magnitudes are the
+        # caller's promise, and they pick the path
+        a, b = _full_operands(4, 1 << 11, 1 << 11)
+        assert _matmul_recorded(a, b, (1, 1))[:2] == ([np.float32], 0)
+
+    @pytest.mark.parametrize("mags", [None, (1 << 40, 1 << 40)])
+    def test_refused_past_62_bits_uncharged(self, mags):
+        # 29 + 31 + 3 = 63 bits, scanned or stated
+        a, b = _full_operands(4, (1 << 29) - 1, (1 << 31) - 1)
+        km = KernelMath()
+        with pytest.raises(KernelOverflowError):
+            km.matmul(a, b, mags=mags)
+        assert km.counter.total() == 0
+
+
+class TestGuardScalars:
+    """What :meth:`KernelMath._guard` takes for a scalar operand: an int of
+    any kind is an integer, a real of any kind is refused."""
+
+    class Flag(IntEnum):
+        ON = 3
+
+    class Real(float):
+        pass
+
+    @pytest.mark.parametrize("scalar, want", [
+        (True, [2, 3]), (Flag.ON, [4, 5]), (np.int64(3), [4, 5]), (np.int32(-1), [0, 1]),
+        (7, [8, 9])])
+    def test_integer_scalars_are_accepted(self, scalar, want):
+        km = KernelMath()
+        assert km.add(np.array([1, 2]), scalar).tolist() == want
+        assert km.counter.adds == 2 and km.counter.float_violations == 0
+
+    @pytest.mark.parametrize("scalar", [Real(1.0), np.float64(1.0), 1.5, np.float32(2.0)])
+    def test_real_scalars_are_refused(self, scalar):
+        km = KernelMath()
+        with pytest.raises(IntegerViolation):
+            km.add(np.array([1, 2]), scalar)
+        assert km.counter.float_violations == 1 and km.counter.total() == 0
 
 
 def test_tensor_validates_dims():

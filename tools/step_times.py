@@ -14,11 +14,14 @@ over those requests, on all its threads: above the wall time where a BLAS
 helper thread spins beside the calling thread.
 
 A second pass over the same requests wraps every public ``KernelMath``
-method in a timer and prints, per shape, the costliest calls: the caller's
-file and line, the method and its milliseconds per request. A call made
-inside another ``KernelMath`` call counts toward the outer one alone. The
-timers add a few microseconds to each call, so this pass's total runs above
-the first table's.
+method in a timer and prints, per shape, a header with the number of call
+sites (caller's file and line, and method), the ``KernelMath`` calls made
+per request and their mean microseconds per call, so that a shape bound by
+per-call costs shows as one; then the costliest call sites: the caller's
+file and line, the method, its calls and its milliseconds per request. A
+call made inside another ``KernelMath`` call counts toward the outer one
+alone. The timers add a few microseconds to each call, so this pass's
+total runs above the first table's.
 
 A third table times stage 1 (``stage1_analyze``, with as many workers as
 the machine has cores, the CLI's default), per shape and in ms per call,
@@ -61,8 +64,8 @@ STAGE1_RUNS = 5  # timed stage1_analyze calls per shape, after one untimed
 def step_times(pl, raw: dict, seed: int, requests: int, warmup: int) -> tuple[dict, dict]:
     """ms per request of each op kind's steps, of their sum and of the
     whole ``integer_forward`` call, on the shape ``raw`` at ``seed``; and
-    of each (caller:line, method) of :func:`call_times` over the same
-    requests."""
+    the calls and ms per request of each (caller:line, method) of
+    :func:`call_times` over the same requests."""
     cfg = pl.config_from_dict({**raw, "seed": seed})
     plan, _, graph, weights = pl.run_pipeline(cfg, calib_seed=seed)
     compiled = pl.compile_plan(graph, weights, plan)
@@ -96,7 +99,7 @@ def step_times(pl, raw: dict, seed: int, requests: int, warmup: int) -> tuple[di
     from intquant.tensor import KernelMath
     calls = call_times(KernelMath, lambda: [pl.integer_forward(graph, weights, plan, x)
                                     for x in xs[warmup:]])
-    return ms, {key: 1e3 * t / requests for key, t in calls.items()}
+    return ms, {key: (n / requests, 1e3 * t / requests) for key, (n, t) in calls.items()}
 
 
 def stage1_times(pl, raw: dict, seed: int, jobs: int) -> dict:
@@ -181,7 +184,7 @@ def _print_table(title: str, tables: dict) -> None:
 
 
 def call_times(km_class, run) -> dict:
-    """Seconds spent in each (caller:line, method) of the outermost
+    """(calls, seconds) of each (caller:line, method) of the outermost
     ``KernelMath`` calls while ``run()`` runs, with every public method
     wrapped in a timer and restored afterwards."""
     spent: dict = {}
@@ -200,7 +203,8 @@ def call_times(km_class, run) -> dict:
                     caller = sys._getframe(1)
                     key = (f"{os.path.basename(caller.f_code.co_filename)}:{caller.f_lineno}",
                            name)
-                    spent[key] = spent.get(key, 0.0) + t
+                    n, total = spent.get(key, (0, 0.0))
+                    spent[key] = n + 1, total + t
         return call
 
     methods = {name: fn for name, fn in vars(km_class).items()
@@ -238,10 +242,14 @@ def main(argv=None) -> int:
     _print_table(f"ms per request by op kind, {args.requests} batch-1 requests,"
                  f" seed {args.seed}, {src}", {name: t for name, (t, _) in timed.items()})
     for name, (_, calls) in timed.items():
-        print(f"\nKernelMath calls on {name}, ms per request, the {CALL_ROWS} costliest"
-              f" (all {len(calls)} calls: {sum(calls.values()):.3f})")
-        for (where, method), ms in sorted(calls.items(), key=lambda kv: -kv[1])[:CALL_ROWS]:
-            print(f"{where:<24}{method:<18}{ms:>9.3f}")
+        per_request = sum(n for n, _ in calls.values())
+        ms_total = sum(ms for _, ms in calls.values())
+        print(f"\nKernelMath calls on {name}: {len(calls)} call sites, {per_request:.0f} calls"
+              f" and {ms_total:.3f} ms per request, {1e3 * ms_total / per_request:.1f} us per"
+              f" call; the {CALL_ROWS} costliest sites, calls and ms per request")
+        costliest = sorted(calls.items(), key=lambda kv: -kv[1][1])[:CALL_ROWS]
+        for (where, method), (n, ms) in costliest:
+            print(f"{where:<24}{method:<18}{n:>7.0f}{ms:>9.3f}")
     print()
     _print_table(f"stage 1, ms per stage1_analyze call ({STAGE1_RUNS} calls), jobs={jobs},"
                  f" seed {args.seed}", stage1)
